@@ -12,9 +12,8 @@ from .report import CheckReport
 from .rings import (INF, RingContext, TruncPolyRing, ZmodRing,
                     parse_ring_preset, ring_axiom_check,
                     sigma_derivation_check, sigma_nilpotence_bound)
-from .series import (GradedElem, TruncatedSeries, filtration_degree,
-                     filtration_generators, graded_iso_check, graded_mul,
-                     ideal_closure_check, principal_symbol, series_from_poly,
+from .series import (GradedElem, TruncatedSeries, filtration_generators,
+                     graded_iso_check, ideal_closure_check, principal_symbol,
                      series_law_check)
 from .skewpoly import (NEG_INF, RightFormPoly, SkewPoly, left_to_right_form,
                        mkl_oracle_check, monomial_operator_apply,

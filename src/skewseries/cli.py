@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stable isomorphism witness for two idempotents")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--t-max", type=int, default=4)
 
     p = sub.add_parser("complete-row", parents=[common],
                        help="complete a unimodular row to an invertible matrix")
@@ -222,7 +221,7 @@ def _cmd_stable_iso(args, ctx):
     right = IdempotentMatrix(scalars, _parse_matrix(args.right, ctx, args.prec, scalars))
     rank_left = idempotent_rank(left).rank
     rank_right = idempotent_rank(right).rank
-    witness = stable_iso_witness(left, right, t_max=args.t_max)
+    witness = stable_iso_witness(left, right)
     lines = [f"base: {scalars.description}",
              f"rank e1: {rank_left}",
              f"rank e2: {rank_right}"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import RingContext
-from .series import series_from_poly
+from .series import TruncatedSeries
 from .skewpoly import SkewPoly
 
 MAX_EXPONENT = 512
@@ -239,7 +239,7 @@ def eval_expression(node, ctx: RingContext, precision: int | None = None):
     poly = _eval_poly(node, ctx)
     if precision is None:
         return poly
-    return series_from_poly(poly, precision)
+    return TruncatedSeries.from_poly(poly, precision)
 
 
 def _eval_poly(node, ctx) -> SkewPoly:

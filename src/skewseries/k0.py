@@ -19,6 +19,10 @@ arbitrarily deep radical powers and hence vanish.  A unit may sit off the
 diagonal with the whole diagonal radical (that genuinely happens, e.g.
 the 3x3 all-ones-off-diagonal idempotent over Z/8), so conjugation by
 I + E_{ji} is used first to drag such a unit onto the diagonal.
+
+Each pivot step is applied as elementary row and column operations on e, U
+and U^-1, O(n^3) in all; the certificate is still re-verified by plain
+matrix multiplication.
 """
 
 from __future__ import annotations
@@ -33,7 +37,17 @@ from .series import TruncatedSeries
 _MAX_UNIT_RESAMPLES = 10000
 
 
-class BaseScalars:
+class _Scalars:
+    """Scalar bases compare and hash by their signature."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Scalars) and other.signature == self.signature
+
+    def __hash__(self):
+        return hash(self.signature)
+
+
+class BaseScalars(_Scalars):
     """Matrix entries drawn from the coefficient ring itself."""
 
     kind = "base"
@@ -79,15 +93,8 @@ class BaseScalars:
     def render(self, a):
         return self.ctx.render(a)
 
-    def __eq__(self, other):
-        return isinstance(other, (BaseScalars, SeriesScalars)) and \
-            other.signature == self.signature
 
-    def __hash__(self):
-        return hash(self.signature)
-
-
-class SeriesScalars:
+class SeriesScalars(_Scalars):
     """Matrix entries drawn from S/G_N over a local coefficient ring."""
 
     kind = "series"
@@ -155,13 +162,6 @@ class SeriesScalars:
     def render(self, a: TruncatedSeries) -> str:
         return a.to_poly().render()
 
-    def __eq__(self, other):
-        return isinstance(other, (BaseScalars, SeriesScalars)) and \
-            other.signature == self.signature
-
-    def __hash__(self):
-        return hash(self.signature)
-
 
 # -- plain matrix helpers (row-major tuples of tuples) --------------------
 
@@ -196,10 +196,6 @@ def mat_mul(scalars, a, b):
 def mat_add(scalars, a, b):
     return tuple(tuple(scalars.add(x, y) for x, y in zip(ra, rb))
                  for ra, rb in zip(a, b))
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def mat_direct_sum(scalars, a, b):
@@ -279,6 +275,46 @@ class RankWitness:
         return conj == self.diagonal_form()
 
 
+class _ElementaryOps:
+    """Conjugation by an elementary matrix g, in place: each operation
+    multiplies the matrices in rows by g on the left and those in cols by
+    g^-1 on the right.  Entries need not commute, so row operations multiply
+    from the left and column operations from the right."""
+
+    def __init__(self, scalars, rows, cols):
+        self.scalars, self.rows, self.cols = scalars, rows, cols
+        self.zero = scalars.zero()
+
+    def add(self, i, j, v):
+        """g = I + v E_ij: row_i += v*row_j and col_j -= col_i*v."""
+        if v == self.zero:
+            return
+        s = self.scalars
+        for m in self.rows:
+            m[i] = [s.add(x, s.mul(v, y)) for x, y in zip(m[i], m[j])]
+        neg_v = s.neg(v)
+        for m in self.cols:
+            for row in m:
+                row[j] = s.add(row[j], s.mul(row[i], neg_v))
+
+    def scale(self, i, c, c_inv):
+        """g = I + (c - 1) E_ii, c a unit: row_i = c*row_i, col_i = col_i*c^-1."""
+        s = self.scalars
+        for m in self.rows:
+            m[i] = [s.mul(c, x) for x in m[i]]
+        for m in self.cols:
+            for row in m:
+                row[i] = s.mul(row[i], c_inv)
+
+    def swap(self, i, j):
+        """g the transposition of i and j: swaps rows, then columns."""
+        for m in self.rows:
+            m[i], m[j] = m[j], m[i]
+        for m in self.cols:
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+
+
 def _find_unit_entry(scalars, a, start):
     """Position of a unit in the trailing block a[start:, start:], diagonal
     first; None when every entry there is a non-unit."""
@@ -311,20 +347,8 @@ def idempotent_rank(e: IdempotentMatrix) -> RankWitness:
     a = [list(row) for row in e.entries]
     u = [list(row) for row in mat_identity(scalars, n)]
     uinv = [list(row) for row in mat_identity(scalars, n)]
+    ops = _ElementaryOps(scalars, rows=(a, u), cols=(a, uinv))
     zero, one = scalars.zero(), scalars.one()
-
-    def conjugate(g, ginv):
-        nonlocal a, u, uinv
-        a = [list(row) for row in mat_mul(scalars, mat_mul(scalars, g, a), ginv)]
-        u = [list(row) for row in mat_mul(scalars, g, u)]
-        uinv = [list(row) for row in mat_mul(scalars, uinv, ginv)]
-
-    def elementary(i, j, value):
-        g = [list(row) for row in mat_identity(scalars, n)]
-        gi = [list(row) for row in mat_identity(scalars, n)]
-        g[i][j] = value
-        gi[i][j] = scalars.neg(value)
-        return g, gi
 
     pivot_row = 0
     while pivot_row < n:
@@ -339,34 +363,25 @@ def idempotent_rank(e: IdempotentMatrix) -> RankWitness:
         i, j = pos
         if i != j:
             # unit at (i, j): conjugating by I + E_{j,i} adds it to (j, j)
-            conjugate(*elementary(j, i, one))
+            ops.add(j, i, one)
             i = j
         if i != pivot_row:
-            perm = [list(row) for row in mat_identity(scalars, n)]
-            perm[pivot_row], perm[i] = perm[i], perm[pivot_row]
-            conjugate(perm, perm)
-        pivot = a[pivot_row][pivot_row]
-        pivot_inv = scalars.inv(pivot)
+            ops.swap(pivot_row, i)
         # basis change sending e_pivot to the pivot column of a; since the
-        # column is fixed by the idempotent, the new pivot column is e_pivot
-        m = [list(row) for row in mat_identity(scalars, n)]
-        minv = [list(row) for row in mat_identity(scalars, n)]
-        m[pivot_row][pivot_row] = pivot
-        minv[pivot_row][pivot_row] = pivot_inv
+        # column is fixed by the idempotent, the new pivot column is e_pivot.
+        # The change is (D L)^-1 with D the pivot on the diagonal and L the
+        # column below it, both read before the step.
+        col = [row[pivot_row] for row in a]
+        ops.scale(pivot_row, scalars.inv(col[pivot_row]), col[pivot_row])
         for r in range(pivot_row + 1, n):
-            m[r][pivot_row] = a[r][pivot_row]
-            minv[r][pivot_row] = scalars.neg(scalars.mul(a[r][pivot_row], pivot_inv))
-        conjugate(minv, m)
+            ops.add(r, pivot_row, scalars.neg(col[r]))
         if a[pivot_row][pivot_row] != one or any(
                 a[r][pivot_row] != zero for r in range(n) if r != pivot_row):
             raise AssertionError("pivot column failed to normalize")
         # clear the pivot row; idempotency forces the cleared block to stay put
-        w = [list(row) for row in mat_identity(scalars, n)]
-        winv = [list(row) for row in mat_identity(scalars, n)]
+        clear = a[pivot_row][:]
         for c in range(pivot_row + 1, n):
-            w[pivot_row][c] = a[pivot_row][c]
-            winv[pivot_row][c] = scalars.neg(a[pivot_row][c])
-        conjugate(w, winv)
+            ops.add(pivot_row, c, clear[c])
         if any(a[pivot_row][c] != zero for c in range(n) if c != pivot_row):
             raise AssertionError("pivot row failed to clear")
         pivot_row += 1
@@ -408,17 +423,13 @@ class StableIsoWitness:
                             self.conjugator_inv) == rhs)
 
 
-def stable_iso_witness(e1: IdempotentMatrix, e2: IdempotentMatrix,
-                       t_max: int = 4):
+def stable_iso_witness(e1: IdempotentMatrix, e2: IdempotentMatrix):
     """Least t with e1 (+) I_t conjugate to e2 (+) I_t, as an explicit
     witness, or None.  Over a local base padding by I_t shifts both ranks
-    equally, so a witness exists iff the ranks agree, and then t = 0 works;
-    t_max only caps the (never fruitful) search beyond that.
+    equally, so a witness exists iff the ranks agree, and then t = 0 works.
     """
     if e1.scalars != e2.scalars:
         raise ValueError("base mismatch")
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
     scalars = e1.scalars
     n = max(e1.size, e2.size)
     left = _pad_to(scalars, e1.entries, n)
@@ -569,40 +580,28 @@ def _sample_unit(scalars, rng):
 
 
 def random_invertible(scalars, n, rng):
-    """Product of random elementary, unit-scaling and swap matrices; the
-    inverse is accumulated alongside, so the pair is exact by construction."""
-    m = mat_identity(scalars, n)
-    minv = mat_identity(scalars, n)
+    """Product of random elementary, unit-scaling and swap matrices, applied
+    as row operations; the inverse is accumulated alongside by the inverse
+    column operations, so the pair is exact by construction."""
+    m = [list(row) for row in mat_identity(scalars, n)]
+    minv = [list(row) for row in mat_identity(scalars, n)]
+    ops = _ElementaryOps(scalars, rows=(m,), cols=(minv,))
     steps = rng.randint(n + 1, 2 * n + 2)
     for _ in range(steps):
         kind = rng.randrange(3) if n > 1 else 1
-        g = [list(row) for row in mat_identity(scalars, n)]
-        gi = [list(row) for row in mat_identity(scalars, n)]
-        if kind == 0:
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            r = scalars.sample(rng)
-            g[i][j] = r
-            gi[i][j] = scalars.neg(r)
-        elif kind == 1:
-            i = rng.randrange(n)
+        i = rng.randrange(n)
+        if kind == 1:
             unit = _sample_unit(scalars, rng)
-            g[i][i] = unit
-            gi[i][i] = scalars.inv(unit)
+            ops.scale(i, unit, scalars.inv(unit))
+            continue
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        if kind == 0:
+            ops.add(i, j, scalars.sample(rng))
         else:
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            g[i], g[j] = g[j], g[i]
-            gi = [list(row) for row in g]
-        g = tuple(tuple(row) for row in g)
-        gi = tuple(tuple(row) for row in gi)
-        m = mat_mul(scalars, g, m)
-        minv = mat_mul(scalars, minv, gi)
-    return m, minv
+            ops.swap(i, j)
+    return tuple(map(tuple, m)), tuple(map(tuple, minv))
 
 
 def random_idempotent(scalars, n, rng):

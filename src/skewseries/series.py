@@ -182,14 +182,6 @@ class TruncatedSeries:
         return f"{body} [N={self.precision}]"
 
 
-def series_from_poly(f: SkewPoly, precision: int) -> TruncatedSeries:
-    return TruncatedSeries.from_poly(f, precision)
-
-
-def filtration_degree(f: TruncatedSeries) -> int:
-    return f.filtration_degree()
-
-
 class GradedElem:
     """Element of the associated graded ring, as a map
     (radical layer i, xbar-degree l) -> canonical representative of
@@ -288,10 +280,6 @@ class GradedElem:
                 term += f"*xbar^{xdeg}"
             parts.append(term)
         return " + ".join(parts)
-
-
-def graded_mul(u: GradedElem, v: GradedElem) -> GradedElem:
-    return u * v
 
 
 def principal_symbol(f: TruncatedSeries) -> GradedElem:

@@ -6,10 +6,10 @@ import pytest
 from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         TruncatedSeries, idempotent_rank, k0_rank_check,
                         random_idempotent, random_invertible,
-                        serre_transfer_check, series_from_poly,
-                        stable_iso_witness, stably_free_witness,
-                        unimodular_complete)
-from skewseries.k0 import mat_diag, mat_direct_sum, mat_identity, mat_mul
+                        serre_transfer_check, stable_iso_witness,
+                        stably_free_witness, unimodular_complete)
+from skewseries.k0 import (mat_diag, mat_direct_sum, mat_identity, mat_mul,
+                          render_matrix)
 
 
 def all_2x2_idempotents(scalars):
@@ -147,7 +147,7 @@ class TestStableIso:
         scalars = BaseScalars(z8)
         one = IdempotentMatrix(scalars, ((1,),))
         zero = IdempotentMatrix(scalars, ((0,),))
-        assert stable_iso_witness(one, zero, t_max=6) is None
+        assert stable_iso_witness(one, zero) is None
 
     def test_size_padding(self, z8):
         scalars = BaseScalars(z8)
@@ -211,8 +211,8 @@ class TestUnimodular:
 
     def test_series_row(self, z8):
         scalars = SeriesScalars(z8, 3)
-        row = (series_from_poly(SkewPoly(z8, (1, 2)), 3),
-               series_from_poly(SkewPoly(z8, (2,)), 3))
+        row = (TruncatedSeries.from_poly(SkewPoly(z8, (1, 2)), 3),
+               TruncatedSeries.from_poly(SkewPoly(z8, (2,)), 3))
         c = unimodular_complete(scalars, row)
         assert c.verify()
 
@@ -242,7 +242,7 @@ class TestSerreTransfer:
     def test_explicit_conjugation_over_series(self, z8):
         # diag(1, 0) conjugated by I + (2x)E_12 over S/G_3
         scalars = SeriesScalars(z8, 3)
-        two_x = series_from_poly(SkewPoly(z8, (0, 2)), 3)
+        two_x = TruncatedSeries.from_poly(SkewPoly(z8, (0, 2)), 3)
         v = ((scalars.one(), two_x), (scalars.zero(), scalars.one()))
         vinv = ((scalars.one(), -two_x), (scalars.zero(), scalars.one()))
         d = mat_diag(scalars, [1, 0])
@@ -253,3 +253,60 @@ class TestSerreTransfer:
     def test_suite(self, f27):
         report = serre_transfer_check(f27, 4, size_limit=3, samples=10, seed=67)
         assert report.passed, report.counterexample
+
+
+# Seeded generator outputs, rendered row by row.  The benchmark builds its
+# inputs with these generators, so the draws (i, then j, then r or the
+# unit) must keep their order.
+PINNED_INVERTIBLES = [
+    ("z8", 1, 1, ['[7]'], ['[7]']),
+    ("z8", 1, 2, ['[1, 7]', '[6, 3]'], ['[3, 1]', '[2, 1]']),
+    ("z8", 2, 3, ['[0, 0, 1]', '[1, 0, 2]', '[0, 3, 0]'],
+     ['[6, 1, 0]', '[0, 0, 3]', '[1, 0, 0]']),
+    ("z8", 7, 4, ['[1, 0, 0, 1]', '[1, 0, 0, 0]', '[0, 0, 1, 0]', '[6, 1, 0, 6]'],
+     ['[0, 1, 0, 0]', '[2, 0, 0, 1]', '[0, 0, 1, 0]', '[1, 7, 0, 0]']),
+    ("s3", 1, 1, ['[1 + t + x]'], ['[1 + 2*t + 2*t^2 + 2*x + x^2]']),
+    ("s3", 1, 2, ['[2 + t^2 + 2*x^2, 2 + t + 2*x^2]', '[0, 1]'],
+     ['[2 + 2*t^2 + x^2, 2 + t + 2*t^2]', '[0, 1]']),
+    ("s3", 2, 3,
+     ['[0, 0, 1]',
+      '[1 + 2*t*x + x^2, 1, 2*t + 2*t^2 + (1 + t)*x]',
+      '[1 + 2*t + 2*t^2 + (1 + 2*t)*x + 2*x^2, 0, 2*t + 2*t^2 + (1 + t)*x + x^2]'],
+     ['[t + t^2 + (2 + 2*t)*x, 0, 1 + t + t^2 + (2 + t)*x + 2*x^2]',
+      '[0, 1, 2 + 2*t + 2*t^2 + x]',
+      '[1, 0, 0]']),
+]
+
+PINNED_IDEMPOTENTS = [
+    ("z8", 30, 2, ['[1, 2, 0]', '[0, 0, 4]', '[0, 4, 1]']),
+    ("z8", 34, 2, ['[6, 0, 5]', '[0, 1, 0]', '[2, 0, 3]']),
+    ("z8", 39, 1, ['[4, 4, 4]', '[7, 5, 5]', '[0, 0, 0]']),
+    ("s3", 1, 1,
+     ['[1, 0, 0]', '[2 + t^2 + 2*x^2, 0, 0]', '[1 + t + (1 + 2*t)*x, 0, 0]']),
+    ("s3", 5, 2,
+     ['[0, 0, 0]', '[0, 1, 0]', '[2*t + (1 + 2*t)*x + x^2, 0, 1]']),
+    ("s3", 16, 2,
+     ['[1, 0, 0]', '[0, 1, 0]', '[0, 2 + t + t^2 + (2 + t)*x, 0]']),
+]
+
+
+class TestSeededGenerators:
+    @pytest.fixture
+    def bases(self, z8, f27):
+        return {"z8": BaseScalars(z8), "s3": SeriesScalars(f27, 3)}
+
+    @pytest.mark.parametrize("base,seed,n,m,minv", PINNED_INVERTIBLES)
+    def test_random_invertible_is_pinned(self, bases, base, seed, n, m, minv):
+        scalars = bases[base]
+        got, got_inv = random_invertible(scalars, n, random.Random(seed))
+        assert render_matrix(scalars, got) == m
+        assert render_matrix(scalars, got_inv) == minv
+        assert mat_mul(scalars, got, got_inv) == mat_identity(scalars, n)
+
+    @pytest.mark.parametrize("base,seed,ones,entries", PINNED_IDEMPOTENTS)
+    def test_random_idempotent_is_pinned(self, bases, base, seed, ones, entries):
+        scalars = bases[base]
+        e, got_ones = random_idempotent(scalars, 3, random.Random(seed))
+        assert got_ones == ones
+        assert render_matrix(scalars, e.entries) == entries
+        assert idempotent_rank(e).rank == ones

@@ -37,8 +37,17 @@ GOLDEN_CASES = [
      ["rank", "1,2;0,0", "--ring", "zmod:2^3", "--format", "json"], 0),
     ("rank_not_idempotent.txt",
      ["rank", "1,1;1,1", "--ring", "zmod:2^3"], 1),
+    # an off-diagonal unit dragged onto a radical diagonal
+    ("rank_drag.txt",
+     ["rank", "6,5,5;5,6,5;5,5,6", "--ring", "zmod:2^3"], 0),
+    # a swap and a column normalization over noncommutative S/G_3
+    ("rank_series_swap.txt",
+     ["rank", "0,0;t + x,1", "--ring", "truncpoly:3:3:c=2", "--prec", "3"], 0),
     ("stable_iso.txt",
      ["stable-iso", "1,2;0,0", "1,0;0,0", "--ring", "zmod:2^3"], 0),
+    ("stable_iso_series.txt",
+     ["stable-iso", "0,0;t + x,1", "1,t*x;0,0", "--ring", "truncpoly:3:3:c=2",
+      "--prec", "3"], 0),
     ("stable_iso_none.txt",
      ["stable-iso", "1", "0", "--ring", "zmod:2^3"], 0),
     ("complete_row.txt",

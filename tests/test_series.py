@@ -3,8 +3,8 @@ import random
 import pytest
 
 from skewseries import (GradedElem, SkewPoly, TruncatedSeries, graded_iso_check,
-                        graded_mul, ideal_closure_check, principal_symbol,
-                        series_from_poly, series_law_check)
+                        ideal_closure_check, principal_symbol,
+                        series_law_check)
 from skewseries.series import (filtration_generators, random_series,
                                random_series_in_filtration)
 from skewseries.skewpoly import random_poly
@@ -12,23 +12,23 @@ from skewseries.skewpoly import random_poly
 
 class TestTruncation:
     def test_zero_poly(self, z8):
-        assert series_from_poly(SkewPoly.zero(z8), 3).is_zero()
+        assert TruncatedSeries.from_poly(SkewPoly.zero(z8), 3).is_zero()
 
     def test_reduction_example(self, z8):
         f = SkewPoly(z8, (4, 2, 1))
-        s = series_from_poly(f, 3)
+        s = TruncatedSeries.from_poly(f, 3)
         assert s.coeffs == (4, 2, 1)
         # one more radical layer gone per slot
-        t = series_from_poly(SkewPoly(z8, (7, 7, 7)), 3)
+        t = TruncatedSeries.from_poly(SkewPoly(z8, (7, 7, 7)), 3)
         assert t.coeffs == (7, 3, 1)
 
     def test_x_power_dies_at_precision(self, z8):
         for n in range(1, 5):
-            s = series_from_poly(SkewPoly.var(z8) ** n, n)
+            s = TruncatedSeries.from_poly(SkewPoly.var(z8) ** n, n)
             assert s.is_zero()
 
     def test_render_verbatim(self, z8):
-        s = series_from_poly(SkewPoly(z8, (4, 2, 1)), 3)
+        s = TruncatedSeries.from_poly(SkewPoly(z8, (4, 2, 1)), 3)
         assert s.render() == "4 (mod 8) + 2 (mod 4)*x + 1 (mod 2)*x^2 [N=3]"
         assert TruncatedSeries.zero(z8, 3).render() == "0 [N=3]"
 
@@ -50,7 +50,7 @@ class TestSeriesProduct:
         t = f27.named_literals()["t"]
         x = TruncatedSeries.var(f27, 3)
         ts = TruncatedSeries.constant(f27, 3, t)
-        via_poly = series_from_poly(
+        via_poly = TruncatedSeries.from_poly(
             SkewPoly.var(f27) * SkewPoly.from_scalar(f27, t), 3)
         assert x * ts == via_poly
 
@@ -61,8 +61,9 @@ class TestSeriesProduct:
                 for _ in range(50):
                     f = random_poly(ctx, n - 1, rng)
                     g = random_poly(ctx, n - 1, rng)
-                    assert series_from_poly(f * g, n) == \
-                        series_from_poly(f, n) * series_from_poly(g, n)
+                    assert TruncatedSeries.from_poly(f * g, n) == \
+                        TruncatedSeries.from_poly(f, n) * \
+                        TruncatedSeries.from_poly(g, n)
 
     def test_representative_independence_example(self, z8):
         # perturbing the x-coefficient of a lift by 2 (an element of J^(2-1))
@@ -70,12 +71,13 @@ class TestSeriesProduct:
         lift = SkewPoly(z8, (1, 1))
         lift_pert = SkewPoly(z8, (1, 3))
         g_lift = SkewPoly(z8, (3, 5))
-        f, f_pert = series_from_poly(lift, 2), series_from_poly(lift_pert, 2)
+        f = TruncatedSeries.from_poly(lift, 2)
+        f_pert = TruncatedSeries.from_poly(lift_pert, 2)
         assert f_pert == f
-        assert series_from_poly(lift_pert * g_lift, 2) == \
-            series_from_poly(lift * g_lift, 2)
-        assert series_from_poly(g_lift * lift_pert, 2) == \
-            series_from_poly(g_lift * lift, 2)
+        assert TruncatedSeries.from_poly(lift_pert * g_lift, 2) == \
+            TruncatedSeries.from_poly(lift * g_lift, 2)
+        assert TruncatedSeries.from_poly(g_lift * lift_pert, 2) == \
+            TruncatedSeries.from_poly(g_lift * lift, 2)
 
     def test_law_suite(self, z8, f27):
         for ctx in (z8, f27):
@@ -104,9 +106,9 @@ class TestFiltration:
         assert TruncatedSeries.zero(z8, 4).filtration_degree() == 4
 
     def test_degree_examples(self, z8):
-        s = series_from_poly(SkewPoly(z8, (4, 2, 1)), 4)
+        s = TruncatedSeries.from_poly(SkewPoly(z8, (4, 2, 1)), 4)
         assert s.filtration_degree() == 2
-        two_x = series_from_poly(SkewPoly(z8, (0, 2)), 4)
+        two_x = TruncatedSeries.from_poly(SkewPoly(z8, (0, 2)), 4)
         assert two_x.filtration_degree() == 2
         # 2x sits in G_2 but not G_3 since 2 is not in J^2 = (4)
         assert z8.ideal_valuation(2) + 1 == 2
@@ -152,11 +154,11 @@ class TestGraded:
         assert principal_symbol(x).components == (((0, 1), 1),)
 
     def test_symbol_of_2x(self, z8):
-        s = series_from_poly(SkewPoly(z8, (0, 2)), 4)
+        s = TruncatedSeries.from_poly(SkewPoly(z8, (0, 2)), 4)
         assert principal_symbol(s).components == (((1, 1), 2),)
 
     def test_full_boundary_symbol(self, z8):
-        s = series_from_poly(SkewPoly(z8, (4, 2, 1)), 4)
+        s = TruncatedSeries.from_poly(SkewPoly(z8, (4, 2, 1)), 4)
         comps = dict(principal_symbol(s).components)
         assert comps == {(2, 0): 4, (1, 1): 2, (0, 2): 1}
 
@@ -172,8 +174,8 @@ class TestGraded:
             if f.is_zero():
                 continue
             u = principal_symbol(f)
-            assert graded_mul(u, one) == u
-            assert graded_mul(one, u) == u
+            assert u * one == u
+            assert one * u == u
 
     def test_xbar_times_tbar_keeps_derivation_term(self, f27):
         # x*t = 2t*x + t^2 with both terms on the degree-2 boundary, so the
@@ -182,7 +184,7 @@ class TestGraded:
         t = f27.named_literals()["t"]
         x = TruncatedSeries.var(f27, 4)
         ts = TruncatedSeries.constant(f27, 4, t)
-        model = graded_mul(principal_symbol(x), principal_symbol(ts))
+        model = principal_symbol(x) * principal_symbol(ts)
         t_sq = f27.mul(t, t)
         two_t = f27.mul(f27.from_int(2), t)
         assert dict(model.components) == {(2, 0): t_sq, (1, 1): two_t}
@@ -190,16 +192,16 @@ class TestGraded:
 
     def test_pure_twist_when_delta_zero(self, z8):
         # over a delta = 0 preset the product is the plain twisted rule
-        two_x = series_from_poly(SkewPoly(z8, (0, 2)), 4)
+        two_x = TruncatedSeries.from_poly(SkewPoly(z8, (0, 2)), 4)
         sym = principal_symbol(two_x)
-        sq = graded_mul(sym, sym)
+        sq = sym * sym
         assert dict(sq.components) == {(2, 2): 4}
 
     def test_cancellation_to_zero(self, z8):
         two = TruncatedSeries.constant(z8, 4, 2)
         four = TruncatedSeries.constant(z8, 4, 4)
         assert (two * four).is_zero()
-        prod = graded_mul(principal_symbol(two), principal_symbol(four))
+        prod = principal_symbol(two) * principal_symbol(four)
         assert prod.is_zero()
 
     def test_graded_iso_suite(self, z8, f27):
