@@ -13,8 +13,8 @@ import json
 import sys
 
 from .exprparse import ExprError, eval_expression, parse_expression
-from .k0 import (BaseScalars, IdempotentMatrix, SeriesScalars, idempotent_rank,
-                 render_matrix, stable_iso_witness, unimodular_complete)
+from .k0 import (BaseScalars, IdempotentMatrix, SeriesScalars, _stable_iso,
+                 idempotent_rank, render_matrix, unimodular_complete)
 from .rings import parse_ring_preset, sigma_nilpotence_bound
 from .series import principal_symbol
 from .suites import SUITE_NAMES, run_property_suite
@@ -219,9 +219,9 @@ def _cmd_stable_iso(args, ctx):
     scalars = _scalars_for(ctx, args.prec)
     left = IdempotentMatrix(scalars, _parse_matrix(args.left, ctx, args.prec, scalars))
     right = IdempotentMatrix(scalars, _parse_matrix(args.right, ctx, args.prec, scalars))
-    rank_left = idempotent_rank(left).rank
-    rank_right = idempotent_rank(right).rank
-    witness = stable_iso_witness(left, right)
+    # zero-padding to a common size changes neither rank
+    w_left, w_right, witness = _stable_iso(left, right)
+    rank_left, rank_right = w_left.rank, w_right.rank
     lines = [f"base: {scalars.description}",
              f"rank e1: {rank_left}",
              f"rank e2: {rank_right}"]

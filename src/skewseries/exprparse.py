@@ -235,26 +235,27 @@ def render_expression(node, ctx: RingContext) -> str:
 
 def eval_expression(node, ctx: RingContext, precision: int | None = None):
     """Evaluate to a SkewPoly, or to its class in S/G_N when a precision is
-    given."""
-    poly = _eval_poly(node, ctx)
+    given.  The class is computed in S/G_N from the leaves up: G_N is a
+    two-sided ideal, so this is the class of the polynomial."""
     if precision is None:
-        return poly
-    return TruncatedSeries.from_poly(poly, precision)
+        return _eval(node, lambda a: SkewPoly.from_scalar(ctx, a), SkewPoly.var(ctx))
+    return _eval(node, lambda a: TruncatedSeries.constant(ctx, precision, a),
+                 TruncatedSeries.var(ctx, precision))
 
 
-def _eval_poly(node, ctx) -> SkewPoly:
+def _eval(node, constant, var):
     if isinstance(node, Const):
-        return SkewPoly.from_scalar(ctx, node.payload)
+        return constant(node.payload)
     if isinstance(node, Var):
-        return SkewPoly.var(ctx)
+        return var
     if isinstance(node, Add):
-        return _eval_poly(node.left, ctx) + _eval_poly(node.right, ctx)
+        return _eval(node.left, constant, var) + _eval(node.right, constant, var)
     if isinstance(node, Sub):
-        return _eval_poly(node.left, ctx) - _eval_poly(node.right, ctx)
+        return _eval(node.left, constant, var) - _eval(node.right, constant, var)
     if isinstance(node, Mul):
-        return _eval_poly(node.left, ctx) * _eval_poly(node.right, ctx)
+        return _eval(node.left, constant, var) * _eval(node.right, constant, var)
     if isinstance(node, Pow):
-        return _eval_poly(node.base, ctx) ** node.exponent
+        return _eval(node.base, constant, var) ** node.exponent
     if isinstance(node, Neg):
-        return -_eval_poly(node.child, ctx)
+        return -_eval(node.child, constant, var)
     raise TypeError(f"not an expression node: {node!r}")

@@ -428,6 +428,12 @@ def stable_iso_witness(e1: IdempotentMatrix, e2: IdempotentMatrix):
     witness, or None.  Over a local base padding by I_t shifts both ranks
     equally, so a witness exists iff the ranks agree, and then t = 0 works.
     """
+    return _stable_iso(e1, e2)[2]
+
+
+def _stable_iso(e1: IdempotentMatrix, e2: IdempotentMatrix):
+    """(rank witness of e1, rank witness of e2, stable_iso_witness(e1, e2)),
+    diagonalizing and verifying each input once."""
     if e1.scalars != e2.scalars:
         raise ValueError("base mismatch")
     scalars = e1.scalars
@@ -437,7 +443,7 @@ def stable_iso_witness(e1: IdempotentMatrix, e2: IdempotentMatrix):
     w1 = idempotent_rank(IdempotentMatrix(scalars, left))
     w2 = idempotent_rank(IdempotentMatrix(scalars, right))
     if w1.rank != w2.rank:
-        return None
+        return w1, w2, None
     conj = mat_mul(scalars, w2.conjugator_inv, w1.conjugator)
     conj_inv = mat_mul(scalars, w1.conjugator_inv, w2.conjugator)
     witness = StableIsoWitness(
@@ -445,7 +451,7 @@ def stable_iso_witness(e1: IdempotentMatrix, e2: IdempotentMatrix):
         conjugator=conj, conjugator_inv=conj_inv)
     if not witness.verify():
         raise AssertionError("stable isomorphism certificate failed to verify")
-    return witness
+    return w1, w2, witness
 
 
 @dataclass(frozen=True)

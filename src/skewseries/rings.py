@@ -76,6 +76,8 @@ class RingContext:
         self._sigma_inv_table = None
         self._is_local = None
         self._mkl_cache = {}
+        # nilpotency -> {b: largest l with M_{nil,l'}(b) = 0 checked for l' <= l}
+        self._mkl_vanishing = {}
 
     # -- primitive operations (subclass responsibility) ------------------
 

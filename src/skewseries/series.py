@@ -28,7 +28,7 @@ import random
 
 from .report import CheckReport
 from .rings import RingContext
-from .skewpoly import SkewPoly, monomial_operator_apply
+from .skewpoly import SkewPoly, _closed_product, _power, monomial_operator_apply
 
 
 class TruncatedSeries:
@@ -97,42 +97,15 @@ class TruncatedSeries:
     def __mul__(self, other):
         """Closed product formula on lifted representatives, reduced at the
         end.  Terms whose monomial operator carries at least
-        radical_nilpotency delta factors must vanish (I is nilpotent); this
-        is asserted rather than assumed."""
+        radical_nilpotency delta factors vanish (I is nilpotent); the shared
+        kernel skips them and checks that they vanish."""
         self._check_compat(other)
-        ctx = self.ctx
-        zero = ctx.zero()
-        nil = ctx.radical_nilpotency
-        n_prec = self.precision
-        out = []
-        for m in range(n_prec):
-            acc = zero
-            for n in range(m + 1):
-                b = other.coeffs[m - n]
-                if b == zero:
-                    continue
-                for j in range(n, n_prec):
-                    a = self.coeffs[j]
-                    if a == zero:
-                        continue
-                    k = j - n
-                    v = monomial_operator_apply(ctx, k, n, b)
-                    if k >= nil:
-                        if v != zero:
-                            raise AssertionError(
-                                "sigma-nilpotence bound violated in series product")
-                        continue
-                    acc = ctx.add(acc, ctx.mul(a, v))
-            out.append(acc)
-        return TruncatedSeries(ctx, n_prec, out)
+        return TruncatedSeries(
+            self.ctx, self.precision,
+            _closed_product(self.ctx, self.coeffs, other.coeffs, self.precision))
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative exponents are not defined")
-        result = TruncatedSeries.one(self.ctx, self.precision)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _power(TruncatedSeries.one(self.ctx, self.precision), self, exponent)
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries) and other.ctx == self.ctx

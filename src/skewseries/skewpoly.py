@@ -10,6 +10,8 @@ product routes are provided so they can be cross-validated:
       coeff_m(f*g) = sum_{n=0..m} sum_{j>=n} a_j * M_{j-n,n}(b_{m-n})
   with M computed by the recursion
       M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1},   M_{0,0} = id
+  summed only over j - n < radical_nilpotency: M_{k,l} maps R into I^k,
+  so the other terms vanish (checked per product, not assumed);
 * :func:`poly_mul_commutation`, which expands products by repeatedly
   applying the single-step rule and collecting left-form terms.
 
@@ -34,6 +36,9 @@ def monomial_operator_apply(ctx: RingContext, k: int, l: int, a):
 
     Values are memoized per ring context and input element, so repeated
     series products over the same small carrier cost a dictionary lookup.
+    Every call fills the whole rectangle k' <= k, l' <= l, so when
+    (k, l', a) is memoized every (k'' <= k, l'' <= l', a) is too, and a
+    call only has to fill the columns right of the last complete one.
     """
     if k < 0 or l < 0:
         return ctx.zero()
@@ -41,8 +46,11 @@ def monomial_operator_apply(ctx: RingContext, k: int, l: int, a):
     hit = cache.get((k, l, a))
     if hit is not None:
         return hit
-    for kk in range(k + 1):
-        for ll in range(l + 1):
+    first = l
+    while first > 0 and (k, first - 1, a) not in cache:
+        first -= 1
+    for ll in range(first, l + 1):
+        for kk in range(k + 1):
             key = (kk, ll, a)
             if key in cache:
                 continue
@@ -56,6 +64,79 @@ def monomial_operator_apply(ctx: RingContext, k: int, l: int, a):
                     val = ctx.add(val, ctx.sigma(cache[(kk, ll - 1, a)]))
             cache[key] = val
     return cache[(k, l, a)]
+
+
+def _check_vanishing(ctx: RingContext, b, l: int):
+    """Assert M_{nil,l'}(b) = 0 for every l' <= l, nil the radical
+    nilpotency.  The recursion M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1}
+    then makes every M_{k,l'}(b) with k > nil vanish as well, so the terms a
+    product skips are zero.  The context remembers the largest l checked
+    for each b, so each (b, l) is checked once per context."""
+    nil = ctx.radical_nilpotency
+    verified = ctx._mkl_vanishing.setdefault(nil, {})
+    done = verified.get(b, -1)
+    if done >= l:
+        return
+    zero = ctx.zero()
+    for ll in range(done + 1, l + 1):
+        if monomial_operator_apply(ctx, nil, ll, b) != zero:
+            raise AssertionError(
+                f"sigma-nilpotence bound violated: M_{{{nil},{ll}}}"
+                f"({ctx.render(b)}) != 0")
+    verified[b] = l
+
+
+def _closed_product(ctx: RingContext, fa, gb, length: int) -> list:
+    """The first ``length`` coefficients of (sum a_j x^j) * (sum b_i x^i),
+    by coeff_m = sum_{n+i=m} sum_{j>=n} a_j M_{j-n,n}(b_i).
+
+    Only terms with j - n < radical_nilpotency are summed: M_{k,l}(b) lies
+    in I^k, so the others vanish.  That is checked rather than assumed,
+    once per right-factor coefficient and product (see _check_vanishing).
+    Trailing zeros of both factors are trimmed, and no coefficient past
+    la + lb - 1 is computed.
+    """
+    zero = ctx.zero()
+    la, lb = len(fa), len(gb)
+    while la and fa[la - 1] == zero:
+        la -= 1
+    while lb and gb[lb - 1] == zero:
+        lb -= 1
+    size = min(length, la + lb - 1) if la and lb else 0
+    out = [zero] * size
+    nil = ctx.radical_nilpotency
+    add, mul = ctx.add, ctx.mul
+    for i in range(min(lb, size)):
+        b = gb[i]
+        if b == zero:
+            continue
+        top = min(la, size - i)
+        # for n <= la - 1 - nil the nonzero a_(la-1) term is skipped
+        skipped = min(la - 1 - nil, top - 1)
+        if skipped >= 0:
+            _check_vanishing(ctx, b, skipped)
+        for n in range(top):
+            acc = out[n + i]
+            for j in range(n, min(la, n + nil)):
+                a = fa[j]
+                if a != zero:
+                    acc = add(acc, mul(a, monomial_operator_apply(ctx, j - n, n, b)))
+            out[n + i] = acc
+    return out
+
+
+def _power(one, base, exponent: int):
+    """base^exponent by square-and-multiply, starting from ``one``."""
+    if exponent < 0:
+        raise ValueError("negative exponents are not defined")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def monomial_operator_words(ctx: RingContext, k: int, l: int, a):
@@ -132,33 +213,11 @@ class SkewPoly:
 
     def __mul__(self, other):
         self._check_ctx(other)
-        ctx = self.ctx
-        if self.is_zero() or other.is_zero():
-            return SkewPoly.zero(ctx)
-        zero = ctx.zero()
-        deg = len(self.coeffs) + len(other.coeffs) - 2
-        out = []
-        for m in range(deg + 1):
-            acc = zero
-            for n in range(m + 1):
-                b = other.coeff(m - n)
-                if b == zero:
-                    continue
-                for j in range(n, len(self.coeffs)):
-                    a = self.coeffs[j]
-                    if a == zero:
-                        continue
-                    acc = ctx.add(acc, ctx.mul(a, monomial_operator_apply(ctx, j - n, n, b)))
-            out.append(acc)
-        return SkewPoly(ctx, out)
+        fa, gb = self.coeffs, other.coeffs
+        return SkewPoly(self.ctx, _closed_product(self.ctx, fa, gb, len(fa) + len(gb)))
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative exponents are not defined")
-        result = SkewPoly.one(self.ctx)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _power(SkewPoly.one(self.ctx), self, exponent)
 
     def __eq__(self, other):
         return (isinstance(other, SkewPoly) and other.ctx == self.ctx
@@ -220,18 +279,18 @@ class RightFormPoly:
 
 def normalize_right_to_left(p: RightFormPoly) -> SkewPoly:
     """Rewrite sum_i x^i a_i in left normal form: the coefficient of x^j is
-    sum_{i >= j} M_{i-j, j}(a_i)."""
+    sum_{i >= j} M_{i-j, j}(a_i), where only i - j < radical_nilpotency
+    contributes (checked as in _closed_product)."""
     ctx = p.ctx
     if not p.terms:
         return SkewPoly.zero(ctx)
-    top = p.terms[-1][0]
-    coeffs = []
-    for j in range(top + 1):
-        acc = ctx.zero()
-        for i, a in p.terms:
-            if i >= j:
-                acc = ctx.add(acc, monomial_operator_apply(ctx, i - j, j, a))
-        coeffs.append(acc)
+    nil = ctx.radical_nilpotency
+    coeffs = [ctx.zero()] * (p.terms[-1][0] + 1)
+    for i, a in p.terms:
+        if i >= nil:
+            _check_vanishing(ctx, a, i - nil)
+        for j in range(max(0, i - nil + 1), i + 1):
+            coeffs[j] = ctx.add(coeffs[j], monomial_operator_apply(ctx, i - j, j, a))
     return SkewPoly(ctx, coeffs)
 
 
@@ -294,9 +353,14 @@ def random_poly(ctx: RingContext, max_degree: int, rng: random.Random) -> SkewPo
 def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
                      count_total: int = 8) -> CheckReport:
     """Recursion vs word enumeration for all k+l <= max_total over the whole
-    carrier, plus the C(k+l, k) word-count identity up to count_total."""
+    carrier, plus the C(k+l, k) word-count identity up to count_total.
+    Where k >= radical nilpotency, M_{k,l}(a) must also vanish: the product
+    kernels skip those terms."""
     checked = 0
+    vanishing = 0
     cex = None
+    zero = ctx.zero()
+    nil = ctx.radical_nilpotency
     elems = sorted(ctx.elements())
     for total in range(max_total + 1):
         for k in range(total + 1):
@@ -311,6 +375,13 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
                     cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
                            f"words give {ctx.render(by_words)}")
                     break
+                if k >= nil:
+                    vanishing += 1
+                    if by_words != zero:
+                        cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
+                               f"{ctx.render(by_words)} does not vanish at "
+                               f"k >= nilpotency {nil}")
+                        break
             if cex:
                 break
         if cex:
@@ -328,7 +399,7 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
         passed=cex is None,
         checked=checked,
         counterexample=cex,
-        details={"max_total_degree": max_total},
+        details={"max_total_degree": max_total, "vanishing_checks": vanishing},
     )
 
 

@@ -9,6 +9,9 @@ from skewseries import cli
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
 ARGV = ["rank", "6,5,5;5,6,5;5,5,6", "--ring", "zmod:2^3"]
+# a power and a product evaluated directly in S/G_4
+NORMALIZE_ARGV = ["normalize", "(t + x)^9 * (2 + t*x)", "--ring",
+                  "truncpoly:3:3:c=2", "--prec", "4"]
 
 
 def _run(argv):
@@ -18,19 +21,31 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def test_tracer_hooks_fit_the_program(monkeypatch):
+def _traced_layers(monkeypatch, argv):
+    """Run argv untraced and traced; the outputs must agree and every
+    wrapper must come off again."""
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     from tracer import Tracer
 
-    plain = _run(ARGV)
+    plain = _run(argv)
     tracer = Tracer()
     tracer.install()
     try:
-        traced = _run(ARGV)
+        traced = _run(argv)
     finally:
         removed = tracer.uninstall()
     assert removed
     assert traced == plain
-    layers = tracer.metrics()
+    return tracer.metrics()
+
+
+def test_tracer_hooks_fit_the_program(monkeypatch):
+    layers = _traced_layers(monkeypatch, ARGV)
     assert layers["k0.rank_calls"][0] == 1
     assert layers["k0.scalar_mul_calls"][0] > 0
+
+
+def test_tracer_sees_the_product_kernel(monkeypatch):
+    layers = _traced_layers(monkeypatch, NORMALIZE_ARGV)
+    assert layers["skewpoly.mkl_calls"][0] > 0
+    assert layers["series.mul_calls"][0] > 0

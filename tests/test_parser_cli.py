@@ -20,6 +20,15 @@ GOLDEN_CASES = [
      ["normalize", "4 + 2*x + x^2", "--ring", "zmod:2^3", "--prec", "3"], 0),
     ("mul_series.txt",
      ["mul", "x + t", "x + t", "--ring", "truncpoly:3:3:c=2", "--prec", "4"], 0),
+    # powers by repeated squaring, with and without direct S/G_N evaluation
+    ("normalize_power.txt",
+     ["normalize", "(x + t)^40 * (t*x + 2)", "--ring", "truncpoly:3:3:c=2"], 0),
+    ("normalize_power_series.txt",
+     ["normalize", "(x + t)^40 * (t*x + 2)", "--ring", "truncpoly:3:3:c=2",
+      "--prec", "6"], 0),
+    ("mul_power_series.txt",
+     ["mul", "(1 + x + t)^7 + 2*t", "(2 + t*x)^5 * (x + 1)",
+      "--ring", "truncpoly:3:3:c=2", "--prec", "5"], 0),
     ("degree.txt",
      ["degree", "4 + 2*x + x^2", "--ring", "zmod:2^3", "--prec", "4"], 0),
     ("symbol.txt",

@@ -1,10 +1,12 @@
+import copy
 import random
 
 import pytest
 
-from skewseries import (GradedElem, SkewPoly, TruncatedSeries, graded_iso_check,
-                        ideal_closure_check, principal_symbol,
-                        series_law_check)
+from skewseries import (GradedElem, SkewPoly, TruncatedSeries, eval_expression,
+                        graded_iso_check, ideal_closure_check, parse_expression,
+                        parse_ring_preset, poly_mul_commutation,
+                        principal_symbol, series_law_check)
 from skewseries.series import (filtration_generators, random_series,
                                random_series_in_filtration)
 from skewseries.skewpoly import random_poly
@@ -99,6 +101,60 @@ class TestSeriesProduct:
                 g = random_series(ctx, 5, rng)
                 assert (f * g).reduce_precision(4) == \
                     f.reduce_precision(4) * g.reduce_precision(4)
+
+
+class TestNilpotenceCut:
+    """The series product shares the polynomial product's kernel, which
+    skips the terms with at least radical-nilpotency delta factors."""
+
+    def test_kernel_matches_commutation_above_nilpotency(self, matrix_ctx):
+        _check_products_against_commutation(matrix_ctx, random.Random(31))
+
+    def test_cut_is_tight_on_the_broken_control(self):
+        # see the test of the same name in test_skewpoly.py
+        _check_products_against_commutation(
+            parse_ring_preset("truncpoly:3:3:c=2:delta=broken"), random.Random(33))
+
+    def test_square_and_multiply_matches_left_fold(self, matrix_ctx):
+        ctx = matrix_ctx
+        rng = random.Random(32)
+        for n in (3, 7):
+            f = random_series(ctx, n, rng)
+            acc = TruncatedSeries.one(ctx, n)
+            for e in range(21):
+                assert f ** e == acc
+                acc = acc * f
+
+    def test_direct_evaluation_matches_from_poly(self, matrix_ctx):
+        ctx = matrix_ctx
+        u = ctx.render(ctx.radical_gens[0])
+        for text in (f"({u} + x)^9 * (2 + x^2*{u}) - x*{u}*x",
+                     f"(1 + x + {u})^6 - ({u}*x + 3)^2 * (x^3 + 1)",
+                     f"-(x*{u} + {u}*x)^3 + x^5"):
+            node = parse_expression(text, ctx)
+            poly = eval_expression(node, ctx)
+            for n in range(1, 9):
+                assert eval_expression(node, ctx, n) == \
+                    TruncatedSeries.from_poly(poly, n), (text, n)
+
+    def test_vanishing_check_fires(self, delta_ctx):
+        # with I^1 claimed zero, constants are not reduced and x^2 * t skips
+        # M_{1,0}(t) = delta(t) = t^2 != 0
+        shrunk = copy.copy(delta_ctx)
+        shrunk.radical_nilpotency = 1
+        t = shrunk.radical_gens[0]
+        x_sq = TruncatedSeries(shrunk, 3, (shrunk.zero(), shrunk.zero(), shrunk.one()))
+        with pytest.raises(AssertionError, match="nilpotence bound violated"):
+            x_sq * TruncatedSeries.constant(shrunk, 3, t)
+
+
+def _check_products_against_commutation(ctx, rng):
+    n = ctx.radical_nilpotency + 3
+    for _ in range(6):
+        f = random_series(ctx, n, rng)
+        g = random_series(ctx, n, rng)
+        expected = poly_mul_commutation(f.to_poly(), g.to_poly())
+        assert f * g == TruncatedSeries.from_poly(expected, n)
 
 
 class TestFiltration:

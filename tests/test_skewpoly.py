@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -6,7 +7,8 @@ import pytest
 from skewseries import (NEG_INF, RightFormPoly, SkewPoly, left_to_right_form,
                         mkl_oracle_check, monomial_operator_apply,
                         monomial_operator_words, normalize_right_to_left,
-                        poly_law_check, poly_mul_commutation)
+                        parse_ring_preset, poly_law_check,
+                        poly_mul_commutation)
 from skewseries.skewpoly import random_poly
 
 
@@ -135,3 +137,91 @@ class TestProducts:
             SkewPoly.one(z8) * SkewPoly.one(f27)
         with pytest.raises(ValueError, match="ring context mismatch"):
             SkewPoly.one(z8) + SkewPoly.one(f27)
+
+
+class TestNilpotenceCut:
+    """The product kernel sums only the terms with fewer delta factors than
+    the radical nilpotency; it is compared here with the iterated
+    commutation, which never cuts."""
+
+    def test_kernel_matches_commutation_above_nilpotency(self, matrix_ctx):
+        _check_products_against_commutation(matrix_ctx, random.Random(21))
+
+    def test_cut_is_tight_on_the_broken_control(self):
+        # On the Leibniz presets delta kills constants, so even
+        # M_{nil-1,l} vanishes and a cut one term early would go unseen.
+        # delta(f) = t*f gives M_{nil-1,0}(1) = t^(nil-1) != 0; single
+        # products still match the commutation (only powers need
+        # associativity).
+        ctx = parse_ring_preset("truncpoly:3:3:c=2:delta=broken")
+        nil = ctx.radical_nilpotency
+        assert monomial_operator_apply(ctx, nil - 1, 0, ctx.one()) != ctx.zero()
+        rng = random.Random(26)
+        _check_products_against_commutation(ctx, rng)
+        _check_right_form_normalization(ctx, rng)
+
+    def test_square_and_multiply_matches_left_fold(self, matrix_ctx):
+        ctx = matrix_ctx
+        rng = random.Random(22)
+        f = random_poly(ctx, 2, rng)
+        acc = SkewPoly.one(ctx)
+        for e in range(21):
+            assert f ** e == acc
+            acc = acc * f
+
+    def test_linear_power_matches_commutation_fold(self, matrix_ctx):
+        ctx = matrix_ctx
+        rng = random.Random(23)
+        lin = SkewPoly(ctx, (ctx.radical_gens[0], ctx.one()))
+        g = random_poly(ctx, 3, rng)
+        expected = SkewPoly.one(ctx)
+        for _ in range(257):
+            expected = poly_mul_commutation(lin, expected)
+        assert lin ** 257 * g == poly_mul_commutation(expected, g)
+
+    def test_right_form_normalization_matches_commutation(self, matrix_ctx):
+        _check_right_form_normalization(matrix_ctx, random.Random(24))
+
+    def test_memo_has_at_most_nilpotency_plus_one_rows(self):
+        for preset in ("zmod:2^3", "truncpoly:3:3:c=2"):
+            ctx = parse_ring_preset(preset)
+            lin = SkewPoly(ctx, (ctx.radical_gens[0], ctx.one()))
+            product = lin ** 100 * random_poly(ctx, 3, random.Random(25))
+            assert product.degree == 103
+            assert max(k for k, _, _ in ctx._mkl_cache) <= ctx.radical_nilpotency
+
+    def test_vanishing_check_fires(self, delta_ctx):
+        # A context claiming I^1 = 0 makes x^2 * t skip M_{1,0}(t) =
+        # delta(t) = t^2 != 0 and M_{1,1}(t), which is 0 in characteristic
+        # 3: the check has to cover every l' <= l, not only l.
+        shrunk = copy.copy(delta_ctx)
+        shrunk.radical_nilpotency = 1
+        t = shrunk.radical_gens[0]
+        x_sq = SkewPoly(shrunk, (shrunk.zero(), shrunk.zero(), shrunk.one()))
+        with pytest.raises(AssertionError, match="nilpotence bound violated"):
+            x_sq * SkewPoly.from_scalar(shrunk, t)
+        with pytest.raises(AssertionError, match="nilpotence bound violated"):
+            normalize_right_to_left(RightFormPoly(shrunk, [(2, t)]))
+        # the real context multiplies the same factors
+        x_sq = SkewPoly(delta_ctx, x_sq.coeffs)
+        t_poly = SkewPoly.from_scalar(delta_ctx, t)
+        assert x_sq * t_poly == poly_mul_commutation(x_sq, t_poly)
+
+
+def _check_products_against_commutation(ctx, rng):
+    degree = ctx.radical_nilpotency + 3
+    for _ in range(6):
+        f = random_poly(ctx, degree, rng)
+        g = random_poly(ctx, degree, rng)
+        assert f * g == poly_mul_commutation(f, g)
+
+
+def _check_right_form_normalization(ctx, rng):
+    """x^i * a in left form, against i single commutation steps x * (...)."""
+    x = SkewPoly.var(ctx)
+    for i in range(ctx.radical_nilpotency + 4):
+        a = ctx.sample(rng)
+        expected = SkewPoly.from_scalar(ctx, a)
+        for _ in range(i):
+            expected = poly_mul_commutation(x, expected)
+        assert normalize_right_to_left(RightFormPoly(ctx, [(i, a)])) == expected
