@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .exprparse import ExprError, eval_expression, parse_expression
+from .exprparse import (ExprError, check_degree_budget, degree_bound,
+                        eval_expression, parse_expression)
 from .k0 import (BaseScalars, IdempotentMatrix, SeriesScalars, _stable_iso,
                  idempotent_rank, render_matrix, unimodular_complete)
 from .rings import parse_ring_preset, sigma_nilpotence_bound
@@ -137,9 +138,12 @@ def _cmd_normalize(args, ctx):
 
 
 def _cmd_mul(args, ctx):
-    left = _eval_arg(args.left, ctx, args.prec)
-    right = _eval_arg(args.right, ctx, args.prec)
-    text = (left * right).render()
+    left = parse_expression(args.left, ctx)
+    right = parse_expression(args.right, ctx)
+    if args.prec is None:
+        check_degree_budget(degree_bound(left) + degree_bound(right))
+    text = (eval_expression(left, ctx, args.prec)
+            * eval_expression(right, ctx, args.prec)).render()
     return 0, [text], {"verdict": "ok", "result": text}
 
 

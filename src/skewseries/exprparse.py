@@ -21,6 +21,9 @@ from .series import TruncatedSeries
 from .skewpoly import SkewPoly
 
 MAX_EXPONENT = 512
+# largest x-degree bound an expression may have for evaluation in R[x];
+# S/G_N evaluation is bounded by N instead
+MAX_DEGREE = 512
 
 
 class ExprError(ValueError):
@@ -233,11 +236,38 @@ def render_expression(node, ctx: RingContext) -> str:
     return _render(node, ctx, _PREC_ADD)
 
 
+def degree_bound(node) -> int:
+    """Upper bound on the x-degree of the value in R[x]: a sum takes the
+    larger degree, a product the sum and a power e times the base's."""
+    if isinstance(node, Const):
+        return 0
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, (Add, Sub)):
+        return max(degree_bound(node.left), degree_bound(node.right))
+    if isinstance(node, Mul):
+        return degree_bound(node.left) + degree_bound(node.right)
+    if isinstance(node, Pow):
+        return node.exponent * degree_bound(node.base)
+    if isinstance(node, Neg):
+        return degree_bound(node.child)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def check_degree_budget(degree: int) -> None:
+    """Reject an evaluation in R[x] whose degree bound exceeds MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"x-degree bound {degree} exceeds the budget of "
+                         f"{MAX_DEGREE} for R[x]; evaluate in S/G_N (--prec) instead")
+
+
 def eval_expression(node, ctx: RingContext, precision: int | None = None):
     """Evaluate to a SkewPoly, or to its class in S/G_N when a precision is
     given.  The class is computed in S/G_N from the leaves up: G_N is a
-    two-sided ideal, so this is the class of the polynomial."""
+    two-sided ideal, so this is the class of the polynomial.  In R[x] the
+    degree bound must be within MAX_DEGREE (ValueError otherwise)."""
     if precision is None:
+        check_degree_budget(degree_bound(node))
         return _eval(node, lambda a: SkewPoly.from_scalar(ctx, a), SkewPoly.var(ctx))
     return _eval(node, lambda a: TruncatedSeries.constant(ctx, precision, a),
                  TruncatedSeries.var(ctx, precision))

@@ -5,9 +5,12 @@ with the extra data used by the skew polynomial and twisted power series
 layers: generators of a nilpotent two-sided ideal I (the Jacobson radical
 for the shipped presets), a ring endomorphism sigma with sigma(I) <= I and
 a sigma-derivation delta satisfying delta(R) <= I and delta(I) <= I^2.
-Because the carriers are tiny, everything ideal-theoretic (powers of I,
-valuations, canonical residues mod I^k) is materialized by enumeration and
-all answers are exact.
+Each preset family knows its ideal-theoretic structure (powers of I,
+valuations, canonical residues mod I^k, inverses of units) in closed form,
+so nothing here enumerates R: ideal powers are built lazily per k, every
+inverse is verified by both products before it is used, and the test
+suite checks each closed form against exhaustive enumeration on small
+presets.  All answers are exact.
 
 Preset grammar (also accepted by the command line front end):
 
@@ -39,9 +42,6 @@ INF = float("inf")
 # 27 elements) fall under the limit even for triples.
 EXHAUSTIVE_TUPLE_LIMIT = 65536
 
-_DELTA = "d"
-_SIGMA = "s"
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -58,10 +58,11 @@ class RingContext:
     """A finite ring R with nilpotent ideal I, endomorphism sigma and
     sigma-derivation delta.
 
-    Subclasses fix the element encoding and the primitive operations;
-    this base derives ideal powers, valuations and canonical residues by
-    exact enumeration.  Instances are logically immutable (internal
-    caches are fill-once) and safe to share between threads.
+    Subclasses fix the element encoding, the primitive operations and the
+    closed forms of the ideal structure; this base memoizes them, checks
+    the nilpotency index on the generators and verifies every inverse.
+    Instances are logically immutable (internal caches are fill-once) and
+    safe to share between threads.
     """
 
     name: str
@@ -121,7 +122,25 @@ class RingContext:
     def ideal_power_label(self, k: int) -> str:
         raise NotImplementedError
 
+    # closed-form ideal structure (subclass responsibility)
+
     def _reduce(self, a, k: int):
+        raise NotImplementedError
+
+    def _ideal_power_list(self, k: int) -> list:
+        """Sorted elements of I^k, for 0 <= k <= nilpotency."""
+        raise NotImplementedError
+
+    def _valuation(self, a):
+        """Largest k with a in I^k; INF for a = 0."""
+        raise NotImplementedError
+
+    def _inv(self, a):
+        """Candidate inverse of a unit a; may raise ValueError otherwise."""
+        raise NotImplementedError
+
+    def _unit_residues(self) -> list:
+        """One representative of each nonzero class of R/I."""
         raise NotImplementedError
 
     # -- derived structure ------------------------------------------------
@@ -132,57 +151,37 @@ class RingContext:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def _additive_span(self, seed):
-        """Additive subgroup generated by ``seed``, as a frozenset."""
-        zero = self.zero()
-        closure = {zero}
-        gens = sorted(set(seed))
-        changed = True
-        while changed:
-            changed = False
-            for g in gens:
-                for a in list(closure):
-                    s = self.add(a, g)
-                    if s not in closure:
-                        closure.add(s)
-                        changed = True
-        return frozenset(closure)
-
     def _ensure_ideal_powers(self):
-        if self._ideal_powers is not None:
+        """Check once that I^nil = 0 != I^(nil-1) and open the per-k memos
+        of ideal powers.  Both families are commutative, so I^k = 0 exactly
+        when every product of k radical generators vanishes."""
+        if self._ideal_power_lists is not None:
             return
-        carrier = sorted(self.elements())
+        nil = self.radical_nilpotency
         zero = self.zero()
-        # two-sided ideal generated by the radical generators
-        seed = []
-        for g in self.radical_gens:
-            for r in carrier:
-                rg = self.mul(r, g)
-                for s in carrier:
-                    seed.append(self.mul(rg, s))
-        radical = self._additive_span(seed)
-        powers = [frozenset(carrier), radical]
-        while len(powers) <= self.radical_nilpotency:
-            prev = powers[-1]
-            prods = [self.mul(a, b) for a in prev for b in radical]
-            powers.append(self._additive_span(prods))
-        if powers[self.radical_nilpotency] != frozenset({zero}):
-            raise ValueError(
-                f"{self.name}: I^{self.radical_nilpotency} does not vanish")
-        if powers[self.radical_nilpotency - 1] == frozenset({zero}) and self.radical_nilpotency > 1:
-            raise ValueError(
-                f"{self.name}: I^{self.radical_nilpotency - 1} already vanishes")
-        self._ideal_powers = powers[: self.radical_nilpotency + 1]
-        self._ideal_power_lists = [sorted(s) for s in self._ideal_powers]
+        if any(w != zero for w in self.ideal_power_gens(nil)):
+            raise ValueError(f"{self.name}: I^{nil} does not vanish")
+        if all(w == zero for w in self.ideal_power_gens(nil - 1)):
+            raise ValueError(f"{self.name}: I^{nil - 1} already vanishes")
+        self._ideal_powers = {}
+        self._ideal_power_lists = {}
 
     def ideal_power(self, k: int) -> frozenset:
         """The set I^k (k is clamped at the nilpotency index, where I^k = 0)."""
-        self._ensure_ideal_powers()
-        return self._ideal_powers[min(k, self.radical_nilpotency)]
+        k = min(k, self.radical_nilpotency)
+        members = self.ideal_power_list(k)
+        if k not in self._ideal_powers:
+            self._ideal_powers[k] = frozenset(members)
+        return self._ideal_powers[k]
 
     def ideal_power_list(self, k: int) -> list:
-        self._ensure_ideal_powers()
-        return self._ideal_power_lists[min(k, self.radical_nilpotency)]
+        """The elements of I^k in sorted order, built on first use."""
+        if self._ideal_power_lists is None:
+            self._ensure_ideal_powers()
+        k = min(k, self.radical_nilpotency)
+        if k not in self._ideal_power_lists:
+            self._ideal_power_lists[k] = self._ideal_power_list(k)
+        return self._ideal_power_lists[k]
 
     def ideal_power_gens(self, k: int) -> tuple:
         """Products of k radical generators (a generating set of I^k)."""
@@ -198,12 +197,9 @@ class RingContext:
 
     def ideal_valuation(self, a):
         """Largest k with a in I^k; INF exactly for a = 0."""
-        if a == self.zero():
-            return INF
-        for k in range(self.radical_nilpotency - 1, 0, -1):
-            if a in self.ideal_power(k):
-                return k
-        return 0
+        if self._ideal_power_lists is None:
+            self._ensure_ideal_powers()
+        return self._valuation(a)
 
     def reduce_mod_ideal_power(self, a, k: int):
         """Canonical representative of a + I^k, for 0 <= k <= nilpotency."""
@@ -221,35 +217,46 @@ class RingContext:
         return self.reduce_mod_ideal_power(a, min(k, self.radical_nilpotency))
 
     def _ensure_inv_table(self):
-        if self._inv_table is not None:
-            return
-        table = {}
-        elems = sorted(self.elements())
-        one = self.one()
-        for a in elems:
-            for b in elems:
-                if self.mul(a, b) == one and self.mul(b, a) == one:
-                    table[a] = b
-                    break
-        self._inv_table = table
+        """Open the memo of verified inverses."""
+        self._inv_table = {}
 
     def is_unit(self, a) -> bool:
-        self._ensure_inv_table()
-        return a in self._inv_table
+        """In a local ring with maximal ideal I (see is_local) the units
+        are exactly the elements of valuation 0."""
+        return self.ideal_valuation(a) == 0
+
+    def _verified_inv(self, a):
+        """The closed-form inverse of a if both products with a give 1,
+        else None."""
+        try:
+            b = self._inv(a)
+        except ValueError:
+            return None
+        one = self.one()
+        return b if self.mul(a, b) == one and self.mul(b, a) == one else None
 
     def inv(self, a):
-        self._ensure_inv_table()
-        try:
-            return self._inv_table[a]
-        except KeyError:
-            raise ValueError(f"{self.render(a)} is not a unit in {self.name}")
+        if self._inv_table is None:
+            self._ensure_inv_table()
+        b = self._inv_table.get(a)
+        if b is None:
+            if not self.is_unit(a):
+                raise ValueError(f"{self.render(a)} is not a unit in {self.name}")
+            b = self._verified_inv(a)
+            if b is None:
+                raise AssertionError(
+                    f"inverse of {self.render(a)} in {self.name} failed to verify")
+            self._inv_table[a] = b
+        return b
 
     def is_local(self) -> bool:
-        """True iff the non-units are exactly the elements of I."""
+        """True iff R is local with maximal ideal I: I is nilpotent and
+        every nonzero residue of R/I has an inverse, verified by both
+        products.  Then the non-units are exactly the elements of I."""
         if self._is_local is None:
-            radical = self.ideal_power(1)
-            self._is_local = all(
-                self.is_unit(a) != (a in radical) for a in self.elements())
+            self._ensure_ideal_powers()
+            self._is_local = all(self._verified_inv(r) is not None
+                                 for r in self._unit_residues())
         return self._is_local
 
     def sigma_inv(self, a):
@@ -332,6 +339,24 @@ class ZmodRing(RingContext):
 
     def _reduce(self, a, k):
         return a % (self.p ** k)
+
+    def _ideal_power_list(self, k):
+        return list(range(0, self.cardinality, self.p ** k))
+
+    def _valuation(self, a):
+        if a == 0:
+            return INF
+        v = 0
+        while a % self.p == 0:
+            a //= self.p
+            v += 1
+        return v
+
+    def _inv(self, a):
+        return pow(a, -1, self.cardinality)
+
+    def _unit_residues(self):
+        return list(range(1, self.p))
 
 
 class TruncPolyRing(RingContext):
@@ -434,6 +459,29 @@ class TruncPolyRing(RingContext):
 
     def _reduce(self, a, k):
         return a[:k] + (0,) * (self.m - k)
+
+    def _ideal_power_list(self, k):
+        head = (0,) * k
+        return [head + tail
+                for tail in itertools.product(range(self.q), repeat=self.m - k)]
+
+    def _valuation(self, a):
+        for i, x in enumerate(a):
+            if x:
+                return i
+        return INF
+
+    def _inv(self, a):
+        # a = a0*(1 - w) with w in I, so a^-1 = a0^-1 * (1 + w + ... + w^(m-1)),
+        # computed coefficient by coefficient as the power series inverse
+        u = pow(a[0], -1, self.q)
+        b = [u]
+        for k in range(1, self.m):
+            b.append(-u * sum(a[j] * b[k - j] for j in range(1, k + 1)) % self.q)
+        return tuple(b)
+
+    def _unit_residues(self):
+        return [self.from_int(c) for c in range(1, self.q)]
 
 
 _ZMOD_RE = re.compile(r"^(\d+)\^(\d+)$")
@@ -611,27 +659,34 @@ def sigma_nilpotence_bound(ctx: RingContext, n: int, word_limit: int = 6):
     whole carrier into I^n.  Returns None when no such m exists within the
     word-length budget.
 
-    The search is exhaustive over words and carrier elements, so a returned
-    bound is a verified one.
+    A word acts on the carrier through its image tuple, so the search runs
+    over the distinct (image, delta count) states reached by the words of
+    each length, extending every state by one more letter per layer; the
+    two one-letter moves out of an image are computed once.  The answer is
+    that of the exhaustive word enumeration, so a returned bound is a
+    verified one.
     """
     if n < 1:
         raise ValueError("target power must be >= 1")
     if word_limit < 1:
         raise ValueError("word limit must be >= 1")
-    target = ctx.ideal_power(n)
-    elems = sorted(ctx.elements())
     failing_counts = set()
-    for length in range(1, word_limit + 1):
-        for word in itertools.product((_DELTA, _SIGMA), repeat=length):
-            k = word.count(_DELTA)
-            if k == 0 or k in failing_counts:
-                continue
-            for a in elems:
-                x = a
-                for letter in reversed(word):
-                    x = ctx.delta(x) if letter == _DELTA else ctx.sigma(x)
-                if x not in target:
-                    failing_counts.add(k)
-                    break
+    moves = {}   # image -> [(image after one more letter, its delta count, leaves I^n)]
+    layer = {tuple(sorted(ctx.elements())): {0}}   # image -> delta counts
+    for _ in range(word_limit):
+        nxt = {}
+        for image, counts in layer.items():
+            if image not in moves:
+                moves[image] = []
+                for fn, dk in ((ctx.delta, 1), (ctx.sigma, 0)):
+                    img = tuple(map(fn, image))
+                    leaves = any(ctx.ideal_valuation(x) < n for x in img)
+                    moves[image].append((img, dk, leaves))
+            for img, dk, leaves in moves[image]:
+                reached = {k + dk for k in counts}
+                nxt.setdefault(img, set()).update(reached)
+                if leaves:
+                    failing_counts.update(k for k in reached if k)
+        layer = nxt
     m = max(failing_counts) + 1 if failing_counts else 1
     return m if m <= word_limit else None

@@ -184,7 +184,7 @@ class GradedElem:
         for key in sorted(acc, key=lambda kv: (kv[1], kv[0])):
             layer, _ = key
             raw = acc[key]
-            if raw not in ctx.ideal_power(layer):
+            if ctx.ideal_valuation(raw) < layer:
                 raise ValueError("component representative outside its radical layer")
             rep = ctx.reduce_clamped(raw, layer + 1)
             if rep != zero:

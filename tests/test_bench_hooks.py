@@ -23,7 +23,7 @@ def _run(argv):
 
 def _traced_layers(monkeypatch, argv):
     """Run argv untraced and traced; the outputs must agree and every
-    wrapper must come off again."""
+    wrapper must come off again.  Returns the tracer."""
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     from tracer import Tracer
 
@@ -36,16 +36,19 @@ def _traced_layers(monkeypatch, argv):
         removed = tracer.uninstall()
     assert removed
     assert traced == plain
-    return tracer.metrics()
+    return tracer
 
 
 def test_tracer_hooks_fit_the_program(monkeypatch):
-    layers = _traced_layers(monkeypatch, ARGV)
+    tracer = _traced_layers(monkeypatch, ARGV)
+    layers = tracer.metrics()
     assert layers["k0.rank_calls"][0] == 1
     assert layers["k0.scalar_mul_calls"][0] > 0
+    # the ring set-up names the tracer wraps are still called, not just present
+    assert any(span[0] == "rings.setup" for span in tracer.spans)
 
 
 def test_tracer_sees_the_product_kernel(monkeypatch):
-    layers = _traced_layers(monkeypatch, NORMALIZE_ARGV)
+    layers = _traced_layers(monkeypatch, NORMALIZE_ARGV).metrics()
     assert layers["skewpoly.mkl_calls"][0] > 0
     assert layers["series.mul_calls"][0] > 0

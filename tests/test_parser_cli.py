@@ -8,7 +8,7 @@ import pytest
 from skewseries import (ExprError, SkewPoly, eval_expression, parse_expression,
                         render_expression)
 from skewseries.cli import main
-from skewseries.exprparse import Add, Const, Mul, Pow, Var
+from skewseries.exprparse import MAX_DEGREE, Add, Const, Mul, Pow, Var, degree_bound
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -112,6 +112,22 @@ class TestParser:
         with pytest.raises(ExprError, match="exponent overflow"):
             parse_expression("x^100000", z8)
 
+    @pytest.mark.parametrize("text, bound", [
+        ("3", 0), ("x^0", 0), ("-x^4", 4), ("3 - x^2*(x + 1)", 3),
+        ("(t + x)^500", 500), ("(1+x)^512*(1+x)^512*(1+x)^512", 1536)])
+    def test_degree_bound(self, f27, text, bound):
+        node = parse_expression(text, f27)
+        assert degree_bound(node) == bound
+        if bound <= 8:
+            assert eval_expression(node, f27).degree <= bound
+
+    def test_degree_budget_rejects_before_evaluating(self, z8):
+        node = parse_expression(f"x^{MAX_DEGREE} * x", z8)
+        with pytest.raises(ValueError, match="exceeds the budget of 512"):
+            eval_expression(node, z8)
+        # S/G_N evaluation is bounded by N, not by the degree
+        assert eval_expression(node, z8, 4).is_zero()
+
     def test_empty_and_trailing_junk(self, z8):
         with pytest.raises(ExprError):
             parse_expression("   ", z8)
@@ -171,6 +187,25 @@ class TestCliContract:
         code, _, err = run_cli(["degree", "x", "--ring", "zmod:2^3"])
         assert code == 2
         assert "--prec" in err
+
+    def test_exit_code_2_over_degree_budget(self):
+        dense = "(1+x)^512*(1+x)^512*(1+x)^512"
+        code, out, err = run_cli(["normalize", dense, "--ring", "zmod:2^10"])
+        assert (code, out) == (2, "")
+        assert "x-degree bound 1536 exceeds the budget of 512" in err
+        # mul bounds the degree of the product, not of each operand
+        code, _, err = run_cli(["mul", "x^300", "x^300", "--ring", "zmod:2^3"])
+        assert code == 2 and "x-degree bound 600" in err
+        assert run_cli(["mul", "x^300", "x^212", "--ring", "zmod:2^3"])[:2] == \
+            (0, "x^512\n")
+        assert run_cli(["normalize", dense, "--ring", "zmod:2^10",
+                        "--prec", "8"])[:2] == (0, "1 (mod 256) [N=8]\n")
+
+    def test_degree_budget_admits_high_powers(self):
+        assert run_cli(["normalize", "x^500", "--ring", "zmod:2^10"])[:2] == \
+            (0, "x^500\n")
+        code, out, _ = run_cli(["normalize", "(x+t)^500", "--ring", "truncpoly:3:3:c=2"])
+        assert (code, out) == (0, "2*t^2*x^498 + x^500\n")
 
     def test_exit_code_1_on_zero_symbol(self):
         code, out, _ = run_cli(

@@ -1,8 +1,13 @@
+import functools
+import itertools
+
 import pytest
 
 from skewseries import (INF, ZmodRing, parse_ring_preset,
                         ring_axiom_check, sigma_derivation_check,
                         sigma_nilpotence_bound)
+
+from conftest import PRESET_MATRIX
 
 
 class TestPresets:
@@ -178,3 +183,179 @@ class TestNilpotenceBound:
             sigma_nilpotence_bound(z8, 0)
         with pytest.raises(ValueError):
             sigma_nilpotence_bound(z8, 1, word_limit=0)
+
+
+# -- enumeration oracles ----------------------------------------------------
+#
+# The ring structure in src/ is computed in closed form per preset family.
+# These brute-force versions enumerate the carrier instead; the tests below
+# require both to agree exactly on small presets.
+
+ORACLE_PRESETS = PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken", "zmod:5^1",
+                                  "truncpoly:3:1:c=1")
+
+
+def _additive_span(ctx, seed):
+    """Additive subgroup generated by ``seed``, as a frozenset."""
+    closure = {ctx.zero()}
+    gens = sorted(set(seed))
+    changed = True
+    while changed:
+        changed = False
+        for g in gens:
+            for a in list(closure):
+                s = ctx.add(a, g)
+                if s not in closure:
+                    closure.add(s)
+                    changed = True
+    return frozenset(closure)
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerated_structure(preset):
+    """(ideal powers I^0..I^nil, inverse table, is_local) by enumeration."""
+    ctx = parse_ring_preset(preset)
+    carrier = sorted(ctx.elements())
+    # two-sided ideal generated by the radical generators
+    left = [ctx.mul(r, g) for g in ctx.radical_gens for r in carrier]
+    seed = [ctx.mul(rg, s) for rg in left for s in carrier]
+    radical = _additive_span(ctx, seed)
+    powers = [frozenset(carrier), radical]
+    while len(powers) <= ctx.radical_nilpotency:
+        powers.append(_additive_span(
+            ctx, [ctx.mul(a, b) for a in powers[-1] for b in radical]))
+    one = ctx.one()
+    inverses = {}
+    for a in carrier:
+        for b in carrier:
+            if ctx.mul(a, b) == one and ctx.mul(b, a) == one:
+                inverses[a] = b
+                break
+    local = all((a in inverses) != (a in radical) for a in carrier)
+    return powers, inverses, local
+
+
+def _enumerated_valuation(powers, a):
+    if a in powers[-1]:           # I^nil = {0}
+        return INF
+    return max(k for k, power in enumerate(powers) if a in power)
+
+
+def _word_enumeration_bounds(ctx, targets, max_limit):
+    """{n: [sigma_nilpotence_bound(ctx, n, limit) for limit 1..max_limit]}
+    for each n in targets, by applying every word in delta, sigma to every
+    element.  The words of each length are the words one letter shorter
+    with a letter applied after them, so each keeps its own image of the
+    carrier; no two words are merged."""
+    first_failure = {n: {} for n in targets}   # n -> {delta count: length}
+    words = [(tuple(sorted(ctx.elements())), 0)]   # (image, delta count)
+    for length in range(1, max_limit + 1):
+        words = [(tuple(map(fn, image)), k + dk) for image, k in words
+                 for fn, dk in ((ctx.delta, 1), (ctx.sigma, 0))]
+        for n, failures in first_failure.items():
+            target = ctx.ideal_power(n)
+            for image, k in words:
+                if k and k not in failures and any(x not in target for x in image):
+                    failures[k] = length
+    bounds = {}
+    for n, failures in first_failure.items():
+        bounds[n] = []
+        for limit in range(1, max_limit + 1):
+            failing = [k for k, length in failures.items() if length <= limit]
+            m = max(failing) + 1 if failing else 1
+            bounds[n].append(m if m <= limit else None)
+    return bounds
+
+
+@pytest.mark.parametrize("preset", ORACLE_PRESETS)
+class TestClosedFormsAgainstEnumeration:
+    def test_ideal_powers(self, preset):
+        ctx = parse_ring_preset(preset)
+        powers, _, _ = _enumerated_structure(preset)
+        nil = ctx.radical_nilpotency
+        assert powers[nil] == {ctx.zero()}
+        for k in range(nil + 2):
+            expected = powers[min(k, nil)]
+            assert ctx.ideal_power(k) == expected
+            # seeded draws index into this list, so its order is fixed too
+            assert ctx.ideal_power_list(k) == sorted(expected)
+
+    def test_valuation_units_and_inverses(self, preset):
+        ctx = parse_ring_preset(preset)
+        powers, inverses, _ = _enumerated_structure(preset)
+        for a in ctx.elements():
+            assert ctx.ideal_valuation(a) == _enumerated_valuation(powers, a)
+            assert ctx.is_unit(a) == (a in inverses)
+            if a in inverses:
+                assert ctx.inv(a) == inverses[a]
+            else:
+                with pytest.raises(ValueError, match="is not a unit"):
+                    ctx.inv(a)
+
+    def test_is_local(self, preset):
+        _, _, local = _enumerated_structure(preset)
+        assert local
+        assert parse_ring_preset(preset).is_local() == local
+
+
+class TestClosedFormChecks:
+    @pytest.mark.parametrize("shift, message", [
+        (1, "I\\^3 already vanishes"), (-1, "I\\^2 does not vanish")])
+    def test_wrong_nilpotency_is_rejected(self, shift, message):
+        class OffByOne(ZmodRing):
+            def __init__(self):
+                super().__init__(2, 3)
+                self.radical_nilpotency += shift
+
+        for first_use in (lambda c: c.ideal_power(1), lambda c: c.ideal_valuation(1),
+                          lambda c: c.is_local()):
+            with pytest.raises(ValueError, match=message):
+                first_use(OffByOne())
+
+    def test_not_local_without_residue_inverses(self):
+        class NoInverse(ZmodRing):
+            def _inv(self, a):
+                return a
+
+        ring = NoInverse(3, 2)
+        assert not ring.is_local()
+        with pytest.raises(AssertionError, match="failed to verify"):
+            ring.inv(2)
+
+    @pytest.mark.parametrize("preset", ["truncpoly:3:6:c=2", "zmod:2^10"])
+    def test_set_up_makes_few_products(self, preset):
+        ctx = parse_ring_preset(preset)
+        calls = []
+        plain_mul = ctx.mul
+
+        def counted(a, b):
+            calls.append(None)
+            return plain_mul(a, b)
+
+        ctx.mul = counted
+        ctx.ideal_power(1)
+        assert ctx.is_unit(ctx.one())
+        assert ctx.is_local()
+        assert len(calls) <= 64
+
+
+@pytest.mark.parametrize("preset", PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken",))
+def test_layered_bound_matches_word_enumeration(preset):
+    _assert_layered_bound_matches(parse_ring_preset(preset))
+
+
+def test_layered_bound_merges_words_with_different_delta_counts():
+    # with delta = sigma = id every word of a length has the same image,
+    # so the layered search must keep all of their delta counts
+    class IdentityDelta(ZmodRing):
+        def delta(self, a):
+            return a
+
+    _assert_layered_bound_matches(IdentityDelta(2, 3))
+    assert sigma_nilpotence_bound(IdentityDelta(2, 3), 1, 8) is None
+
+
+def _assert_layered_bound_matches(ctx):
+    layered = {n: [sigma_nilpotence_bound(ctx, n, limit) for limit in range(1, 9)]
+               for n in range(1, 4)}
+    assert layered == _word_enumeration_bounds(ctx, range(1, 4), 8)
