@@ -22,7 +22,10 @@ I + E_{ji} is used first to drag such a unit onto the diagonal.
 
 Each pivot step is applied as elementary row and column operations on e, U
 and U^-1, O(n^3) in all; the certificate is still re-verified by plain
-matrix multiplication.
+matrix multiplication, with every identity checked in full.  Each entry of
+a matrix product is one exact dot product, ``scalars.dot``: over S/G_N the
+unreduced series products of a row and a column are summed slot by slot and
+reduced once, which gives the same class as reducing every partial sum.
 """
 
 from __future__ import annotations
@@ -75,6 +78,14 @@ class BaseScalars(_Scalars):
     def mul(self, a, b):
         return self.ctx.mul(a, b)
 
+    def dot(self, xs, ys):
+        """sum_k xs[k] * ys[k]."""
+        add, mul = self.ctx.add, self.ctx.mul
+        acc = self.ctx.zero()
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
+
     def is_unit(self, a):
         return self.ctx.is_unit(a)
 
@@ -124,6 +135,10 @@ class SeriesScalars(_Scalars):
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, xs, ys) -> TruncatedSeries:
+        """sum_k xs[k] * ys[k], built and reduced once (TruncatedSeries.dot)."""
+        return TruncatedSeries.dot(self.ctx, self.precision, xs, ys)
 
     def is_unit(self, a: TruncatedSeries) -> bool:
         # unit iff the x^0 slot is a unit of R: the rest lies in G_1,
@@ -177,20 +192,13 @@ def mat_zero(scalars, rows, cols):
 
 
 def mat_mul(scalars, a, b):
+    """a * b, each entry one exact dot product of a row of a and a column of b."""
     inner = len(a[0]) if a else 0
     if inner != len(b):
         raise ValueError("matrix dimension mismatch")
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(cols):
-            acc = scalars.zero()
-            for k, x in enumerate(row):
-                acc = scalars.add(acc, scalars.mul(x, b[k][j]))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+    cols = tuple(zip(*b))
+    dot = scalars.dot
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def mat_add(scalars, a, b):

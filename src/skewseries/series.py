@@ -31,6 +31,14 @@ from .rings import RingContext
 from .skewpoly import SkewPoly, _closed_product, _power, monomial_operator_apply
 
 
+def _check_compat(ctx: RingContext, precision: int, other):
+    """Raise ValueError unless other is a class of the same S/G_N."""
+    if not isinstance(other, TruncatedSeries) or other.ctx != ctx:
+        raise ValueError("ring context mismatch")
+    if other.precision != precision:
+        raise ValueError("precision mismatch")
+
+
 class TruncatedSeries:
     """A class in S/G_N, stored as canonical quotient coefficients."""
 
@@ -75,14 +83,8 @@ class TruncatedSeries:
         zero = self.ctx.zero()
         return all(c == zero for c in self.coeffs)
 
-    def _check_compat(self, other):
-        if not isinstance(other, TruncatedSeries) or other.ctx != self.ctx:
-            raise ValueError("ring context mismatch")
-        if other.precision != self.precision:
-            raise ValueError("precision mismatch")
-
     def __add__(self, other):
-        self._check_compat(other)
+        _check_compat(self.ctx, self.precision, other)
         return TruncatedSeries(
             self.ctx, self.precision,
             [self.ctx.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
@@ -99,10 +101,28 @@ class TruncatedSeries:
         end.  Terms whose monomial operator carries at least
         radical_nilpotency delta factors vanish (I is nilpotent); the shared
         kernel skips them and checks that they vanish."""
-        self._check_compat(other)
+        _check_compat(self.ctx, self.precision, other)
         return TruncatedSeries(
             self.ctx, self.precision,
             _closed_product(self.ctx, self.coeffs, other.coeffs, self.precision))
+
+    @classmethod
+    def dot(cls, ctx: RingContext, precision: int, xs, ys) -> "TruncatedSeries":
+        """sum_k xs[k] * ys[k] in S/G_N, as one class.
+
+        The unreduced products of the shared kernel are added slot by slot
+        and each slot is reduced once.  That is the class the fold of + and *
+        gives: the canonical representative mod I^k does not depend on
+        whether the summands were reduced first, and the ring
+        multiplications are the same ones."""
+        acc = [ctx.zero()] * precision
+        add = ctx.add
+        for x, y in zip(xs, ys):
+            _check_compat(ctx, precision, x)
+            _check_compat(ctx, precision, y)
+            for m, c in enumerate(_closed_product(ctx, x.coeffs, y.coeffs, precision)):
+                acc[m] = add(acc[m], c)
+        return cls(ctx, precision, acc)
 
     def __pow__(self, exponent: int):
         return _power(TruncatedSeries.one(self.ctx, self.precision), self, exponent)

@@ -12,6 +12,14 @@ ARGV = ["rank", "6,5,5;5,6,5;5,5,6", "--ring", "zmod:2^3"]
 # a power and a product evaluated directly in S/G_4
 NORMALIZE_ARGV = ["normalize", "(t + x)^9 * (2 + t*x)", "--ring",
                   "truncpoly:3:3:c=2", "--prec", "4"]
+# random_idempotent over S/G_4 (seed 5, n = 3) of rank 2; its certificate
+# is verified by matrix products of series
+RANK_SERIES_ARGV = [
+    "rank",
+    "0, 2*t^2 + t*x + t*x^2, (1 + t)*x + (2 + 2*t)*x^2;"
+    "2 + 2*t + 2*x + t*x^2 + 2*x^3, 1 + 2*t^2 + (t + t^2)*x, (1 + 2*t + 2*t^2)*x + 2*x^3;"
+    "2*t + t^2 + (2*t + t^2)*x + 2*t*x^2 + x^3, t^2*x, 1 + t*x",
+    "--ring", "truncpoly:3:3:c=2", "--prec", "4"]
 
 
 def _run(argv):
@@ -52,3 +60,12 @@ def test_tracer_sees_the_product_kernel(monkeypatch):
     layers = _traced_layers(monkeypatch, NORMALIZE_ARGV).metrics()
     assert layers["skewpoly.mkl_calls"][0] > 0
     assert layers["series.mul_calls"][0] > 0
+
+
+def test_tracer_sees_the_series_matrix_products(monkeypatch):
+    # the fused dot-product kernel must stay behind the k0.mat_mul name
+    tracer = _traced_layers(monkeypatch, RANK_SERIES_ARGV)
+    layers = tracer.metrics()
+    assert layers["k0.rank_calls"][0] == 1
+    assert layers["k0.mat_mul_calls"][0] > 0
+    assert any(span[0] == "k0.verify" for span in tracer.spans)

@@ -3,13 +3,31 @@ import random
 
 import pytest
 
+from conftest import PRESET_MATRIX
 from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         TruncatedSeries, idempotent_rank, k0_rank_check,
-                        random_idempotent, random_invertible,
-                        serre_transfer_check, stable_iso_witness,
-                        stably_free_witness, unimodular_complete)
+                        parse_ring_preset, random_idempotent,
+                        random_invertible, serre_transfer_check,
+                        stable_iso_witness, stably_free_witness,
+                        unimodular_complete)
 from skewseries.k0 import (mat_diag, mat_direct_sum, mat_identity, mat_mul,
                           render_matrix)
+
+
+def schoolbook_mat_mul(scalars, a, b):
+    """Oracle for mat_mul: each entry is the fold acc = acc + x*y of the
+    scalar add and mul, building and reducing every partial sum."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(cols):
+            acc = scalars.zero()
+            for k, x in enumerate(row):
+                acc = scalars.add(acc, scalars.mul(x, b[k][j]))
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def all_2x2_idempotents(scalars):
@@ -236,6 +254,86 @@ class TestSeriesScalars:
         scalars = SeriesScalars(z8, 3)
         x = TruncatedSeries.var(z8, 3)
         assert not scalars.is_unit(x)
+
+
+DOT_PRESETS = PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken",)
+# (rows of a, inner size, columns of b): square, row times column, column
+# times row, rectangular
+DOT_SHAPES = ((3, 3, 3), (1, 5, 1), (5, 1, 5), (2, 3, 4))
+
+
+def _random_matrix(scalars, rows, cols, rng):
+    """Entries are zero a third of the time, so zero products and trimmed
+    factors occur too."""
+    zero = scalars.zero()
+    return tuple(tuple(zero if rng.random() < 1 / 3 else scalars.sample(rng)
+                       for _ in range(cols)) for _ in range(rows))
+
+
+class TestFusedMatMul:
+    @pytest.mark.parametrize("precision", (None,) + tuple(range(1, 9)))
+    @pytest.mark.parametrize("preset", DOT_PRESETS)
+    def test_matches_schoolbook(self, preset, precision):
+        ctx = parse_ring_preset(preset)
+        scalars = (BaseScalars(ctx) if precision is None
+                   else SeriesScalars(ctx, precision))
+        rng = random.Random(f"{preset}/{precision}")
+        for rows, inner, cols in DOT_SHAPES:
+            for _ in range(3):
+                a = _random_matrix(scalars, rows, inner, rng)
+                b = _random_matrix(scalars, inner, cols, rng)
+                assert mat_mul(scalars, a, b) == schoolbook_mat_mul(scalars, a, b)
+
+    def test_dimension_mismatch(self, z8):
+        scalars = BaseScalars(z8)
+        with pytest.raises(ValueError, match="matrix dimension mismatch"):
+            mat_mul(scalars, ((1, 2),), ((1, 2),))
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)])
+    @pytest.mark.parametrize("wrong,message", [
+        ("precision", "precision mismatch"),
+        ("context", "ring context mismatch")])
+    def test_series_entries_must_share_the_base(self, z8, f27, where, wrong,
+                                                 message):
+        # where = (in b?, row, column) of the one foreign entry
+        scalars = SeriesScalars(f27, 3)
+        foreign = (TruncatedSeries.one(f27, 4) if wrong == "precision"
+                   else TruncatedSeries.one(z8, 3))
+        matrices = [[[scalars.one()] * 2 for _ in range(2)] for _ in range(2)]
+        side, i, j = where
+        matrices[side][i][j] = foreign
+        a, b = (tuple(map(tuple, m)) for m in matrices)
+        with pytest.raises(ValueError, match=message):
+            mat_mul(scalars, a, b)
+        with pytest.raises(ValueError, match=message):
+            IdempotentMatrix(scalars, matrices[side])
+
+    def test_series_product_builds_each_entry_once(self, monkeypatch):
+        # a fresh context, since its mul is counted by an instance override
+        ctx = parse_ring_preset("truncpoly:3:3:c=2")
+        scalars = SeriesScalars(ctx, 4)
+        rng = random.Random(73)
+        a = _random_matrix(scalars, 6, 6, rng)
+        b = _random_matrix(scalars, 6, 6, rng)
+        counts = {"series": 0, "mul": 0}
+        plain_init, plain_mul = TruncatedSeries.__init__, ctx.mul
+
+        def counted_init(self, *args):
+            counts["series"] += 1
+            plain_init(self, *args)
+
+        def counted_mul(x, y):
+            counts["mul"] += 1
+            return plain_mul(x, y)
+
+        ctx.mul = counted_mul
+        monkeypatch.setattr(TruncatedSeries, "__init__", counted_init)
+        fused = mat_mul(scalars, a, b)
+        fused_counts = dict(counts)
+        counts.update(series=0, mul=0)
+        assert fused == schoolbook_mat_mul(scalars, a, b)
+        assert fused_counts["series"] <= 36
+        assert fused_counts["mul"] == counts["mul"] > 0
 
 
 class TestSerreTransfer:
