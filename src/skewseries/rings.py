@@ -38,8 +38,10 @@ from .report import CheckReport
 INF = float("inf")
 
 # Exhaustive enumeration replaces sampling whenever the full tuple space
-# of a check is at most this large.  Both shipped preset carriers (8 and
-# 27 elements) fall under the limit even for triples.
+# of a check is at most this large: single elements up to |R| = 65536,
+# pairs up to |R| = 256 and triples up to |R| = 40 (zmod:2^3, zmod:3^3 and
+# truncpoly:3:3 are exhaustive for triples; zmod:2^10 and truncpoly:5:4
+# only for pairs).
 EXHAUSTIVE_TUPLE_LIMIT = 65536
 
 
@@ -74,7 +76,6 @@ class RingContext:
         self._ideal_powers = None
         self._ideal_power_lists = None
         self._inv_table = None
-        self._sigma_inv_table = None
         self._is_local = None
         self._mkl_cache = {}
         # nilpotency -> {b: largest l with M_{nil,l'}(b) = 0 checked for l' <= l}
@@ -141,6 +142,10 @@ class RingContext:
 
     def _unit_residues(self) -> list:
         """One representative of each nonzero class of R/I."""
+        raise NotImplementedError
+
+    def _sigma_inv(self, a):
+        """Candidate preimage of a under sigma."""
         raise NotImplementedError
 
     # -- derived structure ------------------------------------------------
@@ -260,15 +265,13 @@ class RingContext:
         return self._is_local
 
     def sigma_inv(self, a):
-        """Preimage under sigma; requires sigma to be bijective on the carrier."""
-        if self._sigma_inv_table is None:
-            table = {}
-            for x in self.elements():
-                table[self.sigma(x)] = x
-            if len(table) != self.cardinality:
-                raise ValueError(f"sigma is not invertible on {self.name}")
-            self._sigma_inv_table = table
-        return self._sigma_inv_table[a]
+        """Preimage under sigma, from the family's closed form and checked
+        by applying sigma to it."""
+        b = self._sigma_inv(a)
+        if self.sigma(b) != a:
+            raise AssertionError(
+                f"sigma preimage of {self.render(a)} in {self.name} failed to verify")
+        return b
 
     def sigma_radical_onto(self) -> bool:
         """Whether sigma maps I onto I (not merely into)."""
@@ -358,6 +361,9 @@ class ZmodRing(RingContext):
     def _unit_residues(self):
         return list(range(1, self.p))
 
+    def _sigma_inv(self, a):
+        return a
+
 
 class TruncPolyRing(RingContext):
     """F_q[t]/(t^m) with radical (t), q-twist sigma(f)(t) = f(c*t) and the
@@ -390,6 +396,7 @@ class TruncPolyRing(RingContext):
             gen[1] = 1
         self.radical_gens = (tuple(gen),)
         self._cpow = [pow(c, i, q) for i in range(m)]
+        self._cinvpow = [pow(c, -i, q) for i in range(m)]
         super().__init__()
 
     def elements(self):
@@ -483,6 +490,10 @@ class TruncPolyRing(RingContext):
     def _unit_residues(self):
         return [self.from_int(c) for c in range(1, self.q)]
 
+    def _sigma_inv(self, a):
+        # sigma scales coefficient i by c^i, and c is a unit mod q
+        return tuple((x * self._cinvpow[i]) % self.q for i, x in enumerate(a))
+
 
 _ZMOD_RE = re.compile(r"^(\d+)\^(\d+)$")
 
@@ -521,11 +532,15 @@ def parse_ring_preset(text: str) -> RingContext:
     raise ValueError(f"unknown ring preset family {head!r}")
 
 
+def _exhaustive(ctx: RingContext, arity: int) -> bool:
+    return ctx.cardinality ** arity <= EXHAUSTIVE_TUPLE_LIMIT
+
+
 def _tuple_stream(ctx: RingContext, arity: int, samples: int, rng: random.Random):
     """All tuples when the space is small, else seeded random tuples.
 
     Returns (iterable, exhaustive_flag)."""
-    if ctx.cardinality ** arity <= EXHAUSTIVE_TUPLE_LIMIT:
+    if _exhaustive(ctx, arity):
         elems = sorted(ctx.elements())
         return itertools.product(elems, repeat=arity), True
 
@@ -536,8 +551,105 @@ def _tuple_stream(ctx: RingContext, arity: int, samples: int, rng: random.Random
     return gen(), False
 
 
+def _op_tables(ctx: RingContext, elems: list, unary=(), binary=()):
+    """Index tables of ctx's operations over its sorted carrier ``elems``.
+
+    Each named operation is called once per argument, through the instance,
+    and each value is stored as its position in ``elems``: T[i] for a unary
+    operation applied to elems[i], T[i][j] for a binary one applied to
+    (elems[i], elems[j]).  Payloads are canonical, so equal positions mean
+    equal values, and a law is then checked on every tuple by list lookups.
+    Returns (tables by name, None), or (None, counterexample) naming the
+    first operation and arguments whose value is not in the carrier."""
+    index = {a: i for i, a in enumerate(elems)}
+    tables = {}
+    for name in unary + binary:
+        f = getattr(ctx, name)
+        try:
+            if name in unary:
+                tables[name] = [index[f(a)] for a in elems]
+            else:
+                tables[name] = [[index[f(a, b)] for b in elems] for a in elems]
+        except KeyError:
+            arity = 1 if name in unary else 2
+            for args in itertools.product(elems, repeat=arity):
+                if f(*args) not in index:
+                    shown = ", ".join(map(ctx.render, args))
+                    return None, f"{name}({shown}) leaves the carrier"
+            raise
+    return tables, None
+
+
+def _ring_law_failure(add, mul, a, b, c):
+    """The first ring law that fails at (a, b, c), or None."""
+    if add(add(a, b), c) != add(a, add(b, c)):
+        return "additive associativity"
+    if add(a, b) != add(b, a):
+        return "additive commutativity"
+    if mul(mul(a, b), c) != mul(a, mul(b, c)):
+        return "multiplicative associativity"
+    if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
+        return "left distributivity"
+    if mul(add(a, b), c) != add(mul(a, c), mul(b, c)):
+        return "right distributivity"
+    return None
+
+
+def _ring_triples_by_table(ctx: RingContext, checked: int):
+    """Every triple of the carrier against _ring_law_failure, over add and
+    mul tables.  For each (a, b) the laws are first compared for all c at
+    once, row against row; only a pair with a failing row is walked c by c,
+    so ``checked`` and the counterexample are those of the plain loop.
+    Returns (checked, counterexample or None)."""
+    elems = sorted(ctx.elements())
+    tables, cex = _op_tables(ctx, elems, binary=("add", "mul"))
+    if cex:
+        return checked, cex
+    A, M = tables["add"], tables["mul"]
+    n = len(elems)
+
+    def add(i, j):
+        return A[i][j]
+
+    def mul(i, j):
+        return M[i][j]
+
+    for i in range(n):
+        Ai, Mi = A[i], M[i]
+        for j in range(n):
+            Aj, Mj = A[j], M[j]
+            Aij, Mij = Ai[j], Mi[j]
+            AMij = A[Mij]
+            if (A[Aij] == [Ai[x] for x in Aj]
+                    and Aij == Aj[i]
+                    and M[Mij] == [Mi[x] for x in Mj]
+                    and [Mi[x] for x in Aj] == [AMij[y] for y in Mi]
+                    and M[Aij] == [A[x][y] for x, y in zip(Mi, Mj)]):
+                checked += n
+                continue
+            for k in range(n):
+                checked += 1
+                law = _ring_law_failure(add, mul, i, j, k)
+                if law:
+                    return checked, _triple_cex(ctx, law, elems[i], elems[j], elems[k])
+    return checked, None
+
+
+def _triple_cex(ctx, law, a, b, c):
+    return (f"{law} fails at a={ctx.render(a)}, b={ctx.render(b)}, "
+            f"c={ctx.render(c)}")
+
+
 def ring_axiom_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
-    """Verify the ring axioms on every sampled (or enumerated) triple."""
+    """Verify the ring axioms on every sampled (or enumerated) element and
+    triple.
+
+    The single-element laws call the ring's operations directly.  When the
+    triples are enumerated (|R|^3 <= EXHAUSTIVE_TUPLE_LIMIT) that phase costs
+    2|R|^2 operation calls, for the add and mul tables (see _op_tables),
+    plus list lookups for the |R|^3 triples; a sum or product outside the
+    carrier is reported as a closure failure.  Sampled triples call the
+    operations directly."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
@@ -559,25 +671,18 @@ def ring_axiom_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
         if cex:
             break
 
-    triples, exhaustive = _tuple_stream(ctx, 3, samples, rng)
-    if cex is None:
+    exhaustive = _exhaustive(ctx, 3)
+    if cex is None and exhaustive:
+        checked, cex = _ring_triples_by_table(ctx, checked)
+    elif cex is None:
+        triples, _ = _tuple_stream(ctx, 3, samples, rng)
+        add, mul = ctx.add, ctx.mul
         for a, b, c in triples:
             checked += 1
-            if ctx.add(ctx.add(a, b), c) != ctx.add(a, ctx.add(b, c)):
-                law = "additive associativity"
-            elif ctx.add(a, b) != ctx.add(b, a):
-                law = "additive commutativity"
-            elif ctx.mul(ctx.mul(a, b), c) != ctx.mul(a, ctx.mul(b, c)):
-                law = "multiplicative associativity"
-            elif ctx.mul(a, ctx.add(b, c)) != ctx.add(ctx.mul(a, b), ctx.mul(a, c)):
-                law = "left distributivity"
-            elif ctx.mul(ctx.add(a, b), c) != ctx.add(ctx.mul(a, c), ctx.mul(b, c)):
-                law = "right distributivity"
-            else:
-                continue
-            cex = (f"{law} fails at a={ctx.render(a)}, b={ctx.render(b)}, "
-                   f"c={ctx.render(c)}")
-            break
+            law = _ring_law_failure(add, mul, a, b, c)
+            if law:
+                cex = _triple_cex(ctx, law, a, b, c)
+                break
 
     return CheckReport(
         name="ring-axioms",
@@ -588,10 +693,71 @@ def ring_axiom_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
     )
 
 
+def _sigma_law_failure(add, mul, sigma, delta, a, b):
+    """The first structure-map law that fails at (a, b), or None."""
+    if sigma(add(a, b)) != add(sigma(a), sigma(b)):
+        return "sigma additivity"
+    if sigma(mul(a, b)) != mul(sigma(a), sigma(b)):
+        return "sigma multiplicativity"
+    if delta(add(a, b)) != add(delta(a), delta(b)):
+        return "delta additivity"
+    if delta(mul(a, b)) != add(mul(sigma(a), delta(b)), mul(delta(a), b)):
+        return "sigma-Leibniz rule"
+    return None
+
+
+def _sigma_pairs_by_table(ctx: RingContext, checked: int):
+    """Every pair of the carrier against _sigma_law_failure, over sigma,
+    delta, add and mul tables; for each a the laws are first compared for
+    all b at once, as in _ring_triples_by_table.  Returns (checked,
+    counterexample or None)."""
+    elems = sorted(ctx.elements())
+    tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"),
+                             binary=("add", "mul"))
+    if cex:
+        return checked, cex
+    S, D, A, M = (tables[name] for name in ("sigma", "delta", "add", "mul"))
+    n = len(elems)
+
+    def add(i, j):
+        return A[i][j]
+
+    def mul(i, j):
+        return M[i][j]
+
+    for i in range(n):
+        Ai, Mi = A[i], M[i]
+        ASi, ADi = A[S[i]], A[D[i]]
+        MSi, MDi = M[S[i]], M[D[i]]
+        if ([S[x] for x in Ai] == [ASi[y] for y in S]
+                and [S[x] for x in Mi] == [MSi[y] for y in S]
+                and [D[x] for x in Ai] == [ADi[y] for y in D]
+                and [D[x] for x in Mi] == [A[MSi[d]][y] for d, y in zip(D, MDi)]):
+            checked += n
+            continue
+        for j in range(n):
+            checked += 1
+            law = _sigma_law_failure(add, mul, S.__getitem__, D.__getitem__, i, j)
+            if law:
+                return checked, _pair_cex(ctx, law, elems[i], elems[j])
+    return checked, None
+
+
+def _pair_cex(ctx, law, a, b):
+    return f"{law} fails at a={ctx.render(a)}, b={ctx.render(b)}"
+
+
 def sigma_derivation_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
     """Verify that sigma is a ring endomorphism preserving I and that delta
     is an additive map obeying the sigma-Leibniz rule with delta(R) <= I and
-    delta(I) <= I^2."""
+    delta(I) <= I^2.
+
+    The single-element and radical containments call sigma and delta
+    directly.  When the pairs are enumerated (|R|^2 <=
+    EXHAUSTIVE_TUPLE_LIMIT) that phase costs 2|R| + 2|R|^2 operation calls,
+    for the sigma, delta, add and mul tables (see _op_tables), plus list
+    lookups for the |R|^2 pairs; a value outside the carrier is reported as
+    a closure failure.  Sampled pairs call the operations directly."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
@@ -623,23 +789,18 @@ def sigma_derivation_check(ctx: RingContext, samples: int, seed: int) -> CheckRe
                 cex = f"delta({ctx.render(a)}) is outside I^2"
                 break
 
-    pairs, exhaustive = _tuple_stream(ctx, 2, samples, rng)
-    if cex is None:
+    exhaustive = _exhaustive(ctx, 2)
+    if cex is None and exhaustive:
+        checked, cex = _sigma_pairs_by_table(ctx, checked)
+    elif cex is None:
+        pairs, _ = _tuple_stream(ctx, 2, samples, rng)
+        ops = (ctx.add, ctx.mul, ctx.sigma, ctx.delta)
         for a, b in pairs:
             checked += 1
-            if ctx.sigma(ctx.add(a, b)) != ctx.add(ctx.sigma(a), ctx.sigma(b)):
-                law = "sigma additivity"
-            elif ctx.sigma(ctx.mul(a, b)) != ctx.mul(ctx.sigma(a), ctx.sigma(b)):
-                law = "sigma multiplicativity"
-            elif ctx.delta(ctx.add(a, b)) != ctx.add(ctx.delta(a), ctx.delta(b)):
-                law = "delta additivity"
-            elif ctx.delta(ctx.mul(a, b)) != ctx.add(
-                    ctx.mul(ctx.sigma(a), ctx.delta(b)), ctx.mul(ctx.delta(a), b)):
-                law = "sigma-Leibniz rule"
-            else:
-                continue
-            cex = f"{law} fails at a={ctx.render(a)}, b={ctx.render(b)}"
-            break
+            law = _sigma_law_failure(*ops, a, b)
+            if law:
+                cex = _pair_cex(ctx, law, a, b)
+                break
 
     return CheckReport(
         name="sigma-derivation",

@@ -26,7 +26,7 @@ import math
 import random
 
 from .report import CheckReport
-from .rings import RingContext
+from .rings import RingContext, _op_tables
 
 NEG_INF = float("-inf")
 
@@ -350,40 +350,66 @@ def random_poly(ctx: RingContext, max_degree: int, rng: random.Random) -> SkewPo
     return SkewPoly(ctx, [ctx.sample(rng) for _ in range(max_degree + 1)])
 
 
+def monomial_operator_word_sums(ctx: RingContext, k: int, l: int, elems: list,
+                                sigma_table: list, delta_table: list):
+    """monomial_operator_words for every element of the sorted carrier
+    ``elems`` at once, given the sigma and delta index tables over it (see
+    rings._op_tables).  Each word is applied as a composition of table
+    lookups, and the words are summed with ctx.add per element in the same
+    order as monomial_operator_words.  Returns (values, word_count)."""
+    totals = [ctx.zero()] * len(elems)
+    count = 0
+    n = k + l
+    for delta_slots in itertools.combinations(range(n), k):
+        slots = set(delta_slots)
+        image = range(len(elems))
+        for idx in reversed(range(n)):
+            table = delta_table if idx in slots else sigma_table
+            image = [table[x] for x in image]
+        totals = [ctx.add(t, elems[x]) for t, x in zip(totals, image)]
+        count += 1
+    return totals, count
+
+
 def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
                      count_total: int = 8) -> CheckReport:
     """Recursion vs word enumeration for all k+l <= max_total over the whole
     carrier, plus the C(k+l, k) word-count identity up to count_total.
     Where k >= radical nilpotency, M_{k,l}(a) must also vanish: the product
-    kernels skip those terms."""
+    kernels skip those terms.
+
+    The words run over sigma and delta tables of the carrier (|R| calls
+    each, see rings._op_tables), summed per (k, l) by
+    monomial_operator_word_sums; the recursion is still called on every
+    element.  A sigma or delta value outside the carrier is reported as a
+    closure failure."""
     checked = 0
     vanishing = 0
-    cex = None
     zero = ctx.zero()
     nil = ctx.radical_nilpotency
     elems = sorted(ctx.elements())
-    for total in range(max_total + 1):
-        for k in range(total + 1):
-            l = total - k
-            for a in elems:
-                checked += 1
-                by_words, count = monomial_operator_words(ctx, k, l, a)
-                if count != math.comb(total, k):
-                    cex = f"word count mismatch at k={k}, l={l}"
-                    break
-                if by_words != monomial_operator_apply(ctx, k, l, a):
-                    cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
-                           f"words give {ctx.render(by_words)}")
-                    break
-                if k >= nil:
-                    vanishing += 1
-                    if by_words != zero:
-                        cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
-                               f"{ctx.render(by_words)} does not vanish at "
-                               f"k >= nilpotency {nil}")
-                        break
-            if cex:
+    tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
+    degrees = () if cex else [(k, total - k) for total in range(max_total + 1)
+                              for k in range(total + 1)]
+    for k, l in degrees:
+        sums, count = monomial_operator_word_sums(
+            ctx, k, l, elems, tables["sigma"], tables["delta"])
+        for a, by_words in zip(elems, sums):
+            checked += 1
+            if count != math.comb(k + l, k):
+                cex = f"word count mismatch at k={k}, l={l}"
                 break
+            if by_words != monomial_operator_apply(ctx, k, l, a):
+                cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
+                       f"words give {ctx.render(by_words)}")
+                break
+            if k >= nil:
+                vanishing += 1
+                if by_words != zero:
+                    cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
+                           f"{ctx.render(by_words)} does not vanish at "
+                           f"k >= nilpotency {nil}")
+                    break
         if cex:
             break
     if cex is None:

@@ -5,6 +5,8 @@ import contextlib
 import io
 import pathlib
 
+import pytest
+
 from skewseries import cli
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -69,3 +71,16 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     assert layers["k0.rank_calls"][0] == 1
     assert layers["k0.mat_mul_calls"][0] > 0
     assert any(span[0] == "k0.verify" for span in tracer.spans)
+
+
+@pytest.mark.parametrize("suite, counter", [
+    ("ring-axioms", "rings.mul_calls"),
+    # mkl-oracle never multiplies; its tables are of sigma and delta
+    ("mkl-oracle", "rings.sigma_delta_calls")])
+def test_tracer_counts_the_tabled_suites(monkeypatch, suite, counter):
+    # the index tables call the instance's operations, so the counts the
+    # tracer takes by wrapping them still see the exhaustive suites
+    argv = ["check", suite, "--ring", "truncpoly:3:3:c=2"]
+    layers = _traced_layers(monkeypatch, argv).metrics()
+    assert layers[counter][0] > 0
+    assert layers["suites.checked"][0] > 0

@@ -359,3 +359,24 @@ def _assert_layered_bound_matches(ctx):
     layered = {n: [sigma_nilpotence_bound(ctx, n, limit) for limit in range(1, 9)]
                for n in range(1, 4)}
     assert layered == _word_enumeration_bounds(ctx, range(1, 4), 8)
+
+
+@pytest.mark.parametrize("preset", PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken",))
+def test_sigma_inv_matches_enumerated_table(preset):
+    ctx = parse_ring_preset(preset)
+    # the whole-carrier preimage table sigma_inv used to build
+    table = {ctx.sigma(x): x for x in ctx.elements()}
+    assert len(table) == ctx.cardinality
+    for a in ctx.elements():
+        assert ctx.sigma_inv(a) == table[a]
+
+
+def test_sigma_inv_is_checked_on_use():
+    class SquaringSigma(ZmodRing):
+        def sigma(self, a):
+            return a * a % self.cardinality
+
+    ring = SquaringSigma(2, 3)
+    assert ring.sigma_inv(1) == 1
+    with pytest.raises(AssertionError, match="sigma preimage of 3 in zmod:2\\^3"):
+        ring.sigma_inv(3)

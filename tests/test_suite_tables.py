@@ -1,0 +1,386 @@
+"""The exhaustive phases of ring-axioms, sigma-derivation and mkl-oracle run
+over index tables of the ring operations.  The element-wise loops they
+replaced are kept here as oracles; the tests require the same reports,
+closure failures instead of tracebacks, and bounded operation counts."""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from conftest import PRESET_MATRIX
+from skewseries import (ZmodRing, mkl_oracle_check, monomial_operator_apply,
+                        monomial_operator_words, parse_ring_preset,
+                        ring_axiom_check, sigma_derivation_check, skewpoly)
+from skewseries.report import CheckReport
+from skewseries.rings import _op_tables, _tuple_stream
+from skewseries.skewpoly import monomial_operator_word_sums
+
+
+# -- element-wise oracles ---------------------------------------------------
+#
+# The three checks as they were before the index tables: every law is
+# evaluated on every tuple by calling the ring's operations.
+
+def elementwise_ring_axiom_check(ctx, samples, seed):
+    rng = random.Random(seed)
+    zero, one = ctx.zero(), ctx.one()
+    checked = 0
+    cex = None
+
+    singles, _ = _tuple_stream(ctx, 1, samples, rng)
+    for (a,) in singles:
+        checked += 1
+        if ctx.add(a, zero) != a:
+            cex = f"a + 0 != a at a={ctx.render(a)}"
+        elif ctx.add(a, ctx.neg(a)) != zero:
+            cex = f"a + (-a) != 0 at a={ctx.render(a)}"
+        elif ctx.mul(one, a) != a or ctx.mul(a, one) != a:
+            cex = f"unit law fails at a={ctx.render(a)}"
+        elif ctx.mul(zero, a) != zero or ctx.mul(a, zero) != zero:
+            cex = f"zero absorption fails at a={ctx.render(a)}"
+        if cex:
+            break
+
+    triples, exhaustive = _tuple_stream(ctx, 3, samples, rng)
+    if cex is None:
+        for a, b, c in triples:
+            checked += 1
+            if ctx.add(ctx.add(a, b), c) != ctx.add(a, ctx.add(b, c)):
+                law = "additive associativity"
+            elif ctx.add(a, b) != ctx.add(b, a):
+                law = "additive commutativity"
+            elif ctx.mul(ctx.mul(a, b), c) != ctx.mul(a, ctx.mul(b, c)):
+                law = "multiplicative associativity"
+            elif ctx.mul(a, ctx.add(b, c)) != ctx.add(ctx.mul(a, b), ctx.mul(a, c)):
+                law = "left distributivity"
+            elif ctx.mul(ctx.add(a, b), c) != ctx.add(ctx.mul(a, c), ctx.mul(b, c)):
+                law = "right distributivity"
+            else:
+                continue
+            cex = (f"{law} fails at a={ctx.render(a)}, b={ctx.render(b)}, "
+                   f"c={ctx.render(c)}")
+            break
+
+    return CheckReport(name="ring-axioms", passed=cex is None, checked=checked,
+                       counterexample=cex,
+                       details={"mode": "exhaustive" if exhaustive else "sampled"})
+
+
+def elementwise_sigma_derivation_check(ctx, samples, seed):
+    rng = random.Random(seed)
+    one = ctx.one()
+    radical = ctx.ideal_power(1)
+    radical_sq = ctx.ideal_power(2)
+    checked = 0
+    cex = None
+
+    if ctx.sigma(one) != one:
+        cex = "sigma(1) != 1"
+
+    singles, _ = _tuple_stream(ctx, 1, samples, rng)
+    if cex is None:
+        for (a,) in singles:
+            checked += 1
+            if ctx.delta(a) not in radical:
+                cex = f"delta({ctx.render(a)}) is outside I"
+                break
+
+    if cex is None:
+        for a in sorted(radical):
+            checked += 2
+            if ctx.sigma(a) not in radical:
+                cex = f"sigma({ctx.render(a)}) leaves I"
+                break
+            if ctx.delta(a) not in radical_sq:
+                cex = f"delta({ctx.render(a)}) is outside I^2"
+                break
+
+    pairs, exhaustive = _tuple_stream(ctx, 2, samples, rng)
+    if cex is None:
+        for a, b in pairs:
+            checked += 1
+            if ctx.sigma(ctx.add(a, b)) != ctx.add(ctx.sigma(a), ctx.sigma(b)):
+                law = "sigma additivity"
+            elif ctx.sigma(ctx.mul(a, b)) != ctx.mul(ctx.sigma(a), ctx.sigma(b)):
+                law = "sigma multiplicativity"
+            elif ctx.delta(ctx.add(a, b)) != ctx.add(ctx.delta(a), ctx.delta(b)):
+                law = "delta additivity"
+            elif ctx.delta(ctx.mul(a, b)) != ctx.add(
+                    ctx.mul(ctx.sigma(a), ctx.delta(b)), ctx.mul(ctx.delta(a), b)):
+                law = "sigma-Leibniz rule"
+            else:
+                continue
+            cex = f"{law} fails at a={ctx.render(a)}, b={ctx.render(b)}"
+            break
+
+    return CheckReport(name="sigma-derivation", passed=cex is None,
+                       checked=checked, counterexample=cex,
+                       details={"mode": "exhaustive" if exhaustive else "sampled",
+                                "sigma_radical_onto": ctx.sigma_radical_onto()})
+
+
+def elementwise_mkl_oracle_check(ctx, max_total=6, count_total=8):
+    # the recursion is looked up on the module, so a monkeypatch reaches it
+    checked = 0
+    vanishing = 0
+    cex = None
+    zero = ctx.zero()
+    nil = ctx.radical_nilpotency
+    elems = sorted(ctx.elements())
+    for total in range(max_total + 1):
+        for k in range(total + 1):
+            l = total - k
+            for a in elems:
+                checked += 1
+                by_words, count = monomial_operator_words(ctx, k, l, a)
+                if count != math.comb(total, k):
+                    cex = f"word count mismatch at k={k}, l={l}"
+                    break
+                if by_words != skewpoly.monomial_operator_apply(ctx, k, l, a):
+                    cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
+                           f"words give {ctx.render(by_words)}")
+                    break
+                if k >= nil:
+                    vanishing += 1
+                    if by_words != zero:
+                        cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
+                               f"{ctx.render(by_words)} does not vanish at "
+                               f"k >= nilpotency {nil}")
+                        break
+            if cex:
+                break
+        if cex:
+            break
+    if cex is None:
+        for total in range(count_total + 1):
+            for k in range(total + 1):
+                checked += 1
+                n_words = sum(1 for _ in itertools.combinations(range(total), k))
+                if n_words != math.comb(total, k):
+                    cex = f"word count mismatch at k={k}, l={total - k}"
+                    break
+    return CheckReport(name="mkl-oracle", passed=cex is None, checked=checked,
+                       counterexample=cex,
+                       details={"max_total_degree": max_total,
+                                "vanishing_checks": vanishing})
+
+
+# -- control rings ----------------------------------------------------------
+
+class BadMul(ZmodRing):
+    def mul(self, a, b):
+        return (a * b + 1) % self.cardinality
+
+
+class LateWrongMul(ZmodRing):
+    """Z/27 whose mul is wrong on the last pair of the sorted carrier only;
+    right distributivity first sees it at (1, 25, 26), deep inside the
+    (a, b) = (1, 25) row."""
+
+    def __init__(self):
+        super().__init__(3, 3)
+
+    def mul(self, a, b):
+        if a == b == 26:
+            return 0
+        return super().mul(a, b)
+
+
+class NonAdditiveSigma(ZmodRing):
+    """Z/27 with sigma the identity except sigma(25) = 26: sigma(1) = 1 and
+    sigma(I) <= I still hold, additivity first fails at (1, 24)."""
+
+    def __init__(self):
+        super().__init__(3, 3)
+
+    def sigma(self, a):
+        return 26 if a == 25 else a
+
+
+class LeakyMul(ZmodRing):
+    """Z/8 whose mul forgets to reduce a product with left factor 3: the unit
+    and zero laws hold, but mul(3, 3) = 9 is not an element of the carrier."""
+
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def mul(self, a, b):
+        return a * b if a == 3 else super().mul(a, b)
+
+
+class LeakySigma(ZmodRing):
+    """Z/8 with sigma(5) = 13, outside the carrier."""
+
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def sigma(self, a):
+        return 13 if a == 5 else a
+
+
+def _wrong_at(k0, l0, a0):
+    plain = monomial_operator_apply
+
+    def wrong(ctx, k, l, a):
+        value = plain(ctx, k, l, a)
+        if (k, l, a) == (k0, l0, a0):
+            return ctx.add(value, ctx.one())
+        return value
+    return wrong
+
+
+# -- differential tests -----------------------------------------------------
+
+DIFFERENTIAL_PRESETS = PRESET_MATRIX + ("zmod:3^3", "truncpoly:3:4:c=2",
+                                        "truncpoly:3:3:c=2:delta=broken")
+SEEDS = (3, 11)
+
+SEEDED = ((ring_axiom_check, elementwise_ring_axiom_check),
+          (sigma_derivation_check, elementwise_sigma_derivation_check))
+
+
+def _outcome(suite, ctx, *args):
+    """The report's fields, or the exception the suite raised."""
+    try:
+        report = suite(ctx, *args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+    return report.passed, report.checked, report.counterexample, report.details
+
+
+def _assert_same_reports(make_ctx):
+    """All three suites on fresh contexts from make_ctx: tabled == oracle."""
+    for tabled, oracle in SEEDED:
+        for seed in SEEDS:
+            assert (_outcome(tabled, make_ctx(), 30, seed)
+                    == _outcome(oracle, make_ctx(), 30, seed))
+    assert (_outcome(mkl_oracle_check, make_ctx())
+            == _outcome(elementwise_mkl_oracle_check, make_ctx()))
+
+
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+def test_tabled_suites_match_elementwise_loops(preset):
+    _assert_same_reports(lambda: parse_ring_preset(preset))
+
+
+@pytest.mark.parametrize("ring, passing", [
+    # BadMul breaks I^3 = 0, so sigma-derivation raises on both sides
+    (lambda: BadMul(2, 3), [False, ValueError, True]),
+    (LateWrongMul, [False, True, True]),
+    (NonAdditiveSigma, [True, False, True])])
+def test_control_rings_match_elementwise_loops(ring, passing):
+    _assert_same_reports(ring)
+    outcomes = [_outcome(ring_axiom_check, ring(), 30, 3),
+                _outcome(sigma_derivation_check, ring(), 30, 3),
+                _outcome(mkl_oracle_check, ring())]
+    assert [outcome[0] for outcome in outcomes] == passing
+
+
+def test_late_failures_are_found_inside_a_row():
+    report = ring_axiom_check(LateWrongMul(), 30, 3)
+    assert report.counterexample == \
+        "right distributivity fails at a=1, b=25, c=26"
+    assert report.checked == 27 + 27 * 27 + 25 * 27 + 27
+    report = sigma_derivation_check(NonAdditiveSigma(), 30, 3)
+    assert report.counterexample == "sigma additivity fails at a=1, b=24"
+
+
+@pytest.mark.parametrize("preset", ["truncpoly:3:3:c=2", "zmod:3^3"])
+def test_wrong_recursion_value_matches_elementwise_loop(preset, monkeypatch):
+    ctx = parse_ring_preset(preset)
+    last = sorted(ctx.elements())[-1]
+    monkeypatch.setattr(skewpoly, "monomial_operator_apply", _wrong_at(2, 3, last))
+    tabled = mkl_oracle_check(parse_ring_preset(preset))
+    assert not tabled.passed
+    assert tabled.counterexample.startswith(
+        f"M_{{2,3}} mismatch at a={ctx.render(last)}")
+    assert _outcome(mkl_oracle_check, parse_ring_preset(preset)) == \
+        _outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset))
+
+
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+def test_word_sums_match_word_enumeration(preset):
+    ctx = parse_ring_preset(preset)
+    elems = sorted(ctx.elements())
+    tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
+    assert cex is None
+    max_total = 6 if ctx.cardinality <= 81 else 3
+    for total in range(max_total + 1):
+        for k in range(total + 1):
+            sums, count = monomial_operator_word_sums(
+                ctx, k, total - k, elems, tables["sigma"], tables["delta"])
+            assert count == math.comb(total, k)
+            assert sums == [monomial_operator_words(ctx, k, total - k, a)[0]
+                            for a in elems]
+
+
+# -- closure ----------------------------------------------------------------
+
+@pytest.mark.parametrize("suite, ring, checked, cex", [
+    (ring_axiom_check, LeakyMul, 8, "mul(3, 3) leaves the carrier"),
+    (sigma_derivation_check, LeakyMul, 16, "mul(3, 3) leaves the carrier"),
+    (sigma_derivation_check, LeakySigma, 16, "sigma(5) leaves the carrier"),
+    (mkl_oracle_check, LeakySigma, 0, "sigma(5) leaves the carrier")])
+def test_values_outside_the_carrier_fail_the_suite(suite, ring, checked, cex):
+    args = () if suite is mkl_oracle_check else (30, 3)
+    report = suite(ring(), *args)
+    assert not report.passed
+    assert report.counterexample == cex
+    assert report.checked == checked
+
+
+def test_op_tables_reraise_a_key_error_of_the_operation():
+    class RaisingMul(ZmodRing):
+        def mul(self, a, b):
+            raise KeyError("from inside mul")
+
+    ctx = RaisingMul(2, 2)
+    with pytest.raises(KeyError, match="from inside mul"):
+        _op_tables(ctx, sorted(ctx.elements()), binary=("mul",))
+
+
+# -- cost -------------------------------------------------------------------
+
+def _count_calls(ctx, names):
+    """Count the calls of the named operations made by the caller, not those
+    one operation makes to another (truncpoly's delta calls sigma)."""
+    calls = dict.fromkeys(names, 0)
+    depth = [0]
+    for name in names:
+        plain = getattr(ctx, name)
+
+        def counted(*args, _name=name, _plain=plain):
+            calls[_name] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return _plain(*args)
+            finally:
+                depth[0] -= 1
+        setattr(ctx, name, counted)
+    return calls
+
+
+def test_ring_axioms_builds_tables_instead_of_calling_per_triple():
+    ctx = parse_ring_preset("truncpoly:3:3:c=2")
+    calls = _count_calls(ctx, ("mul", "add"))
+    report = ring_axiom_check(ctx, 30, 3)
+    assert report.passed and report.checked == 27 + 27 ** 3
+    # the mul table plus the four products of each single-element law
+    assert calls["mul"] <= 27 ** 2 + 4 * 27
+    assert calls["add"] <= 27 ** 2 + 2 * 27
+
+
+def test_mkl_oracle_calls_sigma_and_delta_once_per_element():
+    ctx = parse_ring_preset("truncpoly:3:4:c=2")
+    # the recursion's own calls go into its memo; fill it first so that only
+    # the word side is counted
+    for total in range(7):
+        for k in range(total + 1):
+            for a in ctx.elements():
+                monomial_operator_apply(ctx, k, total - k, a)
+    calls = _count_calls(ctx, ("sigma", "delta"))
+    assert mkl_oracle_check(ctx).passed
+    assert calls["sigma"] <= ctx.cardinality
+    assert calls["delta"] <= ctx.cardinality
