@@ -6,11 +6,12 @@ layers: generators of a nilpotent two-sided ideal I (the Jacobson radical
 for the shipped presets), a ring endomorphism sigma with sigma(I) <= I and
 a sigma-derivation delta satisfying delta(R) <= I and delta(I) <= I^2.
 Each preset family knows its ideal-theoretic structure (powers of I,
-valuations, canonical residues mod I^k, inverses of units) in closed form,
-so nothing here enumerates R: ideal powers are built lazily per k, every
-inverse is verified by both products before it is used, and the test
-suite checks each closed form against exhaustive enumeration on small
-presets.  All answers are exact.
+valuations, canonical residues mod I^k, inverses of units, and the depth
+at which the monomial operators M_{k,l} of sigma and delta vanish) in
+closed form, so nothing here enumerates R: ideal powers are built lazily
+per k, every inverse is verified by both products before it is used, and
+the test suite checks each closed form against exhaustive enumeration on
+small presets.  All answers are exact.
 
 Preset grammar (also accepted by the command line front end):
 
@@ -78,7 +79,8 @@ class RingContext:
         self._inv_table = None
         self._is_local = None
         self._mkl_cache = {}
-        # nilpotency -> {b: largest l with M_{nil,l'}(b) = 0 checked for l' <= l}
+        self._family_mkl_depth = None
+        # depth d -> {b: largest l with M_{d,l'}(b) = 0 checked for l' <= l}
         self._mkl_vanishing = {}
 
     # -- primitive operations (subclass responsibility) ------------------
@@ -146,6 +148,10 @@ class RingContext:
 
     def _sigma_inv(self, a):
         """Candidate preimage of a under sigma."""
+        raise NotImplementedError
+
+    def _mkl_depth(self) -> int:
+        """Least d >= 1 with M_{d,l} = 0 for every l (see mkl_depth)."""
         raise NotImplementedError
 
     # -- derived structure ------------------------------------------------
@@ -264,6 +270,16 @@ class RingContext:
                                  for r in self._unit_residues())
         return self._is_local
 
+    def mkl_depth(self) -> int:
+        """Depth at which the monomial operators vanish: M_{k,l} = 0 for
+        every k >= d and every l.  The family's closed form, computed on
+        first use, clamped at the radical nilpotency.  The product kernels
+        cut at d and check the cut per product (skewpoly._check_vanishing);
+        the mkl-oracle suite checks it against the word enumeration."""
+        if self._family_mkl_depth is None:
+            self._family_mkl_depth = self._mkl_depth()
+        return min(self.radical_nilpotency, self._family_mkl_depth)
+
     def sigma_inv(self, a):
         """Preimage under sigma, from the family's closed form and checked
         by applying sigma to it."""
@@ -363,6 +379,10 @@ class ZmodRing(RingContext):
 
     def _sigma_inv(self, a):
         return a
+
+    def _mkl_depth(self):
+        # delta = 0, so every word with a delta letter is zero
+        return 1
 
 
 class TruncPolyRing(RingContext):
@@ -493,6 +513,21 @@ class TruncPolyRing(RingContext):
     def _sigma_inv(self, a):
         # sigma scales coefficient i by c^i, and c is a unit mod q
         return tuple((x * self._cinvpow[i]) % self.q for i, x in enumerate(a))
+
+    def _mkl_depth(self):
+        if self.delta_mode == "zero":
+            return 1
+        if self.delta_mode == "broken":
+            return self.m
+        # delta(t^i) = (c^i - 1) t^(i+1) and sigma scales t^i by c^i, so a word
+        # with k delta letters sends t^i to a multiple of
+        # prod_{i <= j < i+k} (c^j - 1) * t^(i+k).  That is zero once i + k >= m
+        # or the k consecutive j hit a multiple of ord(c) (j = 0 included),
+        # and delta^(d-1)(t) != 0 for the d below.
+        order = 1
+        while pow(self.c, order, self.q) != 1:
+            order += 1
+        return max(1, min(order, self.m - 1))
 
 
 _ZMOD_RE = re.compile(r"^(\d+)\^(\d+)$")

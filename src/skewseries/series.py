@@ -99,8 +99,10 @@ class TruncatedSeries:
     def __mul__(self, other):
         """Closed product formula on lifted representatives, reduced at the
         end.  Terms whose monomial operator carries at least
-        radical_nilpotency delta factors vanish (I is nilpotent); the shared
-        kernel skips them and checks that they vanish."""
+        d = ctx.mkl_depth() delta factors vanish (delta is sigma-nilpotent;
+        d is 1 on zmod and at most the radical nilpotency); the shared
+        kernel skips them, checks that they vanish, and skips the terms
+        whose monomial operator value is zero."""
         _check_compat(self.ctx, self.precision, other)
         return TruncatedSeries(
             self.ctx, self.precision,

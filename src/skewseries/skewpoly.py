@@ -10,13 +10,24 @@ product routes are provided so they can be cross-validated:
       coeff_m(f*g) = sum_{n=0..m} sum_{j>=n} a_j * M_{j-n,n}(b_{m-n})
   with M computed by the recursion
       M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1},   M_{0,0} = id
-  summed only over j - n < radical_nilpotency: M_{k,l} maps R into I^k,
-  so the other terms vanish (checked per product, not assumed);
+  summed only over j - n < d, d = ctx.mkl_depth() the least depth with
+  M_{d,l} = 0 for every l, so the other terms vanish (checked per
+  product, not assumed), and over the terms whose M value is nonzero;
 * :func:`poly_mul_commutation`, which expands products by repeatedly
   applying the single-step rule and collecting left-form terms.
 
 A brute-force word enumeration of M_{k,l} is kept as an oracle for the
 recursion (:func:`monomial_operator_words`).
+
+The depth d is a closed form per preset family, clamped at the radical
+nilpotency (M_{k,l} maps R into I^k):
+
+    zmod:<p>^<n>                      1   (delta = 0)
+    truncpoly, delta=zero or c = 1    1   (delta = 0)
+    truncpoly q-twist, c != 1         max(1, min(ord_q(c), m - 1))
+    truncpoly, delta=broken           m
+
+For the q-twist, delta(t^i) = (c^i - 1) t^(i+1) and delta(1) = 0.
 """
 
 from __future__ import annotations
@@ -67,21 +78,21 @@ def monomial_operator_apply(ctx: RingContext, k: int, l: int, a):
 
 
 def _check_vanishing(ctx: RingContext, b, l: int):
-    """Assert M_{nil,l'}(b) = 0 for every l' <= l, nil the radical
-    nilpotency.  The recursion M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1}
-    then makes every M_{k,l'}(b) with k > nil vanish as well, so the terms a
-    product skips are zero.  The context remembers the largest l checked
-    for each b, so each (b, l) is checked once per context."""
-    nil = ctx.radical_nilpotency
-    verified = ctx._mkl_vanishing.setdefault(nil, {})
+    """Assert M_{d,l'}(b) = 0 for every l' <= l, d = ctx.mkl_depth().  The
+    recursion M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1} then makes
+    every M_{k,l'}(b) with k > d vanish as well, so the terms a product
+    skips are zero.  The context remembers the largest l checked for each
+    b, so each (b, l) is checked once per context and depth."""
+    d = ctx.mkl_depth()
+    verified = ctx._mkl_vanishing.setdefault(d, {})
     done = verified.get(b, -1)
     if done >= l:
         return
     zero = ctx.zero()
     for ll in range(done + 1, l + 1):
-        if monomial_operator_apply(ctx, nil, ll, b) != zero:
+        if monomial_operator_apply(ctx, d, ll, b) != zero:
             raise AssertionError(
-                f"sigma-nilpotence bound violated: M_{{{nil},{ll}}}"
+                f"sigma-nilpotence bound violated: M_{{{d},{ll}}}"
                 f"({ctx.render(b)}) != 0")
     verified[b] = l
 
@@ -90,11 +101,12 @@ def _closed_product(ctx: RingContext, fa, gb, length: int) -> list:
     """The first ``length`` coefficients of (sum a_j x^j) * (sum b_i x^i),
     by coeff_m = sum_{n+i=m} sum_{j>=n} a_j M_{j-n,n}(b_i).
 
-    Only terms with j - n < radical_nilpotency are summed: M_{k,l}(b) lies
-    in I^k, so the others vanish.  That is checked rather than assumed,
-    once per right-factor coefficient and product (see _check_vanishing).
-    Trailing zeros of both factors are trimmed, and no coefficient past
-    la + lb - 1 is computed.
+    Only terms with j - n < d = ctx.mkl_depth() are summed: M_{k,l} = 0
+    for k >= d (see the module docstring for d per family), so the others
+    vanish.  That is checked rather than assumed, once per right-factor
+    coefficient and product (see _check_vanishing).  A term whose
+    M_{j-n,n}(b) is zero is skipped too.  Trailing zeros of both factors
+    are trimmed, and no coefficient past la + lb - 1 is computed.
     """
     zero = ctx.zero()
     la, lb = len(fa), len(gb)
@@ -104,23 +116,25 @@ def _closed_product(ctx: RingContext, fa, gb, length: int) -> list:
         lb -= 1
     size = min(length, la + lb - 1) if la and lb else 0
     out = [zero] * size
-    nil = ctx.radical_nilpotency
+    d = ctx.mkl_depth()
     add, mul = ctx.add, ctx.mul
     for i in range(min(lb, size)):
         b = gb[i]
         if b == zero:
             continue
         top = min(la, size - i)
-        # for n <= la - 1 - nil the nonzero a_(la-1) term is skipped
-        skipped = min(la - 1 - nil, top - 1)
+        # for n <= la - 1 - d the nonzero a_(la-1) term is skipped
+        skipped = min(la - 1 - d, top - 1)
         if skipped >= 0:
             _check_vanishing(ctx, b, skipped)
         for n in range(top):
             acc = out[n + i]
-            for j in range(n, min(la, n + nil)):
+            for j in range(n, min(la, n + d)):
                 a = fa[j]
                 if a != zero:
-                    acc = add(acc, mul(a, monomial_operator_apply(ctx, j - n, n, b)))
+                    v = monomial_operator_apply(ctx, j - n, n, b)
+                    if v != zero:
+                        acc = add(acc, mul(a, v))
             out[n + i] = acc
     return out
 
@@ -279,18 +293,22 @@ class RightFormPoly:
 
 def normalize_right_to_left(p: RightFormPoly) -> SkewPoly:
     """Rewrite sum_i x^i a_i in left normal form: the coefficient of x^j is
-    sum_{i >= j} M_{i-j, j}(a_i), where only i - j < radical_nilpotency
-    contributes (checked as in _closed_product)."""
+    sum_{i >= j} M_{i-j, j}(a_i), where only i - j < d = ctx.mkl_depth()
+    contributes (checked as in _closed_product) and zero M values are
+    skipped."""
     ctx = p.ctx
     if not p.terms:
         return SkewPoly.zero(ctx)
-    nil = ctx.radical_nilpotency
-    coeffs = [ctx.zero()] * (p.terms[-1][0] + 1)
+    d = ctx.mkl_depth()
+    zero = ctx.zero()
+    coeffs = [zero] * (p.terms[-1][0] + 1)
     for i, a in p.terms:
-        if i >= nil:
-            _check_vanishing(ctx, a, i - nil)
-        for j in range(max(0, i - nil + 1), i + 1):
-            coeffs[j] = ctx.add(coeffs[j], monomial_operator_apply(ctx, i - j, j, a))
+        if i >= d:
+            _check_vanishing(ctx, a, i - d)
+        for j in range(max(0, i - d + 1), i + 1):
+            v = monomial_operator_apply(ctx, i - j, j, a)
+            if v != zero:
+                coeffs[j] = ctx.add(coeffs[j], v)
     return SkewPoly(ctx, coeffs)
 
 
@@ -375,7 +393,7 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
                      count_total: int = 8) -> CheckReport:
     """Recursion vs word enumeration for all k+l <= max_total over the whole
     carrier, plus the C(k+l, k) word-count identity up to count_total.
-    Where k >= radical nilpotency, M_{k,l}(a) must also vanish: the product
+    Where k >= ctx.mkl_depth(), M_{k,l}(a) must also vanish: the product
     kernels skip those terms.
 
     The words run over sigma and delta tables of the carrier (|R| calls
@@ -386,7 +404,7 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
     checked = 0
     vanishing = 0
     zero = ctx.zero()
-    nil = ctx.radical_nilpotency
+    depth = ctx.mkl_depth()
     elems = sorted(ctx.elements())
     tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
     degrees = () if cex else [(k, total - k) for total in range(max_total + 1)
@@ -403,12 +421,12 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
                 cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
                        f"words give {ctx.render(by_words)}")
                 break
-            if k >= nil:
+            if k >= depth:
                 vanishing += 1
                 if by_words != zero:
                     cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
                            f"{ctx.render(by_words)} does not vanish at "
-                           f"k >= nilpotency {nil}")
+                           f"k >= depth {depth}")
                     break
         if cex:
             break
@@ -425,7 +443,8 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
         passed=cex is None,
         checked=checked,
         counterexample=cex,
-        details={"max_total_degree": max_total, "vanishing_checks": vanishing},
+        details={"max_total_degree": max_total, "vanishing_checks": vanishing,
+                 "mkl_depth": depth},
     )
 
 

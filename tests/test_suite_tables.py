@@ -127,7 +127,7 @@ def elementwise_mkl_oracle_check(ctx, max_total=6, count_total=8):
     vanishing = 0
     cex = None
     zero = ctx.zero()
-    nil = ctx.radical_nilpotency
+    depth = ctx.mkl_depth()
     elems = sorted(ctx.elements())
     for total in range(max_total + 1):
         for k in range(total + 1):
@@ -142,12 +142,12 @@ def elementwise_mkl_oracle_check(ctx, max_total=6, count_total=8):
                     cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
                            f"words give {ctx.render(by_words)}")
                     break
-                if k >= nil:
+                if k >= depth:
                     vanishing += 1
                     if by_words != zero:
                         cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
                                f"{ctx.render(by_words)} does not vanish at "
-                               f"k >= nilpotency {nil}")
+                               f"k >= depth {depth}")
                         break
             if cex:
                 break
@@ -164,7 +164,8 @@ def elementwise_mkl_oracle_check(ctx, max_total=6, count_total=8):
     return CheckReport(name="mkl-oracle", passed=cex is None, checked=checked,
                        counterexample=cex,
                        details={"max_total_degree": max_total,
-                                "vanishing_checks": vanishing})
+                                "vanishing_checks": vanishing,
+                                "mkl_depth": depth})
 
 
 # -- control rings ----------------------------------------------------------
