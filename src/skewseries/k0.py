@@ -22,10 +22,13 @@ I + E_{ji} is used first to drag such a unit onto the diagonal.
 
 Each pivot step is applied as elementary row and column operations on e, U
 and U^-1, O(n^3) in all; the certificate is still re-verified by plain
-matrix multiplication, with every identity checked in full.  Each entry of
-a matrix product is one exact dot product, ``scalars.dot``: over S/G_N the
-unreduced series products of a row and a column are summed slot by slot and
-reduced once, which gives the same class as reducing every partial sum.
+matrix multiplication, with every identity checked in full.  A matrix
+product is one call of the base's kernel, ``scalars.mat_mul``.  Over R each
+entry is the fold of + and *.  Over S/G_N the whole product is one pass of
+the block kernel (series.matrix_product): each entry is checked and trimmed
+once, the monomial operator values of each entry of the right factor are
+fetched once for every row, and each slot of an entry is summed unreduced
+and reduced once, which gives the same class as reducing every partial sum.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 from .report import CheckReport
 from .rings import RingContext
-from .series import TruncatedSeries
+from .series import TruncatedSeries, matrix_product
 
 _MAX_UNIT_RESAMPLES = 10000
 
@@ -78,13 +81,21 @@ class BaseScalars(_Scalars):
     def mul(self, a, b):
         return self.ctx.mul(a, b)
 
-    def dot(self, xs, ys):
-        """sum_k xs[k] * ys[k]."""
+    def mat_mul(self, a, b):
+        """a * b, each entry the fold acc = acc + x*y over a row and a column."""
         add, mul = self.ctx.add, self.ctx.mul
-        acc = self.ctx.zero()
-        for x, y in zip(xs, ys):
-            acc = add(acc, mul(x, y))
-        return acc
+        zero = self.ctx.zero()
+        cols = tuple(zip(*b))
+        out = []
+        for row in a:
+            out_row = []
+            for col in cols:
+                acc = zero
+                for x, y in zip(row, col):
+                    acc = add(acc, mul(x, y))
+                out_row.append(acc)
+            out.append(tuple(out_row))
+        return tuple(out)
 
     def is_unit(self, a):
         return self.ctx.is_unit(a)
@@ -136,9 +147,9 @@ class SeriesScalars(_Scalars):
     def mul(self, a, b):
         return a * b
 
-    def dot(self, xs, ys) -> TruncatedSeries:
-        """sum_k xs[k] * ys[k], built and reduced once (TruncatedSeries.dot)."""
-        return TruncatedSeries.dot(self.ctx, self.precision, xs, ys)
+    def mat_mul(self, a, b):
+        """a * b in one pass of the series block kernel (matrix_product)."""
+        return matrix_product(self.ctx, self.precision, a, b)
 
     def is_unit(self, a: TruncatedSeries) -> bool:
         # unit iff the x^0 slot is a unit of R: the rest lies in G_1,
@@ -192,13 +203,11 @@ def mat_zero(scalars, rows, cols):
 
 
 def mat_mul(scalars, a, b):
-    """a * b, each entry one exact dot product of a row of a and a column of b."""
+    """a * b, by the matrix kernel of the scalar base."""
     inner = len(a[0]) if a else 0
     if inner != len(b):
         raise ValueError("matrix dimension mismatch")
-    cols = tuple(zip(*b))
-    dot = scalars.dot
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
+    return scalars.mat_mul(a, b)
 
 
 def mat_add(scalars, a, b):
@@ -228,11 +237,14 @@ def render_matrix(scalars, a):
     return [f"[{', '.join(scalars.render(x) for x in row)}]" for row in a]
 
 
-def _pad_to(scalars, e, n):
-    """Embed an idempotent in the top-left corner of an n x n zero matrix."""
-    if len(e) == n:
-        return tuple(tuple(row) for row in e)
-    return mat_direct_sum(scalars, e, mat_zero(scalars, n - len(e), n - len(e)))
+def _pad_to(e, n):
+    """e embedded in the top-left corner of an n x n zero matrix.  An input
+    already of size n is returned as it is, since wrapping it again would
+    only repeat the e*e = e check; a padded one is wrapped and checked."""
+    if e.size == n:
+        return e
+    pad = mat_zero(e.scalars, n - e.size, n - e.size)
+    return IdempotentMatrix(e.scalars, mat_direct_sum(e.scalars, e.entries, pad))
 
 
 @dataclass(frozen=True)
@@ -446,16 +458,13 @@ def _stable_iso(e1: IdempotentMatrix, e2: IdempotentMatrix):
         raise ValueError("base mismatch")
     scalars = e1.scalars
     n = max(e1.size, e2.size)
-    left = _pad_to(scalars, e1.entries, n)
-    right = _pad_to(scalars, e2.entries, n)
-    w1 = idempotent_rank(IdempotentMatrix(scalars, left))
-    w2 = idempotent_rank(IdempotentMatrix(scalars, right))
+    w1, w2 = (idempotent_rank(_pad_to(e, n)) for e in (e1, e2))
     if w1.rank != w2.rank:
         return w1, w2, None
     conj = mat_mul(scalars, w2.conjugator_inv, w1.conjugator)
     conj_inv = mat_mul(scalars, w1.conjugator_inv, w2.conjugator)
     witness = StableIsoWitness(
-        scalars=scalars, t=0, left=left, right=right,
+        scalars=scalars, t=0, left=w1.matrix, right=w2.matrix,
         conjugator=conj, conjugator_inv=conj_inv)
     if not witness.verify():
         raise AssertionError("stable isomorphism certificate failed to verify")

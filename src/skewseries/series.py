@@ -28,12 +28,14 @@ import random
 
 from .report import CheckReport
 from .rings import RingContext
-from .skewpoly import SkewPoly, _closed_product, _power, monomial_operator_apply
+from .skewpoly import (SkewPoly, _block_product, _closed_product, _power,
+                       monomial_operator_apply)
 
 
 def _check_compat(ctx: RingContext, precision: int, other):
     """Raise ValueError unless other is a class of the same S/G_N."""
-    if not isinstance(other, TruncatedSeries) or other.ctx != ctx:
+    if not isinstance(other, TruncatedSeries) or (
+            other.ctx is not ctx and other.ctx != ctx):
         raise ValueError("ring context mismatch")
     if other.precision != precision:
         raise ValueError("precision mismatch")
@@ -47,12 +49,15 @@ class TruncatedSeries:
     def __init__(self, ctx: RingContext, precision: int, coeffs):
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        coeffs = list(coeffs)[:precision]
-        coeffs += [ctx.zero()] * (precision - len(coeffs))
+        coeffs = tuple(coeffs)[:precision]
+        coeffs += (ctx.zero(),) * (precision - len(coeffs))
         self.ctx = ctx
         self.precision = precision
-        self.coeffs = tuple(
-            ctx.reduce_clamped(c, precision - i) for i, c in enumerate(coeffs))
+        # slot i is taken mod I^(N-i), and I^k = 0 once k reaches the
+        # nilpotency, so only the slots with N - i below it are reduced
+        nil, reduce = ctx.radical_nilpotency, ctx._reduce
+        self.coeffs = tuple([c if precision - i >= nil else reduce(c, precision - i)
+                             for i, c in enumerate(coeffs)])
 
     @classmethod
     def from_poly(cls, f: SkewPoly, precision: int) -> "TruncatedSeries":
@@ -98,33 +103,16 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         """Closed product formula on lifted representatives, reduced at the
-        end.  Terms whose monomial operator carries at least
-        d = ctx.mkl_depth() delta factors vanish (delta is sigma-nilpotent;
-        d is 1 on zmod and at most the radical nilpotency); the shared
-        kernel skips them, checks that they vanish, and skips the terms
-        whose monomial operator value is zero."""
+        end: the 1x1 case of the shared block kernel
+        (skewpoly._closed_product).  Terms whose monomial operator carries
+        at least d = ctx.mkl_depth() delta factors vanish (delta is
+        sigma-nilpotent; d is 1 on zmod and at most the radical
+        nilpotency); the kernel skips them, checks that they vanish, and
+        skips the terms whose monomial operator value is zero."""
         _check_compat(self.ctx, self.precision, other)
         return TruncatedSeries(
             self.ctx, self.precision,
             _closed_product(self.ctx, self.coeffs, other.coeffs, self.precision))
-
-    @classmethod
-    def dot(cls, ctx: RingContext, precision: int, xs, ys) -> "TruncatedSeries":
-        """sum_k xs[k] * ys[k] in S/G_N, as one class.
-
-        The unreduced products of the shared kernel are added slot by slot
-        and each slot is reduced once.  That is the class the fold of + and *
-        gives: the canonical representative mod I^k does not depend on
-        whether the summands were reduced first, and the ring
-        multiplications are the same ones."""
-        acc = [ctx.zero()] * precision
-        add = ctx.add
-        for x, y in zip(xs, ys):
-            _check_compat(ctx, precision, x)
-            _check_compat(ctx, precision, y)
-            for m, c in enumerate(_closed_product(ctx, x.coeffs, y.coeffs, precision)):
-                acc[m] = add(acc[m], c)
-        return cls(ctx, precision, acc)
 
     def __pow__(self, exponent: int):
         return _power(TruncatedSeries.one(self.ctx, self.precision), self, exponent)
@@ -175,6 +163,28 @@ class TruncatedSeries:
             parts.append(term)
         body = " + ".join(parts) if parts else "0"
         return f"{body} [N={self.precision}]"
+
+
+def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
+    """a * b for matrices of classes in S/G_N, as one pass of the block
+    kernel (skewpoly._block_product).
+
+    Each entry of a and b is checked against S/G_N once, the kernel trims
+    it once and looks up the monomial operator values of each entry of b
+    once for every row of a.  The unreduced products of a row and a column
+    are summed slot by slot and each slot is reduced once.  That is the
+    class the fold of + and * gives: the canonical representative mod I^k
+    does not depend on whether the summands were reduced first, and the
+    ring multiplications are the same ones."""
+    for m in (a, b):
+        for row in m:
+            for x in row:
+                _check_compat(ctx, precision, x)
+    out = _block_product(ctx, [[x.coeffs for x in row] for row in a],
+                         [[y.coeffs for y in col] for col in zip(*b)],
+                         precision)
+    return tuple(tuple(TruncatedSeries(ctx, precision, c) for c in row)
+                 for row in out)
 
 
 class GradedElem:

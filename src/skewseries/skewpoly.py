@@ -12,7 +12,11 @@ product routes are provided so they can be cross-validated:
       M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1},   M_{0,0} = id
   summed only over j - n < d, d = ctx.mkl_depth() the least depth with
   M_{d,l} = 0 for every l, so the other terms vanish (checked per
-  product, not assumed), and over the terms whose M value is nonzero;
+  product, not assumed), and over the terms whose M value is nonzero.
+  One block kernel (:func:`_block_product`) evaluates it for a whole
+  row-by-column block of factors, as matrix products over S/G_N need:
+  the M values of each right factor are fetched once for every row, and
+  a single product is its 1x1 block;
 * :func:`poly_mul_commutation`, which expands products by repeatedly
   applying the single-step rule and collecting left-form terms.
 
@@ -97,45 +101,102 @@ def _check_vanishing(ctx: RingContext, b, l: int):
     verified[b] = l
 
 
-def _closed_product(ctx: RingContext, fa, gb, length: int) -> list:
-    """The first ``length`` coefficients of (sum a_j x^j) * (sum b_i x^i),
-    by coeff_m = sum_{n+i=m} sum_{j>=n} a_j M_{j-n,n}(b_i).
+def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
+                  length: int):
+    """acc[m] += coeff_m(f * g) for m < ``length`` and every partner
+    (f, la, acc) of the right factor g = sum b_i x^i, where la is the
+    length of f = sum a_j x^j without its trailing zeros and width the
+    largest la.  This is the one loop of the closed formula
+        coeff_m(f*g) = sum_{n+i=m} sum_{j>=n} a_j M_{j-n,n}(b_i)
+    behind every product (_closed_product, _block_product).
 
     Only terms with j - n < d = ctx.mkl_depth() are summed: M_{k,l} = 0
     for k >= d (see the module docstring for d per family), so the others
-    vanish.  That is checked rather than assumed, once per right-factor
-    coefficient and product (see _check_vanishing).  A term whose
-    M_{j-n,n}(b) is zero is skipped too.  Trailing zeros of both factors
-    are trimmed, and no coefficient past la + lb - 1 is computed.
+    vanish.  That is checked rather than assumed, once per coefficient b_i
+    and call (see _check_vanishing).  A term whose M_{j-n,n}(b_i) is zero
+    is skipped too.  The values M_{j-n,n}(b_i) are fetched once for all
+    partners, and only for n < min(width, length - i), so the M_{k,l}
+    memo ends up as the products with one partner at a time leave it.
+    Each acc[m] gets its terms unreduced, in the order of i, n and j.
     """
     zero = ctx.zero()
-    la, lb = len(fa), len(gb)
-    while la and fa[la - 1] == zero:
-        la -= 1
-    while lb and gb[lb - 1] == zero:
-        lb -= 1
-    size = min(length, la + lb - 1) if la and lb else 0
-    out = [zero] * size
-    d = ctx.mkl_depth()
     add, mul = ctx.add, ctx.mul
-    for i in range(min(lb, size)):
+    apply, memo = monomial_operator_apply, ctx._mkl_cache
+    for i in range(min(_trimmed_length(gb, zero), length)):
         b = gb[i]
         if b == zero:
             continue
-        top = min(la, size - i)
-        # for n <= la - 1 - d the nonzero a_(la-1) term is skipped
-        skipped = min(la - 1 - d, top - 1)
+        top = min(width, length - i)
+        # for n <= width - 1 - d the nonzero a_(width-1) term is skipped
+        skipped = min(width - 1 - d, top - 1)
         if skipped >= 0:
             _check_vanishing(ctx, b, skipped)
+        # the terms need M_{k,n}(b) for k < min(d, width - n) and n < top.
+        # A call memoizes every M_{k',n'}(b) with k' <= k and n' <= n, so
+        # one call per corner of that staircase fetches them all
+        for n in range(top - 1, -1, -1):
+            k = min(d - 1, width - 1 - n)
+            apply(ctx, k, n, b)
+            if k == d - 1:
+                break
         for n in range(top):
-            acc = out[n + i]
-            for j in range(n, min(la, n + d)):
-                a = fa[j]
-                if a != zero:
-                    v = monomial_operator_apply(ctx, j - n, n, b)
-                    if v != zero:
-                        acc = add(acc, mul(a, v))
-            out[n + i] = acc
+            m = i + n
+            for j in range(n, min(width, n + d)):
+                v = memo[(j - n, n, b)]
+                if v == zero:
+                    continue
+                for f, la, acc in partners:
+                    if j < la:
+                        a = f[j]
+                        if a != zero:
+                            acc[m] = add(acc[m], mul(a, v))
+
+
+def _trimmed_length(coeffs, zero) -> int:
+    """The number of coefficients without the trailing zeros."""
+    n = len(coeffs)
+    while n and coeffs[n - 1] == zero:
+        n -= 1
+    return n
+
+
+def _closed_product(ctx: RingContext, fa, gb, length: int) -> list:
+    """The first ``length`` coefficients of (sum a_j x^j) * (sum b_i x^i),
+    unreduced: _block_product on a 1x1 block, without the block set-up."""
+    zero = ctx.zero()
+    out = [zero] * length
+    la = _trimmed_length(fa, zero)
+    if la:
+        _add_products(ctx, ctx.mkl_depth(), ((fa, la, out),), la, gb, length)
+    return out
+
+
+def _block_product(ctx: RingContext, rows, cols, length: int) -> list:
+    """out[r][c], the first ``length`` coefficients of
+    sum_p rows[r][p] * cols[c][p], unreduced, for coefficient tuples of
+    skew polynomials: one pass of the closed formula (_add_products) per
+    right factor cols[c][p], shared by every row.
+
+    Per product, not per pair: each factor is trimmed of its trailing zeros
+    once, ctx.mkl_depth() is read once, and the monomial operator values of
+    each right-factor coefficient are fetched once for all rows.  Each
+    output slot sums its terms in the order of the pairwise products: p,
+    then i, n and j."""
+    zero = ctx.zero()
+    d = ctx.mkl_depth()
+    out = [[[zero] * length for _ in cols] for _ in rows]
+    for p in range(len(rows[0]) if rows else 0):
+        partners = []
+        for row, out_row in zip(rows, out):
+            la = _trimmed_length(row[p], zero)
+            if la:
+                partners.append((row[p], la, out_row))
+        if not partners:
+            continue
+        width = max(la for _, la, _ in partners)
+        for c, col in enumerate(cols):
+            _add_products(ctx, d, [(f, la, out_row[c]) for f, la, out_row in partners],
+                          width, col[p], length)
     return out
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import PRESET_MATRIX
+from skewseries import k0, skewpoly
 from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         TruncatedSeries, idempotent_rank, k0_rank_check,
                         parse_ring_preset, random_idempotent,
@@ -12,6 +13,7 @@ from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         unimodular_complete)
 from skewseries.k0 import (mat_diag, mat_direct_sum, mat_identity, mat_mul,
                           render_matrix)
+from skewseries.skewpoly import _check_vanishing, monomial_operator_apply
 
 
 def schoolbook_mat_mul(scalars, a, b):
@@ -147,6 +149,13 @@ class TestExhaustiveZ4:
             assert orbit == {f for f in idempotents if ranks[f] == ranks[e]}
 
 
+def _conjugated_diag(scalars, n, rank, rng):
+    """A random conjugate of diag(1^rank, 0^(n - rank))."""
+    v, vinv = random_invertible(scalars, n, rng)
+    d = mat_diag(scalars, [1] * rank + [0] * (n - rank))
+    return IdempotentMatrix(scalars, mat_mul(scalars, mat_mul(scalars, v, d), vinv))
+
+
 class TestStableIso:
     def test_equal_matrices(self, z8):
         scalars = BaseScalars(z8)
@@ -173,6 +182,25 @@ class TestStableIso:
         e2 = IdempotentMatrix(scalars, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
         w = stable_iso_witness(e1, e2)
         assert w is not None and w.verify()
+
+    @pytest.mark.parametrize("sizes,products", [((3, 3), 14), ((2, 3), 15)])
+    def test_matrix_products(self, f27, monkeypatch, sizes, products):
+        # 4 per rank certificate, 2 for W and W^-1 and 4 to verify them,
+        # plus the e*e = e check of each input that had to be padded
+        scalars = SeriesScalars(f27, 3)
+        rng = random.Random(89)
+        e1, e2 = (_conjugated_diag(scalars, n, 1, rng) for n in sizes)
+        calls = [0]
+        plain = mat_mul
+
+        def counted(*args):
+            calls[0] += 1
+            return plain(*args)
+
+        monkeypatch.setattr(k0, "mat_mul", counted)
+        witness = stable_iso_witness(e1, e2)
+        assert calls[0] == products
+        assert witness is not None and witness.verify()
 
     def test_base_mismatch(self, z8, f27):
         e1 = IdempotentMatrix(BaseScalars(z8), ((1,),))
@@ -270,11 +298,35 @@ def _random_matrix(scalars, rows, cols, rng):
                        for _ in range(cols)) for _ in range(rows))
 
 
+def _pairwise_lookups(scalars, a, b):
+    """The monomial operator lookups of one closed product per pair of
+    entries of a * b over S/G_N: a call for every term a_j M_{j-n,n}(b_i)
+    with a_j != 0, j - n < d and n < N - i, after the vanishing check of
+    each nonzero b_i."""
+    ctx, precision = scalars.ctx, scalars.precision
+    zero, d = ctx.zero(), ctx.mkl_depth()
+    for row in a:
+        for col in zip(*b):
+            for x, y in zip(row, col):
+                fa = SkewPoly(ctx, x.coeffs).coeffs
+                la = len(fa)
+                for i, b_i in enumerate(SkewPoly(ctx, y.coeffs).coeffs):
+                    if not la or i >= precision or b_i == zero:
+                        continue
+                    top = min(la, precision - i)
+                    if min(la - 1 - d, top - 1) >= 0:
+                        _check_vanishing(ctx, b_i, min(la - 1 - d, top - 1))
+                    for n in range(top):
+                        for j in range(n, min(la, n + d)):
+                            if fa[j] != zero:
+                                monomial_operator_apply(ctx, j - n, n, b_i)
+
+
 class TestFusedMatMul:
     @pytest.mark.parametrize("precision", (None,) + tuple(range(1, 9)))
     @pytest.mark.parametrize("preset", DOT_PRESETS)
     def test_matches_schoolbook(self, preset, precision):
-        ctx = parse_ring_preset(preset)
+        ctx, ref = parse_ring_preset(preset), parse_ring_preset(preset)
         scalars = (BaseScalars(ctx) if precision is None
                    else SeriesScalars(ctx, precision))
         rng = random.Random(f"{preset}/{precision}")
@@ -283,6 +335,11 @@ class TestFusedMatMul:
                 a = _random_matrix(scalars, rows, inner, rng)
                 b = _random_matrix(scalars, inner, cols, rng)
                 assert mat_mul(scalars, a, b) == schoolbook_mat_mul(scalars, a, b)
+                if precision is not None:
+                    _pairwise_lookups(SeriesScalars(ref, precision), a, b)
+        # operator values are fetched only where a closed product per pair
+        # of entries looks them up, so the memo ends up the same
+        assert ctx._mkl_cache.keys() == ref._mkl_cache.keys()
 
     def test_dimension_mismatch(self, z8):
         scalars = BaseScalars(z8)
@@ -310,13 +367,15 @@ class TestFusedMatMul:
 
     def test_series_product_builds_each_entry_once(self, monkeypatch):
         # a fresh context, since its mul is counted by an instance override
+        # and its M_{k,l} memo starts empty
         ctx = parse_ring_preset("truncpoly:3:3:c=2")
         scalars = SeriesScalars(ctx, 4)
         rng = random.Random(73)
         a = _random_matrix(scalars, 6, 6, rng)
         b = _random_matrix(scalars, 6, 6, rng)
-        counts = {"series": 0, "mul": 0}
+        counts = {"series": 0, "mul": 0, "mkl": 0}
         plain_init, plain_mul = TruncatedSeries.__init__, ctx.mul
+        plain_mkl = skewpoly.monomial_operator_apply
 
         def counted_init(self, *args):
             counts["series"] += 1
@@ -326,14 +385,23 @@ class TestFusedMatMul:
             counts["mul"] += 1
             return plain_mul(x, y)
 
+        def counted_mkl(*args):
+            counts["mkl"] += 1
+            return plain_mkl(*args)
+
         ctx.mul = counted_mul
         monkeypatch.setattr(TruncatedSeries, "__init__", counted_init)
+        monkeypatch.setattr(skewpoly, "monomial_operator_apply", counted_mkl)
         fused = mat_mul(scalars, a, b)
         fused_counts = dict(counts)
         counts.update(series=0, mul=0)
         assert fused == schoolbook_mat_mul(scalars, a, b)
         assert fused_counts["series"] <= 36
         assert fused_counts["mul"] == counts["mul"] > 0
+        # the operator values of each entry of b are fetched once for all
+        # six rows of a: 1763 lookups with one closed product per pair of
+        # entries, 175 here
+        assert 0 < fused_counts["mkl"] <= 1763 // 6
 
 
 class TestSerreTransfer:

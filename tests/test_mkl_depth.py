@@ -6,11 +6,12 @@ import random
 import pytest
 
 from conftest import PRESET_MATRIX
-from skewseries import (RightFormPoly, SkewPoly, TruncatedSeries, eval_expression,
-                        mkl_oracle_check, monomial_operator_words,
-                        normalize_right_to_left, parse_expression,
-                        parse_ring_preset, poly_mul_commutation,
-                        sigma_nilpotence_bound)
+from skewseries import (RightFormPoly, SeriesScalars, SkewPoly, TruncatedSeries,
+                        eval_expression, mkl_oracle_check,
+                        monomial_operator_words, normalize_right_to_left,
+                        parse_expression, parse_ring_preset,
+                        poly_mul_commutation, sigma_nilpotence_bound)
+from skewseries.k0 import mat_mul
 from skewseries.skewpoly import random_poly
 
 DEPTH_PRESETS = PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken", "truncpoly:3:6:c=2",
@@ -96,7 +97,7 @@ class TestDepthOneTooSmall:
         with pytest.raises(AssertionError, match="nilpotence bound violated"):
             series_x_sq * series_t
         with pytest.raises(AssertionError, match="nilpotence bound violated"):
-            TruncatedSeries.dot(ctx, 3, [series_x_sq], [series_t])
+            mat_mul(SeriesScalars(ctx, 3), ((series_x_sq,),), ((series_t,),))
         with pytest.raises(AssertionError, match="nilpotence bound violated"):
             normalize_right_to_left(RightFormPoly(ctx, [(2, t)]))
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import PRESET_MATRIX
 from skewseries import (GradedElem, SkewPoly, TruncatedSeries, eval_expression,
                         graded_iso_check, ideal_closure_check, parse_expression,
                         parse_ring_preset, poly_mul_commutation,
@@ -91,6 +92,23 @@ class TestSeriesProduct:
             TruncatedSeries.one(z8, 2) * TruncatedSeries.one(z8, 3)
         with pytest.raises(ValueError, match="ring context mismatch"):
             TruncatedSeries.one(z8, 2) * TruncatedSeries.one(f27, 2)
+
+    @pytest.mark.parametrize(
+        "preset", PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken",))
+    def test_slots_match_clamped_reduction(self, preset):
+        # the constructor reduces slot i only while N - i is below the
+        # nilpotency; every slot must still be reduce_clamped(c, N - i)
+        ctx = parse_ring_preset(preset)
+        zero = ctx.zero()
+        rng = random.Random(preset)
+        for n in range(1, ctx.radical_nilpotency + 3):
+            for size in (n - 1, n, n + 2):
+                for _ in range(5):
+                    coeffs = [ctx.sample(rng) for _ in range(size)]
+                    padded = (coeffs + [zero] * n)[:n]
+                    expected = tuple(ctx.reduce_clamped(c, n - i)
+                                     for i, c in enumerate(padded))
+                    assert TruncatedSeries(ctx, n, coeffs).coeffs == expected
 
     def test_tower_compatibility(self, z8, f27):
         # S/G_N -> S/G_(N-1) commutes with multiplication
