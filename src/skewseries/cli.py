@@ -21,10 +21,6 @@ from .series import principal_symbol
 from .suites import SUITE_NAMES, run_property_suite
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ring", default="zmod:2^3", metavar="PRESET",
@@ -101,25 +97,25 @@ def _scalars_for(ctx, precision):
     return BaseScalars(ctx) if precision is None else SeriesScalars(ctx, precision)
 
 
-def _parse_entry(text, ctx, precision, scalars):
+def _parse_entry(text, ctx, precision):
     value = _eval_arg(text.strip(), ctx, precision)
     if precision is None:
         if value.degree > 0:
-            raise _UsageError(
+            raise ValueError(
                 "matrix entries over R must be constant; pass --prec for series entries")
         return value.coeff(0)
     return value
 
 
-def _parse_row(text, ctx, precision, scalars):
-    return tuple(_parse_entry(cell, ctx, precision, scalars)
+def _parse_row(text, ctx, precision):
+    return tuple(_parse_entry(cell, ctx, precision)
                  for cell in text.split(","))
 
 
-def _parse_matrix(text, ctx, precision, scalars):
-    rows = [_parse_row(row, ctx, precision, scalars) for row in text.split(";")]
+def _parse_matrix(text, ctx, precision):
+    rows = [_parse_row(row, ctx, precision) for row in text.split(";")]
     if any(len(r) != len(rows) for r in rows):
-        raise _UsageError("matrix must be square")
+        raise ValueError("matrix must be square")
     return tuple(rows)
 
 
@@ -149,9 +145,7 @@ def _cmd_mul(args, ctx):
 
 def _require_prec(args):
     if args.prec is None:
-        raise _UsageError("this subcommand needs --prec")
-    if args.prec < 1:
-        raise _UsageError("--prec must be >= 1")
+        raise ValueError("this subcommand needs --prec")
 
 
 def _cmd_degree(args, ctx):
@@ -177,7 +171,7 @@ def _cmd_symbol(args, ctx):
 
 def _cmd_nilbound(args, ctx):
     if args.target < 1 or args.word_limit < 1:
-        raise _UsageError("--n and --word-limit must be >= 1")
+        raise ValueError("--n and --word-limit must be >= 1")
     bound = sigma_nilpotence_bound(ctx, args.target, args.word_limit)
     if bound is None:
         return 0, [f"not found (word limit {args.word_limit})"], \
@@ -187,7 +181,7 @@ def _cmd_nilbound(args, ctx):
 
 def _cmd_rank(args, ctx):
     scalars = _scalars_for(ctx, args.prec)
-    entries = _parse_matrix(args.matrix, ctx, args.prec, scalars)
+    entries = _parse_matrix(args.matrix, ctx, args.prec)
     try:
         idem = IdempotentMatrix(scalars, entries)
     except ValueError as exc:
@@ -221,8 +215,8 @@ def _cmd_rank(args, ctx):
 
 def _cmd_stable_iso(args, ctx):
     scalars = _scalars_for(ctx, args.prec)
-    left = IdempotentMatrix(scalars, _parse_matrix(args.left, ctx, args.prec, scalars))
-    right = IdempotentMatrix(scalars, _parse_matrix(args.right, ctx, args.prec, scalars))
+    left = IdempotentMatrix(scalars, _parse_matrix(args.left, ctx, args.prec))
+    right = IdempotentMatrix(scalars, _parse_matrix(args.right, ctx, args.prec))
     # zero-padding to a common size changes neither rank
     w_left, w_right, witness = _stable_iso(left, right)
     rank_left, rank_right = w_left.rank, w_right.rank
@@ -250,7 +244,7 @@ def _cmd_stable_iso(args, ctx):
 
 def _cmd_complete_row(args, ctx):
     scalars = _scalars_for(ctx, args.prec)
-    row = _parse_row(args.row, ctx, args.prec, scalars)
+    row = _parse_row(args.row, ctx, args.prec)
     try:
         completed = unimodular_complete(scalars, row)
     except ValueError as exc:
@@ -275,7 +269,7 @@ def _cmd_complete_row(args, ctx):
 
 def _cmd_check(args, ctx):
     if args.samples < 1:
-        raise _UsageError("--samples must be >= 1")
+        raise ValueError("--samples must be >= 1")
     report = run_property_suite(args.suite, ctx, args.prec, args.samples, args.seed)
     lines = [
         f"suite: {args.suite}",
@@ -314,13 +308,10 @@ def main(argv=None) -> int:
     try:
         ctx = parse_ring_preset(args.ring)
         if args.prec is not None and args.prec < 1:
-            raise _UsageError("--prec must be >= 1")
+            raise ValueError("--prec must be >= 1")
         code, lines, payload = _COMMANDS[args.command](args, ctx)
     except ExprError as exc:
         print(f"error: syntax error: {exc}", file=sys.stderr)
-        return 2
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -156,9 +156,6 @@ class RingContext:
 
     # -- derived structure ------------------------------------------------
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 

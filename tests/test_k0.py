@@ -11,8 +11,9 @@ from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         random_invertible, serre_transfer_check,
                         stable_iso_witness, stably_free_witness,
                         unimodular_complete)
-from skewseries.k0 import (mat_diag, mat_direct_sum, mat_identity, mat_mul,
-                          render_matrix)
+from skewseries.k0 import (RankWitness, mat_diag, mat_direct_sum, mat_identity,
+                          mat_mul, render_matrix)
+from skewseries.series import random_series_in_filtration
 from skewseries.skewpoly import _check_vanishing, monomial_operator_apply
 
 
@@ -284,6 +285,74 @@ class TestSeriesScalars:
         assert not scalars.is_unit(x)
 
 
+def geometric_inverse(scalars, a):
+    """Oracle for SeriesScalars.inv: with u the x^0 slot of a and
+    w = u^-1 (a - u) in G_1, a^-1 = (1 - w + w^2 - ... +- w^(N-1)) u^-1."""
+    ctx, n = scalars.ctx, scalars.precision
+    c0 = a.coeffs[0]
+    uinv = TruncatedSeries.constant(ctx, n, ctx.inv(c0))
+    w = uinv * (a - TruncatedSeries.constant(ctx, n, c0))
+    acc = term = scalars.one()
+    for _ in range(1, n):
+        term = term * (-w)
+        acc = acc + term
+    return acc * uinv
+
+
+INV_PRECISIONS = tuple(range(1, 10)) + (32,)
+
+
+class TestNewtonInverse:
+    @pytest.mark.parametrize("preset", PRESET_MATRIX)
+    def test_matches_geometric_series(self, preset):
+        ctx = parse_ring_preset(preset)
+        rng = random.Random(83)
+        for precision in INV_PRECISIONS:
+            scalars = SeriesScalars(ctx, precision)
+            for _ in range(3):
+                a = k0._sample_unit(scalars, rng)
+                assert scalars.inv(a) == geometric_inverse(scalars, a)
+
+    @pytest.mark.parametrize("precision", INV_PRECISIONS)
+    def test_series_products(self, monkeypatch, precision):
+        # ceil(log2 N) rounds of two products, then the two-sided check;
+        # the geometric series made N + 3
+        scalars = SeriesScalars(parse_ring_preset("truncpoly:3:3:c=2"), precision)
+        a = k0._sample_unit(scalars, random.Random(precision))
+        calls = []
+        plain_mul = TruncatedSeries.__mul__
+
+        def counted_mul(x, y):
+            calls.append(1)
+            return plain_mul(x, y)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+        scalars.inv(a)
+        rounds = (precision - 1).bit_length()
+        assert 2 ** rounds >= precision
+        assert len(calls) <= 2 * rounds + 2
+
+    @pytest.mark.parametrize("precision", (2, 3, 4, 8))
+    def test_broken_preset_fails_to_verify(self, precision):
+        # delta=broken is not a derivation, so S/G_N is not associative and
+        # most units have no two-sided inverse; inv raises exactly when the
+        # geometric series fails to verify too
+        scalars = SeriesScalars(
+            parse_ring_preset("truncpoly:3:3:c=2:delta=broken"), precision)
+        one, raised, rng = scalars.one(), 0, random.Random(89)
+        for _ in range(10):
+            a = k0._sample_unit(scalars, rng)
+            g = geometric_inverse(scalars, a)
+            if g * a == one and a * g == one:
+                assert scalars.inv(a) == g
+                continue
+            with pytest.raises(AssertionError,
+                               match="^geometric inverse failed to verify$"):
+                scalars.inv(a)
+            raised += 1
+        assert raised > 0
+
+
 DOT_PRESETS = PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken",)
 # (rows of a, inner size, columns of b): square, row times column, column
 # times row, rectangular
@@ -419,6 +488,68 @@ class TestSerreTransfer:
     def test_suite(self, f27):
         report = serre_transfer_check(f27, 4, size_limit=3, samples=10, seed=67)
         assert report.passed, report.counterexample
+
+
+def _reduce_matrix(m, precision):
+    return tuple(tuple(x.reduce_precision(precision) for x in row) for row in m)
+
+
+def _lift_idempotent(e, rng, precision, rounds):
+    """An idempotent over S/G_N reducing to e over S/G_M (M = e's precision):
+    lift the entries, perturb them by G_M and iterate f -> 3f^2 - 2f^3,
+    which squares f^2 - f each round ([lam]).  None if f is not idempotent
+    after the given number of rounds."""
+    ctx, low = e.scalars.ctx, e.scalars.precision
+    scalars = SeriesScalars(ctx, precision)
+    f = tuple(tuple(TruncatedSeries(ctx, precision, x.coeffs)
+                    + random_series_in_filtration(ctx, precision, low, rng)
+                    for x in row) for row in e.entries)
+    for _ in range(rounds + 1):
+        f2 = mat_mul(scalars, f, f)
+        if f2 == f:
+            return IdempotentMatrix(scalars, f)
+        f3 = mat_mul(scalars, f2, f)
+        f = tuple(tuple(x + x + x - y - y for x, y in zip(r2, r3))
+                  for r2, r3 in zip(f2, f3))
+    return None
+
+
+# (M, N): reduce S/G_N -> S/G_M, lift S/G_M -> S/G_N
+PRECISION_PAIRS = ((1, 6), (2, 5), (3, 8), (4, 9))
+
+
+class TestRankAcrossPrecisions:
+    """K0(S/G_N) -> K0(S/G_M) keeps the rank, and every idempotent over
+    S/G_M lifts to one of the same rank over S/G_N."""
+
+    @pytest.mark.parametrize("low,high", PRECISION_PAIRS)
+    def test_reduction_keeps_rank(self, matrix_ctx, low, high):
+        rng = random.Random(97 + high)
+        scalars = SeriesScalars(matrix_ctx, high)
+        coarse = SeriesScalars(matrix_ctx, low)
+        for n in (1, 2, 3):
+            e, ones = random_idempotent(scalars, n, rng)
+            w = idempotent_rank(e)
+            reduced = IdempotentMatrix(coarse, _reduce_matrix(e.entries, low))
+            assert idempotent_rank(reduced).rank == w.rank == ones
+            reduced_witness = RankWitness(
+                scalars=coarse, matrix=reduced.entries, rank=w.rank,
+                conjugator=_reduce_matrix(w.conjugator, low),
+                conjugator_inv=_reduce_matrix(w.conjugator_inv, low))
+            assert reduced_witness.verify()
+
+    @pytest.mark.parametrize("low,high", PRECISION_PAIRS)
+    def test_idempotents_lift(self, matrix_ctx, low, high):
+        rng = random.Random(101 + high)
+        coarse = SeriesScalars(matrix_ctx, low)
+        # f^2 - f lies in G_M and each round doubles its degree
+        max_rounds = (-(-high // low) - 1).bit_length()
+        for n in (1, 2, 3):
+            e, ones = random_idempotent(coarse, n, rng)
+            lifted = _lift_idempotent(e, rng, high, max_rounds)
+            assert lifted is not None
+            assert idempotent_rank(lifted).rank == ones
+            assert _reduce_matrix(lifted.entries, low) == e.entries
 
 
 # Seeded generator outputs, rendered row by row.  The benchmark builds its
