@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import threading
 
 from .report import CheckReport
 
@@ -44,6 +45,11 @@ INF = float("inf")
 # truncpoly:3:3 are exhaustive for triples; zmod:2^10 and truncpoly:5:4
 # only for pairs).
 EXHAUSTIVE_TUPLE_LIMIT = 65536
+
+# Each operation memo of a TruncPolyRing (and its table of element codes)
+# holds at most this many entries: an exhaustive pair table at |R| = 256.
+# At about 72 bytes per entry a full binary table takes about 4.5 MB.
+MEMO_CAP = 1 << 16
 
 
 def _is_prime(p: int) -> bool:
@@ -315,6 +321,7 @@ class ZmodRing(RingContext):
         self.radical_nilpotency = n
         self.name = f"zmod:{p}^{n}"
         self.radical_gens = (p % self.cardinality,)
+        self._pk = [p ** k for k in range(n + 1)]
         super().__init__()
 
     def elements(self):
@@ -351,13 +358,13 @@ class ZmodRing(RingContext):
         return value % self.cardinality
 
     def ideal_power_label(self, k):
-        return str(self.p ** min(k, self.n))
+        return str(self._pk[min(k, self.n)])
 
     def _reduce(self, a, k):
-        return a % (self.p ** k)
+        return a % self._pk[k]
 
     def _ideal_power_list(self, k):
-        return list(range(0, self.cardinality, self.p ** k))
+        return list(range(0, self.cardinality, self._pk[k]))
 
     def _valuation(self, a):
         if a == 0:
@@ -389,6 +396,15 @@ class TruncPolyRing(RingContext):
     delta_mode selects the derivation: "qtwist" (default), "zero", or
     "broken" (delta(f) = t*f, which violates the Leibniz rule and exists
     only so the failure paths of the checkers can be driven end to end).
+
+    add, mul, neg and sigma answer a repeated call from a memo per context,
+    and delta is composed of them.  Each canonical element (a tuple of m
+    ints in range(q)) gets a small int code the first time it is seen; a
+    unary value is stored under the code of its argument and a binary one
+    under code_a * |R| + code_b.  A miss runs the formula (_add, _mul, _neg,
+    _sigma), and its value is stored only when the arguments and the value
+    are canonical and the table holds fewer than MEMO_CAP entries.  Nothing
+    enumerates R.
     """
 
     def __init__(self, q: int, m: int, c: int, delta_mode: str = "qtwist"):
@@ -412,20 +428,118 @@ class TruncPolyRing(RingContext):
         if m > 1:
             gen[1] = 1
         self.radical_gens = (tuple(gen),)
+        self._zero = (0,) * m
+        self._one = (1 % q,) + (0,) * (m - 1)
         self._cpow = [pow(c, i, q) for i in range(m)]
         self._cinvpow = [pow(c, -i, q) for i in range(m)]
+        self._codes = {}     # canonical element -> code
+        self._elems = []     # code -> the element object stored in the memos
+        self._code_lock = threading.Lock()
+        self._add_memo, self._mul_memo = {}, {}
+        self._neg_memo, self._sigma_memo = {}, {}
         super().__init__()
 
     def elements(self):
         return itertools.product(range(self.q), repeat=self.m)
 
-    def add(self, a, b):
-        return tuple((x + y) % self.q for x, y in zip(a, b))
+    # -- the memo --------------------------------------------------------
 
-    def neg(self, a):
-        return tuple((-x) % self.q for x in a)
+    def add(self, a, b):
+        codes = self._codes
+        try:
+            key = codes[a] * self.cardinality + codes[b]
+        except (KeyError, TypeError):
+            key = None
+        value = self._add_memo.get(key)
+        if value is None:
+            value = self._binary_miss(self._add_memo, key, self._add, a, b)
+        return value
 
     def mul(self, a, b):
+        codes = self._codes
+        try:
+            key = codes[a] * self.cardinality + codes[b]
+        except (KeyError, TypeError):
+            key = None
+        value = self._mul_memo.get(key)
+        if value is None:
+            value = self._binary_miss(self._mul_memo, key, self._mul, a, b)
+        return value
+
+    def neg(self, a):
+        try:
+            key = self._codes[a]
+        except (KeyError, TypeError):
+            key = None
+        value = self._neg_memo.get(key)
+        if value is None:
+            value = self._unary_miss(self._neg_memo, key, self._neg, a)
+        return value
+
+    def sigma(self, a):
+        try:
+            key = self._codes[a]
+        except (KeyError, TypeError):
+            key = None
+        value = self._sigma_memo.get(key)
+        if value is None:
+            value = self._unary_miss(self._sigma_memo, key, self._sigma, a)
+        return value
+
+    def _code(self, a):
+        """The code of a, assigned on first sight; None if a is not a
+        canonical element or the code table is full."""
+        try:
+            code = self._codes.get(a)
+        except TypeError:
+            return None
+        if (code is None and type(a) is tuple and len(a) == self.m
+                and all(type(x) is int and 0 <= x < self.q for x in a)):
+            with self._code_lock:
+                code = self._codes.get(a)
+                if code is None and len(self._elems) < MEMO_CAP:
+                    code = self._codes[a] = len(self._elems)
+                    self._elems.append(a)
+        return code
+
+    # The miss paths get the key the lookup used, or None when an argument
+    # had no code yet; the formula runs before any code is assigned.
+
+    def _unary_miss(self, memo, key, formula, a):
+        value = formula(a)
+        if key is None:
+            key = self._code(a)
+            if key is None:
+                return value
+        return self._store(memo, key, value)
+
+    def _binary_miss(self, memo, key, formula, a, b):
+        value = formula(a, b)
+        if key is None:
+            ca, cb = self._code(a), self._code(b)
+            if ca is None or cb is None:
+                return value
+            key = ca * self.cardinality + cb
+        return self._store(memo, key, value)
+
+    def _store(self, memo, key, value):
+        """Store value under key if it is a canonical element and the table
+        has room; returns the element object the memo holds for it."""
+        cv = self._code(value)
+        if cv is None or len(memo) >= MEMO_CAP:
+            return value
+        memo[key] = value = self._elems[cv]
+        return value
+
+    # -- the formulas behind the memo -------------------------------------
+
+    def _add(self, a, b):
+        return tuple((x + y) % self.q for x, y in zip(a, b))
+
+    def _neg(self, a):
+        return tuple((-x) % self.q for x in a)
+
+    def _mul(self, a, b):
         out = [0] * self.m
         for i, x in enumerate(a):
             if x == 0:
@@ -436,20 +550,22 @@ class TruncPolyRing(RingContext):
                     out[i + j] = (out[i + j] + x * y) % self.q
         return tuple(out)
 
+    def _sigma(self, a):
+        return tuple((x * self._cpow[i]) % self.q for i, x in enumerate(a))
+
     def zero(self):
-        return (0,) * self.m
+        return self._zero
 
     def one(self):
-        return (1 % self.q,) + (0,) * (self.m - 1)
-
-    def sigma(self, a):
-        return tuple((x * self._cpow[i]) % self.q for i, x in enumerate(a))
+        return self._one
 
     def _shift(self, a):
         # multiplication by t
         return (0,) + a[:-1]
 
     def delta(self, a):
+        # no memo of its own: the sigma, neg and add memos answer it, and
+        # the counted sigma and add calls inside it still happen
         if self.delta_mode == "zero":
             return self.zero()
         if self.delta_mode == "broken":

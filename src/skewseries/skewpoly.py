@@ -461,7 +461,11 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
     each, see rings._op_tables), summed per (k, l) by
     monomial_operator_word_sums; the recursion is still called on every
     element.  A sigma or delta value outside the carrier is reported as a
-    closure failure."""
+    closure failure.
+
+    The recursion fills a fresh M_{k,l} memo, which is dropped afterwards:
+    the context's own memo (ctx._mkl_cache) is put back unchanged, so the
+    check leaves no entries behind for the whole carrier."""
     checked = 0
     vanishing = 0
     zero = ctx.zero()
@@ -470,27 +474,31 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
     tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
     degrees = () if cex else [(k, total - k) for total in range(max_total + 1)
                               for k in range(total + 1)]
-    for k, l in degrees:
-        sums, count = monomial_operator_word_sums(
-            ctx, k, l, elems, tables["sigma"], tables["delta"])
-        for a, by_words in zip(elems, sums):
-            checked += 1
-            if count != math.comb(k + l, k):
-                cex = f"word count mismatch at k={k}, l={l}"
-                break
-            if by_words != monomial_operator_apply(ctx, k, l, a):
-                cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
-                       f"words give {ctx.render(by_words)}")
-                break
-            if k >= depth:
-                vanishing += 1
-                if by_words != zero:
-                    cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
-                           f"{ctx.render(by_words)} does not vanish at "
-                           f"k >= depth {depth}")
+    own_memo, ctx._mkl_cache = ctx._mkl_cache, {}
+    try:
+        for k, l in degrees:
+            sums, count = monomial_operator_word_sums(
+                ctx, k, l, elems, tables["sigma"], tables["delta"])
+            for a, by_words in zip(elems, sums):
+                checked += 1
+                if count != math.comb(k + l, k):
+                    cex = f"word count mismatch at k={k}, l={l}"
                     break
-        if cex:
-            break
+                if by_words != monomial_operator_apply(ctx, k, l, a):
+                    cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
+                           f"words give {ctx.render(by_words)}")
+                    break
+                if k >= depth:
+                    vanishing += 1
+                    if by_words != zero:
+                        cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
+                               f"{ctx.render(by_words)} does not vanish at "
+                               f"k >= depth {depth}")
+                        break
+            if cex:
+                break
+    finally:
+        ctx._mkl_cache = own_memo
     if cex is None:
         for total in range(count_total + 1):
             for k in range(total + 1):

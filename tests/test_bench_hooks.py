@@ -62,6 +62,11 @@ def test_tracer_sees_the_product_kernel(monkeypatch):
     layers = _traced_layers(monkeypatch, NORMALIZE_ARGV).metrics()
     assert layers["skewpoly.mkl_calls"][0] > 0
     assert layers["series.mul_calls"][0] > 0
+    # the ring operations' memo sits behind the counted methods: every
+    # call is still seen (the counts before the memo, pinned)
+    assert layers["rings.mul_calls"][0] == 11
+    assert layers["rings.add_calls"][0] == 39
+    assert layers["rings.sigma_delta_calls"][0] == 20
 
 
 def test_tracer_sees_the_series_matrix_products(monkeypatch):
@@ -71,6 +76,9 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     assert layers["k0.rank_calls"][0] == 1
     assert layers["k0.mat_mul_calls"][0] > 0
     assert any(span[0] == "k0.verify" for span in tracer.spans)
+    assert layers["rings.mul_calls"][0] == 1059
+    assert layers["rings.add_calls"][0] == 1719
+    assert layers["rings.sigma_delta_calls"][0] == 269
 
 
 @pytest.mark.parametrize("suite, counter", [

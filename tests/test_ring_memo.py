@@ -1,0 +1,201 @@
+"""TruncPolyRing answers add, mul, neg and sigma from a memo per context,
+and delta is composed of them.  The formulas behind the memo (_add, _mul,
+_neg, _sigma) are the oracles: every memoized value must equal theirs, both
+on the miss that stores it and on the hit that reads it back, and the
+tables must stay within MEMO_CAP entries."""
+
+import itertools
+import random
+
+import pytest
+
+from conftest import PRESET_MATRIX
+from skewseries import (TruncPolyRing, parse_ring_preset, ring_axiom_check,
+                        sigma_derivation_check)
+from skewseries.rings import MEMO_CAP
+
+MEMO_PRESETS = tuple(p for p in PRESET_MATRIX if p.startswith("truncpoly")) + (
+    "truncpoly:3:3:c=2:delta=broken", "truncpoly:3:4:c=2")
+OPS = ("add", "mul", "neg", "sigma")
+
+
+def direct(name):
+    """The formula behind the memo of the named operation."""
+    return getattr(TruncPolyRing, "_" + name)
+
+
+def direct_delta(ctx, a):
+    """delta from the formulas alone, bypassing every memo."""
+    if ctx.delta_mode == "zero":
+        return (0,) * ctx.m
+    if ctx.delta_mode == "broken":
+        return ctx._shift(a)
+    return ctx._shift(direct("add")(ctx, direct("sigma")(ctx, a),
+                                    direct("neg")(ctx, a)))
+
+
+def memo_sizes(ctx):
+    return {name: len(getattr(ctx, f"_{name}_memo")) for name in OPS}
+
+
+def _formulas_refuse(ctx):
+    """Make every formula raise on this instance: a call that still
+    succeeds was answered by the memo."""
+    def refuse(*args):
+        raise AssertionError(f"formula called on a stored argument {args}")
+    for name in OPS:
+        setattr(ctx, "_" + name, refuse)
+
+
+def _assert_memo_matches_formulas(ctx, pairs, singles):
+    sizes = None
+    for rep in range(2):
+        for a, b in pairs:
+            for name in ("add", "mul"):
+                value = getattr(ctx, name)(a, b)
+                assert value == direct(name)(ctx, a, b), (name, a, b)
+                assert type(value) is tuple
+        for a in singles:
+            assert ctx.neg(a) == direct("neg")(ctx, a)
+            assert ctx.sigma(a) == direct("sigma")(ctx, a)
+            assert ctx.delta(a) == direct_delta(ctx, a)
+        if rep == 0:
+            sizes = memo_sizes(ctx)
+            # the second pass repeats every call of the first; if the
+            # first stored them all, it never reaches a formula
+            if max(sizes.values()) < MEMO_CAP:
+                _formulas_refuse(ctx)
+    assert memo_sizes(ctx) == sizes
+    return sizes
+
+
+@pytest.mark.parametrize("preset", MEMO_PRESETS)
+def test_memo_matches_formulas_on_every_pair(preset):
+    ctx = parse_ring_preset(preset)
+    elems = sorted(ctx.elements())
+    sizes = _assert_memo_matches_formulas(
+        ctx, itertools.product(elems, repeat=2), elems)
+    n = len(elems)
+    assert sizes["add"] == sizes["mul"] == min(n * n, MEMO_CAP)
+    assert sizes["neg"] == sizes["sigma"] == n
+
+
+def test_memo_matches_formulas_on_sampled_pairs():
+    ctx = parse_ring_preset("truncpoly:3:6:c=2")
+    rng = random.Random(6)
+    pairs = [(ctx.sample(rng), ctx.sample(rng)) for _ in range(3000)]
+    singles = [a for pair in pairs[:300] for a in pair]
+    _assert_memo_matches_formulas(ctx, pairs, singles)
+
+
+@pytest.mark.parametrize("bad", [(3, 0, 0), [1, 2, 0], (1, 2)])
+def test_non_canonical_arguments_take_the_formula(bad):
+    ctx = parse_ring_preset("truncpoly:3:3:c=2")
+    t = ctx.radical_gens[0]
+    for name in ("add", "mul"):
+        getattr(ctx, name)(t, t)
+    sizes, codes = memo_sizes(ctx), dict(ctx._codes)
+    for _ in range(2):
+        for name in ("add", "mul"):
+            for args in ((bad, t), (t, bad)):
+                assert getattr(ctx, name)(*args) == direct(name)(ctx, *args)
+        for name in ("neg", "sigma"):
+            assert getattr(ctx, name)(bad) == direct(name)(ctx, bad)
+    assert memo_sizes(ctx) == sizes
+    assert ctx._codes == codes
+
+
+class RaisingMul(TruncPolyRing):
+    """truncpoly:3:3:c=2 whose direct mul raises on t * t."""
+
+    def __init__(self):
+        super().__init__(3, 3, 2)
+
+    def _mul(self, a, b):
+        if a == b == self.radical_gens[0]:
+            raise ArithmeticError("t * t")
+        return super()._mul(a, b)
+
+
+class LeakyMul(TruncPolyRing):
+    """truncpoly:3:3:c=2 whose direct mul forgets to reduce the product of
+    the constants 2 and 2: (4, 0, 0) is not an element of the carrier."""
+
+    def __init__(self):
+        super().__init__(3, 3, 2)
+
+    def _mul(self, a, b):
+        if a == b == (2, 0, 0):
+            return (4, 0, 0)
+        return super()._mul(a, b)
+
+
+def test_a_raising_formula_stores_nothing():
+    ctx = RaisingMul()
+    t = ctx.radical_gens[0]
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"t \* t"):
+            ctx.mul(t, t)
+    assert ctx._mul_memo == {}
+    assert ctx._codes == {}
+
+
+def test_a_value_outside_the_carrier_is_not_stored():
+    ctx = LeakyMul()
+    two = ctx.from_int(2)
+    assert ctx.mul(two, two) == ctx.mul(two, two) == (4, 0, 0)
+    assert ctx._mul_memo == {}
+    report = ring_axiom_check(LeakyMul(), 30, 3)
+    assert not report.passed
+    assert report.counterexample == "mul(2, 2) leaves the carrier"
+
+
+def test_exhaustive_sigma_derivation_fills_one_entry_per_argument():
+    ctx = parse_ring_preset("truncpoly:3:3:c=2")
+    assert sigma_derivation_check(ctx, 30, 3).passed
+    assert memo_sizes(ctx) == {"add": 27 ** 2, "mul": 27 ** 2,
+                               "neg": 27, "sigma": 27}
+
+
+def test_binary_tables_stop_at_the_cap():
+    # truncpoly:2:8 has exactly MEMO_CAP pairs: a full table
+    ctx = parse_ring_preset("truncpoly:2:8:c=1")
+    elems = sorted(ctx.elements())
+    for a, b in itertools.product(elems, repeat=2):
+        assert ctx.mul(a, b) == direct("mul")(ctx, a, b)
+    assert len(ctx._mul_memo) == MEMO_CAP
+    # truncpoly:2:9 has more distinct products than the table holds
+    ctx = parse_ring_preset("truncpoly:2:9:c=1")
+    pairs = list(itertools.islice(
+        itertools.product(sorted(ctx.elements()), repeat=2), MEMO_CAP + 1000))
+    for _ in range(2):
+        for a, b in pairs:
+            assert ctx.mul(a, b) == direct("mul")(ctx, a, b)
+    assert len(ctx._mul_memo) == MEMO_CAP
+    assert max(memo_sizes(ctx).values()) <= MEMO_CAP
+
+
+def test_code_table_stops_at_the_cap():
+    ctx = parse_ring_preset("truncpoly:2:17:c=1")
+    elems = list(itertools.islice(ctx.elements(), MEMO_CAP + 100))
+    for a in elems:
+        assert ctx.neg(a) == direct("neg")(ctx, a)
+    assert len(ctx._codes) == len(ctx._elems) == MEMO_CAP
+    assert len(ctx._neg_memo) <= MEMO_CAP
+
+
+def test_a_large_carrier_codes_only_what_it_sees(monkeypatch):
+    def no_enumeration(self):
+        raise AssertionError("R was enumerated")
+    monkeypatch.setattr(TruncPolyRing, "elements", no_enumeration)
+    ctx = parse_ring_preset("truncpoly:2:20:c=1")
+    t, one = ctx.radical_gens[0], ctx.one()
+    u = ctx.add(one, t)
+    seen = {t, one, u, ctx.mul(u, u), ctx.neg(u), ctx.sigma(t), ctx.delta(u)}
+    assert set(ctx._codes) == seen
+    assert len(ctx._elems) == len(seen)
+
+
+def test_zero_and_one_are_stored(f27):
+    assert f27.zero() is f27.zero() and f27.one() is f27.one()
+    assert f27.zero() == (0, 0, 0) and f27.one() == (1, 0, 0)

@@ -380,3 +380,12 @@ def test_sigma_inv_is_checked_on_use():
     assert ring.sigma_inv(1) == 1
     with pytest.raises(AssertionError, match="sigma preimage of 3 in zmod:2\\^3"):
         ring.sigma_inv(3)
+
+
+@pytest.mark.parametrize("preset", ["zmod:2^10", "zmod:3^5"])
+def test_zmod_reducer_per_k(preset):
+    ctx = parse_ring_preset(preset)
+    for k in range(ctx.n + 1):
+        assert ctx.ideal_power_label(k) == str(ctx.p ** k)
+        for a in ctx.elements():
+            assert ctx._reduce(a, k) == a % ctx.p ** k

@@ -373,15 +373,32 @@ def test_ring_axioms_builds_tables_instead_of_calling_per_triple():
     assert calls["add"] <= 27 ** 2 + 2 * 27
 
 
-def test_mkl_oracle_calls_sigma_and_delta_once_per_element():
+def test_mkl_oracle_calls_sigma_and_delta_once_per_element(monkeypatch):
     ctx = parse_ring_preset("truncpoly:3:4:c=2")
-    # the recursion's own calls go into its memo; fill it first so that only
-    # the word side is counted
-    for total in range(7):
-        for k in range(total + 1):
-            for a in ctx.elements():
-                monomial_operator_apply(ctx, k, total - k, a)
+    # the recursion runs against a fresh memo of its own; let it read a
+    # separate context so that only the word side is counted
+    ref = parse_ring_preset("truncpoly:3:4:c=2")
+    monkeypatch.setattr(skewpoly, "monomial_operator_apply",
+                        lambda _, k, l, a: monomial_operator_apply(ref, k, l, a))
     calls = _count_calls(ctx, ("sigma", "delta"))
     assert mkl_oracle_check(ctx).passed
     assert calls["sigma"] <= ctx.cardinality
     assert calls["delta"] <= ctx.cardinality
+
+
+@pytest.mark.parametrize("preset, checked, details", [
+    ("zmod:2^10", 28717,
+     {"max_total_degree": 6, "vanishing_checks": 21504, "mkl_depth": 1}),
+    ("truncpoly:3:3:c=2", 801,
+     {"max_total_degree": 6, "vanishing_checks": 405, "mkl_depth": 2})])
+def test_mkl_oracle_leaves_the_memo_as_it_found_it(preset, checked, details):
+    ctx = parse_ring_preset(preset)
+    lin = skewpoly.SkewPoly(ctx, (ctx.radical_gens[0], ctx.one()))
+    lin ** 5 * lin
+    memo = ctx._mkl_cache
+    before = dict(memo)
+    assert before
+    report = mkl_oracle_check(ctx)
+    assert ctx._mkl_cache is memo and memo == before
+    assert (report.passed, report.checked, report.details) == \
+        (True, checked, details)
