@@ -28,8 +28,8 @@ matrix multiplication, with every identity checked in full.  A matrix
 product is one call of the base's kernel, ``scalars.mat_mul``.  Over R each
 entry is the fold of + and *.  Over S/G_N the whole product is one pass of
 the block kernel (series.matrix_product): each entry is checked and trimmed
-once, the monomial operator values of each entry of the right factor are
-fetched once for every row, and each slot of an entry is summed unreduced
+once, each coefficient of an entry of the right factor has its operator
+row looked up once for every row, and each slot of an entry is summed unreduced
 and reduced once, which gives the same class as reducing every partial sum.
 """
 

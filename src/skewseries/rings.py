@@ -85,6 +85,9 @@ class RingContext:
         self._inv_table = None
         self._is_local = None
         self._mkl_cache = {}
+        # depth d -> {b: rows, rows[n] the (k, M_{k,n}(b)) with k < d and a
+        # nonzero value}, read from _mkl_cache by the product kernel
+        self._mkl_rows = {}
         self._family_mkl_depth = None
         # depth d -> {b: largest l with M_{d,l'}(b) = 0 checked for l' <= l}
         self._mkl_vanishing = {}

@@ -170,8 +170,8 @@ def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
     kernel (skewpoly._block_product).
 
     Each entry of a and b is checked against S/G_N once, the kernel trims
-    it once and looks up the monomial operator values of each entry of b
-    once for every row of a.  The unreduced products of a row and a column
+    it once and looks up the operator row of each coefficient of each entry
+    of b once for every row of a.  The unreduced products of a row and a column
     are summed slot by slot and each slot is reduced once.  That is the
     class the fold of + and * gives: the canonical representative mod I^k
     does not depend on whether the summands were reduced first, and the

@@ -13,10 +13,16 @@ product routes are provided so they can be cross-validated:
   summed only over j - n < d, d = ctx.mkl_depth() the least depth with
   M_{d,l} = 0 for every l, so the other terms vanish (checked per
   product, not assumed), and over the terms whose M value is nonzero.
-  One block kernel (:func:`_block_product`) evaluates it for a whole
-  row-by-column block of factors, as matrix products over S/G_N need:
-  the M values of each right factor are fetched once for every row, and
-  a single product is its 1x1 block;
+  The nonzero values come from operator rows: rows[n] of a coefficient b
+  is the tuple of (k, M_{k,n}(b)) with k < d and a nonzero value, ordered
+  by k.  The rows of each b are kept per context in ctx._mkl_rows, keyed
+  by d, read from the recursion's memo (ctx._mkl_cache), built on first
+  use and extended when a product needs a larger n; they hold only the
+  nonzero values, so never more entries than the memo.  One block kernel
+  (:func:`_block_product`) evaluates the formula for a whole row-by-column
+  block of factors, as matrix products over S/G_N need: the operator row
+  of each right-factor coefficient is looked up once for every row, and a
+  single product is its 1x1 block;
 * :func:`poly_mul_commutation`, which expands products by repeatedly
   applying the single-step rule and collecting left-form terms.
 
@@ -101,6 +107,30 @@ def _check_vanishing(ctx: RingContext, b, l: int):
     verified[b] = l
 
 
+_NO_TERMS = ()
+
+
+def _operator_rows(ctx: RingContext, d: int, b, top: int) -> list:
+    """The operator row of b at depth d, built or extended to ``top``:
+    rows[n] is the tuple of (k, M_{k,n}(b)) for k < d with a nonzero value,
+    ordered by k, and the rows with no nonzero value share one empty tuple.
+
+    The rows live in ctx._mkl_rows[d][b], so a depth override never reads
+    rows built for another depth.  Their values come from the M_{k,l} memo
+    (ctx._mkl_cache), which one recursion call fills for every k < d and
+    n < top; a row holds only the nonzero ones, so the rows never hold more
+    entries than the memo they are read from."""
+    rows = ctx._mkl_rows.setdefault(d, {}).setdefault(b, [])
+    built = len(rows)
+    if built < top:
+        monomial_operator_apply(ctx, d - 1, top - 1, b)
+        memo, zero = ctx._mkl_cache, ctx.zero()
+        for n in range(built, top):
+            rows.append(tuple((k, v) for k in range(d)
+                              if (v := memo[(k, n, b)]) != zero) or _NO_TERMS)
+    return rows
+
+
 def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
                   length: int):
     """acc[m] += coeff_m(f * g) for m < ``length`` and every partner
@@ -112,16 +142,18 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
 
     Only terms with j - n < d = ctx.mkl_depth() are summed: M_{k,l} = 0
     for k >= d (see the module docstring for d per family), so the others
-    vanish.  That is checked rather than assumed, once per coefficient b_i
-    and call (see _check_vanishing).  A term whose M_{j-n,n}(b_i) is zero
-    is skipped too.  The values M_{j-n,n}(b_i) are fetched once for all
-    partners, and only for n < min(width, length - i), so the M_{k,l}
-    memo ends up as the products with one partner at a time leave it.
-    Each acc[m] gets its terms unreduced, in the order of i, n and j.
+    vanish.  That is checked rather than assumed (see _check_vanishing),
+    once per coefficient b_i and bound per context; the warm path costs one
+    lookup in ctx._mkl_vanishing[d].  The terms come from the
+    operator row of b_i (_operator_rows): one lookup per nonzero b_i, then
+    only its nonzero M_{j-n,n}(b_i), up to j < width.  A row is extended
+    when a product needs n < min(width, length - i) beyond it.  Each
+    acc[m] gets its terms unreduced, in the order of i, n and j.
     """
     zero = ctx.zero()
     add, mul = ctx.add, ctx.mul
-    apply, memo = monomial_operator_apply, ctx._mkl_cache
+    verified = ctx._mkl_vanishing.setdefault(d, {})
+    table = ctx._mkl_rows.setdefault(d, {})
     for i in range(min(_trimmed_length(gb, zero), length)):
         b = gb[i]
         if b == zero:
@@ -129,22 +161,17 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
         top = min(width, length - i)
         # for n <= width - 1 - d the nonzero a_(width-1) term is skipped
         skipped = min(width - 1 - d, top - 1)
-        if skipped >= 0:
+        if skipped >= 0 and verified.get(b, -1) < skipped:
             _check_vanishing(ctx, b, skipped)
-        # the terms need M_{k,n}(b) for k < min(d, width - n) and n < top.
-        # A call memoizes every M_{k',n'}(b) with k' <= k and n' <= n, so
-        # one call per corner of that staircase fetches them all
-        for n in range(top - 1, -1, -1):
-            k = min(d - 1, width - 1 - n)
-            apply(ctx, k, n, b)
-            if k == d - 1:
-                break
-        for n in range(top):
+        rows = table.get(b)
+        if rows is None or len(rows) < top:
+            rows = _operator_rows(ctx, d, b, top)
+        for n, row in zip(range(top), rows):
             m = i + n
-            for j in range(n, min(width, n + d)):
-                v = memo[(j - n, n, b)]
-                if v == zero:
-                    continue
+            for k, v in row:
+                j = n + k
+                if j >= width:
+                    break
                 for f, la, acc in partners:
                     if j < la:
                         a = f[j]
@@ -178,8 +205,8 @@ def _block_product(ctx: RingContext, rows, cols, length: int) -> list:
     right factor cols[c][p], shared by every row.
 
     Per product, not per pair: each factor is trimmed of its trailing zeros
-    once, ctx.mkl_depth() is read once, and the monomial operator values of
-    each right-factor coefficient are fetched once for all rows.  Each
+    once, ctx.mkl_depth() is read once, and the operator row of each
+    right-factor coefficient is looked up once for all rows.  Each
     output slot sums its terms in the order of the pairwise products: p,
     then i, n and j."""
     zero = ctx.zero()
@@ -465,7 +492,8 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
 
     The recursion fills a fresh M_{k,l} memo, which is dropped afterwards:
     the context's own memo (ctx._mkl_cache) is put back unchanged, so the
-    check leaves no entries behind for the whole carrier."""
+    check leaves no entries behind for the whole carrier.  It runs no
+    product, so the operator rows (ctx._mkl_rows) are not touched either."""
     checked = 0
     vanishing = 0
     zero = ctx.zero()

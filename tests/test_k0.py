@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import PRESET_MATRIX
+from conftest import PRESET_MATRIX, assert_rows_read_the_memo
 from skewseries import k0, skewpoly
 from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         TruncatedSeries, idempotent_rank, k0_rank_check,
@@ -14,7 +14,6 @@ from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
 from skewseries.k0 import (RankWitness, mat_diag, mat_direct_sum, mat_identity,
                           mat_mul, render_matrix)
 from skewseries.series import random_series_in_filtration
-from skewseries.skewpoly import _check_vanishing, monomial_operator_apply
 
 
 def schoolbook_mat_mul(scalars, a, b):
@@ -367,28 +366,16 @@ def _random_matrix(scalars, rows, cols, rng):
                        for _ in range(cols)) for _ in range(rows))
 
 
-def _pairwise_lookups(scalars, a, b):
-    """The monomial operator lookups of one closed product per pair of
-    entries of a * b over S/G_N: a call for every term a_j M_{j-n,n}(b_i)
-    with a_j != 0, j - n < d and n < N - i, after the vanishing check of
-    each nonzero b_i."""
+def _pairwise_products(scalars, a, b):
+    """One series product per pair of entries of a * b over S/G_N, on the
+    context of ``scalars``: the operator rows and memo the block kernel must
+    leave behind as well."""
     ctx, precision = scalars.ctx, scalars.precision
-    zero, d = ctx.zero(), ctx.mkl_depth()
     for row in a:
         for col in zip(*b):
             for x, y in zip(row, col):
-                fa = SkewPoly(ctx, x.coeffs).coeffs
-                la = len(fa)
-                for i, b_i in enumerate(SkewPoly(ctx, y.coeffs).coeffs):
-                    if not la or i >= precision or b_i == zero:
-                        continue
-                    top = min(la, precision - i)
-                    if min(la - 1 - d, top - 1) >= 0:
-                        _check_vanishing(ctx, b_i, min(la - 1 - d, top - 1))
-                    for n in range(top):
-                        for j in range(n, min(la, n + d)):
-                            if fa[j] != zero:
-                                monomial_operator_apply(ctx, j - n, n, b_i)
+                TruncatedSeries(ctx, precision, x.coeffs) * \
+                    TruncatedSeries(ctx, precision, y.coeffs)
 
 
 class TestFusedMatMul:
@@ -405,10 +392,14 @@ class TestFusedMatMul:
                 b = _random_matrix(scalars, inner, cols, rng)
                 assert mat_mul(scalars, a, b) == schoolbook_mat_mul(scalars, a, b)
                 if precision is not None:
-                    _pairwise_lookups(SeriesScalars(ref, precision), a, b)
-        # operator values are fetched only where a closed product per pair
-        # of entries looks them up, so the memo ends up the same
+                    _pairwise_products(SeriesScalars(ref, precision), a, b)
+        # the block kernel extends each coefficient's operator row as far as
+        # its widest partner needs, which is as far as one closed product
+        # per pair of entries extends it, and checks the same vanishing
+        assert ctx._mkl_rows == ref._mkl_rows
+        assert ctx._mkl_vanishing == ref._mkl_vanishing
         assert ctx._mkl_cache.keys() == ref._mkl_cache.keys()
+        assert_rows_read_the_memo(ctx)
 
     def test_dimension_mismatch(self, z8):
         scalars = BaseScalars(z8)
@@ -467,10 +458,10 @@ class TestFusedMatMul:
         assert fused == schoolbook_mat_mul(scalars, a, b)
         assert fused_counts["series"] <= 36
         assert fused_counts["mul"] == counts["mul"] > 0
-        # the operator values of each entry of b are fetched once for all
-        # six rows of a: 1763 lookups with one closed product per pair of
-        # entries, 175 here
-        assert 0 < fused_counts["mkl"] <= 1763 // 6
+        # the operator row of each coefficient of b is built once for all six
+        # rows of a: one recursion call per row build or extension and per
+        # vanishing check
+        assert fused_counts["mkl"] == 87
 
 
 class TestSerreTransfer:

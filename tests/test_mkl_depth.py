@@ -74,6 +74,19 @@ def test_memo_rows_stop_at_the_depth():
         assert max(k for k, _, _ in ctx._mkl_cache) <= ctx.mkl_depth()
 
 
+def _kernels(ctx, power):
+    """The four kernels that cut at the depth, each on x^power * t."""
+    t = ctx.radical_gens[0]
+    x_pow = (ctx.zero(),) * power + (ctx.one(),)
+    n = power + 1
+    series_x = TruncatedSeries(ctx, n, x_pow)
+    series_t = TruncatedSeries.constant(ctx, n, t)
+    return (lambda: SkewPoly(ctx, x_pow) * SkewPoly.from_scalar(ctx, t),
+            lambda: series_x * series_t,
+            lambda: mat_mul(SeriesScalars(ctx, n), ((series_x,),), ((series_t,),)),
+            lambda: normalize_right_to_left(RightFormPoly(ctx, [(power, t)])))
+
+
 class TestDepthOneTooSmall:
     """With the depth claimed one below the true value, every kernel that
     cuts at it must notice the nonzero term it skips."""
@@ -86,20 +99,26 @@ class TestDepthOneTooSmall:
         return ctx
 
     def test_every_kernel_raises(self, shrunk):
-        ctx = shrunk
-        t = ctx.radical_gens[0]
         # x^2 * t skips M_{1,0}(t) = delta(t) = t^2
-        x_sq = (ctx.zero(), ctx.zero(), ctx.one())
-        with pytest.raises(AssertionError, match="nilpotence bound violated"):
-            SkewPoly(ctx, x_sq) * SkewPoly.from_scalar(ctx, t)
-        series_x_sq = TruncatedSeries(ctx, 3, x_sq)
-        series_t = TruncatedSeries.constant(ctx, 3, t)
-        with pytest.raises(AssertionError, match="nilpotence bound violated"):
-            series_x_sq * series_t
-        with pytest.raises(AssertionError, match="nilpotence bound violated"):
-            mat_mul(SeriesScalars(ctx, 3), ((series_x_sq,),), ((series_t,),))
-        with pytest.raises(AssertionError, match="nilpotence bound violated"):
-            normalize_right_to_left(RightFormPoly(ctx, [(2, t)]))
+        for kernel in _kernels(shrunk, 2):
+            with pytest.raises(AssertionError, match="nilpotence bound violated"):
+                kernel()
+
+    def test_warm_rows_do_not_skip_the_check(self, monkeypatch):
+        # at the true depth 2, the narrow x * t and then x^2 * t build the
+        # operator row of t and check M_{2,0}(t) = 0; neither may stand in
+        # for the check at depth 1
+        ctx = parse_ring_preset("truncpoly:3:3:c=2")
+        t = ctx.radical_gens[0]
+        for power in (1, 2):
+            for kernel in _kernels(ctx, power):
+                kernel()
+        assert len(ctx._mkl_rows[2][t]) == 3
+        assert ctx._mkl_vanishing[2][t] == 0
+        monkeypatch.setattr(ctx, "mkl_depth", lambda: 1)
+        for kernel in _kernels(ctx, 2):
+            with pytest.raises(AssertionError, match="nilpotence bound violated"):
+                kernel()
 
 
 def _counted_eval(text, precision):

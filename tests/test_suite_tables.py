@@ -3,6 +3,7 @@ over index tables of the ring operations.  The element-wise loops they
 replaced are kept here as oracles; the tests require the same reports,
 closure failures instead of tracebacks, and bounded operation counts."""
 
+import copy
 import itertools
 import math
 import random
@@ -395,10 +396,11 @@ def test_mkl_oracle_leaves_the_memo_as_it_found_it(preset, checked, details):
     ctx = parse_ring_preset(preset)
     lin = skewpoly.SkewPoly(ctx, (ctx.radical_gens[0], ctx.one()))
     lin ** 5 * lin
-    memo = ctx._mkl_cache
-    before = dict(memo)
-    assert before
+    memo, rows = ctx._mkl_cache, ctx._mkl_rows
+    before, rows_before = dict(memo), copy.deepcopy(rows)
+    assert before and rows_before[ctx.mkl_depth()]
     report = mkl_oracle_check(ctx)
     assert ctx._mkl_cache is memo and memo == before
+    assert ctx._mkl_rows is rows and rows == rows_before
     assert (report.passed, report.checked, report.details) == \
         (True, checked, details)
