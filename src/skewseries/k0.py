@@ -24,13 +24,19 @@ I + E_{ji} is used first to drag such a unit onto the diagonal.
 
 Each pivot step is applied as elementary row and column operations on e, U
 and U^-1, O(n^3) in all; the certificate is still re-verified by plain
-matrix multiplication, with every identity checked in full.  A matrix
-product is one call of the base's kernel, ``scalars.mat_mul``.  Over R each
-entry is the fold of + and *.  Over S/G_N the whole product is one pass of
-the block kernel (series.matrix_product): each entry is checked and trimmed
-once, each coefficient of an entry of the right factor has its operator
-row looked up once for every row, and each slot of an entry is summed unreduced
-and reduced once, which gives the same class as reducing every partial sum.
+matrix multiplication, with every identity checked in full.  Each step
+x + v*y of an operation goes through the base's mul_add_left (row) or
+mul_add_right (column).  Over R that is the base's add after its mul.
+Over S/G_N it is one pass of the product kernel that accumulates onto the
+coefficients of x and reduces each changed entry once (series.mul_add); a
+column step is one pass for the whole column, which fetches the operator
+rows of v once.  A matrix product is one call of the base's kernel,
+``scalars.mat_mul``.  Over R each entry is the fold of + and *.  Over S/G_N
+the whole product is one pass of the block kernel (series.matrix_product):
+each entry is checked and trimmed once, each coefficient of an entry of the
+right factor has its operator row looked up once for every row, and each
+slot of an entry is summed unreduced and reduced once, which gives the same
+class as reducing every partial sum.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from dataclasses import dataclass
 
 from .report import CheckReport
 from .rings import RingContext
-from .series import TruncatedSeries, matrix_product
+from .series import (TruncatedSeries, matrix_product, mul_add,
+                     random_series)
 
 _MAX_UNIT_RESAMPLES = 10000
 
@@ -83,6 +90,19 @@ class BaseScalars(_Scalars):
 
     def mul(self, a, b):
         return self.ctx.mul(a, b)
+
+    def mul_add_left(self, v, ys, xs=None):
+        """[x + v*y for x, y in zip(xs, ys)], or [v*y] with no xs; entry by
+        entry, the product first."""
+        if xs is None:
+            return [self.mul(v, y) for y in ys]
+        return [self.add(x, self.mul(v, y)) for x, y in zip(xs, ys)]
+
+    def mul_add_right(self, v, ys, xs=None):
+        """[x + y*v for x, y in zip(xs, ys)], or [y*v] with no xs."""
+        if xs is None:
+            return [self.mul(y, v) for y in ys]
+        return [self.add(x, self.mul(y, v)) for x, y in zip(xs, ys)]
 
     def mat_mul(self, a, b):
         """a * b, each entry the fold acc = acc + x*y over a row and a column."""
@@ -142,6 +162,18 @@ class SeriesScalars(_Scalars):
     def mul(self, a, b):
         return a * b
 
+    def mul_add_left(self, v, ys, xs=None):
+        """[x + v*y for x, y in zip(xs, ys)], or [v*y] with no xs: one pass
+        of the product kernel per entry, onto the coefficients of x
+        (series.mul_add)."""
+        return mul_add(self.ctx, self.precision, v, ys, xs)
+
+    def mul_add_right(self, v, ys, xs=None):
+        """[x + y*v for x, y in zip(xs, ys)], or [y*v] with no xs: one pass
+        of the product kernel for all entries, which share the right factor
+        v (series.mul_add)."""
+        return mul_add(self.ctx, self.precision, v, ys, xs, v_right=True)
+
     def mat_mul(self, a, b):
         """a * b in one pass of the series block kernel (matrix_product)."""
         return matrix_product(self.ctx, self.precision, a, b)
@@ -169,13 +201,7 @@ class SeriesScalars(_Scalars):
         return b
 
     def sample(self, rng):
-        return TruncatedSeries(
-            self.ctx, self.precision,
-            [self.ctx.sample(rng) for _ in range(self.precision)])
-
-    def lift(self, payload) -> TruncatedSeries:
-        """Constant series with the given R-coefficient."""
-        return TruncatedSeries.constant(self.ctx, self.precision, payload)
+        return random_series(self.ctx, self.precision, rng)
 
     def render(self, a: TruncatedSeries) -> str:
         return a.to_poly().render()
@@ -288,7 +314,15 @@ class _ElementaryOps:
     """Conjugation by an elementary matrix g, in place: each operation
     multiplies the matrices in rows by g on the left and those in cols by
     g^-1 on the right.  Entries need not commute, so row operations multiply
-    from the left and column operations from the right."""
+    from the left and column operations from the right.
+
+    A row step is one call of the base's mul_add_left per matrix, a column
+    step one call of mul_add_right on the column of every matrix in cols.
+    Over R these fold through the base's add and mul entry by entry.  Over
+    S/G_N each is one pass of the product kernel that accumulates onto the
+    coefficients of the entries it changes, and the column step shares the
+    right factor's operator rows between all of them
+    (series.mul_add)."""
 
     def __init__(self, scalars, rows, cols):
         self.scalars, self.rows, self.cols = scalars, rows, cols
@@ -300,20 +334,21 @@ class _ElementaryOps:
             return
         s = self.scalars
         for m in self.rows:
-            m[i] = [s.add(x, s.mul(v, y)) for x, y in zip(m[i], m[j])]
-        neg_v = s.neg(v)
-        for m in self.cols:
-            for row in m:
-                row[j] = s.add(row[j], s.mul(row[i], neg_v))
+            m[i] = s.mul_add_left(v, m[j], m[i])
+        cells = [row for m in self.cols for row in m]
+        column = s.mul_add_right(s.neg(v), [row[i] for row in cells],
+                                 [row[j] for row in cells])
+        for row, x in zip(cells, column):
+            row[j] = x
 
     def scale(self, i, c, c_inv):
         """g = I + (c - 1) E_ii, c a unit: row_i = c*row_i, col_i = col_i*c^-1."""
         s = self.scalars
         for m in self.rows:
-            m[i] = [s.mul(c, x) for x in m[i]]
-        for m in self.cols:
-            for row in m:
-                row[i] = s.mul(row[i], c_inv)
+            m[i] = s.mul_add_left(c, m[i])
+        cells = [row for m in self.cols for row in m]
+        for row, x in zip(cells, s.mul_add_right(c_inv, [row[i] for row in cells])):
+            row[i] = x
 
     def swap(self, i, j):
         """g the transposition of i and j: swaps rows, then columns."""
@@ -689,8 +724,8 @@ def serre_transfer_check(ctx: RingContext, precision: int, size_limit: int,
             e_base, ones = random_idempotent(base_scalars, n, rng)
             lifted = IdempotentMatrix(
                 series_scalars,
-                tuple(tuple(series_scalars.lift(x) for x in row)
-                      for row in e_base.entries))
+                tuple(tuple(TruncatedSeries.constant(ctx, precision, x)
+                            for x in row) for row in e_base.entries))
             checked += 2
             rank_base = idempotent_rank(e_base).rank
             rank_series = idempotent_rank(lifted).rank

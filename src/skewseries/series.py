@@ -28,7 +28,8 @@ import random
 
 from .report import CheckReport
 from .rings import RingContext
-from .skewpoly import (SkewPoly, _block_product, _closed_product, _power,
+from .skewpoly import (SkewPoly, _add_products, _block_product,
+                       _closed_product, _power, _trimmed_length,
                        monomial_operator_apply)
 
 
@@ -185,6 +186,46 @@ def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
                          precision)
     return tuple(tuple(TruncatedSeries(ctx, precision, c) for c in row)
                  for row in out)
+
+
+def mul_add(ctx: RingContext, precision: int, v, others, addends=None,
+            v_right: bool = False) -> list:
+    """[x + v*y for x, y in zip(addends, others)] in S/G_N, or [x + y*v]
+    with v_right; with no addends the plain products v*y (y*v).  These are
+    the row and column steps of the elementary operations in k0.
+
+    Each accumulator starts from the coefficients of x and takes the terms
+    of the product unreduced from the closed formula (skewpoly._add_products);
+    an entry is reduced once, when its one TruncatedSeries is built.  That
+    is the class x + v*y gives: reduction mod I^k is additive, so the
+    canonical representative of x + P is that of x + (P reduced).  With
+    v_right every y is a partner of one kernel call, so the operator rows of
+    the coefficients of v are looked up once for all of them.  An entry
+    whose y is zero is x itself (y itself, with no addends)."""
+    out = list(others if addends is None else addends)
+    for x in [v, *others, *(addends or ())]:
+        _check_compat(ctx, precision, x)
+    zero = ctx.zero()
+    d = ctx.mkl_depth()
+    built, partners = [], []
+    for idx, y in enumerate(others):
+        la = _trimmed_length(y.coeffs, zero)
+        if la:
+            acc = [zero] * precision if addends is None else list(out[idx].coeffs)
+            built.append(idx)
+            partners.append((y.coeffs, la, acc))
+    if v_right:
+        if partners:
+            _add_products(ctx, d, partners, max(la for _, la, _ in partners),
+                          v.coeffs, precision)
+    else:
+        lv = _trimmed_length(v.coeffs, zero)
+        if lv:
+            for gb, _, acc in partners:
+                _add_products(ctx, d, ((v.coeffs, lv, acc),), lv, gb, precision)
+    for idx, (_, _, acc) in zip(built, partners):
+        out[idx] = TruncatedSeries(ctx, precision, acc)
+    return out
 
 
 class GradedElem:

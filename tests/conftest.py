@@ -24,6 +24,10 @@ PRESET_MATRIX = ("zmod:2^3", "zmod:3^5", "zmod:2^10", "truncpoly:3:3:c=2",
                  "truncpoly:3:3:c=2:delta=zero", "truncpoly:3:3:c=1",
                  "truncpoly:5:4:c=2")
 
+# control preset whose delta is not a sigma-derivation: S/G_N is then not
+# associative, which the fast paths must reproduce exactly rather than assume
+BROKEN_PRESET = "truncpoly:3:3:c=2:delta=broken"
+
 # the presets of the matrix whose delta is nonzero
 DELTA_PRESETS = ("truncpoly:3:3:c=2", "truncpoly:5:4:c=2")
 

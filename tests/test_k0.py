@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import PRESET_MATRIX, assert_rows_read_the_memo
-from skewseries import k0, skewpoly
+from conftest import BROKEN_PRESET, PRESET_MATRIX, assert_rows_read_the_memo
+from skewseries import k0, series, skewpoly
 from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         TruncatedSeries, idempotent_rank, k0_rank_check,
                         parse_ring_preset, random_idempotent,
@@ -337,7 +337,7 @@ class TestNewtonInverse:
         # most units have no two-sided inverse; inv raises exactly when the
         # geometric series fails to verify too
         scalars = SeriesScalars(
-            parse_ring_preset("truncpoly:3:3:c=2:delta=broken"), precision)
+            parse_ring_preset(BROKEN_PRESET), precision)
         one, raised, rng = scalars.one(), 0, random.Random(89)
         for _ in range(10):
             a = k0._sample_unit(scalars, rng)
@@ -352,7 +352,7 @@ class TestNewtonInverse:
         assert raised > 0
 
 
-DOT_PRESETS = PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken",)
+DOT_PRESETS = PRESET_MATRIX + (BROKEN_PRESET,)
 # (rows of a, inner size, columns of b): square, row times column, column
 # times row, rectangular
 DOT_SHAPES = ((3, 3, 3), (1, 5, 1), (5, 1, 5), (2, 3, 4))
@@ -462,6 +462,209 @@ class TestFusedMatMul:
         # rows of a: one recursion call per row build or extension and per
         # vanishing check
         assert fused_counts["mkl"] == 87
+
+
+class OracleElementaryOps(k0._ElementaryOps):
+    """Oracle for k0._ElementaryOps: each x + v*y of a row or column step
+    is a scalar product and then a sum, entry by entry, through the base's
+    mul and add."""
+
+    def add(self, i, j, v):
+        if v == self.zero:
+            return
+        s = self.scalars
+        for m in self.rows:
+            m[i] = [s.add(x, s.mul(v, y)) for x, y in zip(m[i], m[j])]
+        neg_v = s.neg(v)
+        for m in self.cols:
+            for row in m:
+                row[j] = s.add(row[j], s.mul(row[i], neg_v))
+
+    def scale(self, i, c, c_inv):
+        s = self.scalars
+        for m in self.rows:
+            m[i] = [s.mul(c, x) for x in m[i]]
+        for m in self.cols:
+            for row in m:
+                row[i] = s.mul(row[i], c_inv)
+
+
+ELEMENTARY_PRESETS = PRESET_MATRIX + (BROKEN_PRESET, "truncpoly:3:6:c=2")
+# None is the base R itself
+ELEMENTARY_PRECISIONS = (None,) + tuple(range(1, 9))
+
+
+def _scalars_on(ctx, precision):
+    return BaseScalars(ctx) if precision is None else SeriesScalars(ctx, precision)
+
+
+def _moved(m, scalars):
+    """m with its entries on the context of scalars, as lists of rows."""
+    if isinstance(scalars, BaseScalars):
+        return [list(row) for row in m]
+    return [[TruncatedSeries(scalars.ctx, scalars.precision, x.coeffs)
+             for x in row] for row in m]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raises: over
+    delta=broken S/G_N is not associative, and both paths must fail alike."""
+    try:
+        return fn(*args)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _witness_parts(w):
+    return w if isinstance(w, tuple) else (w.rank, w.conjugator, w.conjugator_inv)
+
+
+def _record_ring_calls(ctx, calls):
+    """Log every add, mul and neg on ctx, with its arguments, in order."""
+    for name in ("add", "mul", "neg"):
+        plain = getattr(ctx, name)
+
+        def logged(*args, _name=name, _plain=plain):
+            calls.append((_name, args))
+            return _plain(*args)
+
+        setattr(ctx, name, logged)
+
+
+def _assert_same_memo(ctx, ref):
+    """The fused steps extend each operator row as far as the oracle's
+    products one by one, and check the same vanishing."""
+    assert ctx._mkl_rows == ref._mkl_rows
+    assert ctx._mkl_vanishing == ref._mkl_vanishing
+    assert ctx._mkl_cache.keys() == ref._mkl_cache.keys()
+
+
+class TestFusedElementaryOps:
+    def test_series_add_builds_each_changed_entry_once(self, monkeypatch):
+        # fresh contexts: their mul is counted by instance overrides and
+        # their M_{k,l} memos fill alike from empty
+        ctx, ref = (parse_ring_preset("truncpoly:3:3:c=2") for _ in range(2))
+        scalars, ref_scalars = SeriesScalars(ctx, 4), SeriesScalars(ref, 4)
+        rng = random.Random(79)
+        u, w = (_random_matrix(scalars, 5, 5, rng) for _ in range(2))
+        v = k0._sample_unit(scalars, rng)
+        i, j = 1, 3
+        counts = {"series": 0, "ctx": 0, "ref": 0}
+        partners = []
+        plain_init, plain_kernel = TruncatedSeries.__init__, series._add_products
+
+        def counted_init(self, *args):
+            counts["series"] += 1
+            plain_init(self, *args)
+
+        def counted_kernel(ctx, d, group, *args):
+            partners.append(len(group))
+            plain_kernel(ctx, d, group, *args)
+
+        for name, c in (("ctx", ctx), ("ref", ref)):
+            def counted_mul(x, y, _name=name, _plain=c.mul):
+                counts[_name] += 1
+                return _plain(x, y)
+            c.mul = counted_mul
+
+        fused_u, fused_w = _moved(u, scalars), _moved(w, scalars)
+        plain_u, plain_w = _moved(u, ref_scalars), _moved(w, ref_scalars)
+        ops = k0._ElementaryOps(scalars, rows=(fused_u,), cols=(fused_w,))
+        oracle = OracleElementaryOps(ref_scalars, rows=(plain_u,), cols=(plain_w,))
+        ref_v = TruncatedSeries(ref, 4, v.coeffs)
+        monkeypatch.setattr(TruncatedSeries, "__init__", counted_init)
+        monkeypatch.setattr(series, "_add_products", counted_kernel)
+        ops.add(i, j, v)
+        built = counts["series"]
+        oracle.add(i, j, ref_v)
+        assert (fused_u, fused_w) == (plain_u, plain_w)
+        # an entry changes when its partner y in x + v*y is nonzero; one more
+        # class is built, -v for the column step
+        zero = scalars.zero()
+        row_partners = sum(y != zero for y in u[j])
+        col_partners = sum(row[i] != zero for row in w)
+        assert 0 < row_partners < 5 and 0 < col_partners < 5
+        assert built == row_partners + col_partners + 1
+        # one kernel pass per entry of the row step, one for the column step
+        assert partners == [1] * row_partners + [col_partners]
+        assert counts["ctx"] == counts["ref"] > 0
+
+    @pytest.mark.parametrize("preset", ELEMENTARY_PRESETS)
+    def test_random_operations_match_the_oracle(self, preset):
+        ctx, ref = parse_ring_preset(preset), parse_ring_preset(preset)
+        for precision in ELEMENTARY_PRECISIONS:
+            scalars = _scalars_on(ctx, precision)
+            ref_scalars = _scalars_on(ref, precision)
+            rng = random.Random(f"{preset}/{precision}")
+            calls, ref_calls = [], []
+            if precision is None:
+                # over R the same ring calls run, in the same order
+                _record_ring_calls(ctx, calls)
+                _record_ring_calls(ref, ref_calls)
+            for n in range(1, 7):
+                a, u, w = (_random_matrix(scalars, n, n, rng) for _ in range(3))
+                fa, fu, fw = (_moved(m, scalars) for m in (a, u, w))
+                pa, pu, pw = (_moved(m, ref_scalars) for m in (a, u, w))
+                # the layout of idempotent_rank: a is conjugated in place
+                ops = k0._ElementaryOps(scalars, rows=(fa, fu), cols=(fa, fw))
+                oracle = OracleElementaryOps(ref_scalars, rows=(pa, pu),
+                                             cols=(pa, pw))
+                for _ in range(3 * n):
+                    kind = rng.randrange(3)
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    if kind == 2:
+                        ops.swap(i, j)
+                        oracle.swap(i, j)
+                        continue
+                    args = [_random_matrix(scalars, 1, 1, rng)[0][0]
+                            for _ in range(2)]
+                    ref_args = _moved((args,), ref_scalars)[0]
+                    if kind == 0:
+                        ops.add(i, j, args[0])
+                        oracle.add(i, j, ref_args[0])
+                    else:
+                        ops.scale(i, *args)
+                        oracle.scale(i, *ref_args)
+                    assert (fa, fu, fw) == (pa, pu, pw)
+            if precision is None:
+                assert calls == ref_calls
+                del ctx.add, ctx.mul, ctx.neg, ref.add, ref.mul, ref.neg
+        _assert_same_memo(ctx, ref)
+
+    @pytest.mark.parametrize("preset", ELEMENTARY_PRESETS)
+    def test_rank_and_generators_match_the_oracle(self, preset, monkeypatch):
+        # the idempotents come from a third context, so that ctx and ref see
+        # only the paths compared
+        ctx, ref, gen = (parse_ring_preset(preset) for _ in range(3))
+        for precision in ELEMENTARY_PRECISIONS:
+            scalars = _scalars_on(ctx, precision)
+            ref_scalars = _scalars_on(ref, precision)
+            gen_scalars = _scalars_on(gen, precision)
+            for n in range(1, 7):
+                seed = f"{preset}/{precision}/{n}"
+                fused = _outcome(random_invertible, scalars, n, random.Random(seed))
+                with monkeypatch.context() as m:
+                    m.setattr(k0, "_ElementaryOps", OracleElementaryOps)
+                    plain = _outcome(random_invertible, ref_scalars, n,
+                                     random.Random(seed))
+                assert fused == plain
+                e = _outcome(random_idempotent, gen_scalars, n, random.Random(seed))
+                if isinstance(e[0], type):
+                    # not idempotent over delta=broken: a constant idempotent
+                    # of R is one over S/G_N too
+                    base, _ = random_idempotent(BaseScalars(gen), n,
+                                                random.Random(seed))
+                    e = (IdempotentMatrix(gen_scalars, tuple(
+                        tuple(TruncatedSeries.constant(gen, precision, x) for x in row)
+                        for row in base.entries)),)
+                fused = _witness_parts(_outcome(idempotent_rank, IdempotentMatrix(
+                    scalars, _moved(e[0].entries, scalars))))
+                with monkeypatch.context() as m:
+                    m.setattr(k0, "_ElementaryOps", OracleElementaryOps)
+                    plain = _witness_parts(_outcome(idempotent_rank, IdempotentMatrix(
+                        ref_scalars, _moved(e[0].entries, ref_scalars))))
+                assert fused == plain
+        _assert_same_memo(ctx, ref)
 
 
 class TestSerreTransfer:

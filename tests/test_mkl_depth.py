@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import PRESET_MATRIX
+from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import (RightFormPoly, SeriesScalars, SkewPoly, TruncatedSeries,
                         eval_expression, mkl_oracle_check,
                         monomial_operator_words, normalize_right_to_left,
@@ -14,7 +14,7 @@ from skewseries import (RightFormPoly, SeriesScalars, SkewPoly, TruncatedSeries,
 from skewseries.k0 import mat_mul
 from skewseries.skewpoly import random_poly
 
-DEPTH_PRESETS = PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken", "truncpoly:3:6:c=2",
+DEPTH_PRESETS = PRESET_MATRIX + (BROKEN_PRESET, "truncpoly:3:6:c=2",
                                  "truncpoly:7:3:c=3", "truncpoly:3:1:c=2",
                                  "truncpoly:2:8:c=1")
 
@@ -36,11 +36,11 @@ def test_depth_is_the_verified_word_bound(preset):
 def test_depth_per_family():
     depths = {preset: parse_ring_preset(preset).mkl_depth() for preset in (
         "zmod:2^10", "truncpoly:3:3:c=2:delta=zero", "truncpoly:3:3:c=1",
-        "truncpoly:3:3:c=2:delta=broken", "truncpoly:3:6:c=2", "truncpoly:5:4:c=2",
+        BROKEN_PRESET, "truncpoly:3:6:c=2", "truncpoly:5:4:c=2",
         "truncpoly:7:3:c=3", "truncpoly:3:1:c=2")}
     assert depths == {
         "zmod:2^10": 1, "truncpoly:3:3:c=2:delta=zero": 1, "truncpoly:3:3:c=1": 1,
-        "truncpoly:3:3:c=2:delta=broken": 3,
+        BROKEN_PRESET: 3,
         "truncpoly:3:6:c=2": 2,     # ord_3(2) = 2
         "truncpoly:5:4:c=2": 3,     # ord_5(2) = 4, m - 1 = 3
         "truncpoly:7:3:c=3": 2,     # ord_7(3) = 6, m - 1 = 2

@@ -7,13 +7,13 @@ import random
 
 import pytest
 
-from conftest import PRESET_MATRIX, assert_rows_read_the_memo
+from conftest import BROKEN_PRESET, PRESET_MATRIX, assert_rows_read_the_memo
 from skewseries import (SeriesScalars, TruncatedSeries, monomial_operator_words,
                         parse_ring_preset, poly_mul_commutation)
 from skewseries.k0 import mat_mul
 from skewseries.skewpoly import random_poly
 
-ROW_PRESETS = PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken",
+ROW_PRESETS = PRESET_MATRIX + (BROKEN_PRESET,
                                "truncpoly:3:6:c=2")
 
 # (left length, right length, precision) per step: the widths and lengths

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from conftest import BROKEN_PRESET
 from skewseries import (ExprError, SkewPoly, eval_expression, parse_expression,
                         render_expression)
 from skewseries.cli import main
@@ -67,7 +68,7 @@ GOLDEN_CASES = [
      ["check", "ideal-closure", "--ring", "zmod:2^3", "--prec", "4",
       "--samples", "200", "--seed", "42"], 0),
     ("check_sigma_derivation_fail.txt",
-     ["check", "sigma-derivation", "--ring", "truncpoly:3:3:c=2:delta=broken",
+     ["check", "sigma-derivation", "--ring", BROKEN_PRESET,
       "--samples", "100", "--seed", "7"], 1),
     ("check_graded_iso_json.txt",
      ["check", "graded-iso", "--ring", "truncpoly:3:3:c=2", "--prec", "4",

@@ -9,13 +9,13 @@ import random
 
 import pytest
 
-from conftest import PRESET_MATRIX
+from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import (TruncPolyRing, parse_ring_preset, ring_axiom_check,
                         sigma_derivation_check)
 from skewseries.rings import MEMO_CAP
 
 MEMO_PRESETS = tuple(p for p in PRESET_MATRIX if p.startswith("truncpoly")) + (
-    "truncpoly:3:3:c=2:delta=broken", "truncpoly:3:4:c=2")
+    BROKEN_PRESET, "truncpoly:3:4:c=2")
 OPS = ("add", "mul", "neg", "sigma")
 
 

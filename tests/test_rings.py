@@ -7,7 +7,7 @@ from skewseries import (INF, ZmodRing, parse_ring_preset,
                         ring_axiom_check, sigma_derivation_check,
                         sigma_nilpotence_bound)
 
-from conftest import PRESET_MATRIX
+from conftest import BROKEN_PRESET, PRESET_MATRIX
 
 
 class TestPresets:
@@ -50,7 +50,7 @@ class TestPresets:
     def test_modifiers(self):
         dz = parse_ring_preset("truncpoly:3:3:c=2:delta=zero")
         assert dz.delta(dz.named_literals()["t"]) == dz.zero()
-        broken = parse_ring_preset("truncpoly:3:3:c=2:delta=broken")
+        broken = parse_ring_preset(BROKEN_PRESET)
         assert broken.delta(broken.one()) == broken.named_literals()["t"]
 
 
@@ -83,7 +83,7 @@ class TestSigmaDerivation:
         assert report.details["sigma_radical_onto"] is True
 
     def test_broken_delta_fails(self):
-        broken = parse_ring_preset("truncpoly:3:3:c=2:delta=broken")
+        broken = parse_ring_preset(BROKEN_PRESET)
         report = sigma_derivation_check(broken, 500, seed=42)
         assert not report.passed
         # the Leibniz identity already fails at a = b = 1
@@ -174,7 +174,7 @@ class TestNilpotenceBound:
                 sigma_nilpotence_bound(ctx, nil)
 
     def test_not_found_on_tight_word_limit(self):
-        broken = parse_ring_preset("truncpoly:3:3:c=2:delta=broken")
+        broken = parse_ring_preset(BROKEN_PRESET)
         # broken delta only shifts, so no bound certifies I^3 with one letter
         assert sigma_nilpotence_bound(broken, 3, word_limit=1) is None
 
@@ -191,7 +191,7 @@ class TestNilpotenceBound:
 # These brute-force versions enumerate the carrier instead; the tests below
 # require both to agree exactly on small presets.
 
-ORACLE_PRESETS = PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken", "zmod:5^1",
+ORACLE_PRESETS = PRESET_MATRIX + (BROKEN_PRESET, "zmod:5^1",
                                   "truncpoly:3:1:c=1")
 
 
@@ -339,7 +339,7 @@ class TestClosedFormChecks:
         assert len(calls) <= 64
 
 
-@pytest.mark.parametrize("preset", PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken",))
+@pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
 def test_layered_bound_matches_word_enumeration(preset):
     _assert_layered_bound_matches(parse_ring_preset(preset))
 
@@ -361,7 +361,7 @@ def _assert_layered_bound_matches(ctx):
     assert layered == _word_enumeration_bounds(ctx, range(1, 4), 8)
 
 
-@pytest.mark.parametrize("preset", PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken",))
+@pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
 def test_sigma_inv_matches_enumerated_table(preset):
     ctx = parse_ring_preset(preset)
     # the whole-carrier preimage table sigma_inv used to build

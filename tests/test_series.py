@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import PRESET_MATRIX
+from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import (GradedElem, SkewPoly, TruncatedSeries, eval_expression,
                         graded_iso_check, ideal_closure_check, parse_expression,
                         parse_ring_preset, poly_mul_commutation,
@@ -94,7 +94,7 @@ class TestSeriesProduct:
             TruncatedSeries.one(z8, 2) * TruncatedSeries.one(f27, 2)
 
     @pytest.mark.parametrize(
-        "preset", PRESET_MATRIX + ("truncpoly:3:3:c=2:delta=broken",))
+        "preset", PRESET_MATRIX + (BROKEN_PRESET,))
     def test_slots_match_clamped_reduction(self, preset):
         # the constructor reduces slot i only while N - i is below the
         # nilpotency; every slot must still be reduce_clamped(c, N - i)
@@ -131,7 +131,7 @@ class TestNilpotenceCut:
     def test_cut_is_tight_on_the_broken_control(self):
         # see the test of the same name in test_skewpoly.py
         _check_products_against_commutation(
-            parse_ring_preset("truncpoly:3:3:c=2:delta=broken"), random.Random(33))
+            parse_ring_preset(BROKEN_PRESET), random.Random(33))
 
     def test_square_and_multiply_matches_left_fold(self, matrix_ctx):
         ctx = matrix_ctx

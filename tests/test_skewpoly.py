@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import BROKEN_PRESET
 from skewseries import (NEG_INF, RightFormPoly, SkewPoly, left_to_right_form,
                         mkl_oracle_check, monomial_operator_apply,
                         monomial_operator_words, normalize_right_to_left,
@@ -153,7 +154,7 @@ class TestNilpotenceCut:
         # delta(f) = t*f gives M_{nil-1,0}(1) = t^(nil-1) != 0; single
         # products still match the commutation (only powers need
         # associativity).
-        ctx = parse_ring_preset("truncpoly:3:3:c=2:delta=broken")
+        ctx = parse_ring_preset(BROKEN_PRESET)
         nil = ctx.radical_nilpotency
         assert monomial_operator_apply(ctx, nil - 1, 0, ctx.one()) != ctx.zero()
         rng = random.Random(26)

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import PRESET_MATRIX
+from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import (ZmodRing, mkl_oracle_check, monomial_operator_apply,
                         monomial_operator_words, parse_ring_preset,
                         ring_axiom_check, sigma_derivation_check, skewpoly)
@@ -236,7 +236,7 @@ def _wrong_at(k0, l0, a0):
 # -- differential tests -----------------------------------------------------
 
 DIFFERENTIAL_PRESETS = PRESET_MATRIX + ("zmod:3^3", "truncpoly:3:4:c=2",
-                                        "truncpoly:3:3:c=2:delta=broken")
+                                        BROKEN_PRESET)
 SEEDS = (3, 11)
 
 SEEDED = ((ring_axiom_check, elementwise_ring_axiom_check),
