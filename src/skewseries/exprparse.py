@@ -10,6 +10,21 @@ Grammar (products are ordered; adjacency never denotes multiplication):
 Literals are nonnegative integers (reduced into the coefficient ring) plus
 any ring-specific named generators such as ``t`` for the truncated
 polynomial presets.  Errors carry a 1-based source column.
+
+Input budgets: an exponent is at most MAX_EXPONENT, the x-degree bound of
+an evaluation in R[x] at most MAX_DEGREE, and the depth of the tree at most
+MAX_DEPTH (parentheses, unary minus and ``^`` each add a level, and so does
+each operator of a ``+``/``-``/``*`` chain), so that parsing, evaluating
+and rendering never recurse deeper than that.
+
+Evaluation goes by the shape of each node.  Elements are kept in left
+normal form sum a_i x^i, so a subtree without x is an element of R: it is
+folded with the ring's own operations and lifted once, which is exact
+because R -> S/G_N is a ring map with canonical representatives.  A term
+``c*x^k`` is already in normal form and is built directly, and a constant
+on the left of anything scales its coefficients.  Only the rest (right
+scalars, sums with x, other products, powers of non-monomials) goes
+through the SkewPoly/TruncatedSeries operators.
 """
 
 from __future__ import annotations
@@ -24,6 +39,8 @@ MAX_EXPONENT = 512
 # largest x-degree bound an expression may have for evaluation in R[x];
 # S/G_N evaluation is bounded by N instead
 MAX_DEGREE = 512
+# deepest expression tree the parser accepts (see the module docstring)
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -74,129 +91,148 @@ class Neg:
     child: object
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "name", "op", "end"
-    text: str
-    column: int
-
-
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """(kind, text, column) tuples, kind one of "num", "name", "op" and a
+    final "end".  Numbers are runs of str.isdecimal characters, exactly the
+    digits int() accepts."""
     tokens = []
+    append = tokens.append
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in "+-*^()":
+            append(("op", ch, i + 1))
             i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        elif ch.isspace():
+            i += 1
+        elif ch.isdecimal():
+            j = i + 1
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(_Token("num", text[i:j], col))
+            append(("num", text[i:j], i + 1))
             i = j
         elif ch.isalpha():
-            j = i
+            j = i + 1
             while j < n and text[j].isalnum():
                 j += 1
-            tokens.append(_Token("name", text[i:j], col))
+            append(("name", text[i:j], i + 1))
             i = j
-        elif ch in "+-*^()":
-            tokens.append(_Token("op", ch, col))
-            i += 1
         else:
-            raise ExprError(f"unexpected character {ch!r}", col)
-    tokens.append(_Token("end", "", n + 1))
+            raise ExprError(f"unexpected character {ch!r}", i + 1)
+    append(("end", "", n + 1))
     return tokens
 
 
+def _number(text: str, column: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise ExprError("number too long", column) from None
+
+
+def _level(height: int, column: int) -> int:
+    if height > MAX_DEPTH:
+        raise ExprError(f"expression deeper than {MAX_DEPTH} levels", column)
+    return height
+
+
 class _Parser:
+    """Recursive descent over the token list.  Each rule returns the node
+    and the height of its tree, and rejects a height over MAX_DEPTH at the
+    token that adds the level.  ``nest`` counts the open parentheses and
+    unary minuses around the current token: each adds at least one level,
+    so a group opened with nest + 2 > MAX_DEPTH is rejected before the
+    parser recurses into it."""
+
     def __init__(self, tokens, ctx: RingContext):
         self.tokens = tokens
         self.pos = 0
+        self.nest = 0
         self.ctx = ctx
         self.literals = ctx.named_literals()
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text):
-        tok = self.current
-        if tok.kind != "op" or tok.text != text:
-            raise ExprError(f"expected {text!r}", tok.column)
-        return self.advance()
-
     def parse(self):
-        node = self.expr()
-        tok = self.current
-        if tok.kind != "end":
-            raise ExprError(f"unexpected token {tok.text!r}", tok.column)
+        node, _ = self.expr()
+        kind, text, column = self.tokens[self.pos]
+        if kind != "end":
+            raise ExprError(f"unexpected token {text!r}", column)
         return node
 
     def expr(self):
-        node = self.term()
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance().text
-            rhs = self.term()
+        node, height = self.term()
+        tokens = self.tokens
+        while True:
+            kind, op, column = tokens[self.pos]
+            if kind != "op" or op not in "+-":
+                return node, height
+            self.pos += 1
+            rhs, rhs_height = self.term()
+            height = _level(max(height, rhs_height) + 1, column)
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
 
     def term(self):
-        node = self.factor()
-        while self.current.kind == "op" and self.current.text == "*":
-            self.advance()
-            node = Mul(node, self.factor())
-        return node
+        node, height = self.factor()
+        tokens = self.tokens
+        while True:
+            kind, op, column = tokens[self.pos]
+            if kind != "op" or op != "*":
+                return node, height
+            self.pos += 1
+            rhs, rhs_height = self.factor()
+            height = _level(max(height, rhs_height) + 1, column)
+            node = Mul(node, rhs)
 
     def factor(self):
-        node = self.atom()
-        if self.current.kind == "op" and self.current.text == "^":
-            self.advance()
-            tok = self.current
-            if tok.kind != "num":
-                raise ExprError("expected exponent", tok.column)
-            self.advance()
-            exponent = int(tok.text)
+        node, height = self.atom()
+        kind, op, column = self.tokens[self.pos]
+        if kind == "op" and op == "^":
+            self.pos += 1
+            kind, text, exp_column = self.tokens[self.pos]
+            if kind != "num":
+                raise ExprError("expected exponent", exp_column)
+            self.pos += 1
+            exponent = _number(text, exp_column)
             if exponent > MAX_EXPONENT:
-                raise ExprError("exponent overflow", tok.column)
+                raise ExprError("exponent overflow", exp_column)
             node = Pow(node, exponent)
-        return node
+            height = _level(height + 1, column)
+        return node, height
 
     def atom(self):
-        tok = self.current
-        if tok.kind == "num":
-            self.advance()
-            return Const(self.ctx.from_int(int(tok.text)))
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "x":
-                return Var()
-            if tok.text in self.literals:
-                return Const(self.literals[tok.text])
-            raise ExprError(f"unknown literal {tok.text!r}", tok.column)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.atom())
-        raise ExprError(f"syntax error near {tok.text!r}" if tok.text else
-                        "unexpected end of input", tok.column)
+        kind, text, column = self.tokens[self.pos]
+        if kind == "num":
+            self.pos += 1
+            return Const(self.ctx.from_int(_number(text, column))), 1
+        if kind == "name":
+            self.pos += 1
+            if text == "x":
+                return Var(), 1
+            if text in self.literals:
+                return Const(self.literals[text]), 1
+            raise ExprError(f"unknown literal {text!r}", column)
+        if kind == "op" and text in "(-":
+            _level(self.nest + 2, column)
+            self.pos += 1
+            self.nest += 1
+            if text == "(":
+                node, height = self.expr()
+                kind, close, close_column = self.tokens[self.pos]
+                if kind != "op" or close != ")":
+                    raise ExprError("expected ')'", close_column)
+                self.pos += 1
+            else:
+                node, height = self.atom()
+                node = Neg(node)
+            self.nest -= 1
+            return node, _level(height + 1, column)
+        raise ExprError(f"syntax error near {text!r}" if text else
+                        "unexpected end of input", column)
 
 
 def parse_expression(text: str, ctx: RingContext):
     """Parse an expression over the given ring; raises ExprError with a
-    1-based column on bad input."""
+    1-based column on bad input, including a tree deeper than MAX_DEPTH."""
     if not text.strip():
         raise ExprError("empty expression", 1)
     return _Parser(_tokenize(text), ctx).parse()
@@ -221,13 +257,12 @@ def _render(node, ctx, parent_prec):
         s = _render(node.left, ctx, _PREC_MUL) + "*" + _render(node.right, ctx, _PREC_POW)
         return f"({s})" if parent_prec > _PREC_MUL else s
     if isinstance(node, Pow):
-        return _render(node.base, ctx, _PREC_ATOM) + f"^{node.exponent}"
+        s = _render(node.base, ctx, _PREC_ATOM) + f"^{node.exponent}"
+        # a factor takes one exponent and '-' binds to a whole atom, so the
+        # base of a power and the child of a '-' keep a power's parentheses
+        return f"({s})" if parent_prec > _PREC_POW else s
     if isinstance(node, Neg):
-        inner = _render(node.child, ctx, _PREC_ATOM)
-        # '-' binds to a whole atom, so a power must keep its parentheses
-        if isinstance(node.child, Pow):
-            inner = f"({inner})"
-        return "-" + inner
+        return "-" + _render(node.child, ctx, _PREC_ATOM)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -265,27 +300,105 @@ def eval_expression(node, ctx: RingContext, precision: int | None = None):
     """Evaluate to a SkewPoly, or to its class in S/G_N when a precision is
     given.  The class is computed in S/G_N from the leaves up: G_N is a
     two-sided ideal, so this is the class of the polynomial.  In R[x] the
-    degree bound must be within MAX_DEGREE (ValueError otherwise)."""
+    degree bound must be within MAX_DEGREE (ValueError otherwise).
+
+    Constant subtrees are folded in R and lifted once, ``x``, ``x^k`` and
+    ``c*x^k`` are built as the monomial c x^k, and a constant on the left
+    scales the coefficients of its right factor; everything else uses the
+    SkewPoly/TruncatedSeries operators."""
     if precision is None:
         check_degree_budget(degree_bound(node))
-        return _eval(node, lambda a: SkewPoly.from_scalar(ctx, a), SkewPoly.var(ctx))
-    return _eval(node, lambda a: TruncatedSeries.constant(ctx, precision, a),
-                 TruncatedSeries.var(ctx, precision))
+    evaluator = _Evaluator(ctx, precision)
+    return evaluator.lift(*evaluator.value(node))
 
 
-def _eval(node, constant, var):
-    if isinstance(node, Const):
-        return constant(node.payload)
-    if isinstance(node, Var):
-        return var
-    if isinstance(node, Add):
-        return _eval(node.left, constant, var) + _eval(node.right, constant, var)
-    if isinstance(node, Sub):
-        return _eval(node.left, constant, var) - _eval(node.right, constant, var)
-    if isinstance(node, Mul):
-        return _eval(node.left, constant, var) * _eval(node.right, constant, var)
-    if isinstance(node, Pow):
-        return _eval(node.base, constant, var) ** node.exponent
-    if isinstance(node, Neg):
-        return -_eval(node.child, constant, var)
-    raise TypeError(f"not an expression node: {node!r}")
+def _ring_power(mul, one, base, exponent: int):
+    """base^exponent in R, squaring and multiplying in the order of
+    skewpoly._power."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = mul(base, base)
+    return result
+
+
+class _Evaluator:
+    """One evaluation in R[x] (precision None) or in S/G_N.  value(node)
+    returns a pair (c, k): the monomial c x^k for an int k, with k = 0 for
+    an element c of R, or a lifted SkewPoly/TruncatedSeries c for k None."""
+
+    def __init__(self, ctx: RingContext, precision):
+        self.ctx = ctx
+        self.precision = precision
+        self.zero = ctx.zero()
+        self.one = ctx.one()
+        self._plain = None
+
+    def plain(self) -> bool:
+        """sigma(1) = 1 and delta(1) = 0, asked once per evaluation.  Then
+        (x^k)^e = x^(k e); otherwise (the delta=broken control has
+        delta(1) = t, so x x = x^2 + t x) powers of x are multiplied out."""
+        if self._plain is None:
+            ctx, one = self.ctx, self.one
+            self._plain = ctx.sigma(one) == one and ctx.delta(one) == self.zero
+        return self._plain
+
+    def element(self, coeffs):
+        """The SkewPoly, or the class in S/G_N, with these coefficients."""
+        if self.precision is None:
+            return SkewPoly(self.ctx, coeffs)
+        return TruncatedSeries(self.ctx, self.precision, coeffs)
+
+    def lift(self, c, k):
+        """The pair as a SkewPoly or TruncatedSeries."""
+        if k is None:
+            return c
+        # x^k lies in G_N once k >= N
+        if self.precision is not None and k >= self.precision:
+            return self.element(())
+        return self.element((self.zero,) * k + (c,))
+
+    def value(self, node):
+        kind = type(node)
+        if kind is Const:
+            return node.payload, 0
+        if kind is Var:
+            return self.one, 1
+        if kind is Neg:
+            c, k = self.value(node.child)
+            return (-c, None) if k is None else (self.ctx.neg(c), k)
+        if kind is Pow:
+            return self.power(self.value(node.base), node.exponent)
+        if kind is Mul:
+            return self.product(self.value(node.left), self.value(node.right))
+        if kind is Add or kind is Sub:
+            (a, k), (b, l) = self.value(node.left), self.value(node.right)
+            if k == 0 and l == 0:
+                op = self.ctx.add if kind is Add else self.ctx.sub
+                return op(a, b), 0
+            lhs, rhs = self.lift(a, k), self.lift(b, l)
+            return (lhs + rhs if kind is Add else lhs - rhs), None
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def product(self, left, right):
+        (c, k), (d, l) = left, right
+        if k == 0:
+            if l is None:
+                # the closed formula for a degree-0 left factor c gives
+                # c * b for each coefficient b of the right factor
+                mul, zero = self.ctx.mul, self.zero
+                return self.element([zero if b == zero else mul(c, b)
+                                     for b in d.coeffs]), None
+            return (c if d == self.one else self.ctx.mul(c, d)), l
+        return self.lift(c, k) * self.lift(d, l), None
+
+    def power(self, base, exponent: int):
+        c, k = base
+        if k == 0:
+            return _ring_power(self.ctx.mul, self.one, c, exponent), 0
+        if k is not None and c == self.one and self.plain():
+            return c, k * exponent
+        return self.lift(c, k) ** exponent, None

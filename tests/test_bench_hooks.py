@@ -66,9 +66,11 @@ def test_tracer_sees_the_product_kernel(monkeypatch):
     # call is still seen (the counts before the memo, pinned).  The operator
     # rows fill M_{k,n}(b) for every k < d up to the last n a product
     # needs: two recursion steps more than the product's own terms, three
-    # adds and three sigma/delta calls each
-    assert layers["rings.mul_calls"][0] == 11
-    assert layers["rings.add_calls"][0] == 45
+    # adds and three sigma/delta calls each.  t*x is built as the monomial,
+    # without the series product and its one mul and one add; nothing
+    # multiplies or raises x-powers, so sigma(1) and delta(1) are not asked
+    assert layers["rings.mul_calls"][0] == 10
+    assert layers["rings.add_calls"][0] == 44
     assert layers["rings.sigma_delta_calls"][0] == 26
 
 
@@ -82,10 +84,15 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     # as above, with 14 recursion steps for the full operator rows.  Each
     # step x + v*y of a row or column operation accumulates the terms of
     # v*y onto the coefficients of x, so it makes no slot-by-slot add after
-    # the product
-    assert layers["rings.mul_calls"][0] == 1059
-    assert layers["rings.add_calls"][0] == 1473
-    assert layers["rings.sigma_delta_calls"][0] == 311
+    # the product.  The entries fold their constants in R and build their
+    # c*x^k terms directly: 54 -> 23 muls and 148 -> 62 adds for the nine
+    # entries.  The five entries with x^2 or x^3 ask sigma(1) and delta(1)
+    # once each (delta calls sigma, so three counted calls each).  The
+    # operator rows of 1 that x*x used to fill (10 sigma/delta calls and 10
+    # adds) are now filled by the certificate's products instead
+    assert layers["rings.mul_calls"][0] == 1028
+    assert layers["rings.add_calls"][0] == 1397
+    assert layers["rings.sigma_delta_calls"][0] == 326
 
 
 @pytest.mark.parametrize("suite, counter", [

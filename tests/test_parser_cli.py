@@ -2,14 +2,16 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
 from conftest import BROKEN_PRESET
-from skewseries import (ExprError, SkewPoly, eval_expression, parse_expression,
-                        render_expression)
+from skewseries import (ExprError, SkewPoly, TruncatedSeries, eval_expression,
+                        parse_expression, render_expression)
 from skewseries.cli import main
-from skewseries.exprparse import MAX_DEGREE, Add, Const, Mul, Pow, Var, degree_bound
+from skewseries.exprparse import (MAX_DEGREE, MAX_DEPTH, Add, Const, Mul, Pow, Var,
+                                  degree_bound)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -113,6 +115,24 @@ class TestParser:
         with pytest.raises(ExprError, match="exponent overflow"):
             parse_expression("x^100000", z8)
 
+    def test_superscript_digit_is_not_a_number(self, z8):
+        # '²'.isdigit() holds but int() rejects it; numbers are isdecimal runs
+        with pytest.raises(ExprError) as err:
+            parse_expression("x^²", z8)
+        assert err.value.message == "unexpected character '²'"
+        assert err.value.column == 3
+        # other decimal digits are numbers, as int() reads them
+        assert parse_expression("x^\u0663", z8) == Pow(Var(), 3)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before Python 3.10.7")
+    def test_number_past_the_int_conversion_limit(self, z8):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        for text, column in ((digits, 1), (f"x^{digits}", 3)):
+            with pytest.raises(ExprError, match="number too long") as err:
+                parse_expression(text, z8)
+            assert err.value.column == column
+
     @pytest.mark.parametrize("text, bound", [
         ("3", 0), ("x^0", 0), ("-x^4", 4), ("3 - x^2*(x + 1)", 3),
         ("(t + x)^500", 500), ("(1+x)^512*(1+x)^512*(1+x)^512", 1536)])
@@ -152,7 +172,8 @@ class TestParser:
 
     @pytest.mark.parametrize("text", [
         "x*3 + 2*x^2", "x*t", "(x + t)*(x + t)", "-x + t*x^2", "1 + 2*t",
-        "x - (t + 1)", "-(x + t)*x", "2*t^2*x - x*t",
+        "x - (t + 1)", "-(x + t)*x", "2*t^2*x - x*t", "(x^2)^3", "-(x^2)^3",
+        "((x + t)^2)^2", "-(x^2)", "--x^2",
     ])
     def test_render_reparse_round_trip(self, f27, text):
         ast = parse_expression(text, f27)
@@ -168,6 +189,60 @@ class TestParser:
             f = random_poly(f27, 3, rng)
             reparsed = eval_expression(parse_expression(f.render(), f27), f27)
             assert reparsed == f
+
+
+def _deepest_trees():
+    """Trees of exactly MAX_DEPTH levels, one per kind of nesting."""
+    powers = "x"
+    for _ in range((MAX_DEPTH - 2) // 2):
+        powers = f"({powers})^1"  # a parenthesis and a power: two levels
+    return {
+        "parentheses": "(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        "minus": "-" * (MAX_DEPTH - 1) + "x",
+        "sum": "+".join(["x"] * MAX_DEPTH),
+        "product": "*".join(["x"] * MAX_DEPTH),
+        "powers": f"{powers}*2",
+    }
+
+
+class TestDepthBudget:
+    @pytest.mark.parametrize("kind", sorted(_deepest_trees()))
+    def test_deepest_tree_runs_everywhere(self, f27, kind):
+        assert sys.getrecursionlimit() <= 1000
+        node = parse_expression(_deepest_trees()[kind], f27)
+        assert degree_bound(node) <= MAX_DEPTH
+        poly = eval_expression(node, f27)
+        assert eval_expression(node, f27, 4) == TruncatedSeries.from_poly(poly, 4)
+        assert parse_expression(render_expression(node, f27), f27) == node
+
+    @pytest.mark.parametrize("kind, column", [
+        # the '(' that opens the 101st level, and the 100th operator of a chain
+        ("parentheses", MAX_DEPTH), ("minus", MAX_DEPTH),
+        ("sum", 2 * MAX_DEPTH), ("product", 2 * MAX_DEPTH)])
+    def test_one_level_deeper_exits_2(self, kind, column):
+        text = {"parentheses": "(" + _deepest_trees()["parentheses"] + ")",
+                "minus": "-" + _deepest_trees()["minus"],
+                "sum": _deepest_trees()["sum"] + "+x",
+                "product": _deepest_trees()["product"] + "*x"}[kind]
+        # '--' keeps a leading '-' from reading as an option
+        code, out, err = run_cli(["normalize", "--ring", "truncpoly:3:3:c=2", "--", text])
+        assert (code, out) == (2, "")
+        assert err == (f"error: syntax error: expression deeper than {MAX_DEPTH} "
+                       f"levels at column {column}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["normalize", "(" * 250 + "x" + ")" * 250, "--ring", "zmod:2^3"],
+        ["normalize", "+".join(["x"] * 1000), "--ring", "zmod:2^3"],
+        ["rank", "+".join(["1"] * 2000), "--ring", "zmod:2^3"]])
+    def test_deep_inputs_exit_2_without_a_traceback(self, argv):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert "deeper than" in err and "at column" in err
+
+    def test_towers_of_powers_stay_cheap_in_series(self, z8):
+        # x^(512^3) is the zero class of S/G_4, built without its coefficients
+        node = parse_expression("((x^512)^512)^512 + 1", z8)
+        assert eval_expression(node, z8, 4) == TruncatedSeries.one(z8, 4)
 
 
 class TestCliContract:
