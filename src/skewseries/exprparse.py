@@ -20,20 +20,19 @@ and rendering never recurse deeper than that.
 Evaluation goes by the shape of each node.  Elements are kept in left
 normal form sum a_i x^i, so a subtree without x is an element of R: it is
 folded with the ring's own operations and lifted once, which is exact
-because R -> S/G_N is a ring map with canonical representatives.  A term
-``c*x^k`` is already in normal form and is built directly, and a constant
-on the left of anything scales its coefficients.  Only the rest (right
-scalars, sums with x, other products, powers of non-monomials) goes
-through the SkewPoly/TruncatedSeries operators.
+because R -> S/G_N is a ring map with canonical representatives; a
+power of a constant squares and multiplies in R in the order of
+skewpoly._power.  A term ``c*x^k`` is already in normal form and is built
+directly.  Only the rest (a constant times anything else, right scalars,
+sums with x, other products, powers of non-monomials) goes through the
+SkewPoly/TruncatedSeries operators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rings import RingContext
 from .series import TruncatedSeries
-from .skewpoly import SkewPoly
+from .skewpoly import SkewPoly, _power
 
 MAX_EXPONENT = 512
 # largest x-degree bound an expression may have for evaluation in R[x];
@@ -52,43 +51,74 @@ class ExprError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Const:
-    payload: object
+class _Node:
+    """Base of the expression nodes: light __slots__ classes, compared,
+    hashed and shown by their class and fields as frozen dataclasses are.
+    Nodes are not changed after they are built."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+class Const(_Node):
+    __slots__ = _fields = ("payload",)
+
+    def __init__(self, payload):
+        self.payload = payload
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+class Var(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+class _Binary(_Node):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: object
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Pow(_Node):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base, exponent: int):
+        self.base = base
+        self.exponent = exponent
+
+
+class Neg(_Node):
+    __slots__ = _fields = ("child",)
+
+    def __init__(self, child):
+        self.child = child
 
 
 def _tokenize(text: str) -> list:
@@ -302,27 +332,14 @@ def eval_expression(node, ctx: RingContext, precision: int | None = None):
     two-sided ideal, so this is the class of the polynomial.  In R[x] the
     degree bound must be within MAX_DEGREE (ValueError otherwise).
 
-    Constant subtrees are folded in R and lifted once, ``x``, ``x^k`` and
-    ``c*x^k`` are built as the monomial c x^k, and a constant on the left
-    scales the coefficients of its right factor; everything else uses the
-    SkewPoly/TruncatedSeries operators."""
+    Constant subtrees are folded in R and lifted once, and ``x``, ``x^k``
+    and ``c*x^k`` are built as the monomial c x^k; everything else,
+    ``c*f`` for a non-monomial f included, uses the SkewPoly/TruncatedSeries
+    operators."""
     if precision is None:
         check_degree_budget(degree_bound(node))
     evaluator = _Evaluator(ctx, precision)
     return evaluator.lift(*evaluator.value(node))
-
-
-def _ring_power(mul, one, base, exponent: int):
-    """base^exponent in R, squaring and multiplying in the order of
-    skewpoly._power."""
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = mul(result, base)
-        exponent >>= 1
-        if exponent:
-            base = mul(base, base)
-    return result
 
 
 class _Evaluator:
@@ -385,20 +402,14 @@ class _Evaluator:
 
     def product(self, left, right):
         (c, k), (d, l) = left, right
-        if k == 0:
-            if l is None:
-                # the closed formula for a degree-0 left factor c gives
-                # c * b for each coefficient b of the right factor
-                mul, zero = self.ctx.mul, self.zero
-                return self.element([zero if b == zero else mul(c, b)
-                                     for b in d.coeffs]), None
+        if k == 0 and l is not None:
             return (c if d == self.one else self.ctx.mul(c, d)), l
         return self.lift(c, k) * self.lift(d, l), None
 
     def power(self, base, exponent: int):
         c, k = base
         if k == 0:
-            return _ring_power(self.ctx.mul, self.one, c, exponent), 0
+            return _power(self.one, c, exponent, self.ctx.mul), 0
         if k is not None and c == self.one and self.plain():
             return c, k * exponent
         return self.lift(c, k) ** exponent, None

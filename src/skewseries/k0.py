@@ -37,6 +37,13 @@ each entry is checked and trimmed once, each coefficient of an entry of the
 right factor has its operator row looked up once for every row, and each
 slot of an entry is summed unreduced and reduced once, which gives the same
 class as reducing every partial sum.
+
+Most entries these kernels see are zero, so a zero entry costs nothing:
+the products with a zero factor are skipped on both bases (keeping the
+order of the others), a zero entry of the right factor over S/G_N gets no
+kernel pass, and the outputs that no product reaches share one zero (over
+S/G_N, one zero class per product).  Every entry, zero or not, is still
+checked against the base.
 """
 
 from __future__ import annotations
@@ -93,29 +100,51 @@ class BaseScalars(_Scalars):
 
     def mul_add_left(self, v, ys, xs=None):
         """[x + v*y for x, y in zip(xs, ys)], or [v*y] with no xs; entry by
-        entry, the product first."""
-        if xs is None:
-            return [self.mul(v, y) for y in ys]
-        return [self.add(x, self.mul(v, y)) for x, y in zip(xs, ys)]
+        entry, the product first.  A product with a zero factor is skipped:
+        its entry is x (zero, with no xs)."""
+        return self._mul_add(v, ys, xs, False)
 
     def mul_add_right(self, v, ys, xs=None):
-        """[x + y*v for x, y in zip(xs, ys)], or [y*v] with no xs."""
+        """[x + y*v for x, y in zip(xs, ys)], or [y*v] with no xs, skipping
+        the products with a zero factor as mul_add_left does."""
+        return self._mul_add(v, ys, xs, True)
+
+    def _mul_add(self, v, ys, xs, v_right):
+        zero = self.ctx.zero()
         if xs is None:
-            return [self.mul(y, v) for y in ys]
-        return [self.add(x, self.mul(y, v)) for x, y in zip(xs, ys)]
+            xs = [zero] * len(ys)
+            add = None
+        else:
+            add = self.add
+        if v == zero:
+            return list(xs)
+        mul = self.mul
+        out = []
+        for x, y in zip(xs, ys):
+            if y != zero:
+                p = mul(y, v) if v_right else mul(v, y)
+                x = p if add is None else add(x, p)
+            out.append(x)
+        return out
 
     def mat_mul(self, a, b):
-        """a * b, each entry the fold acc = acc + x*y over a row and a column."""
+        """a * b, each entry the fold acc = acc + x*y over a row and a column,
+        in the order of the column, skipping every product with a zero
+        factor: it adds nothing.  The entries that no product reaches are
+        all the one zero of the ring."""
         add, mul = self.ctx.add, self.ctx.mul
         zero = self.ctx.zero()
-        cols = tuple(zip(*b))
+        cols = [[(p, y) for p, y in enumerate(col) if y != zero] for col in zip(*b)]
         out = []
         for row in a:
+            row = [None if x == zero else x for x in row]
             out_row = []
             for col in cols:
                 acc = zero
-                for x, y in zip(row, col):
-                    acc = add(acc, mul(x, y))
+                for p, y in col:
+                    x = row[p]
+                    if x is not None:
+                        acc = add(acc, mul(x, y))
                 out_row.append(acc)
             out.append(tuple(out_row))
         return tuple(out)

@@ -50,15 +50,28 @@ class TruncatedSeries:
     def __init__(self, ctx: RingContext, precision: int, coeffs):
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        coeffs = tuple(coeffs)[:precision]
-        coeffs += (ctx.zero(),) * (precision - len(coeffs))
-        self.ctx = ctx
-        self.precision = precision
+        coeffs = list(coeffs)[:precision]
+        coeffs += [ctx.zero()] * (precision - len(coeffs))
+        self._reduce_into(ctx, precision, coeffs)
+
+    @classmethod
+    def _from_slots(cls, ctx: RingContext, precision: int, slots: list):
+        """The class of sum slots[i] x^i, for a list of exactly ``precision``
+        unreduced coefficients that it takes over: the constructor of the
+        kernel outputs, without the public one's copy, cut and padding."""
+        self = object.__new__(cls)
+        self._reduce_into(ctx, precision, slots)
+        return self
+
+    def _reduce_into(self, ctx, precision, slots):
         # slot i is taken mod I^(N-i), and I^k = 0 once k reaches the
         # nilpotency, so only the slots with N - i below it are reduced
-        nil, reduce = ctx.radical_nilpotency, ctx._reduce
-        self.coeffs = tuple([c if precision - i >= nil else reduce(c, precision - i)
-                             for i, c in enumerate(coeffs)])
+        reduce = ctx._reduce
+        for i in range(max(precision - ctx.radical_nilpotency + 1, 0), precision):
+            slots[i] = reduce(slots[i], precision - i)
+        self.ctx = ctx
+        self.precision = precision
+        self.coeffs = tuple(slots)
 
     @classmethod
     def from_poly(cls, f: SkewPoly, precision: int) -> "TruncatedSeries":
@@ -91,12 +104,12 @@ class TruncatedSeries:
 
     def __add__(self, other):
         _check_compat(self.ctx, self.precision, other)
-        return TruncatedSeries(
+        return TruncatedSeries._from_slots(
             self.ctx, self.precision,
             [self.ctx.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return TruncatedSeries(
+        return TruncatedSeries._from_slots(
             self.ctx, self.precision, [self.ctx.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
@@ -111,7 +124,7 @@ class TruncatedSeries:
         nilpotency); the kernel skips them, checks that they vanish, and
         skips the terms whose monomial operator value is zero."""
         _check_compat(self.ctx, self.precision, other)
-        return TruncatedSeries(
+        return TruncatedSeries._from_slots(
             self.ctx, self.precision,
             _closed_product(self.ctx, self.coeffs, other.coeffs, self.precision))
 
@@ -170,13 +183,16 @@ def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
     """a * b for matrices of classes in S/G_N, as one pass of the block
     kernel (skewpoly._block_product).
 
-    Each entry of a and b is checked against S/G_N once, the kernel trims
-    it once and looks up the operator row of each coefficient of each entry
-    of b once for every row of a.  The unreduced products of a row and a column
-    are summed slot by slot and each slot is reduced once.  That is the
-    class the fold of + and * gives: the canonical representative mod I^k
-    does not depend on whether the summands were reduced first, and the
-    ring multiplications are the same ones."""
+    Each entry of a and b, zero or not, is checked against S/G_N once.  The
+    kernel trims each entry once, skips the zero ones, and looks up the
+    operator row of each coefficient of each nonzero entry of b once for
+    every row.  The unreduced products of a row and a column are summed
+    slot by slot and each slot is reduced once.  That is the class the fold
+    of + and * gives: a product with a zero factor adds nothing, the
+    canonical representative mod I^k does not depend on whether the
+    summands were reduced first, and the ring multiplications are the same
+    ones.  The outputs that no pair of nonzero entries reaches share one
+    zero class."""
     for m in (a, b):
         for row in m:
             for x in row:
@@ -184,8 +200,16 @@ def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
     out = _block_product(ctx, [[x.coeffs for x in row] for row in a],
                          [[y.coeffs for y in col] for col in zip(*b)],
                          precision)
-    return tuple(tuple(TruncatedSeries(ctx, precision, c) for c in row)
-                 for row in out)
+    build, zero = TruncatedSeries._from_slots, None
+    for row in out:
+        for c, slots in enumerate(row):
+            if slots is not None:
+                row[c] = build(ctx, precision, slots)
+            else:
+                if zero is None:
+                    zero = TruncatedSeries.zero(ctx, precision)
+                row[c] = zero
+    return tuple(map(tuple, out))
 
 
 def mul_add(ctx: RingContext, precision: int, v, others, addends=None,
@@ -214,17 +238,16 @@ def mul_add(ctx: RingContext, precision: int, v, others, addends=None,
             acc = [zero] * precision if addends is None else list(out[idx].coeffs)
             built.append(idx)
             partners.append((y.coeffs, la, acc))
-    if v_right:
-        if partners:
+    lv = _trimmed_length(v.coeffs, zero)
+    if lv and partners:
+        if v_right:
             _add_products(ctx, d, partners, max(la for _, la, _ in partners),
-                          v.coeffs, precision)
-    else:
-        lv = _trimmed_length(v.coeffs, zero)
-        if lv:
-            for gb, _, acc in partners:
-                _add_products(ctx, d, ((v.coeffs, lv, acc),), lv, gb, precision)
+                          v.coeffs, lv, precision)
+        else:
+            for gb, lb, acc in partners:
+                _add_products(ctx, d, ((v.coeffs, lv, acc),), lv, gb, lb, precision)
     for idx, (_, _, acc) in zip(built, partners):
-        out[idx] = TruncatedSeries(ctx, precision, acc)
+        out[idx] = TruncatedSeries._from_slots(ctx, precision, acc)
     return out
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 
 from .report import CheckReport
@@ -132,11 +133,13 @@ def _operator_rows(ctx: RingContext, d: int, b, top: int) -> list:
 
 
 def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
-                  length: int):
+                  lb: int, length: int):
     """acc[m] += coeff_m(f * g) for m < ``length`` and every partner
     (f, la, acc) of the right factor g = sum b_i x^i, where la is the
-    length of f = sum a_j x^j without its trailing zeros and width the
-    largest la.  This is the one loop of the closed formula
+    length of f = sum a_j x^j without its trailing zeros, width the
+    largest la and lb the length of g without its trailing zeros.  The
+    callers trim each factor once and call only when la and lb are both
+    nonzero.  This is the one loop of the closed formula
         coeff_m(f*g) = sum_{n+i=m} sum_{j>=n} a_j M_{j-n,n}(b_i)
     behind every product (_closed_product, _block_product).
 
@@ -154,7 +157,7 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
     add, mul = ctx.add, ctx.mul
     verified = ctx._mkl_vanishing.setdefault(d, {})
     table = ctx._mkl_rows.setdefault(d, {})
-    for i in range(min(_trimmed_length(gb, zero), length)):
+    for i in range(min(lb, length)):
         b = gb[i]
         if b == zero:
             continue
@@ -192,9 +195,9 @@ def _closed_product(ctx: RingContext, fa, gb, length: int) -> list:
     unreduced: _block_product on a 1x1 block, without the block set-up."""
     zero = ctx.zero()
     out = [zero] * length
-    la = _trimmed_length(fa, zero)
-    if la:
-        _add_products(ctx, ctx.mkl_depth(), ((fa, la, out),), la, gb, length)
+    la, lb = _trimmed_length(fa, zero), _trimmed_length(gb, zero)
+    if la and lb:
+        _add_products(ctx, ctx.mkl_depth(), ((fa, la, out),), la, gb, lb, length)
     return out
 
 
@@ -202,42 +205,59 @@ def _block_product(ctx: RingContext, rows, cols, length: int) -> list:
     """out[r][c], the first ``length`` coefficients of
     sum_p rows[r][p] * cols[c][p], unreduced, for coefficient tuples of
     skew polynomials: one pass of the closed formula (_add_products) per
-    right factor cols[c][p], shared by every row.
+    nonzero right factor cols[c][p], shared by every row whose factor
+    rows[r][p] is nonzero.  out[r][c] is None when no p has both factors
+    nonzero, so an output without terms costs no accumulator.
 
     Per product, not per pair: each factor is trimmed of its trailing zeros
     once, ctx.mkl_depth() is read once, and the operator row of each
-    right-factor coefficient is looked up once for all rows.  Each
+    right-factor coefficient is looked up once for all rows.  A zero factor
+    adds no term to any slot, so skipping it leaves every ring call, every
+    operator row and every vanishing check of the pairwise products.  Each
     output slot sums its terms in the order of the pairwise products: p,
     then i, n and j."""
     zero = ctx.zero()
     d = ctx.mkl_depth()
-    out = [[[zero] * length for _ in cols] for _ in rows]
+    out = [[None] * len(cols) for _ in rows]
     for p in range(len(rows[0]) if rows else 0):
         partners = []
         for row, out_row in zip(rows, out):
-            la = _trimmed_length(row[p], zero)
+            f = row[p]
+            la = _trimmed_length(f, zero)
             if la:
-                partners.append((row[p], la, out_row))
+                partners.append((f, la, out_row))
         if not partners:
             continue
         width = max(la for _, la, _ in partners)
         for c, col in enumerate(cols):
-            _add_products(ctx, d, [(f, la, out_row[c]) for f, la, out_row in partners],
-                          width, col[p], length)
+            gb = col[p]
+            lb = _trimmed_length(gb, zero)
+            if not lb:
+                continue
+            group = []
+            for f, la, out_row in partners:
+                acc = out_row[c]
+                if acc is None:
+                    acc = out_row[c] = [zero] * length
+                group.append((f, la, acc))
+            _add_products(ctx, d, group, width, gb, lb, length)
     return out
 
 
-def _power(one, base, exponent: int):
-    """base^exponent by square-and-multiply, starting from ``one``."""
+def _power(one, base, exponent: int, mul=operator.mul):
+    """base^exponent by square-and-multiply, starting from ``one``: the
+    result is multiplied by the base on the right, then the base squared.
+    ``mul`` is the product, ``*`` unless given (the ring's own mul folds
+    powers of elements of R)."""
     if exponent < 0:
         raise ValueError("negative exponents are not defined")
     result = one
     while exponent:
         if exponent & 1:
-            result = result * base
+            result = mul(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = mul(base, base)
     return result
 
 

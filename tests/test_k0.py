@@ -378,6 +378,23 @@ def _pairwise_products(scalars, a, b):
                     TruncatedSeries(ctx, precision, y.coeffs)
 
 
+def _count_constructions(monkeypatch, counts):
+    """Count in counts["series"] every TruncatedSeries built, by the public
+    constructor or by the kernels' reduce-only one (_from_slots)."""
+    plain_init, plain_from_slots = TruncatedSeries.__init__, TruncatedSeries._from_slots
+
+    def counted_init(self, *args):
+        counts["series"] += 1
+        plain_init(self, *args)
+
+    def counted_from_slots(cls, *args):
+        counts["series"] += 1
+        return plain_from_slots(*args)
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", counted_init)
+    monkeypatch.setattr(TruncatedSeries, "_from_slots", classmethod(counted_from_slots))
+
+
 class TestFusedMatMul:
     @pytest.mark.parametrize("precision", (None,) + tuple(range(1, 9)))
     @pytest.mark.parametrize("preset", DOT_PRESETS)
@@ -412,18 +429,22 @@ class TestFusedMatMul:
         ("context", "ring context mismatch")])
     def test_series_entries_must_share_the_base(self, z8, f27, where, wrong,
                                                  message):
-        # where = (in b?, row, column) of the one foreign entry
+        # where = (in b?, row, column) of the one foreign entry.  With every
+        # entry zero, the foreign one too, the kernel skips them all and
+        # only the check sees them
         scalars = SeriesScalars(f27, 3)
-        foreign = (TruncatedSeries.one(f27, 4) if wrong == "precision"
-                   else TruncatedSeries.one(z8, 3))
-        matrices = [[[scalars.one()] * 2 for _ in range(2)] for _ in range(2)]
-        side, i, j = where
-        matrices[side][i][j] = foreign
-        a, b = (tuple(map(tuple, m)) for m in matrices)
-        with pytest.raises(ValueError, match=message):
-            mat_mul(scalars, a, b)
-        with pytest.raises(ValueError, match=message):
-            IdempotentMatrix(scalars, matrices[side])
+        for fill in ("one", "zero"):
+            make = getattr(TruncatedSeries, fill)
+            foreign = make(f27, 4) if wrong == "precision" else make(z8, 3)
+            entry = getattr(scalars, fill)()
+            matrices = [[[entry] * 2 for _ in range(2)] for _ in range(2)]
+            side, i, j = where
+            matrices[side][i][j] = foreign
+            a, b = (tuple(map(tuple, m)) for m in matrices)
+            with pytest.raises(ValueError, match=message):
+                mat_mul(scalars, a, b)
+            with pytest.raises(ValueError, match=message):
+                IdempotentMatrix(scalars, matrices[side])
 
     def test_series_product_builds_each_entry_once(self, monkeypatch):
         # a fresh context, since its mul is counted by an instance override
@@ -434,12 +455,8 @@ class TestFusedMatMul:
         a = _random_matrix(scalars, 6, 6, rng)
         b = _random_matrix(scalars, 6, 6, rng)
         counts = {"series": 0, "mul": 0, "mkl": 0}
-        plain_init, plain_mul = TruncatedSeries.__init__, ctx.mul
+        plain_mul = ctx.mul
         plain_mkl = skewpoly.monomial_operator_apply
-
-        def counted_init(self, *args):
-            counts["series"] += 1
-            plain_init(self, *args)
 
         def counted_mul(x, y):
             counts["mul"] += 1
@@ -450,7 +467,7 @@ class TestFusedMatMul:
             return plain_mkl(*args)
 
         ctx.mul = counted_mul
-        monkeypatch.setattr(TruncatedSeries, "__init__", counted_init)
+        _count_constructions(monkeypatch, counts)
         monkeypatch.setattr(skewpoly, "monomial_operator_apply", counted_mkl)
         fused = mat_mul(scalars, a, b)
         fused_counts = dict(counts)
@@ -462,6 +479,131 @@ class TestFusedMatMul:
         # rows of a: one recursion call per row build or extension and per
         # vanishing check
         assert fused_counts["mkl"] == 87
+
+
+SPARSE_PRECISIONS = (None,) + tuple(range(1, 13))
+
+
+def _sparse_factors(scalars, rng):
+    """Pairs (a, b) for a * b whose entries are mostly zero: zero matrices,
+    identities and permutations, a zero row or column, a single nonzero
+    entry, then n x k by k x m factors for n = 1..8 at mixed densities."""
+    zero, one = scalars.zero(), scalars.one()
+
+    def dense(rows, cols, density=2 / 3):
+        return tuple(tuple(scalars.sample(rng) if rng.random() < density else zero
+                           for _ in range(cols)) for _ in range(rows))
+
+    def single(n, i, j):
+        x = scalars.sample(rng)
+        while x == zero:
+            x = scalars.sample(rng)
+        return tuple(tuple(x if (r, c) == (i, j) else zero for c in range(n))
+                     for r in range(n))
+
+    n = 3
+    m = dense(n, n)
+    perm = rng.sample(range(n), n)
+    permutation = tuple(tuple(one if c == perm[r] else zero for c in range(n))
+                         for r in range(n))
+    empty = tuple((zero,) * n for _ in range(n))
+    zero_row = tuple(empty[0] if r == 1 else row for r, row in enumerate(dense(n, n)))
+    zero_col = tuple(tuple(zero if c == 2 else x for c, x in enumerate(row))
+                     for row in dense(n, n))
+    yield empty, empty
+    yield empty, m
+    yield m, empty
+    yield mat_identity(scalars, n), m
+    yield m, mat_identity(scalars, n)
+    yield permutation, m
+    yield m, permutation
+    yield zero_row, m
+    yield m, zero_col
+    yield zero_col, zero_row
+    yield single(n, 0, 2), m
+    yield m, single(n, 1, 0)
+    yield single(n, 0, 2), single(n, 2, 1)
+    for n in range(1, 9):
+        inner, cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice((0.25, 0.5, 0.9))
+        yield dense(n, inner, density), dense(inner, cols, density)
+
+
+class TestSparseMatMul:
+    """The matrix kernels skip zero entries; they must still give the
+    schoolbook product, and over S/G_N leave the operator rows, vanishing
+    checks and memo of the products one pair of entries at a time."""
+
+    @pytest.mark.parametrize("preset", DOT_PRESETS)
+    def test_matches_schoolbook(self, preset, monkeypatch):
+        ctx, ref = parse_ring_preset(preset), parse_ring_preset(preset)
+        calls, ref_calls = [], []
+        _record_ring_calls(ctx, calls)
+        _record_ring_calls(ref, ref_calls)
+        kernel_calls = []
+        plain_kernel = skewpoly._add_products
+
+        def counted_kernel(c, d, partners, width, gb, lb, length):
+            if c is ctx:
+                kernel_calls.append((gb, lb, [la for _, la, _ in partners]))
+            plain_kernel(c, d, partners, width, gb, lb, length)
+
+        monkeypatch.setattr(skewpoly, "_add_products", counted_kernel)
+        for precision in SPARSE_PRECISIONS:
+            scalars = _scalars_on(ctx, precision)
+            ref_scalars = _scalars_on(ref, precision)
+            rng = random.Random(f"{preset}/{precision}/sparse")
+            for a, b in _sparse_factors(scalars, rng):
+                del calls[:], ref_calls[:], kernel_calls[:]
+                fused = mat_mul(scalars, a, b)
+                plain = schoolbook_mat_mul(ref_scalars, _moved(a, ref_scalars),
+                                           _moved(b, ref_scalars))
+                assert fused == plain
+                zero = scalars.zero()
+                # an output that no pair of nonzero entries reaches is zero
+                reached = {(r, c) for r, row in enumerate(a)
+                           for c, col in enumerate(zip(*b))
+                           if any(x != zero and y != zero for x, y in zip(row, col))}
+                empty = [fused[r][c] for r in range(len(a)) for c in range(len(b[0]))
+                         if (r, c) not in reached]
+                assert all(x == zero for x in empty)
+                if precision is None:
+                    # the fold of each entry keeps its order and its ring
+                    # calls, but for the products with a zero factor
+                    assert calls == _without_zero_products(ref_calls, ctx.zero())
+                    continue
+                # ... and over S/G_N they share one zero class, and the
+                # kernel runs once per nonzero right-factor entry that
+                # meets a nonzero left-factor entry, with nonzero partners
+                assert all(x is empty[0] for x in empty)
+                assert all(lb > 0 and all(partners) for _, lb, partners in kernel_calls)
+                assert len(kernel_calls) == sum(
+                    1 for p in range(len(b)) for y in b[p]
+                    if y != zero and any(row[p] != zero for row in a))
+        assert ctx._mkl_rows == ref._mkl_rows
+        assert ctx._mkl_vanishing == ref._mkl_vanishing
+        assert ctx._mkl_cache.keys() == ref._mkl_cache.keys()
+        assert_rows_read_the_memo(ctx)
+
+    def test_builds_each_reached_entry_once(self, monkeypatch):
+        ctx = parse_ring_preset("truncpoly:3:3:c=2")
+        scalars = SeriesScalars(ctx, 5)
+        zero = scalars.zero()
+        rng = random.Random(97)
+        units = [k0._sample_unit(scalars, rng) for _ in range(32)]
+        # row 2 of a and column 1 of b are zero, every other entry a unit:
+        # 7 of 16 outputs get no term
+        a = tuple(tuple(zero if r == 2 else units[4 * r + c] for c in range(4))
+                  for r in range(4))
+        b = tuple(tuple(zero if c == 1 else units[16 + 4 * r + c] for c in range(4))
+                  for r in range(4))
+        counts = {"series": 0}
+        _count_constructions(monkeypatch, counts)
+        out = mat_mul(scalars, a, b)
+        # nine reduced outputs and one zero class shared by the others
+        assert counts["series"] == 9 + 1
+        assert len({id(out[r][c]) for r in range(4) for c in range(4)
+                    if r == 2 or c == 1}) == 1
 
 
 class OracleElementaryOps(k0._ElementaryOps):
@@ -531,6 +673,23 @@ def _record_ring_calls(ctx, calls):
         setattr(ctx, name, logged)
 
 
+def _without_zero_products(calls, zero):
+    """The oracle's ring calls over R without each product that has a zero
+    factor and the sum that adds its value: in the oracle's steps a sum
+    follows its product at once, and a scaling has no sum."""
+    kept, dropped = [], False
+    for name, args in calls:
+        if name == "mul" and zero in args:
+            dropped = True
+            continue
+        if name == "add" and dropped:
+            assert args[1] == zero
+        else:
+            kept.append((name, args))
+        dropped = False
+    return kept
+
+
 def _assert_same_memo(ctx, ref):
     """The fused steps extend each operator row as far as the oracle's
     products one by one, and check the same vanishing."""
@@ -551,11 +710,7 @@ class TestFusedElementaryOps:
         i, j = 1, 3
         counts = {"series": 0, "ctx": 0, "ref": 0}
         partners = []
-        plain_init, plain_kernel = TruncatedSeries.__init__, series._add_products
-
-        def counted_init(self, *args):
-            counts["series"] += 1
-            plain_init(self, *args)
+        plain_kernel = series._add_products
 
         def counted_kernel(ctx, d, group, *args):
             partners.append(len(group))
@@ -572,7 +727,7 @@ class TestFusedElementaryOps:
         ops = k0._ElementaryOps(scalars, rows=(fused_u,), cols=(fused_w,))
         oracle = OracleElementaryOps(ref_scalars, rows=(plain_u,), cols=(plain_w,))
         ref_v = TruncatedSeries(ref, 4, v.coeffs)
-        monkeypatch.setattr(TruncatedSeries, "__init__", counted_init)
+        _count_constructions(monkeypatch, counts)
         monkeypatch.setattr(series, "_add_products", counted_kernel)
         ops.add(i, j, v)
         built = counts["series"]
@@ -598,7 +753,8 @@ class TestFusedElementaryOps:
             rng = random.Random(f"{preset}/{precision}")
             calls, ref_calls = [], []
             if precision is None:
-                # over R the same ring calls run, in the same order
+                # over R the same ring calls run, in the same order, but for
+                # the products with a zero factor
                 _record_ring_calls(ctx, calls)
                 _record_ring_calls(ref, ref_calls)
             for n in range(1, 7):
@@ -627,7 +783,7 @@ class TestFusedElementaryOps:
                         oracle.scale(i, *ref_args)
                     assert (fa, fu, fw) == (pa, pu, pw)
             if precision is None:
-                assert calls == ref_calls
+                assert calls == _without_zero_products(ref_calls, ctx.zero())
                 del ctx.add, ctx.mul, ctx.neg, ref.add, ref.mul, ref.neg
         _assert_same_memo(ctx, ref)
 
