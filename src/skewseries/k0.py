@@ -25,8 +25,8 @@ I + E_{ji} is used first to drag such a unit onto the diagonal.
 Each pivot step is applied as elementary row and column operations on e, U
 and U^-1, O(n^3) in all; the certificate is still re-verified by plain
 matrix multiplication, with every identity checked in full.  Each step
-x + v*y of an operation goes through the base's mul_add_left (row) or
-mul_add_right (column).  Over R that is the base's add after its mul.
+x + v*y of an operation goes through the base's mul_add, with v_right for
+a column.  Over R that is the base's add after its mul.
 Over S/G_N it is one pass of the product kernel that accumulates onto the
 coefficients of x and reduces each changed entry once (series.mul_add); a
 column step is one pass for the whole column, which fetches the operator
@@ -98,18 +98,11 @@ class BaseScalars(_Scalars):
     def mul(self, a, b):
         return self.ctx.mul(a, b)
 
-    def mul_add_left(self, v, ys, xs=None):
-        """[x + v*y for x, y in zip(xs, ys)], or [v*y] with no xs; entry by
-        entry, the product first.  A product with a zero factor is skipped:
-        its entry is x (zero, with no xs)."""
-        return self._mul_add(v, ys, xs, False)
-
-    def mul_add_right(self, v, ys, xs=None):
-        """[x + y*v for x, y in zip(xs, ys)], or [y*v] with no xs, skipping
-        the products with a zero factor as mul_add_left does."""
-        return self._mul_add(v, ys, xs, True)
-
-    def _mul_add(self, v, ys, xs, v_right):
+    def mul_add(self, v, ys, xs=None, v_right=False):
+        """[x + v*y for x, y in zip(xs, ys)], or [v*y] with no xs, and
+        [x + y*v] (or [y*v]) with v_right; entry by entry, the product
+        first.  A product with a zero factor is skipped: its entry is x
+        (zero, with no xs)."""
         zero = self.ctx.zero()
         if xs is None:
             xs = [zero] * len(ys)
@@ -191,17 +184,12 @@ class SeriesScalars(_Scalars):
     def mul(self, a, b):
         return a * b
 
-    def mul_add_left(self, v, ys, xs=None):
+    def mul_add(self, v, ys, xs=None, v_right=False):
         """[x + v*y for x, y in zip(xs, ys)], or [v*y] with no xs: one pass
-        of the product kernel per entry, onto the coefficients of x
-        (series.mul_add)."""
-        return mul_add(self.ctx, self.precision, v, ys, xs)
-
-    def mul_add_right(self, v, ys, xs=None):
-        """[x + y*v for x, y in zip(xs, ys)], or [y*v] with no xs: one pass
-        of the product kernel for all entries, which share the right factor
-        v (series.mul_add)."""
-        return mul_add(self.ctx, self.precision, v, ys, xs, v_right=True)
+        of the product kernel per entry, onto the coefficients of x.  With
+        v_right, [x + y*v] (or [y*v]): one pass for all entries, which share
+        the right factor v (series.mul_add)."""
+        return mul_add(self.ctx, self.precision, v, ys, xs, v_right)
 
     def mat_mul(self, a, b):
         """a * b in one pass of the series block kernel (matrix_product)."""
@@ -345,8 +333,8 @@ class _ElementaryOps:
     g^-1 on the right.  Entries need not commute, so row operations multiply
     from the left and column operations from the right.
 
-    A row step is one call of the base's mul_add_left per matrix, a column
-    step one call of mul_add_right on the column of every matrix in cols.
+    A row step is one call of the base's mul_add per matrix, a column step
+    one call of mul_add with v_right on the column of every matrix in cols.
     Over R these fold through the base's add and mul entry by entry.  Over
     S/G_N each is one pass of the product kernel that accumulates onto the
     coefficients of the entries it changes, and the column step shares the
@@ -363,10 +351,10 @@ class _ElementaryOps:
             return
         s = self.scalars
         for m in self.rows:
-            m[i] = s.mul_add_left(v, m[j], m[i])
+            m[i] = s.mul_add(v, m[j], m[i])
         cells = [row for m in self.cols for row in m]
-        column = s.mul_add_right(s.neg(v), [row[i] for row in cells],
-                                 [row[j] for row in cells])
+        column = s.mul_add(s.neg(v), [row[i] for row in cells],
+                           [row[j] for row in cells], v_right=True)
         for row, x in zip(cells, column):
             row[j] = x
 
@@ -374,9 +362,10 @@ class _ElementaryOps:
         """g = I + (c - 1) E_ii, c a unit: row_i = c*row_i, col_i = col_i*c^-1."""
         s = self.scalars
         for m in self.rows:
-            m[i] = s.mul_add_left(c, m[i])
+            m[i] = s.mul_add(c, m[i])
         cells = [row for m in self.cols for row in m]
-        for row, x in zip(cells, s.mul_add_right(c_inv, [row[i] for row in cells])):
+        column = s.mul_add(c_inv, [row[i] for row in cells], v_right=True)
+        for row, x in zip(cells, column):
             row[i] = x
 
     def swap(self, i, j):

@@ -70,8 +70,11 @@ class RingContext:
     Subclasses fix the element encoding, the primitive operations and the
     closed forms of the ideal structure; this base memoizes them, checks
     the nilpotency index on the generators and verifies every inverse.
-    Instances are logically immutable (internal caches are fill-once) and
-    safe to share between threads.
+    Instances are logically immutable and safe to share between threads:
+    an internal cache entry is stored whole and never changed in place,
+    and any value stored for a key is correct for it (an operator row may
+    be replaced by a longer prefix of the same row, or by a shorter one
+    from another thread), so a reader always sees a whole, correct value.
     """
 
     name: str
@@ -86,11 +89,10 @@ class RingContext:
         self._is_local = None
         self._mkl_cache = {}
         # depth d -> {b: rows, rows[n] the (k, M_{k,n}(b)) with k < d and a
-        # nonzero value}, read from _mkl_cache by the product kernel
+        # nonzero value, admitted once M_{d,n}(b) = 0 is checked}, read
+        # from _mkl_cache by the product kernel
         self._mkl_rows = {}
         self._family_mkl_depth = None
-        # depth d -> {b: largest l with M_{d,l'}(b) = 0 checked for l' <= l}
-        self._mkl_vanishing = {}
 
     # -- primitive operations (subclass responsibility) ------------------
 
@@ -280,8 +282,9 @@ class RingContext:
         """Depth at which the monomial operators vanish: M_{k,l} = 0 for
         every k >= d and every l.  The family's closed form, computed on
         first use, clamped at the radical nilpotency.  The product kernels
-        cut at d and check the cut per product (skewpoly._check_vanishing);
-        the mkl-oracle suite checks it against the word enumeration."""
+        cut at d, and an operator row admits n only once M_{d,n}(b) = 0 is
+        checked (skewpoly._operator_rows); the mkl-oracle suite checks it
+        against the word enumeration."""
         if self._family_mkl_depth is None:
             self._family_mkl_depth = self._mkl_depth()
         return min(self.radical_nilpotency, self._family_mkl_depth)

@@ -121,8 +121,9 @@ class TruncatedSeries:
         (skewpoly._closed_product).  Terms whose monomial operator carries
         at least d = ctx.mkl_depth() delta factors vanish (delta is
         sigma-nilpotent; d is 1 on zmod and at most the radical
-        nilpotency); the kernel skips them, checks that they vanish, and
-        skips the terms whose monomial operator value is zero."""
+        nilpotency); the kernel skips them, and the terms whose monomial
+        operator value is zero, reading only the operator rows, each of
+        which checks that the terms it leaves out vanish."""
         _check_compat(self.ctx, self.precision, other)
         return TruncatedSeries._from_slots(
             self.ctx, self.precision,

@@ -11,14 +11,15 @@ product routes are provided so they can be cross-validated:
   with M computed by the recursion
       M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1},   M_{0,0} = id
   summed only over j - n < d, d = ctx.mkl_depth() the least depth with
-  M_{d,l} = 0 for every l, so the other terms vanish (checked per
-  product, not assumed), and over the terms whose M value is nonzero.
-  The nonzero values come from operator rows: rows[n] of a coefficient b
-  is the tuple of (k, M_{k,n}(b)) with k < d and a nonzero value, ordered
-  by k.  The rows of each b are kept per context in ctx._mkl_rows, keyed
-  by d, read from the recursion's memo (ctx._mkl_cache), built on first
-  use and extended when a product needs a larger n; they hold only the
-  nonzero values, so never more entries than the memo.  One block kernel
+  M_{d,l} = 0 for every l, so the other terms vanish, and over the terms
+  whose M value is nonzero.  The nonzero values come from operator rows:
+  rows[n] of a coefficient b is the tuple of (k, M_{k,n}(b)) with k < d
+  and a nonzero value, ordered by k, and it is admitted only once
+  M_{d,n}(b) = 0 is checked, so the cut is checked, not assumed.  The
+  rows of each b are kept per context in ctx._mkl_rows, keyed by d, read
+  from the recursion's memo (ctx._mkl_cache), built on first use and
+  extended when a product needs a larger n; they hold only the nonzero
+  values, so never more entries than the memo.  One block kernel
   (:func:`_block_product`) evaluates the formula for a whole row-by-column
   block of factors, as matrix products over S/G_N need: the operator row
   of each right-factor coefficient is looked up once for every row, and a
@@ -88,47 +89,40 @@ def monomial_operator_apply(ctx: RingContext, k: int, l: int, a):
     return cache[(k, l, a)]
 
 
-def _check_vanishing(ctx: RingContext, b, l: int):
-    """Assert M_{d,l'}(b) = 0 for every l' <= l, d = ctx.mkl_depth().  The
-    recursion M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1} then makes
-    every M_{k,l'}(b) with k > d vanish as well, so the terms a product
-    skips are zero.  The context remembers the largest l checked for each
-    b, so each (b, l) is checked once per context and depth."""
-    d = ctx.mkl_depth()
-    verified = ctx._mkl_vanishing.setdefault(d, {})
-    done = verified.get(b, -1)
-    if done >= l:
-        return
-    zero = ctx.zero()
-    for ll in range(done + 1, l + 1):
-        if monomial_operator_apply(ctx, d, ll, b) != zero:
-            raise AssertionError(
-                f"sigma-nilpotence bound violated: M_{{{d},{ll}}}"
-                f"({ctx.render(b)}) != 0")
-    verified[b] = l
-
-
 _NO_TERMS = ()
 
 
-def _operator_rows(ctx: RingContext, d: int, b, top: int) -> list:
+def _operator_rows(ctx: RingContext, d: int, b, top: int) -> tuple:
     """The operator row of b at depth d, built or extended to ``top``:
     rows[n] is the tuple of (k, M_{k,n}(b)) for k < d with a nonzero value,
     ordered by k, and the rows with no nonzero value share one empty tuple.
 
+    Row n is admitted only once M_{d,n}(b) = 0 is checked.  The recursion
+    M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1} then makes every
+    M_{k,n}(b) with k > d vanish as well, so every term a kernel skips for
+    b is zero.  The values come from the M_{k,l} memo (ctx._mkl_cache),
+    which one recursion call fills for every k <= d and n < top.
+
     The rows live in ctx._mkl_rows[d][b], so a depth override never reads
-    rows built for another depth.  Their values come from the M_{k,l} memo
-    (ctx._mkl_cache), which one recursion call fills for every k < d and
-    n < top; a row holds only the nonzero ones, so the rows never hold more
-    entries than the memo they are read from."""
-    rows = ctx._mkl_rows.setdefault(d, {}).setdefault(b, [])
+    rows built for another depth.  An extension stores a new, longer tuple
+    and never changes the old one, so whoever holds the rows (a product
+    that extended them while they were being built, or another thread)
+    holds a correct prefix."""
+    table = ctx._mkl_rows.setdefault(d, {})
+    rows = table.get(b, _NO_TERMS)
     built = len(rows)
     if built < top:
-        monomial_operator_apply(ctx, d - 1, top - 1, b)
+        monomial_operator_apply(ctx, d, top - 1, b)
         memo, zero = ctx._mkl_cache, ctx.zero()
+        new = []
         for n in range(built, top):
-            rows.append(tuple((k, v) for k in range(d)
-                              if (v := memo[(k, n, b)]) != zero) or _NO_TERMS)
+            if memo[(d, n, b)] != zero:
+                raise AssertionError(
+                    f"sigma-nilpotence bound violated: M_{{{d},{n}}}"
+                    f"({ctx.render(b)}) != 0")
+            new.append(tuple((k, v) for k in range(d)
+                             if (v := memo[(k, n, b)]) != zero) or _NO_TERMS)
+        rows = table[b] = rows + tuple(new)
     return rows
 
 
@@ -145,29 +139,23 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
 
     Only terms with j - n < d = ctx.mkl_depth() are summed: M_{k,l} = 0
     for k >= d (see the module docstring for d per family), so the others
-    vanish.  That is checked rather than assumed (see _check_vanishing),
-    once per coefficient b_i and bound per context; the warm path costs one
-    lookup in ctx._mkl_vanishing[d].  The terms come from the
-    operator row of b_i (_operator_rows): one lookup per nonzero b_i, then
-    only its nonzero M_{j-n,n}(b_i), up to j < width.  A row is extended
-    when a product needs n < min(width, length - i) beyond it.  Each
-    acc[m] gets its terms unreduced, in the order of i, n and j.
+    vanish.  The terms come from the operator row of b_i (_operator_rows),
+    which admits row n only after checking that its skipped terms vanish:
+    one lookup per nonzero b_i, then only its nonzero M_{j-n,n}(b_i), up to
+    j < width.  A row is extended when a product needs
+    n < min(width, length - i) beyond it.  Each acc[m] gets its terms
+    unreduced, in the order of i, n and j.
     """
     zero = ctx.zero()
     add, mul = ctx.add, ctx.mul
-    verified = ctx._mkl_vanishing.setdefault(d, {})
     table = ctx._mkl_rows.setdefault(d, {})
     for i in range(min(lb, length)):
         b = gb[i]
         if b == zero:
             continue
         top = min(width, length - i)
-        # for n <= width - 1 - d the nonzero a_(width-1) term is skipped
-        skipped = min(width - 1 - d, top - 1)
-        if skipped >= 0 and verified.get(b, -1) < skipped:
-            _check_vanishing(ctx, b, skipped)
-        rows = table.get(b)
-        if rows is None or len(rows) < top:
+        rows = table.get(b, _NO_TERMS)
+        if len(rows) < top:
             rows = _operator_rows(ctx, d, b, top)
         for n, row in zip(range(top), rows):
             m = i + n
@@ -212,8 +200,8 @@ def _block_product(ctx: RingContext, rows, cols, length: int) -> list:
     Per product, not per pair: each factor is trimmed of its trailing zeros
     once, ctx.mkl_depth() is read once, and the operator row of each
     right-factor coefficient is looked up once for all rows.  A zero factor
-    adds no term to any slot, so skipping it leaves every ring call, every
-    operator row and every vanishing check of the pairwise products.  Each
+    adds no term to any slot, so skipping it leaves every ring call and
+    every operator row of the pairwise products.  Each
     output slot sums its terms in the order of the pairwise products: p,
     then i, n and j."""
     zero = ctx.zero()
@@ -402,21 +390,19 @@ class RightFormPoly:
 def normalize_right_to_left(p: RightFormPoly) -> SkewPoly:
     """Rewrite sum_i x^i a_i in left normal form: the coefficient of x^j is
     sum_{i >= j} M_{i-j, j}(a_i), where only i - j < d = ctx.mkl_depth()
-    contributes (checked as in _closed_product) and zero M values are
-    skipped."""
+    contributes.  The values come from the operator rows of a_i
+    (_operator_rows), which check the cut, so zero M values are skipped."""
     ctx = p.ctx
     if not p.terms:
         return SkewPoly.zero(ctx)
     d = ctx.mkl_depth()
-    zero = ctx.zero()
-    coeffs = [zero] * (p.terms[-1][0] + 1)
+    coeffs = [ctx.zero()] * (p.terms[-1][0] + 1)
     for i, a in p.terms:
-        if i >= d:
-            _check_vanishing(ctx, a, i - d)
+        rows = _operator_rows(ctx, d, a, i + 1)
         for j in range(max(0, i - d + 1), i + 1):
-            v = monomial_operator_apply(ctx, i - j, j, a)
-            if v != zero:
-                coeffs[j] = ctx.add(coeffs[j], v)
+            for k, v in rows[j]:
+                if k == i - j:
+                    coeffs[j] = ctx.add(coeffs[j], v)
     return SkewPoly(ctx, coeffs)
 
 

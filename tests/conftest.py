@@ -44,18 +44,17 @@ def delta_ctx(request):
 
 def assert_rows_read_the_memo(ctx):
     """The product kernel's operator rows (ctx._mkl_rows) hold exactly the
-    nonzero M_{k,n}(b), k < d, of the M_{k,l} memo, and the memo holds only
-    what the rows and the vanishing checks filled: M_{k,n}(b) for k < d and
-    n < len(rows), and for k <= d and n up to the bound checked for b."""
+    nonzero M_{k,n}(b), k < d, of the M_{k,l} memo, every stored row has
+    M_{d,n}(b) = 0, and the memo holds only what the rows filled:
+    M_{k,n}(b) for k <= d and n < len(rows)."""
     memo, zero = ctx._mkl_cache, ctx.zero()
     filled = set()
     for d, table in ctx._mkl_rows.items():
         for b, rows in table.items():
             for n, row in enumerate(rows):
+                assert memo[(d, n, b)] == zero
                 assert row == tuple((k, memo[(k, n, b)]) for k in range(d)
                                     if memo[(k, n, b)] != zero)
-                filled.update((k, n, b) for k in range(d))
-    for d, verified in ctx._mkl_vanishing.items():
-        for b, l in verified.items():
-            filled.update((k, n, b) for k in range(d + 1) for n in range(l + 1))
+            filled.update((k, n, b) for k in range(d + 1)
+                          for n in range(len(rows)))
     assert memo.keys() == filled

@@ -64,14 +64,15 @@ def test_tracer_sees_the_product_kernel(monkeypatch):
     assert layers["series.mul_calls"][0] > 0
     # the ring operations' memo sits behind the counted methods: every
     # call is still seen (the counts before the memo, pinned).  The operator
-    # rows fill M_{k,n}(b) for every k < d up to the last n a product
-    # needs: two recursion steps more than the product's own terms, three
-    # adds and three sigma/delta calls each.  t*x is built as the monomial,
-    # without the series product and its one mul and one add; nothing
-    # multiplies or raises x-powers, so sigma(1) and delta(1) are not asked
+    # rows fill M_{k,n}(b) for every k <= d up to the last n a product
+    # needs, since row n is admitted only once M_{d,n}(b) = 0 is checked:
+    # 14 adds and 14 sigma/delta calls more than checking only the terms a
+    # product skips.  t*x is built as the monomial, without the series
+    # product and its one mul and one add; nothing multiplies or raises
+    # x-powers, so sigma(1) and delta(1) are not asked
     assert layers["rings.mul_calls"][0] == 10
-    assert layers["rings.add_calls"][0] == 44
-    assert layers["rings.sigma_delta_calls"][0] == 26
+    assert layers["rings.add_calls"][0] == 58
+    assert layers["rings.sigma_delta_calls"][0] == 40
 
 
 def test_tracer_sees_the_series_matrix_products(monkeypatch):
@@ -81,7 +82,9 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     assert layers["k0.rank_calls"][0] == 1
     assert layers["k0.mat_mul_calls"][0] > 0
     assert any(span[0] == "k0.verify" for span in tracer.spans)
-    # as above, with 14 recursion steps for the full operator rows.  Each
+    # as above, with 14 recursion steps for the full operator rows, and the
+    # checked M_{d,n}(b) of every row: 102 adds and 102 sigma/delta calls
+    # more than checking only the skipped terms.  Each
     # step x + v*y of a row or column operation accumulates the terms of
     # v*y onto the coefficients of x, so it makes no slot-by-slot add after
     # the product.  The entries fold their constants in R and build their
@@ -91,8 +94,8 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     # operator rows of 1 that x*x used to fill (10 sigma/delta calls and 10
     # adds) are now filled by the certificate's products instead
     assert layers["rings.mul_calls"][0] == 1028
-    assert layers["rings.add_calls"][0] == 1397
-    assert layers["rings.sigma_delta_calls"][0] == 326
+    assert layers["rings.add_calls"][0] == 1499
+    assert layers["rings.sigma_delta_calls"][0] == 428
 
 
 @pytest.mark.parametrize("suite, counter", [

@@ -412,9 +412,8 @@ class TestFusedMatMul:
                     _pairwise_products(SeriesScalars(ref, precision), a, b)
         # the block kernel extends each coefficient's operator row as far as
         # its widest partner needs, which is as far as one closed product
-        # per pair of entries extends it, and checks the same vanishing
+        # per pair of entries extends it
         assert ctx._mkl_rows == ref._mkl_rows
-        assert ctx._mkl_vanishing == ref._mkl_vanishing
         assert ctx._mkl_cache.keys() == ref._mkl_cache.keys()
         assert_rows_read_the_memo(ctx)
 
@@ -476,9 +475,9 @@ class TestFusedMatMul:
         assert fused_counts["series"] <= 36
         assert fused_counts["mul"] == counts["mul"] > 0
         # the operator row of each coefficient of b is built once for all six
-        # rows of a: one recursion call per row build or extension and per
-        # vanishing check
-        assert fused_counts["mkl"] == 87
+        # rows of a: one recursion call per row build or extension, which
+        # also checks the cut
+        assert fused_counts["mkl"] == 37
 
 
 SPARSE_PRECISIONS = (None,) + tuple(range(1, 13))
@@ -581,7 +580,6 @@ class TestSparseMatMul:
                     1 for p in range(len(b)) for y in b[p]
                     if y != zero and any(row[p] != zero for row in a))
         assert ctx._mkl_rows == ref._mkl_rows
-        assert ctx._mkl_vanishing == ref._mkl_vanishing
         assert ctx._mkl_cache.keys() == ref._mkl_cache.keys()
         assert_rows_read_the_memo(ctx)
 
@@ -692,9 +690,8 @@ def _without_zero_products(calls, zero):
 
 def _assert_same_memo(ctx, ref):
     """The fused steps extend each operator row as far as the oracle's
-    products one by one, and check the same vanishing."""
+    products one by one."""
     assert ctx._mkl_rows == ref._mkl_rows
-    assert ctx._mkl_vanishing == ref._mkl_vanishing
     assert ctx._mkl_cache.keys() == ref._mkl_cache.keys()
 
 

@@ -75,10 +75,11 @@ def test_memo_rows_stop_at_the_depth():
 
 
 def _kernels(ctx, power):
-    """The four kernels that cut at the depth, each on x^power * t."""
+    """The four kernels that cut at the depth, each on x^power * t; the
+    series are taken at N = power + 2, so t is nonzero in S/G_N."""
     t = ctx.radical_gens[0]
     x_pow = (ctx.zero(),) * power + (ctx.one(),)
-    n = power + 1
+    n = power + 2
     series_x = TruncatedSeries(ctx, n, x_pow)
     series_t = TruncatedSeries.constant(ctx, n, t)
     return (lambda: SkewPoly(ctx, x_pow) * SkewPoly.from_scalar(ctx, t),
@@ -99,10 +100,13 @@ class TestDepthOneTooSmall:
         return ctx
 
     def test_every_kernel_raises(self, shrunk):
-        # x^2 * t skips M_{1,0}(t) = delta(t) = t^2
-        for kernel in _kernels(shrunk, 2):
-            with pytest.raises(AssertionError, match="nilpotence bound violated"):
-                kernel()
+        # x^2 * t skips M_{1,0}(t) = delta(t) = t^2; 1 * t skips no term,
+        # but the operator row of t must not admit a nonzero M_{1,0}(t)
+        for power in (0, 2):
+            for kernel in _kernels(shrunk, power):
+                with pytest.raises(AssertionError,
+                                   match="nilpotence bound violated"):
+                    kernel()
 
     def test_warm_rows_do_not_skip_the_check(self, monkeypatch):
         # at the true depth 2, the narrow x * t and then x^2 * t build the
@@ -114,7 +118,7 @@ class TestDepthOneTooSmall:
             for kernel in _kernels(ctx, power):
                 kernel()
         assert len(ctx._mkl_rows[2][t]) == 3
-        assert ctx._mkl_vanishing[2][t] == 0
+        assert ctx._mkl_cache[(2, 0, t)] == ctx.zero()
         monkeypatch.setattr(ctx, "mkl_depth", lambda: 1)
         for kernel in _kernels(ctx, 2):
             with pytest.raises(AssertionError, match="nilpotence bound violated"):

@@ -4,12 +4,15 @@ them; every product must still match an oracle that never reads the rows,
 and every stored row must hold exactly the word-enumeration values."""
 
 import random
+import sys
+import threading
 
 import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX, assert_rows_read_the_memo
-from skewseries import (SeriesScalars, TruncatedSeries, monomial_operator_words,
-                        parse_ring_preset, poly_mul_commutation)
+from skewseries import (SeriesScalars, SkewPoly, TruncatedSeries,
+                        monomial_operator_words, parse_ring_preset,
+                        poly_mul_commutation, skewpoly)
 from skewseries.k0 import mat_mul
 from skewseries.skewpoly import random_poly
 
@@ -79,3 +82,66 @@ def test_warm_rows_match_the_oracles(preset):
                      for k in range(d)]
             assert row == tuple((k, v) for k, v in words if v != zero)
     assert_rows_read_the_memo(ctx)
+
+
+def test_a_row_extended_while_it_is_built(monkeypatch):
+    # the row build of (1 + x + x^2) * t asks the recursion for M_{k,2}(t);
+    # a product that extends the row of t to 7 entries runs first, inside
+    # that call, and the outer build must not append its rows 0..2 after it
+    ctx = parse_ring_preset("truncpoly:3:3:c=2")
+    t = ctx.radical_gens[0]
+    plain = skewpoly.monomial_operator_apply
+    nested = []
+
+    def interleaved(ctx_, k, l, a):
+        if a == t and l == 2 and not nested:
+            nested.append((k, l))
+            SkewPoly(ctx, (ctx.one(),) * 7) * SkewPoly(ctx, (t,))
+        return plain(ctx_, k, l, a)
+
+    monkeypatch.setattr(skewpoly, "monomial_operator_apply", interleaved)
+    g = SkewPoly(ctx, (t,))
+    f = SkewPoly(ctx, (ctx.one(),) * 3)
+    assert f * g == poly_mul_commutation(f, g)
+    assert nested
+    f = SkewPoly(ctx, (ctx.one(),) * 10)
+    assert f * g == poly_mul_commutation(f, g)
+    assert_rows_read_the_memo(ctx)
+
+
+def test_threads_share_one_context():
+    # two threads build and extend the rows of one context at once; every
+    # product must match the oracle and every stored row must stay whole
+    for seed in range(20):
+        ctx = parse_ring_preset("truncpoly:3:3:c=2")
+        rng = random.Random(seed)
+        pairs = [(random_poly(ctx, rng.randrange(1, 9), rng),
+                  random_poly(ctx, rng.randrange(1, 4), rng))
+                 for _ in range(40)]
+        expected = [poly_mul_commutation(f, g) for f, g in pairs]
+        wrong = []
+
+        def work(order):
+            for idx in order:
+                f, g = pairs[idx]
+                if f * g != expected[idx]:
+                    wrong.append(idx)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(order,))
+                       for order in (range(40), range(39, -1, -1))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # a thread may store a shorter extension over a longer one; one more
+        # pass on this thread brings each row back to the length the
+        # products need, so the rows cover the memo again
+        work(range(40))
+        assert wrong == []
+        assert_rows_read_the_memo(ctx)
