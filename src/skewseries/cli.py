@@ -21,6 +21,30 @@ from .series import principal_symbol
 from .suites import SUITE_NAMES, run_property_suite
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a word that starts with '-' as an option unless it is
+    a negative number such as -1, so an expression or matrix such as -1-x
+    must come after '--'.  Every option here has two dashes except -h, so a
+    usage error after a word with one dash (before any '--') names '--'.
+    The subcommand parsers are of this class too."""
+
+    _dashed = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        words = args[:args.index("--")] if "--" in args else args
+        self._dashed = [w for w in words if w.startswith("-") and w != "-h"
+                        and not w.startswith("--") and not w[1:].isdigit()]
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        if self._dashed:
+            message += (f"; {self._dashed[0]!r} was read as an option: put an "
+                        f"argument that starts with '-' after '--', as in "
+                        f"skewseries normalize --ring zmod:2^3 -- -1-x")
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ring", default="zmod:2^3", metavar="PRESET",
@@ -31,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=200, metavar="COUNT")
     common.add_argument("--format", choices=("text", "json"), default="text")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewseries",
         description="Exact skew polynomial / twisted power series calculator "
                     "with filtration, graded-symbol and projective-rank tools.")

@@ -33,10 +33,11 @@ column step is one pass for the whole column, which fetches the operator
 rows of v once.  A matrix product is one call of the base's kernel,
 ``scalars.mat_mul``.  Over R each entry is the fold of + and *.  Over S/G_N
 the whole product is one pass of the block kernel (series.matrix_product):
-each entry is checked and trimmed once, each coefficient of an entry of the
-right factor has its operator row looked up once for every row, and each
-slot of an entry is summed unreduced and reduced once, which gives the same
-class as reducing every partial sum.
+each entry is checked once and read as stored, without trailing zero
+slots, each coefficient of an entry of the right factor has its operator
+row looked up once for every row, and each slot of an entry is summed
+unreduced and reduced once, which gives the same class as reducing every
+partial sum.
 
 Most entries these kernels see are zero, so a zero entry costs nothing:
 the products with a zero factor are skipped on both bases (keeping the
@@ -197,8 +198,8 @@ class SeriesScalars(_Scalars):
 
     def is_unit(self, a: TruncatedSeries) -> bool:
         # unit iff the x^0 slot is a unit of R: the rest lies in G_1,
-        # which is nilpotent in S/G_N
-        return self.ctx.ideal_valuation(a.coeffs[0]) == 0
+        # which is nilpotent in S/G_N; the zero class has no slot at all
+        return bool(a.coeffs) and self.ctx.ideal_valuation(a.coeffs[0]) == 0
 
     def inv(self, a: TruncatedSeries) -> TruncatedSeries:
         """Newton iteration b <- b + b(1 - ab) from b = c0^-1, c0 the x^0

@@ -7,8 +7,10 @@ delta]] carries the descending chain of two-sided ideals
     G_k = prod_i I^(k-i) x^i        (I^j = R for j <= 0).
 
 The quotients S/G_N are finite and exactly computable: a class is stored
-as coefficients (c_0, ..., c_{N-1}) with c_i the canonical representative
-mod I^(N-i).  Truncating by G_N rather than by x-degree is deliberate:
+as coefficients (c_0, ..., c_{L-1}), L <= N, with c_i the canonical
+representative mod I^(N-i) and the slots from L to N-1 zero; like a
+SkewPoly, a class keeps no trailing zero slot, so c_{L-1} != 0 and the zero
+class has no slots.  Truncating by G_N rather than by x-degree is deliberate:
 when delta != 0 the x-degree cut is not a two-sided ideal (delta pushes
 high-degree terms down), while G_N always is.
 
@@ -25,12 +27,12 @@ break multiplicativity of the principal symbol.
 from __future__ import annotations
 
 import random
+from itertools import zip_longest
 
 from .report import CheckReport
 from .rings import RingContext
 from .skewpoly import (SkewPoly, _add_products, _block_product,
-                       _closed_product, _power, _trimmed_length,
-                       monomial_operator_apply)
+                       _closed_product, _power, monomial_operator_apply)
 
 
 def _check_compat(ctx: RingContext, precision: int, other):
@@ -43,32 +45,38 @@ def _check_compat(ctx: RingContext, precision: int, other):
 
 
 class TruncatedSeries:
-    """A class in S/G_N, stored as canonical quotient coefficients."""
+    """A class in S/G_N, stored as canonical quotient coefficients without
+    trailing zero slots."""
 
     __slots__ = ("ctx", "precision", "coeffs")
 
     def __init__(self, ctx: RingContext, precision: int, coeffs):
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        coeffs = list(coeffs)[:precision]
-        coeffs += [ctx.zero()] * (precision - len(coeffs))
-        self._reduce_into(ctx, precision, coeffs)
+        self._reduce_into(ctx, precision, list(coeffs)[:precision])
 
     @classmethod
     def _from_slots(cls, ctx: RingContext, precision: int, slots: list):
-        """The class of sum slots[i] x^i, for a list of exactly ``precision``
+        """The class of sum slots[i] x^i, for a list of at most ``precision``
         unreduced coefficients that it takes over: the constructor of the
-        kernel outputs, without the public one's copy, cut and padding."""
+        kernel outputs, without the public one's copy and cut."""
         self = object.__new__(cls)
         self._reduce_into(ctx, precision, slots)
         return self
 
     def _reduce_into(self, ctx, precision, slots):
         # slot i is taken mod I^(N-i), and I^k = 0 once k reaches the
-        # nilpotency, so only the slots with N - i below it are reduced
+        # nilpotency, so only the slots with N - i below it are reduced;
+        # then the zero slots that end the list, given or left by the
+        # reduction, are dropped
         reduce = ctx._reduce
-        for i in range(max(precision - ctx.radical_nilpotency + 1, 0), precision):
+        n = len(slots)
+        for i in range(max(precision - ctx.radical_nilpotency + 1, 0), n):
             slots[i] = reduce(slots[i], precision - i)
+        zero = ctx.zero()
+        while n and slots[n - 1] == zero:
+            n -= 1
+        del slots[n:]
         self.ctx = ctx
         self.precision = precision
         self.coeffs = tuple(slots)
@@ -95,18 +103,23 @@ class TruncatedSeries:
         return cls(ctx, precision, (a,))
 
     def to_poly(self) -> SkewPoly:
-        """The canonical polynomial representative (degree < N)."""
-        return SkewPoly(self.ctx, self.coeffs)
+        """The canonical polynomial representative (degree < N).  It shares
+        the stored coefficients, which are already a SkewPoly's: no trailing
+        zero."""
+        poly = object.__new__(SkewPoly)
+        poly.ctx, poly.coeffs = self.ctx, self.coeffs
+        return poly
 
     def is_zero(self) -> bool:
-        zero = self.ctx.zero()
-        return all(c == zero for c in self.coeffs)
+        return not self.coeffs
 
     def __add__(self, other):
         _check_compat(self.ctx, self.precision, other)
+        add = self.ctx.add
         return TruncatedSeries._from_slots(
             self.ctx, self.precision,
-            [self.ctx.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+            [add(a, b) for a, b in zip_longest(self.coeffs, other.coeffs,
+                                                fillvalue=self.ctx.zero())])
 
     def __neg__(self):
         return TruncatedSeries._from_slots(
@@ -133,8 +146,11 @@ class TruncatedSeries:
         return _power(TruncatedSeries.one(self.ctx, self.precision), self, exponent)
 
     def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries) and other.ctx == self.ctx
-                and other.precision == self.precision and other.coeffs == self.coeffs)
+        # the coefficients differ first on most unequal pairs, and the
+        # context is nearly always the same object
+        return (isinstance(other, TruncatedSeries) and other.coeffs == self.coeffs
+                and other.precision == self.precision
+                and (other.ctx is self.ctx or other.ctx == self.ctx))
 
     def __hash__(self):
         return hash((self.ctx.name, self.precision, self.coeffs))
@@ -185,15 +201,16 @@ def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
     kernel (skewpoly._block_product).
 
     Each entry of a and b, zero or not, is checked against S/G_N once.  The
-    kernel trims each entry once, skips the zero ones, and looks up the
-    operator row of each coefficient of each nonzero entry of b once for
-    every row.  The unreduced products of a row and a column are summed
-    slot by slot and each slot is reduced once.  That is the class the fold
-    of + and * gives: a product with a zero factor adds nothing, the
-    canonical representative mod I^k does not depend on whether the
-    summands were reduced first, and the ring multiplications are the same
-    ones.  The outputs that no pair of nonzero entries reaches share one
-    zero class."""
+    kernel reads each entry's stored coefficients, which end in a nonzero
+    slot, skips the zero entries, and looks up the operator row of each
+    coefficient of each nonzero entry of b once for every row.  The
+    unreduced products of a row and a column are summed slot by slot, in
+    accumulators only as long as the products reach, and each slot is
+    reduced once.  That is the class the fold of + and * gives: a product
+    with a zero factor adds nothing, the canonical representative mod I^k
+    does not depend on whether the summands were reduced first, and the
+    ring multiplications are the same ones.  The outputs that no pair of
+    nonzero entries reaches share one zero class."""
     for m in (a, b):
         for row in m:
             for x in row:
@@ -219,28 +236,35 @@ def mul_add(ctx: RingContext, precision: int, v, others, addends=None,
     with v_right; with no addends the plain products v*y (y*v).  These are
     the row and column steps of the elementary operations in k0.
 
-    Each accumulator starts from the coefficients of x and takes the terms
-    of the product unreduced from the closed formula (skewpoly._add_products);
-    an entry is reduced once, when its one TruncatedSeries is built.  That
-    is the class x + v*y gives: reduction mod I^k is additive, so the
-    canonical representative of x + P is that of x + (P reduced).  With
-    v_right every y is a partner of one kernel call, so the operator rows of
-    the coefficients of v are looked up once for all of them.  An entry
-    whose y is zero is x itself (y itself, with no addends)."""
+    Each accumulator starts from the coefficients of x, padded with zero
+    slots only as far as v*y reaches, and takes the terms of the product
+    unreduced from the closed formula (skewpoly._add_products); an entry is
+    reduced once, when its one TruncatedSeries is built.  That is the class
+    x + v*y gives: reduction mod I^k is additive, so the canonical
+    representative of x + P is that of x + (P reduced).  With v_right every
+    y is a partner of one kernel call, so the operator rows of the
+    coefficients of v are looked up once for all of them.  An entry whose y
+    is zero is x itself (y itself, with no addends)."""
     out = list(others if addends is None else addends)
     for x in [v, *others, *(addends or ())]:
         _check_compat(ctx, precision, x)
+    lv = len(v.coeffs)
     zero = ctx.zero()
-    d = ctx.mkl_depth()
     built, partners = [], []
     for idx, y in enumerate(others):
-        la = _trimmed_length(y.coeffs, zero)
+        la = len(y.coeffs)
         if la:
-            acc = [zero] * precision if addends is None else list(out[idx].coeffs)
+            # coeff_m(v*y) and coeff_m(y*v) are zero from m = la + lv - 1 on
+            reach = min(la + lv - 1, precision)
+            if addends is None:
+                acc = [zero] * reach
+            else:
+                acc = list(out[idx].coeffs)
+                acc += [zero] * (reach - len(acc))
             built.append(idx)
             partners.append((y.coeffs, la, acc))
-    lv = _trimmed_length(v.coeffs, zero)
     if lv and partners:
+        d = ctx.mkl_depth()
         if v_right:
             _add_products(ctx, d, partners, max(la for _, la, _ in partners),
                           v.coeffs, lv, precision)

@@ -130,10 +130,12 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
                   lb: int, length: int):
     """acc[m] += coeff_m(f * g) for m < ``length`` and every partner
     (f, la, acc) of the right factor g = sum b_i x^i, where la is the
-    length of f = sum a_j x^j without its trailing zeros, width the
-    largest la and lb the length of g without its trailing zeros.  The
-    callers trim each factor once and call only when la and lb are both
-    nonzero.  This is the one loop of the closed formula
+    length of f = sum a_j x^j, width the largest la and lb the length of
+    g.  Every factor is stored without trailing zeros (a SkewPoly or a
+    TruncatedSeries), so la and lb are the lengths of the stored tuples;
+    the callers call only when both are nonzero.  acc needs only the slots
+    m < min(la + lb - 1, length): no term reaches further.  This is the
+    one loop of the closed formula
         coeff_m(f*g) = sum_{n+i=m} sum_{j>=n} a_j M_{j-n,n}(b_i)
     behind every product (_closed_product, _block_product).
 
@@ -170,63 +172,56 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
                             acc[m] = add(acc[m], mul(a, v))
 
 
-def _trimmed_length(coeffs, zero) -> int:
-    """The number of coefficients without the trailing zeros."""
-    n = len(coeffs)
-    while n and coeffs[n - 1] == zero:
-        n -= 1
-    return n
-
-
 def _closed_product(ctx: RingContext, fa, gb, length: int) -> list:
     """The first ``length`` coefficients of (sum a_j x^j) * (sum b_i x^i),
-    unreduced: _block_product on a 1x1 block, without the block set-up."""
-    zero = ctx.zero()
-    out = [zero] * length
-    la, lb = _trimmed_length(fa, zero), _trimmed_length(gb, zero)
-    if la and lb:
-        _add_products(ctx, ctx.mkl_depth(), ((fa, la, out),), la, gb, lb, length)
+    unreduced and without the slots from len(fa) + len(gb) - 1 on, which
+    no term reaches: _block_product on a 1x1 block, without the block
+    set-up."""
+    la, lb = len(fa), len(gb)
+    if not (la and lb):
+        return []
+    out = [ctx.zero()] * min(la + lb - 1, length)
+    _add_products(ctx, ctx.mkl_depth(), ((fa, la, out),), la, gb, lb, length)
     return out
 
 
 def _block_product(ctx: RingContext, rows, cols, length: int) -> list:
     """out[r][c], the first ``length`` coefficients of
     sum_p rows[r][p] * cols[c][p], unreduced, for coefficient tuples of
-    skew polynomials: one pass of the closed formula (_add_products) per
-    nonzero right factor cols[c][p], shared by every row whose factor
-    rows[r][p] is nonzero.  out[r][c] is None when no p has both factors
-    nonzero, so an output without terms costs no accumulator.
+    skew polynomials stored without trailing zeros: one pass of the closed
+    formula (_add_products) per nonzero right factor cols[c][p], shared by
+    every row whose factor rows[r][p] is nonzero.  out[r][c] is None when
+    no p has both factors nonzero, so an output without terms costs no
+    accumulator, and an accumulator has only the slots its products reach.
 
-    Per product, not per pair: each factor is trimmed of its trailing zeros
-    once, ctx.mkl_depth() is read once, and the operator row of each
-    right-factor coefficient is looked up once for all rows.  A zero factor
-    adds no term to any slot, so skipping it leaves every ring call and
-    every operator row of the pairwise products.  Each
+    Per product, not per pair: ctx.mkl_depth() is read once, and the
+    operator row of each right-factor coefficient is looked up once for all
+    rows.  A zero factor adds no term to any slot, so skipping it leaves
+    every ring call and every operator row of the pairwise products.  Each
     output slot sums its terms in the order of the pairwise products: p,
     then i, n and j."""
     zero = ctx.zero()
     d = ctx.mkl_depth()
     out = [[None] * len(cols) for _ in rows]
     for p in range(len(rows[0]) if rows else 0):
-        partners = []
-        for row, out_row in zip(rows, out):
-            f = row[p]
-            la = _trimmed_length(f, zero)
-            if la:
-                partners.append((f, la, out_row))
+        partners = [(f, len(f), out_row) for row, out_row in zip(rows, out)
+                    if (f := row[p])]
         if not partners:
             continue
         width = max(la for _, la, _ in partners)
         for c, col in enumerate(cols):
             gb = col[p]
-            lb = _trimmed_length(gb, zero)
+            lb = len(gb)
             if not lb:
                 continue
             group = []
             for f, la, out_row in partners:
+                reach = min(la + lb - 1, length)
                 acc = out_row[c]
                 if acc is None:
-                    acc = out_row[c] = [zero] * length
+                    acc = out_row[c] = [zero] * reach
+                elif len(acc) < reach:
+                    acc += [zero] * (reach - len(acc))
                 group.append((f, la, acc))
             _add_products(ctx, d, group, width, gb, lb, length)
     return out

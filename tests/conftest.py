@@ -58,3 +58,17 @@ def assert_rows_read_the_memo(ctx):
             filled.update((k, n, b) for k in range(d + 1)
                           for n in range(len(rows)))
     assert memo.keys() == filled
+
+
+def assert_stored_trimmed(*values):
+    """Every TruncatedSeries in values (or in the tuples and lists among
+    them, at any depth) is stored without trailing zeros: at most N slots,
+    the last one nonzero, and none at all for the zero class."""
+    for value in values:
+        if isinstance(value, (tuple, list)):
+            assert_stored_trimmed(*value)
+            continue
+        coeffs = value.coeffs
+        assert isinstance(coeffs, tuple) and len(coeffs) <= value.precision
+        assert not coeffs or coeffs[-1] != value.ctx.zero(), \
+            f"{value!r} is stored with a trailing zero slot: {coeffs}"

@@ -283,6 +283,17 @@ class TestSeriesScalars:
         x = TruncatedSeries.var(z8, 3)
         assert not scalars.is_unit(x)
 
+    def test_zero_class_is_not_a_unit(self, z8, f27):
+        # the zero class stores no slot, not even the x^0 one
+        for ctx in (z8, f27):
+            for n in (1, 4):
+                scalars = SeriesScalars(ctx, n)
+                zero = scalars.zero()
+                assert zero.coeffs == ()
+                assert not scalars.is_unit(zero)
+                with pytest.raises(ValueError, match="not a unit"):
+                    scalars.inv(zero)
+
 
 def geometric_inverse(scalars, a):
     """Oracle for SeriesScalars.inv: with u the x^0 slot of a and

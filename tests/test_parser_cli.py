@@ -255,6 +255,25 @@ class TestCliContract:
         assert code == 2
         assert "column 3" in err
 
+    def test_leading_minus_goes_after_double_dash(self):
+        # argparse reads -1-x as an unknown option; the usage error says so
+        # and names '--', after which the expression is read as it stands
+        code, out, err = run_cli(["normalize", "-1-x", "--ring", "zmod:2^3"])
+        assert (code, out) == (2, "")
+        assert "required: expr; '-1-x' was read as an option" in err
+        assert "after '--'" in err
+        assert run_cli(["normalize", "--ring", "zmod:2^3", "--", "-1-x"])[:2] == \
+            (0, "7 + 7*x\n")
+        code, _, err = run_cli(["rank", "-7,0;0,0", "--ring", "zmod:2^3"])
+        assert code == 2 and "'-7,0;0,0' was read as an option" in err
+        code, out, _ = run_cli(["rank", "--ring", "zmod:2^3", "--", "-7,0;0,0"])
+        assert code == 0 and out.endswith("RANK 1 VERIFIED\n")
+        # a negative number is read as an argument, and a usage error with
+        # no word that starts with one '-' names no '--'
+        assert run_cli(["normalize", "-1", "--ring", "zmod:2^3"])[:2] == (0, "7\n")
+        code, _, err = run_cli(["check", "foo", "--seed", "-1"])
+        assert code == 2 and "read as an option" not in err
+
     def test_exit_code_2_on_bad_ring(self):
         code, _, err = run_cli(["normalize", "x", "--ring", "zmod:6^2"])
         assert code == 2

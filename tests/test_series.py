@@ -3,19 +3,26 @@ import random
 
 import pytest
 
-from conftest import BROKEN_PRESET, PRESET_MATRIX
+from conftest import BROKEN_PRESET, PRESET_MATRIX, assert_stored_trimmed
 from skewseries import (GradedElem, SkewPoly, TruncatedSeries, eval_expression,
                         graded_iso_check, ideal_closure_check, parse_expression,
                         parse_ring_preset, poly_mul_commutation,
                         principal_symbol, series_law_check)
-from skewseries.series import (filtration_generators, random_series,
-                               random_series_in_filtration)
+from skewseries.series import (filtration_generators, matrix_product, mul_add,
+                               random_series, random_series_in_filtration)
 from skewseries.skewpoly import random_poly
 
 
 class TestTruncation:
     def test_zero_poly(self, z8):
         assert TruncatedSeries.from_poly(SkewPoly.zero(z8), 3).is_zero()
+
+    def test_constant_is_one_slot(self, z8):
+        c = TruncatedSeries.constant(z8, 8, 3)
+        assert c.coeffs == (3,)
+        assert TruncatedSeries.zero(z8, 8).coeffs == ()
+        # the representative shares the stored tuple, already trimmed
+        assert c.to_poly() == SkewPoly(z8, (3,)) and c.to_poly().coeffs is c.coeffs
 
     def test_reduction_example(self, z8):
         f = SkewPoly(z8, (4, 2, 1))
@@ -97,7 +104,8 @@ class TestSeriesProduct:
         "preset", PRESET_MATRIX + (BROKEN_PRESET,))
     def test_slots_match_clamped_reduction(self, preset):
         # the constructor reduces slot i only while N - i is below the
-        # nilpotency; every slot must still be reduce_clamped(c, N - i)
+        # nilpotency; every slot must still be reduce_clamped(c, N - i),
+        # and the zero slots that end the class are not stored
         ctx = parse_ring_preset(preset)
         zero = ctx.zero()
         rng = random.Random(preset)
@@ -106,9 +114,11 @@ class TestSeriesProduct:
                 for _ in range(5):
                     coeffs = [ctx.sample(rng) for _ in range(size)]
                     padded = (coeffs + [zero] * n)[:n]
-                    expected = tuple(ctx.reduce_clamped(c, n - i)
-                                     for i, c in enumerate(padded))
-                    assert TruncatedSeries(ctx, n, coeffs).coeffs == expected
+                    expected = [ctx.reduce_clamped(c, n - i)
+                                for i, c in enumerate(padded)]
+                    while expected and expected[-1] == zero:
+                        expected.pop()
+                    assert TruncatedSeries(ctx, n, coeffs).coeffs == tuple(expected)
 
     def test_tower_compatibility(self, z8, f27):
         # S/G_N -> S/G_(N-1) commutes with multiplication
@@ -119,6 +129,116 @@ class TestSeriesProduct:
                 g = random_series(ctx, 5, rng)
                 assert (f * g).reduce_precision(4) == \
                     f.reduce_precision(4) * g.reduce_precision(4)
+
+
+def _old_slots(ctx, n, coeffs):
+    """The class of sum coeffs[i] x^i in S/G_n in the N-slot representation:
+    exactly n slots, slot i the coefficient reduced by
+    reduce_clamped(c_i, n - i), trailing zeros kept."""
+    padded = (list(coeffs) + [ctx.zero()] * n)[:n]
+    return tuple(ctx.reduce_clamped(c, n - i) for i, c in enumerate(padded))
+
+
+def _padded(f):
+    """The stored coefficients of f padded with zeros to N slots."""
+    return f.coeffs + (f.ctx.zero(),) * (f.precision - len(f.coeffs))
+
+
+def _lift_ending_in_the_ideal(ctx, n, rng):
+    """n coefficients whose slots from a random one on lie in I^(n-i), so
+    they reduce to zero in S/G_n."""
+    head = rng.randrange(n)
+    nil = ctx.radical_nilpotency
+    return ([ctx.sample(rng) for _ in range(head)]
+            + [rng.choice(ctx.ideal_power_list(min(n - i, nil)))
+               for i in range(head, n)])
+
+
+def _sample_classes(ctx, n, rng):
+    """Classes of S/G_n for the storage tests: the zero class, x^(n-1),
+    random classes and classes whose lifts end in slots that vanish."""
+    out = [TruncatedSeries.zero(ctx, n),
+           TruncatedSeries(ctx, n, [ctx.zero()] * (n - 1) + [ctx.one()])]
+    for _ in range(3):
+        out.append(random_series(ctx, n, rng))
+        out.append(TruncatedSeries(ctx, n, _lift_ending_in_the_ideal(ctx, n, rng)))
+    return out
+
+
+TRIM_PRESETS = PRESET_MATRIX + (BROKEN_PRESET,)
+TRIM_PRECISIONS = (1, 2, 3, 5)
+
+
+@pytest.mark.parametrize("preset", TRIM_PRESETS)
+class TestTrimmedStorage:
+    """A class is stored without trailing zero slots, and padding it back
+    to N slots gives exactly the N-slot representation (_old_slots) of the
+    unreduced result."""
+
+    def test_no_class_ends_in_a_zero_slot(self, preset):
+        ctx = parse_ring_preset(preset)
+        rng = random.Random(f"{preset}/trimmed")
+        texts = ["x - x", "(1 + x)^5", "x^2*(1 + x) - x^3", "(1 + x)^3 - 1",
+                 "x^4 + x^3 + x^2 + x"]
+        for n in TRIM_PRECISIONS:
+            fs = _sample_classes(ctx, n, rng)
+            assert_stored_trimmed(fs)
+            for _ in range(4):
+                lift = _lift_ending_in_the_ideal(ctx, n, rng)
+                assert_stored_trimmed(
+                    TruncatedSeries(ctx, n, lift + [ctx.zero()] * 2),
+                    TruncatedSeries._from_slots(ctx, n, lift))
+            for f, g in zip(fs, fs[1:] + fs[:1]):
+                assert_stored_trimmed(f + g, f - g, f - f, -f, f * g, g * f,
+                                      f ** 3, f ** n)
+                assert_stored_trimmed([f.reduce_precision(m)
+                                       for m in range(1, n + 1)])
+            a, b = (fs[:3], fs[3:6]), (fs[4:6], fs[1:3], fs[6:8])
+            assert_stored_trimmed(matrix_product(ctx, n, a, b))
+            for v in fs[:4]:
+                for v_right in (False, True):
+                    assert_stored_trimmed(
+                        mul_add(ctx, n, v, fs[2:], v_right=v_right),
+                        mul_add(ctx, n, v, fs[2:], fs[:-2], v_right))
+            for text in texts:
+                assert_stored_trimmed(
+                    eval_expression(parse_expression(text, ctx), ctx, n))
+
+    def test_padding_gives_the_clamped_slots(self, preset):
+        ctx = parse_ring_preset(preset)
+        rng = random.Random(f"{preset}/padded")
+        for n in TRIM_PRECISIONS:
+            for _ in range(4):
+                lift = _lift_ending_in_the_ideal(ctx, n, rng)
+                assert _padded(TruncatedSeries(ctx, n, lift)) == \
+                    _old_slots(ctx, n, lift)
+                assert _padded(TruncatedSeries._from_slots(ctx, n, list(lift))) == \
+                    _old_slots(ctx, n, lift)
+            fs = _sample_classes(ctx, n, rng)
+            lifts = [f.to_poly() for f in fs]
+            for (f, pf), (g, pg) in zip(zip(fs, lifts),
+                                        zip(fs[1:] + fs[:1], lifts[1:] + lifts[:1])):
+                assert _padded(f + g) == _old_slots(ctx, n, (pf + pg).coeffs)
+                assert _padded(f - g) == _old_slots(ctx, n, (pf - pg).coeffs)
+                assert _padded(f * g) == _old_slots(ctx, n, (pf * pg).coeffs)
+                for m in range(1, n + 1):
+                    assert _padded(f.reduce_precision(m)) == \
+                        _old_slots(ctx, m, pf.coeffs)
+            a, b = (fs[:3], fs[3:6]), (fs[4:6], fs[1:3], fs[6:8])
+            pa = [[f.to_poly() for f in row] for row in a]
+            pb = [[f.to_poly() for f in row] for row in b]
+            for row, prow in zip(matrix_product(ctx, n, a, b), pa):
+                for entry, pcol in zip(row, zip(*pb)):
+                    total = SkewPoly.zero(ctx)
+                    for x, y in zip(prow, pcol):
+                        total = total + x * y
+                    assert _padded(entry) == _old_slots(ctx, n, total.coeffs)
+            v, pv = fs[3], lifts[3]
+            for v_right in (False, True):
+                out = mul_add(ctx, n, v, fs[2:], fs[:-2], v_right)
+                for entry, px, py in zip(out, lifts, lifts[2:]):
+                    prod = py * pv if v_right else pv * py
+                    assert _padded(entry) == _old_slots(ctx, n, (px + prod).coeffs)
 
 
 class TestNilpotenceCut:
