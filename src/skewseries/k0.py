@@ -45,6 +45,23 @@ order of the others), a zero entry of the right factor over S/G_N gets no
 kernel pass, and the outputs that no product reaches share one zero (over
 S/G_N, one zero class per product).  Every entry, zero or not, is still
 checked against the base.
+
+Most pivots and many entries are 1, and multiplying by 1 costs nothing
+where 1 is a two-sided identity, that is over R and over S/G_N when
+x*1 = 1*x (sigma(1) = 1 and delta(1) = 0, RingContext.one_commutes_with_x):
+
+* a pivot equal to 1 is not inverted and its row and column are not
+  scaled (idempotent_rank);
+* in a matrix product over S/G_N an entry equal to 1 costs additions only:
+  a left factor 1 adds the coefficients of its partner onto the output
+  for every sigma and delta (1*g = g always), a right factor 1 only where
+  x*1 = 1*x (skewpoly._block_product).
+
+On delta=broken, where x*1 = x + t at N = 3, pivots and right factors
+equal to 1 keep the full path.  A unit of S/G_N whose Newton residual
+1 - ab is already zero is inverted without further rounds.  The outputs
+are the same classes either way, and every certificate is still verified
+by its full products.
 """
 
 from __future__ import annotations
@@ -71,6 +88,11 @@ class _Scalars:
 
     def is_local(self):
         return self.ctx.is_local()
+
+    def one_is_two_sided(self):
+        """Whether 1*y = y = y*1 for every entry y: always over R, over
+        S/G_N where x*1 = 1*x (RingContext.one_commutes_with_x)."""
+        return True
 
 
 class BaseScalars(_Scalars):
@@ -196,6 +218,9 @@ class SeriesScalars(_Scalars):
         """a * b in one pass of the series block kernel (matrix_product)."""
         return matrix_product(self.ctx, self.precision, a, b)
 
+    def one_is_two_sided(self):
+        return self.ctx.one_commutes_with_x()
+
     def is_unit(self, a: TruncatedSeries) -> bool:
         # unit iff the x^0 slot is a unit of R: the rest lies in G_1,
         # which is nilpotent in S/G_N; the zero class has no slot at all
@@ -204,14 +229,20 @@ class SeriesScalars(_Scalars):
     def inv(self, a: TruncatedSeries) -> TruncatedSeries:
         """Newton iteration b <- b + b(1 - ab) from b = c0^-1, c0 the x^0
         slot of a.  Then 1 - ab lies in G_1, each round squares it and
-        G_k G_k lies in G_2k, so ceil(log2 N) rounds reach G_N = 0."""
+        G_k G_k lies in G_2k, so ceil(log2 N) rounds reach G_N = 0.  The
+        iteration stops early once 1 - ab is the zero class, since a
+        further round adds b*0 = 0 and leaves b as it is (a constant unit
+        costs one product there)."""
         if not self.is_unit(a):
             raise ValueError("not a unit")
         one = self.one()
         b = TruncatedSeries.constant(self.ctx, self.precision,
                                      self.ctx.inv(a.coeffs[0]))
         for _ in range((self.precision - 1).bit_length()):
-            b = b + b * (one - a * b)
+            residual = one - a * b
+            if residual.is_zero():
+                break
+            b = b + b * residual
         if b * a != one or a * b != one:
             # the text names the geometric series this method replaced; the
             # cli-cold benchmark pins it
@@ -402,6 +433,12 @@ def idempotent_rank(e: IdempotentMatrix) -> RankWitness:
     clears the pivot row; the trailing block stays idempotent and the
     recursion continues.  When the trailing block has no unit it must be
     identically zero, which is verified rather than assumed.
+
+    A pivot equal to 1 is neither inverted nor scaled by when 1 is a
+    two-sided identity of the base (scalars.one_is_two_sided(): always over
+    R, over S/G_N where x*1 = 1*x), since scaling by 1 changes nothing
+    there; on delta=broken it takes the full path.  The pivot column is
+    checked after the step either way.
     """
     scalars = e.scalars
     if not scalars.is_local():
@@ -435,7 +472,9 @@ def idempotent_rank(e: IdempotentMatrix) -> RankWitness:
         # The change is (D L)^-1 with D the pivot on the diagonal and L the
         # column below it, both read before the step.
         col = [row[pivot_row] for row in a]
-        ops.scale(pivot_row, scalars.inv(col[pivot_row]), col[pivot_row])
+        pivot = col[pivot_row]
+        if pivot != one or not scalars.one_is_two_sided():
+            ops.scale(pivot_row, scalars.inv(pivot), pivot)
         for r in range(pivot_row + 1, n):
             ops.add(r, pivot_row, scalars.neg(col[r]))
         if a[pivot_row][pivot_row] != one or any(

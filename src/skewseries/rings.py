@@ -93,6 +93,7 @@ class RingContext:
         # from _mkl_cache by the product kernel
         self._mkl_rows = {}
         self._family_mkl_depth = None
+        self._one_commutes_with_x = None
 
     # -- primitive operations (subclass responsibility) ------------------
 
@@ -288,6 +289,19 @@ class RingContext:
         if self._family_mkl_depth is None:
             self._family_mkl_depth = self._mkl_depth()
         return min(self.radical_nilpotency, self._family_mkl_depth)
+
+    def one_commutes_with_x(self) -> bool:
+        """Whether sigma(1) = 1 and delta(1) = 0, i.e. x*1 = 1*x, computed on
+        first use.  Then M_{0,l}(1) = 1 and M_{k,l}(1) = 0 for k > 0, so
+        f*1 = f for every f and the class of 1 is a two-sided identity of
+        S/G_N; 1*g = g holds always, since only M_{0,0} = id enters it.  The
+        k0 kernels skip the products by 1 only where this holds; on
+        delta=broken (delta(1) = t) it does not."""
+        if self._one_commutes_with_x is None:
+            one = self.one()
+            self._one_commutes_with_x = (self.sigma(one) == one
+                                         and self.delta(one) == self.zero())
+        return self._one_commutes_with_x
 
     def sigma_inv(self, a):
         """Preimage under sigma, from the family's closed form and checked

@@ -196,28 +196,42 @@ class TruncatedSeries:
         return f"{body} [N={self.precision}]"
 
 
+def _checked_coeffs(ctx: RingContext, precision: int, m) -> list:
+    """The stored coefficients of the entries of m, row by row, each entry
+    checked against S/G_N in the same pass (_check_compat where the inline
+    test does not pass, so every error keeps its text)."""
+    out = []
+    for row in m:
+        coeffs = []
+        for x in row:
+            if not (type(x) is TruncatedSeries and x.ctx is ctx
+                    and x.precision == precision):
+                _check_compat(ctx, precision, x)
+            coeffs.append(x.coeffs)
+        out.append(coeffs)
+    return out
+
+
 def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
     """a * b for matrices of classes in S/G_N, as one pass of the block
     kernel (skewpoly._block_product).
 
-    Each entry of a and b, zero or not, is checked against S/G_N once.  The
-    kernel reads each entry's stored coefficients, which end in a nonzero
-    slot, skips the zero entries, and looks up the operator row of each
-    coefficient of each nonzero entry of b once for every row.  The
-    unreduced products of a row and a column are summed slot by slot, in
+    Each entry of a and b, zero or not, is checked against S/G_N once, row
+    by row, a first, in the pass that reads its coefficients.  The kernel
+    reads each entry's stored coefficients, which end in a nonzero slot,
+    skips the zero entries, adds a factor equal to 1 where it can (see
+    _block_product), and looks up the operator row of each coefficient of
+    each other nonzero entry of b once for every row.  The unreduced
+    products of a row and a column are summed slot by slot, in
     accumulators only as long as the products reach, and each slot is
     reduced once.  That is the class the fold of + and * gives: a product
     with a zero factor adds nothing, the canonical representative mod I^k
     does not depend on whether the summands were reduced first, and the
-    ring multiplications are the same ones.  The outputs that no pair of
-    nonzero entries reaches share one zero class."""
-    for m in (a, b):
-        for row in m:
-            for x in row:
-                _check_compat(ctx, precision, x)
-    out = _block_product(ctx, [[x.coeffs for x in row] for row in a],
-                         [[y.coeffs for y in col] for col in zip(*b)],
-                         precision)
+    ring multiplications are the same ones but for those by 1.  The
+    outputs that no pair of nonzero entries reaches share one zero class."""
+    rows = _checked_coeffs(ctx, precision, a)
+    cols = list(zip(*_checked_coeffs(ctx, precision, b)))
+    out = _block_product(ctx, rows, cols, precision)
     build, zero = TruncatedSeries._from_slots, None
     for row in out:
         for c, slots in enumerate(row):
@@ -246,8 +260,10 @@ def mul_add(ctx: RingContext, precision: int, v, others, addends=None,
     coefficients of v are looked up once for all of them.  An entry whose y
     is zero is x itself (y itself, with no addends)."""
     out = list(others if addends is None else addends)
-    for x in [v, *others, *(addends or ())]:
-        _check_compat(ctx, precision, x)
+    for x in (v, *others, *(addends or ())):
+        if not (type(x) is TruncatedSeries and x.ctx is ctx
+                and x.precision == precision):
+            _check_compat(ctx, precision, x)
     lv = len(v.coeffs)
     zero = ctx.zero()
     built, partners = [], []

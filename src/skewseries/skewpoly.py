@@ -185,34 +185,75 @@ def _closed_product(ctx: RingContext, fa, gb, length: int) -> list:
     return out
 
 
+def _add_coeffs(ctx: RingContext, out_row, c: int, coeffs, reach: int):
+    """out_row[c][m] += coeffs[m] for m < ``reach``, with ctx.add, for the
+    nonzero coefficients: the terms of a product by 1.  The accumulator is
+    made, or extended, to ``reach`` slots first."""
+    zero = ctx.zero()
+    acc = out_row[c]
+    if acc is None:
+        acc = out_row[c] = [zero] * reach
+    elif len(acc) < reach:
+        acc += [zero] * (reach - len(acc))
+    add = ctx.add
+    for m in range(reach):
+        a = coeffs[m]
+        if a != zero:
+            acc[m] = add(acc[m], a)
+
+
 def _block_product(ctx: RingContext, rows, cols, length: int) -> list:
     """out[r][c], the first ``length`` coefficients of
     sum_p rows[r][p] * cols[c][p], unreduced, for coefficient tuples of
     skew polynomials stored without trailing zeros: one pass of the closed
     formula (_add_products) per nonzero right factor cols[c][p], shared by
-    every row whose factor rows[r][p] is nonzero.  out[r][c] is None when
-    no p has both factors nonzero, so an output without terms costs no
-    accumulator, and an accumulator has only the slots its products reach.
+    every row whose factor rows[r][p] is nonzero and not 1.  out[r][c] is
+    None when no p has both factors nonzero, so an output without terms
+    costs no accumulator, and an accumulator has only the slots its
+    products reach.
 
     Per product, not per pair: ctx.mkl_depth() is read once, and the
     operator row of each right-factor coefficient is looked up once for all
     rows.  A zero factor adds no term to any slot, so skipping it leaves
-    every ring call and every operator row of the pairwise products.  Each
+    every ring call and every operator row of the pairwise products.
+
+    A factor equal to 1 costs additions only.  1*g = g for every sigma and
+    delta, since only M_{0,0} = id enters it, so a left factor 1 adds the
+    stored coefficients of g onto its accumulator with ctx.add.  f*1 = f
+    needs x*1 = 1*x (ctx.one_commutes_with_x()), so a right factor 1 adds
+    those of f only where that holds; on delta=broken it goes through the
+    full formula.  Either way the accumulator gets the same values: the
+    terms of a product by 1 are the products a*1 = 1*a = a in R.  Each
     output slot sums its terms in the order of the pairwise products: p,
     then i, n and j."""
     zero = ctx.zero()
     d = ctx.mkl_depth()
+    unit = (ctx.one(),)
+    right_unit = ctx.one_commutes_with_x()
     out = [[None] * len(cols) for _ in rows]
     for p in range(len(rows[0]) if rows else 0):
-        partners = [(f, len(f), out_row) for row, out_row in zip(rows, out)
-                    if (f := row[p])]
-        if not partners:
+        partners, units = [], []
+        for row, out_row in zip(rows, out):
+            f = row[p]
+            if f == unit:
+                units.append(out_row)
+            elif f:
+                partners.append((f, len(f), out_row))
+        if not (partners or units):
             continue
-        width = max(la for _, la, _ in partners)
+        width = max((la for _, la, _ in partners), default=0)
         for c, col in enumerate(cols):
             gb = col[p]
             lb = len(gb)
             if not lb:
+                continue
+            for out_row in units:
+                _add_coeffs(ctx, out_row, c, gb, min(lb, length))
+            if not partners:
+                continue
+            if right_unit and gb == unit:
+                for f, la, out_row in partners:
+                    _add_coeffs(ctx, out_row, c, f, min(la, length))
                 continue
             group = []
             for f, la, out_row in partners:

@@ -96,10 +96,17 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     # operator rows of 1 that x*x used to fill (10 sigma/delta calls and 10
     # adds) are now filled by the certificate's products instead.  Sums of
     # classes (the Newton steps of inv among them) add no zero slot past
-    # both operands' last nonzero one: 1499 -> 1467 adds
-    assert layers["rings.mul_calls"][0] == 1028
-    assert layers["rings.add_calls"][0] == 1467
-    assert layers["rings.sigma_delta_calls"][0] == 428
+    # both operands' last nonzero one: 1499 -> 1467 adds.  In the
+    # certificate's matrix products a factor equal to 1 adds its partner's
+    # coefficients with no ring multiplication: 58 products by a left 1 and
+    # 34 by a right 1, 1028 -> 936 muls (the adds they feed stay).  The
+    # right 1 asks x*1 = 1*x once, sigma(1) and delta(1): 3 sigma/delta
+    # calls and the add of delta's difference.  Each of the two inverses
+    # stops once 1 - ab is zero, so its last round no longer adds b*0 = 0
+    # to b, two slots each: 1467 + 1 - 4 = 1464 adds
+    assert layers["rings.mul_calls"][0] == 936
+    assert layers["rings.add_calls"][0] == 1464
+    assert layers["rings.sigma_delta_calls"][0] == 431
 
 
 @pytest.mark.parametrize("suite, counter", [

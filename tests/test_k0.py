@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX, assert_rows_read_the_memo
-from skewseries import k0, series, skewpoly
+from skewseries import cli, k0, series, skewpoly
 from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         TruncatedSeries, idempotent_rank, k0_rank_check,
                         parse_ring_preset, random_idempotent,
@@ -13,6 +13,7 @@ from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         unimodular_complete)
 from skewseries.k0 import (RankWitness, mat_diag, mat_direct_sum, mat_identity,
                           mat_mul, render_matrix)
+from skewseries.rings import RingContext
 from skewseries.series import random_series_in_filtration
 
 
@@ -66,6 +67,26 @@ class TestRank:
             w0 = idempotent_rank(IdempotentMatrix(
                 scalars, mat_diag(scalars, [0] * n)))
             assert w0.rank == 0 and w0.verify()
+
+    @pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
+    def test_unit_pivots_are_not_inverted(self, preset, monkeypatch):
+        # both pivots of diag(1, 1, 0) are 1: where 1 is a two-sided
+        # identity (always over R) neither is inverted or scaled by; on
+        # delta=broken, over S/G_N, both are
+        ctx = parse_ring_preset(preset)
+        steps = []
+        for cls, name in ((k0._ElementaryOps, "scale"), (BaseScalars, "inv"),
+                          (SeriesScalars, "inv")):
+            def counted(*args, _plain=getattr(cls, name), _name=name):
+                steps.append(_name)
+                return _plain(*args)
+            monkeypatch.setattr(cls, name, counted)
+        for scalars in (BaseScalars(ctx), SeriesScalars(ctx, 3)):
+            del steps[:]
+            w = idempotent_rank(IdempotentMatrix(scalars, mat_diag(scalars, [1, 1, 0])))
+            assert w.rank == 2 and w.verify()
+            full = isinstance(scalars, SeriesScalars) and preset == BROKEN_PRESET
+            assert steps == (["inv", "scale"] * 2 if full else [])
 
     def test_handworked_rank_one(self, z8):
         scalars = BaseScalars(z8)
@@ -342,6 +363,33 @@ class TestNewtonInverse:
         assert 2 ** rounds >= precision
         assert len(calls) <= 2 * rounds + 2
 
+    def test_constant_unit_stops_after_one_product(self, monkeypatch):
+        # b = c0^-1 already inverts a constant unit: 1 - ab is zero after
+        # one product, so the rounds stop there and only the two-sided check
+        # follows, 3 series products instead of 3 rounds of two and 2
+        ctx = parse_ring_preset("truncpoly:3:3:c=2")
+        scalars = SeriesScalars(ctx, 8)
+        a = TruncatedSeries.constant(ctx, 8, ctx.add(ctx.from_int(2),
+                                                     ctx.radical_gens[0]))
+        calls = []
+        plain_mul = TruncatedSeries.__mul__
+
+        def counted_mul(x, y):
+            calls.append(1)
+            return plain_mul(x, y)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+        b = scalars.inv(a)
+        assert len(calls) == 3
+        assert b == TruncatedSeries.constant(ctx, 8, ctx.inv(a.coeffs[0]))
+
+    def test_broken_serre_transfer_crash_is_pinned(self):
+        # the cli-cold benchmark expects exactly this crash of the suite's
+        # default run on the delta=broken control
+        with pytest.raises(AssertionError,
+                           match="^geometric inverse failed to verify$"):
+            cli.main(["check", "serre-transfer", "--ring", BROKEN_PRESET])
+
     @pytest.mark.parametrize("precision", (2, 3, 4, 8))
     def test_broken_preset_fails_to_verify(self, precision):
         # delta=broken is not a derivation, so S/G_N is not associative and
@@ -377,14 +425,21 @@ def _random_matrix(scalars, rows, cols, rng):
                        for _ in range(cols)) for _ in range(rows))
 
 
-def _pairwise_products(scalars, a, b):
+def _pairwise_products(scalars, a, b, skip_units=False):
     """One series product per pair of entries of a * b over S/G_N, on the
     context of ``scalars``: the operator rows and memo the block kernel must
-    leave behind as well."""
+    leave behind as well.  With skip_units, not the pairs the block kernel
+    adds without a product: a left factor 1, and a right factor 1 where
+    x*1 = 1*x."""
     ctx, precision = scalars.ctx, scalars.precision
+    unit = (ctx.one(),)
+    right_unit = ctx.one_commutes_with_x()
     for row in a:
         for col in zip(*b):
             for x, y in zip(row, col):
+                if skip_units and (x.coeffs == unit
+                                   or (right_unit and y.coeffs == unit)):
+                    continue
                 TruncatedSeries(ctx, precision, x.coeffs) * \
                     TruncatedSeries(ctx, precision, y.coeffs)
 
@@ -456,6 +511,51 @@ class TestFusedMatMul:
             with pytest.raises(ValueError, match=message):
                 IdempotentMatrix(scalars, matrices[side])
 
+    @pytest.mark.parametrize("wrong,message", [
+        ("precision", "^precision mismatch$"),
+        ("context", "^ring context mismatch$"),
+        ("element", "^ring context mismatch$")])
+    def test_series_steps_check_every_entry(self, z8, f27, wrong, message):
+        # a foreign entry in the row added (row step), in the column added
+        # to (column step), as the factor v, or in a matrix product
+        scalars = SeriesScalars(f27, 3)
+        one = scalars.one()
+        foreign = {"precision": TruncatedSeries.one(f27, 4),
+                   "context": TruncatedSeries.one(z8, 3),
+                   "element": f27.one()}[wrong]
+        for where in ("row", "column", "v", "product"):
+            m = [[one, one], [one, one]]
+            w = [[one, one], [one, one]]
+            v = one
+            if where == "row":
+                m[1][0] = foreign
+            elif where == "column":
+                w[1][0] = foreign
+            elif where == "v":
+                v = foreign
+            with pytest.raises(ValueError, match=message):
+                if where == "product":
+                    mat_mul(scalars, ((one, one),), ((one,), (foreign,)))
+                else:
+                    k0._ElementaryOps(scalars, rows=(m,), cols=(w,)).add(0, 1, v)
+
+    def test_series_entries_on_an_equal_context(self, f27):
+        # a second parse of the same preset is an equal context, not the
+        # same object: its classes pass the full check
+        scalars = SeriesScalars(f27, 3)
+        twin = parse_ring_preset(f27.name)
+        assert twin is not f27 and twin == f27
+        rng = random.Random(71)
+        a = _random_matrix(scalars, 2, 2, rng)
+        b = _random_matrix(scalars, 2, 2, rng)
+        moved = _moved(b, SeriesScalars(twin, 3))
+        assert mat_mul(scalars, a, moved) == mat_mul(scalars, a, b)
+        v = k0._sample_unit(scalars, rng)
+        steps = [[list(row) for row in m] for m in (b, moved)]
+        for rows in steps:
+            k0._ElementaryOps(scalars, rows=(rows,), cols=(rows,)).add(0, 1, v)
+        assert steps[0] == steps[1]
+
     def test_series_product_builds_each_entry_once(self, monkeypatch):
         # a fresh context, since its mul is counted by an instance override
         # and its M_{k,l} memo starts empty
@@ -497,11 +597,18 @@ SPARSE_PRECISIONS = (None,) + tuple(range(1, 13))
 def _sparse_factors(scalars, rng):
     """Pairs (a, b) for a * b whose entries are mostly zero: zero matrices,
     identities and permutations, a zero row or column, a single nonzero
-    entry, then n x k by k x m factors for n = 1..8 at mixed densities."""
+    entry, then n x k by k x m factors for n = 1..8 at mixed densities,
+    then factors with many entries 1: identities, permutations, and n x k
+    by k x m factors a third of whose entries are 1, for n = 1, 3, 6."""
     zero, one = scalars.zero(), scalars.one()
 
     def dense(rows, cols, density=2 / 3):
         return tuple(tuple(scalars.sample(rng) if rng.random() < density else zero
+                           for _ in range(cols)) for _ in range(rows))
+
+    def with_units(rows, cols):
+        # a third of the entries 1, a third zero
+        return tuple(tuple(rng.choice((one, zero, scalars.sample(rng)))
                            for _ in range(cols)) for _ in range(rows))
 
     def single(n, i, j):
@@ -537,16 +644,26 @@ def _sparse_factors(scalars, rng):
         inner, cols = rng.randint(1, 8), rng.randint(1, 8)
         density = rng.choice((0.25, 0.5, 0.9))
         yield dense(n, inner, density), dense(inner, cols, density)
+    # factors with entries 1, which the block kernel adds without a product
+    yield mat_identity(scalars, 3), mat_identity(scalars, 3)
+    yield permutation, permutation
+    for n in (1, 3, 6):
+        inner, cols = rng.randint(1, 6), rng.randint(1, 6)
+        yield with_units(n, inner), with_units(inner, cols)
 
 
 class TestSparseMatMul:
-    """The matrix kernels skip zero entries; they must still give the
-    schoolbook product, and over S/G_N leave the operator rows, vanishing
-    checks and memo of the products one pair of entries at a time."""
+    """The matrix kernels skip zero entries, and over S/G_N add the factors
+    equal to 1 without a product; they must still give the schoolbook
+    product and the product with x*1 = 1*x not assumed, and over S/G_N
+    leave the operator rows, vanishing checks and memo of the products one
+    pair of entries at a time, for the pairs without such a factor."""
 
     @pytest.mark.parametrize("preset", DOT_PRESETS)
     def test_matches_schoolbook(self, preset, monkeypatch):
-        ctx, ref = parse_ring_preset(preset), parse_ring_preset(preset)
+        ctx, ref, rows_ref, full = (parse_ring_preset(preset) for _ in range(4))
+        right_unit = ctx.one_commutes_with_x()
+        assert right_unit == (preset != BROKEN_PRESET)
         calls, ref_calls = [], []
         _record_ring_calls(ctx, calls)
         _record_ring_calls(ref, ref_calls)
@@ -555,13 +672,14 @@ class TestSparseMatMul:
 
         def counted_kernel(c, d, partners, width, gb, lb, length):
             if c is ctx:
-                kernel_calls.append((gb, lb, [la for _, la, _ in partners]))
+                kernel_calls.append((gb, lb, [f for f, _, _ in partners]))
             plain_kernel(c, d, partners, width, gb, lb, length)
 
         monkeypatch.setattr(skewpoly, "_add_products", counted_kernel)
         for precision in SPARSE_PRECISIONS:
             scalars = _scalars_on(ctx, precision)
             ref_scalars = _scalars_on(ref, precision)
+            full_scalars = _scalars_on(full, precision)
             rng = random.Random(f"{preset}/{precision}/sparse")
             for a, b in _sparse_factors(scalars, rng):
                 del calls[:], ref_calls[:], kernel_calls[:]
@@ -582,16 +700,29 @@ class TestSparseMatMul:
                     # calls, but for the products with a zero factor
                     assert calls == _without_zero_products(ref_calls, ctx.zero())
                     continue
-                # ... and over S/G_N they share one zero class, and the
+                # over S/G_N, the same with x*1 = 1*x not assumed ...
+                with monkeypatch.context() as m:
+                    m.setattr(RingContext, "one_commutes_with_x", lambda _: False)
+                    assert mat_mul(full_scalars, _moved(a, full_scalars),
+                                   _moved(b, full_scalars)) == fused
+                # ... and they share one zero class, and the
                 # kernel runs once per nonzero right-factor entry that
-                # meets a nonzero left-factor entry, with nonzero partners
+                # meets a left-factor entry other than 0 and 1, with those
+                # partners; a right-factor 1 gets no pass where x*1 = 1*x
                 assert all(x is empty[0] for x in empty)
-                assert all(lb > 0 and all(partners) for _, lb, partners in kernel_calls)
+                one = scalars.one()
+                unit = one.coeffs
+                assert all(lb > 0 and all(partners) and unit not in partners
+                           and not (right_unit and gb == unit)
+                           for gb, lb, partners in kernel_calls)
                 assert len(kernel_calls) == sum(
                     1 for p in range(len(b)) for y in b[p]
-                    if y != zero and any(row[p] != zero for row in a))
-        assert ctx._mkl_rows == ref._mkl_rows
-        assert ctx._mkl_cache.keys() == ref._mkl_cache.keys()
+                    if y != zero and not (right_unit and y == one)
+                    and any(row[p] not in (zero, one) for row in a))
+                _pairwise_products(SeriesScalars(rows_ref, precision), a, b,
+                                   skip_units=True)
+        assert ctx._mkl_rows == rows_ref._mkl_rows
+        assert ctx._mkl_cache.keys() == rows_ref._mkl_cache.keys()
         assert_rows_read_the_memo(ctx)
 
     def test_builds_each_reached_entry_once(self, monkeypatch):
@@ -798,8 +929,11 @@ class TestFusedElementaryOps:
     @pytest.mark.parametrize("preset", ELEMENTARY_PRESETS)
     def test_rank_and_generators_match_the_oracle(self, preset, monkeypatch):
         # the idempotents come from a third context, so that ctx and ref see
-        # only the paths compared
-        ctx, ref, gen = (parse_ring_preset(preset) for _ in range(3))
+        # only the paths compared.  Two more compare idempotent_rank and
+        # stable_iso_witness as they run with those that do not take 1 for
+        # a two-sided identity, where every pivot 1 is inverted and scaled
+        # by and every right factor 1 goes through the product kernel
+        ctx, ref, gen, comp, full = (parse_ring_preset(preset) for _ in range(5))
         for precision in ELEMENTARY_PRECISIONS:
             scalars = _scalars_on(ctx, precision)
             ref_scalars = _scalars_on(ref, precision)
@@ -828,6 +962,23 @@ class TestFusedElementaryOps:
                     plain = _witness_parts(_outcome(idempotent_rank, IdempotentMatrix(
                         ref_scalars, _moved(e[0].entries, ref_scalars))))
                 assert fused == plain
+                # stable_iso_witness of e and its reversal (rows and columns
+                # in reverse order, an idempotent of the same rank), and the
+                # same two calls with the full path forced
+                entries = tuple(row[::-1] for row in e[0].entries[::-1])
+                pairs = [(IdempotentMatrix(s, _moved(e[0].entries, s)),
+                          IdempotentMatrix(s, _moved(entries, s)))
+                         for s in (_scalars_on(comp, precision),
+                                   _scalars_on(full, precision))]
+                computed = (_outcome(idempotent_rank, pairs[0][0]),
+                            _outcome(stable_iso_witness, *pairs[0]))
+                with monkeypatch.context() as m:
+                    m.setattr(RingContext, "one_commutes_with_x", lambda _: False)
+                    m.setattr(BaseScalars, "one_is_two_sided", lambda _: False)
+                    forced = (_outcome(idempotent_rank, pairs[1][0]),
+                              _outcome(stable_iso_witness, *pairs[1]))
+                assert _witness_parts(computed[0]) == _witness_parts(forced[0]) == fused
+                assert computed[1] == forced[1]
         _assert_same_memo(ctx, ref)
 
 

@@ -76,15 +76,18 @@ def test_memo_rows_stop_at_the_depth():
 
 def _kernels(ctx, power):
     """The four kernels that cut at the depth, each on x^power * t; the
-    series are taken at N = power + 2, so t is nonzero in S/G_N."""
+    series are taken at N = power + 2, so t is nonzero in S/G_N.  The
+    matrix kernel's left factor is 2*x^power: a left factor 1 costs it
+    additions only, reading no operator row."""
     t = ctx.radical_gens[0]
     x_pow = (ctx.zero(),) * power + (ctx.one(),)
     n = power + 2
     series_x = TruncatedSeries(ctx, n, x_pow)
     series_t = TruncatedSeries.constant(ctx, n, t)
+    series_2x = TruncatedSeries(ctx, n, x_pow[:-1] + (ctx.from_int(2),))
     return (lambda: SkewPoly(ctx, x_pow) * SkewPoly.from_scalar(ctx, t),
             lambda: series_x * series_t,
-            lambda: mat_mul(SeriesScalars(ctx, n), ((series_x,),), ((series_t,),)),
+            lambda: mat_mul(SeriesScalars(ctx, n), ((series_2x,),), ((series_t,),)),
             lambda: normalize_right_to_left(RightFormPoly(ctx, [(power, t)])))
 
 
@@ -101,7 +104,9 @@ class TestDepthOneTooSmall:
 
     def test_every_kernel_raises(self, shrunk):
         # x^2 * t skips M_{1,0}(t) = delta(t) = t^2; 1 * t skips no term,
-        # but the operator row of t must not admit a nonzero M_{1,0}(t)
+        # but the operator row of t must not admit a nonzero M_{1,0}(t).
+        # The matrix kernel multiplies 2 * t instead, since it adds 1 * t
+        # without reading the row of t
         for power in (0, 2):
             for kernel in _kernels(shrunk, power):
                 with pytest.raises(AssertionError,

@@ -56,6 +56,32 @@ class TestSeriesProduct:
             assert f * one == f
             assert one * f == f
 
+    @pytest.mark.parametrize("preset", PRESET_MATRIX)
+    def test_one_commutes_with_x(self, preset):
+        # sigma(1) = 1 and delta(1) = 0, so the class of 1 is a two-sided
+        # identity: the block kernel and idempotent_rank skip products by 1
+        # on this ground.  The predicate is computed on first use only
+        ctx = parse_ring_preset(preset)
+        assert ctx._one_commutes_with_x is None
+        assert ctx.one_commutes_with_x()
+        rng = random.Random(preset)
+        for precision in range(1, 9):
+            one = TruncatedSeries.one(ctx, precision)
+            for f in [TruncatedSeries.var(ctx, precision)] + [
+                    random_series(ctx, precision, rng) for _ in range(3)]:
+                assert f * one == f == one * f
+
+    def test_one_is_only_a_left_identity_on_the_broken_control(self):
+        # must-fail control: delta(1) = t, so x*1 = x + t at N = 3; this is
+        # why a right factor 1 and a pivot 1 keep the full path unless the
+        # predicate holds.  1*x = x holds for every sigma and delta
+        ctx = parse_ring_preset(BROKEN_PRESET)
+        assert not ctx.one_commutes_with_x()
+        x, one = TruncatedSeries.var(ctx, 3), TruncatedSeries.one(ctx, 3)
+        assert x * one != x
+        assert x * one == x + TruncatedSeries.constant(ctx, 3, ctx.radical_gens[0])
+        assert one * x == x
+
     def test_x_times_t(self, f27):
         t = f27.named_literals()["t"]
         x = TruncatedSeries.var(f27, 3)
