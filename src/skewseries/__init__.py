@@ -15,9 +15,8 @@ from .rings import (INF, RingContext, TruncPolyRing, ZmodRing,
 from .series import (GradedElem, TruncatedSeries, filtration_generators,
                      graded_iso_check, ideal_closure_check, principal_symbol,
                      series_law_check)
-from .skewpoly import (NEG_INF, RightFormPoly, SkewPoly, left_to_right_form,
-                       mkl_oracle_check, monomial_operator_apply,
-                       monomial_operator_words, normalize_right_to_left,
+from .skewpoly import (NEG_INF, SkewPoly, mkl_oracle_check,
+                       monomial_operator_apply, monomial_operator_words,
                        poly_law_check, poly_mul_commutation)
 from .suites import SUITE_NAMES, run_property_suite
 

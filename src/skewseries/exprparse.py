@@ -352,16 +352,6 @@ class _Evaluator:
         self.precision = precision
         self.zero = ctx.zero()
         self.one = ctx.one()
-        self._plain = None
-
-    def plain(self) -> bool:
-        """sigma(1) = 1 and delta(1) = 0, asked once per evaluation.  Then
-        (x^k)^e = x^(k e); otherwise (the delta=broken control has
-        delta(1) = t, so x x = x^2 + t x) powers of x are multiplied out."""
-        if self._plain is None:
-            ctx, one = self.ctx, self.one
-            self._plain = ctx.sigma(one) == one and ctx.delta(one) == self.zero
-        return self._plain
 
     def element(self, coeffs):
         """The SkewPoly, or the class in S/G_N, with these coefficients."""
@@ -410,6 +400,8 @@ class _Evaluator:
         c, k = base
         if k == 0:
             return _power(self.one, c, exponent, self.ctx.mul), 0
-        if k is not None and c == self.one and self.plain():
+        # (x^k)^e = x^(k e) where x*1 = 1*x; otherwise (the delta=broken
+        # control has delta(1) = t, so x x = x^2 + t x) it is multiplied out
+        if k is not None and c == self.one and self.ctx.one_commutes_with_x():
             return c, k * exponent
         return self.lift(c, k) ** exponent, None

@@ -158,10 +158,6 @@ class RingContext:
         """One representative of each nonzero class of R/I."""
         raise NotImplementedError
 
-    def _sigma_inv(self, a):
-        """Candidate preimage of a under sigma."""
-        raise NotImplementedError
-
     def _mkl_depth(self) -> int:
         """Least d >= 1 with M_{d,l} = 0 for every l (see mkl_depth)."""
         raise NotImplementedError
@@ -303,15 +299,6 @@ class RingContext:
                                          and self.delta(one) == self.zero())
         return self._one_commutes_with_x
 
-    def sigma_inv(self, a):
-        """Preimage under sigma, from the family's closed form and checked
-        by applying sigma to it."""
-        b = self._sigma_inv(a)
-        if self.sigma(b) != a:
-            raise AssertionError(
-                f"sigma preimage of {self.render(a)} in {self.name} failed to verify")
-        return b
-
     def sigma_radical_onto(self) -> bool:
         """Whether sigma maps I onto I (not merely into)."""
         radical = self.ideal_power(1)
@@ -401,9 +388,6 @@ class ZmodRing(RingContext):
     def _unit_residues(self):
         return list(range(1, self.p))
 
-    def _sigma_inv(self, a):
-        return a
-
     def _mkl_depth(self):
         # delta = 0, so every word with a delta letter is zero
         return 1
@@ -451,7 +435,6 @@ class TruncPolyRing(RingContext):
         self._zero = (0,) * m
         self._one = (1 % q,) + (0,) * (m - 1)
         self._cpow = [pow(c, i, q) for i in range(m)]
-        self._cinvpow = [pow(c, -i, q) for i in range(m)]
         self._codes = {}     # canonical element -> code
         self._elems = []     # code -> the element object stored in the memos
         self._code_lock = threading.Lock()
@@ -642,10 +625,6 @@ class TruncPolyRing(RingContext):
 
     def _unit_residues(self):
         return [self.from_int(c) for c in range(1, self.q)]
-
-    def _sigma_inv(self, a):
-        # sigma scales coefficient i by c^i, and c is a unit mod q
-        return tuple((x * self._cinvpow[i]) % self.q for i, x in enumerate(a))
 
     def _mkl_depth(self):
         if self.delta_mode == "zero":

@@ -19,7 +19,8 @@ product routes are provided so they can be cross-validated:
   rows of each b are kept per context in ctx._mkl_rows, keyed by d, read
   from the recursion's memo (ctx._mkl_cache), built on first use and
   extended when a product needs a larger n; they hold only the nonzero
-  values, so never more entries than the memo.  One block kernel
+  values, so never more entries than the memo.  The product kernels are
+  their only readers, all through :func:`_add_products`.  One block kernel
   (:func:`_block_product`) evaluates the formula for a whole row-by-column
   block of factors, as matrix products over S/G_N need: the operator row
   of each right-factor coefficient is looked up once for every row, and a
@@ -396,74 +397,6 @@ class SkewPoly:
             else:
                 parts.append(f"{cs}*{xp}")
         return " + ".join(parts)
-
-
-class RightFormPoly:
-    """Finite sum of terms x^i * a_i, degrees strictly increasing."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx: RingContext, terms):
-        zero = ctx.zero()
-        combined = {}
-        for i, a in terms:
-            if i < 0:
-                raise ValueError("negative degree")
-            combined[i] = ctx.add(combined.get(i, zero), a)
-        self.ctx = ctx
-        self.terms = tuple((i, a) for i, a in sorted(combined.items()) if a != zero)
-
-    def __eq__(self, other):
-        return (isinstance(other, RightFormPoly) and other.ctx == self.ctx
-                and other.terms == self.terms)
-
-    def __repr__(self):
-        body = " + ".join(
-            f"x^{i}*{self.ctx.render(a)}" for i, a in self.terms) or "0"
-        return f"RightFormPoly({self.ctx.name}, {body!r})"
-
-
-def normalize_right_to_left(p: RightFormPoly) -> SkewPoly:
-    """Rewrite sum_i x^i a_i in left normal form: the coefficient of x^j is
-    sum_{i >= j} M_{i-j, j}(a_i), where only i - j < d = ctx.mkl_depth()
-    contributes.  The values come from the operator rows of a_i
-    (_operator_rows), which check the cut, so zero M values are skipped."""
-    ctx = p.ctx
-    if not p.terms:
-        return SkewPoly.zero(ctx)
-    d = ctx.mkl_depth()
-    coeffs = [ctx.zero()] * (p.terms[-1][0] + 1)
-    for i, a in p.terms:
-        rows = _operator_rows(ctx, d, a, i + 1)
-        for j in range(max(0, i - d + 1), i + 1):
-            for k, v in rows[j]:
-                if k == i - j:
-                    coeffs[j] = ctx.add(coeffs[j], v)
-    return SkewPoly(ctx, coeffs)
-
-
-def _push_term_right(ctx, a, j, acc):
-    # a*x^j = x*(b*x^(j-1)) - delta(b)*x^(j-1)  with  b = sigma^(-1)(a)
-    if a == ctx.zero():
-        return
-    if j == 0:
-        acc[0] = ctx.add(acc.get(0, ctx.zero()), a)
-        return
-    b = ctx.sigma_inv(a)
-    shifted = {}
-    _push_term_right(ctx, b, j - 1, shifted)
-    for i, c in shifted.items():
-        acc[i + 1] = ctx.add(acc.get(i + 1, ctx.zero()), c)
-    _push_term_right(ctx, ctx.neg(ctx.delta(b)), j - 1, acc)
-
-
-def left_to_right_form(f: SkewPoly) -> RightFormPoly:
-    """Inverse rearrangement: move x to the left of every coefficient by
-    iterated commutation (requires sigma to be invertible)."""
-    acc = {}
-    for j, a in enumerate(f.coeffs):
-        _push_term_right(f.ctx, a, j, acc)
-    return RightFormPoly(f.ctx, acc.items())
 
 
 def _x_times(h: SkewPoly) -> SkewPoly:

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
-from skewseries import (RightFormPoly, SeriesScalars, SkewPoly, TruncatedSeries,
+from skewseries import (SeriesScalars, SkewPoly, TruncatedSeries,
                         eval_expression, mkl_oracle_check,
-                        monomial_operator_words, normalize_right_to_left,
-                        parse_expression, parse_ring_preset,
-                        poly_mul_commutation, sigma_nilpotence_bound)
+                        monomial_operator_words, parse_expression,
+                        parse_ring_preset, poly_mul_commutation,
+                        sigma_nilpotence_bound)
 from skewseries.k0 import mat_mul
 from skewseries.skewpoly import random_poly
 
@@ -75,7 +75,7 @@ def test_memo_rows_stop_at_the_depth():
 
 
 def _kernels(ctx, power):
-    """The four kernels that cut at the depth, each on x^power * t; the
+    """The three kernels that cut at the depth, each on x^power * t; the
     series are taken at N = power + 2, so t is nonzero in S/G_N.  The
     matrix kernel's left factor is 2*x^power: a left factor 1 costs it
     additions only, reading no operator row."""
@@ -87,8 +87,7 @@ def _kernels(ctx, power):
     series_2x = TruncatedSeries(ctx, n, x_pow[:-1] + (ctx.from_int(2),))
     return (lambda: SkewPoly(ctx, x_pow) * SkewPoly.from_scalar(ctx, t),
             lambda: series_x * series_t,
-            lambda: mat_mul(SeriesScalars(ctx, n), ((series_2x,),), ((series_t,),)),
-            lambda: normalize_right_to_left(RightFormPoly(ctx, [(power, t)])))
+            lambda: mat_mul(SeriesScalars(ctx, n), ((series_2x,),), ((series_t,),)))
 
 
 class TestDepthOneTooSmall:

@@ -361,27 +361,6 @@ def _assert_layered_bound_matches(ctx):
     assert layered == _word_enumeration_bounds(ctx, range(1, 4), 8)
 
 
-@pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
-def test_sigma_inv_matches_enumerated_table(preset):
-    ctx = parse_ring_preset(preset)
-    # the whole-carrier preimage table sigma_inv used to build
-    table = {ctx.sigma(x): x for x in ctx.elements()}
-    assert len(table) == ctx.cardinality
-    for a in ctx.elements():
-        assert ctx.sigma_inv(a) == table[a]
-
-
-def test_sigma_inv_is_checked_on_use():
-    class SquaringSigma(ZmodRing):
-        def sigma(self, a):
-            return a * a % self.cardinality
-
-    ring = SquaringSigma(2, 3)
-    assert ring.sigma_inv(1) == 1
-    with pytest.raises(AssertionError, match="sigma preimage of 3 in zmod:2\\^3"):
-        ring.sigma_inv(3)
-
-
 @pytest.mark.parametrize("preset", ["zmod:2^10", "zmod:3^5"])
 def test_zmod_reducer_per_k(preset):
     ctx = parse_ring_preset(preset)

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from conftest import BROKEN_PRESET
-from skewseries import (NEG_INF, RightFormPoly, SkewPoly, left_to_right_form,
-                        mkl_oracle_check, monomial_operator_apply,
-                        monomial_operator_words, normalize_right_to_left,
+from skewseries import (NEG_INF, SkewPoly, mkl_oracle_check,
+                        monomial_operator_apply, monomial_operator_words,
                         parse_ring_preset, poly_law_check,
                         poly_mul_commutation)
 from skewseries.skewpoly import random_poly
@@ -42,33 +41,15 @@ class TestMonomialOperator:
 class TestNormalization:
     def test_single_step_rule(self, f27):
         # x*r = sigma(r)*x + delta(r)
+        x = SkewPoly.var(f27)
         for r in f27.elements():
-            left = normalize_right_to_left(RightFormPoly(f27, [(1, r)]))
             expected = SkewPoly(f27, (f27.delta(r), f27.sigma(r)))
-            assert left == expected
-
-    def test_degree_zero_unchanged(self, f27):
-        t = f27.named_literals()["t"]
-        p = RightFormPoly(f27, [(0, t)])
-        assert normalize_right_to_left(p) == SkewPoly.from_scalar(f27, t)
+            assert x * SkewPoly.from_scalar(f27, r) == expected
 
     def test_two_steps_match_iterated_commutation(self, f27):
-        t = f27.named_literals()["t"]
-        via_formula = normalize_right_to_left(RightFormPoly(f27, [(2, t)]))
-        x = SkewPoly.var(f27)
-        via_steps = poly_mul_commutation(x * x, SkewPoly.from_scalar(f27, t))
-        assert via_formula == via_steps
-
-    def test_round_trip(self, z8, f27):
-        rng = random.Random(6)
-        for ctx in (z8, f27):
-            for _ in range(100):
-                f = random_poly(ctx, 4, rng)
-                assert normalize_right_to_left(left_to_right_form(f)) == f
-                # and the other way around, starting from a right form
-                rf = RightFormPoly(
-                    ctx, [(i, ctx.sample(rng)) for i in range(4)])
-                assert left_to_right_form(normalize_right_to_left(rf)) == rf
+        t = SkewPoly.from_scalar(f27, f27.named_literals()["t"])
+        x_sq = SkewPoly(f27, (f27.zero(), f27.zero(), f27.one()))
+        assert x_sq * t == poly_mul_commutation(x_sq, t)
 
 
 class TestProducts:
@@ -201,8 +182,6 @@ class TestNilpotenceCut:
         x_sq = SkewPoly(shrunk, (shrunk.zero(), shrunk.zero(), shrunk.one()))
         with pytest.raises(AssertionError, match="nilpotence bound violated"):
             x_sq * SkewPoly.from_scalar(shrunk, t)
-        with pytest.raises(AssertionError, match="nilpotence bound violated"):
-            normalize_right_to_left(RightFormPoly(shrunk, [(2, t)]))
         # the real context multiplies the same factors
         x_sq = SkewPoly(delta_ctx, x_sq.coeffs)
         t_poly = SkewPoly.from_scalar(delta_ctx, t)
@@ -218,11 +197,13 @@ def _check_products_against_commutation(ctx, rng):
 
 
 def _check_right_form_normalization(ctx, rng):
-    """x^i * a in left form, against i single commutation steps x * (...)."""
+    """The product x^i * a in left form, against i single commutation steps
+    x * (...)."""
     x = SkewPoly.var(ctx)
     for i in range(ctx.radical_nilpotency + 4):
-        a = ctx.sample(rng)
-        expected = SkewPoly.from_scalar(ctx, a)
+        a = SkewPoly.from_scalar(ctx, ctx.sample(rng))
+        expected = a
         for _ in range(i):
             expected = poly_mul_commutation(x, expected)
-        assert normalize_right_to_left(RightFormPoly(ctx, [(i, a)])) == expected
+        x_pow = SkewPoly(ctx, (ctx.zero(),) * i + (ctx.one(),))
+        assert x_pow * a == expected
