@@ -361,6 +361,16 @@ def _assert_layered_bound_matches(ctx):
     assert layered == _word_enumeration_bounds(ctx, range(1, 4), 8)
 
 
+@pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
+def test_sigma_permutes_the_carrier(preset):
+    # sigma is an automorphism of R: one preimage for every element, and the
+    # radical is mapped onto itself
+    ctx = parse_ring_preset(preset)
+    images = {ctx.sigma(a) for a in ctx.elements()}
+    assert images == set(ctx.elements())
+    assert ctx.sigma_radical_onto()
+
+
 @pytest.mark.parametrize("preset", ["zmod:2^10", "zmod:3^5"])
 def test_zmod_reducer_per_k(preset):
     ctx = parse_ring_preset(preset)

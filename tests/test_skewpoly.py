@@ -46,6 +46,23 @@ class TestNormalization:
             expected = SkewPoly(f27, (f27.delta(r), f27.sigma(r)))
             assert x * SkewPoly.from_scalar(f27, r) == expected
 
+    def test_degree_zero_unchanged(self, f27):
+        # x^0 * t commutes nothing past t
+        t = SkewPoly.from_scalar(f27, f27.named_literals()["t"])
+        assert SkewPoly.one(f27) * t == t
+
+    def test_left_form_is_its_monomial_sum(self, z8, f27):
+        # a scalar left of x^i needs no commutation: sum a_i * x^i is f
+        rng = random.Random(6)
+        for ctx in (z8, f27):
+            x = SkewPoly.var(ctx)
+            for _ in range(100):
+                f = random_poly(ctx, 4, rng)
+                total = SkewPoly.zero(ctx)
+                for i, a in enumerate(f.coeffs):
+                    total = total + SkewPoly.from_scalar(ctx, a) * x ** i
+                assert total == f
+
     def test_two_steps_match_iterated_commutation(self, f27):
         t = SkewPoly.from_scalar(f27, f27.named_literals()["t"])
         x_sq = SkewPoly(f27, (f27.zero(), f27.zero(), f27.one()))
