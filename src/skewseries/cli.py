@@ -45,62 +45,68 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", default="zmod:2^3", metavar="PRESET",
-                        help="ring preset, e.g. zmod:2^3 or truncpoly:3:3:c=2")
-    common.add_argument("--prec", type=int, default=None, metavar="N",
-                        help="work in S/G_N instead of the polynomial ring")
-    common.add_argument("--seed", type=int, default=0, metavar="SEED")
-    common.add_argument("--samples", type=int, default=200, metavar="COUNT")
-    common.add_argument("--format", choices=("text", "json"), default="text")
+# flags and options of each argument, for argparse's add_argument
+_COMMON = (
+    (("--ring",), {"default": "zmod:2^3", "metavar": "PRESET",
+                   "help": "ring preset, e.g. zmod:2^3 or truncpoly:3:3:c=2"}),
+    (("--prec",), {"type": int, "default": None, "metavar": "N",
+                   "help": "work in S/G_N instead of the polynomial ring"}),
+    (("--seed",), {"type": int, "default": 0, "metavar": "SEED"}),
+    (("--samples",), {"type": int, "default": 200, "metavar": "COUNT"}),
+    (("--format",), {"choices": ("text", "json"), "default": "text"}),
+)
+_EXPR = ((("expr",), {}),)
+_PAIR = ((("left",), {}), (("right",), {}))
 
+# name: (help, the arguments that follow the common options)
+_SUBCOMMANDS = {
+    "normalize": ("evaluate an expression to left normal form", _EXPR),
+    "mul": ("multiply two expressions", _PAIR),
+    "degree": ("filtration degree of a class in S/G_N (needs --prec)", _EXPR),
+    "symbol": ("principal symbol in the associated graded ring (needs --prec)",
+               _EXPR),
+    "nilbound": ("verified sigma-nilpotence bound for delta", (
+        (("--n",), {"type": int, "required": True, "dest": "target",
+                    "help": "target radical power I^n"}),
+        (("--word-limit",), {"type": int, "default": 6}))),
+    "rank": ("diagonalize an idempotent matrix and certify its free rank",
+             ((("matrix",), {"help": "rows separated by ';', entries by ','"}),)),
+    "stable-iso": ("stable isomorphism witness for two idempotents", _PAIR),
+    "complete-row": ("complete a unimodular row to an invertible matrix",
+                     ((("row",), {"help": "entries separated by ','"}),)),
+    "check": ("run a named property suite",
+              ((("suite",), {"choices": SUITE_NAMES}),)),
+}
+
+
+class _Subcommand:
+    """What add_subparsers(parser_class=_Subcommand) registers for each
+    subcommand.  argparse only calls parse_known_args on the one a command
+    line names, so that one alone gets its _Parser built."""
+
+    def __init__(self, prog, arguments):
+        self.prog = prog
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(prog=self.prog)
+        for flags, options in _COMMON + self._arguments:
+            parser.add_argument(*flags, **options)
+        return parser.parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser.  Every subcommand is registered by name and
+    help, which is all the usage line and -h show; its own parser is built
+    only when a command line names it."""
     parser = _Parser(
         prog="skewseries",
         description="Exact skew polynomial / twisted power series calculator "
                     "with filtration, graded-symbol and projective-rank tools.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", parents=[common],
-                       help="evaluate an expression to left normal form")
-    p.add_argument("expr")
-
-    p = sub.add_parser("mul", parents=[common],
-                       help="multiply two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("degree", parents=[common],
-                       help="filtration degree of a class in S/G_N (needs --prec)")
-    p.add_argument("expr")
-
-    p = sub.add_parser("symbol", parents=[common],
-                       help="principal symbol in the associated graded ring (needs --prec)")
-    p.add_argument("expr")
-
-    p = sub.add_parser("nilbound", parents=[common],
-                       help="verified sigma-nilpotence bound for delta")
-    p.add_argument("--n", type=int, required=True, dest="target",
-                   help="target radical power I^n")
-    p.add_argument("--word-limit", type=int, default=6)
-
-    p = sub.add_parser("rank", parents=[common],
-                       help="diagonalize an idempotent matrix and certify its free rank")
-    p.add_argument("matrix", help="rows separated by ';', entries by ','")
-
-    p = sub.add_parser("stable-iso", parents=[common],
-                       help="stable isomorphism witness for two idempotents")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("complete-row", parents=[common],
-                       help="complete a unimodular row to an invertible matrix")
-    p.add_argument("row", help="entries separated by ','")
-
-    p = sub.add_parser("check", parents=[common],
-                       help="run a named property suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Subcommand)
+    for name, (text, arguments) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=text, arguments=arguments)
     return parser
 
 

@@ -30,6 +30,7 @@ SkewPoly/TruncatedSeries operators.
 
 from __future__ import annotations
 
+from .report import Record
 from .rings import RingContext
 from .series import TruncatedSeries
 from .skewpoly import SkewPoly, _power
@@ -51,28 +52,12 @@ class ExprError(ValueError):
         self.column = column
 
 
-class _Node:
-    """Base of the expression nodes: light __slots__ classes, compared,
-    hashed and shown by their class and fields as frozen dataclasses are.
-    Nodes are not changed after they are built."""
+class _Node(Record):
+    """Base of the expression nodes: light __slots__ records.  Nodes are
+    not changed after they are built.  They are not FrozenRecords, because
+    the parser builds many of them and plain assignment is cheaper."""
 
     __slots__ = ()
-    _fields = ()
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
 
 
 class Const(_Node):

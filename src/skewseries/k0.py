@@ -67,9 +67,8 @@ by its full products.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .report import CheckReport
+from .report import CheckReport, FrozenRecord
 from .rings import RingContext
 from .series import (TruncatedSeries, matrix_product, mul_add,
                      random_series)
@@ -315,36 +314,30 @@ def _pad_to(e, n):
     return IdempotentMatrix(e.scalars, mat_direct_sum(e.scalars, e.entries, pad))
 
 
-@dataclass(frozen=True)
-class IdempotentMatrix:
+class IdempotentMatrix(FrozenRecord):
     """A square matrix e with e*e = e over the given scalar base."""
 
-    scalars: object
-    entries: tuple
+    __slots__ = _fields = ("scalars", "entries")
 
-    def __post_init__(self):
-        entries = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, scalars, entries):
+        entries = tuple(tuple(row) for row in entries)
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("matrix is not square")
-        if n and mat_mul(self.scalars, entries, entries) != entries:
+        if n and mat_mul(scalars, entries, entries) != entries:
             raise ValueError("not idempotent")
+        super().__init__(scalars, entries)
 
     @property
     def size(self):
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class RankWitness:
+class RankWitness(FrozenRecord):
     """Certificate that conjugator * e * conjugator_inv = diag(1^rank, 0...)."""
 
-    scalars: object
-    matrix: tuple
-    rank: int
-    conjugator: tuple
-    conjugator_inv: tuple
+    __slots__ = _fields = ("scalars", "matrix", "rank", "conjugator",
+                           "conjugator_inv")
 
     def diagonal_form(self):
         bits = [1] * self.rank + [0] * (len(self.matrix) - self.rank)
@@ -501,16 +494,11 @@ def idempotent_rank(e: IdempotentMatrix) -> RankWitness:
     return witness
 
 
-@dataclass(frozen=True)
-class StableIsoWitness:
+class StableIsoWitness(FrozenRecord):
     """W * (e1 (+) I_t) * W^-1 = e2 (+) I_t after zero-padding to a common size."""
 
-    scalars: object
-    t: int
-    left: tuple
-    right: tuple
-    conjugator: tuple
-    conjugator_inv: tuple
+    __slots__ = _fields = ("scalars", "t", "left", "right", "conjugator",
+                           "conjugator_inv")
 
     def verify(self) -> bool:
         s = self.scalars
@@ -550,8 +538,7 @@ def _stable_iso(e1: IdempotentMatrix, e2: IdempotentMatrix):
     return w1, w2, witness
 
 
-@dataclass(frozen=True)
-class StablyFreeWitness:
+class StablyFreeWitness(FrozenRecord):
     """Mutually inverse module maps exhibiting image(e) (+) R^s = R^(r+s).
 
     forward (n+s) x (r+s) and backward (r+s) x (n+s) satisfy, exactly,
@@ -559,13 +546,8 @@ class StablyFreeWitness:
     composites are the identity on both summands.
     """
 
-    scalars: object
-    matrix: tuple
-    rank: int
-    s: int
-    t: int
-    forward: tuple
-    backward: tuple
+    __slots__ = _fields = ("scalars", "matrix", "rank", "s", "t", "forward",
+                           "backward")
 
     def verify(self) -> bool:
         sc = self.scalars
@@ -613,14 +595,10 @@ def stably_free_witness(e: IdempotentMatrix, s: int) -> StablyFreeWitness:
     return witness
 
 
-@dataclass(frozen=True)
-class CompletedRow:
+class CompletedRow(FrozenRecord):
     """Invertible matrix whose first row is the given unimodular row."""
 
-    scalars: object
-    row: tuple
-    matrix: tuple
-    inverse: tuple
+    __slots__ = _fields = ("scalars", "row", "matrix", "inverse")
 
     def verify(self) -> bool:
         return (self.matrix[0] == tuple(self.row)

@@ -2,8 +2,6 @@
 lifted every leaf and computed every node with one SkewPoly or
 TruncatedSeries operation."""
 
-import dataclasses
-import itertools
 import random
 
 import pytest
@@ -133,58 +131,6 @@ def test_monomial_costs_only_the_constant_fold(monkeypatch, precision):
         assert value == SkewPoly(ctx, coeffs)
     else:
         assert value == TruncatedSeries(ctx, precision, coeffs)
-
-
-
-def _as_dataclasses(node):
-    """The same tree built from frozen dataclasses, the node classes the
-    parser used before its light __slots__ classes."""
-    if isinstance(node, (Add, Sub, Mul)):
-        return _DATACLASS_NODES[type(node).__name__](
-            _as_dataclasses(node.left), _as_dataclasses(node.right))
-    if isinstance(node, Pow):
-        return _DATACLASS_NODES["Pow"](_as_dataclasses(node.base), node.exponent)
-    if isinstance(node, Neg):
-        return _DATACLASS_NODES["Neg"](_as_dataclasses(node.child))
-    if isinstance(node, Const):
-        return _DATACLASS_NODES["Const"](node.payload)
-    return _DATACLASS_NODES["Var"]()
-
-
-_DATACLASS_NODES = {
-    name: dataclasses.make_dataclass(name, fields, frozen=True)
-    for name, fields in (("Const", ["payload"]), ("Var", []),
-                         ("Add", ["left", "right"]), ("Sub", ["left", "right"]),
-                         ("Mul", ["left", "right"]), ("Pow", ["base", "exponent"]),
-                         ("Neg", ["child"]))}
-
-
-def test_nodes_compare_hash_and_show_as_dataclasses(f27):
-    literals = [f27.zero(), f27.one(), *f27.radical_gens]
-    rng = random.Random(17)
-    trees = [_random_tree(rng, literals, 4) for _ in range(40)]
-    for node in trees:
-        twin = _as_dataclasses(node)
-        assert repr(node) == repr(twin)
-        assert hash(node) == hash(twin)
-        copy = _copy(node)
-        assert copy is not node and copy == node and hash(copy) == hash(node)
-    for a, b in itertools.product(trees[:6], repeat=2):
-        assert Add(a, b) != Sub(a, b) and Mul(a, b) != Add(a, b)
-        assert (Add(a, b) == Add(b, a)) == (a == b)
-    assert Var() == Var() and Var() != Const(f27.zero())
-    assert len({Pow(Var(), 2), Pow(Var(), 2), Pow(Var(), 3)}) == 2
-
-
-def _copy(node):
-    """An equal tree made of new node objects."""
-    if isinstance(node, (Add, Sub, Mul)):
-        return type(node)(_copy(node.left), _copy(node.right))
-    if isinstance(node, Pow):
-        return Pow(_copy(node.base), node.exponent)
-    if isinstance(node, Neg):
-        return Neg(_copy(node.child))
-    return Const(node.payload) if isinstance(node, Const) else Var()
 
 
 @pytest.mark.parametrize("precision", (None, 5))
