@@ -245,8 +245,15 @@ def _cmd_rank(args, ctx):
 
 def _cmd_stable_iso(args, ctx):
     scalars = _scalars_for(ctx, args.prec)
-    left = IdempotentMatrix(scalars, _parse_matrix(args.left, ctx, args.prec))
-    right = IdempotentMatrix(scalars, _parse_matrix(args.right, ctx, args.prec))
+    left = _parse_matrix(args.left, ctx, args.prec)
+    right = _parse_matrix(args.right, ctx, args.prec)
+    try:
+        left, right = IdempotentMatrix(scalars, left), IdempotentMatrix(scalars, right)
+    except ValueError as exc:
+        if "not idempotent" in str(exc):
+            return 1, ["NOT IDEMPOTENT"], \
+                {"verdict": "NOT IDEMPOTENT", "t": None, "certificate": None}
+        raise
     # zero-padding to a common size changes neither rank
     w_left, w_right, witness = _stable_iso(left, right)
     rank_left, rank_right = w_left.rank, w_right.rank

@@ -27,12 +27,13 @@ and U^-1, O(n^3) in all; the certificate is still re-verified by plain
 matrix multiplication, with every identity checked in full.  Each step
 x + v*y of an operation goes through the base's mul_add, with v_right for
 a column.  Over R that is the base's add after its mul.
-Over S/G_N it is one pass of the product kernel that accumulates onto the
-coefficients of x and reduces each changed entry once (series.mul_add); a
-column step is one pass for the whole column, which fetches the operator
-rows of v once.  A matrix product is one call of the base's kernel,
-``scalars.mat_mul``.  Over R each entry is the fold of + and *.  Over S/G_N
-the whole product is one pass of the block kernel (series.matrix_product):
+Over S/G_N it is one call of the block kernel (skewpoly._block_product)
+that accumulates onto the coefficients of x and reduces each changed entry
+once (series.mul_add); a column step is one call for the whole column,
+which fetches the operator rows of v once.  A matrix product is one call
+of the base's kernel, ``scalars.mat_mul``.  Over R each entry is the fold
+of + and *.  Over S/G_N the whole product is one call of the block kernel
+(series.matrix_product):
 each entry is checked once and read as stored, without trailing zero
 slots, each coefficient of an entry of the right factor has its operator
 row looked up once for every row, and each slot of an entry is summed
@@ -52,10 +53,11 @@ x*1 = 1*x (sigma(1) = 1 and delta(1) = 0, RingContext.one_commutes_with_x):
 
 * a pivot equal to 1 is not inverted and its row and column are not
   scaled (idempotent_rank);
-* in a matrix product over S/G_N an entry equal to 1 costs additions only:
-  a left factor 1 adds the coefficients of its partner onto the output
-  for every sigma and delta (1*g = g always), a right factor 1 only where
-  x*1 = 1*x (skewpoly._block_product).
+* in every product over S/G_N (matrix products, row and column steps and
+  single products alike) a factor equal to 1 costs additions only: a left
+  factor 1 adds the coefficients of its partner onto the output for every
+  sigma and delta (1*g = g always), a right factor 1 only where x*1 = 1*x
+  (skewpoly._block_product).
 
 On delta=broken, where x*1 = x + t at N = 3, pivots and right factors
 equal to 1 keep the full path.  A unit of S/G_N whose Newton residual
@@ -207,14 +209,14 @@ class SeriesScalars(_Scalars):
         return a * b
 
     def mul_add(self, v, ys, xs=None, v_right=False):
-        """[x + v*y for x, y in zip(xs, ys)], or [v*y] with no xs: one pass
-        of the product kernel per entry, onto the coefficients of x.  With
-        v_right, [x + y*v] (or [y*v]): one pass for all entries, which share
-        the right factor v (series.mul_add)."""
+        """[x + v*y for x, y in zip(xs, ys)], or [v*y] with no xs, and with
+        v_right [x + y*v] (or [y*v]): one call of the block kernel for all
+        entries, onto the coefficients of x; with v_right they share the
+        operator rows of the right factor v (series.mul_add)."""
         return mul_add(self.ctx, self.precision, v, ys, xs, v_right)
 
     def mat_mul(self, a, b):
-        """a * b in one pass of the series block kernel (matrix_product)."""
+        """a * b in one call of the series block kernel (matrix_product)."""
         return matrix_product(self.ctx, self.precision, a, b)
 
     def one_is_two_sided(self):
@@ -361,7 +363,7 @@ class _ElementaryOps:
     A row step is one call of the base's mul_add per matrix, a column step
     one call of mul_add with v_right on the column of every matrix in cols.
     Over R these fold through the base's add and mul entry by entry.  Over
-    S/G_N each is one pass of the product kernel that accumulates onto the
+    S/G_N each is one call of the block kernel that accumulates onto the
     coefficients of the entries it changes, and the column step shares the
     right factor's operator rows between all of them
     (series.mul_add)."""
@@ -693,8 +695,11 @@ def random_idempotent(scalars, n, rng):
 # -- property checks ------------------------------------------------------
 
 
-def k0_rank_check(ctx: RingContext, samples: int, seed: int,
-                  size_limit: int = 3) -> CheckReport:
+# the largest matrix size the k0-rank and serre-transfer suites draw
+SUITE_SIZE_LIMIT = 3
+
+
+def k0_rank_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
     """Random rank certificates over the coefficient ring: recovery of the
     generating rank, conjugation invariance and additivity under direct sum."""
     if samples < 1:
@@ -704,7 +709,7 @@ def k0_rank_check(ctx: RingContext, samples: int, seed: int,
     checked = 0
     cex = None
     for _ in range(samples):
-        n = rng.randint(1, size_limit)
+        n = rng.randint(1, SUITE_SIZE_LIMIT)
         e, ones = random_idempotent(scalars, n, rng)
         w = idempotent_rank(e)
         checked += 2
@@ -717,7 +722,7 @@ def k0_rank_check(ctx: RingContext, samples: int, seed: int,
         if idempotent_rank(conj).rank != w.rank:
             cex = "rank is not conjugation invariant"
             break
-        m = rng.randint(1, size_limit)
+        m = rng.randint(1, SUITE_SIZE_LIMIT)
         f, f_ones = random_idempotent(scalars, m, rng)
         checked += 1
         direct = IdempotentMatrix(
@@ -730,11 +735,11 @@ def k0_rank_check(ctx: RingContext, samples: int, seed: int,
         passed=cex is None,
         checked=checked,
         counterexample=cex,
-        details={"size_limit": size_limit},
+        details={"size_limit": SUITE_SIZE_LIMIT},
     )
 
 
-def serre_transfer_check(ctx: RingContext, precision: int, size_limit: int,
+def serre_transfer_check(ctx: RingContext, precision: int,
                          samples: int, seed: int) -> CheckReport:
     """Every generated idempotent over S/G_N diagonalizes to a free summand
     with the generating rank, and constant-entry idempotents have the same
@@ -747,7 +752,7 @@ def serre_transfer_check(ctx: RingContext, precision: int, size_limit: int,
     checked = 0
     cex = None
     for _ in range(samples):
-        n = rng.randint(1, size_limit)
+        n = rng.randint(1, SUITE_SIZE_LIMIT)
         e, ones = random_idempotent(series_scalars, n, rng)
         w = idempotent_rank(e)
         checked += 2
@@ -756,7 +761,7 @@ def serre_transfer_check(ctx: RingContext, precision: int, size_limit: int,
             break
     if cex is None:
         for _ in range(samples):
-            n = rng.randint(1, size_limit)
+            n = rng.randint(1, SUITE_SIZE_LIMIT)
             e_base, ones = random_idempotent(base_scalars, n, rng)
             lifted = IdempotentMatrix(
                 series_scalars,
@@ -777,5 +782,5 @@ def serre_transfer_check(ctx: RingContext, precision: int, size_limit: int,
         passed=cex is None,
         checked=checked,
         counterexample=cex,
-        details={"precision": precision, "size_limit": size_limit},
+        details={"precision": precision, "size_limit": SUITE_SIZE_LIMIT},
     )

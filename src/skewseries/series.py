@@ -31,8 +31,8 @@ from itertools import zip_longest
 
 from .report import CheckReport
 from .rings import RingContext
-from .skewpoly import (SkewPoly, _add_products, _block_product,
-                       _closed_product, _power, monomial_operator_apply)
+from .skewpoly import (SkewPoly, _block_product, _power,
+                       monomial_operator_apply)
 
 
 def _check_compat(ctx: RingContext, precision: int, other):
@@ -130,17 +130,19 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         """Closed product formula on lifted representatives, reduced at the
-        end: the 1x1 case of the shared block kernel
-        (skewpoly._closed_product).  Terms whose monomial operator carries
-        at least d = ctx.mkl_depth() delta factors vanish (delta is
-        sigma-nilpotent; d is 1 on zmod and at most the radical
-        nilpotency); the kernel skips them, and the terms whose monomial
-        operator value is zero, reading only the operator rows, each of
-        which checks that the terms it leaves out vanish."""
+        end: a 1x1 block of the product kernel (skewpoly._block_product).
+        Terms whose monomial operator carries at least d = ctx.mkl_depth()
+        delta factors vanish (delta is sigma-nilpotent; d is 1 on zmod and
+        at most the radical nilpotency); the kernel skips them, and the
+        terms whose monomial operator value is zero, reading only the
+        operator rows, each of which checks that the terms it leaves out
+        vanish."""
         _check_compat(self.ctx, self.precision, other)
-        return TruncatedSeries._from_slots(
-            self.ctx, self.precision,
-            _closed_product(self.ctx, self.coeffs, other.coeffs, self.precision))
+        out = [[None]]
+        _block_product(self.ctx, ((self.coeffs,),), ((other.coeffs,),),
+                       self.precision, out)
+        return TruncatedSeries._from_slots(self.ctx, self.precision,
+                                           out[0][0] or [])
 
     def __pow__(self, exponent: int):
         return _power(TruncatedSeries.one(self.ctx, self.precision), self, exponent)
@@ -213,7 +215,7 @@ def _checked_coeffs(ctx: RingContext, precision: int, m) -> list:
 
 
 def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
-    """a * b for matrices of classes in S/G_N, as one pass of the block
+    """a * b for matrices of classes in S/G_N, as one call of the block
     kernel (skewpoly._block_product).
 
     Each entry of a and b, zero or not, is checked against S/G_N once, row
@@ -231,7 +233,8 @@ def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
     outputs that no pair of nonzero entries reaches share one zero class."""
     rows = _checked_coeffs(ctx, precision, a)
     cols = list(zip(*_checked_coeffs(ctx, precision, b)))
-    out = _block_product(ctx, rows, cols, precision)
+    out = [[None] * len(cols) for _ in rows]
+    _block_product(ctx, rows, cols, precision, out)
     build, zero = TruncatedSeries._from_slots, None
     for row in out:
         for c, slots in enumerate(row):
@@ -250,45 +253,32 @@ def mul_add(ctx: RingContext, precision: int, v, others, addends=None,
     with v_right; with no addends the plain products v*y (y*v).  These are
     the row and column steps of the elementary operations in k0.
 
-    Each accumulator starts from the coefficients of x, padded with zero
-    slots only as far as v*y reaches, and takes the terms of the product
-    unreduced from the closed formula (skewpoly._add_products); an entry is
-    reduced once, when its one TruncatedSeries is built.  That is the class
-    x + v*y gives: reduction mod I^k is additive, so the canonical
-    representative of x + P is that of x + (P reduced).  With v_right every
-    y is a partner of one kernel call, so the operator rows of the
-    coefficients of v are looked up once for all of them.  An entry whose y
-    is zero is x itself (y itself, with no addends)."""
+    The step is one block product (skewpoly._block_product): v as a 1x1
+    block times the 1xk row of the y, or with v_right the kx1 column of
+    the y times v, so the operator rows of the coefficients of v are looked
+    up once for all y.  The accumulator of an entry whose y is nonzero
+    starts from the coefficients of x (no slots, with no addends) and takes
+    the terms of the product unreduced; the entry is reduced once, when its
+    one TruncatedSeries is built.  That is the class x + v*y gives:
+    reduction mod I^k is additive, so the canonical representative of x + P
+    is that of x + (P reduced).  An entry whose y is zero is x itself (y
+    itself, with no addends)."""
     out = list(others if addends is None else addends)
     for x in (v, *others, *(addends or ())):
         if not (type(x) is TruncatedSeries and x.ctx is ctx
                 and x.precision == precision):
             _check_compat(ctx, precision, x)
-    lv = len(v.coeffs)
-    zero = ctx.zero()
-    built, partners = [], []
-    for idx, y in enumerate(others):
-        la = len(y.coeffs)
-        if la:
-            # coeff_m(v*y) and coeff_m(y*v) are zero from m = la + lv - 1 on
-            reach = min(la + lv - 1, precision)
-            if addends is None:
-                acc = [zero] * reach
-            else:
-                acc = list(out[idx].coeffs)
-                acc += [zero] * (reach - len(acc))
-            built.append(idx)
-            partners.append((y.coeffs, la, acc))
-    if lv and partners:
-        d = ctx.mkl_depth()
-        if v_right:
-            _add_products(ctx, d, partners, max(la for _, la, _ in partners),
-                          v.coeffs, lv, precision)
-        else:
-            for gb, lb, acc in partners:
-                _add_products(ctx, d, ((v.coeffs, lv, acc),), lv, gb, lb, precision)
-    for idx, (_, _, acc) in zip(built, partners):
-        out[idx] = TruncatedSeries._from_slots(ctx, precision, acc)
+    accs = [(list(x.coeffs) if addends is not None else []) if y.coeffs
+            else None for x, y in zip(out, others)]
+    # the kernel extends and adds onto each given accumulator in place
+    ys = [(y.coeffs,) for y in others]
+    if v_right:
+        _block_product(ctx, ys, ((v.coeffs,),), precision, [[acc] for acc in accs])
+    else:
+        _block_product(ctx, ((v.coeffs,),), ys, precision, [accs])
+    for idx, acc in enumerate(accs):
+        if acc is not None:
+            out[idx] = TruncatedSeries._from_slots(ctx, precision, acc)
     return out
 
 

@@ -19,12 +19,14 @@ product routes are provided so they can be cross-validated:
   rows of each b are kept per context in ctx._mkl_rows, keyed by d, read
   from the recursion's memo (ctx._mkl_cache), built on first use and
   extended when a product needs a larger n; they hold only the nonzero
-  values, so never more entries than the memo.  The product kernels are
-  their only readers, all through :func:`_add_products`.  One block kernel
-  (:func:`_block_product`) evaluates the formula for a whole row-by-column
-  block of factors, as matrix products over S/G_N need: the operator row
-  of each right-factor coefficient is looked up once for every row, and a
-  single product is its 1x1 block;
+  values, so never more entries than the memo.  Their only reader is
+  :func:`_add_products`, and its only caller the block kernel
+  :func:`_block_product`, the one entry of every product: a SkewPoly or
+  TruncatedSeries product is a 1x1 block, a matrix product over S/G_N one
+  block, and a row or column step of k0 (series.mul_add) 1x1 times 1xk or
+  kx1 times 1x1.  The operator row of each right-factor coefficient is
+  looked up once for every row, and a factor 1 costs additions only (a
+  right factor 1 only where x*1 = 1*x);
 * :func:`poly_mul_commutation`, which expands products by repeatedly
   applying the single-step rule and collecting left-form terms.
 
@@ -134,11 +136,11 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
     length of f = sum a_j x^j, width the largest la and lb the length of
     g.  Every factor is stored without trailing zeros (a SkewPoly or a
     TruncatedSeries), so la and lb are the lengths of the stored tuples;
-    the callers call only when both are nonzero.  acc needs only the slots
+    its caller calls only when both are nonzero.  acc needs only the slots
     m < min(la + lb - 1, length): no term reaches further.  This is the
     one loop of the closed formula
         coeff_m(f*g) = sum_{n+i=m} sum_{j>=n} a_j M_{j-n,n}(b_i)
-    behind every product (_closed_product, _block_product).
+    behind every product; _block_product is its only caller.
 
     Only terms with j - n < d = ctx.mkl_depth() are summed: M_{k,l} = 0
     for k >= d (see the module docstring for d per family), so the others
@@ -173,19 +175,6 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
                             acc[m] = add(acc[m], mul(a, v))
 
 
-def _closed_product(ctx: RingContext, fa, gb, length: int) -> list:
-    """The first ``length`` coefficients of (sum a_j x^j) * (sum b_i x^i),
-    unreduced and without the slots from len(fa) + len(gb) - 1 on, which
-    no term reaches: _block_product on a 1x1 block, without the block
-    set-up."""
-    la, lb = len(fa), len(gb)
-    if not (la and lb):
-        return []
-    out = [ctx.zero()] * min(la + lb - 1, length)
-    _add_products(ctx, ctx.mkl_depth(), ((fa, la, out),), la, gb, lb, length)
-    return out
-
-
 def _add_coeffs(ctx: RingContext, out_row, c: int, coeffs, reach: int):
     """out_row[c][m] += coeffs[m] for m < ``reach``, with ctx.add, for the
     nonzero coefficients: the terms of a product by 1.  The accumulator is
@@ -203,15 +192,17 @@ def _add_coeffs(ctx: RingContext, out_row, c: int, coeffs, reach: int):
             acc[m] = add(acc[m], a)
 
 
-def _block_product(ctx: RingContext, rows, cols, length: int) -> list:
-    """out[r][c], the first ``length`` coefficients of
+def _block_product(ctx: RingContext, rows, cols, length: int, out) -> None:
+    """out[r][c] += the first ``length`` coefficients of
     sum_p rows[r][p] * cols[c][p], unreduced, for coefficient tuples of
     skew polynomials stored without trailing zeros: one pass of the closed
     formula (_add_products) per nonzero right factor cols[c][p], shared by
-    every row whose factor rows[r][p] is nonzero and not 1.  out[r][c] is
-    None when no p has both factors nonzero, so an output without terms
-    costs no accumulator, and an accumulator has only the slots its
-    products reach.
+    every row whose factor rows[r][p] is nonzero and not 1.  Every product
+    enters here (see the module docstring).  ``out`` is the caller's grid:
+    out[r][c] is a list of slots to add onto (an addend's coefficients,
+    say), or None for none yet.  An accumulator is made, or extended with
+    zero slots, only as far as its products reach, so an output that no
+    term reaches keeps what the caller put there.
 
     Per product, not per pair: ctx.mkl_depth() is read once, and the
     operator row of each right-factor coefficient is looked up once for all
@@ -230,19 +221,19 @@ def _block_product(ctx: RingContext, rows, cols, length: int) -> list:
     zero = ctx.zero()
     d = ctx.mkl_depth()
     unit = (ctx.one(),)
-    right_unit = ctx.one_commutes_with_x()
-    out = [[None] * len(cols) for _ in rows]
     for p in range(len(rows[0]) if rows else 0):
-        partners, units = [], []
+        partners, units, width = [], [], 0
         for row, out_row in zip(rows, out):
             f = row[p]
             if f == unit:
                 units.append(out_row)
             elif f:
-                partners.append((f, len(f), out_row))
+                la = len(f)
+                if la > width:
+                    width = la
+                partners.append((f, la, out_row))
         if not (partners or units):
             continue
-        width = max((la for _, la, _ in partners), default=0)
         for c, col in enumerate(cols):
             gb = col[p]
             lb = len(gb)
@@ -252,7 +243,7 @@ def _block_product(ctx: RingContext, rows, cols, length: int) -> list:
                 _add_coeffs(ctx, out_row, c, gb, min(lb, length))
             if not partners:
                 continue
-            if right_unit and gb == unit:
+            if gb == unit and ctx.one_commutes_with_x():
                 for f, la, out_row in partners:
                     _add_coeffs(ctx, out_row, c, f, min(la, length))
                 continue
@@ -266,7 +257,6 @@ def _block_product(ctx: RingContext, rows, cols, length: int) -> list:
                     acc += [zero] * (reach - len(acc))
                 group.append((f, la, acc))
             _add_products(ctx, d, group, width, gb, lb, length)
-    return out
 
 
 def _power(one, base, exponent: int, mul=operator.mul):
@@ -361,7 +351,9 @@ class SkewPoly:
     def __mul__(self, other):
         self._check_ctx(other)
         fa, gb = self.coeffs, other.coeffs
-        return SkewPoly(self.ctx, _closed_product(self.ctx, fa, gb, len(fa) + len(gb)))
+        out = [[None]]
+        _block_product(self.ctx, ((fa,),), ((gb,),), len(fa) + len(gb), out)
+        return SkewPoly(self.ctx, out[0][0] or ())
 
     def __pow__(self, exponent: int):
         return _power(SkewPoly.one(self.ctx), self, exponent)
@@ -452,10 +444,16 @@ def monomial_operator_word_sums(ctx: RingContext, k: int, l: int, elems: list,
     return totals, count
 
 
-def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
-                     count_total: int = 8) -> CheckReport:
-    """Recursion vs word enumeration for all k+l <= max_total over the whole
-    carrier, plus the C(k+l, k) word-count identity up to count_total.
+# the sizes the mkl-oracle and poly-assoc suites check up to
+MKL_ORACLE_MAX_TOTAL = 6
+MKL_WORD_COUNT_TOTAL = 8
+POLY_LAW_MAX_DEGREE = 3
+
+
+def mkl_oracle_check(ctx: RingContext) -> CheckReport:
+    """Recursion vs word enumeration for all k+l <= MKL_ORACLE_MAX_TOTAL
+    over the whole carrier, plus the C(k+l, k) word-count identity up to
+    MKL_WORD_COUNT_TOTAL.
     Where k >= ctx.mkl_depth(), M_{k,l}(a) must also vanish: the product
     kernels skip those terms.
 
@@ -475,7 +473,8 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
     depth = ctx.mkl_depth()
     elems = sorted(ctx.elements())
     tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
-    degrees = () if cex else [(k, total - k) for total in range(max_total + 1)
+    degrees = () if cex else [(k, total - k)
+                              for total in range(MKL_ORACLE_MAX_TOTAL + 1)
                               for k in range(total + 1)]
     own_memo, ctx._mkl_cache = ctx._mkl_cache, {}
     try:
@@ -503,7 +502,7 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
     finally:
         ctx._mkl_cache = own_memo
     if cex is None:
-        for total in range(count_total + 1):
+        for total in range(MKL_WORD_COUNT_TOTAL + 1):
             for k in range(total + 1):
                 checked += 1
                 n_words = sum(1 for _ in itertools.combinations(range(total), k))
@@ -515,24 +514,24 @@ def mkl_oracle_check(ctx: RingContext, max_total: int = 6,
         passed=cex is None,
         checked=checked,
         counterexample=cex,
-        details={"max_total_degree": max_total, "vanishing_checks": vanishing,
+        details={"max_total_degree": MKL_ORACLE_MAX_TOTAL,
+                 "vanishing_checks": vanishing,
                  "mkl_depth": depth},
     )
 
 
-def poly_law_check(ctx: RingContext, samples: int, seed: int,
-                   max_degree: int = 3) -> CheckReport:
-    """Seeded random triples: associativity, distributivity, and agreement
-    of the closed-formula product with the iterated-commutation oracle."""
+def poly_law_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
+    """Seeded random triples of degree at most POLY_LAW_MAX_DEGREE:
+    associativity, distributivity, and agreement of the closed-formula
+    product with the iterated-commutation oracle."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     checked = 0
     cex = None
     for _ in range(samples):
-        f = random_poly(ctx, max_degree, rng)
-        g = random_poly(ctx, max_degree, rng)
-        h = random_poly(ctx, max_degree, rng)
+        f, g, h = (random_poly(ctx, POLY_LAW_MAX_DEGREE, rng)
+                   for _ in range(3))
         fg = f * g
         checked += 4
         if fg != poly_mul_commutation(f, g):
@@ -555,5 +554,5 @@ def poly_law_check(ctx: RingContext, samples: int, seed: int,
         passed=cex is None,
         checked=checked,
         counterexample=cex,
-        details={"max_degree": max_degree},
+        details={"max_degree": POLY_LAW_MAX_DEGREE},
     )

@@ -10,18 +10,6 @@ from .skewpoly import mkl_oracle_check, poly_law_check
 
 DEFAULT_PRECISION = 4
 
-SUITE_NAMES = (
-    "ring-axioms",
-    "sigma-derivation",
-    "mkl-oracle",
-    "poly-assoc",
-    "series-assoc",
-    "ideal-closure",
-    "graded-iso",
-    "k0-rank",
-    "serre-transfer",
-)
-
 
 def _ideal_closure_all(ctx, precision, samples, seed) -> CheckReport:
     # one sub-run per filtration index, first failure wins
@@ -42,29 +30,32 @@ def _ideal_closure_all(ctx, precision, samples, seed) -> CheckReport:
     )
 
 
+# name -> runner(ctx, precision, samples, seed), in the order of the CLI's
+# choices; the suites over R take no precision
+_SUITES = {
+    "ring-axioms": lambda ctx, n, samples, seed: ring_axiom_check(
+        ctx, samples, seed),
+    "sigma-derivation": lambda ctx, n, samples, seed: sigma_derivation_check(
+        ctx, samples, seed),
+    "mkl-oracle": lambda ctx, n, samples, seed: mkl_oracle_check(ctx),
+    "poly-assoc": lambda ctx, n, samples, seed: poly_law_check(
+        ctx, samples, seed),
+    "series-assoc": series_law_check,
+    "ideal-closure": _ideal_closure_all,
+    "graded-iso": graded_iso_check,
+    "k0-rank": lambda ctx, n, samples, seed: k0_rank_check(ctx, samples, seed),
+    "serre-transfer": serre_transfer_check,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_property_suite(name: str, ctx: RingContext, precision: int | None,
                        samples: int, seed: int) -> CheckReport:
     """Run one named invariant suite and return its report.
 
     ``precision`` only matters for the series-level suites; it defaults to
     DEFAULT_PRECISION when omitted."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
     n = precision if precision is not None else DEFAULT_PRECISION
-    if name == "ring-axioms":
-        return ring_axiom_check(ctx, samples, seed)
-    if name == "sigma-derivation":
-        return sigma_derivation_check(ctx, samples, seed)
-    if name == "mkl-oracle":
-        return mkl_oracle_check(ctx)
-    if name == "poly-assoc":
-        return poly_law_check(ctx, samples, seed)
-    if name == "series-assoc":
-        return series_law_check(ctx, n, samples, seed)
-    if name == "ideal-closure":
-        return _ideal_closure_all(ctx, n, samples, seed)
-    if name == "graded-iso":
-        return graded_iso_check(ctx, n, samples, seed)
-    if name == "k0-rank":
-        return k0_rank_check(ctx, samples, seed)
-    if name == "serre-transfer":
-        return serre_transfer_check(ctx, n, size_limit=3, samples=samples, seed=seed)
-    raise ValueError(f"unknown suite {name!r}")
+    return _SUITES[name](ctx, n, samples, seed)

@@ -151,7 +151,7 @@ def test_criterion_08_stable_iso_iff_equal_rank():
 
 
 def test_criterion_09_serre_transfer_witness():
-    report = serre_transfer_check(F27, 4, size_limit=3, samples=50, seed=900)
+    report = serre_transfer_check(F27, 4, samples=50, seed=900)
     assert report.passed, report.counterexample
     assert report.checked >= 100
     _report(9, "50 random idempotents over S/G_4 (q-twist preset) certify their "

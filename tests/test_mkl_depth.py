@@ -75,18 +75,18 @@ def test_memo_rows_stop_at_the_depth():
 
 
 def _kernels(ctx, power):
-    """The three kernels that cut at the depth, each on x^power * t; the
-    series are taken at N = power + 2, so t is nonzero in S/G_N.  The
-    matrix kernel's left factor is 2*x^power: a left factor 1 costs it
+    """The SkewPoly, TruncatedSeries and matrix products, three ways into
+    the kernel that cuts at the depth, each on 2*x^power * t; the series
+    are taken at N = power + 2, so t is nonzero in S/G_N.  The left factor
+    is 2*x^power, not x^power: a left factor 1 costs every product
     additions only, reading no operator row."""
     t = ctx.radical_gens[0]
-    x_pow = (ctx.zero(),) * power + (ctx.one(),)
+    two_x_pow = (ctx.zero(),) * power + (ctx.from_int(2),)
     n = power + 2
-    series_x = TruncatedSeries(ctx, n, x_pow)
+    series_2x = TruncatedSeries(ctx, n, two_x_pow)
     series_t = TruncatedSeries.constant(ctx, n, t)
-    series_2x = TruncatedSeries(ctx, n, x_pow[:-1] + (ctx.from_int(2),))
-    return (lambda: SkewPoly(ctx, x_pow) * SkewPoly.from_scalar(ctx, t),
-            lambda: series_x * series_t,
+    return (lambda: SkewPoly(ctx, two_x_pow) * SkewPoly.from_scalar(ctx, t),
+            lambda: series_2x * series_t,
             lambda: mat_mul(SeriesScalars(ctx, n), ((series_2x,),), ((series_t,),)))
 
 
@@ -102,10 +102,17 @@ class TestDepthOneTooSmall:
         return ctx
 
     def test_every_kernel_raises(self, shrunk):
-        # x^2 * t skips M_{1,0}(t) = delta(t) = t^2; 1 * t skips no term,
+        # 2*x^2 * t skips M_{1,0}(t) = delta(t) = t^2; 2 * t skips no term,
         # but the operator row of t must not admit a nonzero M_{1,0}(t).
-        # The matrix kernel multiplies 2 * t instead, since it adds 1 * t
-        # without reading the row of t
+        # 1 * t is t in every kernel, added without reading the row of t
+        ctx, t = shrunk, shrunk.radical_gens[0]
+        series_t = TruncatedSeries.constant(ctx, 2, t)
+        assert SkewPoly.one(ctx) * SkewPoly.from_scalar(ctx, t) \
+            == SkewPoly.from_scalar(ctx, t)
+        assert TruncatedSeries.one(ctx, 2) * series_t == series_t
+        assert mat_mul(SeriesScalars(ctx, 2), ((TruncatedSeries.one(ctx, 2),),),
+                       ((series_t,),)) == ((series_t,),)
+        assert ctx._mkl_rows == {}
         for power in (0, 2):
             for kernel in _kernels(shrunk, power):
                 with pytest.raises(AssertionError,

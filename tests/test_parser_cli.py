@@ -62,6 +62,9 @@ GOLDEN_CASES = [
       "--prec", "3"], 0),
     ("stable_iso_none.txt",
      ["stable-iso", "1", "0", "--ring", "zmod:2^3"], 0),
+    # the verdict rank gives, not a usage error
+    ("stable_iso_not_idempotent.txt",
+     ["stable-iso", "1,1;1,1", "1,0;0,0", "--ring", "zmod:2^3"], 1),
     ("complete_row.txt",
      ["complete-row", "3,2", "--ring", "zmod:2^3"], 0),
     ("complete_row_bad.txt",
@@ -328,6 +331,20 @@ class TestCliContract:
         payload = json.loads(out)
         assert payload["verdict"] == "PASS"
         assert payload["counterexample"] is None
+
+
+    @pytest.mark.parametrize("argv", [
+        ["stable-iso", "1,1;1,1", "1,0;0,0"],
+        ["stable-iso", "1,0;0,0", "1,1;1,1"],
+        ["stable-iso", "0,0;t + x,1", "x", "--ring", "truncpoly:3:3:c=2",
+         "--prec", "3"]])
+    def test_stable_iso_not_idempotent_is_a_verdict(self, argv):
+        # either matrix failing e*e = e gives rank's verdict: exit 1, and
+        # JSON with no witness
+        code, out, err = run_cli(argv + ["--format", "json"])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"verdict": "NOT IDEMPOTENT", "t": None,
+                                   "certificate": None}
 
 
 class TestGoldenTranscripts:

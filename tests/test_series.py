@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX, assert_stored_trimmed
+from skewseries import series, skewpoly
 from skewseries import (GradedElem, SkewPoly, TruncatedSeries, eval_expression,
                         graded_iso_check, ideal_closure_check, parse_expression,
                         parse_ring_preset, poly_mul_commutation,
@@ -430,3 +431,67 @@ class TestGraded:
             assert report.passed, report.counterexample
             assert report.details["exact_branch"] > 0
             assert report.details["jump_branch"] > 0
+
+
+def _five_products(ctx, n, f, g):
+    """f*g by each path into the product kernel: SkewPoly, TruncatedSeries
+    (at N = n), matrix_product on 1x1 matrices, and mul_add with f as v
+    and with g as v (v_right)."""
+    sf, sg = TruncatedSeries.from_poly(f, n), TruncatedSeries.from_poly(g, n)
+    return {"SkewPoly": TruncatedSeries.from_poly(f * g, n),
+            "TruncatedSeries": sf * sg,
+            "matrix_product": matrix_product(ctx, n, ((sf,),), ((sg,),))[0][0],
+            "mul_add": mul_add(ctx, n, sf, [sg])[0],
+            "mul_add v_right": mul_add(ctx, n, sg, [sf], v_right=True)[0]}
+
+
+class TestOneKernelEntry:
+    """Every product, single, matrix or k0 step, is one call of
+    skewpoly._block_product, which alone decides when a product by 1 costs
+    additions only."""
+
+    def test_right_one_keeps_the_full_path_on_delta_broken(self):
+        # delta(1) = t there, so x*1 = x + t: a right factor 1 may not be
+        # added as it stands, while a left factor 1 always may
+        ctx = parse_ring_preset(BROKEN_PRESET)
+        assert not ctx.one_commutes_with_x()
+        x, one = SkewPoly.var(ctx), SkewPoly.one(ctx)
+        x_one = poly_mul_commutation(x, one)
+        assert x_one == x + SkewPoly.from_scalar(ctx, ctx.radical_gens[0])
+        expected = TruncatedSeries.from_poly(x_one, 3)
+        assert _five_products(ctx, 3, x, one) == dict.fromkeys(
+            ("SkewPoly", "TruncatedSeries", "matrix_product", "mul_add",
+             "mul_add v_right"), expected)
+        assert set(_five_products(ctx, 3, one, x).values()) == {
+            TruncatedSeries.var(ctx, 3)}
+
+    def test_every_product_is_one_block_call(self, f27, monkeypatch):
+        shapes = []
+        plain = skewpoly._block_product
+
+        def counted(ctx, rows, cols, length, out):
+            shapes.append((len(rows), len(cols)))
+            plain(ctx, rows, cols, length, out)
+
+        # series imports the kernel by name: count it wherever it is bound
+        for module in (skewpoly, series):
+            if hasattr(module, "_block_product"):
+                monkeypatch.setattr(module, "_block_product", counted)
+        rng = random.Random(97)
+        f, g = (random_poly(f27, 2, rng) for _ in range(2))
+        sf, sg, sh = (random_series(f27, 4, rng) for _ in range(3))
+        products = {
+            "SkewPoly": lambda: f * g,
+            "TruncatedSeries": lambda: sf * sg,
+            "matrix_product": lambda: matrix_product(
+                f27, 4, ((sf, sg), (sg, sh)), ((sh, sf), (sf, sg))),
+            "mul_add": lambda: mul_add(f27, 4, sf, [sg, sh, sf], [sh, sh, sg]),
+            "mul_add v_right": lambda: mul_add(f27, 4, sf, [sg, sh, sf],
+                                               v_right=True)}
+        expected = {"SkewPoly": [(1, 1)], "TruncatedSeries": [(1, 1)],
+                    "matrix_product": [(2, 2)], "mul_add": [(1, 3)],
+                    "mul_add v_right": [(3, 1)]}
+        for name, product in products.items():
+            del shapes[:]
+            product()
+            assert shapes == expected[name], name

@@ -34,7 +34,7 @@ class TestMonomialOperator:
 
     def test_recursion_matches_words(self, z8, f27):
         for ctx in (z8, f27):
-            report = mkl_oracle_check(ctx, max_total=4)
+            report = mkl_oracle_check(ctx)
             assert report.passed, report.counterexample
 
 
