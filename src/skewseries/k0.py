@@ -14,6 +14,7 @@ Two scalar bases are supported behind one small facade:
   Newton iteration from the inverse of that slot: each round squares
   1 - a*b, which starts in G_1, so ceil(log2 N) rounds of two series
   products reach G_N = 0, and two more check the inverse on both sides.
+  The precision doubles each round: round j runs in S/G_(2^j).
 
 The diagonalization pivots on a unit entry.  A nonzero idempotent always
 has one: were every entry in the radical, e = e^m would have entries in
@@ -54,10 +55,12 @@ x*1 = 1*x (sigma(1) = 1 and delta(1) = 0, RingContext.one_commutes_with_x):
 * a pivot equal to 1 is not inverted and its row and column are not
   scaled (idempotent_rank);
 * in every product over S/G_N (matrix products, row and column steps and
-  single products alike) a factor equal to 1 costs additions only: a left
-  factor 1 adds the coefficients of its partner onto the output for every
-  sigma and delta (1*g = g always), a right factor 1 only where x*1 = 1*x
-  (skewpoly._block_product).
+  single products alike) a product by 1 costs no multiplication, for a
+  left factor 1 for every sigma and delta (1*g = g always), for a right
+  factor 1 only where x*1 = 1*x: an output whose only term it is is the
+  partner's class as it is, and otherwise the partner's coefficients are
+  added onto it (skewpoly._block_product).  SeriesScalars keeps one zero
+  class, one class of 1 and one identity matrix per size.
 
 On delta=broken, where x*1 = x + t at N = 3, pivots and right factors
 equal to 1 keep the full path.  A unit of S/G_N whose Newton residual
@@ -94,6 +97,16 @@ class _Scalars:
         """Whether 1*y = y = y*1 for every entry y: always over R, over
         S/G_N where x*1 = 1*x (RingContext.one_commutes_with_x)."""
         return True
+
+    def identity(self, n):
+        """The n x n identity matrix."""
+        one, zero = self.one(), self.zero()
+        rows = []
+        for i in range(n):
+            row = [zero] * n
+            row[i] = one
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 class BaseScalars(_Scalars):
@@ -188,16 +201,21 @@ class SeriesScalars(_Scalars):
         self.ctx = ctx
         self.precision = precision
         self.description = f"S/G_{precision} over {ctx.name}"
+        # one zero class, one class of 1 and one identity matrix per size,
+        # shared by every caller: classes are never written
+        self._zero = TruncatedSeries.zero(ctx, precision)
+        self._one = TruncatedSeries.one(ctx, precision)
+        self._identities = {}
 
     @property
     def signature(self):
         return ("series", self.ctx.name, self.precision)
 
     def zero(self):
-        return TruncatedSeries.zero(self.ctx, self.precision)
+        return self._zero
 
     def one(self):
-        return TruncatedSeries.one(self.ctx, self.precision)
+        return self._one
 
     def add(self, a, b):
         return a + b
@@ -217,10 +235,18 @@ class SeriesScalars(_Scalars):
 
     def mat_mul(self, a, b):
         """a * b in one call of the series block kernel (matrix_product)."""
-        return matrix_product(self.ctx, self.precision, a, b)
+        return matrix_product(self.ctx, self.precision, a, b, self._zero)
 
     def one_is_two_sided(self):
         return self.ctx.one_commutes_with_x()
+
+    def identity(self, n):
+        """The n x n identity matrix, built once per size: a matrix is a
+        tuple of tuples and never written."""
+        ident = self._identities.get(n)
+        if ident is None:
+            ident = self._identities[n] = super().identity(n)
+        return ident
 
     def is_unit(self, a: TruncatedSeries) -> bool:
         # unit iff the x^0 slot is a unit of R: the rest lies in G_1,
@@ -229,21 +255,35 @@ class SeriesScalars(_Scalars):
 
     def inv(self, a: TruncatedSeries) -> TruncatedSeries:
         """Newton iteration b <- b + b(1 - ab) from b = c0^-1, c0 the x^0
-        slot of a.  Then 1 - ab lies in G_1, each round squares it and
-        G_k G_k lies in G_2k, so ceil(log2 N) rounds reach G_N = 0.  The
-        iteration stops early once 1 - ab is the zero class, since a
-        further round adds b*0 = 0 and leaves b as it is (a constant unit
-        costs one product there)."""
+        slot of a, with precision doubling.  1 - ab lies in G_1, each round
+        squares it and G_k G_k lies in G_2k, so a b that inverts a mod G_k
+        gives one that inverts it mod G_2k, and ceil(log2 N) rounds reach
+        G_N = 0.  Round j needs only S/G_(2^j), so it runs on the images of
+        a and b there (TruncatedSeries.reduce_precision, a ring map where
+        delta is a sigma-derivation; on delta=broken the check decides), the
+        last one in S/G_N.  Round 1 runs at N: both of its products have the
+        constant factor c0^-1, so they cost a pass over a, and when its
+        residual 1 - a*c0^-1 is zero (a constant unit, say) c0^-1 is the
+        inverse and no round follows.  A later round whose residual is zero
+        keeps b as it is, since b + b*0 = b.  The two-sided check is at N."""
         if not self.is_unit(a):
             raise ValueError("not a unit")
-        one = self.one()
-        b = TruncatedSeries.constant(self.ctx, self.precision,
-                                     self.ctx.inv(a.coeffs[0]))
-        for _ in range((self.precision - 1).bit_length()):
-            residual = one - a * b
-            if residual.is_zero():
-                break
+        ctx, precision, one = self.ctx, self.precision, self._one
+        b = TruncatedSeries.constant(ctx, precision, ctx.inv(a.coeffs[0]))
+        residual = one - a * b if precision > 1 else self._zero
+        if not residual.is_zero():
             b = b + b * residual
+            p = 2
+            while p < precision:
+                p = min(2 * p, precision)
+                b = TruncatedSeries(ctx, p, b.coeffs)
+                if p < precision:
+                    residual = (TruncatedSeries.one(ctx, p)
+                                - a.reduce_precision(p) * b)
+                else:
+                    residual = one - a * b
+                if not residual.is_zero():
+                    b = b + b * residual
         if b * a != one or a * b != one:
             # the text names the geometric series this method replaced; the
             # cli-cold benchmark pins it
@@ -261,8 +301,7 @@ class SeriesScalars(_Scalars):
 
 
 def mat_identity(scalars, n):
-    one, zero = scalars.one(), scalars.zero()
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return scalars.identity(n)
 
 
 def mat_zero(scalars, rows, cols):

@@ -137,12 +137,19 @@ class TruncatedSeries:
         terms whose monomial operator value is zero, reading only the
         operator rows, each of which checks that the terms it leaves out
         vanish."""
-        _check_compat(self.ctx, self.precision, other)
+        if not (type(other) is TruncatedSeries and other.ctx is self.ctx
+                and other.precision == self.precision):
+            _check_compat(self.ctx, self.precision, other)
         out = [[None]]
-        _block_product(self.ctx, ((self.coeffs,),), ((other.coeffs,),),
-                       self.precision, out)
-        return TruncatedSeries._from_slots(self.ctx, self.precision,
-                                           out[0][0] or [])
+        _block_product(self.ctx, ((self,),), ((other,),), self.precision, out)
+        prod = out[0][0]
+        if type(prod) is list:
+            return TruncatedSeries._from_slots(self.ctx, self.precision, prod)
+        if prod is None:
+            # no term: a factor is zero, and so is the product
+            return other if self.coeffs else self
+        # a product by 1: its partner's class as it is
+        return prod
 
     def __pow__(self, exponent: int):
         return _power(TruncatedSeries.one(self.ctx, self.precision), self, exponent)
@@ -150,9 +157,16 @@ class TruncatedSeries:
     def __eq__(self, other):
         # the coefficients differ first on most unequal pairs, and the
         # context is nearly always the same object
-        return (isinstance(other, TruncatedSeries) and other.coeffs == self.coeffs
-                and other.precision == self.precision
-                and (other.ctx is self.ctx or other.ctx == self.ctx))
+        return other is self or (
+            isinstance(other, TruncatedSeries) and other.coeffs == self.coeffs
+            and other.precision == self.precision
+            and (other.ctx is self.ctx or other.ctx == self.ctx))
+
+    def __ne__(self, other):
+        return other is not self and not (
+            isinstance(other, TruncatedSeries) and other.coeffs == self.coeffs
+            and other.precision == self.precision
+            and (other.ctx is self.ctx or other.ctx == self.ctx))
 
     def __hash__(self):
         return hash((self.ctx.name, self.precision, self.coeffs))
@@ -198,49 +212,46 @@ class TruncatedSeries:
         return f"{body} [N={self.precision}]"
 
 
-def _checked_coeffs(ctx: RingContext, precision: int, m) -> list:
-    """The stored coefficients of the entries of m, row by row, each entry
-    checked against S/G_N in the same pass (_check_compat where the inline
-    test does not pass, so every error keeps its text)."""
-    out = []
+def _check_entries(ctx: RingContext, precision: int, m) -> None:
+    """Check every entry of m against S/G_N, row by row (_check_compat where
+    the inline test does not pass, so every error keeps its text)."""
     for row in m:
-        coeffs = []
         for x in row:
             if not (type(x) is TruncatedSeries and x.ctx is ctx
                     and x.precision == precision):
                 _check_compat(ctx, precision, x)
-            coeffs.append(x.coeffs)
-        out.append(coeffs)
-    return out
 
 
-def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
+def matrix_product(ctx: RingContext, precision: int, a, b, zero=None) -> tuple:
     """a * b for matrices of classes in S/G_N, as one call of the block
     kernel (skewpoly._block_product).
 
     Each entry of a and b, zero or not, is checked against S/G_N once, row
-    by row, a first, in the pass that reads its coefficients.  The kernel
-    reads each entry's stored coefficients, which end in a nonzero slot,
-    skips the zero entries, adds a factor equal to 1 where it can (see
-    _block_product), and looks up the operator row of each coefficient of
-    each other nonzero entry of b once for every row.  The unreduced
-    products of a row and a column are summed slot by slot, in
-    accumulators only as long as the products reach, and each slot is
-    reduced once.  That is the class the fold of + and * gives: a product
-    with a zero factor adds nothing, the canonical representative mod I^k
-    does not depend on whether the summands were reduced first, and the
-    ring multiplications are the same ones but for those by 1.  The
-    outputs that no pair of nonzero entries reaches share one zero class."""
-    rows = _checked_coeffs(ctx, precision, a)
-    cols = list(zip(*_checked_coeffs(ctx, precision, b)))
-    out = [[None] * len(cols) for _ in rows]
-    _block_product(ctx, rows, cols, precision, out)
-    build, zero = TruncatedSeries._from_slots, None
+    by row, a first.  The kernel reads each entry's stored coefficients,
+    which end in a nonzero slot, skips the zero entries, takes a factor
+    equal to 1 where it can (see _block_product), and looks up the operator
+    row of each coefficient of each other nonzero entry of b once for every
+    row.  The unreduced products of a row and a column are summed slot by
+    slot, in accumulators only as long as the products reach, and each slot
+    is reduced once.  That is the class the fold of + and * gives: a
+    product with a zero factor adds nothing, the canonical representative
+    mod I^k does not depend on whether the summands were reduced first, and
+    the ring multiplications are the same ones but for those by 1.  An
+    output whose only term is a product by 1 is the partner entry itself,
+    and the outputs that no pair of nonzero entries reaches share one zero
+    class: ``zero`` if given (SeriesScalars passes its own), else one built
+    on first need."""
+    _check_entries(ctx, precision, a)
+    _check_entries(ctx, precision, b)
+    cols = list(zip(*b))
+    out = [[None] * len(cols) for _ in a]
+    _block_product(ctx, a, cols, precision, out)
+    build = TruncatedSeries._from_slots
     for row in out:
-        for c, slots in enumerate(row):
-            if slots is not None:
-                row[c] = build(ctx, precision, slots)
-            else:
+        for c, prod in enumerate(row):
+            if type(prod) is list:
+                row[c] = build(ctx, precision, prod)
+            elif prod is None:
                 if zero is None:
                     zero = TruncatedSeries.zero(ctx, precision)
                 row[c] = zero
@@ -256,29 +267,35 @@ def mul_add(ctx: RingContext, precision: int, v, others, addends=None,
     The step is one block product (skewpoly._block_product): v as a 1x1
     block times the 1xk row of the y, or with v_right the kx1 column of
     the y times v, so the operator rows of the coefficients of v are looked
-    up once for all y.  The accumulator of an entry whose y is nonzero
-    starts from the coefficients of x (no slots, with no addends) and takes
-    the terms of the product unreduced; the entry is reduced once, when its
-    one TruncatedSeries is built.  That is the class x + v*y gives:
-    reduction mod I^k is additive, so the canonical representative of x + P
-    is that of x + (P reduced).  An entry whose y is zero is x itself (y
-    itself, with no addends)."""
+    up once for all y.  The output of an entry starts as x (as nothing with
+    no addends or a zero x), and the terms of the product are added onto a
+    copy of the coefficients of x, unreduced; the entry is reduced once,
+    when its one TruncatedSeries is built.  That is the class x + v*y
+    gives: reduction mod I^k is additive, so the canonical representative
+    of x + P is that of x + (P reduced).  An entry whose y is zero is x
+    itself (y itself, with no addends), and one whose only term is a
+    product by 1 with nothing to add it to is its partner itself."""
     out = list(others if addends is None else addends)
     for x in (v, *others, *(addends or ())):
         if not (type(x) is TruncatedSeries and x.ctx is ctx
                 and x.precision == precision):
             _check_compat(ctx, precision, x)
-    accs = [(list(x.coeffs) if addends is not None else []) if y.coeffs
-            else None for x, y in zip(out, others)]
-    # the kernel extends and adds onto each given accumulator in place
-    ys = [(y.coeffs,) for y in others]
+    if not v.coeffs:
+        # v*y = 0 = v: each entry is x, or the zero class v with no addends
+        return out if addends is not None else [v] * len(out)
+    ys = [(y,) for y in others]
     if v_right:
-        _block_product(ctx, ys, ((v.coeffs,),), precision, [[acc] for acc in accs])
+        cells = [[x if addends is not None and x.coeffs else None] for x in out]
+        _block_product(ctx, ys, ((v,),), precision, cells)
+        prods = [cell[0] for cell in cells]
     else:
-        _block_product(ctx, ((v.coeffs,),), ys, precision, [accs])
-    for idx, acc in enumerate(accs):
-        if acc is not None:
-            out[idx] = TruncatedSeries._from_slots(ctx, precision, acc)
+        prods = [x if addends is not None and x.coeffs else None for x in out]
+        _block_product(ctx, ((v,),), ys, precision, [prods])
+    for idx, prod in enumerate(prods):
+        if type(prod) is list:
+            out[idx] = TruncatedSeries._from_slots(ctx, precision, prod)
+        elif prod is not None:
+            out[idx] = prod
     return out
 
 

@@ -25,8 +25,10 @@ product routes are provided so they can be cross-validated:
   TruncatedSeries product is a 1x1 block, a matrix product over S/G_N one
   block, and a row or column step of k0 (series.mul_add) 1x1 times 1xk or
   kx1 times 1x1.  The operator row of each right-factor coefficient is
-  looked up once for every row, and a factor 1 costs additions only (a
-  right factor 1 only where x*1 = 1*x);
+  looked up once for every row.  A product by 1 costs no multiplication
+  (a right factor 1 only where x*1 = 1*x), and an output whose only term
+  it is is the partner itself, so the caller returns the partner's class
+  as it is;
 * :func:`poly_mul_commutation`, which expands products by repeatedly
   applying the single-step rule and collecting left-form terms.
 
@@ -175,105 +177,153 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
                             acc[m] = add(acc[m], mul(a, v))
 
 
-def _add_coeffs(ctx: RingContext, out_row, c: int, coeffs, reach: int):
-    """out_row[c][m] += coeffs[m] for m < ``reach``, with ctx.add, for the
-    nonzero coefficients: the terms of a product by 1.  The accumulator is
-    made, or extended, to ``reach`` slots first."""
-    zero = ctx.zero()
+def _accumulator(zero, out_row, c: int, reach: int) -> list:
+    """The list of slots of out_row[c], made, or extended with zero slots,
+    to at least ``reach`` slots.  A factor held there is copied to a list
+    first: the kernel never writes a factor's coefficients."""
     acc = out_row[c]
     if acc is None:
         acc = out_row[c] = [zero] * reach
-    elif len(acc) < reach:
+        return acc
+    if type(acc) is not list:
+        acc = out_row[c] = list(acc.coeffs)
+    if len(acc) < reach:
         acc += [zero] * (reach - len(acc))
+    return acc
+
+
+def _add_by_one(ctx: RingContext, out_row, c: int, factor):
+    """out_row[c] += factor * 1 (or 1 * factor), a product by 1, whose
+    value is the factor: an output that holds nothing yet takes the factor
+    itself, so the caller returns the partner's class as it is, and one
+    that holds terms gets the nonzero stored coefficients of the factor
+    added with ctx.add.  A factor has no more slots than the product's
+    length: a class of S/G_N has at most N, and a polynomial product
+    len(f) + len(g)."""
+    if out_row[c] is None:
+        out_row[c] = factor
+        return
+    coeffs = factor.coeffs
+    zero = ctx.zero()
+    acc = _accumulator(zero, out_row, c, len(coeffs))
     add = ctx.add
-    for m in range(reach):
-        a = coeffs[m]
+    for m, a in enumerate(coeffs):
         if a != zero:
             acc[m] = add(acc[m], a)
 
 
 def _block_product(ctx: RingContext, rows, cols, length: int, out) -> None:
     """out[r][c] += the first ``length`` coefficients of
-    sum_p rows[r][p] * cols[c][p], unreduced, for coefficient tuples of
-    skew polynomials stored without trailing zeros: one pass of the closed
-    formula (_add_products) per nonzero right factor cols[c][p], shared by
-    every row whose factor rows[r][p] is nonzero and not 1.  Every product
-    enters here (see the module docstring).  ``out`` is the caller's grid:
-    out[r][c] is a list of slots to add onto (an addend's coefficients,
-    say), or None for none yet.  An accumulator is made, or extended with
-    zero slots, only as far as its products reach, so an output that no
-    term reaches keeps what the caller put there.
+    sum_p rows[r][p] * cols[c][p], unreduced, for factors (SkewPoly or
+    TruncatedSeries) whose coefficient tuples ``coeffs`` have no trailing
+    zero: one pass of the closed formula (_add_products) per nonzero right
+    factor cols[c][p], shared by every row whose factor rows[r][p] is
+    nonzero and not 1.  Every product enters here (see the module
+    docstring).  ``out`` is the caller's grid, and out[r][c] holds
+    - None: no term yet;
+    - a factor: the output is that factor's class so far (a caller's
+      addend, or the partner of a product by 1);
+    - a list of unreduced slots, which the kernel adds onto.
+    A term that reaches a factor's output copies its coefficients to a new
+    list first, so no operand is ever written.  An accumulator is made, or
+    extended with zero slots, only as far as its products reach, so an
+    output that no term reaches keeps what the caller put there.
 
     Per product, not per pair: ctx.mkl_depth() is read once, and the
     operator row of each right-factor coefficient is looked up once for all
     rows.  A zero factor adds no term to any slot, so skipping it leaves
-    every ring call and every operator row of the pairwise products.
+    every ring call and every operator row of the pairwise products.  A
+    single left factor (a SkewPoly or TruncatedSeries product, or the row
+    step of k0) takes a branch without the block set-up.
 
-    A factor equal to 1 costs additions only.  1*g = g for every sigma and
-    delta, since only M_{0,0} = id enters it, so a left factor 1 adds the
-    stored coefficients of g onto its accumulator with ctx.add.  f*1 = f
-    needs x*1 = 1*x (ctx.one_commutes_with_x()), so a right factor 1 adds
-    those of f only where that holds; on delta=broken it goes through the
-    full formula.  Either way the accumulator gets the same values: the
-    terms of a product by 1 are the products a*1 = 1*a = a in R.  Each
-    output slot sums its terms in the order of the pairwise products: p,
-    then i, n and j."""
+    A factor equal to 1 costs nothing, or additions only.  1*g = g for
+    every sigma and delta, since only M_{0,0} = id enters it; f*1 = f needs
+    x*1 = 1*x (ctx.one_commutes_with_x()), so a right factor 1 is taken
+    only where that holds, and on delta=broken it goes through the full
+    formula.  The product by 1 of an output that holds nothing yet is its
+    partner itself, and otherwise the partner's stored coefficients are
+    added (_add_by_one).  Either way the output gets the same values: the
+    terms of a product by 1 are the products a*1 = 1*a = a in R, and
+    0 + a = a.  Each output slot sums its terms in the order of the
+    pairwise products: p, then i, n and j."""
+    unit = (ctx.one(),)
+    if len(rows) == 1 and len(rows[0]) == 1:
+        fx = rows[0][0]
+        fa = fx.coeffs
+        la = len(fa)
+        if not la:
+            return
+        out_row = out[0]
+        if fa == unit:
+            for c, col in enumerate(cols):
+                if col[0].coeffs:
+                    _add_by_one(ctx, out_row, c, col[0])
+            return
+        zero = ctx.zero()
+        d = ctx.mkl_depth()
+        for c, col in enumerate(cols):
+            gb = col[0].coeffs
+            lb = len(gb)
+            if not lb:
+                continue
+            if gb == unit and ctx.one_commutes_with_x():
+                _add_by_one(ctx, out_row, c, fx)
+                continue
+            acc = _accumulator(zero, out_row, c, min(la + lb - 1, length))
+            _add_products(ctx, d, ((fa, la, acc),), la, gb, lb, length)
+        return
     zero = ctx.zero()
     d = ctx.mkl_depth()
-    unit = (ctx.one(),)
     for p in range(len(rows[0]) if rows else 0):
         partners, units, width = [], [], 0
         for row, out_row in zip(rows, out):
-            f = row[p]
+            fx = row[p]
+            f = fx.coeffs
             if f == unit:
                 units.append(out_row)
             elif f:
                 la = len(f)
                 if la > width:
                     width = la
-                partners.append((f, la, out_row))
+                partners.append((fx, f, la, out_row))
         if not (partners or units):
             continue
         for c, col in enumerate(cols):
-            gb = col[p]
+            gx = col[p]
+            gb = gx.coeffs
             lb = len(gb)
             if not lb:
                 continue
             for out_row in units:
-                _add_coeffs(ctx, out_row, c, gb, min(lb, length))
+                _add_by_one(ctx, out_row, c, gx)
             if not partners:
                 continue
             if gb == unit and ctx.one_commutes_with_x():
-                for f, la, out_row in partners:
-                    _add_coeffs(ctx, out_row, c, f, min(la, length))
+                for fx, _, _, out_row in partners:
+                    _add_by_one(ctx, out_row, c, fx)
                 continue
-            group = []
-            for f, la, out_row in partners:
-                reach = min(la + lb - 1, length)
-                acc = out_row[c]
-                if acc is None:
-                    acc = out_row[c] = [zero] * reach
-                elif len(acc) < reach:
-                    acc += [zero] * (reach - len(acc))
-                group.append((f, la, acc))
+            group = [(f, la, _accumulator(zero, out_row, c,
+                                          min(la + lb - 1, length)))
+                     for _, f, la, out_row in partners]
             _add_products(ctx, d, group, width, gb, lb, length)
 
 
 def _power(one, base, exponent: int, mul=operator.mul):
-    """base^exponent by square-and-multiply, starting from ``one``: the
-    result is multiplied by the base on the right, then the base squared.
-    ``mul`` is the product, ``*`` unless given (the ring's own mul folds
-    powers of elements of R)."""
+    """base^exponent by square-and-multiply: the result starts as the base
+    at the lowest set bit of the exponent and is then multiplied by the
+    base on the right, the base squared in between.  ``one`` is the result
+    for exponent 0 only.  ``mul`` is the product, ``*`` unless given (the
+    ring's own mul folds powers of elements of R)."""
     if exponent < 0:
         raise ValueError("negative exponents are not defined")
-    result = one
+    result = None
     while exponent:
         if exponent & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         exponent >>= 1
         if exponent:
             base = mul(base, base)
-    return result
+    return one if result is None else result
 
 
 def monomial_operator_words(ctx: RingContext, k: int, l: int, a):
@@ -333,7 +383,8 @@ class SkewPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ctx.zero()
 
     def _check_ctx(self, other):
-        if not isinstance(other, SkewPoly) or other.ctx != self.ctx:
+        if not isinstance(other, SkewPoly) or (
+                other.ctx is not self.ctx and other.ctx != self.ctx):
             raise ValueError("ring context mismatch")
 
     def __add__(self, other):
@@ -350,16 +401,24 @@ class SkewPoly:
 
     def __mul__(self, other):
         self._check_ctx(other)
-        fa, gb = self.coeffs, other.coeffs
         out = [[None]]
-        _block_product(self.ctx, ((fa,),), ((gb,),), len(fa) + len(gb), out)
-        return SkewPoly(self.ctx, out[0][0] or ())
+        _block_product(self.ctx, ((self,),), ((other,),),
+                       len(self.coeffs) + len(other.coeffs), out)
+        prod = out[0][0]
+        if type(prod) is list:
+            return SkewPoly(self.ctx, prod)
+        if prod is None:
+            # no term: a factor is zero, and so is the product
+            return other if self.coeffs else self
+        # a product by 1: its partner
+        return prod
 
     def __pow__(self, exponent: int):
         return _power(SkewPoly.one(self.ctx), self, exponent)
 
     def __eq__(self, other):
-        return (isinstance(other, SkewPoly) and other.ctx == self.ctx
+        return (isinstance(other, SkewPoly)
+                and (other.ctx is self.ctx or other.ctx == self.ctx)
                 and other.coeffs == self.coeffs)
 
     def __hash__(self):

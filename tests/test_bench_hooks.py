@@ -75,9 +75,13 @@ def test_tracer_sees_the_product_kernel(monkeypatch):
     # through the block kernel, so the power's first step 1 * (t + x) adds
     # the two coefficients of t + x with no ring multiplication: 10 -> 8
     # muls (the adds it makes stay, and it reads no operator row the later
-    # products do not fill anyway: 54 adds and 40 sigma/delta calls)
+    # products do not fill anyway: 54 adds and 40 sigma/delta calls).  A
+    # power now starts from the base at the lowest set bit of the exponent,
+    # so the step 1 * (t + x) is not taken at all, and its two adds of a
+    # coefficient onto a zero slot go: 54 -> 52 adds (a product by 1 whose
+    # output holds nothing else is its partner, with no add, in any case)
     assert layers["rings.mul_calls"][0] == 8
-    assert layers["rings.add_calls"][0] == 54
+    assert layers["rings.add_calls"][0] == 52
     assert layers["rings.sigma_delta_calls"][0] == 40
 
 
@@ -115,9 +119,15 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     # products as well, so their products by 1 cost no multiplication
     # either: 23 by a left 1 and 16 by a right 1 in the steps, 3 in the
     # single products, 936 -> 894 muls (the 1459 adds and 416 sigma/delta
-    # calls stay)
-    assert layers["rings.mul_calls"][0] == 894
-    assert layers["rings.add_calls"][0] == 1459
+    # calls stay).  A product by 1 whose output holds nothing else is now
+    # the partner's class itself, so the adds of its coefficients onto zero
+    # slots go: 1459 -> 1387 adds.  The seven t^2 of the entries are folded
+    # from t, as a power now starts from the base at the lowest set bit of
+    # the exponent, not from 1 * t: 894 -> 887 muls.  At N = 4 the Newton
+    # rounds of inv run at 4 with precision doubling too (round 1 at N,
+    # round 2 at 2^2 = N), so they make the same ring calls as before
+    assert layers["rings.mul_calls"][0] == 887
+    assert layers["rings.add_calls"][0] == 1387
     assert layers["rings.sigma_delta_calls"][0] == 416
 
 

@@ -330,6 +330,34 @@ def geometric_inverse(scalars, a):
     return acc * uinv
 
 
+def full_precision_newton(scalars, a):
+    """Oracle for the precision doubling of SeriesScalars.inv: every Newton
+    round b <- b + b(1 - ab) at N, from b = c0^-1, stopping at a zero
+    residual, then the same two-sided check."""
+    ctx, n, one = scalars.ctx, scalars.precision, scalars.one()
+    b = TruncatedSeries.constant(ctx, n, ctx.inv(a.coeffs[0]))
+    for _ in range((n - 1).bit_length()):
+        residual = one - a * b
+        if residual.is_zero():
+            break
+        b = b + b * residual
+    if b * a != one or a * b != one:
+        raise AssertionError("geometric inverse failed to verify")
+    return b
+
+
+def doubling_precisions(n):
+    """The precisions of the series products of SeriesScalars.inv on a unit
+    whose every residual is nonzero: round 1 at N (both products by the
+    constant c0^-1), round j >= 2 at min(2^j, N), then the check at N."""
+    out = [n, n] if n > 1 else []
+    p = 2
+    while p < n:
+        p = min(2 * p, n)
+        out += [p, p]
+    return out + [n, n]
+
+
 INV_PRECISIONS = tuple(range(1, 10)) + (32,)
 
 
@@ -344,24 +372,42 @@ class TestNewtonInverse:
                 a = k0._sample_unit(scalars, rng)
                 assert scalars.inv(a) == geometric_inverse(scalars, a)
 
+    @pytest.mark.parametrize("preset", PRESET_MATRIX)
+    def test_matches_the_full_precision_iteration(self, preset):
+        # precision doubling against every round at N, for N = 1..40, on
+        # units with x-terms and on a constant unit
+        ctx = parse_ring_preset(preset)
+        rng = random.Random(f"{preset}/newton")
+        for precision in range(1, 41):
+            scalars = SeriesScalars(ctx, precision)
+            units = [k0._sample_unit(scalars, rng) for _ in range(2)]
+            units.append(TruncatedSeries.constant(ctx, precision,
+                                                  units[0].coeffs[0]))
+            for a in units:
+                assert scalars.inv(a) == full_precision_newton(scalars, a)
+
     @pytest.mark.parametrize("precision", INV_PRECISIONS)
     def test_series_products(self, monkeypatch, precision):
-        # ceil(log2 N) rounds of two products, then the two-sided check;
-        # the geometric series made N + 3
+        # ceil(log2 N) rounds of two products and the two-sided check, as
+        # with every round at N (the geometric series made N + 3), but
+        # round j >= 2 runs at min(2^j, N): at N = 32 the products of
+        # rounds 2 to 4 run at 4, 8 and 16, and round 1, whose products
+        # have a constant factor, round 5 and the check at 32
         scalars = SeriesScalars(parse_ring_preset("truncpoly:3:3:c=2"), precision)
         a = k0._sample_unit(scalars, random.Random(precision))
         calls = []
         plain_mul = TruncatedSeries.__mul__
 
         def counted_mul(x, y):
-            calls.append(1)
+            calls.append((x.precision, y.precision))
             return plain_mul(x, y)
 
         monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
         scalars.inv(a)
         rounds = (precision - 1).bit_length()
         assert 2 ** rounds >= precision
-        assert len(calls) <= 2 * rounds + 2
+        assert calls == [(p, p) for p in doubling_precisions(precision)]
+        assert len(calls) == (2 * rounds + 2 if precision > 1 else 2)
 
     def test_constant_unit_stops_after_one_product(self, monkeypatch):
         # b = c0^-1 already inverts a constant unit: 1 - ab is zero after
@@ -740,10 +786,11 @@ class TestSparseMatMul:
         counts = {"series": 0}
         _count_constructions(monkeypatch, counts)
         out = mat_mul(scalars, a, b)
-        # nine reduced outputs and one zero class shared by the others
-        assert counts["series"] == 9 + 1
-        assert len({id(out[r][c]) for r in range(4) for c in range(4)
-                    if r == 2 or c == 1}) == 1
+        # nine reduced outputs; the others share the base's one zero class,
+        # which SeriesScalars built once, before the product
+        assert counts["series"] == 9
+        assert all(out[r][c] is zero for r in range(4) for c in range(4)
+                   if r == 2 or c == 1)
 
 
 class OracleElementaryOps(k0._ElementaryOps):
@@ -1119,3 +1166,170 @@ class TestSeededGenerators:
         assert got_ones == ones
         assert render_matrix(scalars, e.entries) == entries
         assert idempotent_rank(e).rank == ones
+
+
+# -- must-fail controls -----------------------------------------------------
+
+CONTROL_BASES = [(preset, precision)
+                 for preset in ("zmod:2^3", "truncpoly:3:3:c=2")
+                 for precision in (None, 3)]
+
+
+def _with_entry_moved(record, field, position, one, add):
+    """record with one entry of its matrix (or row) ``field`` moved by 1."""
+    value = getattr(record, field)
+    if field == "row":
+        (j,) = position
+        moved = tuple(add(x, one) if k == j else x for k, x in enumerate(value))
+    else:
+        i, j = position
+        moved = tuple(tuple(add(x, one) if (r, c) == (i, j) else x
+                            for c, x in enumerate(row))
+                      for r, row in enumerate(value))
+    fields = dict(zip(record._fields, record._values()))
+    fields[field] = moved
+    return type(record)(**fields)
+
+
+def _positions(record, field):
+    value = getattr(record, field)
+    if field == "row":
+        return [(j,) for j in range(len(value))]
+    return [(i, j) for i, row in enumerate(value) for j in range(len(row))]
+
+
+class TestTamperedCertificates:
+    """Every verify re-checks its full identities by multiplication: a
+    valid certificate with any one entry of any one of its matrices moved
+    by 1 must fail."""
+
+    FIELDS = {"RankWitness": ("matrix", "conjugator", "conjugator_inv"),
+              "StableIsoWitness": ("left", "right", "conjugator",
+                                   "conjugator_inv"),
+              "StablyFreeWitness": ("matrix", "forward", "backward"),
+              "CompletedRow": ("row", "matrix", "inverse")}
+
+    @staticmethod
+    def _certificates(scalars, rng):
+        e, _ = random_idempotent(scalars, 3, rng)
+        reversed_e = IdempotentMatrix(
+            scalars, tuple(row[::-1] for row in e.entries[::-1]))
+        m, _ = random_invertible(scalars, 3, rng)
+        return [idempotent_rank(e), stable_iso_witness(e, reversed_e),
+                stably_free_witness(e, 1), unimodular_complete(scalars, m[0])]
+
+    @pytest.mark.parametrize("preset,precision", CONTROL_BASES)
+    def test_one_moved_entry_fails(self, preset, precision):
+        scalars = _scalars_on(parse_ring_preset(preset), precision)
+        one, add = scalars.one(), scalars.add
+        rng = random.Random(f"{preset}/{precision}/tamper")
+        for _ in range(2):
+            for cert in self._certificates(scalars, rng):
+                assert cert.verify()
+                fields = self.FIELDS[type(cert).__name__]
+                for field in fields:
+                    for position in _positions(cert, field):
+                        tampered = _with_entry_moved(cert, field, position,
+                                                     one, add)
+                        assert not tampered.verify(), (cert, field, position)
+
+
+class _Faults:
+    """A scalar base with one planted fault: ``inv`` off by 1 on the unit
+    bad_inv, ``neg`` off by 1 on bad_neg, or ``is_unit`` false on liar."""
+
+    bad_inv = bad_neg = liar = None
+
+    def inv(self, a):
+        b = super().inv(a)
+        return self.add(b, self.one()) if a == self.bad_inv else b
+
+    def neg(self, a):
+        b = super().neg(a)
+        return self.add(b, self.one()) if a == self.bad_neg else b
+
+    def is_unit(self, a):
+        return a != self.liar and super().is_unit(a)
+
+
+class FaultyBase(_Faults, BaseScalars):
+    pass
+
+
+class FaultySeries(_Faults, SeriesScalars):
+    pass
+
+
+class TestFaultInjectedBase:
+    """Each check inside idempotent_rank, and the final one of
+    unimodular_complete, fires with its own message on a base with one
+    fault.  A wrong inverse leaves (pivot^-1 + 1) * pivot = 1 + pivot in the
+    corner, so it is caught at the pivot column.  The pivot row is reached
+    only by a matrix that stopped being idempotent after its column was
+    normalized: with a correct inverse every step is a conjugation, so a
+    wrong neg in the row clearing is planted instead."""
+
+    @staticmethod
+    def _base(preset, precision, **fault):
+        ctx = parse_ring_preset(preset)
+        scalars = (FaultyBase(ctx) if precision is None
+                   else FaultySeries(ctx, precision))
+        lift = ((lambda x: x) if precision is None else
+                (lambda x: TruncatedSeries.constant(ctx, precision, x)))
+        for name, value in fault.items():
+            setattr(scalars, name, lift(value))
+        return scalars, lift
+
+    @staticmethod
+    def _unit(ctx):
+        """A unit u != 1 of R."""
+        return next(u for u in sorted(ctx.elements())
+                    if ctx.is_unit(u) and u != ctx.one())
+
+    @pytest.mark.parametrize("preset,precision", CONTROL_BASES)
+    def test_wrong_inverse_fails_the_pivot_column(self, preset, precision):
+        # e = [[u, 1], [u(1 - u), 1 - u]] is idempotent with the pivot u
+        ctx = parse_ring_preset(preset)
+        u = self._unit(ctx)
+        v = ctx.add(ctx.one(), ctx.neg(u))
+        entries = ((u, ctx.one()), (ctx.mul(u, v), v))
+        honest, lift = self._base(preset, precision)
+        m = tuple(tuple(map(lift, row)) for row in entries)
+        assert idempotent_rank(IdempotentMatrix(honest, m)).rank == 1
+        scalars, _ = self._base(preset, precision, bad_inv=u)
+        with pytest.raises(AssertionError,
+                           match="^pivot column failed to normalize$"):
+            idempotent_rank(IdempotentMatrix(scalars, m))
+
+    @pytest.mark.parametrize("preset,precision", CONTROL_BASES)
+    def test_wrong_negation_fails_the_pivot_row(self, preset, precision):
+        # e = [[1, 1], [0, 0]]: the column is e_1 already, and clearing the
+        # row adds -1 times column 1 to column 2
+        ctx = parse_ring_preset(preset)
+        honest, lift = self._base(preset, precision)
+        m = tuple(tuple(map(lift, row))
+                  for row in ((ctx.one(), ctx.one()), (ctx.zero(), ctx.zero())))
+        assert idempotent_rank(IdempotentMatrix(honest, m)).rank == 1
+        scalars, _ = self._base(preset, precision, bad_neg=ctx.one())
+        with pytest.raises(AssertionError, match="^pivot row failed to clear$"):
+            idempotent_rank(IdempotentMatrix(scalars, m))
+
+    @pytest.mark.parametrize("preset,precision", CONTROL_BASES)
+    def test_unit_taken_for_radical_fails_the_block_check(self, preset,
+                                                          precision):
+        ctx = parse_ring_preset(preset)
+        scalars, lift = self._base(preset, precision, liar=ctx.one())
+        m = tuple(tuple(map(lift, row))
+                  for row in ((ctx.one(), ctx.zero()), (ctx.zero(), ctx.zero())))
+        with pytest.raises(AssertionError,
+                           match="^radical-entry idempotent block is nonzero$"):
+            idempotent_rank(IdempotentMatrix(scalars, m))
+
+    @pytest.mark.parametrize("preset,precision", CONTROL_BASES)
+    def test_wrong_inverse_fails_the_row_completion(self, preset, precision):
+        ctx = parse_ring_preset(preset)
+        u = self._unit(ctx)
+        scalars, lift = self._base(preset, precision, bad_inv=u)
+        with pytest.raises(AssertionError,
+                           match="^row completion failed to verify$"):
+            unimodular_complete(scalars, (lift(u), lift(ctx.one())))

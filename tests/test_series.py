@@ -495,3 +495,123 @@ class TestOneKernelEntry:
             del shapes[:]
             product()
             assert shapes == expected[name], name
+
+
+def _oracle_product(x, y):
+    """x * y in S/G_N by the iterated-commutation oracle, with no call of
+    the block kernel."""
+    return TruncatedSeries.from_poly(
+        poly_mul_commutation(x.to_poly(), y.to_poly()), x.precision)
+
+
+def _unit_heavy_factors(ctx, n, rng):
+    """Square factors of size 3 at N = n for a * b: identities,
+    permutations, and matrices a third of whose entries are 1 and a third
+    zero, in every pairing with each other and with a random matrix."""
+    zero, one = TruncatedSeries.zero(ctx, n), TruncatedSeries.one(ctx, n)
+    ident = tuple(tuple(one if r == c else zero for c in range(3))
+                  for r in range(3))
+    perm = rng.sample(range(3), 3)
+    permutation = tuple(tuple(one if c == perm[r] else zero for c in range(3))
+                        for r in range(3))
+    units = [tuple(tuple(rng.choice((one, zero, random_series(ctx, n, rng)))
+                         for _ in range(3)) for _ in range(3)) for _ in range(2)]
+    dense = tuple(tuple(random_series(ctx, n, rng) for _ in range(3))
+                  for _ in range(3))
+    shapes = (ident, permutation, *units, dense)
+    return [(a, b) for a in shapes for b in shapes]
+
+
+class TestProductsByOneShareThePartner:
+    """A product by 1 with nothing else to add returns the partner's class
+    as it is: 1*g always, f*1 only where x*1 = 1*x.  The outputs must still
+    be the fold of + and * (with the product taken by the oracle), no
+    operand may be written, and an output that is such a product must be
+    the partner itself."""
+
+    @pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
+    def test_matrix_product(self, preset):
+        ctx = parse_ring_preset(preset)
+        right_unit = ctx.one_commutes_with_x()
+        rng = random.Random(f"{preset}/share")
+        shared = {"left": 0, "right": 0}
+        for n in (1, 2, 4):
+            zero, one = TruncatedSeries.zero(ctx, n), TruncatedSeries.one(ctx, n)
+            for a, b in _unit_heavy_factors(ctx, n, rng):
+                before = [[x.coeffs for x in row] for row in a + b]
+                out = matrix_product(ctx, n, a, b)
+                assert [[x.coeffs for x in row] for row in a + b] == before
+                for r, row in enumerate(a):
+                    for c, col in enumerate(zip(*b)):
+                        fold = zero
+                        for x, y in zip(row, col):
+                            fold = fold + _oracle_product(x, y)
+                        assert out[r][c] == fold
+                        pairs = [(x, y) for x, y in zip(row, col)
+                                 if x != zero and y != zero]
+                        if len(pairs) != 1:
+                            continue
+                        x, y = pairs[0]
+                        if x == one:
+                            assert out[r][c] is y
+                            shared["left"] += 1
+                        elif y == one and right_unit:
+                            assert out[r][c] is x
+                            shared["right"] += 1
+        assert shared["left"] > 0 and (shared["right"] > 0) == right_unit
+
+    @pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
+    def test_mul_add(self, preset):
+        ctx = parse_ring_preset(preset)
+        right_unit = ctx.one_commutes_with_x()
+        rng = random.Random(f"{preset}/share-steps")
+        shared = {"left": 0, "right": 0}
+        for n in (1, 2, 4):
+            zero, one = TruncatedSeries.zero(ctx, n), TruncatedSeries.one(ctx, n)
+            pool = [zero, one, one, random_series(ctx, n, rng),
+                    TruncatedSeries.var(ctx, n)]
+            for _ in range(40):
+                v = rng.choice(pool)
+                ys = [rng.choice(pool) for _ in range(4)]
+                xs = [rng.choice(pool) for _ in range(4)]
+                for v_right in (False, True):
+                    for addends in (None, xs):
+                        before = [z.coeffs for z in (v, *ys, *xs)]
+                        out = mul_add(ctx, n, v, ys, addends, v_right)
+                        assert [z.coeffs for z in (v, *ys, *xs)] == before
+                        for idx, y in enumerate(ys):
+                            prod = (_oracle_product(y, v) if v_right
+                                    else _oracle_product(v, y))
+                            x = zero if addends is None else xs[idx]
+                            assert out[idx] == x + prod
+                            if x != zero or v == zero or y == zero:
+                                continue
+                            left, right = (y, v) if v_right else (v, y)
+                            if left == one:
+                                assert out[idx] is right
+                                shared["left"] += 1
+                            elif right == one and right_unit:
+                                assert out[idx] is left
+                                shared["right"] += 1
+        assert shared["left"] > 0 and (shared["right"] > 0) == right_unit
+
+    def test_single_products(self, f27):
+        rng = random.Random(101)
+        one = TruncatedSeries.one(f27, 4)
+        f = random_series(f27, 4, rng)
+        assert one * f is f and f * one is f
+        p, q = SkewPoly.one(f27), random_poly(f27, 3, rng)
+        assert p * q is q and q * p is q
+
+    def test_right_one_takes_the_full_formula_on_delta_broken(self):
+        # x*1 = x + t there, so neither product shares x: the right factor
+        # 1 goes through the closed formula, which the oracle agrees with
+        ctx = parse_ring_preset(BROKEN_PRESET)
+        x, one = TruncatedSeries.var(ctx, 3), TruncatedSeries.one(ctx, 3)
+        x_one = _oracle_product(x, one)
+        assert x_one != x
+        for prod in (x * one, matrix_product(ctx, 3, ((x,),), ((one,),))[0][0],
+                     mul_add(ctx, 3, one, [x], v_right=True)[0],
+                     mul_add(ctx, 3, x, [one])[0]):
+            assert prod == x_one and prod is not x
+        assert one * x is x
