@@ -60,7 +60,7 @@ x*1 = 1*x (sigma(1) = 1 and delta(1) = 0, RingContext.one_commutes_with_x):
   factor 1 only where x*1 = 1*x: an output whose only term it is is the
   partner's class as it is, and otherwise the partner's coefficients are
   added onto it (skewpoly._block_product).  SeriesScalars keeps one zero
-  class, one class of 1 and one identity matrix per size.
+  class and one class of 1.
 
 On delta=broken, where x*1 = x + t at N = 3, pivots and right factors
 equal to 1 keep the full path.  A unit of S/G_N whose Newton residual
@@ -201,11 +201,10 @@ class SeriesScalars(_Scalars):
         self.ctx = ctx
         self.precision = precision
         self.description = f"S/G_{precision} over {ctx.name}"
-        # one zero class, one class of 1 and one identity matrix per size,
-        # shared by every caller: classes are never written
+        # one zero class and one class of 1, shared by every caller:
+        # classes are never written
         self._zero = TruncatedSeries.zero(ctx, precision)
         self._one = TruncatedSeries.one(ctx, precision)
-        self._identities = {}
 
     @property
     def signature(self):
@@ -235,18 +234,10 @@ class SeriesScalars(_Scalars):
 
     def mat_mul(self, a, b):
         """a * b in one call of the series block kernel (matrix_product)."""
-        return matrix_product(self.ctx, self.precision, a, b, self._zero)
+        return matrix_product(self.ctx, self.precision, a, b)
 
     def one_is_two_sided(self):
         return self.ctx.one_commutes_with_x()
-
-    def identity(self, n):
-        """The n x n identity matrix, built once per size: a matrix is a
-        tuple of tuples and never written."""
-        ident = self._identities.get(n)
-        if ident is None:
-            ident = self._identities[n] = super().identity(n)
-        return ident
 
     def is_unit(self, a: TruncatedSeries) -> bool:
         # unit iff the x^0 slot is a unit of R: the rest lies in G_1,

@@ -162,12 +162,6 @@ class TruncatedSeries:
             and other.precision == self.precision
             and (other.ctx is self.ctx or other.ctx == self.ctx))
 
-    def __ne__(self, other):
-        return other is not self and not (
-            isinstance(other, TruncatedSeries) and other.coeffs == self.coeffs
-            and other.precision == self.precision
-            and (other.ctx is self.ctx or other.ctx == self.ctx))
-
     def __hash__(self):
         return hash((self.ctx.name, self.precision, self.coeffs))
 
@@ -222,7 +216,7 @@ def _check_entries(ctx: RingContext, precision: int, m) -> None:
                 _check_compat(ctx, precision, x)
 
 
-def matrix_product(ctx: RingContext, precision: int, a, b, zero=None) -> tuple:
+def matrix_product(ctx: RingContext, precision: int, a, b) -> tuple:
     """a * b for matrices of classes in S/G_N, as one call of the block
     kernel (skewpoly._block_product).
 
@@ -239,14 +233,14 @@ def matrix_product(ctx: RingContext, precision: int, a, b, zero=None) -> tuple:
     the ring multiplications are the same ones but for those by 1.  An
     output whose only term is a product by 1 is the partner entry itself,
     and the outputs that no pair of nonzero entries reaches share one zero
-    class: ``zero`` if given (SeriesScalars passes its own), else one built
-    on first need."""
+    class, built on first need."""
     _check_entries(ctx, precision, a)
     _check_entries(ctx, precision, b)
     cols = list(zip(*b))
     out = [[None] * len(cols) for _ in a]
     _block_product(ctx, a, cols, precision, out)
     build = TruncatedSeries._from_slots
+    zero = None
     for row in out:
         for c, prod in enumerate(row):
             if type(prod) is list:
