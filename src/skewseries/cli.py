@@ -14,8 +14,9 @@ import sys
 
 from .exprparse import (ExprError, check_degree_budget, degree_bound,
                         eval_expression, parse_expression)
-from .k0 import (BaseScalars, IdempotentMatrix, SeriesScalars, _stable_iso,
-                 idempotent_rank, render_matrix, unimodular_complete)
+from .k0 import (BaseScalars, IdempotentMatrix, NotIdempotent, NotUnimodular,
+                 SeriesScalars, _stable_iso, idempotent_rank, render_matrix,
+                 unimodular_complete)
 from .rings import parse_ring_preset, sigma_nilpotence_bound
 from .series import principal_symbol
 from .suites import SUITE_NAMES, run_property_suite
@@ -214,11 +215,9 @@ def _cmd_rank(args, ctx):
     entries = _parse_matrix(args.matrix, ctx, args.prec)
     try:
         idem = IdempotentMatrix(scalars, entries)
-    except ValueError as exc:
-        if "not idempotent" in str(exc):
-            return 1, ["NOT IDEMPOTENT"], \
-                {"verdict": "NOT IDEMPOTENT", "rank": None, "certificate": None}
-        raise
+    except NotIdempotent:
+        return 1, ["NOT IDEMPOTENT"], \
+            {"verdict": "NOT IDEMPOTENT", "rank": None, "certificate": None}
     witness = idempotent_rank(idem)
     verdict = f"RANK {witness.rank} VERIFIED"
     k0_class = f"{witness.rank}*[{scalars.description}]"
@@ -249,11 +248,9 @@ def _cmd_stable_iso(args, ctx):
     right = _parse_matrix(args.right, ctx, args.prec)
     try:
         left, right = IdempotentMatrix(scalars, left), IdempotentMatrix(scalars, right)
-    except ValueError as exc:
-        if "not idempotent" in str(exc):
-            return 1, ["NOT IDEMPOTENT"], \
-                {"verdict": "NOT IDEMPOTENT", "t": None, "certificate": None}
-        raise
+    except NotIdempotent:
+        return 1, ["NOT IDEMPOTENT"], \
+            {"verdict": "NOT IDEMPOTENT", "t": None, "certificate": None}
     # zero-padding to a common size changes neither rank
     w_left, w_right, witness = _stable_iso(left, right)
     rank_left, rank_right = w_left.rank, w_right.rank
@@ -284,11 +281,9 @@ def _cmd_complete_row(args, ctx):
     row = _parse_row(args.row, ctx, args.prec)
     try:
         completed = unimodular_complete(scalars, row)
-    except ValueError as exc:
-        if "not unimodular" in str(exc):
-            return 1, ["NOT UNIMODULAR"], \
-                {"verdict": "NOT UNIMODULAR", "certificate": None}
-        raise
+    except NotUnimodular:
+        return 1, ["NOT UNIMODULAR"], \
+            {"verdict": "NOT UNIMODULAR", "certificate": None}
     lines = [f"base: {scalars.description}",
              f"row: [{', '.join(scalars.render(x) for x in row)}]"]
     lines += _matrix_lines(scalars, "completion M", completed.matrix)

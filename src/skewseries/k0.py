@@ -27,40 +27,28 @@ Each pivot step is applied as elementary row and column operations on e, U
 and U^-1, O(n^3) in all; the certificate is still re-verified by plain
 matrix multiplication, with every identity checked in full.  Each step
 x + v*y of an operation goes through the base's mul_add, with v_right for
-a column.  Over R that is the base's add after its mul.
-Over S/G_N it is one call of the block kernel (skewpoly._block_product)
-that accumulates onto the coefficients of x and reduces each changed entry
-once (series.mul_add); a column step is one call for the whole column,
-which fetches the operator rows of v once.  A matrix product is one call
-of the base's kernel, ``scalars.mat_mul``.  Over R each entry is the fold
-of + and *.  Over S/G_N the whole product is one call of the block kernel
-(series.matrix_product):
-each entry is checked once and read as stored, without trailing zero
-slots, each coefficient of an entry of the right factor has its operator
-row looked up once for every row, and each slot of an entry is summed
-unreduced and reduced once, which gives the same class as reducing every
-partial sum.
+a column, and a matrix product through the base's kernel,
+``scalars.mat_mul``.  Over R these are folds of the ring's + and *.  Over
+S/G_N each is one call of the block kernel (series.mul_add and
+series.matrix_product; skewpoly._block_product says how it sums and
+skips terms): a column step is one call for the whole column, and each
+changed entry is reduced once, which gives the same class as reducing
+every partial sum, since reduction mod I^k is additive.
 
 Most entries these kernels see are zero, so a zero entry costs nothing:
 the products with a zero factor are skipped on both bases (keeping the
-order of the others), a zero entry of the right factor over S/G_N gets no
-kernel pass, and the outputs that no product reaches share one zero (over
-S/G_N, one zero class per product).  Every entry, zero or not, is still
-checked against the base.
+order of the others), and the outputs that no product reaches share one
+zero (over S/G_N, one zero class per product).  Every entry, zero or not,
+is still checked against the base.
 
 Most pivots and many entries are 1, and multiplying by 1 costs nothing
 where 1 is a two-sided identity, that is over R and over S/G_N when
 x*1 = 1*x (sigma(1) = 1 and delta(1) = 0, RingContext.one_commutes_with_x):
-
-* a pivot equal to 1 is not inverted and its row and column are not
-  scaled (idempotent_rank);
-* in every product over S/G_N (matrix products, row and column steps and
-  single products alike) a product by 1 costs no multiplication, for a
-  left factor 1 for every sigma and delta (1*g = g always), for a right
-  factor 1 only where x*1 = 1*x: an output whose only term it is is the
-  partner's class as it is, and otherwise the partner's coefficients are
-  added onto it (skewpoly._block_product).  SeriesScalars keeps one zero
-  class and one class of 1.
+a pivot equal to 1 is not inverted and its row and column are not scaled
+(idempotent_rank), and over S/G_N the kernel takes a product by a left
+factor 1 (1*g = g for every sigma and delta) and, only where x*1 = 1*x, by
+a right factor 1 without a multiplication.  SeriesScalars keeps one zero
+class and one class of 1.
 
 On delta=broken, where x*1 = x + t at N = 3, pivots and right factors
 equal to 1 keep the full path.  A unit of S/G_N whose Newton residual
@@ -81,6 +69,14 @@ from .series import (TruncatedSeries, matrix_product, mul_add,
 _MAX_UNIT_RESAMPLES = 10000
 
 
+class NotIdempotent(ValueError):
+    """A matrix given as an idempotent has e*e != e."""
+
+
+class NotUnimodular(ValueError):
+    """A row given as unimodular has no unit entry."""
+
+
 class _Scalars:
     """Scalar bases compare and hash by their signature."""
 
@@ -97,16 +93,6 @@ class _Scalars:
         """Whether 1*y = y = y*1 for every entry y: always over R, over
         S/G_N where x*1 = 1*x (RingContext.one_commutes_with_x)."""
         return True
-
-    def identity(self, n):
-        """The n x n identity matrix."""
-        one, zero = self.one(), self.zero()
-        rows = []
-        for i in range(n):
-            row = [zero] * n
-            row[i] = one
-            rows.append(tuple(row))
-        return tuple(rows)
 
 
 class BaseScalars(_Scalars):
@@ -292,12 +278,7 @@ class SeriesScalars(_Scalars):
 
 
 def mat_identity(scalars, n):
-    return scalars.identity(n)
-
-
-def mat_zero(scalars, rows, cols):
-    zero = scalars.zero()
-    return tuple(tuple(zero for _ in range(cols)) for _ in range(rows))
+    return mat_diag(scalars, [1] * n)
 
 
 def mat_mul(scalars, a, b):
@@ -313,17 +294,22 @@ def mat_direct_sum(scalars, a, b):
     zero = scalars.zero()
     out = []
     for i in range(na):
-        out.append(tuple(a[i]) + tuple(zero for _ in range(nb)))
+        out.append(tuple(a[i]) + (zero,) * nb)
     for i in range(nb):
-        out.append(tuple(zero for _ in range(na)) + tuple(b[i]))
+        out.append((zero,) * na + tuple(b[i]))
     return tuple(out)
 
 
 def mat_diag(scalars, bits):
+    """The diagonal matrix with 1 where bits[i] is true and 0 elsewhere."""
     one, zero = scalars.one(), scalars.zero()
-    n = len(bits)
-    return tuple(tuple((one if bits[i] else zero) if i == j else zero
-                       for j in range(n)) for i in range(n))
+    rows = []
+    for i, bit in enumerate(bits):
+        row = [zero] * len(bits)
+        if bit:
+            row[i] = one
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def render_matrix(scalars, a):
@@ -342,7 +328,7 @@ def _pad_to(e, n):
     only repeat the e*e = e check; a padded one is wrapped and checked."""
     if e.size == n:
         return e
-    pad = mat_zero(e.scalars, n - e.size, n - e.size)
+    pad = mat_diag(e.scalars, [0] * (n - e.size))
     return IdempotentMatrix(e.scalars, mat_direct_sum(e.scalars, e.entries, pad))
 
 
@@ -357,7 +343,7 @@ class IdempotentMatrix(FrozenRecord):
         if any(len(row) != n for row in entries):
             raise ValueError("matrix is not square")
         if n and mat_mul(scalars, entries, entries) != entries:
-            raise ValueError("not idempotent")
+            raise NotIdempotent("not idempotent")
         super().__init__(scalars, entries)
 
     @property
@@ -653,7 +639,7 @@ def unimodular_complete(scalars, row) -> CompletedRow:
             unit_at = idx
             break
     if unit_at is None:
-        raise ValueError("not unimodular")
+        raise NotUnimodular("not unimodular")
     zero, one = scalars.zero(), scalars.one()
     others = [j for j in range(n) if j != unit_at]
     mat = [list(row)]

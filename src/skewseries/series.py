@@ -27,11 +27,10 @@ break multiplicativity of the principal symbol.
 from __future__ import annotations
 
 import random
-from itertools import zip_longest
 
 from .report import CheckReport
 from .rings import RingContext
-from .skewpoly import (SkewPoly, _block_product, _power,
+from .skewpoly import (SkewPoly, _LeftForm, _block_product,
                        monomial_operator_apply)
 
 
@@ -44,9 +43,11 @@ def _check_compat(ctx: RingContext, precision: int, other):
         raise ValueError("precision mismatch")
 
 
-class TruncatedSeries:
+class TruncatedSeries(_LeftForm):
     """A class in S/G_N, stored as canonical quotient coefficients without
-    trailing zero slots."""
+    trailing zero slots.  Sums and products are taken on the lifted
+    representatives and reduced once at the end (_from_slots): G_N is a
+    two-sided ideal, so the class does not depend on the lifts."""
 
     __slots__ = ("ctx", "precision", "coeffs")
 
@@ -110,49 +111,21 @@ class TruncatedSeries:
         poly.ctx, poly.coeffs = self.ctx, self.coeffs
         return poly
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        _check_compat(self.ctx, self.precision, other)
-        add = self.ctx.add
-        return TruncatedSeries._from_slots(
-            self.ctx, self.precision,
-            [add(a, b) for a, b in zip_longest(self.coeffs, other.coeffs,
-                                                fillvalue=self.ctx.zero())])
-
-    def __neg__(self):
-        return TruncatedSeries._from_slots(
-            self.ctx, self.precision, [self.ctx.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Closed product formula on lifted representatives, reduced at the
-        end: a 1x1 block of the product kernel (skewpoly._block_product).
-        Terms whose monomial operator carries at least d = ctx.mkl_depth()
-        delta factors vanish (delta is sigma-nilpotent; d is 1 on zmod and
-        at most the radical nilpotency); the kernel skips them, and the
-        terms whose monomial operator value is zero, reading only the
-        operator rows, each of which checks that the terms it leaves out
-        vanish."""
+    def _check(self, other):
+        # the inline test passes on nearly every call; _check_compat gives
+        # the error text where it does not
         if not (type(other) is TruncatedSeries and other.ctx is self.ctx
                 and other.precision == self.precision):
             _check_compat(self.ctx, self.precision, other)
-        out = [[None]]
-        _block_product(self.ctx, ((self,),), ((other,),), self.precision, out)
-        prod = out[0][0]
-        if type(prod) is list:
-            return TruncatedSeries._from_slots(self.ctx, self.precision, prod)
-        if prod is None:
-            # no term: a factor is zero, and so is the product
-            return other if self.coeffs else self
-        # a product by 1: its partner's class as it is
-        return prod
 
-    def __pow__(self, exponent: int):
-        return _power(TruncatedSeries.one(self.ctx, self.precision), self, exponent)
+    def _build(self, slots):
+        return TruncatedSeries._from_slots(self.ctx, self.precision, slots)
+
+    def _product_length(self, other):
+        return self.precision
+
+    # bench/tracer.py patches this through the class's own __dict__
+    __mul__ = _LeftForm.__mul__
 
     def __eq__(self, other):
         # the coefficients differ first on most unequal pairs, and the
@@ -270,10 +243,7 @@ def mul_add(ctx: RingContext, precision: int, v, others, addends=None,
     itself (y itself, with no addends), and one whose only term is a
     product by 1 with nothing to add it to is its partner itself."""
     out = list(others if addends is None else addends)
-    for x in (v, *others, *(addends or ())):
-        if not (type(x) is TruncatedSeries and x.ctx is ctx
-                and x.precision == precision):
-            _check_compat(ctx, precision, x)
+    _check_entries(ctx, precision, ((v, *others, *(addends or ())),))
     if not v.coeffs:
         # v*y = 0 = v: each entry is x, or the zero class v with no addends
         return out if addends is not None else [v] * len(out)

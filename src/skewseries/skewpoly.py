@@ -343,7 +343,57 @@ def monomial_operator_words(ctx: RingContext, k: int, l: int, a):
     return total, count
 
 
-class SkewPoly:
+class _LeftForm:
+    """An element sum_i a_i x^i in left normal form, stored as the tuple
+    ``coeffs`` without trailing zeros: the arithmetic that R[x; sigma,
+    delta] (SkewPoly) and its quotient S/G_N (series.TruncatedSeries)
+    share.  A subclass keeps only what differs: which operands it accepts
+    (_check), how a list of unreduced slots becomes an element (_build)
+    and how many slots a product has (_product_length)."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        self._check(other)
+        add = self.ctx.add
+        return self._build([add(a, b) for a, b in itertools.zip_longest(
+            self.coeffs, other.coeffs, fillvalue=self.ctx.zero())])
+
+    def __neg__(self):
+        neg = self.ctx.neg
+        return self._build([neg(c) for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """The closed formula on the stored coefficients, as a 1x1 block of
+        the product kernel (_block_product says which terms it skips and
+        why they vanish); its unreduced slots become one element (_build)."""
+        self._check(other)
+        out = [[None]]
+        _block_product(self.ctx, ((self,),), ((other,),),
+                       self._product_length(other), out)
+        prod = out[0][0]
+        if type(prod) is list:
+            return self._build(prod)
+        if prod is None:
+            # no term: a factor is zero, and so is the product
+            return other if self.coeffs else self
+        # a product by 1: its partner as it is
+        return prod
+
+    def __pow__(self, exponent: int):
+        # the 1 is built only where it is the result
+        if exponent == 0:
+            return self._build([self.ctx.one()])
+        return _power(None, self, exponent)
+
+
+class SkewPoly(_LeftForm):
     """Left normal form sum_i a_i x^i; the zero polynomial has no coefficients."""
 
     __slots__ = ("ctx", "coeffs")
@@ -376,45 +426,22 @@ class SkewPoly:
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coeff(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ctx.zero()
 
-    def _check_ctx(self, other):
+    def _check(self, other):
         if not isinstance(other, SkewPoly) or (
                 other.ctx is not self.ctx and other.ctx != self.ctx):
             raise ValueError("ring context mismatch")
 
-    def __add__(self, other):
-        self._check_ctx(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(self.ctx,
-                        [self.ctx.add(self.coeff(i), other.coeff(i)) for i in range(n)])
+    def _build(self, slots):
+        return SkewPoly(self.ctx, slots)
 
-    def __neg__(self):
-        return SkewPoly(self.ctx, [self.ctx.neg(c) for c in self.coeffs])
+    def _product_length(self, other):
+        return len(self.coeffs) + len(other.coeffs)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check_ctx(other)
-        out = [[None]]
-        _block_product(self.ctx, ((self,),), ((other,),),
-                       len(self.coeffs) + len(other.coeffs), out)
-        prod = out[0][0]
-        if type(prod) is list:
-            return SkewPoly(self.ctx, prod)
-        if prod is None:
-            # no term: a factor is zero, and so is the product
-            return other if self.coeffs else self
-        # a product by 1: its partner
-        return prod
-
-    def __pow__(self, exponent: int):
-        return _power(SkewPoly.one(self.ctx), self, exponent)
+    # bench/tracer.py patches these two through the class's own __dict__
+    __mul__, __pow__ = _LeftForm.__mul__, _LeftForm.__pow__
 
     def __eq__(self, other):
         return (isinstance(other, SkewPoly)

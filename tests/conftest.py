@@ -61,14 +61,16 @@ def assert_rows_read_the_memo(ctx):
 
 
 def assert_stored_trimmed(*values):
-    """Every TruncatedSeries in values (or in the tuples and lists among
-    them, at any depth) is stored without trailing zeros: at most N slots,
-    the last one nonzero, and none at all for the zero class."""
+    """Every TruncatedSeries or SkewPoly in values (or in the tuples and
+    lists among them, at any depth) is stored without trailing zeros: the
+    last slot nonzero, none at all for zero, and a class of S/G_N at most N
+    slots."""
     for value in values:
         if isinstance(value, (tuple, list)):
             assert_stored_trimmed(*value)
             continue
         coeffs = value.coeffs
-        assert isinstance(coeffs, tuple) and len(coeffs) <= value.precision
+        assert isinstance(coeffs, tuple)
+        assert len(coeffs) <= getattr(value, "precision", len(coeffs))
         assert not coeffs or coeffs[-1] != value.ctx.zero(), \
             f"{value!r} is stored with a trailing zero slot: {coeffs}"

@@ -1,0 +1,47 @@
+"""Every module of the package uses each name it imports.
+
+A name that a module imports and never reads is left behind by a move of
+code between modules; this guard finds it with the standard library's ast.
+``from __future__`` imports and the re-exports of ``__init__.py`` are
+exempt."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skewseries"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """The names bound by the imports of ``source`` that no other part of
+    it reads, in the order they are imported."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_guard_sees_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path as osp\nimport re\n"
+              "from itertools import chain, zip_longest as zl\n"
+              "re.compile(chain)\n")
+    assert unused_imports(source) == ["os", "osp", "zl"]
+
+
+def test_the_package_is_found():
+    # an empty MODULES would leave the guard above with nothing to check
+    assert PACKAGE / "series.py" in MODULES

@@ -11,8 +11,9 @@ from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         random_invertible, serre_transfer_check,
                         stable_iso_witness, stably_free_witness,
                         unimodular_complete)
-from skewseries.k0 import (RankWitness, mat_diag, mat_direct_sum, mat_identity,
-                          mat_mul, render_matrix)
+from skewseries.k0 import (NotIdempotent, NotUnimodular, RankWitness, mat_diag,
+                           mat_direct_sum, mat_identity, mat_mul,
+                           render_matrix)
 from skewseries.rings import RingContext
 from skewseries.series import random_series_in_filtration
 
@@ -57,6 +58,23 @@ def all_2x2_invertibles(scalars):
     return table
 
 
+def test_constant_matrices(z8):
+    """mat_diag, mat_identity, mat_direct_sum and the zero padding of
+    _pad_to, entry by entry, over R and over S/G_N."""
+    for scalars in (BaseScalars(z8), SeriesScalars(z8, 3)):
+        one, zero = scalars.one(), scalars.zero()
+        assert mat_diag(scalars, [1, 0, 1]) == \
+            ((one, zero, zero), (zero, zero, zero), (zero, zero, one))
+        assert mat_identity(scalars, 2) == ((one, zero), (zero, one))
+        assert mat_identity(scalars, 0) == ()
+        block = ((one, zero), (zero, zero))
+        expected = ((one, zero, zero), (zero, zero, zero), (zero, zero, zero))
+        assert mat_direct_sum(scalars, block, ((zero,),)) == expected
+        padded = k0._pad_to(IdempotentMatrix(scalars, block), 3)
+        assert padded.entries == expected
+        assert padded.scalars is scalars
+
+
 class TestRank:
     def test_identity_and_zero(self, z8):
         scalars = BaseScalars(z8)
@@ -96,7 +114,9 @@ class TestRank:
         assert w.verify()
 
     def test_not_idempotent_rejected(self, z8):
-        with pytest.raises(ValueError, match="not idempotent"):
+        # a ValueError with the old text, so callers that catch either work
+        assert issubclass(NotIdempotent, ValueError)
+        with pytest.raises(NotIdempotent, match="^not idempotent$"):
             IdempotentMatrix(BaseScalars(z8), ((1, 1), (1, 1)))
 
     def test_non_local_base_rejected(self, z8):
@@ -273,7 +293,8 @@ class TestUnimodular:
         assert c.verify()
 
     def test_radical_row_rejected(self, z8):
-        with pytest.raises(ValueError, match="not unimodular"):
+        assert issubclass(NotUnimodular, ValueError)
+        with pytest.raises(NotUnimodular, match="^not unimodular$"):
             unimodular_complete(BaseScalars(z8), (2, 4))
 
     def test_series_row(self, z8):

@@ -1,4 +1,5 @@
 import copy
+import operator
 import random
 
 import pytest
@@ -91,16 +92,36 @@ class TestSeriesProduct:
             SkewPoly.var(f27) * SkewPoly.from_scalar(f27, t), 3)
         assert x * ts == via_poly
 
-    def test_from_poly_is_multiplicative(self, z8, f27):
-        rng = random.Random(13)
-        for ctx in (z8, f27):
-            for n in (2, 4):
-                for _ in range(50):
-                    f = random_poly(ctx, n - 1, rng)
-                    g = random_poly(ctx, n - 1, rng)
-                    assert TruncatedSeries.from_poly(f * g, n) == \
-                        TruncatedSeries.from_poly(f, n) * \
-                        TruncatedSeries.from_poly(g, n)
+    def test_from_poly_is_multiplicative(self, matrix_ctx):
+        """R[x] -> S/G_N is a ring map: from_poly commutes with +, unary and
+        binary -, * and ** e for e = 0..5, zero operands included; f ** 0
+        is the 1 of each class, and every result in R[x] and in S/G_N is
+        stored without a trailing zero."""
+        ctx = matrix_ctx
+        rng = random.Random(f"{ctx.name}/13")
+        zero, one = SkewPoly.zero(ctx), SkewPoly.one(ctx)
+        for n in (1, 2, 4):
+            def lift(f):
+                return TruncatedSeries.from_poly(f, n)
+
+            polys = [random_poly(ctx, n - 1, rng) for _ in range(24)]
+            pairs = list(zip(polys[::2], polys[1::2]))
+            pairs += [(zero, zero), (zero, polys[0]), (polys[0], zero),
+                      (one, polys[1]), (polys[1], one)]
+            for f, g in pairs:
+                for op in (operator.add, operator.sub, operator.mul):
+                    poly, cls = op(f, g), op(lift(f), lift(g))
+                    assert lift(poly) == cls
+                    assert_stored_trimmed(poly, cls)
+                assert lift(-f) == -lift(f)
+                assert_stored_trimmed(-f, -lift(f))
+            for f in polys[:4] + [zero, one]:
+                assert f ** 0 == one
+                assert lift(f) ** 0 == TruncatedSeries.one(ctx, n)
+                for e in range(6):
+                    poly, cls = f ** e, lift(f) ** e
+                    assert lift(poly) == cls
+                    assert_stored_trimmed(poly, cls)
 
     def test_representative_independence_example(self, z8):
         # perturbing the x-coefficient of a lift by 2 (an element of J^(2-1))
