@@ -59,8 +59,9 @@ class TruncatedSeries(_LeftForm):
     @classmethod
     def _from_slots(cls, ctx: RingContext, precision: int, slots: list):
         """The class of sum slots[i] x^i, for a list of at most ``precision``
-        unreduced coefficients that it takes over: the constructor of the
-        kernel outputs, without the public one's copy and cut."""
+        unreduced coefficients that it takes over: the constructor of sums,
+        negations and kernel outputs, without the public one's copy and
+        cut."""
         self = object.__new__(cls)
         self._reduce_into(ctx, precision, slots)
         return self
