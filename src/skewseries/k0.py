@@ -388,15 +388,18 @@ class _ElementaryOps:
         self.scalars, self.rows, self.cols = scalars, rows, cols
         self.zero = scalars.zero()
 
-    def add(self, i, j, v):
-        """g = I + v E_ij: row_i += v*row_j and col_j -= col_i*v."""
+    def add(self, i, j, v, neg_v=None):
+        """g = I + v E_ij: row_i += v*row_j and col_j -= col_i*v.  A caller
+        that holds -v passes it as neg_v, so the column step does not
+        negate v again."""
         if v == self.zero:
             return
         s = self.scalars
         for m in self.rows:
             m[i] = s.mul_add(v, m[j], m[i])
         cells = [row for m in self.cols for row in m]
-        column = s.mul_add(s.neg(v), [row[i] for row in cells],
+        column = s.mul_add(s.neg(v) if neg_v is None else neg_v,
+                           [row[i] for row in cells],
                            [row[j] for row in cells], v_right=True)
         for row, x in zip(cells, column):
             row[j] = x
@@ -487,7 +490,8 @@ def idempotent_rank(e: IdempotentMatrix) -> RankWitness:
         if pivot != one or not scalars.one_is_two_sided():
             ops.scale(pivot_row, scalars.inv(pivot), pivot)
         for r in range(pivot_row + 1, n):
-            ops.add(r, pivot_row, scalars.neg(col[r]))
+            # v = -col[r], so the column step's -v is col[r] itself
+            ops.add(r, pivot_row, scalars.neg(col[r]), col[r])
         if a[pivot_row][pivot_row] != one or any(
                 a[r][pivot_row] != zero for r in range(n) if r != pivot_row):
             raise AssertionError("pivot column failed to normalize")

@@ -89,8 +89,8 @@ class RingContext:
         self._is_local = None
         self._mkl_cache = {}
         # depth d -> {b: rows, rows[n] the (k, M_{k,n}(b)) with k < d and a
-        # nonzero value, admitted once M_{d,n}(b) = 0 is checked}, read
-        # from _mkl_cache by the product kernel
+        # nonzero value, admitted once M_{d,n}(b) = 0 is checked}, built by
+        # the family's closed form (_closed_rows) or read from _mkl_cache
         self._mkl_rows = {}
         self._family_mkl_depth = None
         self._one_commutes_with_x = None
@@ -161,6 +161,17 @@ class RingContext:
     def _mkl_depth(self) -> int:
         """Least d >= 1 with M_{d,l} = 0 for every l (see mkl_depth)."""
         raise NotImplementedError
+
+    def _closed_rows(self, d: int, b, built: int, top: int):
+        """The operator rows n = built .. top - 1 of b at depth d (see
+        skewpoly._operator_rows) from the family's closed form of M_{k,l},
+        or None where the family has none: the product kernel then runs the
+        M_{k,l} recursion.  A closed form checks M_{d,n}(b) = 0 for every n
+        it returns and raises _depth_cut_error otherwise, as the recursion's
+        rows do.  It is a method of the class, never an instance attribute:
+        a bound method stored on the instance would make a reference cycle,
+        and every context would then wait for the cyclic collector."""
+        return None
 
     # -- derived structure ------------------------------------------------
 
@@ -280,8 +291,9 @@ class RingContext:
         every k >= d and every l.  The family's closed form, computed on
         first use, clamped at the radical nilpotency.  The product kernels
         cut at d, and an operator row admits n only once M_{d,n}(b) = 0 is
-        checked (skewpoly._operator_rows); the mkl-oracle suite checks it
-        against the word enumeration."""
+        checked (skewpoly._operator_rows), from the family's closed form
+        (_closed_rows) or from the recursion; the mkl-oracle suite checks
+        it against the word enumeration."""
         if self._family_mkl_depth is None:
             self._family_mkl_depth = self._mkl_depth()
         return min(self.radical_nilpotency, self._family_mkl_depth)
@@ -392,6 +404,15 @@ class ZmodRing(RingContext):
         # delta = 0, so every word with a delta letter is zero
         return 1
 
+    def _closed_rows(self, d, b, built, top):
+        """sigma = id and delta = 0, so M_{0,n}(b) = b and M_{k,n}(b) = 0 for
+        k >= 1: every row of b is ((0, b),), and M_{d,n}(b) = 0 at every
+        depth d >= 1.  A subclass may redefine sigma or delta, so only the
+        family itself takes this form."""
+        if type(self) is not ZmodRing:
+            return None
+        return (((0, b),) if b else (),) * (top - built)
+
 
 class TruncPolyRing(RingContext):
     """F_q[t]/(t^m) with radical (t), q-twist sigma(f)(t) = f(c*t) and the
@@ -440,6 +461,7 @@ class TruncPolyRing(RingContext):
         self._code_lock = threading.Lock()
         self._add_memo, self._mul_memo = {}, {}
         self._neg_memo, self._sigma_memo = {}, {}
+        self._weights = {}   # depth d -> the weights of _closed_rows
         super().__init__()
 
     def elements(self):
@@ -498,11 +520,17 @@ class TruncPolyRing(RingContext):
             return None
         if (code is None and type(a) is tuple and len(a) == self.m
                 and all(type(x) is int and 0 <= x < self.q for x in a)):
-            with self._code_lock:
-                code = self._codes.get(a)
-                if code is None and len(self._elems) < MEMO_CAP:
-                    code = self._codes[a] = len(self._elems)
-                    self._elems.append(a)
+            code = self._new_code(a)
+        return code
+
+    def _new_code(self, a):
+        """The code of the canonical element a, assigned unless another
+        thread did first; None once the code table is full."""
+        with self._code_lock:
+            code = self._codes.get(a)
+            if code is None and len(self._elems) < MEMO_CAP:
+                code = self._codes[a] = len(self._elems)
+                self._elems.append(a)
         return code
 
     # The miss paths get the key the lookup used, or None when an argument
@@ -533,6 +561,15 @@ class TruncPolyRing(RingContext):
             return value
         memo[key] = value = self._elems[cv]
         return value
+
+    def _interned(self, a):
+        """The element object of the code table for the canonical element a
+        (a memo lookup of it then matches by identity), or a itself once
+        the table is full."""
+        code = self._codes.get(a)
+        if code is None:
+            code = self._new_code(a)
+        return a if code is None else self._elems[code]
 
     # -- the formulas behind the memo -------------------------------------
 
@@ -636,10 +673,96 @@ class TruncPolyRing(RingContext):
         # prod_{i <= j < i+k} (c^j - 1) * t^(i+k).  That is zero once i + k >= m
         # or the k consecutive j hit a multiple of ord(c) (j = 0 included),
         # and delta^(d-1)(t) != 0 for the d below.
+        return max(1, min(self._twist_order(), self.m - 1))
+
+    def _twist_order(self):
+        """r = ord_q(c), the least r >= 1 with c^r = 1."""
         order = 1
         while pow(self.c, order, self.q) != 1:
             order += 1
-        return max(1, min(order, self.m - 1))
+        return order
+
+    def _closed_rows(self, d, b, built, top):
+        """The operator rows of b from one weight vector per (k, n mod r),
+        r = ord_q(c), on the q-twist and on delta=zero; None on
+        delta=broken and on a subclass, which may redefine sigma or delta.
+
+        sigma(t^i) = s_i t^i with s_i = c^i, and delta(t^i) = e_i t^(i+1)
+        with e_i = c^i - 1 (every e_i = 0 on delta=zero); both are
+        F_q-linear, and so is every M_{k,l}.  A word with k delta letters
+        and l sigma letters sends t^i to a multiple of t^(i+k): its delta
+        letters meet the degrees i, ..., i+k-1 in turn, each scaling by e_j,
+        and each sigma letter scales by the s_j of the degree j it meets.
+        Summed over the words,
+
+            M_{k,l}(t^i) = w_{k,l}(i) t^(i+k),
+            w_{k,l}(i) = e_i ... e_(i+k-1) h_l(s_i, ..., s_(i+k)),
+
+        h_l the complete homogeneous symmetric polynomial, and zero once
+        i + k >= m.  For s_j = c^j that is c^(il) times the Gaussian binomial
+        [k+l choose k]_c.  The weights follow the recursion of M,
+        w_{k,l}(i) = e_(i+k-1) w_{k-1,l}(i) + s_(i+k) w_{k,l-1}(i) with
+        w_{0,0} = 1, which is how _operator_weights computes them.
+
+        They have period r in l.  If k < r, the k + 1 values s_i .. s_(i+k)
+        are distinct roots of z^r = 1, so the partial fractions of
+        sum_l h_l z^l = prod_j 1/(1 - s_(i+j) z) give h_l = sum_j A_j
+        s_(i+j)^l with constants A_j, and s^(l+r) = s^l.  If k >= r, the k
+        consecutive j from i to i+k-1 include a multiple of r, where
+        e_j = c^j - 1 = 0, so w_{k,l} = 0.  Hence M_{k,n}(b) is b shifted by
+        k and scaled coefficient by coefficient by w_{k,n mod r}, and b has
+        at most r distinct rows, which the returned tuple repeats.  The
+        weights at k = d give M_{d,n}(b), so the depth cut is checked for b
+        and every n: a nonzero value raises _depth_cut_error.  Every value
+        is the element object of the code table (_interned), so the
+        operation memos match it by identity."""
+        if self.delta_mode == "broken" or type(self) is not TruncPolyRing:
+            return None
+        weights = self._weights.get(d)
+        if weights is None:
+            weights = self._weights[d] = self._operator_weights(d)
+        q, r = self.q, len(weights)
+        distinct = []
+        for n in range(built, min(top, built + r)):
+            below, at_depth = weights[n % r]
+            if at_depth and any(x * w % q for x, w in zip(b, at_depth)):
+                raise _depth_cut_error(self, d, n, b)
+            row = []
+            for k, ws in enumerate(below):
+                scaled = [x * w % q for x, w in zip(b, ws)]
+                if any(scaled):
+                    row.append((k, self._interned((0,) * k + tuple(scaled))))
+            distinct.append(tuple(row))
+        # rows n and n + r are the same object
+        count = top - built
+        return (tuple(distinct) * -(-count // len(distinct)))[:count]
+
+    def _operator_weights(self, d):
+        """weights[l] = (below, at_depth) for l < ord_q(c): below[k][i] =
+        w_{k,l}(i) for k < d and i < m - k (see _closed_rows), and at_depth
+        the same vector at k = d, or () where it is zero."""
+        q, m, s = self.q, self.m, self._cpow
+        e = ([0] * m if self.delta_mode == "zero"
+             else [(x - 1) % q for x in s])
+        weights, prev = [], None
+        for l in range(self._twist_order()):
+            cur = []
+            for k in range(d + 1):
+                cur.append(tuple(
+                    (int(k == l == 0)
+                     + (e[i + k - 1] * cur[k - 1][i] if k else 0)
+                     + (s[i + k] * prev[k][i] if l else 0)) % q
+                    for i in range(m - k)))
+            weights.append((tuple(cur[:d]), cur[d] if any(cur[d]) else ()))
+            prev = cur
+        return tuple(weights)
+
+
+def _depth_cut_error(ctx: RingContext, d: int, n: int, b) -> AssertionError:
+    """The error of an operator row whose skipped term M_{d,n}(b) is
+    nonzero: the depth d is wrong for this context."""
+    return AssertionError(f"sigma-nilpotence bound violated: M_{{{d},{n}}}"
+                          f"({ctx.render(b)}) != 0")
 
 
 _ZMOD_RE = re.compile(r"^(\d+)\^(\d+)$")

@@ -16,10 +16,13 @@ product routes are provided so they can be cross-validated:
   rows[n] of a coefficient b is the tuple of (k, M_{k,n}(b)) with k < d
   and a nonzero value, ordered by k, and it is admitted only once
   M_{d,n}(b) = 0 is checked, so the cut is checked, not assumed.  The
-  rows of each b are kept per context in ctx._mkl_rows, keyed by d, read
-  from the recursion's memo (ctx._mkl_cache), built on first use and
-  extended when a product needs a larger n; they hold only the nonzero
-  values, so never more entries than the memo.  Their only reader is
+  rows of each b are kept per context in ctx._mkl_rows, keyed by d, built
+  on first use and extended when a product needs a larger n.  They come
+  from the family's closed form of M_{k,l} (ctx._closed_rows) on zmod and
+  on the truncpoly q-twist and delta=zero, which fills no memo and repeats
+  the at most ord_q(c) distinct rows of b, and from the recursion's memo
+  (ctx._mkl_cache) on delta=broken, the one shipped family without a
+  closed form, where the recursion is also the check.  Their only reader is
   :func:`_add_products`, and its only caller the block kernel
   :func:`_block_product`, the one entry of every product: a SkewPoly or
   TruncatedSeries product is a 1x1 block, a matrix product over S/G_N one
@@ -33,7 +36,8 @@ product routes are provided so they can be cross-validated:
   applying the single-step rule and collecting left-form terms.
 
 A brute-force word enumeration of M_{k,l} is kept as an oracle for the
-recursion (:func:`monomial_operator_words`).
+recursion (:func:`monomial_operator_words`), and the recursion is the
+oracle of the closed forms (mkl_oracle_check compares them).
 
 The depth d is a closed form per preset family, clamped at the radical
 nilpotency (M_{k,l} maps R into I^k):
@@ -54,7 +58,7 @@ import operator
 import random
 
 from .report import CheckReport
-from .rings import RingContext, _op_tables
+from .rings import RingContext, _depth_cut_error, _op_tables
 
 NEG_INF = float("-inf")
 
@@ -105,8 +109,11 @@ def _operator_rows(ctx: RingContext, d: int, b, top: int) -> tuple:
     Row n is admitted only once M_{d,n}(b) = 0 is checked.  The recursion
     M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1} then makes every
     M_{k,n}(b) with k > d vanish as well, so every term a kernel skips for
-    b is zero.  The values come from the M_{k,l} memo (ctx._mkl_cache),
-    which one recursion call fills for every k <= d and n < top.
+    b is zero.  The new rows come from the family's closed form
+    (ctx._closed_rows: zmod and the truncpoly q-twist and delta=zero),
+    which checks M_{d,n}(b) from its own weights, and otherwise from the
+    recursion (_recursion_rows: delta=broken and any carrier without a
+    closed form).
 
     The rows live in ctx._mkl_rows[d][b], so a depth override never reads
     rows built for another depth.  An extension stores a new, longer tuple
@@ -117,18 +124,26 @@ def _operator_rows(ctx: RingContext, d: int, b, top: int) -> tuple:
     rows = table.get(b, _NO_TERMS)
     built = len(rows)
     if built < top:
-        monomial_operator_apply(ctx, d, top - 1, b)
-        memo, zero = ctx._mkl_cache, ctx.zero()
-        new = []
-        for n in range(built, top):
-            if memo[(d, n, b)] != zero:
-                raise AssertionError(
-                    f"sigma-nilpotence bound violated: M_{{{d},{n}}}"
-                    f"({ctx.render(b)}) != 0")
-            new.append(tuple((k, v) for k in range(d)
-                             if (v := memo[(k, n, b)]) != zero) or _NO_TERMS)
-        rows = table[b] = rows + tuple(new)
+        new = ctx._closed_rows(d, b, built, top)
+        if new is None:
+            new = _recursion_rows(ctx, d, b, built, top)
+        rows = table[b] = rows + new
     return rows
+
+
+def _recursion_rows(ctx: RingContext, d: int, b, built: int, top: int) -> tuple:
+    """Rows n = built .. top - 1 of b at depth d (see _operator_rows) from
+    the M_{k,l} memo (ctx._mkl_cache), which one recursion call fills for
+    every k <= d and n < top; a nonzero M_{d,n}(b) raises."""
+    monomial_operator_apply(ctx, d, top - 1, b)
+    memo, zero = ctx._mkl_cache, ctx.zero()
+    new = []
+    for n in range(built, top):
+        if memo[(d, n, b)] != zero:
+            raise _depth_cut_error(ctx, d, n, b)
+        new.append(tuple((k, v) for k in range(d)
+                         if (v := memo[(k, n, b)]) != zero) or _NO_TERMS)
+    return tuple(new)
 
 
 def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
@@ -549,16 +564,25 @@ def mkl_oracle_check(ctx: RingContext) -> CheckReport:
     element.  A sigma or delta value outside the carrier is reported as a
     closure failure.
 
+    Where the family has a closed form of the operator rows
+    (ctx._closed_rows), it is compared with the recursion too: its rows of
+    every element for l <= MKL_ORACLE_MAX_TOTAL give M_{k,l} for k < depth,
+    and building them checks M_{depth,l} = 0, so a closed form that claims
+    a nonzero value there fails the suite with its own error text.
+
     The recursion fills a fresh M_{k,l} memo, which is dropped afterwards:
     the context's own memo (ctx._mkl_cache) is put back unchanged, so the
     check leaves no entries behind for the whole carrier.  It runs no
     product, so the operator rows (ctx._mkl_rows) are not touched either."""
     checked = 0
     vanishing = 0
+    closed_checks = 0
     zero = ctx.zero()
     depth = ctx.mkl_depth()
     elems = sorted(ctx.elements())
     tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
+    closed, cex = (_closed_rows_of(ctx, depth, elems) if cex is None
+                   else ({}, cex))
     degrees = () if cex else [(k, total - k)
                               for total in range(MKL_ORACLE_MAX_TOTAL + 1)
                               for k in range(total + 1)]
@@ -572,10 +596,19 @@ def mkl_oracle_check(ctx: RingContext) -> CheckReport:
                 if count != math.comb(k + l, k):
                     cex = f"word count mismatch at k={k}, l={l}"
                     break
-                if by_words != monomial_operator_apply(ctx, k, l, a):
+                by_recursion = monomial_operator_apply(ctx, k, l, a)
+                if by_words != by_recursion:
                     cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
                            f"words give {ctx.render(by_words)}")
                     break
+                if closed and k < depth:
+                    closed_checks += 1
+                    by_closed = dict(closed[a][l]).get(k, zero)
+                    if by_closed != by_recursion:
+                        cex = (f"closed form of M_{{{k},{l}}} mismatch at "
+                               f"a={ctx.render(a)}: closed form gives "
+                               f"{ctx.render(by_closed)}")
+                        break
                 if k >= depth:
                     vanishing += 1
                     if by_words != zero:
@@ -602,8 +635,26 @@ def mkl_oracle_check(ctx: RingContext) -> CheckReport:
         counterexample=cex,
         details={"max_total_degree": MKL_ORACLE_MAX_TOTAL,
                  "vanishing_checks": vanishing,
+                 "closed_form_checks": closed_checks,
                  "mkl_depth": depth},
     )
+
+
+def _closed_rows_of(ctx: RingContext, depth: int, elems):
+    """({a: the closed-form operator rows of a for l <=
+    MKL_ORACLE_MAX_TOTAL} over ``elems``, None), the dict empty where the
+    family has no closed form; or ({}, the error text of a row that fails
+    its depth check)."""
+    closed = {}
+    try:
+        for a in elems:
+            rows = ctx._closed_rows(depth, a, 0, MKL_ORACLE_MAX_TOTAL + 1)
+            if rows is None:
+                return {}, None
+            closed[a] = rows
+    except AssertionError as exc:
+        return {}, str(exc)
+    return closed, None
 
 
 def poly_law_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
@@ -618,15 +669,16 @@ def poly_law_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
     for _ in range(samples):
         f, g, h = (random_poly(ctx, POLY_LAW_MAX_DEGREE, rng)
                    for _ in range(3))
+        # each product once, computed where the laws first need it
         fg = f * g
         checked += 4
         if fg != poly_mul_commutation(f, g):
             cex = f"products disagree: f={f.render()}, g={g.render()}"
-        elif (fg * h) != f * (g * h):
+        elif (fg * h) != f * (gh := g * h):
             cex = f"associativity fails: f={f.render()}, g={g.render()}, h={h.render()}"
-        elif (f + g) * h != f * h + g * h:
+        elif (f + g) * h != (fh := f * h) + gh:
             cex = f"right distributivity fails: f={f.render()}, g={g.render()}, h={h.render()}"
-        elif f * (g + h) != f * g + f * h:
+        elif f * (g + h) != fg + fh:
             cex = f"left distributivity fails: f={f.render()}, g={g.render()}, h={h.render()}"
         if cex:
             break

@@ -1,6 +1,6 @@
 import pytest
 
-from skewseries import parse_ring_preset
+from skewseries import monomial_operator_apply, parse_ring_preset
 
 
 @pytest.fixture(scope="session")
@@ -42,22 +42,26 @@ def delta_ctx(request):
     return parse_ring_preset(request.param)
 
 
-def assert_rows_read_the_memo(ctx):
-    """The product kernel's operator rows (ctx._mkl_rows) hold exactly the
-    nonzero M_{k,n}(b), k < d, of the M_{k,l} memo, every stored row has
-    M_{d,n}(b) = 0, and the memo holds only what the rows filled:
-    M_{k,n}(b) for k <= d and n < len(rows)."""
-    memo, zero = ctx._mkl_cache, ctx.zero()
+def assert_rows_are_the_operator_values(ctx):
+    """Every operator row the products stored (ctx._mkl_rows) holds exactly
+    the nonzero M_{k,n}(b), k < d, of the M_{k,l} recursion, run on a fresh
+    context of the same preset, for which M_{d,n}(b) = 0.  A family with a
+    closed form (ctx._closed_rows) leaves the context's M_{k,l} memo empty;
+    on the others the memo holds only what the rows filled: M_{k,n}(b) for
+    k <= d and n < len(rows)."""
+    ref, zero = parse_ring_preset(ctx.name), ctx.zero()
     filled = set()
     for d, table in ctx._mkl_rows.items():
         for b, rows in table.items():
             for n, row in enumerate(rows):
-                assert memo[(d, n, b)] == zero
-                assert row == tuple((k, memo[(k, n, b)]) for k in range(d)
-                                    if memo[(k, n, b)] != zero)
+                assert monomial_operator_apply(ref, d, n, b) == zero
+                assert row == tuple(
+                    (k, v) for k in range(d)
+                    if (v := monomial_operator_apply(ref, k, n, b)) != zero)
             filled.update((k, n, b) for k in range(d + 1)
                           for n in range(len(rows)))
-    assert memo.keys() == filled
+    closed = ctx._closed_rows(1, ctx.one(), 0, 1) is not None
+    assert ctx._mkl_cache.keys() == (set() if closed else filled)
 
 
 def assert_stored_trimmed(*values):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import BROKEN_PRESET, PRESET_MATRIX, assert_rows_read_the_memo
+from conftest import (BROKEN_PRESET, PRESET_MATRIX,
+                      assert_rows_are_the_operator_values)
 from skewseries import cli, k0, series, skewpoly
 from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
                         TruncatedSeries, idempotent_rank, k0_rank_check,
@@ -14,7 +15,7 @@ from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
 from skewseries.k0 import (NotIdempotent, NotUnimodular, RankWitness, mat_diag,
                            mat_direct_sum, mat_identity, mat_mul,
                            render_matrix)
-from skewseries.rings import RingContext
+from skewseries.rings import RingContext, TruncPolyRing
 from skewseries.series import random_series_in_filtration
 
 
@@ -547,8 +548,7 @@ class TestFusedMatMul:
         # its widest partner needs, which is as far as one closed product
         # per pair of entries extends it
         assert ctx._mkl_rows == ref._mkl_rows
-        assert ctx._mkl_cache.keys() == ref._mkl_cache.keys()
-        assert_rows_read_the_memo(ctx)
+        assert_rows_are_the_operator_values(ctx)
 
     def test_dimension_mismatch(self, z8):
         scalars = BaseScalars(z8)
@@ -631,21 +631,21 @@ class TestFusedMatMul:
         rng = random.Random(73)
         a = _random_matrix(scalars, 6, 6, rng)
         b = _random_matrix(scalars, 6, 6, rng)
-        counts = {"series": 0, "mul": 0, "mkl": 0}
+        counts = {"series": 0, "mul": 0, "rows": 0}
         plain_mul = ctx.mul
-        plain_mkl = skewpoly.monomial_operator_apply
+        plain_rows = TruncPolyRing._closed_rows
 
         def counted_mul(x, y):
             counts["mul"] += 1
             return plain_mul(x, y)
 
-        def counted_mkl(*args):
-            counts["mkl"] += 1
-            return plain_mkl(*args)
+        def counted_rows(*args):
+            counts["rows"] += 1
+            return plain_rows(*args)
 
         ctx.mul = counted_mul
         _count_constructions(monkeypatch, counts)
-        monkeypatch.setattr(skewpoly, "monomial_operator_apply", counted_mkl)
+        monkeypatch.setattr(TruncPolyRing, "_closed_rows", counted_rows)
         fused = mat_mul(scalars, a, b)
         fused_counts = dict(counts)
         counts.update(series=0, mul=0)
@@ -653,9 +653,9 @@ class TestFusedMatMul:
         assert fused_counts["series"] <= 36
         assert fused_counts["mul"] == counts["mul"] > 0
         # the operator row of each coefficient of b is built once for all six
-        # rows of a: one recursion call per row build or extension, which
+        # rows of a: one closed-form call per row build or extension, which
         # also checks the cut
-        assert fused_counts["mkl"] == 37
+        assert fused_counts["rows"] == 37
 
 
 SPARSE_PRECISIONS = (None,) + tuple(range(1, 13))
@@ -789,8 +789,7 @@ class TestSparseMatMul:
                 _pairwise_products(SeriesScalars(rows_ref, precision), a, b,
                                    skip_units=True)
         assert ctx._mkl_rows == rows_ref._mkl_rows
-        assert ctx._mkl_cache.keys() == rows_ref._mkl_cache.keys()
-        assert_rows_read_the_memo(ctx)
+        assert_rows_are_the_operator_values(ctx)
 
     def test_builds_each_reached_entry_once(self, monkeypatch):
         ctx = parse_ring_preset("truncpoly:3:3:c=2")
@@ -818,13 +817,14 @@ class OracleElementaryOps(k0._ElementaryOps):
     is a scalar product and then a sum, entry by entry, through the base's
     mul and add."""
 
-    def add(self, i, j, v):
+    def add(self, i, j, v, neg_v=None):
         if v == self.zero:
             return
         s = self.scalars
         for m in self.rows:
             m[i] = [s.add(x, s.mul(v, y)) for x, y in zip(m[i], m[j])]
-        neg_v = s.neg(v)
+        if neg_v is None:
+            neg_v = s.neg(v)
         for m in self.cols:
             for row in m:
                 row[j] = s.add(row[j], s.mul(row[i], neg_v))
@@ -899,9 +899,9 @@ def _without_zero_products(calls, zero):
 
 def _assert_same_memo(ctx, ref):
     """The fused steps extend each operator row as far as the oracle's
-    products one by one."""
+    products one by one, and the rows hold the operator values."""
     assert ctx._mkl_rows == ref._mkl_rows
-    assert ctx._mkl_cache.keys() == ref._mkl_cache.keys()
+    assert_rows_are_the_operator_values(ctx)
 
 
 class TestFusedElementaryOps:

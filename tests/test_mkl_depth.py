@@ -66,12 +66,20 @@ def test_oracle_checks_vanishing_from_the_depth():
 
 
 def test_memo_rows_stop_at_the_depth():
-    for preset in ("zmod:2^3", "truncpoly:3:6:c=2"):
+    # the operator rows hold k < d only, whether the closed form built them
+    # (the memo then stays empty) or the recursion, which the control preset
+    # runs no deeper than k = d
+    for preset in ("zmod:2^3", "truncpoly:3:6:c=2", BROKEN_PRESET):
         ctx = parse_ring_preset(preset)
         lin = SkewPoly(ctx, (ctx.radical_gens[0], ctx.one()))
         g = SkewPoly(ctx, (ctx.one(), ctx.radical_gens[0]))
         assert lin ** 40 * g == poly_mul_commutation(lin ** 40, g)
-        assert max(k for k, _, _ in ctx._mkl_cache) <= ctx.mkl_depth()
+        d = ctx.mkl_depth()
+        assert set(ctx._mkl_rows) == {d}
+        assert {k for rows in ctx._mkl_rows[d].values()
+                for row in rows for k, _ in row} == set(range(d))
+        assert all(k <= d for k, _, _ in ctx._mkl_cache)
+        assert bool(ctx._mkl_cache) == (preset == BROKEN_PRESET)
 
 
 def _kernels(ctx, power):
@@ -129,7 +137,6 @@ class TestDepthOneTooSmall:
             for kernel in _kernels(ctx, power):
                 kernel()
         assert len(ctx._mkl_rows[2][t]) == 3
-        assert ctx._mkl_cache[(2, 0, t)] == ctx.zero()
         monkeypatch.setattr(ctx, "mkl_depth", lambda: 1)
         for kernel in _kernels(ctx, 2):
             with pytest.raises(AssertionError, match="nilpotence bound violated"):

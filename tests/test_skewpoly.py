@@ -182,12 +182,18 @@ class TestNilpotenceCut:
         _check_right_form_normalization(matrix_ctx, random.Random(24))
 
     def test_memo_has_at_most_nilpotency_plus_one_rows(self):
-        for preset in ("zmod:2^3", "truncpoly:3:3:c=2"):
+        # a degree-100 left factor asks no operator value past the
+        # nilpotency: neither the closed form's rows nor, on the control
+        # preset, the recursion's memo
+        for preset in ("zmod:2^3", "truncpoly:3:3:c=2", BROKEN_PRESET):
             ctx = parse_ring_preset(preset)
+            nil = ctx.radical_nilpotency
             lin = SkewPoly(ctx, (ctx.radical_gens[0], ctx.one()))
             product = lin ** 100 * random_poly(ctx, 3, random.Random(25))
             assert product.degree == 103
-            assert max(k for k, _, _ in ctx._mkl_cache) <= ctx.radical_nilpotency
+            assert all(k < nil for table in ctx._mkl_rows.values()
+                       for rows in table.values() for row in rows for k, _ in row)
+            assert all(k <= nil for k, _, _ in ctx._mkl_cache)
 
     def test_vanishing_check_fires(self, delta_ctx):
         # A context claiming I^1 = 0 makes x^2 * t skip M_{1,0}(t) =

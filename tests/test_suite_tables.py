@@ -15,7 +15,7 @@ from skewseries import (ZmodRing, mkl_oracle_check, monomial_operator_apply,
                         monomial_operator_words, parse_ring_preset,
                         ring_axiom_check, sigma_derivation_check, skewpoly)
 from skewseries.report import CheckReport
-from skewseries.rings import _op_tables, _tuple_stream
+from skewseries.rings import TruncPolyRing, _op_tables, _tuple_stream
 from skewseries.skewpoly import monomial_operator_word_sums
 
 
@@ -126,11 +126,24 @@ def elementwise_mkl_oracle_check(ctx, max_total=6, count_total=8):
     # the recursion is looked up on the module, so a monkeypatch reaches it
     checked = 0
     vanishing = 0
+    closed_checks = 0
     cex = None
     zero = ctx.zero()
     depth = ctx.mkl_depth()
     elems = sorted(ctx.elements())
-    for total in range(max_total + 1):
+    # the family's closed-form rows (none on the control presets), compared
+    # with the recursion for k < depth; their build checks k = depth
+    closed, totals = {}, range(max_total + 1)
+    try:
+        for a in elems:
+            rows = ctx._closed_rows(depth, a, 0, max_total + 1)
+            if rows is None:
+                closed = {}
+                break
+            closed[a] = rows
+    except AssertionError as exc:
+        closed, cex, totals = {}, str(exc), ()
+    for total in totals:
         for k in range(total + 1):
             l = total - k
             for a in elems:
@@ -139,10 +152,19 @@ def elementwise_mkl_oracle_check(ctx, max_total=6, count_total=8):
                 if count != math.comb(total, k):
                     cex = f"word count mismatch at k={k}, l={l}"
                     break
-                if by_words != skewpoly.monomial_operator_apply(ctx, k, l, a):
+                by_recursion = skewpoly.monomial_operator_apply(ctx, k, l, a)
+                if by_words != by_recursion:
                     cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
                            f"words give {ctx.render(by_words)}")
                     break
+                if closed and k < depth:
+                    closed_checks += 1
+                    by_closed = dict(closed[a][l]).get(k, zero)
+                    if by_closed != by_recursion:
+                        cex = (f"closed form of M_{{{k},{l}}} mismatch at "
+                               f"a={ctx.render(a)}: closed form gives "
+                               f"{ctx.render(by_closed)}")
+                        break
                 if k >= depth:
                     vanishing += 1
                     if by_words != zero:
@@ -166,6 +188,7 @@ def elementwise_mkl_oracle_check(ctx, max_total=6, count_total=8):
                        counterexample=cex,
                        details={"max_total_degree": max_total,
                                 "vanishing_checks": vanishing,
+                                "closed_form_checks": closed_checks,
                                 "mkl_depth": depth})
 
 
@@ -302,6 +325,39 @@ def test_wrong_recursion_value_matches_elementwise_loop(preset, monkeypatch):
         _outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset))
 
 
+def test_a_wrong_closed_form_fails_the_oracle(monkeypatch):
+    # M_{0,3}(a) replaced by 1 in the closed-form rows of the last element
+    ctx = parse_ring_preset("truncpoly:3:3:c=2")
+    last = sorted(ctx.elements())[-1]
+    plain = TruncPolyRing._closed_rows
+
+    def wrong(self, d, b, built, top):
+        rows = plain(self, d, b, built, top)
+        if b == last:
+            rows = rows[:3] + (((0, self.one()),),) + rows[4:]
+        return rows
+
+    monkeypatch.setattr(TruncPolyRing, "_closed_rows", wrong)
+    report = mkl_oracle_check(parse_ring_preset("truncpoly:3:3:c=2"))
+    assert not report.passed
+    assert report.counterexample == (
+        f"closed form of M_{{0,3}} mismatch at a={ctx.render(last)}: "
+        "closed form gives 1")
+    assert _outcome(mkl_oracle_check, parse_ring_preset("truncpoly:3:3:c=2")) == \
+        _outcome(elementwise_mkl_oracle_check, parse_ring_preset("truncpoly:3:3:c=2"))
+
+
+def test_a_closed_form_below_its_depth_fails_the_oracle(monkeypatch):
+    # at depth 1 the rows of t see M_{1,0}(t) = delta(t) = t^2 != 0
+    monkeypatch.setattr(TruncPolyRing, "mkl_depth", lambda self: 1)
+    report = mkl_oracle_check(parse_ring_preset("truncpoly:3:3:c=2"))
+    assert (report.passed, report.checked) == (False, 0)
+    assert report.counterexample.startswith(
+        "sigma-nilpotence bound violated: M_{1,0}(")
+    assert _outcome(mkl_oracle_check, parse_ring_preset("truncpoly:3:3:c=2")) == \
+        _outcome(elementwise_mkl_oracle_check, parse_ring_preset("truncpoly:3:3:c=2"))
+
+
 @pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
 def test_word_sums_match_word_enumeration(preset):
     ctx = parse_ring_preset(preset)
@@ -387,15 +443,25 @@ def test_mkl_oracle_calls_sigma_and_delta_once_per_element(monkeypatch):
     assert calls["delta"] <= ctx.cardinality
 
 
+# closed_form_checks: every element at each (k, l) with k < d and
+# k + l <= 6, 7 pairs at d = 1 and 13 at d = 2
 @pytest.mark.parametrize("preset, checked, details", [
     ("zmod:2^10", 28717,
-     {"max_total_degree": 6, "vanishing_checks": 21504, "mkl_depth": 1}),
+     {"max_total_degree": 6, "vanishing_checks": 21504,
+      "closed_form_checks": 7 * 1024, "mkl_depth": 1}),
     ("truncpoly:3:3:c=2", 801,
-     {"max_total_degree": 6, "vanishing_checks": 405, "mkl_depth": 2})])
+     {"max_total_degree": 6, "vanishing_checks": 405,
+      "closed_form_checks": 13 * 27, "mkl_depth": 2}),
+    (BROKEN_PRESET, 801,
+     {"max_total_degree": 6, "vanishing_checks": 270,
+      "closed_form_checks": 0, "mkl_depth": 3})])
 def test_mkl_oracle_leaves_the_memo_as_it_found_it(preset, checked, details):
     ctx = parse_ring_preset(preset)
     lin = skewpoly.SkewPoly(ctx, (ctx.radical_gens[0], ctx.one()))
     lin ** 5 * lin
+    # products on a family with a closed form leave the memo empty, so the
+    # recursion fills some of it here
+    monomial_operator_apply(ctx, 2, 3, ctx.radical_gens[0])
     memo, rows = ctx._mkl_cache, ctx._mkl_rows
     before, rows_before = dict(memo), copy.deepcopy(rows)
     assert before and rows_before[ctx.mkl_depth()]
