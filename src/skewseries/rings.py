@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-import threading
 
 from .report import CheckReport
 
@@ -46,9 +45,10 @@ INF = float("inf")
 # only for pairs).
 EXHAUSTIVE_TUPLE_LIMIT = 65536
 
-# Each operation memo of a TruncPolyRing (and its table of element codes)
-# holds at most this many entries: an exhaustive pair table at |R| = 256.
-# At about 72 bytes per entry a full binary table takes about 4.5 MB.
+# Each operation memo of a TruncPolyRing, and its element table, holds at
+# most this many entries: an exhaustive pair table at |R| = 256.  A binary
+# entry, keyed by the argument pair, takes about 95 bytes, so a full binary
+# table takes about 6.2 MB.
 MEMO_CAP = 1 << 16
 
 
@@ -70,8 +70,9 @@ class RingContext:
     Subclasses fix the element encoding, the primitive operations and the
     closed forms of the ideal structure; this base memoizes them, checks
     the nilpotency index on the generators and verifies every inverse.
-    Instances are logically immutable and safe to share between threads:
-    an internal cache entry is stored whole and never changed in place,
+    Instances are logically immutable and safe to share between threads
+    without a lock: a cache entry is stored whole by one atomic dict
+    operation (item assignment or setdefault) and never changed in place,
     and any value stored for a key is correct for it (an operator row may
     be replaced by a longer prefix of the same row, or by a shorter one
     from another thread), so a reader always sees a whole, correct value.
@@ -422,14 +423,16 @@ class TruncPolyRing(RingContext):
     "broken" (delta(f) = t*f, which violates the Leibniz rule and exists
     only so the failure paths of the checkers can be driven end to end).
 
-    add, mul, neg and sigma answer a repeated call from a memo per context,
-    and delta is composed of them.  Each canonical element (a tuple of m
-    ints in range(q)) gets a small int code the first time it is seen; a
-    unary value is stored under the code of its argument and a binary one
-    under code_a * |R| + code_b.  A miss runs the formula (_add, _mul, _neg,
-    _sigma), and its value is stored only when the arguments and the value
-    are canonical and the table holds fewer than MEMO_CAP entries.  Nothing
-    enumerates R.
+    add, mul, neg and sigma answer a repeated call from a memo per context
+    (delta is composed of them), keyed by the argument, or by the pair
+    (a, b) for a binary operation.  The formulas behind them (_add, _mul,
+    _neg, _sigma) are pure, so a hit returns what the formula would.  A
+    stored value is the one object the element table _elems holds for it,
+    so a later lookup with it matches by identity.  Each memo and _elems
+    hold at most MEMO_CAP entries; an unhashable argument goes straight to
+    the formula.  Threads share the memos without a lock: concurrent misses
+    store equal values, and setdefault keeps one object per element.
+    Nothing enumerates R.
     """
 
     def __init__(self, q: int, m: int, c: int, delta_mode: str = "qtwist"):
@@ -456,9 +459,7 @@ class TruncPolyRing(RingContext):
         self._zero = (0,) * m
         self._one = (1 % q,) + (0,) * (m - 1)
         self._cpow = [pow(c, i, q) for i in range(m)]
-        self._codes = {}     # canonical element -> code
-        self._elems = []     # code -> the element object stored in the memos
-        self._code_lock = threading.Lock()
+        self._elems = {}     # element -> the one object the memos hold for it
         self._add_memo, self._mul_memo = {}, {}
         self._neg_memo, self._sigma_memo = {}, {}
         self._weights = {}   # depth d -> the weights of _closed_rows
@@ -470,106 +471,64 @@ class TruncPolyRing(RingContext):
     # -- the memo --------------------------------------------------------
 
     def add(self, a, b):
-        codes = self._codes
         try:
-            key = codes[a] * self.cardinality + codes[b]
-        except (KeyError, TypeError):
-            key = None
-        value = self._add_memo.get(key)
+            value = self._add_memo.get((a, b))
+        except TypeError:   # an unhashable argument
+            return self._add(a, b)
         if value is None:
-            value = self._binary_miss(self._add_memo, key, self._add, a, b)
+            value = self._store(self._add_memo, (a, b), self._add(a, b))
         return value
 
     def mul(self, a, b):
-        codes = self._codes
         try:
-            key = codes[a] * self.cardinality + codes[b]
-        except (KeyError, TypeError):
-            key = None
-        value = self._mul_memo.get(key)
+            value = self._mul_memo.get((a, b))
+        except TypeError:
+            return self._mul(a, b)
         if value is None:
-            value = self._binary_miss(self._mul_memo, key, self._mul, a, b)
+            value = self._store(self._mul_memo, (a, b), self._mul(a, b))
         return value
 
     def neg(self, a):
         try:
-            key = self._codes[a]
-        except (KeyError, TypeError):
-            key = None
-        value = self._neg_memo.get(key)
+            value = self._neg_memo.get(a)
+        except TypeError:
+            return self._neg(a)
         if value is None:
-            value = self._unary_miss(self._neg_memo, key, self._neg, a)
+            value = self._store(self._neg_memo, a, self._neg(a))
         return value
 
     def sigma(self, a):
         try:
-            key = self._codes[a]
-        except (KeyError, TypeError):
-            key = None
-        value = self._sigma_memo.get(key)
-        if value is None:
-            value = self._unary_miss(self._sigma_memo, key, self._sigma, a)
-        return value
-
-    def _code(self, a):
-        """The code of a, assigned on first sight; None if a is not a
-        canonical element or the code table is full."""
-        try:
-            code = self._codes.get(a)
+            value = self._sigma_memo.get(a)
         except TypeError:
-            return None
-        if (code is None and type(a) is tuple and len(a) == self.m
-                and all(type(x) is int and 0 <= x < self.q for x in a)):
-            code = self._new_code(a)
-        return code
-
-    def _new_code(self, a):
-        """The code of the canonical element a, assigned unless another
-        thread did first; None once the code table is full."""
-        with self._code_lock:
-            code = self._codes.get(a)
-            if code is None and len(self._elems) < MEMO_CAP:
-                code = self._codes[a] = len(self._elems)
-                self._elems.append(a)
-        return code
-
-    # The miss paths get the key the lookup used, or None when an argument
-    # had no code yet; the formula runs before any code is assigned.
-
-    def _unary_miss(self, memo, key, formula, a):
-        value = formula(a)
-        if key is None:
-            key = self._code(a)
-            if key is None:
-                return value
-        return self._store(memo, key, value)
-
-    def _binary_miss(self, memo, key, formula, a, b):
-        value = formula(a, b)
-        if key is None:
-            ca, cb = self._code(a), self._code(b)
-            if ca is None or cb is None:
-                return value
-            key = ca * self.cardinality + cb
-        return self._store(memo, key, value)
+            return self._sigma(a)
+        if value is None:
+            value = self._store(self._sigma_memo, a, self._sigma(a))
+        return value
 
     def _store(self, memo, key, value):
-        """Store value under key if it is a canonical element and the table
-        has room; returns the element object the memo holds for it."""
-        cv = self._code(value)
-        if cv is None or len(memo) >= MEMO_CAP:
+        """Store the element table's object for value under key while memo
+        has room, and return it; a value that cannot be interned is
+        returned as it is and not stored."""
+        kept = self._interned(value)
+        if kept is None:
             return value
-        memo[key] = value = self._elems[cv]
-        return value
+        if len(memo) < MEMO_CAP:
+            memo[key] = kept
+        return kept
 
     def _interned(self, a):
-        """The element object of the code table for the canonical element a
-        (a memo lookup of it then matches by identity), or a itself once
-        the table is full."""
-        code = self._codes.get(a)
-        if code is None:
-            code = self._new_code(a)
-        return a if code is None else self._elems[code]
+        """The one object the element table holds for a, entered on first
+        sight while the table has room (a memo lookup of it then matches by
+        identity); None if a is unhashable or new to a full table."""
+        elems = self._elems
+        try:
+            kept = elems.get(a)
+        except TypeError:
+            return None
+        if kept is None and len(elems) < MEMO_CAP:
+            kept = elems.setdefault(a, a)
+        return kept
 
     # -- the formulas behind the memo -------------------------------------
 
@@ -714,7 +673,7 @@ class TruncPolyRing(RingContext):
         at most r distinct rows, which the returned tuple repeats.  The
         weights at k = d give M_{d,n}(b), so the depth cut is checked for b
         and every n: a nonzero value raises _depth_cut_error.  Every value
-        is the element object of the code table (_interned), so the
+        is the element table's object for it (_interned), so the
         operation memos match it by identity."""
         if self.delta_mode == "broken" or type(self) is not TruncPolyRing:
             return None
@@ -731,7 +690,8 @@ class TruncPolyRing(RingContext):
             for k, ws in enumerate(below):
                 scaled = [x * w % q for x, w in zip(b, ws)]
                 if any(scaled):
-                    row.append((k, self._interned((0,) * k + tuple(scaled))))
+                    v = (0,) * k + tuple(scaled)
+                    row.append((k, self._interned(v) or v))
             distinct.append(tuple(row))
         # rows n and n + r are the same object
         count = top - built

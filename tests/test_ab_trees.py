@@ -1,0 +1,30 @@
+"""Smoke test of tools/ab_trees.py: one round of expr-warm with both sides
+loaded from this tree's src/."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("ab_trees", ROOT / "tools" / "ab_trees.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_round_of_expr_warm_on_the_same_tree():
+    ab = _load_tool()
+    before = {name: id(m) for name, m in sys.modules.items()
+              if name.split(".")[0] == "skewseries"}
+    summary = ab.compare(ROOT / "src", ROOT / "src", "expr-warm", seed=7, rounds=1)
+    assert summary["same_outputs"]
+    assert summary["pool"] == 120 and summary["rounds"] == 1
+    assert summary["new_won"] in (0, 1)
+    assert all(t > 0 for t in summary["median_s"].values())
+    # the caller's skewseries modules are back in place
+    after = {name: id(m) for name, m in sys.modules.items()
+             if name.split(".")[0] == "skewseries"}
+    assert after == before

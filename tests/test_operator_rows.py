@@ -190,12 +190,12 @@ def test_closed_rows_match_the_recursion(preset):
                 # an extension is the slice of the whole row
                 assert closed(ctx, d, b, 7, CLOSED_TOP) == expected[7:]
     # the rows are ready for the kernel: values are the carrier's own
-    # element objects (truncpoly's code table), and the distinct rows are
+    # element objects (truncpoly's element table), and the distinct rows are
     # shared within the returned tuple
     if ctx.name.startswith("truncpoly"):
         for b in elems:
             rows = ctx._closed_rows(depth, b, 0, CLOSED_TOP)
-            assert all(v is ctx._elems[ctx._codes[v]] for row in rows for _, v in row)
+            assert all(ctx._elems[v] is v for row in rows for _, v in row)
             assert len({id(row) for row in rows}) <= ctx._twist_order()
 
 

@@ -6,6 +6,9 @@ tables must stay within MEMO_CAP entries."""
 
 import itertools
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -94,15 +97,72 @@ def test_non_canonical_arguments_take_the_formula(bad):
     t = ctx.radical_gens[0]
     for name in ("add", "mul"):
         getattr(ctx, name)(t, t)
-    sizes, codes = memo_sizes(ctx), dict(ctx._codes)
+    canonical = {name: dict(getattr(ctx, f"_{name}_memo")) for name in OPS}
     for _ in range(2):
         for name in ("add", "mul"):
             for args in ((bad, t), (t, bad)):
                 assert getattr(ctx, name)(*args) == direct(name)(ctx, *args)
         for name in ("neg", "sigma"):
             assert getattr(ctx, name)(bad) == direct(name)(ctx, bad)
-    assert memo_sizes(ctx) == sizes
-    assert ctx._codes == codes
+    # a hashable argument is a key of its own, which answers only itself;
+    # a list cannot be a key and stores nothing
+    for name in OPS:
+        memo = getattr(ctx, f"_{name}_memo")
+        assert {k: memo[k] for k in canonical[name]} == canonical[name]
+        extra = len(memo) - len(canonical[name])
+        assert extra == (0 if type(bad) is list else 2 if name in ("add", "mul") else 1)
+
+
+class SlowMissTable(dict):
+    """An element table whose misses sleep, which lets the other thread run
+    between a lookup that found nothing and the entry that follows it."""
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is None:
+            time.sleep(0.001)
+        return value
+
+
+@pytest.mark.parametrize("table", [dict, SlowMissTable])
+def test_two_threads_fill_one_context_without_a_lock(table):
+    # the memos have no lock: two threads miss on the same keys, in
+    # opposite orders, and every value must still be its formula's, every
+    # memo must end with one entry per argument, and every stored value
+    # must be the element table's one object for it
+    ctx = parse_ring_preset("truncpoly:3:3:c=2")
+    ctx._elems = table()
+    elems = sorted(ctx.elements())
+    pairs = list(itertools.product(elems, repeat=2))
+    wrong = []
+
+    def work(order):
+        for a, b in order:
+            for name in ("add", "mul"):
+                if getattr(ctx, name)(a, b) != direct(name)(ctx, a, b):
+                    wrong.append((name, a, b))
+            for name in ("neg", "sigma"):
+                if getattr(ctx, name)(a) != direct(name)(ctx, a):
+                    wrong.append((name, a))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(order,))
+                   for order in (pairs, pairs[::-1])]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert memo_sizes(ctx) == {"add": 27 ** 2, "mul": 27 ** 2,
+                               "neg": 27, "sigma": 27}
+    for name in OPS:
+        memo = getattr(ctx, f"_{name}_memo")
+        assert all(ctx._elems[v] is v for v in memo.values())
 
 
 class RaisingMul(TruncPolyRing):
@@ -137,14 +197,15 @@ def test_a_raising_formula_stores_nothing():
         with pytest.raises(ArithmeticError, match=r"t \* t"):
             ctx.mul(t, t)
     assert ctx._mul_memo == {}
-    assert ctx._codes == {}
+    assert ctx._elems == {}
 
 
 def test_a_value_outside_the_carrier_is_not_stored():
+    # the pair (2, 2) is a key of its own, so the leaked value can only
+    # answer that pair again; the carrier check still sees it
     ctx = LeakyMul()
     two = ctx.from_int(2)
     assert ctx.mul(two, two) == ctx.mul(two, two) == (4, 0, 0)
-    assert ctx._mul_memo == {}
     report = ring_axiom_check(LeakyMul(), 30, 3)
     assert not report.passed
     assert report.counterexample == "mul(2, 2) leaves the carrier"
@@ -180,8 +241,7 @@ def test_code_table_stops_at_the_cap():
     elems = list(itertools.islice(ctx.elements(), MEMO_CAP + 100))
     for a in elems:
         assert ctx.neg(a) == direct("neg")(ctx, a)
-    assert len(ctx._codes) == len(ctx._elems) == MEMO_CAP
-    assert len(ctx._neg_memo) <= MEMO_CAP
+    assert len(ctx._elems) == len(ctx._neg_memo) == MEMO_CAP
 
 
 def test_a_large_carrier_codes_only_what_it_sees(monkeypatch):
@@ -191,9 +251,14 @@ def test_a_large_carrier_codes_only_what_it_sees(monkeypatch):
     ctx = parse_ring_preset("truncpoly:2:20:c=1")
     t, one = ctx.radical_gens[0], ctx.one()
     u = ctx.add(one, t)
-    seen = {t, one, u, ctx.mul(u, u), ctx.neg(u), ctx.sigma(t), ctx.delta(u)}
-    assert set(ctx._codes) == seen
-    assert len(ctx._elems) == len(seen)
+    ctx.delta(u)
+    # the element table holds the values the memos returned (delta's inner
+    # sigma, neg and add included), not the arguments they were called with
+    s = ctx.sigma(u)
+    seen = {u, ctx.mul(u, u), ctx.neg(u), ctx.sigma(t), s,
+            ctx.add(s, ctx.neg(u))}
+    assert set(ctx._elems) == seen
+    assert all(ctx._elems[v] is v for v in seen)
 
 
 def test_zero_and_one_are_stored(f27):
