@@ -17,7 +17,8 @@ from .exprparse import (ExprError, check_degree_budget, degree_bound,
 from .k0 import (BaseScalars, IdempotentMatrix, NotIdempotent, NotUnimodular,
                  SeriesScalars, _stable_iso, idempotent_rank, render_matrix,
                  unimodular_complete)
-from .rings import parse_ring_preset, sigma_nilpotence_bound
+from .rings import (NILBOUND_WORD_LIMIT, parse_ring_preset,
+                    sigma_nilpotence_bound)
 from .series import principal_symbol
 from .suites import SUITE_NAMES, run_property_suite
 
@@ -59,26 +60,6 @@ _COMMON = (
 _EXPR = ((("expr",), {}),)
 _PAIR = ((("left",), {}), (("right",), {}))
 
-# name: (help, the arguments that follow the common options)
-_SUBCOMMANDS = {
-    "normalize": ("evaluate an expression to left normal form", _EXPR),
-    "mul": ("multiply two expressions", _PAIR),
-    "degree": ("filtration degree of a class in S/G_N (needs --prec)", _EXPR),
-    "symbol": ("principal symbol in the associated graded ring (needs --prec)",
-               _EXPR),
-    "nilbound": ("verified sigma-nilpotence bound for delta", (
-        (("--n",), {"type": int, "required": True, "dest": "target",
-                    "help": "target radical power I^n"}),
-        (("--word-limit",), {"type": int, "default": 6}))),
-    "rank": ("diagonalize an idempotent matrix and certify its free rank",
-             ((("matrix",), {"help": "rows separated by ';', entries by ','"}),)),
-    "stable-iso": ("stable isomorphism witness for two idempotents", _PAIR),
-    "complete-row": ("complete a unimodular row to an invertible matrix",
-                     ((("row",), {"help": "entries separated by ','"}),)),
-    "check": ("run a named property suite",
-              ((("suite",), {"choices": SUITE_NAMES}),)),
-}
-
 
 class _Subcommand:
     """What add_subparsers(parser_class=_Subcommand) registers for each
@@ -106,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "with filtration, graded-symbol and projective-rank tools.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Subcommand)
-    for name, (text, arguments) in _SUBCOMMANDS.items():
+    for name, (text, arguments, _) in _SUBCOMMANDS.items():
         sub.add_parser(name, help=text, arguments=arguments)
     return parser
 
@@ -203,6 +184,8 @@ def _cmd_symbol(args, ctx):
 def _cmd_nilbound(args, ctx):
     if args.target < 1 or args.word_limit < 1:
         raise ValueError("--n and --word-limit must be >= 1")
+    if args.word_limit > NILBOUND_WORD_LIMIT:
+        raise ValueError(f"--word-limit must be at most {NILBOUND_WORD_LIMIT}")
     bound = sigma_nilpotence_bound(ctx, args.target, args.word_limit)
     if bound is None:
         return 0, [f"not found (word limit {args.word_limit})"], \
@@ -321,16 +304,29 @@ def _cmd_check(args, ctx):
     return (0 if report.passed else 1), lines, payload
 
 
-_COMMANDS = {
-    "normalize": _cmd_normalize,
-    "mul": _cmd_mul,
-    "degree": _cmd_degree,
-    "symbol": _cmd_symbol,
-    "nilbound": _cmd_nilbound,
-    "rank": _cmd_rank,
-    "stable-iso": _cmd_stable_iso,
-    "complete-row": _cmd_complete_row,
-    "check": _cmd_check,
+# name: (help, the arguments that follow the common options, handler)
+_SUBCOMMANDS = {
+    "normalize": ("evaluate an expression to left normal form", _EXPR,
+                  _cmd_normalize),
+    "mul": ("multiply two expressions", _PAIR, _cmd_mul),
+    "degree": ("filtration degree of a class in S/G_N (needs --prec)", _EXPR,
+               _cmd_degree),
+    "symbol": ("principal symbol in the associated graded ring (needs --prec)",
+               _EXPR, _cmd_symbol),
+    "nilbound": ("verified sigma-nilpotence bound for delta", (
+        (("--n",), {"type": int, "required": True, "dest": "target",
+                    "help": "target radical power I^n"}),
+        (("--word-limit",), {"type": int, "default": 6})), _cmd_nilbound),
+    "rank": ("diagonalize an idempotent matrix and certify its free rank",
+             ((("matrix",), {"help": "rows separated by ';', entries by ','"}),),
+             _cmd_rank),
+    "stable-iso": ("stable isomorphism witness for two idempotents", _PAIR,
+                   _cmd_stable_iso),
+    "complete-row": ("complete a unimodular row to an invertible matrix",
+                     ((("row",), {"help": "entries separated by ','"}),),
+                     _cmd_complete_row),
+    "check": ("run a named property suite",
+              ((("suite",), {"choices": SUITE_NAMES}),), _cmd_check),
 }
 
 
@@ -341,7 +337,7 @@ def main(argv=None) -> int:
         ctx = parse_ring_preset(args.ring)
         if args.prec is not None and args.prec < 1:
             raise ValueError("--prec must be >= 1")
-        code, lines, payload = _COMMANDS[args.command](args, ctx)
+        code, lines, payload = _SUBCOMMANDS[args.command][2](args, ctx)
     except ExprError as exc:
         print(f"error: syntax error: {exc}", file=sys.stderr)
         return 2

@@ -48,7 +48,9 @@ EXHAUSTIVE_TUPLE_LIMIT = 65536
 # Each operation memo of a TruncPolyRing, and its element table, holds at
 # most this many entries: an exhaustive pair table at |R| = 256.  A binary
 # entry, keyed by the argument pair, takes about 95 bytes, so a full binary
-# table takes about 6.2 MB.
+# table takes about 6.2 MB.  The element table saves memory, not lookup
+# time: a cold dense truncpoly:3:6:c=2 product in S/G_256 peaks at 7.22 MB
+# under tracemalloc with it and at 13.32 MB with plain memos.
 MEMO_CAP = 1 << 16
 
 
@@ -84,13 +86,12 @@ class RingContext:
     radical_gens: tuple
 
     def __init__(self):
-        self._ideal_powers = None
         self._ideal_power_lists = None
         self._inv_table = None
         self._is_local = None
         self._mkl_cache = {}
-        # depth d -> {b: rows, rows[n] the (k, M_{k,n}(b)) with k < d and a
-        # nonzero value, admitted once M_{d,n}(b) = 0 is checked}, built by
+        # b -> rows, rows[n] the (k, M_{k,n}(b)) with k < d = mkl_depth() and
+        # a nonzero value, admitted once M_{d,n}(b) = 0 is checked, built by
         # the family's closed form (_closed_rows) or read from _mkl_cache
         self._mkl_rows = {}
         self._family_mkl_depth = None
@@ -191,16 +192,11 @@ class RingContext:
             raise ValueError(f"{self.name}: I^{nil} does not vanish")
         if all(w == zero for w in self.ideal_power_gens(nil - 1)):
             raise ValueError(f"{self.name}: I^{nil - 1} already vanishes")
-        self._ideal_powers = {}
         self._ideal_power_lists = {}
 
     def ideal_power(self, k: int) -> frozenset:
         """The set I^k (k is clamped at the nilpotency index, where I^k = 0)."""
-        k = min(k, self.radical_nilpotency)
-        members = self.ideal_power_list(k)
-        if k not in self._ideal_powers:
-            self._ideal_powers[k] = frozenset(members)
-        return self._ideal_powers[k]
+        return frozenset(self.ideal_power_list(k))
 
     def ideal_power_list(self, k: int) -> list:
         """The elements of I^k in sorted order, built on first use."""
@@ -425,12 +421,13 @@ class TruncPolyRing(RingContext):
 
     add, mul, neg and sigma answer a repeated call from a memo per context
     (delta is composed of them), keyed by the argument, or by the pair
-    (a, b) for a binary operation.  The formulas behind them (_add, _mul,
-    _neg, _sigma) are pure, so a hit returns what the formula would.  A
-    stored value is the one object the element table _elems holds for it,
-    so a later lookup with it matches by identity.  Each memo and _elems
-    hold at most MEMO_CAP entries; an unhashable argument goes straight to
-    the formula.  Threads share the memos without a lock: concurrent misses
+    (a, b) for a binary operation; elements are the hashable tuples the
+    ring hands out.  The formulas behind them (_add, _mul, _neg, _sigma)
+    are pure, so a hit returns what the formula would.  A stored value is
+    the one object the element table _elems holds for it, so equal values
+    share one tuple: the table is there to save memory (see MEMO_CAP), not
+    to speed up lookups.  Each memo and _elems hold at most MEMO_CAP
+    entries.  Threads share the memos without a lock: concurrent misses
     store equal values, and setdefault keeps one object per element.
     Nothing enumerates R.
     """
@@ -471,44 +468,32 @@ class TruncPolyRing(RingContext):
     # -- the memo --------------------------------------------------------
 
     def add(self, a, b):
-        try:
-            value = self._add_memo.get((a, b))
-        except TypeError:   # an unhashable argument
-            return self._add(a, b)
+        value = self._add_memo.get((a, b))
         if value is None:
             value = self._store(self._add_memo, (a, b), self._add(a, b))
         return value
 
     def mul(self, a, b):
-        try:
-            value = self._mul_memo.get((a, b))
-        except TypeError:
-            return self._mul(a, b)
+        value = self._mul_memo.get((a, b))
         if value is None:
             value = self._store(self._mul_memo, (a, b), self._mul(a, b))
         return value
 
     def neg(self, a):
-        try:
-            value = self._neg_memo.get(a)
-        except TypeError:
-            return self._neg(a)
+        value = self._neg_memo.get(a)
         if value is None:
             value = self._store(self._neg_memo, a, self._neg(a))
         return value
 
     def sigma(self, a):
-        try:
-            value = self._sigma_memo.get(a)
-        except TypeError:
-            return self._sigma(a)
+        value = self._sigma_memo.get(a)
         if value is None:
             value = self._store(self._sigma_memo, a, self._sigma(a))
         return value
 
     def _store(self, memo, key, value):
         """Store the element table's object for value under key while memo
-        has room, and return it; a value that cannot be interned is
+        has room, and return it; a value new to a full element table is
         returned as it is and not stored."""
         kept = self._interned(value)
         if kept is None:
@@ -519,13 +504,10 @@ class TruncPolyRing(RingContext):
 
     def _interned(self, a):
         """The one object the element table holds for a, entered on first
-        sight while the table has room (a memo lookup of it then matches by
-        identity); None if a is unhashable or new to a full table."""
+        sight while the table has room; None if a is new to a full
+        table."""
         elems = self._elems
-        try:
-            kept = elems.get(a)
-        except TypeError:
-            return None
+        kept = elems.get(a)
         if kept is None and len(elems) < MEMO_CAP:
             kept = elems.setdefault(a, a)
         return kept
@@ -673,8 +655,8 @@ class TruncPolyRing(RingContext):
         at most r distinct rows, which the returned tuple repeats.  The
         weights at k = d give M_{d,n}(b), so the depth cut is checked for b
         and every n: a nonzero value raises _depth_cut_error.  Every value
-        is the element table's object for it (_interned), so the
-        operation memos match it by identity."""
+        is the element table's object for it (_interned), so the rows share
+        their tuples with the operation memos."""
         if self.delta_mode == "broken" or type(self) is not TruncPolyRing:
             return None
         weights = self._weights.get(d)
@@ -1044,29 +1026,40 @@ def sigma_derivation_check(ctx: RingContext, samples: int, seed: int) -> CheckRe
     )
 
 
+# The largest --word-limit the nilbound command accepts.  The search costs
+# one pass over the carrier per distinct image in each of word_limit
+# layers.  A carrier small enough to enumerate (|R| <= 2^16, and each step
+# of R > I > ... > I^nil = 0 at least halves it) has nilpotency at most 16,
+# and on the shipped presets the bound stops changing once the word limit
+# passes the nilpotency (tests/test_rings.py checks that the bound at this
+# limit is the bound at nilpotency + 2).
+NILBOUND_WORD_LIMIT = 64
+
+
 def sigma_nilpotence_bound(ctx: RingContext, n: int, word_limit: int = 6):
     """Least m <= word_limit such that every composite word in delta, sigma
     with at least m delta factors (and total length <= word_limit) maps the
     whole carrier into I^n.  Returns None when no such m exists within the
     word-length budget.
 
-    A word acts on the carrier through its image tuple, so the search runs
-    over the distinct (image, delta count) states reached by the words of
-    each length, extending every state by one more letter per layer; the
-    two one-letter moves out of an image are computed once.  The answer is
-    that of the exhaustive word enumeration, so a returned bound is a
-    verified one.
+    A word acts on the carrier through its image tuple, and the answer is
+    1 + the largest delta count of a word that leaves I^n, so the search
+    keeps, per distinct image reached by the words of each length, only
+    the largest delta count of those words, and extends every image by one
+    more letter per layer; the two one-letter moves out of an image are
+    computed once.  The answer is that of the exhaustive word enumeration,
+    so a returned bound is a verified one.
     """
     if n < 1:
         raise ValueError("target power must be >= 1")
     if word_limit < 1:
         raise ValueError("word limit must be >= 1")
-    failing_counts = set()
+    worst = 0    # the largest delta count of a word that leaves I^n
     moves = {}   # image -> [(image after one more letter, its delta count, leaves I^n)]
-    layer = {tuple(sorted(ctx.elements())): {0}}   # image -> delta counts
+    layer = {tuple(sorted(ctx.elements())): 0}   # image -> largest delta count
     for _ in range(word_limit):
         nxt = {}
-        for image, counts in layer.items():
+        for image, count in layer.items():
             if image not in moves:
                 moves[image] = []
                 for fn, dk in ((ctx.delta, 1), (ctx.sigma, 0)):
@@ -1074,10 +1067,9 @@ def sigma_nilpotence_bound(ctx: RingContext, n: int, word_limit: int = 6):
                     leaves = any(ctx.ideal_valuation(x) < n for x in img)
                     moves[image].append((img, dk, leaves))
             for img, dk, leaves in moves[image]:
-                reached = {k + dk for k in counts}
-                nxt.setdefault(img, set()).update(reached)
+                reached = count + dk
+                nxt[img] = max(nxt.get(img, 0), reached)
                 if leaves:
-                    failing_counts.update(k for k in reached if k)
+                    worst = max(worst, reached)
         layer = nxt
-    m = max(failing_counts) + 1 if failing_counts else 1
-    return m if m <= word_limit else None
+    return worst + 1 if worst < word_limit else None

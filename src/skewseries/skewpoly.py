@@ -16,9 +16,10 @@ product routes are provided so they can be cross-validated:
   rows[n] of a coefficient b is the tuple of (k, M_{k,n}(b)) with k < d
   and a nonzero value, ordered by k, and it is admitted only once
   M_{d,n}(b) = 0 is checked, so the cut is checked, not assumed.  The
-  rows of each b are kept per context in ctx._mkl_rows, keyed by d, built
-  on first use and extended when a product needs a larger n.  They come
-  from the family's closed form of M_{k,l} (ctx._closed_rows) on zmod and
+  rows of each b are kept per context in ctx._mkl_rows, keyed by b alone
+  (a context's depth is fixed by its family and its radical nilpotency),
+  built on first use and extended when a product needs a larger n.  They
+  come from the family's closed form of M_{k,l} (ctx._closed_rows) on zmod and
   on the truncpoly q-twist and delta=zero, which fills no memo and repeats
   the at most ord_q(c) distinct rows of b, and from the recursion's memo
   (ctx._mkl_cache) on delta=broken, the one shipped family without a
@@ -101,10 +102,11 @@ def monomial_operator_apply(ctx: RingContext, k: int, l: int, a):
 _NO_TERMS = ()
 
 
-def _operator_rows(ctx: RingContext, d: int, b, top: int) -> tuple:
-    """The operator row of b at depth d, built or extended to ``top``:
-    rows[n] is the tuple of (k, M_{k,n}(b)) for k < d with a nonzero value,
-    ordered by k, and the rows with no nonzero value share one empty tuple.
+def _operator_rows(ctx: RingContext, b, top: int) -> tuple:
+    """The operator row of b, built or extended to ``top``: rows[n] is the
+    tuple of (k, M_{k,n}(b)) for k < d = ctx.mkl_depth() with a nonzero
+    value, ordered by k, and the rows with no nonzero value share one empty
+    tuple.  The depth is read only here, where a row is built or extended.
 
     Row n is admitted only once M_{d,n}(b) = 0 is checked.  The recursion
     M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1} then makes every
@@ -115,15 +117,15 @@ def _operator_rows(ctx: RingContext, d: int, b, top: int) -> tuple:
     recursion (_recursion_rows: delta=broken and any carrier without a
     closed form).
 
-    The rows live in ctx._mkl_rows[d][b], so a depth override never reads
-    rows built for another depth.  An extension stores a new, longer tuple
-    and never changes the old one, so whoever holds the rows (a product
-    that extended them while they were being built, or another thread)
-    holds a correct prefix."""
-    table = ctx._mkl_rows.setdefault(d, {})
+    The rows live in ctx._mkl_rows[b].  An extension stores a new, longer
+    tuple and never changes the old one, so whoever holds the rows (a
+    product that extended them while they were being built, or another
+    thread) holds a correct prefix."""
+    table = ctx._mkl_rows
     rows = table.get(b, _NO_TERMS)
     built = len(rows)
     if built < top:
+        d = ctx.mkl_depth()
         new = ctx._closed_rows(d, b, built, top)
         if new is None:
             new = _recursion_rows(ctx, d, b, built, top)
@@ -146,8 +148,8 @@ def _recursion_rows(ctx: RingContext, d: int, b, built: int, top: int) -> tuple:
     return tuple(new)
 
 
-def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
-                  lb: int, length: int):
+def _add_products(ctx: RingContext, partners, width: int, gb, lb: int,
+                  length: int):
     """acc[m] += coeff_m(f * g) for m < ``length`` and every partner
     (f, la, acc) of the right factor g = sum b_i x^i, where la is the
     length of f = sum a_j x^j, width the largest la and lb the length of
@@ -170,7 +172,7 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
     """
     zero = ctx.zero()
     add, mul = ctx.add, ctx.mul
-    table = ctx._mkl_rows.setdefault(d, {})
+    table = ctx._mkl_rows
     for i in range(min(lb, length)):
         b = gb[i]
         if b == zero:
@@ -178,7 +180,7 @@ def _add_products(ctx: RingContext, d: int, partners, width: int, gb,
         top = min(width, length - i)
         rows = table.get(b, _NO_TERMS)
         if len(rows) < top:
-            rows = _operator_rows(ctx, d, b, top)
+            rows = _operator_rows(ctx, b, top)
         for n, row in zip(range(top), rows):
             m = i + n
             for k, v in row:
@@ -244,12 +246,13 @@ def _block_product(ctx: RingContext, rows, cols, length: int, out) -> None:
     extended with zero slots, only as far as its products reach, so an
     output that no term reaches keeps what the caller put there.
 
-    Per product, not per pair: ctx.mkl_depth() is read once, and the
-    operator row of each right-factor coefficient is looked up once for all
-    rows.  A zero factor adds no term to any slot, so skipping it leaves
-    every ring call and every operator row of the pairwise products.  A
-    single left factor (a SkewPoly or TruncatedSeries product, or the row
-    step of k0) takes a branch without the block set-up.
+    Per product, not per pair: the operator row of each right-factor
+    coefficient is looked up once for all rows, and ctx.mkl_depth() is read
+    only where a row is built or extended (_operator_rows).  A zero factor
+    adds no term to any slot, so skipping it leaves every ring call and
+    every operator row of the pairwise products.  A single left factor (a
+    SkewPoly or TruncatedSeries product, or the row step of k0) takes a
+    branch without the block set-up.
 
     A factor equal to 1 costs nothing, or additions only.  1*g = g for
     every sigma and delta, since only M_{0,0} = id enters it; f*1 = f needs
@@ -275,7 +278,6 @@ def _block_product(ctx: RingContext, rows, cols, length: int, out) -> None:
                     _add_by_one(ctx, out_row, c, col[0])
             return
         zero = ctx.zero()
-        d = ctx.mkl_depth()
         for c, col in enumerate(cols):
             gb = col[0].coeffs
             lb = len(gb)
@@ -285,10 +287,9 @@ def _block_product(ctx: RingContext, rows, cols, length: int, out) -> None:
                 _add_by_one(ctx, out_row, c, fx)
                 continue
             acc = _accumulator(zero, out_row, c, min(la + lb - 1, length))
-            _add_products(ctx, d, ((fa, la, acc),), la, gb, lb, length)
+            _add_products(ctx, ((fa, la, acc),), la, gb, lb, length)
         return
     zero = ctx.zero()
-    d = ctx.mkl_depth()
     for p in range(len(rows[0]) if rows else 0):
         partners, units, width = [], [], 0
         for row, out_row in zip(rows, out):
@@ -320,7 +321,7 @@ def _block_product(ctx: RingContext, rows, cols, length: int, out) -> None:
             group = [(f, la, _accumulator(zero, out_row, c,
                                           min(la + lb - 1, length)))
                      for _, f, la, out_row in partners]
-            _add_products(ctx, d, group, width, gb, lb, length)
+            _add_products(ctx, group, width, gb, lb, length)
 
 
 def _power(one, base, exponent: int, mul=operator.mul):

@@ -49,17 +49,16 @@ def assert_rows_are_the_operator_values(ctx):
     closed form (ctx._closed_rows) leaves the context's M_{k,l} memo empty;
     on the others the memo holds only what the rows filled: M_{k,n}(b) for
     k <= d and n < len(rows)."""
-    ref, zero = parse_ring_preset(ctx.name), ctx.zero()
+    ref, zero, d = parse_ring_preset(ctx.name), ctx.zero(), ctx.mkl_depth()
     filled = set()
-    for d, table in ctx._mkl_rows.items():
-        for b, rows in table.items():
-            for n, row in enumerate(rows):
-                assert monomial_operator_apply(ref, d, n, b) == zero
-                assert row == tuple(
-                    (k, v) for k in range(d)
-                    if (v := monomial_operator_apply(ref, k, n, b)) != zero)
-            filled.update((k, n, b) for k in range(d + 1)
-                          for n in range(len(rows)))
+    for b, rows in ctx._mkl_rows.items():
+        for n, row in enumerate(rows):
+            assert monomial_operator_apply(ref, d, n, b) == zero
+            assert row == tuple(
+                (k, v) for k in range(d)
+                if (v := monomial_operator_apply(ref, k, n, b)) != zero)
+        filled.update((k, n, b) for k in range(d + 1)
+                      for n in range(len(rows)))
     closed = ctx._closed_rows(1, ctx.one(), 0, 1) is not None
     assert ctx._mkl_cache.keys() == (set() if closed else filled)
 

@@ -3,9 +3,10 @@ over every subcommand, the preset matrix, delta=broken and invalid presets,
 each run in-process by cli.main under a CPU-time budget.
 
 A finding is an exception other than SystemExit, an exit code outside
-0/1/2, a traceback on stderr, a run over the budget, or --format json
-output that is not one JSON document.  Findings are compared with the
-known ones, which are listed, not skipped."""
+0/1/2, a traceback on stderr, a run over the budget, --format json output
+that is not one JSON document, or an exit code other than 2 for a
+nilbound --word-limit above NILBOUND_WORD_LIMIT.  Findings are compared
+with the known ones, which are listed, not skipped."""
 
 import contextlib
 import io
@@ -15,6 +16,7 @@ import signal
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import cli
+from skewseries.rings import NILBOUND_WORD_LIMIT
 from skewseries.suites import SUITE_NAMES
 
 CASES = 300
@@ -37,6 +39,11 @@ KNOWN_FINDINGS = {
 KNOWN_DRAWS = (("check serre-transfer", BROKEN_PRESET,
                 ["check", "serre-transfer", "--ring", BROKEN_PRESET,
                  "--samples", "3"]),)
+# a draw above the word-limit budget, which the seeded nilbound draws reach
+# with one value in 66
+BUDGET_DRAWS = (("nilbound", BROKEN_PRESET,
+                 ["nilbound", "--n", "3", "--word-limit",
+                  str(NILBOUND_WORD_LIMIT + 1), "--ring", BROKEN_PRESET]),)
 
 
 class _OverBudget(BaseException):
@@ -98,7 +105,7 @@ def _draw(rng, index):
         args = [_expression(rng, names), _expression(rng, names)]
     elif command == "nilbound":
         options += ["--n", str(rng.randint(0, 4)),
-                    "--word-limit", str(rng.randint(0, 6))]
+                    "--word-limit", str(rng.randint(0, NILBOUND_WORD_LIMIT + 1))]
     elif command == "rank":
         args = [_matrix(rng, names, precision)]
     elif command == "stable-iso":
@@ -116,6 +123,15 @@ def _draw(rng, index):
     argv = [command] + options + ["--"] + args if args and rng.random() < 0.7 \
         else [command] + args + options
     return (f"check {args[0]}" if command == "check" else command), preset, argv
+
+
+def _over_word_budget(argv):
+    """Whether argv is a nilbound command line whose --word-limit is above
+    the budget, which the CLI must reject with exit 2."""
+    if argv[0] != "nilbound":
+        return False
+    limit = argv[argv.index("--word-limit") + 1]
+    return int(limit) > NILBOUND_WORD_LIMIT
 
 
 def _outcome(argv):
@@ -137,6 +153,8 @@ def _outcome(argv):
         signal.signal(signal.SIGPROF, previous)
     if code not in (0, 1, 2):
         return f"exit code {code!r}"
+    if _over_word_budget(argv) and code != 2:
+        return f"exit code {code!r} above the word-limit budget"
     if "Traceback" in err.getvalue():
         return "traceback on stderr"
     if "json" in argv and code != 2:
@@ -149,7 +167,7 @@ def _outcome(argv):
 
 def test_fuzzed_command_lines_make_only_the_known_findings():
     rng = random.Random(SEED)
-    draws = [_draw(rng, i) for i in range(CASES)] + list(KNOWN_DRAWS)
+    draws = [_draw(rng, i) for i in range(CASES)] + list(KNOWN_DRAWS + BUDGET_DRAWS)
     findings = {}
     for label, preset, argv in draws:
         outcome = _outcome(argv)

@@ -737,10 +737,10 @@ class TestSparseMatMul:
         kernel_calls = []
         plain_kernel = skewpoly._add_products
 
-        def counted_kernel(c, d, partners, width, gb, lb, length):
+        def counted_kernel(c, partners, width, gb, lb, length):
             if c is ctx:
                 kernel_calls.append((gb, lb, [f for f, _, _ in partners]))
-            plain_kernel(c, d, partners, width, gb, lb, length)
+            plain_kernel(c, partners, width, gb, lb, length)
 
         monkeypatch.setattr(skewpoly, "_add_products", counted_kernel)
         for precision in SPARSE_PRECISIONS:
@@ -918,9 +918,9 @@ class TestFusedElementaryOps:
         partners = []
         plain_kernel = skewpoly._add_products
 
-        def counted_kernel(ctx, d, group, *args):
+        def counted_kernel(ctx, group, *args):
             partners.append(len(group))
-            plain_kernel(ctx, d, group, *args)
+            plain_kernel(ctx, group, *args)
 
         for name, c in (("ctx", ctx), ("ref", ref)):
             def counted_mul(x, y, _name=name, _plain=c.mul):

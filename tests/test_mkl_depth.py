@@ -75,8 +75,7 @@ def test_memo_rows_stop_at_the_depth():
         g = SkewPoly(ctx, (ctx.one(), ctx.radical_gens[0]))
         assert lin ** 40 * g == poly_mul_commutation(lin ** 40, g)
         d = ctx.mkl_depth()
-        assert set(ctx._mkl_rows) == {d}
-        assert {k for rows in ctx._mkl_rows[d].values()
+        assert {k for rows in ctx._mkl_rows.values()
                 for row in rows for k, _ in row} == set(range(d))
         assert all(k <= d for k, _, _ in ctx._mkl_cache)
         assert bool(ctx._mkl_cache) == (preset == BROKEN_PRESET)
@@ -127,20 +126,33 @@ class TestDepthOneTooSmall:
                                    match="nilpotence bound violated"):
                     kernel()
 
-    def test_warm_rows_do_not_skip_the_check(self, monkeypatch):
-        # at the true depth 2, the narrow x * t and then x^2 * t build the
-        # operator row of t and check M_{2,0}(t) = 0; neither may stand in
-        # for the check at depth 1
-        ctx = parse_ring_preset("truncpoly:3:3:c=2")
-        t = ctx.radical_gens[0]
-        for power in (1, 2):
-            for kernel in _kernels(ctx, power):
-                kernel()
-        assert len(ctx._mkl_rows[2][t]) == 3
-        monkeypatch.setattr(ctx, "mkl_depth", lambda: 1)
-        for kernel in _kernels(ctx, 2):
-            with pytest.raises(AssertionError, match="nilpotence bound violated"):
-                kernel()
+
+@pytest.mark.parametrize("preset", ("zmod:2^3", "truncpoly:3:3:c=2",
+                                    BROKEN_PRESET))
+def test_warm_products_do_not_read_the_depth(preset, monkeypatch):
+    # a context's depth is fixed by its family and its nilpotency, so the
+    # kernels read it only where they build or extend an operator row:
+    # products whose rows are all built read it no more
+    ctx = parse_ring_preset(preset)
+    rng = random.Random(preset)
+    pairs = [(random_poly(ctx, 5, rng), random_poly(ctx, 4, rng))
+             for _ in range(6)]
+    products = [k for power in (0, 2) for k in _kernels(ctx, power)] + [
+        lambda f=f, g=g: f * g for f, g in pairs] + [
+        lambda f=f, g=g: TruncatedSeries.from_poly(f, 5)
+        * TruncatedSeries.from_poly(g, 5) for f, g in pairs]
+    reads = []
+    plain = ctx.mkl_depth
+
+    def counted():
+        reads.append(None)
+        return plain()
+    monkeypatch.setattr(ctx, "mkl_depth", counted)
+    cold = [product() for product in products]
+    assert reads and ctx._mkl_rows
+    del reads[:]
+    assert [product() for product in products] == cold
+    assert reads == []
 
 
 def _counted_eval(text, precision):

@@ -77,12 +77,11 @@ def test_warm_rows_match_the_oracles(preset):
         b = _random_entries(ctx, precision, lb, (3, 2), rng)
         assert mat_mul(SeriesScalars(ctx, precision), a, b) == \
             _schoolbook(ctx, precision, a, b)
-        for b_i, rows in ctx._mkl_rows[d].items():
+        for b_i, rows in ctx._mkl_rows.items():
             extended += lengths.get(b_i, len(rows)) < len(rows)
             lengths[b_i] = len(rows)
     assert extended
-    assert set(ctx._mkl_rows) == {d}
-    for b_i, rows in ctx._mkl_rows[d].items():
+    for b_i, rows in ctx._mkl_rows.items():
         for n, row in enumerate(rows):
             words = [(k, monomial_operator_words(ctx, k, n, b_i)[0])
                      for k in range(d)]

@@ -7,11 +7,12 @@ import sys
 import pytest
 
 from conftest import BROKEN_PRESET
-from skewseries import (ExprError, SkewPoly, TruncatedSeries, eval_expression,
-                        parse_expression, render_expression)
+from skewseries import (ExprError, SkewPoly, TruncatedSeries, TruncPolyRing,
+                        eval_expression, parse_expression, render_expression)
 from skewseries.cli import main
 from skewseries.exprparse import (MAX_DEGREE, MAX_DEPTH, Add, Const, Mul, Pow, Var,
                                   degree_bound)
+from skewseries.rings import NILBOUND_WORD_LIMIT
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -298,6 +299,21 @@ class TestCliContract:
             (0, "x^512\n")
         assert run_cli(["normalize", dense, "--ring", "zmod:2^10",
                         "--prec", "8"])[:2] == (0, "1 (mod 256) [N=8]\n")
+
+    def test_exit_code_2_over_word_limit_budget(self, monkeypatch):
+        # the budget is checked before the search makes any ring call
+        calls = []
+        for name in ("add", "mul", "neg", "sigma", "delta", "elements"):
+            monkeypatch.setattr(TruncPolyRing, name,
+                                lambda *args, _plain=getattr(TruncPolyRing, name):
+                                calls.append(None) or _plain(*args))
+        argv = ["nilbound", "--n", "1", "--ring", "truncpoly:3:3:c=2",
+                "--word-limit"]
+        code, out, err = run_cli(argv + [str(NILBOUND_WORD_LIMIT + 1)])
+        assert (code, out, calls) == (2, "", [])
+        assert f"--word-limit must be at most {NILBOUND_WORD_LIMIT}" in err
+        assert run_cli(argv + [str(NILBOUND_WORD_LIMIT)])[:2] == (0, "m = 1\n")
+        assert calls
 
     def test_degree_budget_admits_high_powers(self):
         assert run_cli(["normalize", "x^500", "--ring", "zmod:2^10"])[:2] == \

@@ -1,11 +1,13 @@
 import functools
 import itertools
+import time
 
 import pytest
 
 from skewseries import (INF, ZmodRing, parse_ring_preset,
                         ring_axiom_check, sigma_derivation_check,
                         sigma_nilpotence_bound)
+from skewseries.rings import NILBOUND_WORD_LIMIT
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
 
@@ -184,6 +186,24 @@ class TestNilpotenceBound:
         with pytest.raises(ValueError):
             sigma_nilpotence_bound(z8, 1, word_limit=0)
 
+    @pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
+    def test_the_cli_budget_changes_no_bound(self, preset):
+        # the CLI rejects word limits above NILBOUND_WORD_LIMIT; below it the
+        # bound has stopped changing once the limit passes the nilpotency
+        ctx = parse_ring_preset(preset)
+        nil = ctx.radical_nilpotency
+        for n in range(1, nil + 1):
+            assert sigma_nilpotence_bound(ctx, n, NILBOUND_WORD_LIMIT) == \
+                sigma_nilpotence_bound(ctx, n, nil + 2)
+
+    def test_search_is_linear_in_the_word_limit(self, f27):
+        # one delta count per image: 10,000 layers over the few images of
+        # f27 take about 0.2 s of CPU time, where a set of counts per image
+        # made the search quadratic (8.6 s)
+        start = time.process_time()
+        assert sigma_nilpotence_bound(f27, 1, 10_000) == 1
+        assert time.process_time() - start < 2
+
 
 # -- enumeration oracles ----------------------------------------------------
 #
@@ -346,7 +366,7 @@ def test_layered_bound_matches_word_enumeration(preset):
 
 def test_layered_bound_merges_words_with_different_delta_counts():
     # with delta = sigma = id every word of a length has the same image,
-    # so the layered search must keep all of their delta counts
+    # so the layered search must keep the largest of their delta counts
     class IdentityDelta(ZmodRing):
         def delta(self, a):
             return a
