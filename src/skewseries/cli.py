@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 
 from .exprparse import (ExprError, check_degree_budget, degree_bound,
                         eval_expression, parse_expression)
@@ -28,20 +29,25 @@ class _Parser(argparse.ArgumentParser):
     a negative number such as -1, so an expression or matrix such as -1-x
     must come after '--'.  Every option here has two dashes except -h, so a
     usage error after a word with one dash (before any '--') names '--'.
-    The subcommand parsers are of this class too."""
+    The subcommand parsers are of this class too.  A parser serves every
+    later call of the process, and threads may share it, so the dashed
+    words are kept per thread and set afresh by each parse."""
 
-    _dashed = ()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._call = threading.local()
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         words = args[:args.index("--")] if "--" in args else args
-        self._dashed = [w for w in words if w.startswith("-") and w != "-h"
-                        and not w.startswith("--") and not w[1:].isdigit()]
+        self._call.dashed = [w for w in words if w.startswith("-") and w != "-h"
+                             and not w.startswith("--") and not w[1:].isdigit()]
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
-        if self._dashed:
-            message += (f"; {self._dashed[0]!r} was read as an option: put an "
+        dashed = getattr(self._call, "dashed", ())
+        if dashed:
+            message += (f"; {dashed[0]!r} was read as an option: put an "
                         f"argument that starts with '-' after '--', as in "
                         f"skewseries normalize --ring zmod:2^3 -- -1-x")
         super().error(message)
@@ -64,32 +70,47 @@ _PAIR = ((("left",), {}), (("right",), {}))
 class _Subcommand:
     """What add_subparsers(parser_class=_Subcommand) registers for each
     subcommand.  argparse only calls parse_known_args on the one a command
-    line names, so that one alone gets its _Parser built."""
+    line names, so that one alone gets its _Parser built, on the first such
+    call of the process; later calls reuse it."""
 
     def __init__(self, prog, arguments):
         self.prog = prog
         self._arguments = arguments
+        self._parser = None
 
     def parse_known_args(self, args=None, namespace=None):
-        parser = _Parser(prog=self.prog)
-        for flags, options in _COMMON + self._arguments:
-            parser.add_argument(*flags, **options)
+        parser = self._parser
+        if parser is None:
+            parser = _Parser(prog=self.prog)
+            for flags, options in _COMMON + self._arguments:
+                parser.add_argument(*flags, **options)
+            # kept only once whole: a build cut short is started again
+            self._parser = parser
         return parser.parse_known_args(args, namespace)
 
 
+# the top-level parser, built by the first build_parser() call
+_top = None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser.  Every subcommand is registered by name and
-    help, which is all the usage line and -h show; its own parser is built
-    only when a command line names it."""
-    parser = _Parser(
-        prog="skewseries",
-        description="Exact skew polynomial / twisted power series calculator "
-                    "with filtration, graded-symbol and projective-rank tools.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Subcommand)
-    for name, (text, arguments, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=text, arguments=arguments)
-    return parser
+    """The top-level parser, built on the first call and returned again on
+    every later one.  Every subcommand is registered by name and help,
+    which is all the usage line and -h show; its own parser is built only
+    when a command line names it.  Help and usage are formatted when they
+    are printed, so they follow COLUMNS at that time."""
+    global _top
+    if _top is None:
+        parser = _Parser(
+            prog="skewseries",
+            description="Exact skew polynomial / twisted power series calculator "
+                        "with filtration, graded-symbol and projective-rank tools.")
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    parser_class=_Subcommand)
+        for name, (text, arguments, _) in _SUBCOMMANDS.items():
+            sub.add_parser(name, help=text, arguments=arguments)
+        _top = parser
+    return _top
 
 
 def _emit(args, lines, payload) -> None:
@@ -331,8 +352,7 @@ _SUBCOMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         ctx = parse_ring_preset(args.ring)
         if args.prec is not None and args.prec < 1:

@@ -1047,28 +1047,35 @@ def sigma_nilpotence_bound(ctx: RingContext, n: int, word_limit: int = 6):
     keeps, per distinct image reached by the words of each length, only
     the largest delta count of those words, and extends every image by one
     more letter per layer; the two one-letter moves out of an image are
-    computed once.  The answer is that of the exhaustive word enumeration,
-    so a returned bound is a verified one.
+    computed once.  Each distinct image is hashed once, when it is first
+    reached, and numbered; the layers carry the numbers.  The answer is
+    that of the exhaustive word enumeration, so a returned bound is a
+    verified one.
     """
     if n < 1:
         raise ValueError("target power must be >= 1")
     if word_limit < 1:
         raise ValueError("word limit must be >= 1")
     worst = 0    # the largest delta count of a word that leaves I^n
-    moves = {}   # image -> [(image after one more letter, its delta count, leaves I^n)]
-    layer = {tuple(sorted(ctx.elements())): 0}   # image -> largest delta count
+    images = [tuple(sorted(ctx.elements()))]   # number -> image
+    numbers = {images[0]: 0}                    # image -> number
+    moves = {}   # number -> [(number after one more letter, its delta count, leaves I^n)]
+    layer = {0: 0}   # number -> largest delta count
     for _ in range(word_limit):
         nxt = {}
-        for image, count in layer.items():
-            if image not in moves:
-                moves[image] = []
+        for i, count in layer.items():
+            if i not in moves:
+                moves[i] = []
                 for fn, dk in ((ctx.delta, 1), (ctx.sigma, 0)):
-                    img = tuple(map(fn, image))
+                    img = tuple(map(fn, images[i]))
+                    j = numbers.setdefault(img, len(images))
+                    if j == len(images):
+                        images.append(img)
                     leaves = any(ctx.ideal_valuation(x) < n for x in img)
-                    moves[image].append((img, dk, leaves))
-            for img, dk, leaves in moves[image]:
+                    moves[i].append((j, dk, leaves))
+            for j, dk, leaves in moves[i]:
                 reached = count + dk
-                nxt[img] = max(nxt.get(img, 0), reached)
+                nxt[j] = max(nxt.get(j, 0), reached)
                 if leaves:
                     worst = max(worst, reached)
         layer = nxt

@@ -24,6 +24,12 @@ def test_one_round_of_expr_warm_on_the_same_tree():
     assert summary["pool"] == 120 and summary["rounds"] == 1
     assert summary["new_won"] in (0, 1)
     assert all(t > 0 for t in summary["median_s"].values())
+    assert all(t > 0 for t in summary["item_p50_ms"].values())
+    lines = ab.report(summary, "A", "B")
+    assert lines[1].startswith("  old A: median ")
+    assert lines[1].endswith(f"per-item p50 {summary['item_p50_ms']['old']:.3f} ms")
+    assert lines[2].endswith(f"per-item p50 {summary['item_p50_ms']['new']:.3f} ms")
+    assert f"{summary['p50_ratio']:.3f} per-item p50" in lines[3]
     # the caller's skewseries modules are back in place
     after = {name: id(m) for name, m in sys.modules.items()
              if name.split(".")[0] == "skewseries"}

@@ -157,6 +157,30 @@ class TestIdealStructure:
                     assert ctx.delta(a) in deeper
 
 
+def _nilbound_by_tuples(ctx, n, word_limit):
+    """sigma_nilpotence_bound as it was before images were numbered: the
+    layers are keyed by the image tuples themselves."""
+    worst = 0
+    moves = {}
+    layer = {tuple(sorted(ctx.elements())): 0}
+    for _ in range(word_limit):
+        nxt = {}
+        for image, count in layer.items():
+            if image not in moves:
+                moves[image] = []
+                for fn, dk in ((ctx.delta, 1), (ctx.sigma, 0)):
+                    img = tuple(map(fn, image))
+                    leaves = any(ctx.ideal_valuation(x) < n for x in img)
+                    moves[image].append((img, dk, leaves))
+            for img, dk, leaves in moves[image]:
+                reached = count + dk
+                nxt[img] = max(nxt.get(img, 0), reached)
+                if leaves:
+                    worst = max(worst, reached)
+        layer = nxt
+    return worst + 1 if worst < word_limit else None
+
+
 class TestNilpotenceBound:
     def test_zero_delta_gives_one(self, z8):
         for n in range(1, 4):
@@ -203,6 +227,14 @@ class TestNilpotenceBound:
         start = time.process_time()
         assert sigma_nilpotence_bound(f27, 1, 10_000) == 1
         assert time.process_time() - start < 2
+
+    @pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
+    def test_numbered_images_give_the_tuple_keyed_bound(self, preset):
+        ctx = parse_ring_preset(preset)
+        for n in range(1, ctx.radical_nilpotency + 2):
+            for limit in (*range(1, 9), NILBOUND_WORD_LIMIT):
+                assert sigma_nilpotence_bound(ctx, n, limit) == \
+                    _nilbound_by_tuples(ctx, n, limit), (n, limit)
 
 
 # -- enumeration oracles ----------------------------------------------------

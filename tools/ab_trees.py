@@ -11,13 +11,16 @@ so each copy of the workloads module is bound to its own tree, and each
 side's modules are put back into sys.modules before each of its passes.
 Both sides are set up and replay the pool once untimed (a warm-up whose
 outputs are compared), then they alternate timed passes over the same
-pool, the order flipping every round.  A pass is timed in CPU time, after
-a gc.collect() so that neither side pays for the other's garbage.
+pool, the order flipping every round.  A pass, and each request in it,
+is timed in CPU time, after a gc.collect() so that neither side pays for
+the other's garbage.
 
-It prints each side's median CPU time per pass with its quartiles, the
-ratio NEW/OLD of the medians, the rounds NEW was faster, and whether the
-two sides gave the same outputs.  It uses the standard library only and
-changes nothing under bench/.
+It prints each side's median CPU time per pass with its quartiles and its
+per-item p50 (each pool item's median CPU time over the rounds, and the
+median of those over the items, as bench/run.py reads latency_p50_ms), the
+ratios NEW/OLD, the rounds NEW was faster, and whether the two sides gave
+the same outputs.  It uses the standard library only and changes nothing
+under bench/.
 """
 
 from __future__ import annotations
@@ -67,16 +70,25 @@ class Side:
             raise RuntimeError(f"{label}: {PACKAGE} came from {loaded}, not {self.src}")
         self.workload = module.WORKLOADS[workload_name]
         self.state = None
-        self.times = []
+        self.times, self.took = [], []   # per round: the pass's CPU s, each request's
 
     def run(self, pool):
-        """One pass over the pool; returns (CPU seconds, outputs)."""
+        """One pass over the pool; returns (CPU seconds, CPU seconds per
+        request, outputs)."""
         _activate(self.modules)
         gc.collect()
         request, state = self.workload.request, self.state
+        outputs, took = [], []
         t0 = process_time()
-        outputs = [request(state, item) for item in pool]
-        return process_time() - t0, outputs
+        for item in pool:
+            c0 = process_time()
+            outputs.append(request(state, item))
+            took.append(process_time() - c0)
+        return process_time() - t0, took, outputs
+
+    def item_p50_ms(self):
+        """The median over pool items of each item's median over rounds."""
+        return 1000 * statistics.median(statistics.median(t) for t in zip(*self.took))
 
     def digest(self, outputs):
         plain = [repr(self.workload.plain(out)) for out in outputs]
@@ -103,22 +115,27 @@ def compare(old_src, new_src, workload, seed, rounds):
         for side in sides:
             _activate(side.modules)
             side.state = side.workload.setup()
-            digests.append(side.digest(side.run(pool)[1]))
+            digests.append(side.digest(side.run(pool)[2]))
         new_won = 0
         for r in range(rounds):
             times = {}
             for side in (sides if r % 2 == 0 else sides[::-1]):
-                times[side.label] = side.run(pool)[0]
-                side.times.append(times[side.label])
+                total, took, _ = side.run(pool)
+                side.times.append(total)
+                side.took.append(took)
+                times[side.label] = total
             new_won += times["new"] < times["old"]
     finally:
         _activate(original)
     medians = {side.label: statistics.median(side.times) for side in sides}
+    p50s = {side.label: side.item_p50_ms() for side in sides}
     return {
         "workload": workload, "seed": seed, "rounds": rounds, "pool": len(pool),
         "median_s": medians,
         "quartiles_s": {side.label: _quartiles(side.times) for side in sides},
         "ratio": medians["new"] / medians["old"],
+        "item_p50_ms": p50s,
+        "p50_ratio": p50s["new"] / p50s["old"],
         "new_won": new_won,
         "same_outputs": digests[0] == digests[1],
     }
@@ -136,15 +153,23 @@ def main(argv=None):
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
     s = compare(args.old, args.new, args.workload, args.seed, args.rounds)
-    print(f"{s['workload']} seed {s['seed']}: {s['rounds']} rounds of "
-          f"{s['pool']} requests, CPU s per pass")
-    for label, src in (("old", args.old), ("new", args.new)):
-        lo, hi = s["quartiles_s"][label]
-        print(f"  {label} {src}: median {s['median_s'][label]:.4f} "
-              f"(quartiles {lo:.4f}-{hi:.4f})")
-    print(f"  new/old {s['ratio']:.3f}, new faster in {s['new_won']}/{s['rounds']} rounds")
-    print(f"  outputs {'identical' if s['same_outputs'] else 'DIFFER'}")
+    print("\n".join(report(s, args.old, args.new)))
     return 0 if s["same_outputs"] else 1
+
+
+def report(s, old, new):
+    """The lines main prints for the summary s of compare."""
+    lines = [f"{s['workload']} seed {s['seed']}: {s['rounds']} rounds of "
+             f"{s['pool']} requests, CPU s per pass"]
+    for label, src in (("old", old), ("new", new)):
+        lo, hi = s["quartiles_s"][label]
+        lines.append(f"  {label} {src}: median {s['median_s'][label]:.4f} "
+                     f"(quartiles {lo:.4f}-{hi:.4f}), "
+                     f"per-item p50 {s['item_p50_ms'][label]:.3f} ms")
+    lines.append(f"  new/old {s['ratio']:.3f} per pass, {s['p50_ratio']:.3f} "
+                 f"per-item p50, new faster in {s['new_won']}/{s['rounds']} rounds")
+    lines.append(f"  outputs {'identical' if s['same_outputs'] else 'DIFFER'}")
+    return lines
 
 
 if __name__ == "__main__":
