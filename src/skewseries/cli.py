@@ -16,7 +16,7 @@ import threading
 from .exprparse import (ExprError, check_degree_budget, degree_bound,
                         eval_expression, parse_expression)
 from .k0 import (BaseScalars, IdempotentMatrix, NotIdempotent, NotUnimodular,
-                 SeriesScalars, _stable_iso, idempotent_rank, render_matrix,
+                 SeriesScalars, _stable_iso, idempotent_rank,
                  unimodular_complete)
 from .rings import (NILBOUND_WORD_LIMIT, parse_ring_preset,
                     sigma_nilpotence_bound)
@@ -51,6 +51,22 @@ class _Parser(argparse.ArgumentParser):
                         f"argument that starts with '-' after '--', as in "
                         f"skewseries normalize --ring zmod:2^3 -- -1-x")
         super().error(message)
+
+
+class _UsageFormatter(argparse.HelpFormatter):
+    """Wraps the top-level usage the same way on every Python version.
+    argparse before 3.13 splits the usage at spaces outside brackets before
+    wrapping it, so '{normalize,...,check}' and the '...' after it can go
+    on two lines; from 3.13 it wraps whole parts, and keeps the pair as
+    one.  This hands 3.13 the pair as two parts.  Earlier versions never
+    call the method."""
+
+    def _get_actions_usage_parts(self, actions, groups):
+        parts = []
+        for part in super()._get_actions_usage_parts(actions, groups):
+            # a subcommand positional: '{choices} ...'
+            parts += part.rsplit(" ", 1) if part.endswith(" ...") else [part]
+        return parts
 
 
 # flags and options of each argument, for argparse's add_argument
@@ -104,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
         parser = _Parser(
             prog="skewseries",
             description="Exact skew polynomial / twisted power series calculator "
-                        "with filtration, graded-symbol and projective-rank tools.")
+                        "with filtration, graded-symbol and projective-rank tools.",
+            formatter_class=_UsageFormatter)
         sub = parser.add_subparsers(dest="command", required=True,
                                     parser_class=_Subcommand)
         for name, (text, arguments, _) in _SUBCOMMANDS.items():
@@ -152,12 +169,14 @@ def _parse_matrix(text, ctx, precision):
     return tuple(rows)
 
 
-def _matrix_lines(scalars, label, m):
-    return [f"{label}:"] + render_matrix(scalars, m)
+def _rendered(scalars, *matrices):
+    """Each matrix as rows of rendered entries, as the JSON payloads show
+    it; _matrix_lines builds the text rows from the same strings."""
+    return [[[scalars.render(x) for x in row] for row in m] for m in matrices]
 
 
-def _matrix_json(scalars, m):
-    return [[scalars.render(x) for x in row] for row in m]
+def _matrix_lines(label, rendered):
+    return [f"{label}:"] + [f"[{', '.join(row)}]" for row in rendered]
 
 
 def _cmd_normalize(args, ctx):
@@ -225,11 +244,14 @@ def _cmd_rank(args, ctx):
     witness = idempotent_rank(idem)
     verdict = f"RANK {witness.rank} VERIFIED"
     k0_class = f"{witness.rank}*[{scalars.description}]"
+    e, u, u_inv, diagonal = _rendered(
+        scalars, idem.entries, witness.conjugator, witness.conjugator_inv,
+        witness.diagonal_form())
     lines = [f"base: {scalars.description}"]
-    lines += _matrix_lines(scalars, "e", idem.entries)
-    lines += _matrix_lines(scalars, "conjugator U", witness.conjugator)
-    lines += _matrix_lines(scalars, "inverse U^-1", witness.conjugator_inv)
-    lines += _matrix_lines(scalars, "U e U^-1", witness.diagonal_form())
+    lines += _matrix_lines("e", e)
+    lines += _matrix_lines("conjugator U", u)
+    lines += _matrix_lines("inverse U^-1", u_inv)
+    lines += _matrix_lines("U e U^-1", diagonal)
     lines.append(f"K0 class: {k0_class}")
     lines.append(verdict)
     payload = {
@@ -237,11 +259,7 @@ def _cmd_rank(args, ctx):
         "rank": witness.rank,
         "base": scalars.description,
         "k0_class": k0_class,
-        "certificate": {
-            "U": _matrix_json(scalars, witness.conjugator),
-            "U_inv": _matrix_json(scalars, witness.conjugator_inv),
-            "diagonal": _matrix_json(scalars, witness.diagonal_form()),
-        },
+        "certificate": {"U": u, "U_inv": u_inv, "diagonal": diagonal},
     }
     return 0, lines, payload
 
@@ -266,16 +284,14 @@ def _cmd_stable_iso(args, ctx):
         lines.append(verdict)
         return 0, lines, {"verdict": verdict, "t": None, "certificate": None}
     verdict = "STABLE ISO VERIFIED"
+    w, w_inv = _rendered(scalars, witness.conjugator, witness.conjugator_inv)
     lines.append(f"t = {witness.t}")
-    lines += _matrix_lines(scalars, "conjugator W", witness.conjugator)
+    lines += _matrix_lines("conjugator W", w)
     lines.append(verdict)
     payload = {
         "verdict": verdict,
         "t": witness.t,
-        "certificate": {
-            "W": _matrix_json(scalars, witness.conjugator),
-            "W_inv": _matrix_json(scalars, witness.conjugator_inv),
-        },
+        "certificate": {"W": w, "W_inv": w_inv},
     }
     return 0, lines, payload
 
@@ -288,17 +304,15 @@ def _cmd_complete_row(args, ctx):
     except NotUnimodular:
         return 1, ["NOT UNIMODULAR"], \
             {"verdict": "NOT UNIMODULAR", "certificate": None}
+    m, m_inv = _rendered(scalars, completed.matrix, completed.inverse)
     lines = [f"base: {scalars.description}",
              f"row: [{', '.join(scalars.render(x) for x in row)}]"]
-    lines += _matrix_lines(scalars, "completion M", completed.matrix)
-    lines += _matrix_lines(scalars, "inverse M^-1", completed.inverse)
+    lines += _matrix_lines("completion M", m)
+    lines += _matrix_lines("inverse M^-1", m_inv)
     lines.append("COMPLETION VERIFIED")
     payload = {
         "verdict": "COMPLETION VERIFIED",
-        "certificate": {
-            "M": _matrix_json(scalars, completed.matrix),
-            "M_inv": _matrix_json(scalars, completed.inverse),
-        },
+        "certificate": {"M": m, "M_inv": m_inv},
     }
     return 0, lines, payload
 

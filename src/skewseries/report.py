@@ -61,8 +61,7 @@ class CheckReport(Record):
     holds a rendered description of the first failure, or ``None`` when the
     run passed.  ``details`` carries check-specific counters (branch counts,
     enumeration mode, side observations) and must stay JSON-serializable.
-    A report stays mutable, and so unhashable: a suite that sums sub-runs
-    sets ``checked`` on the report it returns.
+    Only suites.run_property_suite builds one.
     """
 
     __slots__ = _fields = ("name", "passed", "checked", "counterexample",

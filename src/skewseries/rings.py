@@ -34,8 +34,6 @@ import itertools
 import random
 import re
 
-from .report import CheckReport
-
 INF = float("inf")
 
 # Exhaustive enumeration replaces sampling whenever the full tuple space
@@ -720,9 +718,8 @@ def parse_ring_preset(text: str) -> RingContext:
         match = _ZMOD_RE.match(parts[1])
         if not match:
             raise ValueError(f"invalid zmod preset {text!r}: expected zmod:<p>^<n>")
-        for mod in parts[2:]:
-            if mod != "delta=zero":
-                raise ValueError(f"invalid zmod modifier {mod!r}")
+        if len(parts) > 2:
+            raise ValueError(f"invalid zmod modifier {parts[2]!r}")
         return ZmodRing(int(match.group(1)), int(match.group(2)))
     if head == "truncpoly":
         if len(parts) < 4 or not parts[3].startswith("c="):
@@ -749,18 +746,15 @@ def _exhaustive(ctx: RingContext, arity: int) -> bool:
 
 
 def _tuple_stream(ctx: RingContext, arity: int, samples: int, rng: random.Random):
-    """All tuples when the space is small, else seeded random tuples.
-
-    Returns (iterable, exhaustive_flag)."""
+    """All tuples when the space is small, else seeded random tuples."""
     if _exhaustive(ctx, arity):
-        elems = sorted(ctx.elements())
-        return itertools.product(elems, repeat=arity), True
+        return itertools.product(sorted(ctx.elements()), repeat=arity)
 
     def gen():
         for _ in range(samples):
             yield tuple(ctx.sample(rng) for _ in range(arity))
 
-    return gen(), False
+    return gen()
 
 
 def _op_tables(ctx: RingContext, elems: list, unary=(), binary=()):
@@ -852,7 +846,8 @@ def _triple_cex(ctx, law, a, b, c):
             f"c={ctx.render(c)}")
 
 
-def ring_axiom_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
+def ring_axiom_check(ctx: RingContext, samples: int,
+                     seed: int) -> tuple[int, str | None, dict]:
     """Verify the ring axioms on every sampled (or enumerated) element and
     triple.
 
@@ -862,14 +857,12 @@ def ring_axiom_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
     plus list lookups for the |R|^3 triples; a sum or product outside the
     carrier is reported as a closure failure.  Sampled triples call the
     operations directly."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     zero, one = ctx.zero(), ctx.one()
     checked = 0
     cex = None
 
-    singles, _ = _tuple_stream(ctx, 1, samples, rng)
+    singles = _tuple_stream(ctx, 1, samples, rng)
     for (a,) in singles:
         checked += 1
         if ctx.add(a, zero) != a:
@@ -887,7 +880,7 @@ def ring_axiom_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
     if cex is None and exhaustive:
         checked, cex = _ring_triples_by_table(ctx, checked)
     elif cex is None:
-        triples, _ = _tuple_stream(ctx, 3, samples, rng)
+        triples = _tuple_stream(ctx, 3, samples, rng)
         add, mul = ctx.add, ctx.mul
         for a, b, c in triples:
             checked += 1
@@ -896,13 +889,7 @@ def ring_axiom_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
                 cex = _triple_cex(ctx, law, a, b, c)
                 break
 
-    return CheckReport(
-        name="ring-axioms",
-        passed=cex is None,
-        checked=checked,
-        counterexample=cex,
-        details={"mode": "exhaustive" if exhaustive else "sampled"},
-    )
+    return checked, cex, {"mode": "exhaustive" if exhaustive else "sampled"}
 
 
 def _sigma_law_failure(add, mul, sigma, delta, a, b):
@@ -959,7 +946,8 @@ def _pair_cex(ctx, law, a, b):
     return f"{law} fails at a={ctx.render(a)}, b={ctx.render(b)}"
 
 
-def sigma_derivation_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
+def sigma_derivation_check(ctx: RingContext, samples: int,
+                           seed: int) -> tuple[int, str | None, dict]:
     """Verify that sigma is a ring endomorphism preserving I and that delta
     is an additive map obeying the sigma-Leibniz rule with delta(R) <= I and
     delta(I) <= I^2.
@@ -970,8 +958,6 @@ def sigma_derivation_check(ctx: RingContext, samples: int, seed: int) -> CheckRe
     for the sigma, delta, add and mul tables (see _op_tables), plus list
     lookups for the |R|^2 pairs; a value outside the carrier is reported as
     a closure failure.  Sampled pairs call the operations directly."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     one = ctx.one()
     radical = ctx.ideal_power(1)
@@ -982,7 +968,7 @@ def sigma_derivation_check(ctx: RingContext, samples: int, seed: int) -> CheckRe
     if ctx.sigma(one) != one:
         cex = "sigma(1) != 1"
 
-    singles, _ = _tuple_stream(ctx, 1, samples, rng)
+    singles = _tuple_stream(ctx, 1, samples, rng)
     if cex is None:
         for (a,) in singles:
             checked += 1
@@ -1005,7 +991,7 @@ def sigma_derivation_check(ctx: RingContext, samples: int, seed: int) -> CheckRe
     if cex is None and exhaustive:
         checked, cex = _sigma_pairs_by_table(ctx, checked)
     elif cex is None:
-        pairs, _ = _tuple_stream(ctx, 2, samples, rng)
+        pairs = _tuple_stream(ctx, 2, samples, rng)
         ops = (ctx.add, ctx.mul, ctx.sigma, ctx.delta)
         for a, b in pairs:
             checked += 1
@@ -1014,16 +1000,8 @@ def sigma_derivation_check(ctx: RingContext, samples: int, seed: int) -> CheckRe
                 cex = _pair_cex(ctx, law, a, b)
                 break
 
-    return CheckReport(
-        name="sigma-derivation",
-        passed=cex is None,
-        checked=checked,
-        counterexample=cex,
-        details={
-            "mode": "exhaustive" if exhaustive else "sampled",
-            "sigma_radical_onto": ctx.sigma_radical_onto(),
-        },
-    )
+    return checked, cex, {"mode": "exhaustive" if exhaustive else "sampled",
+                          "sigma_radical_onto": ctx.sigma_radical_onto()}
 
 
 # The largest --word-limit the nilbound command accepts.  The search costs

@@ -26,9 +26,9 @@ break multiplicativity of the principal symbol.
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from .report import CheckReport
 from .rings import RingContext
 from .skewpoly import (SkewPoly, _LeftForm, _block_product,
                        monomial_operator_apply)
@@ -424,134 +424,116 @@ def filtration_generators(ctx: RingContext, precision: int, k: int) -> list:
 # -- property checks -----------------------------------------------------
 
 
-def ideal_closure_check(ctx: RingContext, precision: int, k: int,
-                        samples: int, seed: int) -> CheckReport:
-    """G_k absorbs multiplication by S/G_N on both sides, exhaustively on
-    the module generators for the x-multiplication case and on seeded
-    random pairs otherwise; also checks G_k * G_l <= G_(k+l)."""
-    if k < 0 or k > precision:
-        raise ValueError("filtration index must satisfy 0 <= k <= N")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
+def ideal_closure_check(ctx: RingContext, precision: int, samples: int,
+                        seed: int) -> tuple[int, str | None, dict]:
+    """For each filtration index k = 0..N in turn, with seed ``seed + k``:
+    G_k absorbs multiplication by S/G_N on both sides, exhaustively on the
+    module generators for the x-multiplication case and on seeded random
+    pairs otherwise; also checks G_k * G_l <= G_(k+l).  The first k that
+    fails ends the run, and the details then give that k and its own
+    generator checks."""
     x = TruncatedSeries.var(ctx, precision)
     checked = 0
-    cex = None
-    gen_checks = 0
+    all_gen_checks = 0
+    for k in range(precision + 1):
+        rng = random.Random(seed + k)
+        cex = None
+        gen_checks = 0
 
-    for gen in filtration_generators(ctx, precision, k):
-        for prod, tag in ((x * gen, "x*g"), (gen * x, "g*x")):
-            checked += 1
-            gen_checks += 1
-            if prod.filtration_degree() < k:
-                cex = f"{tag} leaves G_{k} for generator g = {gen.render()}"
+        for gen in filtration_generators(ctx, precision, k):
+            for prod, tag in ((x * gen, "x*g"), (gen * x, "g*x")):
+                checked += 1
+                gen_checks += 1
+                if prod.filtration_degree() < k:
+                    cex = f"{tag} leaves G_{k} for generator g = {gen.render()}"
+                    break
+            if cex:
                 break
+
+        if cex is None:
+            for _ in range(samples):
+                s = random_series(ctx, precision, rng)
+                g = random_series_in_filtration(ctx, precision, k, rng)
+                checked += 2
+                if (s * g).filtration_degree() < k:
+                    cex = f"s*g leaves G_{k}: s={s.render()}, g={g.render()}"
+                    break
+                if (g * s).filtration_degree() < k:
+                    cex = f"g*s leaves G_{k}: s={s.render()}, g={g.render()}"
+                    break
+                l = rng.randint(0, precision)
+                h = random_series_in_filtration(ctx, precision, l, rng)
+                bound = min(precision, k + l)
+                checked += 2
+                if (g * h).filtration_degree() < bound:
+                    cex = f"G_{k}*G_{l} leaves G_{k + l}: g={g.render()}, h={h.render()}"
+                    break
+                if (h * g).filtration_degree() < bound:
+                    cex = f"G_{l}*G_{k} leaves G_{k + l}: g={g.render()}, h={h.render()}"
+                    break
+
         if cex:
-            break
-
-    if cex is None:
-        for _ in range(samples):
-            s = random_series(ctx, precision, rng)
-            g = random_series_in_filtration(ctx, precision, k, rng)
-            checked += 2
-            if (s * g).filtration_degree() < k:
-                cex = f"s*g leaves G_{k}: s={s.render()}, g={g.render()}"
-                break
-            if (g * s).filtration_degree() < k:
-                cex = f"g*s leaves G_{k}: s={s.render()}, g={g.render()}"
-                break
-            l = rng.randint(0, precision)
-            h = random_series_in_filtration(ctx, precision, l, rng)
-            bound = min(precision, k + l)
-            checked += 2
-            if (g * h).filtration_degree() < bound:
-                cex = f"G_{k}*G_{l} leaves G_{k + l}: g={g.render()}, h={h.render()}"
-                break
-            if (h * g).filtration_degree() < bound:
-                cex = f"G_{l}*G_{k} leaves G_{k + l}: g={g.render()}, h={h.render()}"
-                break
-
-    return CheckReport(
-        name="ideal-closure",
-        passed=cex is None,
-        checked=checked,
-        counterexample=cex,
-        details={"filtration_index": k, "generator_checks": gen_checks},
-    )
+            return checked, cex, {"filtration_index": k,
+                                  "generator_checks": gen_checks}
+        all_gen_checks += gen_checks
+    return checked, None, {"max_filtration_index": precision,
+                           "generator_checks": all_gen_checks}
 
 
-def graded_iso_check(ctx: RingContext, precision: int,
-                     samples: int, seed: int) -> CheckReport:
+def graded_iso_check(ctx: RingContext, precision: int, samples: int,
+                     seed: int) -> tuple[int, str | None, dict]:
     """Multiplicativity of the principal symbol: when the filtration degree
     of a product is the sum of the factor degrees, the symbol of the product
     equals the product of the symbols in the graded model; when the degree
     jumps, the model product must vanish."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     exact = jump = skipped = 0
-    cex = None
 
-    def check_pair(f, g):
-        nonlocal exact, jump, skipped, cex
+    def pair_failure(f, g):
+        nonlocal exact, jump, skipped
         df, dg = f.filtration_degree(), g.filtration_degree()
         if df + dg >= precision:
             skipped += 1
-            return
+            return None
         model = principal_symbol(f) * principal_symbol(g)
         prod = f * g
         if prod.filtration_degree() == df + dg:
             exact += 1
             if principal_symbol(prod) != model:
-                cex = (f"symbol mismatch: f={f.render()}, g={g.render()}, "
-                       f"symbol(fg)={principal_symbol(prod).render()}, "
-                       f"model={model.render()}")
+                return (f"symbol mismatch: f={f.render()}, g={g.render()}, "
+                        f"symbol(fg)={principal_symbol(prod).render()}, "
+                        f"model={model.render()}")
         else:
             jump += 1
             if not model.is_zero():
-                cex = (f"degree jumped but symbols multiply to "
-                       f"{model.render()}: f={f.render()}, g={g.render()}")
+                return (f"degree jumped but symbols multiply to "
+                        f"{model.render()}: f={f.render()}, g={g.render()}")
+        return None
 
     # deterministic boundary pairs: radical-generator constants whose layers
     # can sum past the nilpotency index guarantee the cancellation branch
     nil = ctx.radical_nilpotency
-    for k1 in range(1, nil):
-        for k2 in range(1, nil):
-            for w1 in ctx.ideal_power_gens(k1):
-                for w2 in ctx.ideal_power_gens(k2):
-                    check_pair(TruncatedSeries.constant(ctx, precision, w1),
-                               TruncatedSeries.constant(ctx, precision, w2))
-                    if cex:
-                        break
-                if cex:
-                    break
-            if cex:
-                break
+    boundary = ((TruncatedSeries.constant(ctx, precision, w1),
+                 TruncatedSeries.constant(ctx, precision, w2))
+                for k1 in range(1, nil) for k2 in range(1, nil)
+                for w1 in ctx.ideal_power_gens(k1)
+                for w2 in ctx.ideal_power_gens(k2))
+    drawn = ((random_nonzero_series(ctx, precision, rng),
+              random_nonzero_series(ctx, precision, rng))
+             for _ in range(samples))
+    cex = None
+    for f, g in itertools.chain(boundary, drawn):
+        cex = pair_failure(f, g)
         if cex:
             break
-
-    if cex is None:
-        for _ in range(samples):
-            f = random_nonzero_series(ctx, precision, rng)
-            g = random_nonzero_series(ctx, precision, rng)
-            check_pair(f, g)
-            if cex:
-                break
-    return CheckReport(
-        name="graded-iso",
-        passed=cex is None,
-        checked=exact + jump,
-        counterexample=cex,
-        details={"exact_branch": exact, "jump_branch": jump, "skipped": skipped},
-    )
+    return exact + jump, cex, {"exact_branch": exact, "jump_branch": jump,
+                               "skipped": skipped}
 
 
-def series_law_check(ctx: RingContext, precision: int,
-                     samples: int, seed: int) -> CheckReport:
+def series_law_check(ctx: RingContext, precision: int, samples: int,
+                     seed: int) -> tuple[int, str | None, dict]:
     """Associativity, distributivity and representative independence of the
     product in S/G_N, on seeded random triples."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     checked = 0
     cex = None
@@ -584,10 +566,4 @@ def series_law_check(ctx: RingContext, precision: int,
             cex = (f"product not well defined on classes: f={f.render()}, "
                    f"perturbation {ctx.render(pert)} at slot {i}")
             break
-    return CheckReport(
-        name="series-assoc",
-        passed=cex is None,
-        checked=checked,
-        counterexample=cex,
-        details={"precision": precision},
-    )
+    return checked, cex, {"precision": precision}

@@ -58,7 +58,6 @@ import math
 import operator
 import random
 
-from .report import CheckReport
 from .rings import RingContext, _depth_cut_error, _op_tables
 
 NEG_INF = float("-inf")
@@ -552,7 +551,7 @@ MKL_WORD_COUNT_TOTAL = 8
 POLY_LAW_MAX_DEGREE = 3
 
 
-def mkl_oracle_check(ctx: RingContext) -> CheckReport:
+def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
     """Recursion vs word enumeration for all k+l <= MKL_ORACLE_MAX_TOTAL
     over the whole carrier, plus the C(k+l, k) word-count identity up to
     MKL_WORD_COUNT_TOTAL.
@@ -629,16 +628,10 @@ def mkl_oracle_check(ctx: RingContext) -> CheckReport:
                 if n_words != math.comb(total, k):
                     cex = f"word count mismatch at k={k}, l={total - k}"
                     break
-    return CheckReport(
-        name="mkl-oracle",
-        passed=cex is None,
-        checked=checked,
-        counterexample=cex,
-        details={"max_total_degree": MKL_ORACLE_MAX_TOTAL,
-                 "vanishing_checks": vanishing,
-                 "closed_form_checks": closed_checks,
-                 "mkl_depth": depth},
-    )
+    return checked, cex, {"max_total_degree": MKL_ORACLE_MAX_TOTAL,
+                          "vanishing_checks": vanishing,
+                          "closed_form_checks": closed_checks,
+                          "mkl_depth": depth}
 
 
 def _closed_rows_of(ctx: RingContext, depth: int, elems):
@@ -658,12 +651,11 @@ def _closed_rows_of(ctx: RingContext, depth: int, elems):
     return closed, None
 
 
-def poly_law_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
+def poly_law_check(ctx: RingContext, samples: int,
+                   seed: int) -> tuple[int, str | None, dict]:
     """Seeded random triples of degree at most POLY_LAW_MAX_DEGREE:
     associativity, distributivity, and agreement of the closed-formula
     product with the iterated-commutation oracle."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     checked = 0
     cex = None
@@ -688,10 +680,4 @@ def poly_law_check(ctx: RingContext, samples: int, seed: int) -> CheckReport:
         if not (fg.degree <= f.degree + g.degree or f.is_zero() or g.is_zero()):
             cex = f"degree bound fails: f={f.render()}, g={g.render()}"
             break
-    return CheckReport(
-        name="poly-assoc",
-        passed=cex is None,
-        checked=checked,
-        counterexample=cex,
-        details={"max_degree": POLY_LAW_MAX_DEGREE},
-    )
+    return checked, cex, {"max_degree": POLY_LAW_MAX_DEGREE}

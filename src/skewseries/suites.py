@@ -1,4 +1,9 @@
-"""Named property suites exposed by the command line runner."""
+"""Named property suites exposed by the command line runner.
+
+Each suite function returns (checked, counterexample or None, details):
+the number of individual assertions it verified, a rendered description of
+the first failure, and its check-specific counters.  run_property_suite is
+the one place where such a run becomes a CheckReport."""
 
 from __future__ import annotations
 
@@ -9,26 +14,6 @@ from .series import graded_iso_check, ideal_closure_check, series_law_check
 from .skewpoly import mkl_oracle_check, poly_law_check
 
 DEFAULT_PRECISION = 4
-
-
-def _ideal_closure_all(ctx, precision, samples, seed) -> CheckReport:
-    # one sub-run per filtration index, first failure wins
-    checked = 0
-    gen_checks = 0
-    for k in range(precision + 1):
-        sub = ideal_closure_check(ctx, precision, k, samples, seed + k)
-        checked += sub.checked
-        gen_checks += sub.details.get("generator_checks", 0)
-        if not sub.passed:
-            sub.checked = checked
-            return sub
-    return CheckReport(
-        name="ideal-closure",
-        passed=True,
-        checked=checked,
-        details={"max_filtration_index": precision, "generator_checks": gen_checks},
-    )
-
 
 # name -> runner(ctx, precision, samples, seed), in the order of the CLI's
 # choices; the suites over R take no precision
@@ -41,7 +26,7 @@ _SUITES = {
     "poly-assoc": lambda ctx, n, samples, seed: poly_law_check(
         ctx, samples, seed),
     "series-assoc": series_law_check,
-    "ideal-closure": _ideal_closure_all,
+    "ideal-closure": ideal_closure_check,
     "graded-iso": graded_iso_check,
     "k0-rank": lambda ctx, n, samples, seed: k0_rank_check(ctx, samples, seed),
     "serre-transfer": serre_transfer_check,
@@ -51,11 +36,16 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_property_suite(name: str, ctx: RingContext, precision: int | None,
                        samples: int, seed: int) -> CheckReport:
-    """Run one named invariant suite and return its report.
+    """Run one named invariant suite and return its report, which passes
+    when the suite found no counterexample.
 
-    ``precision`` only matters for the series-level suites; it defaults to
-    DEFAULT_PRECISION when omitted."""
+    ``samples`` must be at least 1, for every suite.  ``precision`` only
+    matters for the series-level suites; it defaults to DEFAULT_PRECISION
+    when omitted."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     n = precision if precision is not None else DEFAULT_PRECISION
-    return _SUITES[name](ctx, n, samples, seed)
+    checked, cex, details = _SUITES[name](ctx, n, samples, seed)
+    return CheckReport(name, cex is None, checked, cex, details)

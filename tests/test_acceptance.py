@@ -12,12 +12,11 @@ import pathlib
 import random
 
 from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars,
-                        graded_iso_check, idempotent_rank, ideal_closure_check,
+                        filtration_generators, idempotent_rank,
                         monomial_operator_apply, monomial_operator_words,
                         parse_ring_preset, poly_mul_commutation,
-                        random_idempotent, serre_transfer_check,
-                        series_law_check, sigma_nilpotence_bound,
-                        stable_iso_witness)
+                        random_idempotent, run_property_suite,
+                        sigma_nilpotence_bound, stable_iso_witness)
 from skewseries.cli import main
 from skewseries.k0 import mat_direct_sum, mat_identity, mat_mul
 from skewseries.skewpoly import random_poly
@@ -57,7 +56,7 @@ def test_criterion_02_product_cross_validation():
 def test_criterion_03_series_ring_laws():
     for ctx in PRESETS:
         for n in range(2, 7):
-            report = series_law_check(ctx, n, 200, seed=300 + n)
+            report = run_property_suite("series-assoc", ctx, n, 200, 300 + n)
             assert report.passed, report.counterexample
     _report(3, "S/G_N associativity + distributivity, N in 2..6, 200 triples each")
 
@@ -65,17 +64,19 @@ def test_criterion_03_series_ring_laws():
 def test_criterion_04_ideal_closure_and_submultiplicativity():
     for ctx in PRESETS:
         for n in range(1, 7):
-            for k in range(n + 1):
-                report = ideal_closure_check(ctx, n, k, 200, seed=400 + 10 * n + k)
-                assert report.passed, report.counterexample
-                assert report.details["generator_checks"] > 0
+            # filtration index k runs with seed 400 + 10 * n + k
+            report = run_property_suite("ideal-closure", ctx, n, 200, 400 + 10 * n)
+            assert report.passed, report.counterexample
+            gens = [len(filtration_generators(ctx, n, k)) for k in range(n + 1)]
+            assert all(gens)
+            assert report.details["generator_checks"] == 2 * sum(gens)
     _report(4, "G_k two-sided closure + G_k*G_l <= G_(k+l), k <= N <= 6, "
                "x-multiplication exhaustive on generators")
 
 
 def test_criterion_05_graded_symbol_multiplicativity():
     for ctx in PRESETS:
-        report = graded_iso_check(ctx, 6, 200, seed=500)
+        report = run_property_suite("graded-iso", ctx, 6, 200, 500)
         assert report.passed, report.counterexample
         assert report.details["exact_branch"] > 0
         assert report.details["jump_branch"] > 0
@@ -151,7 +152,7 @@ def test_criterion_08_stable_iso_iff_equal_rank():
 
 
 def test_criterion_09_serre_transfer_witness():
-    report = serre_transfer_check(F27, 4, samples=50, seed=900)
+    report = run_property_suite("serre-transfer", F27, 4, 50, 900)
     assert report.passed, report.counterexample
     assert report.checked >= 100
     _report(9, "50 random idempotents over S/G_4 (q-twist preset) certify their "

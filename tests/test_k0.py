@@ -7,14 +7,12 @@ from conftest import (BROKEN_PRESET, PRESET_MATRIX,
                       assert_rows_are_the_operator_values)
 from skewseries import cli, k0, series, skewpoly
 from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
-                        TruncatedSeries, idempotent_rank, k0_rank_check,
-                        parse_ring_preset, random_idempotent,
-                        random_invertible, serre_transfer_check,
-                        stable_iso_witness, stably_free_witness,
-                        unimodular_complete)
+                        TruncatedSeries, idempotent_rank, parse_ring_preset,
+                        random_idempotent, random_invertible,
+                        run_property_suite, stable_iso_witness,
+                        stably_free_witness, unimodular_complete)
 from skewseries.k0 import (NotIdempotent, NotUnimodular, RankWitness, mat_diag,
-                           mat_direct_sum, mat_identity, mat_mul,
-                           render_matrix)
+                           mat_direct_sum, mat_identity, mat_mul)
 from skewseries.rings import RingContext, TruncPolyRing
 from skewseries.series import random_series_in_filtration
 
@@ -163,7 +161,7 @@ class TestRank:
 
     def test_suite(self, z8, f27):
         for ctx in (z8, f27):
-            report = k0_rank_check(ctx, 25, seed=55)
+            report = run_property_suite("k0-rank", ctx, None, 25, 55)
             assert report.passed, report.counterexample
 
 
@@ -1065,7 +1063,7 @@ class TestSerreTransfer:
         assert w.rank == 1 and w.verify()
 
     def test_suite(self, f27):
-        report = serre_transfer_check(f27, 4, samples=10, seed=67)
+        report = run_property_suite("serre-transfer", f27, 4, 10, 67)
         assert report.passed, report.counterexample
 
 
@@ -1166,6 +1164,10 @@ PINNED_IDEMPOTENTS = [
 ]
 
 
+def _shown(scalars, m):
+    return [f"[{', '.join(map(scalars.render, row))}]" for row in m]
+
+
 class TestSeededGenerators:
     @pytest.fixture
     def bases(self, z8, f27):
@@ -1175,8 +1177,8 @@ class TestSeededGenerators:
     def test_random_invertible_is_pinned(self, bases, base, seed, n, m, minv):
         scalars = bases[base]
         got, got_inv = random_invertible(scalars, n, random.Random(seed))
-        assert render_matrix(scalars, got) == m
-        assert render_matrix(scalars, got_inv) == minv
+        assert _shown(scalars, got) == m
+        assert _shown(scalars, got_inv) == minv
         assert mat_mul(scalars, got, got_inv) == mat_identity(scalars, n)
 
     @pytest.mark.parametrize("base,seed,ones,entries", PINNED_IDEMPOTENTS)
@@ -1184,7 +1186,7 @@ class TestSeededGenerators:
         scalars = bases[base]
         e, got_ones = random_idempotent(scalars, 3, random.Random(seed))
         assert got_ones == ones
-        assert render_matrix(scalars, e.entries) == entries
+        assert _shown(scalars, e.entries) == entries
         assert idempotent_rank(e).rank == ones
 
 

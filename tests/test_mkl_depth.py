@@ -7,9 +7,9 @@ import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import (SeriesScalars, SkewPoly, TruncatedSeries,
-                        eval_expression, mkl_oracle_check,
-                        monomial_operator_words, parse_expression,
-                        parse_ring_preset, poly_mul_commutation,
+                        eval_expression, monomial_operator_words,
+                        parse_expression, parse_ring_preset,
+                        poly_mul_commutation, run_property_suite,
                         sigma_nilpotence_bound)
 from skewseries.k0 import mat_mul
 from skewseries.skewpoly import random_poly
@@ -57,7 +57,7 @@ def test_depth_is_lazy_and_clamped_at_the_nilpotency():
 
 def test_oracle_checks_vanishing_from_the_depth():
     ctx = parse_ring_preset("truncpoly:3:3:c=2")
-    report = mkl_oracle_check(ctx)
+    report = run_property_suite("mkl-oracle", ctx, None, 1, 0)
     assert report.passed, report.counterexample
     assert report.details["mkl_depth"] == 2
     # |R| elements times the (k, l) with k + l <= 6 and k >= 2

@@ -13,8 +13,7 @@ import time
 import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
-from skewseries import (TruncPolyRing, parse_ring_preset, ring_axiom_check,
-                        sigma_derivation_check)
+from skewseries import TruncPolyRing, parse_ring_preset, run_property_suite
 from skewseries.rings import MEMO_CAP
 
 MEMO_PRESETS = tuple(p for p in PRESET_MATRIX if p.startswith("truncpoly")) + (
@@ -218,14 +217,14 @@ def test_a_value_outside_the_carrier_is_not_stored():
     ctx = LeakyMul()
     two = ctx.from_int(2)
     assert ctx.mul(two, two) == ctx.mul(two, two) == (4, 0, 0)
-    report = ring_axiom_check(LeakyMul(), 30, 3)
+    report = run_property_suite("ring-axioms", LeakyMul(), None, 30, 3)
     assert not report.passed
     assert report.counterexample == "mul(2, 2) leaves the carrier"
 
 
 def test_exhaustive_sigma_derivation_fills_one_entry_per_argument():
     ctx = parse_ring_preset("truncpoly:3:3:c=2")
-    assert sigma_derivation_check(ctx, 30, 3).passed
+    assert run_property_suite("sigma-derivation", ctx, None, 30, 3).passed
     assert memo_sizes(ctx) == {"add": 27 ** 2, "mul": 27 ** 2,
                                "neg": 27, "sigma": 27}
 

@@ -4,8 +4,7 @@ import time
 
 import pytest
 
-from skewseries import (INF, ZmodRing, parse_ring_preset,
-                        ring_axiom_check, sigma_derivation_check,
+from skewseries import (INF, ZmodRing, parse_ring_preset, run_property_suite,
                         sigma_nilpotence_bound)
 from skewseries.rings import NILBOUND_WORD_LIMIT
 
@@ -43,7 +42,7 @@ class TestPresets:
     @pytest.mark.parametrize("bad", [
         "zmod", "zmod:6^2", "zmod:8", "truncpoly:4:3:c=2", "truncpoly:3:3",
         "truncpoly:3:3:c=0", "nosuch:1", "zmod:2^3:delta=broken",
-        "truncpoly:3:3:c=2:frob=1",
+        "zmod:2^3:delta=zero", "truncpoly:3:3:c=2:frob=1",
     ])
     def test_preset_errors(self, bad):
         with pytest.raises(ValueError):
@@ -58,35 +57,35 @@ class TestPresets:
 
 class TestAxiomChecks:
     def test_zmod_passes(self, z8):
-        report = ring_axiom_check(z8, 500, seed=42)
+        report = run_property_suite("ring-axioms", z8, None, 500, 42)
         assert report.passed and report.counterexample is None
         assert report.details["mode"] == "exhaustive"
 
     def test_truncpoly_passes(self, f27):
-        assert ring_axiom_check(f27, 500, seed=42).passed
+        assert run_property_suite("ring-axioms", f27, None, 500, 42).passed
 
     def test_corrupted_mul_fails(self):
         class BadMul(ZmodRing):
             def mul(self, a, b):
                 return (a * b + 1) % self.cardinality
 
-        report = ring_axiom_check(BadMul(2, 3), 500, seed=42)
+        report = run_property_suite("ring-axioms", BadMul(2, 3), None, 500, 42)
         assert not report.passed
         assert report.counterexample is not None
 
 
 class TestSigmaDerivation:
     def test_zero_delta_passes(self, z8):
-        assert sigma_derivation_check(z8, 500, seed=42).passed
+        assert run_property_suite("sigma-derivation", z8, None, 500, 42).passed
 
     def test_qtwist_delta_passes(self, f27):
-        report = sigma_derivation_check(f27, 500, seed=42)
+        report = run_property_suite("sigma-derivation", f27, None, 500, 42)
         assert report.passed
         assert report.details["sigma_radical_onto"] is True
 
     def test_broken_delta_fails(self):
         broken = parse_ring_preset(BROKEN_PRESET)
-        report = sigma_derivation_check(broken, 500, seed=42)
+        report = run_property_suite("sigma-derivation", broken, None, 500, 42)
         assert not report.passed
         # the Leibniz identity already fails at a = b = 1
         one, t = broken.one(), broken.named_literals()["t"]

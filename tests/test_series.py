@@ -7,9 +7,9 @@ import pytest
 from conftest import BROKEN_PRESET, PRESET_MATRIX, assert_stored_trimmed
 from skewseries import series, skewpoly
 from skewseries import (GradedElem, SkewPoly, TruncatedSeries, eval_expression,
-                        graded_iso_check, ideal_closure_check, parse_expression,
-                        parse_ring_preset, poly_mul_commutation,
-                        principal_symbol, series_law_check)
+                        parse_expression, parse_ring_preset,
+                        poly_mul_commutation, principal_symbol,
+                        run_property_suite)
 from skewseries.series import (filtration_generators, matrix_product, mul_add,
                                random_series, random_series_in_filtration)
 from skewseries.skewpoly import random_poly
@@ -139,7 +139,7 @@ class TestSeriesProduct:
 
     def test_law_suite(self, z8, f27):
         for ctx in (z8, f27):
-            report = series_law_check(ctx, 4, 50, seed=3)
+            report = run_property_suite("series-assoc", ctx, 4, 50, 3)
             assert report.passed, report.counterexample
 
     def test_mismatch_errors(self, z8, f27):
@@ -381,13 +381,9 @@ class TestFiltration:
 
     def test_ideal_closure(self, z8, f27):
         for ctx in (z8, f27):
-            for k in (0, 2, 4):
-                report = ideal_closure_check(ctx, 4, k, 50, seed=31)
-                assert report.passed, report.counterexample
-
-    def test_ideal_closure_validation(self, z8):
-        with pytest.raises(ValueError):
-            ideal_closure_check(z8, 4, 5, 10, seed=0)
+            report = run_property_suite("ideal-closure", ctx, 4, 50, 31)
+            assert report.passed, report.counterexample
+            assert report.details["max_filtration_index"] == 4
 
 
 class TestGraded:
@@ -448,7 +444,7 @@ class TestGraded:
 
     def test_graded_iso_suite(self, z8, f27):
         for ctx in (z8, f27):
-            report = graded_iso_check(ctx, 5, 50, seed=41)
+            report = run_property_suite("graded-iso", ctx, 5, 50, 41)
             assert report.passed, report.counterexample
             assert report.details["exact_branch"] > 0
             assert report.details["jump_branch"] > 0

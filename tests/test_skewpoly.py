@@ -5,10 +5,9 @@ import random
 import pytest
 
 from conftest import BROKEN_PRESET
-from skewseries import (NEG_INF, SkewPoly, mkl_oracle_check,
-                        monomial_operator_apply, monomial_operator_words,
-                        parse_ring_preset, poly_law_check,
-                        poly_mul_commutation)
+from skewseries import (NEG_INF, SkewPoly, monomial_operator_apply,
+                        monomial_operator_words, parse_ring_preset,
+                        poly_mul_commutation, run_property_suite)
 from skewseries.skewpoly import random_poly
 
 
@@ -34,7 +33,7 @@ class TestMonomialOperator:
 
     def test_recursion_matches_words(self, z8, f27):
         for ctx in (z8, f27):
-            report = mkl_oracle_check(ctx)
+            report = run_property_suite("mkl-oracle", ctx, None, 1, 0)
             assert report.passed, report.counterexample
 
 
@@ -97,7 +96,7 @@ class TestProducts:
 
     def test_law_suite(self, z8, f27):
         for ctx in (z8, f27):
-            report = poly_law_check(ctx, 200, seed=9)
+            report = run_property_suite("poly-assoc", ctx, None, 200, 9)
             assert report.passed, report.counterexample
 
     def test_degree_of_zero(self, z8):

@@ -11,11 +11,12 @@ import random
 import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
-from skewseries import (ZmodRing, mkl_oracle_check, monomial_operator_apply,
+from skewseries import (ZmodRing, monomial_operator_apply,
                         monomial_operator_words, parse_ring_preset,
-                        ring_axiom_check, sigma_derivation_check, skewpoly)
+                        run_property_suite, skewpoly)
 from skewseries.report import CheckReport
-from skewseries.rings import TruncPolyRing, _op_tables, _tuple_stream
+from skewseries.rings import (TruncPolyRing, _exhaustive, _op_tables,
+                              _tuple_stream)
 from skewseries.skewpoly import monomial_operator_word_sums
 
 
@@ -30,7 +31,7 @@ def elementwise_ring_axiom_check(ctx, samples, seed):
     checked = 0
     cex = None
 
-    singles, _ = _tuple_stream(ctx, 1, samples, rng)
+    singles = _tuple_stream(ctx, 1, samples, rng)
     for (a,) in singles:
         checked += 1
         if ctx.add(a, zero) != a:
@@ -44,7 +45,8 @@ def elementwise_ring_axiom_check(ctx, samples, seed):
         if cex:
             break
 
-    triples, exhaustive = _tuple_stream(ctx, 3, samples, rng)
+    triples = _tuple_stream(ctx, 3, samples, rng)
+    exhaustive = _exhaustive(ctx, 3)
     if cex is None:
         for a, b, c in triples:
             checked += 1
@@ -80,7 +82,7 @@ def elementwise_sigma_derivation_check(ctx, samples, seed):
     if ctx.sigma(one) != one:
         cex = "sigma(1) != 1"
 
-    singles, _ = _tuple_stream(ctx, 1, samples, rng)
+    singles = _tuple_stream(ctx, 1, samples, rng)
     if cex is None:
         for (a,) in singles:
             checked += 1
@@ -98,7 +100,8 @@ def elementwise_sigma_derivation_check(ctx, samples, seed):
                 cex = f"delta({ctx.render(a)}) is outside I^2"
                 break
 
-    pairs, exhaustive = _tuple_stream(ctx, 2, samples, rng)
+    pairs = _tuple_stream(ctx, 2, samples, rng)
+    exhaustive = _exhaustive(ctx, 2)
     if cex is None:
         for a, b in pairs:
             checked += 1
@@ -192,6 +195,18 @@ def elementwise_mkl_oracle_check(ctx, max_total=6, count_total=8):
                                 "mkl_depth": depth})
 
 
+def _suite(name):
+    """Suite ``name`` as a function of (ctx, samples, seed), run through
+    run_property_suite; mkl-oracle ignores the last two."""
+    return lambda ctx, samples=30, seed=3: run_property_suite(
+        name, ctx, None, samples, seed)
+
+
+ring_axioms = _suite("ring-axioms")
+sigma_derivation = _suite("sigma-derivation")
+mkl_oracle = _suite("mkl-oracle")
+
+
 # -- control rings ----------------------------------------------------------
 
 class BadMul(ZmodRing):
@@ -262,8 +277,8 @@ DIFFERENTIAL_PRESETS = PRESET_MATRIX + ("zmod:3^3", "truncpoly:3:4:c=2",
                                         BROKEN_PRESET)
 SEEDS = (3, 11)
 
-SEEDED = ((ring_axiom_check, elementwise_ring_axiom_check),
-          (sigma_derivation_check, elementwise_sigma_derivation_check))
+SEEDED = ((ring_axioms, elementwise_ring_axiom_check),
+          (sigma_derivation, elementwise_sigma_derivation_check))
 
 
 def _outcome(suite, ctx, *args):
@@ -281,7 +296,7 @@ def _assert_same_reports(make_ctx):
         for seed in SEEDS:
             assert (_outcome(tabled, make_ctx(), 30, seed)
                     == _outcome(oracle, make_ctx(), 30, seed))
-    assert (_outcome(mkl_oracle_check, make_ctx())
+    assert (_outcome(mkl_oracle, make_ctx())
             == _outcome(elementwise_mkl_oracle_check, make_ctx()))
 
 
@@ -297,18 +312,18 @@ def test_tabled_suites_match_elementwise_loops(preset):
     (NonAdditiveSigma, [True, False, True])])
 def test_control_rings_match_elementwise_loops(ring, passing):
     _assert_same_reports(ring)
-    outcomes = [_outcome(ring_axiom_check, ring(), 30, 3),
-                _outcome(sigma_derivation_check, ring(), 30, 3),
-                _outcome(mkl_oracle_check, ring())]
+    outcomes = [_outcome(ring_axioms, ring(), 30, 3),
+                _outcome(sigma_derivation, ring(), 30, 3),
+                _outcome(mkl_oracle, ring())]
     assert [outcome[0] for outcome in outcomes] == passing
 
 
 def test_late_failures_are_found_inside_a_row():
-    report = ring_axiom_check(LateWrongMul(), 30, 3)
+    report = ring_axioms(LateWrongMul(), 30, 3)
     assert report.counterexample == \
         "right distributivity fails at a=1, b=25, c=26"
     assert report.checked == 27 + 27 * 27 + 25 * 27 + 27
-    report = sigma_derivation_check(NonAdditiveSigma(), 30, 3)
+    report = sigma_derivation(NonAdditiveSigma(), 30, 3)
     assert report.counterexample == "sigma additivity fails at a=1, b=24"
 
 
@@ -317,11 +332,11 @@ def test_wrong_recursion_value_matches_elementwise_loop(preset, monkeypatch):
     ctx = parse_ring_preset(preset)
     last = sorted(ctx.elements())[-1]
     monkeypatch.setattr(skewpoly, "monomial_operator_apply", _wrong_at(2, 3, last))
-    tabled = mkl_oracle_check(parse_ring_preset(preset))
+    tabled = mkl_oracle(parse_ring_preset(preset))
     assert not tabled.passed
     assert tabled.counterexample.startswith(
         f"M_{{2,3}} mismatch at a={ctx.render(last)}")
-    assert _outcome(mkl_oracle_check, parse_ring_preset(preset)) == \
+    assert _outcome(mkl_oracle, parse_ring_preset(preset)) == \
         _outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset))
 
 
@@ -338,23 +353,23 @@ def test_a_wrong_closed_form_fails_the_oracle(monkeypatch):
         return rows
 
     monkeypatch.setattr(TruncPolyRing, "_closed_rows", wrong)
-    report = mkl_oracle_check(parse_ring_preset("truncpoly:3:3:c=2"))
+    report = mkl_oracle(parse_ring_preset("truncpoly:3:3:c=2"))
     assert not report.passed
     assert report.counterexample == (
         f"closed form of M_{{0,3}} mismatch at a={ctx.render(last)}: "
         "closed form gives 1")
-    assert _outcome(mkl_oracle_check, parse_ring_preset("truncpoly:3:3:c=2")) == \
+    assert _outcome(mkl_oracle, parse_ring_preset("truncpoly:3:3:c=2")) == \
         _outcome(elementwise_mkl_oracle_check, parse_ring_preset("truncpoly:3:3:c=2"))
 
 
 def test_a_closed_form_below_its_depth_fails_the_oracle(monkeypatch):
     # at depth 1 the rows of t see M_{1,0}(t) = delta(t) = t^2 != 0
     monkeypatch.setattr(TruncPolyRing, "mkl_depth", lambda self: 1)
-    report = mkl_oracle_check(parse_ring_preset("truncpoly:3:3:c=2"))
+    report = mkl_oracle(parse_ring_preset("truncpoly:3:3:c=2"))
     assert (report.passed, report.checked) == (False, 0)
     assert report.counterexample.startswith(
         "sigma-nilpotence bound violated: M_{1,0}(")
-    assert _outcome(mkl_oracle_check, parse_ring_preset("truncpoly:3:3:c=2")) == \
+    assert _outcome(mkl_oracle, parse_ring_preset("truncpoly:3:3:c=2")) == \
         _outcome(elementwise_mkl_oracle_check, parse_ring_preset("truncpoly:3:3:c=2"))
 
 
@@ -377,13 +392,12 @@ def test_word_sums_match_word_enumeration(preset):
 # -- closure ----------------------------------------------------------------
 
 @pytest.mark.parametrize("suite, ring, checked, cex", [
-    (ring_axiom_check, LeakyMul, 8, "mul(3, 3) leaves the carrier"),
-    (sigma_derivation_check, LeakyMul, 16, "mul(3, 3) leaves the carrier"),
-    (sigma_derivation_check, LeakySigma, 16, "sigma(5) leaves the carrier"),
-    (mkl_oracle_check, LeakySigma, 0, "sigma(5) leaves the carrier")])
+    (ring_axioms, LeakyMul, 8, "mul(3, 3) leaves the carrier"),
+    (sigma_derivation, LeakyMul, 16, "mul(3, 3) leaves the carrier"),
+    (sigma_derivation, LeakySigma, 16, "sigma(5) leaves the carrier"),
+    (mkl_oracle, LeakySigma, 0, "sigma(5) leaves the carrier")])
 def test_values_outside_the_carrier_fail_the_suite(suite, ring, checked, cex):
-    args = () if suite is mkl_oracle_check else (30, 3)
-    report = suite(ring(), *args)
+    report = suite(ring())
     assert not report.passed
     assert report.counterexample == cex
     assert report.checked == checked
@@ -423,7 +437,7 @@ def _count_calls(ctx, names):
 def test_ring_axioms_builds_tables_instead_of_calling_per_triple():
     ctx = parse_ring_preset("truncpoly:3:3:c=2")
     calls = _count_calls(ctx, ("mul", "add"))
-    report = ring_axiom_check(ctx, 30, 3)
+    report = ring_axioms(ctx, 30, 3)
     assert report.passed and report.checked == 27 + 27 ** 3
     # the mul table plus the four products of each single-element law
     assert calls["mul"] <= 27 ** 2 + 4 * 27
@@ -438,7 +452,7 @@ def test_mkl_oracle_calls_sigma_and_delta_once_per_element(monkeypatch):
     monkeypatch.setattr(skewpoly, "monomial_operator_apply",
                         lambda _, k, l, a: monomial_operator_apply(ref, k, l, a))
     calls = _count_calls(ctx, ("sigma", "delta"))
-    assert mkl_oracle_check(ctx).passed
+    assert mkl_oracle(ctx).passed
     assert calls["sigma"] <= ctx.cardinality
     assert calls["delta"] <= ctx.cardinality
 
@@ -465,7 +479,7 @@ def test_mkl_oracle_leaves_the_memo_as_it_found_it(preset, checked, details):
     memo, rows = ctx._mkl_cache, ctx._mkl_rows
     before, rows_before = dict(memo), copy.deepcopy(rows)
     assert before and rows_before
-    report = mkl_oracle_check(ctx)
+    report = mkl_oracle(ctx)
     assert ctx._mkl_cache is memo and memo == before
     assert ctx._mkl_rows is rows and rows == rows_before
     assert (report.passed, report.checked, report.details) == \
