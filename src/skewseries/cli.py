@@ -13,8 +13,7 @@ import json
 import sys
 import threading
 
-from .exprparse import (ExprError, check_degree_budget, degree_bound,
-                        eval_expression, parse_expression)
+from .exprparse import ExprError, Mul, eval_expression, parse_expression
 from .k0 import (BaseScalars, IdempotentMatrix, NotIdempotent, NotUnimodular,
                  SeriesScalars, _stable_iso, idempotent_rank,
                  unimodular_complete)
@@ -163,10 +162,16 @@ def _parse_row(text, ctx, precision):
 
 
 def _parse_matrix(text, ctx, precision):
-    rows = [_parse_row(row, ctx, precision) for row in text.split(";")]
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix must be square")
-    return tuple(rows)
+    return tuple(_parse_row(row, ctx, precision) for row in text.split(";"))
+
+
+def _idempotent(scalars, entries):
+    """IdempotentMatrix(scalars, entries), or None when e*e != e.  A
+    matrix that is not square raises ValueError, a usage error."""
+    try:
+        return IdempotentMatrix(scalars, entries)
+    except NotIdempotent:
+        return None
 
 
 def _rendered(scalars, *matrices):
@@ -186,12 +191,9 @@ def _cmd_normalize(args, ctx):
 
 
 def _cmd_mul(args, ctx):
-    left = parse_expression(args.left, ctx)
-    right = parse_expression(args.right, ctx)
-    if args.prec is None:
-        check_degree_budget(degree_bound(left) + degree_bound(right))
-    text = (eval_expression(left, ctx, args.prec)
-            * eval_expression(right, ctx, args.prec)).render()
+    product = Mul(parse_expression(args.left, ctx),
+                  parse_expression(args.right, ctx))
+    text = eval_expression(product, ctx, args.prec).render()
     return 0, [text], {"verdict": "ok", "result": text}
 
 
@@ -216,14 +218,12 @@ def _cmd_symbol(args, ctx):
     sym = principal_symbol(value)
     comps = [{"layer": layer, "xdeg": xdeg, "coeff": ctx.render(rep)}
              for (layer, xdeg), rep in sym.components]
-    lines = [f"degree: {value.filtration_degree()}", f"symbol: {sym.render()}"]
-    return 0, lines, {"verdict": "ok", "degree": value.filtration_degree(),
-                      "symbol": sym.render(), "components": comps}
+    deg, text = value.filtration_degree(), sym.render()
+    return 0, [f"degree: {deg}", f"symbol: {text}"], \
+        {"verdict": "ok", "degree": deg, "symbol": text, "components": comps}
 
 
 def _cmd_nilbound(args, ctx):
-    if args.target < 1 or args.word_limit < 1:
-        raise ValueError("--n and --word-limit must be >= 1")
     if args.word_limit > NILBOUND_WORD_LIMIT:
         raise ValueError(f"--word-limit must be at most {NILBOUND_WORD_LIMIT}")
     bound = sigma_nilpotence_bound(ctx, args.target, args.word_limit)
@@ -235,10 +235,8 @@ def _cmd_nilbound(args, ctx):
 
 def _cmd_rank(args, ctx):
     scalars = _scalars_for(ctx, args.prec)
-    entries = _parse_matrix(args.matrix, ctx, args.prec)
-    try:
-        idem = IdempotentMatrix(scalars, entries)
-    except NotIdempotent:
+    idem = _idempotent(scalars, _parse_matrix(args.matrix, ctx, args.prec))
+    if idem is None:
         return 1, ["NOT IDEMPOTENT"], \
             {"verdict": "NOT IDEMPOTENT", "rank": None, "certificate": None}
     witness = idempotent_rank(idem)
@@ -268,9 +266,10 @@ def _cmd_stable_iso(args, ctx):
     scalars = _scalars_for(ctx, args.prec)
     left = _parse_matrix(args.left, ctx, args.prec)
     right = _parse_matrix(args.right, ctx, args.prec)
-    try:
-        left, right = IdempotentMatrix(scalars, left), IdempotentMatrix(scalars, right)
-    except NotIdempotent:
+    # both are built before either verdict, so that a matrix that is not
+    # square is a usage error whatever the other one is
+    left, right = _idempotent(scalars, left), _idempotent(scalars, right)
+    if left is None or right is None:
         return 1, ["NOT IDEMPOTENT"], \
             {"verdict": "NOT IDEMPOTENT", "t": None, "certificate": None}
     # zero-padding to a common size changes neither rank
@@ -318,8 +317,6 @@ def _cmd_complete_row(args, ctx):
 
 
 def _cmd_check(args, ctx):
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
     report = run_property_suite(args.suite, ctx, args.prec, args.samples, args.seed)
     lines = [
         f"suite: {args.suite}",

@@ -182,13 +182,11 @@ class SeriesScalars(_Scalars):
     """Matrix entries drawn from S/G_N over a local coefficient ring."""
 
     def __init__(self, ctx: RingContext, precision: int):
-        if precision < 1:
-            raise ValueError("precision must be >= 1")
         self.ctx = ctx
         self.precision = precision
         self.description = f"S/G_{precision} over {ctx.name}"
-        # one zero class and one class of 1, shared by every caller:
-        # classes are never written
+        # one zero class and one class of 1, shared by every caller (classes
+        # are never written); TruncatedSeries rejects a precision below 1
         self._zero = TruncatedSeries.zero(ctx, precision)
         self._one = TruncatedSeries.one(ctx, precision)
 
@@ -228,7 +226,7 @@ class SeriesScalars(_Scalars):
     def is_unit(self, a: TruncatedSeries) -> bool:
         # unit iff the x^0 slot is a unit of R: the rest lies in G_1,
         # which is nilpotent in S/G_N; the zero class has no slot at all
-        return bool(a.coeffs) and self.ctx.ideal_valuation(a.coeffs[0]) == 0
+        return bool(a.coeffs) and self.ctx.is_unit(a.coeffs[0])
 
     def inv(self, a: TruncatedSeries) -> TruncatedSeries:
         """Newton iteration b <- b + b(1 - ab) from b = c0^-1, c0 the x^0

@@ -54,27 +54,21 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class CheckReport(Record):
+class CheckReport(FrozenRecord):
     """Outcome of one property-check run.
 
     ``checked`` counts individual verified assertions.  ``counterexample``
     holds a rendered description of the first failure, or ``None`` when the
-    run passed.  ``details`` carries check-specific counters (branch counts,
+    run ``passed``.  ``details`` carries check-specific counters (branch counts,
     enumeration mode, side observations) and must stay JSON-serializable.
     Only suites.run_property_suite builds one.
     """
 
-    __slots__ = _fields = ("name", "passed", "checked", "counterexample",
-                           "details")
-    __hash__ = None
+    __slots__ = _fields = ("name", "checked", "counterexample", "details")
 
-    def __init__(self, name: str, passed: bool, checked: int,
-                 counterexample: str | None = None, details: dict | None = None):
-        self.name = name
-        self.passed = passed
-        self.checked = checked
-        self.counterexample = counterexample
-        self.details = {} if details is None else details
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def to_json_dict(self) -> dict:
         return {

@@ -23,6 +23,8 @@ Preset grammar (also accepted by the command line front end):
                               for exercising the failure paths of the
                               structure-map checkers
 
+A truncpoly preset takes at most one modifier.
+
 Elements are plain payloads: ints for zmod presets, coefficient tuples
 (low degree first) for truncpoly presets.  Payloads are canonical, so
 ``==`` is semantic equality.
@@ -729,6 +731,8 @@ def parse_ring_preset(text: str) -> RingContext:
             q, m, c = int(parts[1]), int(parts[2]), int(parts[3][2:])
         except ValueError:
             raise ValueError(f"invalid truncpoly preset {text!r}")
+        if len(parts) > 5:
+            raise ValueError(f"invalid truncpoly preset {text!r}: at most one modifier")
         mode = "qtwist"
         for mod in parts[4:]:
             if mod == "delta=zero":

@@ -48,4 +48,4 @@ def run_property_suite(name: str, ctx: RingContext, precision: int | None,
         raise ValueError("samples must be >= 1")
     n = precision if precision is not None else DEFAULT_PRECISION
     checked, cex, details = _SUITES[name](ctx, n, samples, seed)
-    return CheckReport(name, cex is None, checked, cex, details)
+    return CheckReport(name, checked, cex, details)

@@ -5,7 +5,8 @@ each run in-process by cli.main under a CPU-time budget.
 A finding is an exception other than SystemExit, an exit code outside
 0/1/2, a traceback on stderr, a run over the budget, --format json output
 that is not one JSON document, or an exit code other than 2 for a
-nilbound --word-limit above NILBOUND_WORD_LIMIT.  Findings are compared
+nilbound --word-limit above NILBOUND_WORD_LIMIT or a matrix that is not
+square.  Findings are compared
 with the known ones, which are listed, not skipped."""
 
 import contextlib
@@ -44,6 +45,18 @@ KNOWN_DRAWS = (("check serre-transfer", BROKEN_PRESET,
 BUDGET_DRAWS = (("nilbound", BROKEN_PRESET,
                  ["nilbound", "--n", "3", "--word-limit",
                   str(NILBOUND_WORD_LIMIT + 1), "--ring", BROKEN_PRESET]),)
+# ragged matrices, which _matrix never draws and only IdempotentMatrix
+# rejects, over R and over S/G_N, and beside a matrix that is square but
+# not idempotent, which must not turn the usage error into a verdict
+RAGGED_DRAWS = (
+    ("rank", "zmod:2^3", ["rank", "1,0;0", "--ring", "zmod:2^3"]),
+    ("rank", "truncpoly:3:3:c=2",
+     ["rank", "--ring", "truncpoly:3:3:c=2", "--prec", "3", "--", "1,x;0,1,t"]),
+    ("stable-iso", "zmod:3^5",
+     ["stable-iso", "1,1;1,1", "1;0", "--ring", "zmod:3^5", "--format", "json"]),
+    ("stable-iso", BROKEN_PRESET,
+     ["stable-iso", "1,0", "t,1;1,0", "--ring", BROKEN_PRESET, "--prec", "2"]),
+)
 
 
 class _OverBudget(BaseException):
@@ -125,13 +138,15 @@ def _draw(rng, index):
     return (f"check {args[0]}" if command == "check" else command), preset, argv
 
 
-def _over_word_budget(argv):
-    """Whether argv is a nilbound command line whose --word-limit is above
-    the budget, which the CLI must reject with exit 2."""
-    if argv[0] != "nilbound":
-        return False
-    limit = argv[argv.index("--word-limit") + 1]
-    return int(limit) > NILBOUND_WORD_LIMIT
+def _usage_error(argv):
+    """Why the CLI must reject argv with exit 2, or None: a nilbound
+    --word-limit above the budget, or a ragged matrix."""
+    if argv[0] == "nilbound" and \
+            int(argv[argv.index("--word-limit") + 1]) > NILBOUND_WORD_LIMIT:
+        return "above the word-limit budget"
+    if any(argv == draw for _, _, draw in RAGGED_DRAWS):
+        return "on a ragged matrix"
+    return None
 
 
 def _outcome(argv):
@@ -153,8 +168,9 @@ def _outcome(argv):
         signal.signal(signal.SIGPROF, previous)
     if code not in (0, 1, 2):
         return f"exit code {code!r}"
-    if _over_word_budget(argv) and code != 2:
-        return f"exit code {code!r} above the word-limit budget"
+    usage_error = _usage_error(argv)
+    if usage_error and code != 2:
+        return f"exit code {code!r} {usage_error}"
     if "Traceback" in err.getvalue():
         return "traceback on stderr"
     if "json" in argv and code != 2:
@@ -167,7 +183,8 @@ def _outcome(argv):
 
 def test_fuzzed_command_lines_make_only_the_known_findings():
     rng = random.Random(SEED)
-    draws = [_draw(rng, i) for i in range(CASES)] + list(KNOWN_DRAWS + BUDGET_DRAWS)
+    draws = [_draw(rng, i) for i in range(CASES)]
+    draws += KNOWN_DRAWS + BUDGET_DRAWS + RAGGED_DRAWS
     findings = {}
     for label, preset, argv in draws:
         outcome = _outcome(argv)

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from conftest import BROKEN_PRESET
-from skewseries import (ExprError, SkewPoly, TruncatedSeries, TruncPolyRing,
-                        eval_expression, parse_expression, render_expression)
+from skewseries import (ExprError, SeriesScalars, SkewPoly, TruncatedSeries,
+                        TruncPolyRing, ZmodRing, eval_expression, parse_expression,
+                        parse_ring_preset, render_expression)
 from skewseries.cli import main
 from skewseries.exprparse import (MAX_DEGREE, MAX_DEPTH, Add, Const, Mul, Pow, Var,
                                   degree_bound)
@@ -91,6 +92,40 @@ def run_cli(argv):
         except SystemExit as exc:  # argparse usage failures
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _count_ring_calls(monkeypatch):
+    """A list that gets an entry at each call of a ring operation of either
+    preset family."""
+    calls = []
+    for cls in (ZmodRing, TruncPolyRing):
+        for name in ("add", "mul", "neg", "sigma", "delta", "elements"):
+            monkeypatch.setattr(cls, name,
+                                lambda *args, _plain=getattr(cls, name):
+                                calls.append(None) or _plain(*args))
+    return calls
+
+
+# each input rule that the command line leaves to the library function it
+# calls: the input, as a command line or a call, and that function's message
+LIBRARY_RULES = [
+    pytest.param(["check", "ring-axioms", "--samples", "0",
+                  "--ring", "truncpoly:3:3:c=2"], "samples must be >= 1",
+                 id="check-samples"),
+    pytest.param(["nilbound", "--n", "0", "--ring", "truncpoly:3:3:c=2"],
+                 "target power must be >= 1", id="nilbound-n"),
+    pytest.param(["nilbound", "--n", "1", "--word-limit", "0",
+                  "--ring", "truncpoly:3:3:c=2"], "word limit must be >= 1",
+                 id="nilbound-word-limit"),
+    pytest.param(["rank", "1,0;0"], "matrix is not square", id="rank"),
+    pytest.param(["stable-iso", "1,0;0", "1"], "matrix is not square",
+                 id="stable-iso"),
+    pytest.param(["mul", "x^300", "x^300", "--ring", "zmod:2^3"],
+                 f"x-degree bound 600 exceeds the budget of {MAX_DEGREE} for "
+                 f"R[x]; evaluate in S/G_N (--prec) instead", id="mul"),
+    pytest.param(lambda: SeriesScalars(parse_ring_preset("truncpoly:3:3:c=2"), 0),
+                 "precision must be >= 1", id="SeriesScalars"),
+]
 
 
 class TestParser:
@@ -302,11 +337,7 @@ class TestCliContract:
 
     def test_exit_code_2_over_word_limit_budget(self, monkeypatch):
         # the budget is checked before the search makes any ring call
-        calls = []
-        for name in ("add", "mul", "neg", "sigma", "delta", "elements"):
-            monkeypatch.setattr(TruncPolyRing, name,
-                                lambda *args, _plain=getattr(TruncPolyRing, name):
-                                calls.append(None) or _plain(*args))
+        calls = _count_ring_calls(monkeypatch)
         argv = ["nilbound", "--n", "1", "--ring", "truncpoly:3:3:c=2",
                 "--word-limit"]
         code, out, err = run_cli(argv + [str(NILBOUND_WORD_LIMIT + 1)])
@@ -314,6 +345,19 @@ class TestCliContract:
         assert f"--word-limit must be at most {NILBOUND_WORD_LIMIT}" in err
         assert run_cli(argv + [str(NILBOUND_WORD_LIMIT)])[:2] == (0, "m = 1\n")
         assert calls
+
+    @pytest.mark.parametrize("case, message", LIBRARY_RULES)
+    def test_usage_errors_carry_the_library_message(self, monkeypatch, case,
+                                                    message):
+        # each rule is checked before any ring operation
+        calls = _count_ring_calls(monkeypatch)
+        if isinstance(case, list):
+            assert run_cli(case) == (2, "", f"error: {message}\n")
+        else:
+            with pytest.raises(ValueError) as info:
+                case()
+            assert str(info.value) == message
+        assert calls == []
 
     def test_degree_budget_admits_high_powers(self):
         assert run_cli(["normalize", "x^500", "--ring", "zmod:2^10"])[:2] == \

@@ -43,6 +43,9 @@ class TestPresets:
         "zmod", "zmod:6^2", "zmod:8", "truncpoly:4:3:c=2", "truncpoly:3:3",
         "truncpoly:3:3:c=0", "nosuch:1", "zmod:2^3:delta=broken",
         "zmod:2^3:delta=zero", "truncpoly:3:3:c=2:frob=1",
+        # a second modifier, even the same one again
+        "truncpoly:3:3:c=2:delta=zero:delta=broken",
+        "truncpoly:3:3:c=2:delta=zero:delta=zero",
     ])
     def test_preset_errors(self, bad):
         with pytest.raises(ValueError):

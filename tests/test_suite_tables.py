@@ -66,8 +66,7 @@ def elementwise_ring_axiom_check(ctx, samples, seed):
                    f"c={ctx.render(c)}")
             break
 
-    return CheckReport(name="ring-axioms", passed=cex is None, checked=checked,
-                       counterexample=cex,
+    return CheckReport(name="ring-axioms", checked=checked, counterexample=cex,
                        details={"mode": "exhaustive" if exhaustive else "sampled"})
 
 
@@ -119,8 +118,8 @@ def elementwise_sigma_derivation_check(ctx, samples, seed):
             cex = f"{law} fails at a={ctx.render(a)}, b={ctx.render(b)}"
             break
 
-    return CheckReport(name="sigma-derivation", passed=cex is None,
-                       checked=checked, counterexample=cex,
+    return CheckReport(name="sigma-derivation", checked=checked,
+                       counterexample=cex,
                        details={"mode": "exhaustive" if exhaustive else "sampled",
                                 "sigma_radical_onto": ctx.sigma_radical_onto()})
 
@@ -187,8 +186,7 @@ def elementwise_mkl_oracle_check(ctx, max_total=6, count_total=8):
                 if n_words != math.comb(total, k):
                     cex = f"word count mismatch at k={k}, l={total - k}"
                     break
-    return CheckReport(name="mkl-oracle", passed=cex is None, checked=checked,
-                       counterexample=cex,
+    return CheckReport(name="mkl-oracle", checked=checked, counterexample=cex,
                        details={"max_total_degree": max_total,
                                 "vanishing_checks": vanishing,
                                 "closed_form_checks": closed_checks,

@@ -27,7 +27,7 @@ def test_verdict_over_the_preset_matrix(name, preset):
     fails = preset == BROKEN_PRESET and name in FAIL_ON_BROKEN
     assert report.name == name
     assert report.passed is not fails, report.counterexample
-    assert (report.counterexample is not None) is fails
+    assert report.passed == (report.counterexample is None)
     assert report.checked > 0
 
 
