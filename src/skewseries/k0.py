@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import random
 
-from .report import FrozenRecord
+from .report import FrozenRecord, Record
 from .rings import RingContext
 from .series import (TruncatedSeries, matrix_product, mul_add,
                      random_series)
@@ -77,14 +77,12 @@ class NotUnimodular(ValueError):
     """A row given as unimodular has no unit entry."""
 
 
-class _Scalars:
-    """Scalar bases compare and hash by their signature."""
+class _Scalars(Record):
+    """A scalar base is a Record of its ring (and precision), so two bases
+    are equal when they have the same class and fields.  It is not frozen:
+    a subclass may keep more state on its instances."""
 
-    def __eq__(self, other):
-        return isinstance(other, _Scalars) and other.signature == self.signature
-
-    def __hash__(self):
-        return hash(self.signature)
+    __slots__ = ()
 
     def is_local(self):
         return self.ctx.is_local()
@@ -98,13 +96,14 @@ class _Scalars:
 class BaseScalars(_Scalars):
     """Matrix entries drawn from the coefficient ring itself."""
 
+    __slots__ = _fields = ("ctx",)
+
     def __init__(self, ctx: RingContext):
         self.ctx = ctx
-        self.description = ctx.name
 
     @property
-    def signature(self):
-        return ("base", self.ctx.name)
+    def description(self):
+        return self.ctx.name
 
     def zero(self):
         return self.ctx.zero()
@@ -181,18 +180,20 @@ class BaseScalars(_Scalars):
 class SeriesScalars(_Scalars):
     """Matrix entries drawn from S/G_N over a local coefficient ring."""
 
+    _fields = ("ctx", "precision")
+    __slots__ = _fields + ("_zero", "_one")
+
     def __init__(self, ctx: RingContext, precision: int):
         self.ctx = ctx
         self.precision = precision
-        self.description = f"S/G_{precision} over {ctx.name}"
         # one zero class and one class of 1, shared by every caller (classes
         # are never written); TruncatedSeries rejects a precision below 1
         self._zero = TruncatedSeries.zero(ctx, precision)
         self._one = TruncatedSeries.one(ctx, precision)
 
     @property
-    def signature(self):
-        return ("series", self.ctx.name, self.precision)
+    def description(self):
+        return f"S/G_{self.precision} over {self.ctx.name}"
 
     def zero(self):
         return self._zero
@@ -562,7 +563,7 @@ class StablyFreeWitness(FrozenRecord):
     composites are the identity on both summands.
     """
 
-    __slots__ = _fields = ("scalars", "matrix", "rank", "s", "t", "forward",
+    __slots__ = _fields = ("scalars", "matrix", "rank", "s", "forward",
                            "backward")
 
     def verify(self) -> bool:
@@ -583,8 +584,8 @@ def stably_free_witness(e: IdempotentMatrix, s: int) -> StablyFreeWitness:
     """Constructive stable freeness from a rank certificate: with
     U e U^-1 = diag(1^r, 0), the maps w -> w U^-1[:, :r] and z -> z U[:r, :]
     are inverse isomorphisms between image(e) and R^r; padding both with
-    I_s gives image(e) (+) R^s = R^(r+s) (no extra free summand is needed
-    over a local base, so t = 0)."""
+    I_s gives image(e) (+) R^s = R^(r+s); over a local base no further
+    free summand is needed."""
     if s < 0:
         raise ValueError("free padding must be >= 0")
     scalars = e.scalars
@@ -604,7 +605,7 @@ def stably_free_witness(e: IdempotentMatrix, s: int) -> StablyFreeWitness:
               for j in range(n + s))
         for i in range(r + s))
     witness = StablyFreeWitness(
-        scalars=scalars, matrix=e.entries, rank=r, s=s, t=0,
+        scalars=scalars, matrix=e.entries, rank=r, s=s,
         forward=forward, backward=backward)
     if not witness.verify():
         raise AssertionError("stably-free certificate failed to verify")

@@ -1,5 +1,6 @@
 """Uniform result type for the exact property checkers, and the record
-base it shares with the certificates and the expression nodes."""
+base it shares with the certificates, the graded elements, the expression
+nodes and the scalar bases."""
 
 from __future__ import annotations
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from .report import FrozenRecord
 from .rings import RingContext
 from .skewpoly import (SkewPoly, _LeftForm, _block_product,
                        monomial_operator_apply)
@@ -264,16 +265,12 @@ def mul_add(ctx: RingContext, precision: int, v, others, addends=None,
     return out
 
 
-class GradedElem:
+class GradedElem(FrozenRecord):
     """Element of the associated graded ring, as a map
     (radical layer i, xbar-degree l) -> canonical representative of
     I^i/I^(i+1); every stored component is nonzero in its layer."""
 
-    __slots__ = ("ctx", "components")
-
-    def __init__(self, ctx: RingContext, components):
-        self.ctx = ctx
-        self.components = tuple(components)
+    __slots__ = _fields = ("ctx", "components")
 
     @classmethod
     def build(cls, ctx: RingContext, items) -> "GradedElem":
@@ -298,11 +295,7 @@ class GradedElem:
             rep = ctx.reduce_clamped(raw, layer + 1)
             if rep != zero:
                 comps.append((key, rep))
-        return cls(ctx, comps)
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, ())
+        return cls(ctx, tuple(comps))
 
     @classmethod
     def one(cls, ctx):
@@ -310,11 +303,6 @@ class GradedElem:
 
     def is_zero(self) -> bool:
         return not self.components
-
-    def __add__(self, other):
-        if not isinstance(other, GradedElem) or other.ctx != self.ctx:
-            raise ValueError("ring context mismatch")
-        return GradedElem.build(self.ctx, list(self.components) + list(other.components))
 
     def __mul__(self, other):
         """Layerwise Ore product.  Moving xbar^l past a layer-j class b uses
@@ -336,16 +324,6 @@ class GradedElem:
                     v = monomial_operator_apply(ctx, k, n, b)
                     items.append(((layer, n + mdeg), ctx.mul(a, v)))
         return GradedElem.build(ctx, items)
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedElem) and other.ctx == self.ctx
-                and other.components == self.components)
-
-    def __hash__(self):
-        return hash((self.ctx.name, self.components))
-
-    def __repr__(self):
-        return f"GradedElem({self.ctx.name}, {self.render()!r})"
 
     def render(self) -> str:
         if not self.components:

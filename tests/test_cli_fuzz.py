@@ -30,16 +30,22 @@ PRESETS = PRESET_MATRIX + (BROKEN_PRESET,) + INVALID_PRESETS
 
 # (command, preset, outcome) of every finding the fuzzer is known to make.
 # delta=broken is not a sigma-derivation, S/G_N is not associative there,
-# and the Newton inverse inside serre-transfer's rank certificate fails to
-# verify; a certificate failure should be a FAIL verdict (ROADMAP item 5).
+# and the Newton inverse inside serre-transfer's rank certificate, like the
+# completion of a row over S/G_6, fails to verify; a certificate failure
+# should be a FAIL verdict or an error line (ROADMAP item 5).
 KNOWN_FINDINGS = {
     ("check serre-transfer", BROKEN_PRESET,
      "AssertionError: geometric inverse failed to verify"),
+    ("complete-row", BROKEN_PRESET,
+     "AssertionError: row completion failed to verify"),
 }
 # a draw that must reach each known finding, whatever the seeded draws do
 KNOWN_DRAWS = (("check serre-transfer", BROKEN_PRESET,
                 ["check", "serre-transfer", "--ring", BROKEN_PRESET,
-                 "--samples", "3"]),)
+                 "--samples", "3"]),
+               ("complete-row", BROKEN_PRESET,
+                ["complete-row", "1,x,t", "--ring", BROKEN_PRESET,
+                 "--prec", "6"]))
 # a draw above the word-limit budget, which the seeded nilbound draws reach
 # with one value in 66
 BUDGET_DRAWS = (("nilbound", BROKEN_PRESET,

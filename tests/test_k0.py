@@ -254,7 +254,7 @@ class TestStablyFree:
         scalars = BaseScalars(z8)
         e = IdempotentMatrix(scalars, ((0,),))
         w = stably_free_witness(e, 1)
-        assert (w.rank, w.s, w.t) == (0, 1, 0)
+        assert (w.rank, w.s) == (0, 1)
         assert w.verify()
 
     def test_identity_no_padding(self, z8):

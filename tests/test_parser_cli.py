@@ -43,6 +43,9 @@ GOLDEN_CASES = [
       "--format", "json"], 0),
     ("nilbound.txt",
      ["nilbound", "--n", "3", "--ring", "truncpoly:3:3:c=2"], 0),
+    # sigma^3 has no zero word of length <= 2 on delta=broken
+    ("nilbound_not_found.txt",
+     ["nilbound", "--n", "3", "--word-limit", "2", "--ring", BROKEN_PRESET], 0),
     ("rank_base.txt",
      ["rank", "1,2;0,0", "--ring", "zmod:2^3"], 0),
     ("rank_series.txt",
@@ -293,6 +296,20 @@ class TestCliContract:
         code, out, err = run_cli(["normalize", "x^^2", "--ring", "zmod:2^3"])
         assert code == 2
         assert "column 3" in err
+
+    def test_nilbound_not_found_in_json(self):
+        code, out, err = run_cli(["nilbound", "--n", "3", "--word-limit", "2",
+                                  "--ring", BROKEN_PRESET, "--format", "json"])
+        assert (code, out, err) == \
+            (0, '{"m": null, "verdict": "not-found"}\n', "")
+
+    @pytest.mark.parametrize("text,name,preset",
+                             [("tt", "tt", "truncpoly:3:3:c=2"),
+                              ("x2+1", "x2", "zmod:2^3")])
+    def test_a_multi_character_name_is_one_unknown_literal(self, text, name,
+                                                           preset):
+        assert run_cli(["normalize", text, "--ring", preset]) == \
+            (2, "", f"error: syntax error: unknown literal '{name}' at column 1\n")
 
     def test_leading_minus_goes_after_double_dash(self):
         # argparse reads -1-x as an unknown option; the usage error says so

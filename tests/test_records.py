@@ -1,6 +1,8 @@
 """The record base of report.py: the check report, the k0 certificates and
 the expression nodes compare, hash and show as the dataclasses they
-replaced, keep their construction, and the frozen ones refuse assignment."""
+replaced, keep their construction, and the frozen ones refuse assignment.
+The graded elements are frozen records too, and the scalar bases are
+records that stay open to assignment."""
 
 import dataclasses
 import itertools
@@ -9,9 +11,10 @@ import random
 
 import pytest
 
-from skewseries import (BaseScalars, CheckReport, CompletedRow, IdempotentMatrix,
-                        RankWitness, SeriesScalars, StableIsoWitness,
-                        StablyFreeWitness, idempotent_rank, parse_ring_preset,
+from skewseries import (BaseScalars, CheckReport, CompletedRow, GradedElem,
+                        IdempotentMatrix, RankWitness, SeriesScalars,
+                        StableIsoWitness, StablyFreeWitness, TruncatedSeries,
+                        idempotent_rank, parse_ring_preset, principal_symbol,
                         run_property_suite, stable_iso_witness,
                         stably_free_witness, unimodular_complete)
 from skewseries.cli import _parse_matrix
@@ -20,11 +23,11 @@ from skewseries.report import FrozenRecord, Record
 from test_expr_eval import _random_tree
 
 FROZEN = (IdempotentMatrix, RankWitness, StableIsoWitness, StablyFreeWitness,
-          CompletedRow, CheckReport)
+          CompletedRow, CheckReport, GradedElem)
 
 
 def _examples():
-    """Two instances of every former dataclass, the second over S/G_3
+    """Two instances of every frozen record class, the second over S/G_3
     where the class has a scalar base."""
     z8 = parse_ring_preset("zmod:2^3")
     examples = []
@@ -38,6 +41,10 @@ def _examples():
                      unimodular_complete(scalars, e1.entries[0])]
     examples.append(run_property_suite("ring-axioms", z8, None, 5, 1))
     examples.append(CheckReport("poly-assoc", 3, "a=1", {"mode": "sampled"}))
+    f27 = parse_ring_preset("truncpoly:3:3:c=2")
+    t = TruncatedSeries.constant(f27, 3, f27.radical_gens[0])
+    examples += [GradedElem.one(z8),
+                 principal_symbol(t * TruncatedSeries.var(f27, 3) + t * t)]
     return examples
 
 
@@ -123,7 +130,8 @@ def test_frozen_records_refuse_assignment(cls):
             delattr(record, name)
     assert _values(record) == before
     # tracer.py wraps each certificate's own verify
-    assert cls in (IdempotentMatrix, CheckReport) or "verify" in cls.__dict__
+    assert cls in (IdempotentMatrix, CheckReport, GradedElem) \
+        or "verify" in cls.__dict__
 
 
 def test_check_report_is_frozen_and_slotted():
@@ -138,6 +146,38 @@ def test_check_report_is_frozen_and_slotted():
     assert report.passed and report.counterexample is None
     failed = CheckReport("poly-assoc", 3, "a=1", {})
     assert not failed.passed and failed.to_json_dict()["verdict"] == "FAIL"
+
+
+class _Subclassed(BaseScalars):
+    pass
+
+
+def test_scalar_bases_are_open_records():
+    z8, f27 = parse_ring_preset("zmod:2^3"), parse_ring_preset("truncpoly:3:3:c=2")
+    bases = [BaseScalars(z8), BaseScalars(f27), SeriesScalars(z8, 3),
+             SeriesScalars(z8, 4), SeriesScalars(f27, 3), _Subclassed(z8)]
+    twins = [type(b)(*b._values()) for b in bases]
+    for (i, a), (j, b) in itertools.product(enumerate(bases), enumerate(twins)):
+        # equal exactly when the class and the fields are the same
+        assert (a == b) == (i == j) and (a != b) == (i != j)
+        if i == j:
+            assert hash(a) == hash(b)
+            assert pickle.loads(pickle.dumps(a)) == a
+    assert repr(bases[0]) == "BaseScalars(ctx=<RingContext zmod:2^3>)"
+    assert repr(bases[2]) == \
+        "SeriesScalars(ctx=<RingContext zmod:2^3>, precision=3)"
+    assert [b.description for b in bases[:3]] == \
+        ["zmod:2^3", "truncpoly:3:3:c=2", "S/G_3 over zmod:2^3"]
+    # a subclass may keep more state on its instances
+    bases[-1].extra = 1
+    assert bases[-1] == _Subclassed(z8)
+
+
+@pytest.mark.parametrize("cls", (GradedElem, BaseScalars, SeriesScalars))
+def test_value_types_take_the_record_rule(cls):
+    for name in ("__eq__", "__hash__", "__repr__", "__reduce__"):
+        assert getattr(cls, name) is getattr(Record, name)
+    assert not hasattr(cls, "signature")
 
 
 def test_idempotent_matrix_keeps_its_checks():
