@@ -419,17 +419,19 @@ class TruncPolyRing(RingContext):
     "broken" (delta(f) = t*f, which violates the Leibniz rule and exists
     only so the failure paths of the checkers can be driven end to end).
 
-    add, mul, neg and sigma answer a repeated call from a memo per context
-    (delta is composed of them), keyed by the argument, or by the pair
-    (a, b) for a binary operation; elements are the hashable tuples the
-    ring hands out.  The formulas behind them (_add, _mul, _neg, _sigma)
-    are pure, so a hit returns what the formula would.  A stored value is
-    the one object the element table _elems holds for it, so equal values
-    share one tuple: the table is there to save memory (see MEMO_CAP), not
-    to speed up lookups.  Each memo and _elems hold at most MEMO_CAP
-    entries.  Threads share the memos without a lock: concurrent misses
-    store equal values, and setdefault keeps one object per element.
-    Nothing enumerates R.
+    add, mul, neg and sigma answer a repeated call from a memo per context,
+    keyed by the argument, or by the pair (a, b) for a binary operation;
+    elements are the hashable tuples the ring hands out.  The formulas
+    behind them (_add, _mul, _neg, _sigma) are pure, so a hit returns what
+    the formula would.  delta has no memo: on the q-twist it is one closed
+    formula, delta(sum a_i t^i) = sum (c^i - 1) a_i t^(i+1), which equals
+    t*(sigma(f) - f) composed of the operations.  A stored value, and
+    delta's value, is the one object the element table _elems holds for
+    it, so equal values share one tuple: the table is there to save memory
+    (see MEMO_CAP), not to speed up lookups.  Each memo and _elems hold at
+    most MEMO_CAP entries.  Threads share the memos without a lock:
+    concurrent misses store equal values, and setdefault keeps one object
+    per element.  Nothing enumerates R.
     """
 
     def __init__(self, q: int, m: int, c: int, delta_mode: str = "qtwist"):
@@ -456,6 +458,16 @@ class TruncPolyRing(RingContext):
         self._zero = (0,) * m
         self._one = (1 % q,) + (0,) * (m - 1)
         self._cpow = [pow(c, i, q) for i in range(m)]
+        # e_i = c^i - 1 for i < m - 1: delta(t^i) = e_i t^(i+1) on the
+        # q-twist, and t^m = 0
+        self._delta_scale = [(x - 1) % q for x in self._cpow[:-1]]
+        # one byte per t-coefficient holds every coefficient of a product
+        # below t^m, at most m*(q-1)^2, when that is at most 255 (see _mul)
+        if m * (q - 1) ** 2 <= 255:
+            self._byte_residues = bytes(i % q for i in range(256))
+            self._low_bytes = (1 << 8 * m) - 1
+        else:
+            self._byte_residues = self._low_bytes = None
         self._elems = {}     # element -> the one object the memos hold for it
         self._add_memo, self._mul_memo = {}, {}
         self._neg_memo, self._sigma_memo = {}, {}
@@ -493,11 +505,15 @@ class TruncPolyRing(RingContext):
 
     def _store(self, memo, key, value):
         """Store the element table's object for value under key while memo
-        has room, and return it; a value new to a full element table is
-        returned as it is and not stored."""
-        kept = self._interned(value)
+        has room, and return it; the object is entered in the table on
+        first sight while the table has room, and a value new to a full
+        table is returned as it is and not stored."""
+        elems = self._elems
+        kept = elems.get(value)
         if kept is None:
-            return value
+            if len(elems) >= MEMO_CAP:
+                return value
+            kept = elems.setdefault(value, value)
         if len(memo) < MEMO_CAP:
             memo[key] = kept
         return kept
@@ -515,12 +531,33 @@ class TruncPolyRing(RingContext):
     # -- the formulas behind the memo -------------------------------------
 
     def _add(self, a, b):
-        return tuple((x + y) % self.q for x, y in zip(a, b))
+        q = self.q
+        return tuple([(x + y) % q for x, y in zip(a, b)])
 
     def _neg(self, a):
-        return tuple((-x) % self.q for x in a)
+        q = self.q
+        return tuple([-x % q for x in a])
 
     def _mul(self, a, b):
+        """The product by Kronecker substitution t -> 256 where one byte
+        per coefficient cannot carry, else by _schoolbook_mul.
+
+        Each factor is read as one int whose byte i is its t^i
+        coefficient, and the two are multiplied once.  Byte k < m of the
+        product is then sum_{i+j=k} a_i b_j, at most m*(q-1)^2 <= 255 (the
+        bound __init__ checks), so no lower byte carries into it; the
+        bytes from m up may carry, but only upward, and are dropped.  A
+        256-entry table reduces each kept byte mod q."""
+        residues = self._byte_residues
+        if residues is None:
+            return self._schoolbook_mul(a, b)
+        packed = (int.from_bytes(bytes(a), "little")
+                  * int.from_bytes(bytes(b), "little")) & self._low_bytes
+        return tuple(packed.to_bytes(self.m, "little").translate(residues))
+
+    def _schoolbook_mul(self, a, b):
+        """The product coefficient by coefficient: the formula of every
+        context past _mul's packing bound, and its test oracle."""
         out = [0] * self.m
         for i, x in enumerate(a):
             if x == 0:
@@ -532,7 +569,8 @@ class TruncPolyRing(RingContext):
         return tuple(out)
 
     def _sigma(self, a):
-        return tuple((x * self._cpow[i]) % self.q for i, x in enumerate(a))
+        q = self.q
+        return tuple([x * s % q for x, s in zip(a, self._cpow)])
 
     def zero(self):
         return self._zero
@@ -545,13 +583,16 @@ class TruncPolyRing(RingContext):
         return (0,) + a[:-1]
 
     def delta(self, a):
-        # no memo of its own: the sigma, neg and add memos answer it, and
-        # the counted sigma and add calls inside it still happen
+        # no memo of its own: on the q-twist t*(sigma(a) - a) is the closed
+        # formula sum e_i a_i t^(i+1), e_i = c^i - 1, which calls no other
+        # operation
         if self.delta_mode == "zero":
             return self.zero()
         if self.delta_mode == "broken":
             return self._shift(a)
-        return self._shift(self.sub(self.sigma(a), a))
+        q = self.q
+        value = (0,) + tuple([x * e % q for x, e in zip(a, self._delta_scale)])
+        return self._interned(value) or value
 
     def sample(self, rng):
         return tuple(rng.randrange(self.q) for _ in range(self.m))
@@ -684,8 +725,7 @@ class TruncPolyRing(RingContext):
         w_{k,l}(i) for k < d and i < m - k (see _closed_rows), and at_depth
         the same vector at k = d, or () where it is zero."""
         q, m, s = self.q, self.m, self._cpow
-        e = ([0] * m if self.delta_mode == "zero"
-             else [(x - 1) % q for x in s])
+        e = [0] * m if self.delta_mode == "zero" else self._delta_scale
         weights, prev = [], None
         for l in range(self._twist_order()):
             cur = []

@@ -560,9 +560,13 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
 
     The words run over sigma and delta tables of the carrier (|R| calls
     each, see rings._op_tables), summed per (k, l) by
-    monomial_operator_word_sums; the recursion is still called on every
-    element.  A sigma or delta value outside the carrier is reported as a
-    closure failure.
+    monomial_operator_word_sums.  The recursion still runs on every
+    element: MKL_ORACLE_MAX_TOTAL + 1 calls per element, M_{T-l,l}(a) for
+    l = 0..T with T = MKL_ORACLE_MAX_TOTAL, fill the memo column by column
+    with every M_{k,l}(a), k + l <= T (each call fills the rectangle below
+    its own (k, l)), and each (k, l, a) is then read back from that memo in
+    the order of the word sums.  A sigma or delta value outside the carrier
+    is reported as a closure failure.
 
     Where the family has a closed form of the operator rows
     (ctx._closed_rows), it is compared with the recursion too: its rows of
@@ -586,8 +590,13 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
     degrees = () if cex else [(k, total - k)
                               for total in range(MKL_ORACLE_MAX_TOTAL + 1)
                               for k in range(total + 1)]
-    own_memo, ctx._mkl_cache = ctx._mkl_cache, {}
+    recursion = {}
+    own_memo, ctx._mkl_cache = ctx._mkl_cache, recursion
     try:
+        if degrees:
+            for a in elems:
+                for l in range(MKL_ORACLE_MAX_TOTAL + 1):
+                    monomial_operator_apply(ctx, MKL_ORACLE_MAX_TOTAL - l, l, a)
         for k, l in degrees:
             sums, count = monomial_operator_word_sums(
                 ctx, k, l, elems, tables["sigma"], tables["delta"])
@@ -596,7 +605,7 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
                 if count != math.comb(k + l, k):
                     cex = f"word count mismatch at k={k}, l={l}"
                     break
-                by_recursion = monomial_operator_apply(ctx, k, l, a)
+                by_recursion = recursion[(k, l, a)]
                 if by_words != by_recursion:
                     cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
                            f"words give {ctx.render(by_words)}")

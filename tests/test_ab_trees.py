@@ -30,6 +30,15 @@ def test_one_round_of_expr_warm_on_the_same_tree():
     assert lines[1].endswith(f"per-item p50 {summary['item_p50_ms']['old']:.3f} ms")
     assert lines[2].endswith(f"per-item p50 {summary['item_p50_ms']['new']:.3f} ms")
     assert f"{summary['p50_ratio']:.3f} per-item p50" in lines[3]
+    # throughput and p90 from the same per-item medians, as bench/run.py
+    for label, line in (("old", lines[4]), ("new", lines[5])):
+        rps, p90 = summary["throughput_rps"][label], summary["item_p90_ms"][label]
+        assert rps > 0 and p90 >= summary["item_p50_ms"][label]
+        assert line == (f"  {label} {'A' if label == 'old' else 'B'}: "
+                        f"throughput {rps:.1f} req/s, per-item p90 {p90:.3f} ms")
+    assert lines[6] == (f"  new/old {summary['throughput_ratio']:.3f} throughput, "
+                        f"{summary['p90_ratio']:.3f} per-item p90")
+    assert lines[7] == "  outputs identical"
     # the caller's skewseries modules are back in place
     after = {name: id(m) for name, m in sys.modules.items()
              if name.split(".")[0] == "skewseries"}

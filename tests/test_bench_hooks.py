@@ -137,10 +137,13 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     # The operator rows come from truncpoly's closed form, with no ring
     # call, so the recursion's adds and sigma/delta calls go: 1387 -> 974
     # adds and 416 -> 3 sigma/delta calls, the 3 of x*1 = 1*x asking
-    # sigma(1) and delta(1) once (the muls stay)
+    # sigma(1) and delta(1) once (the muls stay).  truncpoly's delta is
+    # now its closed formula and calls neither sigma nor sub, so x*1 = 1*x
+    # makes one sigma and one delta call and no add of its own: 974 -> 973
+    # adds and 3 -> 2 sigma/delta calls
     assert layers["rings.mul_calls"][0] == 887
-    assert layers["rings.add_calls"][0] == 974
-    assert layers["rings.sigma_delta_calls"][0] == 3
+    assert layers["rings.add_calls"][0] == 973
+    assert layers["rings.sigma_delta_calls"][0] == 2
 
 
 @pytest.mark.parametrize("suite, counter", [

@@ -26,18 +26,25 @@ BUDGET_S = 2
 INVALID_PRESETS = ("zmod:6^2", "zmod:2^0", "zmod:2", "truncpoly:3:3",
                    "truncpoly:4:3:c=2", "truncpoly:3:3:c=0", "bogus:1",
                    "zmod:2^3:delta=broken")
-PRESETS = PRESET_MATRIX + (BROKEN_PRESET,) + INVALID_PRESETS
+# m*(q-1)^2 = 288 > 255: this preset's products take TruncPolyRing's
+# schoolbook path, not the byte-packed one
+SCHOOLBOOK_PRESET = "truncpoly:13:2:c=2"
+DRAWN_PRESETS = PRESET_MATRIX + (BROKEN_PRESET, SCHOOLBOOK_PRESET)
+PRESETS = DRAWN_PRESETS + INVALID_PRESETS
 
 # (command, preset, outcome) of every finding the fuzzer is known to make.
 # delta=broken is not a sigma-derivation, S/G_N is not associative there,
-# and the Newton inverse inside serre-transfer's rank certificate, like the
-# completion of a row over S/G_6, fails to verify; a certificate failure
-# should be a FAIL verdict or an error line (ROADMAP item 5).
+# and the Newton inverse inside serre-transfer's rank certificate or inside
+# a row completion, like the completion of a row over S/G_6, fails to
+# verify; a certificate failure should be a FAIL verdict or an error line
+# (ROADMAP item 5).
 KNOWN_FINDINGS = {
     ("check serre-transfer", BROKEN_PRESET,
      "AssertionError: geometric inverse failed to verify"),
     ("complete-row", BROKEN_PRESET,
      "AssertionError: row completion failed to verify"),
+    ("complete-row", BROKEN_PRESET,
+     "AssertionError: geometric inverse failed to verify"),
 }
 # a draw that must reach each known finding, whatever the seeded draws do
 KNOWN_DRAWS = (("check serre-transfer", BROKEN_PRESET,
@@ -45,7 +52,14 @@ KNOWN_DRAWS = (("check serre-transfer", BROKEN_PRESET,
                  "--samples", "3"]),
                ("complete-row", BROKEN_PRESET,
                 ["complete-row", "1,x,t", "--ring", BROKEN_PRESET,
-                 "--prec", "6"]))
+                 "--prec", "6"]),
+               ("complete-row", BROKEN_PRESET,
+                ["complete-row", "1 - x^2,x", "--ring", BROKEN_PRESET,
+                 "--prec", "4"]))
+# the subcommands the seeded draws never run on the schoolbook preset
+SCHOOLBOOK_DRAWS = (("normalize", SCHOOLBOOK_PRESET,
+                     ["normalize", "(x + t)^3*x - 5", "--ring",
+                      SCHOOLBOOK_PRESET]),)
 # a draw above the word-limit budget, which the seeded nilbound draws reach
 # with one value in 66
 BUDGET_DRAWS = (("nilbound", BROKEN_PRESET,
@@ -111,7 +125,7 @@ def _draw(rng, index):
     line; every tenth one names the next invalid preset."""
     command = rng.choice(tuple(cli._SUBCOMMANDS))
     preset = INVALID_PRESETS[index // 10 % len(INVALID_PRESETS)] if index % 10 == 9 \
-        else rng.choice(PRESET_MATRIX + (BROKEN_PRESET,))
+        else rng.choice(DRAWN_PRESETS)
     names = ("x", "t") if preset.startswith("truncpoly") else ("x",)
     precision = rng.choice((0, -1) if rng.random() < 0.05 else
                            (None, None, 1, 2, 3, 4, 6))
@@ -190,7 +204,7 @@ def _outcome(argv):
 def test_fuzzed_command_lines_make_only_the_known_findings():
     rng = random.Random(SEED)
     draws = [_draw(rng, i) for i in range(CASES)]
-    draws += KNOWN_DRAWS + BUDGET_DRAWS + RAGGED_DRAWS
+    draws += KNOWN_DRAWS + BUDGET_DRAWS + RAGGED_DRAWS + SCHOOLBOOK_DRAWS
     findings = {}
     for label, preset, argv in draws:
         outcome = _outcome(argv)
@@ -200,3 +214,5 @@ def test_fuzzed_command_lines_make_only_the_known_findings():
     # every subcommand and every preset was drawn
     assert {argv[0] for _, _, argv in draws} == set(cli._SUBCOMMANDS)
     assert {preset for _, preset, _ in draws} == set(PRESETS)
+    assert {argv[0] for _, preset, argv in draws
+            if preset == SCHOOLBOOK_PRESET} == set(cli._SUBCOMMANDS)

@@ -1,8 +1,9 @@
 """TruncPolyRing answers add, mul, neg and sigma from a memo per context,
-and delta is composed of them.  The formulas behind the memo (_add, _mul,
-_neg, _sigma) are the oracles: every memoized value must equal theirs, both
-on the miss that stores it and on the hit that reads it back, and the
-tables must stay within MEMO_CAP entries."""
+and delta from its closed formula.  The formulas behind the memo (_add,
+_mul, _neg, _sigma) are the oracles: every memoized value must equal
+theirs, both on the miss that stores it and on the hit that reads it back,
+and the tables must stay within MEMO_CAP entries.  delta must equal
+t*(sigma(a) - a) composed of the formulas."""
 
 import itertools
 import random
@@ -223,10 +224,12 @@ def test_a_value_outside_the_carrier_is_not_stored():
 
 
 def test_exhaustive_sigma_derivation_fills_one_entry_per_argument():
+    # delta calls no other operation, and the suite's laws negate nothing,
+    # so the neg memo stays empty
     ctx = parse_ring_preset("truncpoly:3:3:c=2")
     assert run_property_suite("sigma-derivation", ctx, None, 30, 3).passed
     assert memo_sizes(ctx) == {"add": 27 ** 2, "mul": 27 ** 2,
-                               "neg": 27, "sigma": 27}
+                               "neg": 0, "sigma": 27}
 
 
 def test_binary_tables_stop_at_the_cap():
@@ -262,12 +265,13 @@ def test_a_large_carrier_codes_only_what_it_sees(monkeypatch):
     ctx = parse_ring_preset("truncpoly:2:20:c=1")
     t, one = ctx.radical_gens[0], ctx.one()
     u = ctx.add(one, t)
-    ctx.delta(u)
-    # the element table holds the values the memos returned (delta's inner
-    # sigma, neg and add included), not the arguments they were called with
-    s = ctx.sigma(u)
-    seen = {u, ctx.mul(u, u), ctx.neg(u), ctx.sigma(t), s,
-            ctx.add(s, ctx.neg(u))}
+    d = ctx.delta(u)
+    # the element table holds the values the memos and delta returned, not
+    # the arguments they were called with; delta asks no other operation,
+    # so neither sigma(u) nor sigma(u) - u is entered by it (c = 1 makes
+    # delta zero)
+    assert set(ctx._elems) == {u, d} and d == ctx.zero()
+    seen = {u, d, ctx.mul(u, u), ctx.neg(u), ctx.sigma(t)}
     assert set(ctx._elems) == seen
     assert all(ctx._elems[v] is v for v in seen)
 

@@ -18,9 +18,12 @@ the other's garbage.
 It prints each side's median CPU time per pass with its quartiles and its
 per-item p50 (each pool item's median CPU time over the rounds, and the
 median of those over the items, as bench/run.py reads latency_p50_ms), the
-ratios NEW/OLD, the rounds NEW was faster, and whether the two sides gave
-the same outputs.  It uses the standard library only and changes nothing
-under bench/.
+ratios NEW/OLD, and the rounds NEW was faster.  From the same per-item
+medians it prints each side's throughput (pool size over their sum, as
+bench/run.py reads throughput_rps, but in CPU time and not scaled to its
+reference speed) and per-item p90 (as latency_p90_ms), with their ratios
+NEW/OLD, and last whether the two sides gave the same outputs.  It uses
+the standard library only and changes nothing under bench/.
 """
 
 from __future__ import annotations
@@ -86,13 +89,20 @@ class Side:
             took.append(process_time() - c0)
         return process_time() - t0, took, outputs
 
-    def item_p50_ms(self):
-        """The median over pool items of each item's median over rounds."""
-        return 1000 * statistics.median(statistics.median(t) for t in zip(*self.took))
+    def item_medians(self):
+        """Each pool item's median CPU seconds over the rounds."""
+        return [statistics.median(t) for t in zip(*self.took)]
 
     def digest(self, outputs):
         plain = [repr(self.workload.plain(out)) for out in outputs]
         return hashlib.sha256("\n".join(plain).encode()).hexdigest()
+
+
+def _p90(values):
+    """The p90 of values as bench/run.py takes it."""
+    if len(values) < 2:
+        return values[0]
+    return statistics.quantiles(values, n=10)[-1]
 
 
 def _quartiles(values):
@@ -128,7 +138,10 @@ def compare(old_src, new_src, workload, seed, rounds):
     finally:
         _activate(original)
     medians = {side.label: statistics.median(side.times) for side in sides}
-    p50s = {side.label: side.item_p50_ms() for side in sides}
+    items = {side.label: side.item_medians() for side in sides}
+    p50s = {label: 1000 * statistics.median(t) for label, t in items.items()}
+    rps = {label: len(t) / sum(t) for label, t in items.items()}
+    p90s = {label: 1000 * _p90(t) for label, t in items.items()}
     return {
         "workload": workload, "seed": seed, "rounds": rounds, "pool": len(pool),
         "median_s": medians,
@@ -136,6 +149,10 @@ def compare(old_src, new_src, workload, seed, rounds):
         "ratio": medians["new"] / medians["old"],
         "item_p50_ms": p50s,
         "p50_ratio": p50s["new"] / p50s["old"],
+        "throughput_rps": rps,
+        "throughput_ratio": rps["new"] / rps["old"],
+        "item_p90_ms": p90s,
+        "p90_ratio": p90s["new"] / p90s["old"],
         "new_won": new_won,
         "same_outputs": digests[0] == digests[1],
     }
@@ -168,6 +185,12 @@ def report(s, old, new):
                      f"per-item p50 {s['item_p50_ms'][label]:.3f} ms")
     lines.append(f"  new/old {s['ratio']:.3f} per pass, {s['p50_ratio']:.3f} "
                  f"per-item p50, new faster in {s['new_won']}/{s['rounds']} rounds")
+    for label, src in (("old", old), ("new", new)):
+        lines.append(f"  {label} {src}: throughput "
+                     f"{s['throughput_rps'][label]:.1f} req/s, "
+                     f"per-item p90 {s['item_p90_ms'][label]:.3f} ms")
+    lines.append(f"  new/old {s['throughput_ratio']:.3f} throughput, "
+                 f"{s['p90_ratio']:.3f} per-item p90")
     lines.append(f"  outputs {'identical' if s['same_outputs'] else 'DIFFER'}")
     return lines
 
