@@ -45,12 +45,12 @@ INF = float("inf")
 # only for pairs).
 EXHAUSTIVE_TUPLE_LIMIT = 65536
 
-# Each operation memo of a TruncPolyRing, and its element table, holds at
-# most this many entries: an exhaustive pair table at |R| = 256.  A binary
-# entry, keyed by the argument pair, takes about 95 bytes, so a full binary
-# table takes about 6.2 MB.  The element table saves memory, not lookup
-# time: a cold dense truncpoly:3:6:c=2 product in S/G_256 peaks at 7.22 MB
-# under tracemalloc with it and at 13.32 MB with plain memos.
+# Each operation memo of a TruncPolyRing (add and mul), and its element
+# table, holds at most this many entries: an exhaustive pair table at
+# |R| = 256.  An entry takes about 95 bytes, so a full memo takes about
+# 6.2 MB.  The element table saves memory, not lookup time: a cold dense
+# truncpoly:3:6:c=2 product in S/G_256 peaks at 7.04 MB under tracemalloc
+# with it, 13.32 MB without it, and 9.77 MB without it on bytes elements.
 MEMO_CAP = 1 << 16
 
 
@@ -419,19 +419,20 @@ class TruncPolyRing(RingContext):
     "broken" (delta(f) = t*f, which violates the Leibniz rule and exists
     only so the failure paths of the checkers can be driven end to end).
 
-    add, mul, neg and sigma answer a repeated call from a memo per context,
-    keyed by the argument, or by the pair (a, b) for a binary operation;
-    elements are the hashable tuples the ring hands out.  The formulas
-    behind them (_add, _mul, _neg, _sigma) are pure, so a hit returns what
-    the formula would.  delta has no memo: on the q-twist it is one closed
-    formula, delta(sum a_i t^i) = sum (c^i - 1) a_i t^(i+1), which equals
-    t*(sigma(f) - f) composed of the operations.  A stored value, and
-    delta's value, is the one object the element table _elems holds for
-    it, so equal values share one tuple: the table is there to save memory
-    (see MEMO_CAP), not to speed up lookups.  Each memo and _elems hold at
-    most MEMO_CAP entries.  Threads share the memos without a lock:
-    concurrent misses store equal values, and setdefault keeps one object
-    per element.  Nothing enumerates R.
+    add and mul, the two operations the product kernel calls, answer a
+    repeated call from a memo per context, keyed by the pair (a, b) of the
+    hashable tuples the ring hands out; the formulas behind them (_add,
+    _mul) are pure, so a hit returns what the formula would.  neg, sigma
+    and delta are formulas that store nothing (memos for neg and sigma
+    measured within noise on every benchmark workload); on the q-twist
+    delta(sum a_i t^i) = sum (c^i - 1) a_i t^(i+1), which equals
+    t*(sigma(f) - f).  A stored value, and each value of a closed operator
+    row, is the one object the element table _elems holds for it, so equal
+    values share one tuple: the table saves memory (see MEMO_CAP), not
+    lookup time.  Each memo and _elems hold at most MEMO_CAP entries.
+    Threads share the memos without a lock: concurrent misses store equal
+    values, and setdefault keeps one object per element.  Nothing
+    enumerates R.
     """
 
     def __init__(self, q: int, m: int, c: int, delta_mode: str = "qtwist"):
@@ -470,7 +471,6 @@ class TruncPolyRing(RingContext):
             self._byte_residues = self._low_bytes = None
         self._elems = {}     # element -> the one object the memos hold for it
         self._add_memo, self._mul_memo = {}, {}
-        self._neg_memo, self._sigma_memo = {}, {}
         self._weights = {}   # depth d -> the weights of _closed_rows
         super().__init__()
 
@@ -489,18 +489,6 @@ class TruncPolyRing(RingContext):
         value = self._mul_memo.get((a, b))
         if value is None:
             value = self._store(self._mul_memo, (a, b), self._mul(a, b))
-        return value
-
-    def neg(self, a):
-        value = self._neg_memo.get(a)
-        if value is None:
-            value = self._store(self._neg_memo, a, self._neg(a))
-        return value
-
-    def sigma(self, a):
-        value = self._sigma_memo.get(a)
-        if value is None:
-            value = self._store(self._sigma_memo, a, self._sigma(a))
         return value
 
     def _store(self, memo, key, value):
@@ -534,10 +522,6 @@ class TruncPolyRing(RingContext):
         q = self.q
         return tuple([(x + y) % q for x, y in zip(a, b)])
 
-    def _neg(self, a):
-        q = self.q
-        return tuple([-x % q for x in a])
-
     def _mul(self, a, b):
         """The product by Kronecker substitution t -> 256 where one byte
         per coefficient cannot carry, else by _schoolbook_mul.
@@ -568,7 +552,11 @@ class TruncPolyRing(RingContext):
                     out[i + j] = (out[i + j] + x * y) % self.q
         return tuple(out)
 
-    def _sigma(self, a):
+    def neg(self, a):
+        q = self.q
+        return tuple([-x % q for x in a])
+
+    def sigma(self, a):
         q = self.q
         return tuple([x * s % q for x, s in zip(a, self._cpow)])
 
@@ -583,16 +571,14 @@ class TruncPolyRing(RingContext):
         return (0,) + a[:-1]
 
     def delta(self, a):
-        # no memo of its own: on the q-twist t*(sigma(a) - a) is the closed
-        # formula sum e_i a_i t^(i+1), e_i = c^i - 1, which calls no other
-        # operation
+        # on the q-twist t*(sigma(a) - a) is the closed formula
+        # sum e_i a_i t^(i+1), e_i = c^i - 1, which calls no other operation
         if self.delta_mode == "zero":
             return self.zero()
         if self.delta_mode == "broken":
             return self._shift(a)
         q = self.q
-        value = (0,) + tuple([x * e % q for x, e in zip(a, self._delta_scale)])
-        return self._interned(value) or value
+        return (0,) + tuple([x * e % q for x, e in zip(a, self._delta_scale)])
 
     def sample(self, rng):
         return tuple(rng.randrange(self.q) for _ in range(self.m))
@@ -1064,23 +1050,29 @@ def sigma_nilpotence_bound(ctx: RingContext, n: int, word_limit: int = 6):
     whole carrier into I^n.  Returns None when no such m exists within the
     word-length budget.
 
-    A word acts on the carrier through its image tuple, and the answer is
-    1 + the largest delta count of a word that leaves I^n, so the search
-    keeps, per distinct image reached by the words of each length, only
-    the largest delta count of those words, and extends every image by one
-    more letter per layer; the two one-letter moves out of an image are
-    computed once.  Each distinct image is hashed once, when it is first
-    reached, and numbered; the layers carry the numbers.  The answer is
-    that of the exhaustive word enumeration, so a returned bound is a
-    verified one.
+    sigma and delta are called once per element, through index tables
+    over the sorted carrier (_op_tables; a value outside it raises
+    AssertionError), so a word acts on the carrier through its image, a
+    tuple of positions, and the answer is 1 + the largest delta count of a
+    word whose image holds a position outside I^n.  The search keeps, per
+    distinct image reached by the words of each length, only the largest
+    delta count of those words, and extends every image by one more letter
+    per layer; each distinct image is numbered when first reached, and its
+    two moves are computed once.  The answer is that of the exhaustive word
+    enumeration, so a returned bound is a verified one.
     """
     if n < 1:
         raise ValueError("target power must be >= 1")
     if word_limit < 1:
         raise ValueError("word limit must be >= 1")
+    elems = sorted(ctx.elements())
+    tables, cex = _op_tables(ctx, elems, unary=("delta", "sigma"))
+    if cex:
+        raise AssertionError(cex)
+    outside = [ctx.ideal_valuation(a) < n for a in elems]
     worst = 0    # the largest delta count of a word that leaves I^n
-    images = [tuple(sorted(ctx.elements()))]   # number -> image
-    numbers = {images[0]: 0}                    # image -> number
+    images = [tuple(range(len(elems)))]   # number -> image
+    numbers = {images[0]: 0}               # image -> number
     moves = {}   # number -> [(number after one more letter, its delta count, leaves I^n)]
     layer = {0: 0}   # number -> largest delta count
     for _ in range(word_limit):
@@ -1088,12 +1080,12 @@ def sigma_nilpotence_bound(ctx: RingContext, n: int, word_limit: int = 6):
         for i, count in layer.items():
             if i not in moves:
                 moves[i] = []
-                for fn, dk in ((ctx.delta, 1), (ctx.sigma, 0)):
-                    img = tuple(map(fn, images[i]))
+                for name, dk in (("delta", 1), ("sigma", 0)):
+                    img = tuple(map(tables[name].__getitem__, images[i]))
                     j = numbers.setdefault(img, len(images))
                     if j == len(images):
                         images.append(img)
-                    leaves = any(ctx.ideal_valuation(x) < n for x in img)
+                    leaves = any(map(outside.__getitem__, img))
                     moves[i].append((j, dk, leaves))
             for j, dk, leaves in moves[i]:
                 reached = count + dk

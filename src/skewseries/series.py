@@ -489,11 +489,13 @@ def graded_iso_check(ctx: RingContext, precision: int, samples: int,
         return None
 
     # deterministic boundary pairs: radical-generator constants whose layers
-    # can sum past the nilpotency index guarantee the cancellation branch
-    nil = ctx.radical_nilpotency
-    boundary = ((TruncatedSeries.constant(ctx, precision, w1),
+    # can sum past the nilpotency index reach the cancellation branch, and
+    # w1*x times w2 (w1 = 1 too) the delta part of x*w2 in the model
+    nil, zero = ctx.radical_nilpotency, ctx.zero()
+    boundary = ((TruncatedSeries(ctx, precision, (zero,) * xdeg + (w1,)),
                  TruncatedSeries.constant(ctx, precision, w2))
-                for k1 in range(1, nil) for k2 in range(1, nil)
+                for xdeg in (0, 1) for k1 in range(1 - xdeg, nil)
+                for k2 in range(1, nil)
                 for w1 in ctx.ideal_power_gens(k1)
                 for w2 in ctx.ideal_power_gens(k2))
     drawn = ((random_nonzero_series(ctx, precision, rng),

@@ -1,9 +1,10 @@
-"""TruncPolyRing answers add, mul, neg and sigma from a memo per context,
-and delta from its closed formula.  The formulas behind the memo (_add,
-_mul, _neg, _sigma) are the oracles: every memoized value must equal
-theirs, both on the miss that stores it and on the hit that reads it back,
-and the tables must stay within MEMO_CAP entries.  delta must equal
-t*(sigma(a) - a) composed of the formulas."""
+"""TruncPolyRing answers add and mul from a memo per context, and neg,
+sigma and delta from closed formulas that store nothing.  The formulas
+behind the memo (_add, _mul) are the oracles: every memoized value must
+equal theirs, both on the miss that stores it and on the hit that reads it
+back, and the tables must stay within MEMO_CAP entries.  neg and sigma
+must equal their coefficientwise formulas, and delta must equal
+t*(sigma(a) - a) composed of them."""
 
 import itertools
 import random
@@ -19,12 +20,21 @@ from skewseries.rings import MEMO_CAP
 
 MEMO_PRESETS = tuple(p for p in PRESET_MATRIX if p.startswith("truncpoly")) + (
     BROKEN_PRESET, "truncpoly:3:4:c=2")
-OPS = ("add", "mul", "neg", "sigma")
+OPS = ("add", "mul")
 
 
 def direct(name):
     """The formula behind the memo of the named operation."""
     return getattr(TruncPolyRing, "_" + name)
+
+
+def direct_neg(ctx, a):
+    return tuple((-x) % ctx.q for x in a)
+
+
+def direct_sigma(ctx, a):
+    """sigma(f)(t) = f(c*t): the coefficient of t^i scaled by c^i."""
+    return tuple(x * pow(ctx.c, i, ctx.q) % ctx.q for i, x in enumerate(a))
 
 
 def direct_delta(ctx, a):
@@ -33,8 +43,8 @@ def direct_delta(ctx, a):
         return (0,) * ctx.m
     if ctx.delta_mode == "broken":
         return ctx._shift(a)
-    return ctx._shift(direct("add")(ctx, direct("sigma")(ctx, a),
-                                    direct("neg")(ctx, a)))
+    return ctx._shift(direct("add")(ctx, direct_sigma(ctx, a),
+                                    direct_neg(ctx, a)))
 
 
 def memo_sizes(ctx):
@@ -59,8 +69,8 @@ def _assert_memo_matches_formulas(ctx, pairs, singles):
                 assert value == direct(name)(ctx, a, b), (name, a, b)
                 assert type(value) is tuple
         for a in singles:
-            assert ctx.neg(a) == direct("neg")(ctx, a)
-            assert ctx.sigma(a) == direct("sigma")(ctx, a)
+            assert ctx.neg(a) == direct_neg(ctx, a)
+            assert ctx.sigma(a) == direct_sigma(ctx, a)
             assert ctx.delta(a) == direct_delta(ctx, a)
         if rep == 0:
             sizes = memo_sizes(ctx)
@@ -79,8 +89,7 @@ def test_memo_matches_formulas_on_every_pair(preset):
     sizes = _assert_memo_matches_formulas(
         ctx, itertools.product(elems, repeat=2), elems)
     n = len(elems)
-    assert sizes["add"] == sizes["mul"] == min(n * n, MEMO_CAP)
-    assert sizes["neg"] == sizes["sigma"] == n
+    assert sizes == dict.fromkeys(OPS, min(n * n, MEMO_CAP))
 
 
 def test_memo_matches_formulas_on_sampled_pairs():
@@ -95,34 +104,31 @@ def test_memo_matches_formulas_on_sampled_pairs():
 def test_non_canonical_arguments_take_the_formula(bad):
     ctx = parse_ring_preset("truncpoly:3:3:c=2")
     t = ctx.radical_gens[0]
-    for name in ("add", "mul"):
+    for name in OPS:
         getattr(ctx, name)(t, t)
     canonical = {name: dict(getattr(ctx, f"_{name}_memo")) for name in OPS}
-    # the ring only hands out tuples: a list cannot be a key, and every
-    # operation refuses it
+    # neg and sigma store nothing, so they read any sequence
+    assert ctx.neg(bad) == direct_neg(ctx, bad)
+    assert ctx.sigma(bad) == direct_sigma(ctx, bad)
+    # the ring only hands out tuples: a list cannot be a key, and add and
+    # mul refuse it
     if type(bad) is list:
-        for name in ("add", "mul"):
+        for name in OPS:
             for args in ((bad, t), (t, bad)):
                 with pytest.raises(TypeError):
                     getattr(ctx, name)(*args)
-        for name in ("neg", "sigma"):
-            with pytest.raises(TypeError):
-                getattr(ctx, name)(bad)
         assert {name: dict(getattr(ctx, f"_{name}_memo"))
                 for name in OPS} == canonical
         return
     for _ in range(2):
-        for name in ("add", "mul"):
+        for name in OPS:
             for args in ((bad, t), (t, bad)):
                 assert getattr(ctx, name)(*args) == direct(name)(ctx, *args)
-        for name in ("neg", "sigma"):
-            assert getattr(ctx, name)(bad) == direct(name)(ctx, bad)
     # a hashable argument is a key of its own, which answers only itself
     for name in OPS:
         memo = getattr(ctx, f"_{name}_memo")
         assert {k: memo[k] for k in canonical[name]} == canonical[name]
-        extra = len(memo) - len(canonical[name])
-        assert extra == (2 if name in ("add", "mul") else 1)
+        assert len(memo) - len(canonical[name]) == 2
 
 
 class SlowMissTable(dict):
@@ -138,10 +144,10 @@ class SlowMissTable(dict):
 
 @pytest.mark.parametrize("table", [dict, SlowMissTable])
 def test_two_threads_fill_one_context_without_a_lock(table):
-    # the memos have no lock: two threads miss on the same keys, in
-    # opposite orders, and every value must still be its formula's, every
-    # memo must end with one entry per argument, and every stored value
-    # must be the element table's one object for it
+    # the add and mul memos have no lock: two threads miss on the same
+    # pairs, in opposite orders, and every value must still be its
+    # formula's, each memo must end with one entry per pair, and every
+    # stored value must be the element table's one object for it
     ctx = parse_ring_preset("truncpoly:3:3:c=2")
     ctx._elems = table()
     elems = sorted(ctx.elements())
@@ -150,12 +156,9 @@ def test_two_threads_fill_one_context_without_a_lock(table):
 
     def work(order):
         for a, b in order:
-            for name in ("add", "mul"):
+            for name in OPS:
                 if getattr(ctx, name)(a, b) != direct(name)(ctx, a, b):
                     wrong.append((name, a, b))
-            for name in ("neg", "sigma"):
-                if getattr(ctx, name)(a) != direct(name)(ctx, a):
-                    wrong.append((name, a))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -170,8 +173,7 @@ def test_two_threads_fill_one_context_without_a_lock(table):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert memo_sizes(ctx) == {"add": 27 ** 2, "mul": 27 ** 2,
-                               "neg": 27, "sigma": 27}
+    assert memo_sizes(ctx) == {"add": 27 ** 2, "mul": 27 ** 2}
     for name in OPS:
         memo = getattr(ctx, f"_{name}_memo")
         assert all(ctx._elems[v] is v for v in memo.values())
@@ -224,12 +226,9 @@ def test_a_value_outside_the_carrier_is_not_stored():
 
 
 def test_exhaustive_sigma_derivation_fills_one_entry_per_argument():
-    # delta calls no other operation, and the suite's laws negate nothing,
-    # so the neg memo stays empty
     ctx = parse_ring_preset("truncpoly:3:3:c=2")
     assert run_property_suite("sigma-derivation", ctx, None, 30, 3).passed
-    assert memo_sizes(ctx) == {"add": 27 ** 2, "mul": 27 ** 2,
-                               "neg": 0, "sigma": 27}
+    assert memo_sizes(ctx) == {"add": 27 ** 2, "mul": 27 ** 2}
 
 
 def test_binary_tables_stop_at_the_cap():
@@ -251,11 +250,15 @@ def test_binary_tables_stop_at_the_cap():
 
 
 def test_code_table_stops_at_the_cap():
+    # a + 0 = a, so each sum is a value new to the element table
     ctx = parse_ring_preset("truncpoly:2:17:c=1")
+    zero = ctx.zero()
     elems = list(itertools.islice(ctx.elements(), MEMO_CAP + 100))
     for a in elems:
-        assert ctx.neg(a) == direct("neg")(ctx, a)
-    assert len(ctx._elems) == len(ctx._neg_memo) == MEMO_CAP
+        assert ctx.add(a, zero) == direct("add")(ctx, a, zero)
+    assert len(ctx._elems) == len(ctx._add_memo) == MEMO_CAP
+    # a value new to the full table is returned, and stored nowhere
+    assert ctx._add_memo.get((elems[-1], zero)) is None
 
 
 def test_a_large_carrier_codes_only_what_it_sees(monkeypatch):
@@ -265,13 +268,13 @@ def test_a_large_carrier_codes_only_what_it_sees(monkeypatch):
     ctx = parse_ring_preset("truncpoly:2:20:c=1")
     t, one = ctx.radical_gens[0], ctx.one()
     u = ctx.add(one, t)
-    d = ctx.delta(u)
-    # the element table holds the values the memos and delta returned, not
-    # the arguments they were called with; delta asks no other operation,
-    # so neither sigma(u) nor sigma(u) - u is entered by it (c = 1 makes
-    # delta zero)
-    assert set(ctx._elems) == {u, d} and d == ctx.zero()
-    seen = {u, d, ctx.mul(u, u), ctx.neg(u), ctx.sigma(t)}
+    # the element table holds the values the memos returned, not the
+    # arguments they were called with, and neg, sigma and delta enter
+    # nothing
+    assert set(ctx._elems) == {u}
+    ctx.neg(u), ctx.sigma(t), ctx.delta(u)
+    assert set(ctx._elems) == {u}
+    seen = {u, ctx.mul(u, u)}
     assert set(ctx._elems) == seen
     assert all(ctx._elems[v] is v for v in seen)
 
@@ -279,3 +282,21 @@ def test_a_large_carrier_codes_only_what_it_sees(monkeypatch):
 def test_zero_and_one_are_stored(f27):
     assert f27.zero() is f27.zero() and f27.one() is f27.one()
     assert f27.zero() == (0, 0, 0) and f27.one() == (1, 0, 0)
+
+
+def _dicts(ctx):
+    """A copy of every dict the context holds, by attribute name."""
+    return {name: dict(value) for name, value in vars(ctx).items()
+            if isinstance(value, dict)}
+
+
+@pytest.mark.parametrize("preset", MEMO_PRESETS)
+def test_unary_operations_store_nothing(preset):
+    ctx = parse_ring_preset(preset)
+    one, t = ctx.one(), ctx.radical_gens[0]
+    ctx.mul(t, t), ctx.add(one, t)
+    before = _dicts(ctx)
+    assert before["_elems"] and before["_add_memo"] and before["_mul_memo"]
+    for a in ctx.elements():
+        ctx.neg(a), ctx.sigma(a), ctx.delta(a)
+    assert _dicts(ctx) == before

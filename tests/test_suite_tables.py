@@ -13,7 +13,7 @@ import pytest
 from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import (ZmodRing, monomial_operator_apply,
                         monomial_operator_words, parse_ring_preset,
-                        run_property_suite, skewpoly)
+                        run_property_suite, sigma_nilpotence_bound, skewpoly)
 from skewseries.report import CheckReport
 from skewseries.rings import (TruncPolyRing, _exhaustive, _op_tables,
                               _tuple_stream)
@@ -258,6 +258,164 @@ class LeakySigma(ZmodRing):
         return 13 if a == 5 else a
 
 
+# One control per counterexample text that no shipped preset reaches.  Each
+# breaks one law so that it is the first to fail, on a carrier small enough
+# for the index tables and on one large enough to be sampled; a wrong row
+# comparison on the table path would skip the law and pass the control.
+
+class WrongZeroSum(ZmodRing):
+    """Z/8 whose 5 + 0 is 6."""
+
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def add(self, a, b):
+        return 6 if (a, b) == (5, 0) else super().add(a, b)
+
+
+class WrongNeg(ZmodRing):
+    """Z/8 whose -3 is 4."""
+
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def neg(self, a):
+        return 4 if a == 3 else super().neg(a)
+
+
+class WrongZeroProduct(ZmodRing):
+    """Z/8 whose 0 * 5 is 1; the unit laws still hold."""
+
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def mul(self, a, b):
+        return 1 if (a, b) == (0, 5) else super().mul(a, b)
+
+
+class NonAssociativeAdd(TruncPolyRing):
+    """F_5[t]/(t^m) whose sum gains g(a_0, b_0) t^(m-1), with g(x, y) =
+    x*f(y/x) for x, y and x + y nonzero, f(2) = 2 and f(3) = 1, else 0.
+    g is symmetric, so the sum commutes, 0 is neutral and -a the inverse of
+    a; g(cx, cy) = c*g(x, y), so both distributive laws hold; but g is not
+    a 2-cocycle, so (1 + 1) + 2 != 1 + (1 + 2).  Only the additive
+    associativity comparison of a table row can see it: on Z/2^n a
+    non-associative sum also broke distributivity in the same rows."""
+
+    _F = {2: 2, 3: 1}
+
+    def __init__(self, m):
+        super().__init__(5, m, 1)
+
+    def add(self, a, b):
+        s = super().add(a, b)
+        x, y = a[0], b[0]
+        if x and y and (x + y) % 5:
+            g = x * self._F.get(y * pow(x, -1, 5) % 5, 0)
+            s = s[:-1] + ((s[-1] + g) % 5,)
+        return s
+
+
+class NonCommutativeAdd(TruncPolyRing):
+    """F_q[t]/(t^m), m >= 3, whose sum gains a_0 b_1 t^(m-1), with the
+    matching inverse: a group, so associative, but t + 1 != 1 + t."""
+
+    def __init__(self, q, m):
+        super().__init__(q, m, 1)
+
+    def add(self, a, b):
+        s = super().add(a, b)
+        return s[:-1] + ((s[-1] + a[0] * b[1]) % self.q,)
+
+    def neg(self, a):
+        n = super().neg(a)
+        return n[:-1] + ((n[-1] + a[0] * a[1]) % self.q,)
+
+
+class NonAssociativeMul(TruncPolyRing):
+    """F_q[t]/(t^m), m >= 4, whose product gains a_1 b_2 t^3: bilinear, so
+    distributive, with the same unit and zero, but t*t^2 != t^2*t, so
+    (t*t)*t != t*(t*t)."""
+
+    def __init__(self, q, m):
+        super().__init__(q, m, 1)
+
+    def mul(self, a, b):
+        p = super().mul(a, b)
+        return p[:3] + ((p[3] + a[1] * b[2]) % self.q,) + p[4:]
+
+
+class LeftNonDistributiveMul(TruncPolyRing):
+    """F_q[t]/(t^m), m >= 3, whose product a*b gains a_1 b_1 t^(m-1) when
+    b_0 = 0: additive in a, so right distributive, and still associative
+    with the same unit and zero, but t*(t + 1) != t*t + t*1.  On Z/p^n no
+    control can make left distributivity the first law to fail on the
+    table path: right distributivity at (1, b, c) forces the plain
+    product."""
+
+    def __init__(self, q, m):
+        super().__init__(q, m, 1)
+
+    def mul(self, a, b):
+        p = super().mul(a, b)
+        if b[0] == 0:
+            p = p[:-1] + ((p[-1] + a[1] * b[1]) % self.q,)
+        return p
+
+
+class SigmaOfOneIsThree(ZmodRing):
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def sigma(self, a):
+        return 3 if a == 1 else a
+
+
+class DeltaOutsideI(ZmodRing):
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def delta(self, a):
+        return 1 if a == 3 else 0
+
+
+class SigmaLeavesI(ZmodRing):
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def sigma(self, a):
+        return 3 if a == 2 else a
+
+
+class DeltaOutsideI2(ZmodRing):
+    def __init__(self):
+        super().__init__(2, 3)
+
+    def delta(self, a):
+        return 2 if a == 2 else 0
+
+
+class NonMultiplicativeSigma(TruncPolyRing):
+    """F_3[t]/(t^m), delta = 0, with sigma scaling t^2 by 2 and every other
+    t^i by 1: F_3-linear, fixing 1 and keeping I, but sigma(t)^2 = t^2 !=
+    sigma(t^2).  On Z/p^n an additive sigma with sigma(1) = 1 is the
+    identity, so no zmod control can make this law the first to fail."""
+
+    def __init__(self, m):
+        super().__init__(3, m, 1, delta_mode="zero")
+        self._cpow = [2 if i == 2 else 1 for i in range(m)]
+
+
+class NonAdditiveDelta(ZmodRing):
+    """Z/2^n, n >= 3, with delta(a) = 2^(n-1) for a = 3 mod 4 and 0 else:
+    a*h(a) for the homomorphism h from the units onto {0, 2^(n-1)}, so it
+    obeys the Leibniz rule with sigma = id, maps R into I and I to 0, but
+    delta(1 + 2) != delta(1) + delta(2)."""
+
+    def delta(self, a):
+        return self.cardinality // 2 if a % 4 == 3 else 0
+
+
 def _wrong_at(k0, l0, a0):
     """The recursion, except that the call which first enters M_{k0,l0}(a0)
     in the context's memo adds 1 to that entry: mkl-oracle reads it back
@@ -396,6 +554,55 @@ def test_word_sums_match_word_enumeration(preset):
                             for a in elems]
 
 
+# (suite, ring, mode, counterexample prefix)
+LAW_CONTROLS = (
+    (ring_axioms, WrongZeroSum, "exhaustive", "a + 0 != a at a=5"),
+    (ring_axioms, WrongNeg, "exhaustive", "a + (-a) != 0 at a=3"),
+    (ring_axioms, WrongZeroProduct, "exhaustive", "zero absorption fails at a=5"),
+    (ring_axioms, lambda: NonAssociativeAdd(2), "exhaustive",
+     "additive associativity fails at a=1, b=1, c=2"),
+    (ring_axioms, lambda: NonAssociativeAdd(3), "sampled",
+     "additive associativity fails at "),
+    (ring_axioms, lambda: NonCommutativeAdd(3, 3), "exhaustive",
+     "additive commutativity fails at a=t, b=1, c=0"),
+    (ring_axioms, lambda: NonCommutativeAdd(2, 6), "sampled",
+     "additive commutativity fails at "),
+    (ring_axioms, lambda: NonAssociativeMul(2, 4), "exhaustive",
+     "multiplicative associativity fails at a=t, b=t, c=t"),
+    (ring_axioms, lambda: NonAssociativeMul(2, 6), "sampled",
+     "multiplicative associativity fails at "),
+    (ring_axioms, lambda: LeftNonDistributiveMul(3, 3), "exhaustive",
+     "left distributivity fails at a=t, b=t, c=1"),
+    (ring_axioms, lambda: LeftNonDistributiveMul(2, 6), "sampled",
+     "left distributivity fails at "),
+    (sigma_derivation, SigmaOfOneIsThree, "exhaustive", "sigma(1) != 1"),
+    (sigma_derivation, DeltaOutsideI, "exhaustive", "delta(3) is outside I"),
+    (sigma_derivation, SigmaLeavesI, "exhaustive", "sigma(2) leaves I"),
+    (sigma_derivation, DeltaOutsideI2, "exhaustive", "delta(2) is outside I^2"),
+    (sigma_derivation, lambda: NonMultiplicativeSigma(3), "exhaustive",
+     "sigma multiplicativity fails at a=t, b=t"),
+    (sigma_derivation, lambda: NonMultiplicativeSigma(6), "sampled",
+     "sigma multiplicativity fails at "),
+    (sigma_derivation, lambda: NonAdditiveDelta(2, 3), "exhaustive",
+     "delta additivity fails at a=1, b=2"),
+    (sigma_derivation, lambda: NonAdditiveDelta(2, 9), "sampled",
+     "delta additivity fails at "),
+)
+
+
+@pytest.mark.parametrize("suite, ring, mode, prefix", LAW_CONTROLS,
+                         ids=[f"{c[3].split(' at')[0]}-{c[2]}" for c in LAW_CONTROLS])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_each_law_fails_first_on_its_control(suite, ring, mode, prefix, seed):
+    report = suite(ring(), 30, seed)
+    assert report.to_json_dict()["verdict"] == "FAIL"
+    assert report.details["mode"] == mode
+    assert report.counterexample.startswith(prefix), report.counterexample
+    oracle = (elementwise_ring_axiom_check if suite is ring_axioms
+              else elementwise_sigma_derivation_check)
+    assert _outcome(suite, ring(), 30, seed) == _outcome(oracle, ring(), 30, seed)
+
+
 # -- closure ----------------------------------------------------------------
 
 @pytest.mark.parametrize("suite, ring, checked, cex", [
@@ -408,6 +615,13 @@ def test_values_outside_the_carrier_fail_the_suite(suite, ring, checked, cex):
     assert not report.passed
     assert report.counterexample == cex
     assert report.checked == checked
+
+
+def test_nilbound_raises_on_a_value_outside_the_carrier():
+    # only a faulty subclass can leak a value; the search refuses it with
+    # the tables' counterexample, as a wrong depth raises _depth_cut_error
+    with pytest.raises(AssertionError, match=r"^sigma\(5\) leaves the carrier$"):
+        sigma_nilpotence_bound(LeakySigma(), 1)
 
 
 def test_op_tables_reraise_a_key_error_of_the_operation():
@@ -467,6 +681,14 @@ def test_mkl_oracle_calls_sigma_and_delta_once_per_element(monkeypatch):
     assert mkl_oracle(ctx).passed
     assert table_phase == [{"sigma": ctx.cardinality,
                             "delta": ctx.cardinality}]
+
+
+@pytest.mark.parametrize("preset", ["truncpoly:3:4:c=2", BROKEN_PRESET])
+def test_nilbound_calls_sigma_and_delta_once_per_element(preset):
+    ctx = parse_ring_preset(preset)
+    calls = _count_calls(ctx, ("sigma", "delta"))
+    sigma_nilpotence_bound(ctx, 3, 16)
+    assert calls == {"sigma": ctx.cardinality, "delta": ctx.cardinality}
 
 
 # closed_form_checks: every element at each (k, l) with k < d and

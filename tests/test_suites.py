@@ -74,6 +74,12 @@ FAULTS = (
      "x*g leaves G_2 for generator g = 1 (mod t^3) [N=4]"),
     ("graded-iso", series, "monomial_operator_apply", _without_delta_terms(),
      (10, 0), "symbol mismatch: "),
+    # the boundary pair (x, t) reaches the delta part of the graded model:
+    # x*t = 2t*x + t^2, whose t^2 sits on the degree-2 boundary
+    ("graded-iso", series, "monomial_operator_apply", _without_delta_terms(),
+     (3, 0), "symbol mismatch: f=1 (mod t^3)*x [N=4], g=t (mod t^3) [N=4], "),
+    ("graded-iso", series, "monomial_operator_apply", _without_delta_terms(),
+     (3, 7), "symbol mismatch: f=1 (mod t^3)*x [N=4], g=t (mod t^3) [N=4], "),
     ("k0-rank", k0, "random_idempotent", _misreported_rank(k0.BaseScalars),
      (3, 7), "rank 0 != generating rank 1"),
     ("serre-transfer", k0, "random_idempotent",
@@ -95,3 +101,15 @@ def test_a_planted_fault_is_a_fail_verdict(monkeypatch, name, owner, attr,
     report = run_property_suite(name, ctx, None, *run)
     assert report.to_json_dict()["verdict"] == "FAIL"
     assert report.counterexample.startswith(prefix), report.counterexample
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_graded_iso_passes_on_the_broken_control(seed):
+    # delta(f) = t*f breaks the Leibniz rule, which only products of three
+    # factors see; a pair's symbol and the graded model are built from the
+    # same sigma and delta, and delta = t*f raises every radical layer by
+    # one as the model assumes, so the two agree on every pair
+    report = run_property_suite("graded-iso", parse_ring_preset(BROKEN_PRESET),
+                                None, 3, seed)
+    assert (report.passed, report.checked, report.details) == (
+        True, 9, {"exact_branch": 7, "jump_branch": 2, "skipped": 4})
