@@ -791,12 +791,13 @@ def _op_tables(ctx: RingContext, elems: list, unary=(), binary=()):
     """Index tables of ctx's operations over its sorted carrier ``elems``.
 
     Each named operation is called once per argument, through the instance,
-    and each value is stored as its position in ``elems``: T[i] for a unary
-    operation applied to elems[i], T[i][j] for a binary one applied to
-    (elems[i], elems[j]).  Payloads are canonical, so equal positions mean
-    equal values, and a law is then checked on every tuple by list lookups.
-    Returns (tables by name, None), or (None, counterexample) naming the
-    first operation and arguments whose value is not in the carrier."""
+    unary ones first, and each value is stored as its position in
+    ``elems``: T[i] for a unary operation applied to elems[i], T[i][j] for
+    a binary one applied to (elems[i], elems[j]).  Payloads are canonical,
+    so equal positions mean equal values, and a law can then be evaluated
+    by list lookups (see _on_rows).  Returns (tables by name, None), or
+    (None, counterexample) naming the first operation and arguments whose
+    value is not in the carrier."""
     index = {a: i for i, a in enumerate(elems)}
     tables = {}
     for name in unary + binary:
@@ -816,64 +817,108 @@ def _op_tables(ctx: RingContext, elems: list, unary=(), binary=()):
     return tables, None
 
 
-def _ring_law_failure(add, mul, a, b, c):
-    """The first ring law that fails at (a, b, c), or None."""
-    if add(add(a, b), c) != add(a, add(b, c)):
-        return "additive associativity"
-    if add(a, b) != add(b, a):
-        return "additive commutativity"
-    if mul(mul(a, b), c) != mul(a, mul(b, c)):
-        return "multiplicative associativity"
-    if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-        return "left distributivity"
-    if mul(add(a, b), c) != add(mul(a, c), mul(b, c)):
-        return "right distributivity"
-    return None
+# The argument "every position" of the operations _on_rows makes: a law
+# called with it as its last argument is evaluated at every last argument
+# at once.
+_EVERY = object()
 
 
-def _ring_triples_by_table(ctx: RingContext, checked: int):
-    """Every triple of the carrier against _ring_law_failure, over add and
-    mul tables.  For each (a, b) the laws are first compared for all c at
-    once, row against row; only a pair with a failing row is walked c by c,
-    so ``checked`` and the counterexample are those of the plain loop.
-    Returns (checked, counterexample or None)."""
+def _on_rows(table):
+    """The operation of an index table (see _op_tables) on rows.
+
+    An argument is a position, a row of positions (a list, one entry per
+    last argument of a law, taken entry by entry) or _EVERY, the row of
+    every position, on which the operation returns the table's own row: T
+    itself for a unary table, T[i] at (i, _EVERY) for a binary one.  A
+    value that depends on the last argument is a row, any other a
+    position."""
+    if type(table[0]) is int:
+        def unary(x):
+            if type(x) is int:
+                return table[x]
+            return table if x is _EVERY else [table[i] for i in x]
+        return unary
+
+    every = range(len(table))
+
+    def binary(x, y):
+        if type(x) is int:
+            row = table[x]
+            if type(y) is int:
+                return row[y]
+            return row if y is _EVERY else [row[j] for j in y]
+        if x is _EVERY:
+            x = every
+        if type(y) is int:
+            return [table[i][y] for i in x]
+        return [table[i][j] for i, j in zip(x, every if y is _EVERY else y)]
+    return binary
+
+
+def _law_check(ctx: RingContext, law, names, arity: int, samples: int,
+               rng: random.Random, checked: int):
+    """Run ``law`` on every ``arity``-tuple of the carrier, or on
+    ``samples`` seeded ones, and return (checked, counterexample or None)
+    as the plain loop over those tuples does.
+
+    ``law(*ops, *args)`` returns the name of the first law that fails at
+    args, or None; ``names`` names its operations in order, binary add and
+    mul first.  Each law is an equation that fails where its two sides
+    differ.  Sampled tuples call the ring's own operations.  On the
+    exhaustive path the operations are tabled once (_op_tables; a value
+    outside the carrier is the counterexample) and ``law`` runs once per
+    head tuple on rows (_on_rows), with _EVERY as its last argument: two
+    rows of side values differ exactly when the law fails at some last
+    argument, so only a failing row is walked argument by argument."""
+    if not _exhaustive(ctx, arity):
+        ops = [getattr(ctx, name) for name in names]
+        for args in _tuple_stream(ctx, arity, samples, rng):
+            checked += 1
+            failed = law(*ops, *args)
+            if failed:
+                return checked, _law_cex(ctx, failed, args)
+        return checked, None
     elems = sorted(ctx.elements())
-    tables, cex = _op_tables(ctx, elems, binary=("add", "mul"))
+    tables, cex = _op_tables(ctx, elems, unary=names[2:], binary=names[:2])
     if cex:
         return checked, cex
-    A, M = tables["add"], tables["mul"]
+    ops = [_on_rows(tables[name]) for name in names]
     n = len(elems)
-
-    def add(i, j):
-        return A[i][j]
-
-    def mul(i, j):
-        return M[i][j]
-
-    for i in range(n):
-        Ai, Mi = A[i], M[i]
-        for j in range(n):
-            Aj, Mj = A[j], M[j]
-            Aij, Mij = Ai[j], Mi[j]
-            AMij = A[Mij]
-            if (A[Aij] == [Ai[x] for x in Aj]
-                    and Aij == Aj[i]
-                    and M[Mij] == [Mi[x] for x in Mj]
-                    and [Mi[x] for x in Aj] == [AMij[y] for y in Mi]
-                    and M[Aij] == [A[x][y] for x, y in zip(Mi, Mj)]):
-                checked += n
-                continue
-            for k in range(n):
-                checked += 1
-                law = _ring_law_failure(add, mul, i, j, k)
-                if law:
-                    return checked, _triple_cex(ctx, law, elems[i], elems[j], elems[k])
+    for head in itertools.product(range(n), repeat=arity - 1):
+        if not law(*ops, *head, _EVERY):
+            checked += n
+            continue
+        for last in range(n):
+            checked += 1
+            failed = law(*ops, *head, last)
+            if failed:
+                return checked, _law_cex(ctx, failed,
+                                         [elems[i] for i in (*head, last)])
     return checked, None
 
 
-def _triple_cex(ctx, law, a, b, c):
-    return (f"{law} fails at a={ctx.render(a)}, b={ctx.render(b)}, "
-            f"c={ctx.render(c)}")
+def _law_cex(ctx, law, args):
+    shown = ", ".join(f"{name}={ctx.render(x)}" for name, x in zip("abc", args))
+    return f"{law} fails at {shown}"
+
+
+def _ring_law_failure(add, mul, a, b, c):
+    """The first ring law that fails at (a, b, c), or None; each shared
+    subterm is computed once."""
+    ab, bc = add(a, b), add(b, c)
+    if add(ab, c) != add(a, bc):
+        return "additive associativity"
+    if ab != add(b, a):
+        return "additive commutativity"
+    mab, mbc = mul(a, b), mul(b, c)
+    if mul(mab, c) != mul(a, mbc):
+        return "multiplicative associativity"
+    mac = mul(a, c)
+    if mul(a, bc) != add(mab, mac):
+        return "left distributivity"
+    if mul(ab, c) != add(mac, mbc):
+        return "right distributivity"
+    return None
 
 
 def ring_axiom_check(ctx: RingContext, samples: int,
@@ -881,12 +926,13 @@ def ring_axiom_check(ctx: RingContext, samples: int,
     """Verify the ring axioms on every sampled (or enumerated) element and
     triple.
 
-    The single-element laws call the ring's operations directly.  When the
-    triples are enumerated (|R|^3 <= EXHAUSTIVE_TUPLE_LIMIT) that phase costs
-    2|R|^2 operation calls, for the add and mul tables (see _op_tables),
-    plus list lookups for the |R|^3 triples; a sum or product outside the
-    carrier is reported as a closure failure.  Sampled triples call the
-    operations directly."""
+    The single-element laws call the ring's operations directly.  The
+    triples run _ring_law_failure through _law_check: when they are
+    enumerated (|R|^3 <= EXHAUSTIVE_TUPLE_LIMIT) that costs 2|R|^2
+    operation calls, for the add and mul tables, plus one evaluation of
+    the laws on rows per pair (a, b); a sum or product outside the carrier
+    is reported as a closure failure.  Sampled triples call the operations
+    directly, 14 calls per triple."""
     rng = random.Random(seed)
     zero, one = ctx.zero(), ctx.one()
     checked = 0
@@ -906,74 +952,28 @@ def ring_axiom_check(ctx: RingContext, samples: int,
         if cex:
             break
 
-    exhaustive = _exhaustive(ctx, 3)
-    if cex is None and exhaustive:
-        checked, cex = _ring_triples_by_table(ctx, checked)
-    elif cex is None:
-        triples = _tuple_stream(ctx, 3, samples, rng)
-        add, mul = ctx.add, ctx.mul
-        for a, b, c in triples:
-            checked += 1
-            law = _ring_law_failure(add, mul, a, b, c)
-            if law:
-                cex = _triple_cex(ctx, law, a, b, c)
-                break
-
-    return checked, cex, {"mode": "exhaustive" if exhaustive else "sampled"}
+    if cex is None:
+        checked, cex = _law_check(ctx, _ring_law_failure, ("add", "mul"), 3,
+                                  samples, rng, checked)
+    return checked, cex, {"mode": "exhaustive" if _exhaustive(ctx, 3)
+                          else "sampled"}
 
 
 def _sigma_law_failure(add, mul, sigma, delta, a, b):
-    """The first structure-map law that fails at (a, b), or None."""
-    if sigma(add(a, b)) != add(sigma(a), sigma(b)):
+    """The first structure-map law that fails at (a, b), or None; each
+    shared subterm is computed once."""
+    ab, sa, sb = add(a, b), sigma(a), sigma(b)
+    if sigma(ab) != add(sa, sb):
         return "sigma additivity"
-    if sigma(mul(a, b)) != mul(sigma(a), sigma(b)):
+    mab = mul(a, b)
+    if sigma(mab) != mul(sa, sb):
         return "sigma multiplicativity"
-    if delta(add(a, b)) != add(delta(a), delta(b)):
+    da, db = delta(a), delta(b)
+    if delta(ab) != add(da, db):
         return "delta additivity"
-    if delta(mul(a, b)) != add(mul(sigma(a), delta(b)), mul(delta(a), b)):
+    if delta(mab) != add(mul(sa, db), mul(da, b)):
         return "sigma-Leibniz rule"
     return None
-
-
-def _sigma_pairs_by_table(ctx: RingContext, checked: int):
-    """Every pair of the carrier against _sigma_law_failure, over sigma,
-    delta, add and mul tables; for each a the laws are first compared for
-    all b at once, as in _ring_triples_by_table.  Returns (checked,
-    counterexample or None)."""
-    elems = sorted(ctx.elements())
-    tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"),
-                             binary=("add", "mul"))
-    if cex:
-        return checked, cex
-    S, D, A, M = (tables[name] for name in ("sigma", "delta", "add", "mul"))
-    n = len(elems)
-
-    def add(i, j):
-        return A[i][j]
-
-    def mul(i, j):
-        return M[i][j]
-
-    for i in range(n):
-        Ai, Mi = A[i], M[i]
-        ASi, ADi = A[S[i]], A[D[i]]
-        MSi, MDi = M[S[i]], M[D[i]]
-        if ([S[x] for x in Ai] == [ASi[y] for y in S]
-                and [S[x] for x in Mi] == [MSi[y] for y in S]
-                and [D[x] for x in Ai] == [ADi[y] for y in D]
-                and [D[x] for x in Mi] == [A[MSi[d]][y] for d, y in zip(D, MDi)]):
-            checked += n
-            continue
-        for j in range(n):
-            checked += 1
-            law = _sigma_law_failure(add, mul, S.__getitem__, D.__getitem__, i, j)
-            if law:
-                return checked, _pair_cex(ctx, law, elems[i], elems[j])
-    return checked, None
-
-
-def _pair_cex(ctx, law, a, b):
-    return f"{law} fails at a={ctx.render(a)}, b={ctx.render(b)}"
 
 
 def sigma_derivation_check(ctx: RingContext, samples: int,
@@ -983,11 +983,12 @@ def sigma_derivation_check(ctx: RingContext, samples: int,
     delta(I) <= I^2.
 
     The single-element and radical containments call sigma and delta
-    directly.  When the pairs are enumerated (|R|^2 <=
-    EXHAUSTIVE_TUPLE_LIMIT) that phase costs 2|R| + 2|R|^2 operation calls,
-    for the sigma, delta, add and mul tables (see _op_tables), plus list
-    lookups for the |R|^2 pairs; a value outside the carrier is reported as
-    a closure failure.  Sampled pairs call the operations directly."""
+    directly.  The pairs run _sigma_law_failure through _law_check: when
+    they are enumerated (|R|^2 <= EXHAUSTIVE_TUPLE_LIMIT) that costs
+    2|R| + 2|R|^2 operation calls, for the sigma, delta, add and mul
+    tables, plus one evaluation of the laws on rows per a; a value outside
+    the carrier is reported as a closure failure.  Sampled pairs call the
+    operations directly, 16 calls per pair."""
     rng = random.Random(seed)
     one = ctx.one()
     radical = ctx.ideal_power(1)
@@ -1017,20 +1018,12 @@ def sigma_derivation_check(ctx: RingContext, samples: int,
                 cex = f"delta({ctx.render(a)}) is outside I^2"
                 break
 
-    exhaustive = _exhaustive(ctx, 2)
-    if cex is None and exhaustive:
-        checked, cex = _sigma_pairs_by_table(ctx, checked)
-    elif cex is None:
-        pairs = _tuple_stream(ctx, 2, samples, rng)
-        ops = (ctx.add, ctx.mul, ctx.sigma, ctx.delta)
-        for a, b in pairs:
-            checked += 1
-            law = _sigma_law_failure(*ops, a, b)
-            if law:
-                cex = _pair_cex(ctx, law, a, b)
-                break
-
-    return checked, cex, {"mode": "exhaustive" if exhaustive else "sampled",
+    if cex is None:
+        checked, cex = _law_check(ctx, _sigma_law_failure,
+                                  ("add", "mul", "sigma", "delta"), 2,
+                                  samples, rng, checked)
+    return checked, cex, {"mode": "exhaustive" if _exhaustive(ctx, 2)
+                          else "sampled",
                           "sigma_radical_onto": ctx.sigma_radical_onto()}
 
 

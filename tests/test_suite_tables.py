@@ -12,7 +12,7 @@ import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import (ZmodRing, monomial_operator_apply,
-                        monomial_operator_words, parse_ring_preset,
+                        monomial_operator_words, parse_ring_preset, rings,
                         run_property_suite, sigma_nilpotence_bound, skewpoly)
 from skewseries.report import CheckReport
 from skewseries.rings import (TruncPolyRing, _exhaustive, _op_tables,
@@ -601,6 +601,65 @@ def test_each_law_fails_first_on_its_control(suite, ring, mode, prefix, seed):
     oracle = (elementwise_ring_axiom_check if suite is ring_axioms
               else elementwise_sigma_derivation_check)
     assert _outcome(suite, ring(), 30, seed) == _outcome(oracle, ring(), 30, seed)
+
+
+# -- one definition per law -------------------------------------------------
+#
+# Each law is written once, in _ring_law_failure or _sigma_law_failure, and
+# both paths of rings._law_check run it.  A law added there, one the ring's
+# own operations break, must then be reported where the plain loop over the
+# tuples reports it, on the table path and on the sampled one.
+
+def _extra_ring_law(add, mul, a, b, c):
+    if mul(mul(a, b), c) != mul(mul(a, a), c):
+        return "a*b*c = a*a*c"
+    return None
+
+
+def _extra_pair_law(add, mul, sigma, delta, a, b):
+    if mul(mul(sigma(a), a), b) != mul(a, mul(sigma(b), b)):
+        return "sigma(a)*a*b = a*sigma(b)*b"
+    return None
+
+
+def _plain_law_loop(ctx, law, names, arity, samples, rng, checked):
+    """rings._law_check as the plain loop: ``law`` at every tuple of
+    _tuple_stream, through the ring's own operations."""
+    ops = [getattr(ctx, name) for name in names]
+    for args in _tuple_stream(ctx, arity, samples, rng):
+        checked += 1
+        failed = law(*ops, *args)
+        if failed:
+            shown = ", ".join(f"{name}={ctx.render(x)}"
+                              for name, x in zip("abc", args))
+            return checked, f"{failed} fails at {shown}"
+    return checked, None
+
+
+@pytest.mark.parametrize("suite, law, extra, preset, mode, cex", [
+    (ring_axioms, "_ring_law_failure", _extra_ring_law, "truncpoly:3:3:c=2",
+     "exhaustive", "a*b*c = a*a*c fails at a=t^2, b=1, c=1"),
+    (ring_axioms, "_ring_law_failure", _extra_ring_law, "zmod:2^6",
+     "sampled", "a*b*c = a*a*c fails at "),
+    (sigma_derivation, "_sigma_law_failure", _extra_pair_law, "zmod:3^5",
+     "exhaustive", "sigma(a)*a*b = a*sigma(b)*b fails at a=1, b=2"),
+    (sigma_derivation, "_sigma_law_failure", _extra_pair_law, "zmod:2^9",
+     "sampled", "sigma(a)*a*b = a*sigma(b)*b fails at ")],
+    ids=["triples-exhaustive", "triples-sampled", "pairs-exhaustive",
+         "pairs-sampled"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_law_added_to_its_function_fails_on_both_paths(
+        monkeypatch, suite, law, extra, preset, mode, cex, seed):
+    plain = getattr(rings, law)
+    monkeypatch.setattr(rings, law,
+                        lambda *args: plain(*args) or extra(*args))
+    report = suite(parse_ring_preset(preset), 30, seed)
+    assert report.details["mode"] == mode
+    assert report.counterexample.startswith(cex), report.counterexample
+    monkeypatch.setattr(rings, "_law_check", _plain_law_loop)
+    looped = suite(parse_ring_preset(preset), 30, seed)
+    assert (report.checked, report.counterexample) == \
+        (looped.checked, looped.counterexample)
 
 
 # -- closure ----------------------------------------------------------------

@@ -1,13 +1,15 @@
 """run_property_suite over the preset matrix: the verdict of every suite on
 each preset and on the delta=broken control, the sample count the runner
 requires of every suite, and a FAIL verdict from each suite whose
-counterexample no preset reaches, on a layer with one planted fault."""
+counterexample no preset reaches (from poly-assoc and series-assoc, one per
+counterexample text), on a layer with one planted fault."""
 
 import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
-from skewseries import (SUITE_NAMES, TruncatedSeries, k0, parse_ring_preset,
-                        run_property_suite, series)
+from skewseries import (SUITE_NAMES, SkewPoly, TruncatedSeries, k0,
+                        parse_ring_preset, run_property_suite, series, skewpoly)
+from skewseries.skewpoly import _LeftForm
 
 # the suites that find a counterexample on the delta=broken control, where
 # delta breaks the Leibniz rule and so S/G_N is not associative
@@ -65,6 +67,49 @@ def _misreported_rank(base):
     return lying
 
 
+def _products_off_by_one():
+    """poly_mul_commutation, giving one more than the product."""
+    plain = skewpoly.poly_mul_commutation
+    return lambda f, g: plain(f, g) + SkewPoly.one(f.ctx)
+
+
+def _sums_multiplying_off_by_one(reflected):
+    """SkewPoly.__add__, whose sums are right but multiply to one more than
+    the product: as left factors, or (reflected) as right factors, where
+    Python tries a subclass's reflected product first.  A sum of the wrong
+    value would fail the commutation oracle first, which sums as well."""
+    plain = SkewPoly.__add__
+
+    class Sum(SkewPoly):
+        __slots__ = ()
+        if reflected:
+            def __rmul__(self, other):
+                return plain(SkewPoly.__mul__(other, self),
+                             SkewPoly.one(self.ctx))
+        else:
+            def __mul__(self, other):
+                return plain(SkewPoly.__mul__(self, other),
+                             SkewPoly.one(self.ctx))
+
+    def add(f, g):
+        total = plain(f, g)
+        return Sum(total.ctx, total.coeffs)
+    return add
+
+
+def _series_sums_gaining(side):
+    """TruncatedSeries.__add__, where f + g gains x*(f - g) (side "left")
+    or (f - g)*x: right distributivity holds for the first and left
+    distributivity for the second, since x is not central."""
+    plain = _LeftForm.__add__
+
+    def add(f, g):
+        x = TruncatedSeries.var(f.ctx, f.precision)
+        diff = plain(f, -g)
+        return plain(plain(f, g), x * diff if side == "left" else diff * x)
+    return add
+
+
 # (suite, owner, name, replacement, samples and seed, counterexample prefix)
 FAULTS = (
     ("ideal-closure", TruncatedSeries, "filtration_degree", lambda self: 0,
@@ -88,6 +133,27 @@ FAULTS = (
     ("serre-transfer", k0, "random_idempotent",
      _misreported_rank(k0.BaseScalars), (3, 7),
      "base rank 2 != generating rank 3"),
+    # every counterexample text of poly-assoc and series-assoc; the
+    # delta=broken control reaches only "associativity fails"
+    ("poly-assoc", skewpoly, "poly_mul_commutation", _products_off_by_one(),
+     (3, 7), "products disagree: "),
+    ("poly-assoc", SkewPoly, "__add__", _sums_multiplying_off_by_one(False),
+     (3, 7), "right distributivity fails: "),
+    ("poly-assoc", SkewPoly, "__add__", _sums_multiplying_off_by_one(True),
+     (3, 7), "left distributivity fails: "),
+    # a degree one too low
+    ("poly-assoc", SkewPoly, "degree",
+     property(lambda self: len(self.coeffs) - 2), (3, 7),
+     "degree bound fails: "),
+    ("series-assoc", TruncatedSeries, "__add__", _series_sums_gaining("left"),
+     (3, 7), "left distributivity fails: "),
+    ("series-assoc", TruncatedSeries, "__add__",
+     _series_sums_gaining("right"), (3, 7), "right distributivity fails: "),
+    # the image of a polynomial loses its top slot
+    ("series-assoc", TruncatedSeries, "from_poly",
+     classmethod(lambda cls, f, precision: cls(f.ctx, precision,
+                                               f.coeffs[:precision - 1])),
+     (3, 7), "product not well defined on classes: "),
 )
 
 
