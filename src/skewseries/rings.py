@@ -16,8 +16,9 @@ small presets.  All answers are exact.
 Preset grammar (also accepted by the command line front end):
 
     zmod:<p>^<n>              Z/p^n with I = (p), sigma = id, delta = 0
-    truncpoly:<q>:<m>:c=<u>   F_q[t]/(t^m) with I = (t), sigma(f)(t) = f(u*t)
-                              and delta(f) = t*(sigma(f) - f)
+    truncpoly:<q>:<m>:c=<u>   F_q[t]/(t^m), q a prime at most 251, with
+                              I = (t), sigma(f)(t) = f(u*t) and
+                              delta(f) = t*(sigma(f) - f)
     ...:delta=zero            force delta = 0 on a truncpoly preset
     ...:delta=broken          deliberately non-Leibniz delta(f) = t*f, kept
                               for exercising the failure paths of the
@@ -25,9 +26,9 @@ Preset grammar (also accepted by the command line front end):
 
 A truncpoly preset takes at most one modifier.
 
-Elements are plain payloads: ints for zmod presets, coefficient tuples
-(low degree first) for truncpoly presets.  Payloads are canonical, so
-``==`` is semantic equality.
+Elements are plain payloads: ints for zmod presets, and for truncpoly
+presets ``bytes`` of length m, one coefficient per byte (low degree
+first).  Payloads are canonical, so ``==`` is semantic equality.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ EXHAUSTIVE_TUPLE_LIMIT = 65536
 # table, holds at most this many entries: an exhaustive pair table at
 # |R| = 256.  An entry takes about 95 bytes, so a full memo takes about
 # 6.2 MB.  The element table saves memory, not lookup time: a cold dense
-# truncpoly:3:6:c=2 product in S/G_256 peaks at 7.04 MB under tracemalloc
-# with it, 13.32 MB without it, and 9.77 MB without it on bytes elements.
+# truncpoly:3:6:c=2 product in S/G_256 peaks at 7.01 MB under tracemalloc
+# with it and 9.77 MB without it.
 MEMO_CAP = 1 << 16
 
 
@@ -419,23 +420,32 @@ class TruncPolyRing(RingContext):
     "broken" (delta(f) = t*f, which violates the Leibniz rule and exists
     only so the failure paths of the checkers can be driven end to end).
 
+    An element is ``bytes`` of length m whose byte i is its t^i
+    coefficient: it caches its hash, compares by memcmp, and is already
+    the packed form of the formulas below, so q is at most 251, the
+    largest prime below 256.
+
     add and mul, the two operations the product kernel calls, answer a
     repeated call from a memo per context, keyed by the pair (a, b) of the
-    hashable tuples the ring hands out; the formulas behind them (_add,
-    _mul) are pure, so a hit returns what the formula would.  neg, sigma
-    and delta are formulas that store nothing (memos for neg and sigma
-    measured within noise on every benchmark workload); on the q-twist
-    delta(sum a_i t^i) = sum (c^i - 1) a_i t^(i+1), which equals
-    t*(sigma(f) - f).  A stored value, and each value of a closed operator
-    row, is the one object the element table _elems holds for it, so equal
-    values share one tuple: the table saves memory (see MEMO_CAP), not
-    lookup time.  Each memo and _elems hold at most MEMO_CAP entries.
+    elements the ring hands out; the formulas behind them (_add, _mul) are
+    pure, so a hit returns what the formula would.  neg, sigma and delta
+    are formulas that store nothing (memos for neg and sigma measured
+    within noise on every benchmark workload); neg is one translate, and
+    on the q-twist delta(sum a_i t^i) = sum (c^i - 1) a_i t^(i+1), which
+    equals t*(sigma(f) - f).  A stored value, and each value of a closed
+    operator row, is the one object the element table _elems holds for
+    it, so equal values share one bytes object: the table saves memory
+    (see MEMO_CAP), not lookup time.  Each memo and _elems hold at most
+    MEMO_CAP entries.
     Threads share the memos without a lock: concurrent misses store equal
     values, and setdefault keeps one object per element.  Nothing
     enumerates R.
     """
 
     def __init__(self, q: int, m: int, c: int, delta_mode: str = "qtwist"):
+        if q > 251:
+            raise ValueError(f"truncpoly characteristic {q} exceeds 251: an "
+                             f"element holds one coefficient per byte")
         if not _is_prime(q):
             raise ValueError(f"truncpoly characteristic {q} is not prime")
         if m < 1:
@@ -452,20 +462,26 @@ class TruncPolyRing(RingContext):
         self.radical_nilpotency = m
         suffix = "" if delta_mode == "qtwist" else f":delta={delta_mode}"
         self.name = f"truncpoly:{q}:{m}:c={c}{suffix}"
-        gen = [0] * m
+        gen = bytearray(m)
         if m > 1:
             gen[1] = 1
-        self.radical_gens = (tuple(gen),)
-        self._zero = (0,) * m
-        self._one = (1 % q,) + (0,) * (m - 1)
+        self.radical_gens = (bytes(gen),)
+        self._zero = bytes(m)
+        self._one = self.from_int(1)
         self._cpow = [pow(c, i, q) for i in range(m)]
         # e_i = c^i - 1 for i < m - 1: delta(t^i) = e_i t^(i+1) on the
         # q-twist, and t^m = 0
         self._delta_scale = [(x - 1) % q for x in self._cpow[:-1]]
-        # one byte per t-coefficient holds every coefficient of a product
-        # below t^m, at most m*(q-1)^2, when that is at most 255 (see _mul)
+        # each translate table covers every byte value, so a byte >= q is
+        # read as its residue; one byte per t-coefficient holds the sum of
+        # two coefficients, at most 2(q-1), when that is at most 255 (see
+        # _add), and every coefficient of a product below t^m, at most
+        # m*(q-1)^2, when that is at most 255 (see _mul)
+        residues = bytes(i % q for i in range(256))
+        self._negated = bytes(-i % q for i in range(256))
+        self._sum_residues = residues if 2 * (q - 1) <= 255 else None
         if m * (q - 1) ** 2 <= 255:
-            self._byte_residues = bytes(i % q for i in range(256))
+            self._byte_residues = residues
             self._low_bytes = (1 << 8 * m) - 1
         else:
             self._byte_residues = self._low_bytes = None
@@ -475,7 +491,7 @@ class TruncPolyRing(RingContext):
         super().__init__()
 
     def elements(self):
-        return itertools.product(range(self.q), repeat=self.m)
+        return map(bytes, itertools.product(range(self.q), repeat=self.m))
 
     # -- the memo --------------------------------------------------------
 
@@ -519,8 +535,18 @@ class TruncPolyRing(RingContext):
     # -- the formulas behind the memo -------------------------------------
 
     def _add(self, a, b):
-        q = self.q
-        return tuple([(x + y) % q for x, y in zip(a, b)])
+        """The sum as one int add of the two packed factors where one byte
+        per coefficient cannot carry (2(q-1) <= 255, the bound __init__
+        checks), else coefficient by coefficient.  A 256-entry table
+        reduces each byte mod q; the packed sum is the elementwise one
+        wherever no byte sum passes 255, as on canonical arguments and on
+        any bytes below 128."""
+        residues = self._sum_residues
+        if residues is None:
+            q = self.q
+            return bytes([(x + y) % q for x, y in zip(a, b)])
+        return (int.from_bytes(a, "little") + int.from_bytes(b, "little")
+                ).to_bytes(self.m, "little").translate(residues)
 
     def _mul(self, a, b):
         """The product by Kronecker substitution t -> 256 where one byte
@@ -535,9 +561,9 @@ class TruncPolyRing(RingContext):
         residues = self._byte_residues
         if residues is None:
             return self._schoolbook_mul(a, b)
-        packed = (int.from_bytes(bytes(a), "little")
-                  * int.from_bytes(bytes(b), "little")) & self._low_bytes
-        return tuple(packed.to_bytes(self.m, "little").translate(residues))
+        packed = (int.from_bytes(a, "little")
+                  * int.from_bytes(b, "little")) & self._low_bytes
+        return packed.to_bytes(self.m, "little").translate(residues)
 
     def _schoolbook_mul(self, a, b):
         """The product coefficient by coefficient: the formula of every
@@ -550,15 +576,14 @@ class TruncPolyRing(RingContext):
                 y = b[j]
                 if y:
                     out[i + j] = (out[i + j] + x * y) % self.q
-        return tuple(out)
+        return bytes(out)
 
     def neg(self, a):
-        q = self.q
-        return tuple([-x % q for x in a])
+        return a.translate(self._negated)
 
     def sigma(self, a):
         q = self.q
-        return tuple([x * s % q for x, s in zip(a, self._cpow)])
+        return bytes([x * s % q for x, s in zip(a, self._cpow)])
 
     def zero(self):
         return self._zero
@@ -568,7 +593,7 @@ class TruncPolyRing(RingContext):
 
     def _shift(self, a):
         # multiplication by t
-        return (0,) + a[:-1]
+        return b"\0" + a[:-1]
 
     def delta(self, a):
         # on the q-twist t*(sigma(a) - a) is the closed formula
@@ -578,10 +603,10 @@ class TruncPolyRing(RingContext):
         if self.delta_mode == "broken":
             return self._shift(a)
         q = self.q
-        return (0,) + tuple([x * e % q for x, e in zip(a, self._delta_scale)])
+        return b"\0" + bytes([x * e % q for x, e in zip(a, self._delta_scale)])
 
     def sample(self, rng):
-        return tuple(rng.randrange(self.q) for _ in range(self.m))
+        return bytes([rng.randrange(self.q) for _ in range(self.m)])
 
     def render(self, a):
         parts = []
@@ -596,7 +621,7 @@ class TruncPolyRing(RingContext):
         return " + ".join(parts) if parts else "0"
 
     def from_int(self, value):
-        return (value % self.q,) + (0,) * (self.m - 1)
+        return bytes([value % self.q]) + bytes(self.m - 1)
 
     def named_literals(self):
         return {"t": self.radical_gens[0]}
@@ -606,11 +631,11 @@ class TruncPolyRing(RingContext):
         return "t" if kk == 1 else f"t^{kk}"
 
     def _reduce(self, a, k):
-        return a[:k] + (0,) * (self.m - k)
+        return a[:k] + bytes(self.m - k)
 
     def _ideal_power_list(self, k):
-        head = (0,) * k
-        return [head + tail
+        head = bytes(k)
+        return [head + bytes(tail)
                 for tail in itertools.product(range(self.q), repeat=self.m - k)]
 
     def _valuation(self, a):
@@ -626,7 +651,7 @@ class TruncPolyRing(RingContext):
         b = [u]
         for k in range(1, self.m):
             b.append(-u * sum(a[j] * b[k - j] for j in range(1, k + 1)) % self.q)
-        return tuple(b)
+        return bytes(b)
 
     def _unit_residues(self):
         return [self.from_int(c) for c in range(1, self.q)]
@@ -683,7 +708,7 @@ class TruncPolyRing(RingContext):
         weights at k = d give M_{d,n}(b), so the depth cut is checked for b
         and every n: a nonzero value raises _depth_cut_error.  Every value
         is the element table's object for it (_interned), so the rows share
-        their tuples with the operation memos."""
+        their bytes objects with the operation memos."""
         if self.delta_mode == "broken" or type(self) is not TruncPolyRing:
             return None
         weights = self._weights.get(d)
@@ -699,7 +724,7 @@ class TruncPolyRing(RingContext):
             for k, ws in enumerate(below):
                 scaled = [x * w % q for x, w in zip(b, ws)]
                 if any(scaled):
-                    v = (0,) * k + tuple(scaled)
+                    v = bytes(k) + bytes(scaled)
                     row.append((k, self._interned(v) or v))
             distinct.append(tuple(row))
         # rows n and n + r are the same object

@@ -1,5 +1,6 @@
-"""Smoke test of tools/ab_trees.py: one round of expr-warm with both sides
-loaded from this tree's src/."""
+"""Smoke tests of tools/ab_trees.py: one round of expr-warm and one of
+rank-mixed with both sides loaded from this tree's src/, each side on the
+pool its own tree generated, and the representation-neutral digest."""
 
 import importlib.util
 import sys
@@ -43,3 +44,49 @@ def test_one_round_of_expr_warm_on_the_same_tree():
     after = {name: id(m) for name, m in sys.modules.items()
              if name.split(".")[0] == "skewseries"}
     assert after == before
+
+
+def test_each_side_replays_the_pool_its_own_tree_generated(monkeypatch):
+    # a shared pool would hand one tree's elements to the other, which
+    # breaks an A/B of a change of element representation
+    ab = _load_tool()
+    generate, run = ab.Side.generate, ab.Side.run
+    generated, replayed = {}, []
+
+    def recording_generate(self, seed):
+        generate(self, seed)
+        own = sys.modules["skewseries.rings"] is self.modules["skewseries.rings"]
+        generated[self.label] = (own, self.pool)
+
+    def recording_run(self):
+        replayed.append((self.label, self.pool is generated[self.label][1]))
+        return run(self)
+
+    monkeypatch.setattr(ab.Side, "generate", recording_generate)
+    monkeypatch.setattr(ab.Side, "run", recording_run)
+    summary = ab.compare(ROOT / "src", ROOT / "src", "rank-mixed", seed=7, rounds=1)
+    assert summary["same_outputs"] and summary["pool"] == 180
+    assert {label: own for label, (own, _) in generated.items()} == \
+        {"old": True, "new": True}
+    assert generated["old"][1] is not generated["new"][1]
+    assert sorted(replayed) == [("new", True)] * 2 + [("old", True)] * 2
+
+
+def test_the_digest_reads_bytes_as_tuples_of_ints():
+    ab = _load_tool()
+    assert ab.neutral([(b"\x01\x02", 3), (b"",)]) == [((1, 2), 3), ((),)]
+    assert ab.neutral("abc") == "abc" and ab.neutral(None) is None
+
+    class Plain:
+        """A workload whose outputs are already plain."""
+
+        @staticmethod
+        def plain(out):
+            return out
+
+    side = ab.Side.__new__(ab.Side)
+    side.workload = Plain()
+    as_bytes = [(b"\x00\x01", b"\x02\x00"), 5]
+    as_tuples = [((0, 1), (2, 0)), 5]
+    assert side.digest(as_bytes) == side.digest(as_tuples)
+    assert side.digest(as_bytes) != side.digest([((0, 1), (2, 1)), 5])

@@ -25,7 +25,7 @@ SEED = 16
 BUDGET_S = 2
 INVALID_PRESETS = ("zmod:6^2", "zmod:2^0", "zmod:2", "truncpoly:3:3",
                    "truncpoly:4:3:c=2", "truncpoly:3:3:c=0", "bogus:1",
-                   "zmod:2^3:delta=broken")
+                   "zmod:2^3:delta=broken", "truncpoly:257:2:c=3")
 # m*(q-1)^2 = 288 > 255: this preset's products take TruncPolyRing's
 # schoolbook path, not the byte-packed one
 SCHOOLBOOK_PRESET = "truncpoly:13:2:c=2"
@@ -59,7 +59,10 @@ KNOWN_DRAWS = (("check serre-transfer", BROKEN_PRESET,
 # the subcommands the seeded draws never run on the schoolbook preset
 SCHOOLBOOK_DRAWS = (("normalize", SCHOOLBOOK_PRESET,
                      ["normalize", "(x + t)^3*x - 5", "--ring",
-                      SCHOOLBOOK_PRESET]),)
+                      SCHOOLBOOK_PRESET]),
+                    ("complete-row", SCHOOLBOOK_PRESET,
+                     ["complete-row", "1 + t,x,t", "--ring", SCHOOLBOOK_PRESET,
+                      "--prec", "3"]))
 # a draw above the word-limit budget, which the seeded nilbound draws reach
 # with one value in 66
 BUDGET_DRAWS = (("nilbound", BROKEN_PRESET,

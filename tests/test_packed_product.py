@@ -51,7 +51,7 @@ def test_packed_matches_schoolbook_on_seeded_pairs(preset):
     ctx = parse_ring_preset(preset)
     assert ctx._byte_residues is not None
     # the largest coefficients fill each low byte the most: m*(q-1)^2 at t^(m-1)
-    top = (ctx.q - 1,) * ctx.m
+    top = bytes([ctx.q - 1] * ctx.m)
     pairs = [(top, top)] + sampled_pairs(ctx, SAMPLED_PAIRS, 30)
     assert first_disagreement(ctx, pairs) is None
 
@@ -67,8 +67,8 @@ def test_past_the_bound_takes_the_schoolbook_path(monkeypatch):
         return plain(self, a, b)
 
     monkeypatch.setattr(TruncPolyRing, "_schoolbook_mul", counted)
-    a, b = (12, 12), (12, 1)
-    assert ctx.mul(a, b) == (144 % 13, (12 + 144) % 13)
+    a, b = bytes([12, 12]), bytes([12, 1])
+    assert ctx.mul(a, b) == bytes([144 % 13, (12 + 144) % 13])
     assert calls == [(a, b)]
 
 
@@ -83,7 +83,7 @@ def test_forced_packing_past_the_bound_is_reported():
     ctx._byte_residues = bytes(i % ctx.q for i in range(256))
     ctx._low_bytes = (1 << 8 * ctx.m) - 1
     assert first_disagreement(ctx, pairs) is not None
-    top = (12, 12)
+    top = bytes([12, 12])
     assert ctx._mul(top, top) != ctx._schoolbook_mul(top, top)
 
 

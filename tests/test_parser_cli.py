@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -296,6 +298,18 @@ class TestCliContract:
         code, out, err = run_cli(["normalize", "x^^2", "--ring", "zmod:2^3"])
         assert code == 2
         assert "column 3" in err
+
+    def test_a_characteristic_past_251_exits_2_with_one_error_line(self):
+        # an element holds one coefficient per byte; the refusal is a plain
+        # error line from a real process, with no traceback
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "skewseries", "normalize", "(t+x)^3",
+             "--ring", "truncpoly:257:2:c=3"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: truncpoly characteristic 257 exceeds 251: an "
+                   "element holds one coefficient per byte\n")
 
     def test_nilbound_not_found_in_json(self):
         code, out, err = run_cli(["nilbound", "--n", "3", "--word-limit", "2",

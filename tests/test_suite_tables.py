@@ -312,7 +312,7 @@ class NonAssociativeAdd(TruncPolyRing):
         x, y = a[0], b[0]
         if x and y and (x + y) % 5:
             g = x * self._F.get(y * pow(x, -1, 5) % 5, 0)
-            s = s[:-1] + ((s[-1] + g) % 5,)
+            s = s[:-1] + bytes([(s[-1] + g) % 5])
         return s
 
 
@@ -325,11 +325,11 @@ class NonCommutativeAdd(TruncPolyRing):
 
     def add(self, a, b):
         s = super().add(a, b)
-        return s[:-1] + ((s[-1] + a[0] * b[1]) % self.q,)
+        return s[:-1] + bytes([(s[-1] + a[0] * b[1]) % self.q])
 
     def neg(self, a):
         n = super().neg(a)
-        return n[:-1] + ((n[-1] + a[0] * a[1]) % self.q,)
+        return n[:-1] + bytes([(n[-1] + a[0] * a[1]) % self.q])
 
 
 class NonAssociativeMul(TruncPolyRing):
@@ -342,7 +342,7 @@ class NonAssociativeMul(TruncPolyRing):
 
     def mul(self, a, b):
         p = super().mul(a, b)
-        return p[:3] + ((p[3] + a[1] * b[2]) % self.q,) + p[4:]
+        return p[:3] + bytes([(p[3] + a[1] * b[2]) % self.q]) + p[4:]
 
 
 class LeftNonDistributiveMul(TruncPolyRing):
@@ -359,7 +359,7 @@ class LeftNonDistributiveMul(TruncPolyRing):
     def mul(self, a, b):
         p = super().mul(a, b)
         if b[0] == 0:
-            p = p[:-1] + ((p[-1] + a[1] * b[1]) % self.q,)
+            p = p[:-1] + bytes([(p[-1] + a[1] * b[1]) % self.q])
         return p
 
 

@@ -9,9 +9,11 @@ script loads bench/workloads.py once per tree into one process instead:
 the skewseries modules are cleared from sys.modules between the two loads,
 so each copy of the workloads module is bound to its own tree, and each
 side's modules are put back into sys.modules before each of its passes.
-Both sides are set up and replay the pool once untimed (a warm-up whose
-outputs are compared), then they alternate timed passes over the same
-pool, the order flipping every round.  A pass, and each request in it,
+Each side generates its pool from its own tree with the same seed, so the
+two pools hold the same values in each tree's own element representation.
+Both sides are set up and replay their pool once untimed (a warm-up whose
+outputs are compared), then they alternate timed passes, the order
+flipping every round.  A pass, and each request in it,
 is timed in CPU time, after a gc.collect() so that neither side pays for
 the other's garbage.
 
@@ -22,7 +24,9 @@ ratios NEW/OLD, and the rounds NEW was faster.  From the same per-item
 medians it prints each side's throughput (pool size over their sum, as
 bench/run.py reads throughput_rps, but in CPU time and not scaled to its
 reference speed) and per-item p90 (as latency_p90_ms), with their ratios
-NEW/OLD, and last whether the two sides gave the same outputs.  It uses
+NEW/OLD, and last whether the two sides gave the same outputs, compared
+with every bytes object read as the tuple of its ints, so that a change of
+element representation (truncpoly tuples to bytes) compares equal.  It uses
 the standard library only and changes nothing under bench/.
 """
 
@@ -72,10 +76,15 @@ class Side:
         if not loaded.is_relative_to(self.src):
             raise RuntimeError(f"{label}: {PACKAGE} came from {loaded}, not {self.src}")
         self.workload = module.WORKLOADS[workload_name]
-        self.state = None
+        self.state = self.pool = None
         self.times, self.took = [], []   # per round: the pass's CPU s, each request's
 
-    def run(self, pool):
+    def generate(self, seed):
+        """Generate this side's pool from its own tree."""
+        _activate(self.modules)
+        self.pool = self.workload.generate(seed)
+
+    def run(self):
         """One pass over the pool; returns (CPU seconds, CPU seconds per
         request, outputs)."""
         _activate(self.modules)
@@ -83,7 +92,7 @@ class Side:
         request, state = self.workload.request, self.state
         outputs, took = [], []
         t0 = process_time()
-        for item in pool:
+        for item in self.pool:
             c0 = process_time()
             outputs.append(request(state, item))
             took.append(process_time() - c0)
@@ -94,8 +103,18 @@ class Side:
         return [statistics.median(t) for t in zip(*self.took)]
 
     def digest(self, outputs):
-        plain = [repr(self.workload.plain(out)) for out in outputs]
+        plain = [repr(neutral(self.workload.plain(out))) for out in outputs]
         return hashlib.sha256("\n".join(plain).encode()).hexdigest()
+
+
+def neutral(value):
+    """value with every bytes object in it, at any depth of its tuples and
+    lists, read as the tuple of its ints."""
+    if type(value) is bytes:
+        return tuple(value)
+    if type(value) in (tuple, list):
+        return type(value)(map(neutral, value))
+    return value
 
 
 def _p90(values):
@@ -119,18 +138,16 @@ def compare(old_src, new_src, workload, seed, rounds):
     try:
         sides = [Side("old", old_src, path, workload),
                  Side("new", new_src, path, workload)]
-        _activate(sides[0].modules)
-        pool = sides[0].workload.generate(seed)
         digests = []
         for side in sides:
-            _activate(side.modules)
+            side.generate(seed)
             side.state = side.workload.setup()
-            digests.append(side.digest(side.run(pool)[2]))
+            digests.append(side.digest(side.run()[2]))
         new_won = 0
         for r in range(rounds):
             times = {}
             for side in (sides if r % 2 == 0 else sides[::-1]):
-                total, took, _ = side.run(pool)
+                total, took, _ = side.run()
                 side.times.append(total)
                 side.took.append(took)
                 times[side.label] = total
@@ -143,7 +160,8 @@ def compare(old_src, new_src, workload, seed, rounds):
     rps = {label: len(t) / sum(t) for label, t in items.items()}
     p90s = {label: 1000 * _p90(t) for label, t in items.items()}
     return {
-        "workload": workload, "seed": seed, "rounds": rounds, "pool": len(pool),
+        "workload": workload, "seed": seed, "rounds": rounds,
+        "pool": len(sides[0].pool),
         "median_s": medians,
         "quartiles_s": {side.label: _quartiles(side.times) for side in sides},
         "ratio": medians["new"] / medians["old"],
