@@ -15,7 +15,8 @@ small presets.  All answers are exact.
 
 Preset grammar (also accepted by the command line front end):
 
-    zmod:<p>^<n>              Z/p^n with I = (p), sigma = id, delta = 0
+    zmod:<p>^<n>              Z/p^n with I = (p), sigma = id, delta = 0,
+                              p a prime below 2^32 and p^n at most 2^64
     truncpoly:<q>:<m>:c=<u>   F_q[t]/(t^m), q a prime at most 251, with
                               I = (t), sigma(f)(t) = f(u*t) and
                               delta(f) = t*(sigma(f) - f)
@@ -34,6 +35,7 @@ first).  Payloads are canonical, so ``==`` is semantic equality.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 
@@ -64,6 +66,14 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _residue_tables(q: int) -> tuple[bytes, bytes]:
+    """The translate tables i -> i % q and i -> -i % q over every byte value
+    i, each built by repeating one period of q bytes."""
+    repeats = 256 // q + 1
+    return ((bytes(range(q)) * repeats)[:256],
+            ((b"\0" + bytes(range(q - 1, 0, -1))) * repeats)[:256])
 
 
 class RingContext:
@@ -477,8 +487,7 @@ class TruncPolyRing(RingContext):
         # two coefficients, at most 2(q-1), when that is at most 255 (see
         # _add), and every coefficient of a product below t^m, at most
         # m*(q-1)^2, when that is at most 255 (see _mul)
-        residues = bytes(i % q for i in range(256))
-        self._negated = bytes(-i % q for i in range(256))
+        residues, self._negated = _residue_tables(q)
         self._sum_residues = residues if 2 * (q - 1) <= 255 else None
         if m * (q - 1) ** 2 <= 255:
             self._byte_residues = residues
@@ -760,6 +769,11 @@ def _depth_cut_error(ctx: RingContext, d: int, n: int, b) -> AssertionError:
 
 _ZMOD_RE = re.compile(r"^(\d+)\^(\d+)$")
 
+# The largest zmod presets parse_ring_preset accepts: p < 2^32, so that
+# trial division takes at most 2^16 steps, and p^n <= 2^64.
+ZMOD_MAX_BASE = 1 << 32
+ZMOD_MAX_CARDINALITY = 1 << 64
+
 
 def parse_ring_preset(text: str) -> RingContext:
     """Build a ring context from a preset string (see the module docstring)."""
@@ -773,7 +787,14 @@ def parse_ring_preset(text: str) -> RingContext:
             raise ValueError(f"invalid zmod preset {text!r}: expected zmod:<p>^<n>")
         if len(parts) > 2:
             raise ValueError(f"invalid zmod modifier {parts[2]!r}")
-        return ZmodRing(int(match.group(1)), int(match.group(2)))
+        p, n = int(match.group(1)), int(match.group(2))
+        # checked before the primality test and the table of powers, whose
+        # costs grow with p and with n^2
+        if p >= ZMOD_MAX_BASE:
+            raise ValueError(f"zmod modulus base {p} is at least 2^32")
+        if p >= 2 and (n > 64 or p ** n > ZMOD_MAX_CARDINALITY):
+            raise ValueError(f"zmod preset {text!r} has more than 2^64 elements")
+        return ZmodRing(p, n)
     if head == "truncpoly":
         if len(parts) < 4 or not parts[3].startswith("c="):
             raise ValueError(
@@ -818,11 +839,11 @@ def _op_tables(ctx: RingContext, elems: list, unary=(), binary=()):
     Each named operation is called once per argument, through the instance,
     unary ones first, and each value is stored as its position in
     ``elems``: T[i] for a unary operation applied to elems[i], T[i][j] for
-    a binary one applied to (elems[i], elems[j]).  Payloads are canonical,
-    so equal positions mean equal values, and a law can then be evaluated
-    by list lookups (see _on_rows).  Returns (tables by name, None), or
-    (None, counterexample) naming the first operation and arguments whose
-    value is not in the carrier."""
+    a binary one applied to (elems[i], elems[j]), in lists.  Payloads are
+    canonical, so equal positions mean equal values, and a law can then be
+    evaluated on positions alone (see _on_rows).  Returns (tables by name,
+    None), or (None, counterexample) naming the first operation and
+    arguments whose value is not in the carrier."""
     index = {a: i for i, a in enumerate(elems)}
     tables = {}
     for name in unary + binary:
@@ -842,41 +863,40 @@ def _op_tables(ctx: RingContext, elems: list, unary=(), binary=()):
     return tables, None
 
 
-# The argument "every position" of the operations _on_rows makes: a law
-# called with it as its last argument is evaluated at every last argument
-# at once.
-_EVERY = object()
-
-
 def _on_rows(table):
-    """The operation of an index table (see _op_tables) on rows.
+    """The operation of an index table (see _op_tables) on byte rows.
 
-    An argument is a position, a row of positions (a list, one entry per
-    last argument of a law, taken entry by entry) or _EVERY, the row of
-    every position, on which the operation returns the table's own row: T
-    itself for a unary table, T[i] at (i, _EVERY) for a binary one.  A
-    value that depends on the last argument is a row, any other a
-    position."""
+    The table covers at most 256 positions (_law_check runs it only on
+    exhaustive pairs or triples, and EXHAUSTIVE_TUPLE_LIMIT = 256^2), so a
+    position fits in one byte and a row of positions, one per last
+    argument of a law, is ``bytes``.  An argument is a position (an int)
+    or a row; a value that depends on the last argument is a row, any
+    other a position.  Each row of the table, and each column on first
+    use, is kept as a translate table padded to 256 bytes, so an operation
+    on one row is one bytes.translate: a unary T on a row x is
+    x.translate(T), a binary T at (i, y) is y.translate(row i) and at
+    (x, j) x.translate(column j).  Only an operation on two rows walks
+    them, position by position, in C through map."""
+    pad = bytes(256 - len(table))
     if type(table[0]) is int:
+        lift = bytes(table) + pad
+
         def unary(x):
-            if type(x) is int:
-                return table[x]
-            return table if x is _EVERY else [table[i] for i in x]
+            return lift[x] if type(x) is int else x.translate(lift)
         return unary
 
-    every = range(len(table))
+    rows = [bytes(row) + pad for row in table]
+    columns = []
 
     def binary(x, y):
         if type(x) is int:
-            row = table[x]
-            if type(y) is int:
-                return row[y]
-            return row if y is _EVERY else [row[j] for j in y]
-        if x is _EVERY:
-            x = every
+            row = rows[x]
+            return row[y] if type(y) is int else y.translate(row)
         if type(y) is int:
-            return [table[i][y] for i in x]
-        return [table[i][j] for i, j in zip(x, every if y is _EVERY else y)]
+            if not columns:
+                columns.extend(bytes(column) + pad for column in zip(*table))
+            return x.translate(columns[y])
+        return bytes(map(operator.getitem, map(rows.__getitem__, x), y))
     return binary
 
 
@@ -892,9 +912,10 @@ def _law_check(ctx: RingContext, law, names, arity: int, samples: int,
     differ.  Sampled tuples call the ring's own operations.  On the
     exhaustive path the operations are tabled once (_op_tables; a value
     outside the carrier is the counterexample) and ``law`` runs once per
-    head tuple on rows (_on_rows), with _EVERY as its last argument: two
-    rows of side values differ exactly when the law fails at some last
-    argument, so only a failing row is walked argument by argument."""
+    head tuple on byte rows (_on_rows), with the row of every position as
+    its last argument: two rows of side values are equal bytes exactly
+    when the law holds at every last argument, so only a failing row is
+    walked argument by argument."""
     if not _exhaustive(ctx, arity):
         ops = [getattr(ctx, name) for name in names]
         for args in _tuple_stream(ctx, arity, samples, rng):
@@ -909,8 +930,9 @@ def _law_check(ctx: RingContext, law, names, arity: int, samples: int,
         return checked, cex
     ops = [_on_rows(tables[name]) for name in names]
     n = len(elems)
+    every = bytes(range(n))
     for head in itertools.product(range(n), repeat=arity - 1):
-        if not law(*ops, *head, _EVERY):
+        if not law(*ops, *head, every):
             checked += n
             continue
         for last in range(n):
@@ -955,9 +977,11 @@ def ring_axiom_check(ctx: RingContext, samples: int,
     triples run _ring_law_failure through _law_check: when they are
     enumerated (|R|^3 <= EXHAUSTIVE_TUPLE_LIMIT) that costs 2|R|^2
     operation calls, for the add and mul tables, plus one evaluation of
-    the laws on rows per pair (a, b); a sum or product outside the carrier
-    is reported as a closure failure.  Sampled triples call the operations
-    directly, 14 calls per triple."""
+    the laws on byte rows per pair (a, b): of its 14 operations three
+    take positions alone, ten are translates and one, the sum of two rows
+    in right distributivity, walks its positions (see _on_rows).  A sum
+    or product outside the carrier is reported as a closure failure.
+    Sampled triples call the operations directly, 14 calls per triple."""
     rng = random.Random(seed)
     zero, one = ctx.zero(), ctx.one()
     checked = 0
@@ -1011,9 +1035,12 @@ def sigma_derivation_check(ctx: RingContext, samples: int,
     directly.  The pairs run _sigma_law_failure through _law_check: when
     they are enumerated (|R|^2 <= EXHAUSTIVE_TUPLE_LIMIT) that costs
     2|R| + 2|R|^2 operation calls, for the sigma, delta, add and mul
-    tables, plus one evaluation of the laws on rows per a; a value outside
-    the carrier is reported as a closure failure.  Sampled pairs call the
-    operations directly, 16 calls per pair."""
+    tables, plus one evaluation of the laws on byte rows per a: of its 16
+    operations two take positions alone, thirteen are translates and one,
+    the sum of two rows in the sigma-Leibniz rule, walks its positions
+    (see _on_rows).  A value outside the carrier is reported as a closure
+    failure.  Sampled pairs call the operations directly, 16 calls per
+    pair."""
     rng = random.Random(seed)
     one = ctx.one()
     radical = ctx.ideal_power(1)

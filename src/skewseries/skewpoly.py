@@ -524,23 +524,44 @@ def random_poly(ctx: RingContext, max_degree: int, rng: random.Random) -> SkewPo
     return SkewPoly(ctx, [ctx.sample(rng) for _ in range(max_degree + 1)])
 
 
+def monomial_operator_word_images(sigma_table: list, delta_table: list,
+                                  size: int, top: int):
+    """Yield, for n = 0 .. top, the images of the words of n letters over a
+    carrier of ``size`` elements, given its sigma and delta index tables
+    (see rings._op_tables): {word: image}, a word a str of "d" (delta) and
+    "s" (sigma) letters applied last letter first, as in
+    monomial_operator_words, and image[i] the position of its value at the
+    i-th element.  The image of a word is the image of the word without
+    its first letter after one more table pass, so the n-th layer costs
+    2^n passes.  The images of the last layer, which no later layer
+    needs, are lazy: one pass each when read, so each can be read once.
+    The generator holds at most two layers of stored images."""
+    layer = {"": range(size)}
+    for n in range(top + 1):
+        yield layer
+        if n < top:
+            layer = {letter + word: map(table.__getitem__, image)
+                     for word, image in layer.items()
+                     for letter, table in (("d", delta_table),
+                                           ("s", sigma_table))}
+            if n + 1 < top:
+                layer = {word: list(image) for word, image in layer.items()}
+
+
 def monomial_operator_word_sums(ctx: RingContext, k: int, l: int, elems: list,
-                                sigma_table: list, delta_table: list):
+                                images: dict):
     """monomial_operator_words for every element of the sorted carrier
-    ``elems`` at once, given the sigma and delta index tables over it (see
-    rings._op_tables).  Each word is applied as a composition of table
-    lookups, and the words are summed with ctx.add per element in the same
-    order as monomial_operator_words.  Returns (values, word_count)."""
+    ``elems`` at once, given the images of the words of k + l letters over
+    it (a layer of monomial_operator_word_images).  The words are summed
+    with ctx.add per element in the same order as monomial_operator_words.
+    Returns (values, word_count)."""
     totals = [ctx.zero()] * len(elems)
     count = 0
     n = k + l
     for delta_slots in itertools.combinations(range(n), k):
-        slots = set(delta_slots)
-        image = range(len(elems))
-        for idx in reversed(range(n)):
-            table = delta_table if idx in slots else sigma_table
-            image = [table[x] for x in image]
-        totals = [ctx.add(t, elems[x]) for t, x in zip(totals, image)]
+        word = "".join("d" if i in delta_slots else "s" for i in range(n))
+        totals = list(map(ctx.add, totals,
+                          map(elems.__getitem__, images[word])))
         count += 1
     return totals, count
 
@@ -559,20 +580,28 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
     kernels skip those terms.
 
     The words run over sigma and delta tables of the carrier (|R| calls
-    each, see rings._op_tables), summed per (k, l) by
+    each, see rings._op_tables).  Each word's image is built once, from
+    the image of the word without its first letter
+    (monomial_operator_word_images: 2^(T+1) - 2 table passes, T =
+    MKL_ORACLE_MAX_TOTAL), and the words are summed per (k, l) by
     monomial_operator_word_sums.  The recursion still runs on every
-    element: MKL_ORACLE_MAX_TOTAL + 1 calls per element, M_{T-l,l}(a) for
-    l = 0..T with T = MKL_ORACLE_MAX_TOTAL, fill the memo column by column
-    with every M_{k,l}(a), k + l <= T (each call fills the rectangle below
-    its own (k, l)), and each (k, l, a) is then read back from that memo in
-    the order of the word sums.  A sigma or delta value outside the carrier
+    element: T + 1 calls per element, M_{T-l,l}(a) for l = 0..T, fill the
+    memo column by column with every M_{k,l}(a), k + l <= T (each call
+    fills the rectangle below its own (k, l)), and each (k, l, a) is then
+    read back from that memo.  A sigma or delta value outside the carrier
     is reported as a closure failure.
 
     Where the family has a closed form of the operator rows
     (ctx._closed_rows), it is compared with the recursion too: its rows of
-    every element for l <= MKL_ORACLE_MAX_TOTAL give M_{k,l} for k < depth,
-    and building them checks M_{depth,l} = 0, so a closed form that claims
-    a nonzero value there fails the suite with its own error text.
+    every element for l <= T give M_{k,l} for k < depth, and building them
+    checks M_{depth,l} = 0, so a closed form that claims a nonzero value
+    there fails the suite with its own error text.
+
+    Each (k, l) is compared as whole columns over the carrier: words
+    against recursion, closed form against recursion (k < depth) and
+    words against zero (k >= depth).  Only a column that differs somewhere
+    is walked element by element, so ``checked``, the counters and the
+    counterexample are those of the element-by-element loop.
 
     The recursion fills a fresh M_{k,l} memo, which is dropped afterwards:
     the context's own memo (ctx._mkl_cache) is put back unchanged, so the
@@ -583,48 +612,68 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
     closed_checks = 0
     zero = ctx.zero()
     depth = ctx.mkl_depth()
+    top = MKL_ORACLE_MAX_TOTAL
     elems = sorted(ctx.elements())
+    size = len(elems)
     tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
     closed, cex = (_closed_rows_of(ctx, depth, elems) if cex is None
-                   else ({}, cex))
-    degrees = () if cex else [(k, total - k)
-                              for total in range(MKL_ORACLE_MAX_TOTAL + 1)
-                              for k in range(total + 1)]
+                   else ([], cex))
+    layers = ()
     recursion = {}
     own_memo, ctx._mkl_cache = ctx._mkl_cache, recursion
     try:
-        if degrees:
+        if cex is None:
             for a in elems:
-                for l in range(MKL_ORACLE_MAX_TOTAL + 1):
-                    monomial_operator_apply(ctx, MKL_ORACLE_MAX_TOTAL - l, l, a)
-        for k, l in degrees:
-            sums, count = monomial_operator_word_sums(
-                ctx, k, l, elems, tables["sigma"], tables["delta"])
-            for a, by_words in zip(elems, sums):
-                checked += 1
-                if count != math.comb(k + l, k):
-                    cex = f"word count mismatch at k={k}, l={l}"
-                    break
-                by_recursion = recursion[(k, l, a)]
-                if by_words != by_recursion:
-                    cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
-                           f"words give {ctx.render(by_words)}")
-                    break
-                if closed and k < depth:
-                    closed_checks += 1
-                    by_closed = dict(closed[a][l]).get(k, zero)
-                    if by_closed != by_recursion:
-                        cex = (f"closed form of M_{{{k},{l}}} mismatch at "
-                               f"a={ctx.render(a)}: closed form gives "
-                               f"{ctx.render(by_closed)}")
+                for l in range(top + 1):
+                    monomial_operator_apply(ctx, top - l, l, a)
+            layers = monomial_operator_word_images(
+                tables["sigma"], tables["delta"], size, top)
+        for total, images in enumerate(layers):
+            for k in range(total + 1):
+                l = total - k
+                sums, count = monomial_operator_word_sums(ctx, k, l, elems,
+                                                          images)
+                words = math.comb(total, k)
+                by_recursion = list(map(recursion.__getitem__,
+                                        zip(itertools.repeat(k),
+                                            itertools.repeat(l), elems)))
+                by_closed = ([dict(rows[l]).get(k, zero) for rows in closed]
+                             if closed and k < depth else None)
+                if (count == words and sums == by_recursion
+                        and (by_closed is None or by_closed == by_recursion)
+                        and (k < depth or sums.count(zero) == size)):
+                    checked += size
+                    if by_closed is not None:
+                        closed_checks += size
+                    if k >= depth:
+                        vanishing += size
+                    continue
+                for i, a in enumerate(elems):
+                    checked += 1
+                    if count != words:
+                        cex = f"word count mismatch at k={k}, l={l}"
                         break
-                if k >= depth:
-                    vanishing += 1
-                    if by_words != zero:
-                        cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
-                               f"{ctx.render(by_words)} does not vanish at "
-                               f"k >= depth {depth}")
+                    by_words = sums[i]
+                    if by_words != by_recursion[i]:
+                        cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
+                               f"words give {ctx.render(by_words)}")
                         break
+                    if by_closed is not None:
+                        closed_checks += 1
+                        if by_closed[i] != by_recursion[i]:
+                            cex = (f"closed form of M_{{{k},{l}}} mismatch at "
+                                   f"a={ctx.render(a)}: closed form gives "
+                                   f"{ctx.render(by_closed[i])}")
+                            break
+                    if k >= depth:
+                        vanishing += 1
+                        if by_words != zero:
+                            cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
+                                   f"{ctx.render(by_words)} does not vanish at "
+                                   f"k >= depth {depth}")
+                            break
+                if cex:
+                    break
             if cex:
                 break
     finally:
@@ -644,19 +693,19 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
 
 
 def _closed_rows_of(ctx: RingContext, depth: int, elems):
-    """({a: the closed-form operator rows of a for l <=
-    MKL_ORACLE_MAX_TOTAL} over ``elems``, None), the dict empty where the
-    family has no closed form; or ({}, the error text of a row that fails
-    its depth check)."""
-    closed = {}
+    """([the closed-form operator rows of a for l <= MKL_ORACLE_MAX_TOTAL,
+    for each a of ``elems``], None), the list empty where the family has no
+    closed form; or ([], the error text of a row that fails its depth
+    check)."""
+    closed = []
     try:
         for a in elems:
             rows = ctx._closed_rows(depth, a, 0, MKL_ORACLE_MAX_TOTAL + 1)
             if rows is None:
-                return {}, None
-            closed[a] = rows
+                return [], None
+            closed.append(rows)
     except AssertionError as exc:
-        return {}, str(exc)
+        return [], str(exc)
     return closed, None
 
 

@@ -15,6 +15,8 @@ import json
 import random
 import signal
 
+import pytest
+
 from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import cli
 from skewseries.rings import NILBOUND_WORD_LIMIT
@@ -68,6 +70,10 @@ SCHOOLBOOK_DRAWS = (("normalize", SCHOOLBOOK_PRESET,
 BUDGET_DRAWS = (("nilbound", BROKEN_PRESET,
                  ["nilbound", "--n", "3", "--word-limit",
                   str(NILBOUND_WORD_LIMIT + 1), "--ring", BROKEN_PRESET]),)
+# zmod presets past parse_ring_preset's bounds, p < 2^32 and p^n <= 2^64:
+# unbounded, the first spends about 10^9 trial divisions on its base and
+# the second builds n + 1 powers of p, quadratic in n
+OVERSIZED_ZMOD_PRESETS = ("zmod:1000000000000000003^1", "zmod:2^60000")
 # ragged matrices, which _matrix never draws and only IdempotentMatrix
 # rejects, over R and over S/G_N, and beside a matrix that is square but
 # not idempotent, which must not turn the usage error into a verdict
@@ -169,6 +175,8 @@ def _usage_error(argv):
         return "above the word-limit budget"
     if any(argv == draw for _, _, draw in RAGGED_DRAWS):
         return "on a ragged matrix"
+    if any(preset in argv for preset in OVERSIZED_ZMOD_PRESETS):
+        return "on an oversized zmod preset"
     return None
 
 
@@ -219,3 +227,11 @@ def test_fuzzed_command_lines_make_only_the_known_findings():
     assert {preset for _, preset, _ in draws} == set(PRESETS)
     assert {argv[0] for _, preset, argv in draws
             if preset == SCHOOLBOOK_PRESET} == set(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("preset", OVERSIZED_ZMOD_PRESETS)
+def test_oversized_zmod_presets_exit_2_within_the_budget(preset):
+    # _outcome asks for exit 2 here (see _usage_error), within BUDGET_S
+    argv = ["normalize", "x", "--ring", preset]
+    assert _usage_error(argv) == "on an oversized zmod preset"
+    assert _outcome(argv) is None

@@ -1,6 +1,7 @@
 """Smoke test of tools/diff_trees.py: a few fuzzed draws of this tree's src/
-against itself differ nowhere, and against a copy with one planted output
-change they differ on every draw that reaches it."""
+against itself differ nowhere, nor do its suite reports on one preset, and
+against a copy with one planted output change the draws differ on every
+draw that reaches it."""
 
 import importlib.util
 import shutil
@@ -27,6 +28,14 @@ def test_a_tree_against_itself_differs_nowhere(capsys):
         f"{ROOT / 'src'}: 0 differ\n")
 
 
+def test_suite_reports_of_a_tree_against_itself_differ_nowhere():
+    tool = _load_tool()
+    runs = tool.suite_runs(["zmod:2^3"])
+    # nine suites at seeds 0 and 7, each its own label
+    assert len(runs) == len({label for label, _ in runs}) == 18
+    assert tool.compare_runs(ROOT / "src", ROOT / "src", runs) == {}
+
+
 def test_a_planted_output_change_is_reported(tmp_path):
     tool = _load_tool()
     shutil.copytree(ROOT / "src" / "skewseries", tmp_path / "skewseries",
@@ -42,7 +51,7 @@ def test_a_planted_output_change_is_reported(tmp_path):
     for _, old, new in cases:
         assert old[0] == new[0] and old[2] == new[2]
         assert new[1] == old[1] + "planted\n"
-    lines = tool.report(differ, DRAWS, SEED, "old", "new")
+    lines = tool.report(differ, f"{DRAWS} draws at seed {SEED}", "old", "new")
     assert lines[0] == f"{DRAWS} draws at seed {SEED}, old against new: {len(cases)} differ"
     label = min(differ)
     old_stdout = differ[label][0][1][1]

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from conftest import PRESET_MATRIX
-from skewseries import TruncPolyRing, parse_ring_preset
+from skewseries import TruncPolyRing, parse_ring_preset, rings
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SMALL_PRESETS = tuple(p for p in PRESET_MATRIX if p.startswith("truncpoly"))
@@ -129,6 +129,18 @@ def test_tables_for_canonical_bytes_only_are_caught():
     ctx._sum_residues = bytes(i % q for i in range(2 * q - 1)) + bytes(257 - 2 * q)
     assert first_disagreement(ctx, canonical_pairs, elems) is None
     assert first_disagreement(ctx, pairs, singles)[0] == "add"
+
+
+def test_residue_tables_are_the_residues_for_every_characteristic():
+    # built by repeating one period; compared with i % q and -i % q
+    for q in filter(rings._is_prime, range(2, 252)):
+        residues, negated = rings._residue_tables(q)
+        assert residues == bytes(i % q for i in range(256)), q
+        assert negated == bytes(-i % q for i in range(256)), q
+        ctx = TruncPolyRing(q, 2, 1)
+        assert ctx._negated == negated
+        assert ctx._sum_residues in (residues, None)
+        assert ctx._byte_residues in (residues, None)
 
 
 def test_past_the_add_bound_takes_the_elementwise_formula():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import time
 
 import pytest
@@ -50,6 +51,18 @@ class TestPresets:
     def test_preset_errors(self, bad):
         with pytest.raises(ValueError):
             parse_ring_preset(bad)
+
+    @pytest.mark.parametrize("preset, message", [
+        ("zmod:4294967311^1", "zmod modulus base 4294967311 is at least 2^32"),
+        ("zmod:2^65", "zmod preset 'zmod:2^65' has more than 2^64 elements"),
+        ("zmod:3^41", "zmod preset 'zmod:3^41' has more than 2^64 elements"),
+    ])
+    def test_zmod_bounds(self, preset, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_ring_preset(preset)
+        # the largest accepted presets on either bound
+        assert parse_ring_preset("zmod:2^64").cardinality == 1 << 64
+        assert parse_ring_preset("zmod:4294967291^2").p == 4294967291
 
     def test_modifiers(self):
         dz = parse_ring_preset("truncpoly:3:3:c=2:delta=zero")

@@ -15,9 +15,10 @@ from skewseries import (ZmodRing, monomial_operator_apply,
                         monomial_operator_words, parse_ring_preset, rings,
                         run_property_suite, sigma_nilpotence_bound, skewpoly)
 from skewseries.report import CheckReport
-from skewseries.rings import (TruncPolyRing, _exhaustive, _op_tables,
-                              _tuple_stream)
-from skewseries.skewpoly import monomial_operator_word_sums
+from skewseries.rings import (TruncPolyRing, _exhaustive, _on_rows,
+                              _op_tables, _tuple_stream)
+from skewseries.skewpoly import (monomial_operator_word_images,
+                                 monomial_operator_word_sums)
 
 
 # -- element-wise oracles ---------------------------------------------------
@@ -416,6 +417,34 @@ class NonAdditiveDelta(ZmodRing):
         return self.cardinality // 2 if a % 4 == 3 else 0
 
 
+class EulerDerivation(TruncPolyRing):
+    """F_2[t]/(t^8), sigma = id, with the derivation delta = t^2 d/dt,
+    delta(t^i) = i t^(i+1): a sigma-derivation with delta(R) <= I and
+    delta(I) <= I^2 on a carrier of 256 elements, the largest whose pairs
+    are enumerated."""
+
+    def __init__(self):
+        super().__init__(2, 8, 1)
+
+    def delta(self, a):
+        return b"\0" + bytes(i % 2 * x for i, x in enumerate(a[:-1]))
+
+
+class LastPositionLeibniz(EulerDerivation):
+    """EulerDerivation whose product t^2 * (1 + t + ... + t^7), the last
+    element, has its constant term flipped.  delta kills the constant term,
+    so the sigma-Leibniz rule still holds at a = t^2; it first fails at
+    a = t, b = that last element, where delta(a) = t^2 enters only the
+    right side's sum of two rows, the one operation of the sigma laws that
+    walks position by position."""
+
+    def mul(self, a, b):
+        p = super().mul(a, b)
+        if a == bytes([0, 0, 1]) + bytes(5) and b == bytes([1] * 8):
+            p = bytes([1 - p[0]]) + p[1:]
+        return p
+
+
 def _wrong_at(k0, l0, a0):
     """The recursion, except that the call which first enters M_{k0,l0}(a0)
     in the context's memo adds 1 to that entry: mkl-oracle reads it back
@@ -505,15 +534,21 @@ def test_wrong_recursion_value_matches_elementwise_loop(preset, monkeypatch):
         _outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset))
 
 
-def test_a_wrong_closed_form_fails_the_oracle(monkeypatch):
-    # M_{0,3}(a) replaced by 1 in the closed-form rows of the last element
+# the first and the last element of a column: mkl-oracle compares whole
+# columns and walks one only where it differs
+ENDS = pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+
+
+@ENDS
+def test_a_wrong_closed_form_fails_the_oracle(monkeypatch, where):
+    # M_{0,3}(a) replaced by 1 in the closed-form rows of one element
     ctx = parse_ring_preset("truncpoly:3:3:c=2")
-    last = sorted(ctx.elements())[-1]
+    wrong_at = sorted(ctx.elements())[where]
     plain = TruncPolyRing._closed_rows
 
     def wrong(self, d, b, built, top):
         rows = plain(self, d, b, built, top)
-        if b == last:
+        if b == wrong_at:
             rows = rows[:3] + (((0, self.one()),),) + rows[4:]
         return rows
 
@@ -521,10 +556,35 @@ def test_a_wrong_closed_form_fails_the_oracle(monkeypatch):
     report = mkl_oracle(parse_ring_preset("truncpoly:3:3:c=2"))
     assert not report.passed
     assert report.counterexample == (
-        f"closed form of M_{{0,3}} mismatch at a={ctx.render(last)}: "
+        f"closed form of M_{{0,3}} mismatch at a={ctx.render(wrong_at)}: "
         "closed form gives 1")
     assert _outcome(mkl_oracle, parse_ring_preset("truncpoly:3:3:c=2")) == \
         _outcome(elementwise_mkl_oracle_check, parse_ring_preset("truncpoly:3:3:c=2"))
+
+
+@ENDS
+@pytest.mark.parametrize("preset", ["truncpoly:3:3:c=2", "zmod:3^3"])
+def test_a_sigma_wrong_at_one_element_fails_the_oracle_there(
+        monkeypatch, preset, where):
+    # sigma(a) + 1 at one element, patched on the family itself so that its
+    # closed form, which does not call sigma, still runs: words and
+    # recursion agree on M_{0,1}(a) = sigma(a), the closed form does not
+    ctx = parse_ring_preset(preset)
+    wrong_at = sorted(ctx.elements())[where]
+    family = type(ctx)
+    plain = family.sigma
+
+    def wrong(self, a):
+        value = plain(self, a)
+        return self.add(value, self.one()) if a == wrong_at else value
+
+    monkeypatch.setattr(family, "sigma", wrong)
+    report = mkl_oracle(parse_ring_preset(preset))
+    assert not report.passed
+    assert report.counterexample.startswith(
+        f"closed form of M_{{0,1}} mismatch at a={ctx.render(wrong_at)}: ")
+    assert _outcome(mkl_oracle, parse_ring_preset(preset)) == \
+        _outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset))
 
 
 def test_a_closed_form_below_its_depth_fails_the_oracle(monkeypatch):
@@ -545,10 +605,13 @@ def test_word_sums_match_word_enumeration(preset):
     tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
     assert cex is None
     max_total = 6 if ctx.cardinality <= 81 else 3
-    for total in range(max_total + 1):
+    layers = monomial_operator_word_images(
+        tables["sigma"], tables["delta"], len(elems), max_total)
+    for total, images in enumerate(layers):
+        assert len(images) == 2 ** total
         for k in range(total + 1):
             sums, count = monomial_operator_word_sums(
-                ctx, k, total - k, elems, tables["sigma"], tables["delta"])
+                ctx, k, total - k, elems, images)
             assert count == math.comb(total, k)
             assert sums == [monomial_operator_words(ctx, k, total - k, a)[0]
                             for a in elems]
@@ -658,6 +721,63 @@ def test_a_law_added_to_its_function_fails_on_both_paths(
     assert report.counterexample.startswith(cex), report.counterexample
     monkeypatch.setattr(rings, "_law_check", _plain_law_loop)
     looped = suite(parse_ring_preset(preset), 30, seed)
+    assert (report.checked, report.counterexample) == \
+        (looped.checked, looped.counterexample)
+
+
+# -- the byte engine at |R| = 256 -------------------------------------------
+#
+# _on_rows holds a position in one byte, so the exhaustive pairs may cover
+# at most 256 elements; at exactly 256 the last position is 255.
+
+def test_exhaustive_pairs_cover_at_most_256_elements():
+    assert _exhaustive(ZmodRing(2, 8), 2)
+    assert not _exhaustive(ZmodRing(257, 1), 2)
+
+
+@pytest.mark.parametrize("preset", ["truncpoly:3:3:c=2", "zmod:2^8"])
+def test_row_operations_read_the_table(preset):
+    # every kind of argument pair, the column of (row, position) included,
+    # which no shipped law makes
+    ctx = parse_ring_preset(preset)
+    elems = sorted(ctx.elements())
+    n = len(elems)
+    tables, _ = _op_tables(ctx, elems, unary=("sigma",), binary=("mul",))
+    mul, sigma = _on_rows(tables["mul"]), _on_rows(tables["sigma"])
+    rng = random.Random(5)
+    x, y = (bytes(rng.randrange(n) for _ in range(n)) for _ in range(2))
+    table = tables["mul"]
+    for i in (0, 1, n - 1):
+        assert sigma(i) == tables["sigma"][i]
+        assert mul(i, n - 1 - i) == table[i][n - 1 - i]
+        assert mul(i, y) == bytes(table[i][j] for j in y)
+        assert mul(x, i) == bytes(table[j][i] for j in x)
+    assert sigma(x) == bytes(tables["sigma"][j] for j in x)
+    assert mul(x, y) == bytes(table[i][j] for i, j in zip(x, y))
+
+
+@pytest.mark.parametrize("ring", [
+    lambda: ZmodRing(2, 8), lambda: TruncPolyRing(2, 8, 1), EulerDerivation],
+    ids=["zmod:2^8", "truncpoly:2:8:c=1", "euler-derivation"])
+def test_pairs_at_256_elements_match_the_plain_loop(monkeypatch, ring):
+    report = sigma_derivation(ring(), 30, 3)
+    assert report.passed and report.details["mode"] == "exhaustive"
+    assert report.checked == 256 + 2 * 128 + 256 ** 2
+    monkeypatch.setattr(rings, "_law_check", _plain_law_loop)
+    looped = sigma_derivation(ring(), 30, 3)
+    assert (report.checked, report.counterexample) == \
+        (looped.checked, looped.counterexample)
+
+
+def test_a_fault_at_the_last_position_is_found_through_a_row_sum(monkeypatch):
+    report = sigma_derivation(LastPositionLeibniz(), 30, 3)
+    assert report.counterexample == (
+        "sigma-Leibniz rule fails at a=t, "
+        "b=1 + t + t^2 + t^3 + t^4 + t^5 + t^6 + t^7")
+    # a = t is the head at position 64, and b the last position
+    assert report.checked == 256 + 2 * 128 + 64 * 256 + 256
+    monkeypatch.setattr(rings, "_law_check", _plain_law_loop)
+    looped = sigma_derivation(LastPositionLeibniz(), 30, 3)
     assert (report.checked, report.counterexample) == \
         (looped.checked, looped.counterexample)
 

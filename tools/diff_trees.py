@@ -1,9 +1,14 @@
 """Cross-tree differential fuzz of the command line.
 
     python3 tools/diff_trees.py OLD/src NEW/src --draws 2000 --seed 101
+    python3 tools/diff_trees.py OLD/src NEW/src --suites
 
 Draws argv with the CLI fuzzer's grammar (tests/test_cli_fuzz._draw, so
 the grammar lives in one place) and runs every argv through both trees.
+With --suites it runs instead every property suite over the fuzzer's
+preset matrix and delta=broken (PRESET_MATRIX and BROKEN_PRESET of
+tests/conftest.py) at seeds 0 and 7, each report as JSON, and lists every
+report that differs.
 Each tree gets one worker process (this script with --worker SRC) that
 imports skewseries from SRC and runs each argv in-process through
 cli.main, under the fuzzer's CPU-time budget (BUDGET_S of ITIMER_PROF).
@@ -47,6 +52,27 @@ def draws(count, seed):
     fuzz = _fuzzer()
     rng = random.Random(seed)
     return [fuzz._draw(rng, i)[::2] for i in range(count)]
+
+
+# the --seed of every suite run
+SUITE_SEEDS = (0, 7)
+
+
+def suite_runs(presets=None):
+    """(label, argv) of every suite over presets (default: PRESET_MATRIX and
+    BROKEN_PRESET) at SUITE_SEEDS, with the argv as its own label, so that
+    report lists each differing run."""
+    fuzz = _fuzzer()
+    if presets is None:
+        presets = fuzz.PRESET_MATRIX + (fuzz.BROKEN_PRESET,)
+    runs = []
+    for preset in presets:
+        for suite in fuzz.SUITE_NAMES:
+            for seed in SUITE_SEEDS:
+                argv = ["check", suite, "--ring", preset, "--seed", str(seed),
+                        "--format", "json"]
+                runs.append((" ".join(argv[1:6]), argv))
+    return runs
 
 
 class _OverBudget(BaseException):
@@ -109,9 +135,14 @@ def _outcomes(src, argvs, budget_s):
 
 def compare(old_src, new_src, count, seed):
     """{label: [(argv, old outcome, new outcome)]} of the draws that differ."""
-    if not count:
+    return compare_runs(old_src, new_src, draws(count, seed) if count else [])
+
+
+def compare_runs(old_src, new_src, drawn):
+    """{label: [(argv, old outcome, new outcome)]} of the (label, argv) in
+    drawn whose outcomes differ."""
+    if not drawn:
         return {}
-    drawn = draws(count, seed)
     budget_s = _fuzzer().BUDGET_S
     argvs = [argv for _, argv in drawn]
     with concurrent.futures.ThreadPoolExecutor(2) as pool:
@@ -134,11 +165,11 @@ def _first_difference(a, b):
             return i + 1, x, y
 
 
-def report(differ, count, seed, old, new):
-    """The lines main prints for the result of compare."""
+def report(differ, runs, old, new):
+    """The lines main prints for the result of compare or compare_runs;
+    runs says what ran, as "2000 draws at seed 101"."""
     total = sum(len(v) for v in differ.values())
-    lines = [f"{count} draws at seed {seed}, {old} against {new}: "
-             f"{total} differ"]
+    lines = [f"{runs}, {old} against {new}: {total} differ"]
     for label in sorted(differ):
         argv, a, b = differ[label][0]
         lines.append(f"  {label}: {len(differ[label])} differ, e.g. "
@@ -158,6 +189,9 @@ def main(argv=None):
     parser.add_argument("new", nargs="?", help="src directory of the tree under test")
     parser.add_argument("--draws", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--suites", action="store_true",
+                        help="compare the suite reports over the preset "
+                             "matrix instead of fuzzed draws")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -167,8 +201,14 @@ def main(argv=None):
         parser.error("the old and new src directories are required")
     if args.draws < 0:
         parser.error("--draws must be >= 0")
-    differ = compare(args.old, args.new, args.draws, args.seed)
-    print("\n".join(report(differ, args.draws, args.seed, args.old, args.new)))
+    if args.suites:
+        runs = suite_runs()
+        differ = compare_runs(args.old, args.new, runs)
+        what = f"{len(runs)} suite reports"
+    else:
+        differ = compare(args.old, args.new, args.draws, args.seed)
+        what = f"{args.draws} draws at seed {args.seed}"
+    print("\n".join(report(differ, what, args.old, args.new)))
     return 1 if differ else 0
 
 
