@@ -99,7 +99,6 @@ class RingContext:
     def __init__(self):
         self._ideal_power_lists = None
         self._inv_table = None
-        self._is_local = None
         self._mkl_cache = {}
         # b -> rows, rows[n] the (k, M_{k,n}(b)) with k < d = mkl_depth() and
         # a nonzero value, admitted once M_{d,n}(b) = 0 is checked, built by
@@ -164,11 +163,7 @@ class RingContext:
         raise NotImplementedError
 
     def _inv(self, a):
-        """Candidate inverse of a unit a; may raise ValueError otherwise."""
-        raise NotImplementedError
-
-    def _unit_residues(self) -> list:
-        """One representative of each nonzero class of R/I."""
+        """Candidate inverse of a unit a."""
         raise NotImplementedError
 
     def _mkl_depth(self) -> int:
@@ -260,39 +255,31 @@ class RingContext:
         are exactly the elements of valuation 0."""
         return self.ideal_valuation(a) == 0
 
-    def _verified_inv(self, a):
-        """The closed-form inverse of a if both products with a give 1,
-        else None."""
-        try:
-            b = self._inv(a)
-        except ValueError:
-            return None
-        one = self.one()
-        return b if self.mul(a, b) == one and self.mul(b, a) == one else None
-
     def inv(self, a):
+        """The closed-form inverse of the unit a, memoized once both
+        products with a give 1."""
         if self._inv_table is None:
             self._ensure_inv_table()
         b = self._inv_table.get(a)
         if b is None:
             if not self.is_unit(a):
                 raise ValueError(f"{self.render(a)} is not a unit in {self.name}")
-            b = self._verified_inv(a)
-            if b is None:
+            b = self._inv(a)
+            one = self.one()
+            if self.mul(a, b) != one or self.mul(b, a) != one:
                 raise AssertionError(
                     f"inverse of {self.render(a)} in {self.name} failed to verify")
             self._inv_table[a] = b
         return b
 
     def is_local(self) -> bool:
-        """True iff R is local with maximal ideal I: I is nilpotent and
-        every nonzero residue of R/I has an inverse, verified by both
-        products.  Then the non-units are exactly the elements of I."""
-        if self._is_local is None:
-            self._ensure_ideal_powers()
-            self._is_local = all(self._verified_inv(r) is not None
-                                 for r in self._unit_residues())
-        return self._is_local
+        """True iff R is local with maximal ideal I, so that the non-units
+        are exactly the elements of I.  In both families R/I is a prime
+        field (F_p for zmod, F_q for truncpoly; each constructor checks the
+        prime), so R is local once I is checked nilpotent.  A family whose
+        R/I is not a field overrides this."""
+        self._ensure_ideal_powers()
+        return True
 
     def mkl_depth(self) -> int:
         """Depth at which the monomial operators vanish: M_{k,l} = 0 for
@@ -404,9 +391,6 @@ class ZmodRing(RingContext):
 
     def _inv(self, a):
         return pow(a, -1, self.cardinality)
-
-    def _unit_residues(self):
-        return list(range(1, self.p))
 
     def _mkl_depth(self):
         # delta = 0, so every word with a delta letter is zero
@@ -661,9 +645,6 @@ class TruncPolyRing(RingContext):
         for k in range(1, self.m):
             b.append(-u * sum(a[j] * b[k - j] for j in range(1, k + 1)) % self.q)
         return bytes(b)
-
-    def _unit_residues(self):
-        return [self.from_int(c) for c in range(1, self.q)]
 
     def _mkl_depth(self):
         if self.delta_mode == "zero":

@@ -65,6 +65,20 @@ SCHOOLBOOK_DRAWS = (("normalize", SCHOOLBOOK_PRESET,
                     ("complete-row", SCHOOLBOOK_PRESET,
                      ["complete-row", "1 + t,x,t", "--ring", SCHOOLBOOK_PRESET,
                       "--prec", "3"]))
+# the accepted zmod presets with the largest residue field, F_p at p just
+# under 2^32: every subcommand but check and nilbound, and the two suites
+# that ask is_local, each of which must answer without visiting the p - 1
+# nonzero residues of R/I
+LARGE_PRIME_PRESETS = ("zmod:4294967291^2", "zmod:4294967291^1")
+LARGE_PRIME_DRAWS = tuple(
+    argv + ["--ring", preset]
+    for preset in LARGE_PRIME_PRESETS
+    for argv in (["normalize", "(x + 2)^3*x - 5"], ["mul", "x + 3", "2*x - 1"],
+                 ["degree", "x^2 + 4294967291", "--prec", "3"],
+                 ["symbol", "3*x + x^2", "--prec", "3"], ["rank", "1,0;3,0"],
+                 ["stable-iso", "1,0;3,0", "1"],
+                 ["complete-row", "2 + x,x,3", "--prec", "3"],
+                 ["check", "k0-rank"], ["check", "serre-transfer"]))
 # a draw above the word-limit budget, which the seeded nilbound draws reach
 # with one value in 66
 BUDGET_DRAWS = (("nilbound", BROKEN_PRESET,
@@ -227,6 +241,11 @@ def test_fuzzed_command_lines_make_only_the_known_findings():
     assert {preset for _, preset, _ in draws} == set(PRESETS)
     assert {argv[0] for _, preset, argv in draws
             if preset == SCHOOLBOOK_PRESET} == set(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", LARGE_PRIME_DRAWS, ids=" ".join)
+def test_large_prime_draws_make_no_finding(argv):
+    assert _outcome(argv) is None
 
 
 @pytest.mark.parametrize("preset", OVERSIZED_ZMOD_PRESETS)

@@ -45,3 +45,13 @@ def test_example_prints_what_the_readme_shows(command, shown):
     for expected in shown:
         assert any(line == expected for line in lines), \
             f"{expected!r} missing or out of order in the output of {command}"
+
+
+def test_the_layout_block_names_every_tool():
+    text = README.read_text()
+    block = re.search(r"^## Layout\n+```\n(.*?)^```", text,
+                      re.MULTILINE | re.DOTALL).group(1)
+    tools = re.search(r"^tools/\n(.*?)^\S", block,
+                      re.MULTILINE | re.DOTALL).group(1)
+    named = set(re.findall(r"^  (\S+\.py)\b", tools, re.MULTILINE))
+    assert named == {path.name for path in (README.parent / "tools").glob("*.py")}

@@ -379,17 +379,22 @@ class TestClosedFormChecks:
             with pytest.raises(ValueError, match=message):
                 first_use(OffByOne())
 
-    def test_not_local_without_residue_inverses(self):
+    def test_a_wrong_inverse_formula_fails_to_verify_in_inv(self):
         class NoInverse(ZmodRing):
             def _inv(self, a):
                 return a
 
+        # R/I = F_3 is a field whatever _inv says, so Z/9 stays local, and
+        # inv is where the wrong formula is caught
         ring = NoInverse(3, 2)
-        assert not ring.is_local()
+        assert ring.is_local()
         with pytest.raises(AssertionError, match="failed to verify"):
             ring.inv(2)
 
-    @pytest.mark.parametrize("preset", ["truncpoly:3:6:c=2", "zmod:2^10"])
+    # zmod:4294967291^1 has p - 1 nonzero residues, so set-up must not
+    # visit them; on ^2, ideal_power(1) itself lists p elements
+    @pytest.mark.parametrize("preset", ["truncpoly:3:6:c=2", "zmod:2^10",
+                                        "zmod:4294967291^1"])
     def test_set_up_makes_few_products(self, preset):
         ctx = parse_ring_preset(preset)
         calls = []
