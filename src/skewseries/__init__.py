@@ -8,12 +8,12 @@ from .k0 import (BaseScalars, CompletedRow, IdempotentMatrix, RankWitness,
                  idempotent_rank, random_idempotent, random_invertible,
                  stable_iso_witness, stably_free_witness, unimodular_complete)
 from .report import CheckReport
-from .rings import (INF, RingContext, TruncPolyRing, ZmodRing,
-                    parse_ring_preset, sigma_nilpotence_bound)
-from .series import (GradedElem, TruncatedSeries, filtration_generators,
-                     principal_symbol)
+from .rings import INF, RingContext, TruncPolyRing, ZmodRing, parse_ring_preset
+from .series import GradedElem, TruncatedSeries, principal_symbol
 from .skewpoly import (NEG_INF, SkewPoly, monomial_operator_apply,
-                       monomial_operator_words, poly_mul_commutation)
-from .suites import SUITE_NAMES, run_property_suite
+                       poly_mul_commutation)
+from .suites import (SUITE_NAMES, filtration_generators,
+                     monomial_operator_words, run_property_suite,
+                     sigma_nilpotence_bound)
 
 __version__ = "0.1.0"

@@ -17,10 +17,10 @@ from .exprparse import ExprError, Mul, eval_expression, parse_expression
 from .k0 import (BaseScalars, IdempotentMatrix, NotIdempotent, NotUnimodular,
                  SeriesScalars, _stable_iso, idempotent_rank,
                  unimodular_complete)
-from .rings import (NILBOUND_WORD_LIMIT, parse_ring_preset,
-                    sigma_nilpotence_bound)
+from .rings import parse_ring_preset
 from .series import principal_symbol
-from .suites import SUITE_NAMES, run_property_suite
+from .suites import (NILBOUND_WORD_LIMIT, SUITE_NAMES, run_property_suite,
+                     sigma_nilpotence_bound)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -59,8 +59,6 @@ by its full products.
 
 from __future__ import annotations
 
-import random
-
 from .report import FrozenRecord, Record
 from .rings import RingContext
 from .series import (TruncatedSeries, matrix_product, mul_add,
@@ -705,82 +703,3 @@ def random_idempotent(scalars, n, rng):
     v, vinv = random_invertible(scalars, n, rng)
     entries = mat_mul(scalars, mat_mul(scalars, v, d), vinv)
     return IdempotentMatrix(scalars, entries), ones
-
-
-# -- property checks ------------------------------------------------------
-
-
-# the largest matrix size the k0-rank and serre-transfer suites draw
-SUITE_SIZE_LIMIT = 3
-
-
-def k0_rank_check(ctx: RingContext, samples: int,
-                  seed: int) -> tuple[int, str | None, dict]:
-    """Random rank certificates over the coefficient ring: recovery of the
-    generating rank, conjugation invariance and additivity under direct sum."""
-    rng = random.Random(seed)
-    scalars = BaseScalars(ctx)
-    checked = 0
-    cex = None
-    for _ in range(samples):
-        n = rng.randint(1, SUITE_SIZE_LIMIT)
-        e, ones = random_idempotent(scalars, n, rng)
-        w = idempotent_rank(e)
-        checked += 2
-        if w.rank != ones:
-            cex = f"rank {w.rank} != generating rank {ones}"
-            break
-        v, vinv = random_invertible(scalars, n, rng)
-        conj = IdempotentMatrix(
-            scalars, mat_mul(scalars, mat_mul(scalars, v, e.entries), vinv))
-        if idempotent_rank(conj).rank != w.rank:
-            cex = "rank is not conjugation invariant"
-            break
-        m = rng.randint(1, SUITE_SIZE_LIMIT)
-        f, f_ones = random_idempotent(scalars, m, rng)
-        checked += 1
-        direct = IdempotentMatrix(
-            scalars, mat_direct_sum(scalars, e.entries, f.entries))
-        if idempotent_rank(direct).rank != w.rank + f_ones:
-            cex = "rank is not additive on direct sums"
-            break
-    return checked, cex, {"size_limit": SUITE_SIZE_LIMIT}
-
-
-def serre_transfer_check(ctx: RingContext, precision: int, samples: int,
-                         seed: int) -> tuple[int, str | None, dict]:
-    """Every generated idempotent over S/G_N diagonalizes to a free summand
-    with the generating rank, and constant-entry idempotents have the same
-    rank over R and over S/G_N."""
-    rng = random.Random(seed)
-    series_scalars = SeriesScalars(ctx, precision)
-    base_scalars = BaseScalars(ctx)
-    checked = 0
-    cex = None
-    for _ in range(samples):
-        n = rng.randint(1, SUITE_SIZE_LIMIT)
-        e, ones = random_idempotent(series_scalars, n, rng)
-        w = idempotent_rank(e)
-        checked += 2
-        if w.rank != ones:
-            cex = f"series rank {w.rank} != generating rank {ones}"
-            break
-    if cex is None:
-        for _ in range(samples):
-            n = rng.randint(1, SUITE_SIZE_LIMIT)
-            e_base, ones = random_idempotent(base_scalars, n, rng)
-            lifted = IdempotentMatrix(
-                series_scalars,
-                tuple(tuple(TruncatedSeries.constant(ctx, precision, x)
-                            for x in row) for row in e_base.entries))
-            checked += 2
-            rank_base = idempotent_rank(e_base).rank
-            rank_series = idempotent_rank(lifted).rank
-            if rank_base != ones:
-                cex = f"base rank {rank_base} != generating rank {ones}"
-                break
-            if rank_series != rank_base:
-                cex = (f"constant idempotent has rank {rank_base} over R "
-                       f"but {rank_series} over S/G_{precision}")
-                break
-    return checked, cex, {"precision": precision, "size_limit": SUITE_SIZE_LIMIT}

@@ -5,13 +5,16 @@ with the extra data used by the skew polynomial and twisted power series
 layers: generators of a nilpotent two-sided ideal I (the Jacobson radical
 for the shipped presets), a ring endomorphism sigma with sigma(I) <= I and
 a sigma-derivation delta satisfying delta(R) <= I and delta(I) <= I^2.
-Each preset family knows its ideal-theoretic structure (powers of I,
-valuations, canonical residues mod I^k, inverses of units, and the depth
-at which the monomial operators M_{k,l} of sigma and delta vanish) in
-closed form, so nothing here enumerates R: ideal powers are built lazily
-per k, every inverse is verified by both products before it is used, and
-the test suite checks each closed form against exhaustive enumeration on
-small presets.  All answers are exact.
+Each preset family knows its ideal-theoretic structure (powers of I and
+their sizes, valuations, canonical residues mod I^k, inverses of units,
+and the depth at which the monomial operators M_{k,l} of sigma and delta
+vanish) in closed form, so nothing here enumerates R: ideal powers are
+built lazily per k, every inverse is verified by both products before it
+is used, and the test suite checks each closed form against exhaustive
+enumeration on small presets.  The methods that list R or I^k
+(elements, ideal_power_list, ideal_power, sigma_radical_onto) serve the
+checks of :mod:`skewseries.suites`, which budget every walk.  All answers
+are exact.
 
 Preset grammar (also accepted by the command line front end):
 
@@ -35,18 +38,10 @@ first).  Payloads are canonical, so ``==`` is semantic equality.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 import re
 
 INF = float("inf")
-
-# Exhaustive enumeration replaces sampling whenever the full tuple space
-# of a check is at most this large: single elements up to |R| = 65536,
-# pairs up to |R| = 256 and triples up to |R| = 40 (zmod:2^3, zmod:3^3 and
-# truncpoly:3:3 are exhaustive for triples; zmod:2^10 and truncpoly:5:4
-# only for pairs).
-EXHAUSTIVE_TUPLE_LIMIT = 65536
 
 # Each operation memo of a TruncPolyRing (add and mul), and its element
 # table, holds at most this many entries: an exhaustive pair table at
@@ -158,6 +153,10 @@ class RingContext:
         """Sorted elements of I^k, for 0 <= k <= nilpotency."""
         raise NotImplementedError
 
+    def ideal_power_size(self, k: int) -> int:
+        """|I^k| (|R| at k = 0, 1 once k reaches the nilpotency)."""
+        raise NotImplementedError
+
     def _valuation(self, a):
         """Largest k with a in I^k; INF for a = 0."""
         raise NotImplementedError
@@ -212,6 +211,16 @@ class RingContext:
         if k not in self._ideal_power_lists:
             self._ideal_power_lists[k] = self._ideal_power_list(k)
         return self._ideal_power_lists[k]
+
+    def sample_ideal_power(self, k: int, rng: random.Random):
+        """The element of I^k that rng.choice(self.ideal_power_list(k))
+        draws, from one rng.randrange(|I^k|) and the family's closed form
+        of element r of that list (_ideal_power_element): both draw one
+        _randbelow(|I^k|), so rng ends in the same state."""
+        if self._ideal_power_lists is None:
+            self._ensure_ideal_powers()
+        k = min(k, self.radical_nilpotency)
+        return self._ideal_power_element(k, rng.randrange(self.ideal_power_size(k)))
 
     def ideal_power_gens(self, k: int) -> tuple:
         """Products of k radical generators (a generating set of I^k)."""
@@ -379,6 +388,12 @@ class ZmodRing(RingContext):
 
     def _ideal_power_list(self, k):
         return list(range(0, self.cardinality, self._pk[k]))
+
+    def _ideal_power_element(self, k, r):
+        return r * self._pk[k]
+
+    def ideal_power_size(self, k):
+        return self._pk[self.n - min(k, self.n)]
 
     def _valuation(self, a):
         if a == 0:
@@ -631,6 +646,17 @@ class TruncPolyRing(RingContext):
         return [head + bytes(tail)
                 for tail in itertools.product(range(self.q), repeat=self.m - k)]
 
+    def _ideal_power_element(self, k, r):
+        # the list runs through the tails in base-q order, the coefficient
+        # of t^k most significant
+        digits = bytearray(self.m)
+        for i in range(self.m - 1, k - 1, -1):
+            r, digits[i] = divmod(r, self.q)
+        return bytes(digits)
+
+    def ideal_power_size(self, k):
+        return self.q ** (self.m - min(k, self.m))
+
     def _valuation(self, a):
         for i, x in enumerate(a):
             if x:
@@ -796,327 +822,3 @@ def parse_ring_preset(text: str) -> RingContext:
                 raise ValueError(f"invalid truncpoly modifier {mod!r}")
         return TruncPolyRing(q, m, c, delta_mode=mode)
     raise ValueError(f"unknown ring preset family {head!r}")
-
-
-def _exhaustive(ctx: RingContext, arity: int) -> bool:
-    return ctx.cardinality ** arity <= EXHAUSTIVE_TUPLE_LIMIT
-
-
-def _tuple_stream(ctx: RingContext, arity: int, samples: int, rng: random.Random):
-    """All tuples when the space is small, else seeded random tuples."""
-    if _exhaustive(ctx, arity):
-        return itertools.product(sorted(ctx.elements()), repeat=arity)
-
-    def gen():
-        for _ in range(samples):
-            yield tuple(ctx.sample(rng) for _ in range(arity))
-
-    return gen()
-
-
-def _op_tables(ctx: RingContext, elems: list, unary=(), binary=()):
-    """Index tables of ctx's operations over its sorted carrier ``elems``.
-
-    Each named operation is called once per argument, through the instance,
-    unary ones first, and each value is stored as its position in
-    ``elems``: T[i] for a unary operation applied to elems[i], T[i][j] for
-    a binary one applied to (elems[i], elems[j]), in lists.  Payloads are
-    canonical, so equal positions mean equal values, and a law can then be
-    evaluated on positions alone (see _on_rows).  Returns (tables by name,
-    None), or (None, counterexample) naming the first operation and
-    arguments whose value is not in the carrier."""
-    index = {a: i for i, a in enumerate(elems)}
-    tables = {}
-    for name in unary + binary:
-        f = getattr(ctx, name)
-        try:
-            if name in unary:
-                tables[name] = [index[f(a)] for a in elems]
-            else:
-                tables[name] = [[index[f(a, b)] for b in elems] for a in elems]
-        except KeyError:
-            arity = 1 if name in unary else 2
-            for args in itertools.product(elems, repeat=arity):
-                if f(*args) not in index:
-                    shown = ", ".join(map(ctx.render, args))
-                    return None, f"{name}({shown}) leaves the carrier"
-            raise
-    return tables, None
-
-
-def _on_rows(table):
-    """The operation of an index table (see _op_tables) on byte rows.
-
-    The table covers at most 256 positions (_law_check runs it only on
-    exhaustive pairs or triples, and EXHAUSTIVE_TUPLE_LIMIT = 256^2), so a
-    position fits in one byte and a row of positions, one per last
-    argument of a law, is ``bytes``.  An argument is a position (an int)
-    or a row; a value that depends on the last argument is a row, any
-    other a position.  Each row of the table, and each column on first
-    use, is kept as a translate table padded to 256 bytes, so an operation
-    on one row is one bytes.translate: a unary T on a row x is
-    x.translate(T), a binary T at (i, y) is y.translate(row i) and at
-    (x, j) x.translate(column j).  Only an operation on two rows walks
-    them, position by position, in C through map."""
-    pad = bytes(256 - len(table))
-    if type(table[0]) is int:
-        lift = bytes(table) + pad
-
-        def unary(x):
-            return lift[x] if type(x) is int else x.translate(lift)
-        return unary
-
-    rows = [bytes(row) + pad for row in table]
-    columns = []
-
-    def binary(x, y):
-        if type(x) is int:
-            row = rows[x]
-            return row[y] if type(y) is int else y.translate(row)
-        if type(y) is int:
-            if not columns:
-                columns.extend(bytes(column) + pad for column in zip(*table))
-            return x.translate(columns[y])
-        return bytes(map(operator.getitem, map(rows.__getitem__, x), y))
-    return binary
-
-
-def _law_check(ctx: RingContext, law, names, arity: int, samples: int,
-               rng: random.Random, checked: int):
-    """Run ``law`` on every ``arity``-tuple of the carrier, or on
-    ``samples`` seeded ones, and return (checked, counterexample or None)
-    as the plain loop over those tuples does.
-
-    ``law(*ops, *args)`` returns the name of the first law that fails at
-    args, or None; ``names`` names its operations in order, binary add and
-    mul first.  Each law is an equation that fails where its two sides
-    differ.  Sampled tuples call the ring's own operations.  On the
-    exhaustive path the operations are tabled once (_op_tables; a value
-    outside the carrier is the counterexample) and ``law`` runs once per
-    head tuple on byte rows (_on_rows), with the row of every position as
-    its last argument: two rows of side values are equal bytes exactly
-    when the law holds at every last argument, so only a failing row is
-    walked argument by argument."""
-    if not _exhaustive(ctx, arity):
-        ops = [getattr(ctx, name) for name in names]
-        for args in _tuple_stream(ctx, arity, samples, rng):
-            checked += 1
-            failed = law(*ops, *args)
-            if failed:
-                return checked, _law_cex(ctx, failed, args)
-        return checked, None
-    elems = sorted(ctx.elements())
-    tables, cex = _op_tables(ctx, elems, unary=names[2:], binary=names[:2])
-    if cex:
-        return checked, cex
-    ops = [_on_rows(tables[name]) for name in names]
-    n = len(elems)
-    every = bytes(range(n))
-    for head in itertools.product(range(n), repeat=arity - 1):
-        if not law(*ops, *head, every):
-            checked += n
-            continue
-        for last in range(n):
-            checked += 1
-            failed = law(*ops, *head, last)
-            if failed:
-                return checked, _law_cex(ctx, failed,
-                                         [elems[i] for i in (*head, last)])
-    return checked, None
-
-
-def _law_cex(ctx, law, args):
-    shown = ", ".join(f"{name}={ctx.render(x)}" for name, x in zip("abc", args))
-    return f"{law} fails at {shown}"
-
-
-def _ring_law_failure(add, mul, a, b, c):
-    """The first ring law that fails at (a, b, c), or None; each shared
-    subterm is computed once."""
-    ab, bc = add(a, b), add(b, c)
-    if add(ab, c) != add(a, bc):
-        return "additive associativity"
-    if ab != add(b, a):
-        return "additive commutativity"
-    mab, mbc = mul(a, b), mul(b, c)
-    if mul(mab, c) != mul(a, mbc):
-        return "multiplicative associativity"
-    mac = mul(a, c)
-    if mul(a, bc) != add(mab, mac):
-        return "left distributivity"
-    if mul(ab, c) != add(mac, mbc):
-        return "right distributivity"
-    return None
-
-
-def ring_axiom_check(ctx: RingContext, samples: int,
-                     seed: int) -> tuple[int, str | None, dict]:
-    """Verify the ring axioms on every sampled (or enumerated) element and
-    triple.
-
-    The single-element laws call the ring's operations directly.  The
-    triples run _ring_law_failure through _law_check: when they are
-    enumerated (|R|^3 <= EXHAUSTIVE_TUPLE_LIMIT) that costs 2|R|^2
-    operation calls, for the add and mul tables, plus one evaluation of
-    the laws on byte rows per pair (a, b): of its 14 operations three
-    take positions alone, ten are translates and one, the sum of two rows
-    in right distributivity, walks its positions (see _on_rows).  A sum
-    or product outside the carrier is reported as a closure failure.
-    Sampled triples call the operations directly, 14 calls per triple."""
-    rng = random.Random(seed)
-    zero, one = ctx.zero(), ctx.one()
-    checked = 0
-    cex = None
-
-    singles = _tuple_stream(ctx, 1, samples, rng)
-    for (a,) in singles:
-        checked += 1
-        if ctx.add(a, zero) != a:
-            cex = f"a + 0 != a at a={ctx.render(a)}"
-        elif ctx.add(a, ctx.neg(a)) != zero:
-            cex = f"a + (-a) != 0 at a={ctx.render(a)}"
-        elif ctx.mul(one, a) != a or ctx.mul(a, one) != a:
-            cex = f"unit law fails at a={ctx.render(a)}"
-        elif ctx.mul(zero, a) != zero or ctx.mul(a, zero) != zero:
-            cex = f"zero absorption fails at a={ctx.render(a)}"
-        if cex:
-            break
-
-    if cex is None:
-        checked, cex = _law_check(ctx, _ring_law_failure, ("add", "mul"), 3,
-                                  samples, rng, checked)
-    return checked, cex, {"mode": "exhaustive" if _exhaustive(ctx, 3)
-                          else "sampled"}
-
-
-def _sigma_law_failure(add, mul, sigma, delta, a, b):
-    """The first structure-map law that fails at (a, b), or None; each
-    shared subterm is computed once."""
-    ab, sa, sb = add(a, b), sigma(a), sigma(b)
-    if sigma(ab) != add(sa, sb):
-        return "sigma additivity"
-    mab = mul(a, b)
-    if sigma(mab) != mul(sa, sb):
-        return "sigma multiplicativity"
-    da, db = delta(a), delta(b)
-    if delta(ab) != add(da, db):
-        return "delta additivity"
-    if delta(mab) != add(mul(sa, db), mul(da, b)):
-        return "sigma-Leibniz rule"
-    return None
-
-
-def sigma_derivation_check(ctx: RingContext, samples: int,
-                           seed: int) -> tuple[int, str | None, dict]:
-    """Verify that sigma is a ring endomorphism preserving I and that delta
-    is an additive map obeying the sigma-Leibniz rule with delta(R) <= I and
-    delta(I) <= I^2.
-
-    The single-element and radical containments call sigma and delta
-    directly.  The pairs run _sigma_law_failure through _law_check: when
-    they are enumerated (|R|^2 <= EXHAUSTIVE_TUPLE_LIMIT) that costs
-    2|R| + 2|R|^2 operation calls, for the sigma, delta, add and mul
-    tables, plus one evaluation of the laws on byte rows per a: of its 16
-    operations two take positions alone, thirteen are translates and one,
-    the sum of two rows in the sigma-Leibniz rule, walks its positions
-    (see _on_rows).  A value outside the carrier is reported as a closure
-    failure.  Sampled pairs call the operations directly, 16 calls per
-    pair."""
-    rng = random.Random(seed)
-    one = ctx.one()
-    radical = ctx.ideal_power(1)
-    radical_sq = ctx.ideal_power(2)
-    checked = 0
-    cex = None
-
-    if ctx.sigma(one) != one:
-        cex = "sigma(1) != 1"
-
-    singles = _tuple_stream(ctx, 1, samples, rng)
-    if cex is None:
-        for (a,) in singles:
-            checked += 1
-            if ctx.delta(a) not in radical:
-                cex = f"delta({ctx.render(a)}) is outside I"
-                break
-
-    # I is small; run the containment checks over all of it
-    if cex is None:
-        for a in sorted(radical):
-            checked += 2
-            if ctx.sigma(a) not in radical:
-                cex = f"sigma({ctx.render(a)}) leaves I"
-                break
-            if ctx.delta(a) not in radical_sq:
-                cex = f"delta({ctx.render(a)}) is outside I^2"
-                break
-
-    if cex is None:
-        checked, cex = _law_check(ctx, _sigma_law_failure,
-                                  ("add", "mul", "sigma", "delta"), 2,
-                                  samples, rng, checked)
-    return checked, cex, {"mode": "exhaustive" if _exhaustive(ctx, 2)
-                          else "sampled",
-                          "sigma_radical_onto": ctx.sigma_radical_onto()}
-
-
-# The largest --word-limit the nilbound command accepts.  The search costs
-# one pass over the carrier per distinct image in each of word_limit
-# layers.  A carrier small enough to enumerate (|R| <= 2^16, and each step
-# of R > I > ... > I^nil = 0 at least halves it) has nilpotency at most 16,
-# and on the shipped presets the bound stops changing once the word limit
-# passes the nilpotency (tests/test_rings.py checks that the bound at this
-# limit is the bound at nilpotency + 2).
-NILBOUND_WORD_LIMIT = 64
-
-
-def sigma_nilpotence_bound(ctx: RingContext, n: int, word_limit: int = 6):
-    """Least m <= word_limit such that every composite word in delta, sigma
-    with at least m delta factors (and total length <= word_limit) maps the
-    whole carrier into I^n.  Returns None when no such m exists within the
-    word-length budget.
-
-    sigma and delta are called once per element, through index tables
-    over the sorted carrier (_op_tables; a value outside it raises
-    AssertionError), so a word acts on the carrier through its image, a
-    tuple of positions, and the answer is 1 + the largest delta count of a
-    word whose image holds a position outside I^n.  The search keeps, per
-    distinct image reached by the words of each length, only the largest
-    delta count of those words, and extends every image by one more letter
-    per layer; each distinct image is numbered when first reached, and its
-    two moves are computed once.  The answer is that of the exhaustive word
-    enumeration, so a returned bound is a verified one.
-    """
-    if n < 1:
-        raise ValueError("target power must be >= 1")
-    if word_limit < 1:
-        raise ValueError("word limit must be >= 1")
-    elems = sorted(ctx.elements())
-    tables, cex = _op_tables(ctx, elems, unary=("delta", "sigma"))
-    if cex:
-        raise AssertionError(cex)
-    outside = [ctx.ideal_valuation(a) < n for a in elems]
-    worst = 0    # the largest delta count of a word that leaves I^n
-    images = [tuple(range(len(elems)))]   # number -> image
-    numbers = {images[0]: 0}               # image -> number
-    moves = {}   # number -> [(number after one more letter, its delta count, leaves I^n)]
-    layer = {0: 0}   # number -> largest delta count
-    for _ in range(word_limit):
-        nxt = {}
-        for i, count in layer.items():
-            if i not in moves:
-                moves[i] = []
-                for name, dk in (("delta", 1), ("sigma", 0)):
-                    img = tuple(map(tables[name].__getitem__, images[i]))
-                    j = numbers.setdefault(img, len(images))
-                    if j == len(images):
-                        images.append(img)
-                    leaves = any(map(outside.__getitem__, img))
-                    moves[i].append((j, dk, leaves))
-            for j, dk, leaves in moves[i]:
-                reached = count + dk
-                nxt[j] = max(nxt.get(j, 0), reached)
-                if leaves:
-                    worst = max(worst, reached)
-        layer = nxt
-    return worst + 1 if worst < word_limit else None

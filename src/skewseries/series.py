@@ -26,7 +26,6 @@ break multiplicativity of the principal symbol.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .report import FrozenRecord
@@ -363,187 +362,3 @@ def principal_symbol(f: TruncatedSeries) -> GradedElem:
 
 def random_series(ctx: RingContext, precision: int, rng: random.Random) -> TruncatedSeries:
     return TruncatedSeries(ctx, precision, [ctx.sample(rng) for _ in range(precision)])
-
-
-def random_nonzero_series(ctx, precision, rng) -> TruncatedSeries:
-    for _ in range(1000):
-        f = random_series(ctx, precision, rng)
-        if not f.is_zero():
-            return f
-    raise RuntimeError("failed to sample a nonzero class")
-
-
-def random_series_in_filtration(ctx, precision, k, rng) -> TruncatedSeries:
-    """Uniform class of G_k/G_N: slot i drawn from I^max(k-i, 0)."""
-    coeffs = []
-    for i in range(precision):
-        coeffs.append(rng.choice(ctx.ideal_power_list(max(k - i, 0))))
-    return TruncatedSeries(ctx, precision, coeffs)
-
-
-def filtration_generators(ctx: RingContext, precision: int, k: int) -> list:
-    """Module generators of G_k/G_N: w*x^i with w a product of k-i radical
-    generators for the slots below k, and the bare powers x^i above."""
-    gens = []
-    for i in range(precision):
-        j = k - i
-        if j <= 0:
-            gens.append(TruncatedSeries(
-                ctx, precision,
-                [ctx.zero()] * i + [ctx.one()]))
-        elif j < ctx.radical_nilpotency:
-            for w in ctx.ideal_power_gens(j):
-                gens.append(TruncatedSeries(
-                    ctx, precision, [ctx.zero()] * i + [w]))
-        # j >= nilpotency: that slot of G_k is zero
-    return gens
-
-
-# -- property checks -----------------------------------------------------
-
-
-def ideal_closure_check(ctx: RingContext, precision: int, samples: int,
-                        seed: int) -> tuple[int, str | None, dict]:
-    """For each filtration index k = 0..N in turn, with seed ``seed + k``:
-    G_k absorbs multiplication by S/G_N on both sides, exhaustively on the
-    module generators for the x-multiplication case and on seeded random
-    pairs otherwise; also checks G_k * G_l <= G_(k+l).  The first k that
-    fails ends the run, and the details then give that k and its own
-    generator checks."""
-    x = TruncatedSeries.var(ctx, precision)
-    checked = 0
-    all_gen_checks = 0
-    for k in range(precision + 1):
-        rng = random.Random(seed + k)
-        cex = None
-        gen_checks = 0
-
-        for gen in filtration_generators(ctx, precision, k):
-            for prod, tag in ((x * gen, "x*g"), (gen * x, "g*x")):
-                checked += 1
-                gen_checks += 1
-                if prod.filtration_degree() < k:
-                    cex = f"{tag} leaves G_{k} for generator g = {gen.render()}"
-                    break
-            if cex:
-                break
-
-        if cex is None:
-            for _ in range(samples):
-                s = random_series(ctx, precision, rng)
-                g = random_series_in_filtration(ctx, precision, k, rng)
-                checked += 2
-                if (s * g).filtration_degree() < k:
-                    cex = f"s*g leaves G_{k}: s={s.render()}, g={g.render()}"
-                    break
-                if (g * s).filtration_degree() < k:
-                    cex = f"g*s leaves G_{k}: s={s.render()}, g={g.render()}"
-                    break
-                l = rng.randint(0, precision)
-                h = random_series_in_filtration(ctx, precision, l, rng)
-                bound = min(precision, k + l)
-                checked += 2
-                if (g * h).filtration_degree() < bound:
-                    cex = f"G_{k}*G_{l} leaves G_{k + l}: g={g.render()}, h={h.render()}"
-                    break
-                if (h * g).filtration_degree() < bound:
-                    cex = f"G_{l}*G_{k} leaves G_{k + l}: g={g.render()}, h={h.render()}"
-                    break
-
-        if cex:
-            return checked, cex, {"filtration_index": k,
-                                  "generator_checks": gen_checks}
-        all_gen_checks += gen_checks
-    return checked, None, {"max_filtration_index": precision,
-                           "generator_checks": all_gen_checks}
-
-
-def graded_iso_check(ctx: RingContext, precision: int, samples: int,
-                     seed: int) -> tuple[int, str | None, dict]:
-    """Multiplicativity of the principal symbol: when the filtration degree
-    of a product is the sum of the factor degrees, the symbol of the product
-    equals the product of the symbols in the graded model; when the degree
-    jumps, the model product must vanish."""
-    rng = random.Random(seed)
-    exact = jump = skipped = 0
-
-    def pair_failure(f, g):
-        nonlocal exact, jump, skipped
-        df, dg = f.filtration_degree(), g.filtration_degree()
-        if df + dg >= precision:
-            skipped += 1
-            return None
-        model = principal_symbol(f) * principal_symbol(g)
-        prod = f * g
-        if prod.filtration_degree() == df + dg:
-            exact += 1
-            if principal_symbol(prod) != model:
-                return (f"symbol mismatch: f={f.render()}, g={g.render()}, "
-                        f"symbol(fg)={principal_symbol(prod).render()}, "
-                        f"model={model.render()}")
-        else:
-            jump += 1
-            if not model.is_zero():
-                return (f"degree jumped but symbols multiply to "
-                        f"{model.render()}: f={f.render()}, g={g.render()}")
-        return None
-
-    # deterministic boundary pairs: radical-generator constants whose layers
-    # can sum past the nilpotency index reach the cancellation branch, and
-    # w1*x times w2 (w1 = 1 too) the delta part of x*w2 in the model
-    nil, zero = ctx.radical_nilpotency, ctx.zero()
-    boundary = ((TruncatedSeries(ctx, precision, (zero,) * xdeg + (w1,)),
-                 TruncatedSeries.constant(ctx, precision, w2))
-                for xdeg in (0, 1) for k1 in range(1 - xdeg, nil)
-                for k2 in range(1, nil)
-                for w1 in ctx.ideal_power_gens(k1)
-                for w2 in ctx.ideal_power_gens(k2))
-    drawn = ((random_nonzero_series(ctx, precision, rng),
-              random_nonzero_series(ctx, precision, rng))
-             for _ in range(samples))
-    cex = None
-    for f, g in itertools.chain(boundary, drawn):
-        cex = pair_failure(f, g)
-        if cex:
-            break
-    return exact + jump, cex, {"exact_branch": exact, "jump_branch": jump,
-                               "skipped": skipped}
-
-
-def series_law_check(ctx: RingContext, precision: int, samples: int,
-                     seed: int) -> tuple[int, str | None, dict]:
-    """Associativity, distributivity and representative independence of the
-    product in S/G_N, on seeded random triples."""
-    rng = random.Random(seed)
-    checked = 0
-    cex = None
-    nil = ctx.radical_nilpotency
-    for _ in range(samples):
-        f = random_series(ctx, precision, rng)
-        g = random_series(ctx, precision, rng)
-        h = random_series(ctx, precision, rng)
-        checked += 3
-        # each product once, computed where the laws first need it
-        if (fg := f * g) * h != f * (gh := g * h):
-            cex = f"associativity fails: f={f.render()}, g={g.render()}, h={h.render()}"
-            break
-        if f * (g + h) != fg + (fh := f * h):
-            cex = f"left distributivity fails: f={f.render()}, g={g.render()}, h={h.render()}"
-            break
-        if (f + g) * h != fh + gh:
-            cex = f"right distributivity fails: f={f.render()}, g={g.render()}, h={h.render()}"
-            break
-        # the product must be well defined on classes: multiply polynomial
-        # lifts differing by a G_N element and compare the truncations
-        i = rng.randrange(precision)
-        pert = rng.choice(ctx.ideal_power_list(min(precision - i, nil)))
-        lift = f.to_poly()
-        lift2 = lift + SkewPoly(ctx, [ctx.zero()] * i + [pert])
-        g_lift = g.to_poly()
-        checked += 2
-        if TruncatedSeries.from_poly(lift2 * g_lift, precision) != fg or \
-                TruncatedSeries.from_poly(g_lift * lift2, precision) != g * f:
-            cex = (f"product not well defined on classes: f={f.render()}, "
-                   f"perturbation {ctx.render(pert)} at slot {i}")
-            break
-    return checked, cex, {"precision": precision}

@@ -37,8 +37,8 @@ product routes are provided so they can be cross-validated:
   applying the single-step rule and collecting left-form terms.
 
 A brute-force word enumeration of M_{k,l} is kept as an oracle for the
-recursion (:func:`monomial_operator_words`), and the recursion is the
-oracle of the closed forms (mkl_oracle_check compares them).
+recursion (suites.monomial_operator_words), and the recursion is the
+oracle of the closed forms (suites.mkl_oracle_check compares them).
 
 The depth d is a closed form per preset family, clamped at the radical
 nilpotency (M_{k,l} maps R into I^k):
@@ -54,11 +54,9 @@ For the q-twist, delta(t^i) = (c^i - 1) t^(i+1) and delta(1) = 0.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
-import random
 
-from .rings import RingContext, _depth_cut_error, _op_tables
+from .rings import RingContext, _depth_cut_error
 
 NEG_INF = float("-inf")
 
@@ -341,23 +339,6 @@ def _power(one, base, exponent: int, mul=operator.mul):
     return one if result is None else result
 
 
-def monomial_operator_words(ctx: RingContext, k: int, l: int, a):
-    """Oracle for M_{k,l}: enumerate every word with k delta letters and l
-    sigma letters, apply each to a, and sum.  Returns (value, word_count);
-    the count must equal C(k+l, k)."""
-    total = ctx.zero()
-    count = 0
-    n = k + l
-    for delta_slots in itertools.combinations(range(n), k):
-        slots = set(delta_slots)
-        x = a
-        for idx in reversed(range(n)):
-            x = ctx.delta(x) if idx in slots else ctx.sigma(x)
-        total = ctx.add(total, x)
-        count += 1
-    return total, count
-
-
 class _LeftForm:
     """An element sum_i a_i x^i in left normal form, stored as the tuple
     ``coeffs`` without trailing zeros: the arithmetic that R[x; sigma,
@@ -518,224 +499,3 @@ def poly_mul_commutation(f: SkewPoly, g: SkewPoly) -> SkewPoly:
             scaled = SkewPoly(ctx, [ctx.mul(a, c) for c in cur.coeffs])
             result = result + scaled
     return result
-
-
-def random_poly(ctx: RingContext, max_degree: int, rng: random.Random) -> SkewPoly:
-    return SkewPoly(ctx, [ctx.sample(rng) for _ in range(max_degree + 1)])
-
-
-def monomial_operator_word_images(sigma_table: list, delta_table: list,
-                                  size: int, top: int):
-    """Yield, for n = 0 .. top, the images of the words of n letters over a
-    carrier of ``size`` elements, given its sigma and delta index tables
-    (see rings._op_tables): {word: image}, a word a str of "d" (delta) and
-    "s" (sigma) letters applied last letter first, as in
-    monomial_operator_words, and image[i] the position of its value at the
-    i-th element.  The image of a word is the image of the word without
-    its first letter after one more table pass, so the n-th layer costs
-    2^n passes.  The images of the last layer, which no later layer
-    needs, are lazy: one pass each when read, so each can be read once.
-    The generator holds at most two layers of stored images."""
-    layer = {"": range(size)}
-    for n in range(top + 1):
-        yield layer
-        if n < top:
-            layer = {letter + word: map(table.__getitem__, image)
-                     for word, image in layer.items()
-                     for letter, table in (("d", delta_table),
-                                           ("s", sigma_table))}
-            if n + 1 < top:
-                layer = {word: list(image) for word, image in layer.items()}
-
-
-def monomial_operator_word_sums(ctx: RingContext, k: int, l: int, elems: list,
-                                images: dict):
-    """monomial_operator_words for every element of the sorted carrier
-    ``elems`` at once, given the images of the words of k + l letters over
-    it (a layer of monomial_operator_word_images).  The words are summed
-    with ctx.add per element in the same order as monomial_operator_words.
-    Returns (values, word_count)."""
-    totals = [ctx.zero()] * len(elems)
-    count = 0
-    n = k + l
-    for delta_slots in itertools.combinations(range(n), k):
-        word = "".join("d" if i in delta_slots else "s" for i in range(n))
-        totals = list(map(ctx.add, totals,
-                          map(elems.__getitem__, images[word])))
-        count += 1
-    return totals, count
-
-
-# the sizes the mkl-oracle and poly-assoc suites check up to
-MKL_ORACLE_MAX_TOTAL = 6
-MKL_WORD_COUNT_TOTAL = 8
-POLY_LAW_MAX_DEGREE = 3
-
-
-def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
-    """Recursion vs word enumeration for all k+l <= MKL_ORACLE_MAX_TOTAL
-    over the whole carrier, plus the C(k+l, k) word-count identity up to
-    MKL_WORD_COUNT_TOTAL.
-    Where k >= ctx.mkl_depth(), M_{k,l}(a) must also vanish: the product
-    kernels skip those terms.
-
-    The words run over sigma and delta tables of the carrier (|R| calls
-    each, see rings._op_tables).  Each word's image is built once, from
-    the image of the word without its first letter
-    (monomial_operator_word_images: 2^(T+1) - 2 table passes, T =
-    MKL_ORACLE_MAX_TOTAL), and the words are summed per (k, l) by
-    monomial_operator_word_sums.  The recursion still runs on every
-    element: T + 1 calls per element, M_{T-l,l}(a) for l = 0..T, fill the
-    memo column by column with every M_{k,l}(a), k + l <= T (each call
-    fills the rectangle below its own (k, l)), and each (k, l, a) is then
-    read back from that memo.  A sigma or delta value outside the carrier
-    is reported as a closure failure.
-
-    Where the family has a closed form of the operator rows
-    (ctx._closed_rows), it is compared with the recursion too: its rows of
-    every element for l <= T give M_{k,l} for k < depth, and building them
-    checks M_{depth,l} = 0, so a closed form that claims a nonzero value
-    there fails the suite with its own error text.
-
-    Each (k, l) is compared as whole columns over the carrier: words
-    against recursion, closed form against recursion (k < depth) and
-    words against zero (k >= depth).  Only a column that differs somewhere
-    is walked element by element, so ``checked``, the counters and the
-    counterexample are those of the element-by-element loop.
-
-    The recursion fills a fresh M_{k,l} memo, which is dropped afterwards:
-    the context's own memo (ctx._mkl_cache) is put back unchanged, so the
-    check leaves no entries behind for the whole carrier.  It runs no
-    product, so the operator rows (ctx._mkl_rows) are not touched either."""
-    checked = 0
-    vanishing = 0
-    closed_checks = 0
-    zero = ctx.zero()
-    depth = ctx.mkl_depth()
-    top = MKL_ORACLE_MAX_TOTAL
-    elems = sorted(ctx.elements())
-    size = len(elems)
-    tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
-    closed, cex = (_closed_rows_of(ctx, depth, elems) if cex is None
-                   else ([], cex))
-    layers = ()
-    recursion = {}
-    own_memo, ctx._mkl_cache = ctx._mkl_cache, recursion
-    try:
-        if cex is None:
-            for a in elems:
-                for l in range(top + 1):
-                    monomial_operator_apply(ctx, top - l, l, a)
-            layers = monomial_operator_word_images(
-                tables["sigma"], tables["delta"], size, top)
-        for total, images in enumerate(layers):
-            for k in range(total + 1):
-                l = total - k
-                sums, count = monomial_operator_word_sums(ctx, k, l, elems,
-                                                          images)
-                words = math.comb(total, k)
-                by_recursion = list(map(recursion.__getitem__,
-                                        zip(itertools.repeat(k),
-                                            itertools.repeat(l), elems)))
-                by_closed = ([dict(rows[l]).get(k, zero) for rows in closed]
-                             if closed and k < depth else None)
-                if (count == words and sums == by_recursion
-                        and (by_closed is None or by_closed == by_recursion)
-                        and (k < depth or sums.count(zero) == size)):
-                    checked += size
-                    if by_closed is not None:
-                        closed_checks += size
-                    if k >= depth:
-                        vanishing += size
-                    continue
-                for i, a in enumerate(elems):
-                    checked += 1
-                    if count != words:
-                        cex = f"word count mismatch at k={k}, l={l}"
-                        break
-                    by_words = sums[i]
-                    if by_words != by_recursion[i]:
-                        cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
-                               f"words give {ctx.render(by_words)}")
-                        break
-                    if by_closed is not None:
-                        closed_checks += 1
-                        if by_closed[i] != by_recursion[i]:
-                            cex = (f"closed form of M_{{{k},{l}}} mismatch at "
-                                   f"a={ctx.render(a)}: closed form gives "
-                                   f"{ctx.render(by_closed[i])}")
-                            break
-                    if k >= depth:
-                        vanishing += 1
-                        if by_words != zero:
-                            cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
-                                   f"{ctx.render(by_words)} does not vanish at "
-                                   f"k >= depth {depth}")
-                            break
-                if cex:
-                    break
-            if cex:
-                break
-    finally:
-        ctx._mkl_cache = own_memo
-    if cex is None:
-        for total in range(MKL_WORD_COUNT_TOTAL + 1):
-            for k in range(total + 1):
-                checked += 1
-                n_words = sum(1 for _ in itertools.combinations(range(total), k))
-                if n_words != math.comb(total, k):
-                    cex = f"word count mismatch at k={k}, l={total - k}"
-                    break
-    return checked, cex, {"max_total_degree": MKL_ORACLE_MAX_TOTAL,
-                          "vanishing_checks": vanishing,
-                          "closed_form_checks": closed_checks,
-                          "mkl_depth": depth}
-
-
-def _closed_rows_of(ctx: RingContext, depth: int, elems):
-    """([the closed-form operator rows of a for l <= MKL_ORACLE_MAX_TOTAL,
-    for each a of ``elems``], None), the list empty where the family has no
-    closed form; or ([], the error text of a row that fails its depth
-    check)."""
-    closed = []
-    try:
-        for a in elems:
-            rows = ctx._closed_rows(depth, a, 0, MKL_ORACLE_MAX_TOTAL + 1)
-            if rows is None:
-                return [], None
-            closed.append(rows)
-    except AssertionError as exc:
-        return [], str(exc)
-    return closed, None
-
-
-def poly_law_check(ctx: RingContext, samples: int,
-                   seed: int) -> tuple[int, str | None, dict]:
-    """Seeded random triples of degree at most POLY_LAW_MAX_DEGREE:
-    associativity, distributivity, and agreement of the closed-formula
-    product with the iterated-commutation oracle."""
-    rng = random.Random(seed)
-    checked = 0
-    cex = None
-    for _ in range(samples):
-        f, g, h = (random_poly(ctx, POLY_LAW_MAX_DEGREE, rng)
-                   for _ in range(3))
-        # each product once, computed where the laws first need it
-        fg = f * g
-        checked += 4
-        if fg != poly_mul_commutation(f, g):
-            cex = f"products disagree: f={f.render()}, g={g.render()}"
-        elif (fg * h) != f * (gh := g * h):
-            cex = f"associativity fails: f={f.render()}, g={g.render()}, h={h.render()}"
-        elif (f + g) * h != (fh := f * h) + gh:
-            cex = f"right distributivity fails: f={f.render()}, g={g.render()}, h={h.render()}"
-        elif f * (g + h) != fg + fh:
-            cex = f"left distributivity fails: f={f.render()}, g={g.render()}, h={h.render()}"
-        if cex:
-            break
-        # degree bound
-        checked += 1
-        if not (fg.degree <= f.degree + g.degree or f.is_zero() or g.is_zero()):
-            cex = f"degree bound fails: f={f.render()}, g={g.render()}"
-            break
-    return checked, cex, {"max_degree": POLY_LAW_MAX_DEGREE}

@@ -19,7 +19,7 @@ from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars,
                         sigma_nilpotence_bound, stable_iso_witness)
 from skewseries.cli import main
 from skewseries.k0 import mat_direct_sum, mat_identity, mat_mul
-from skewseries.skewpoly import random_poly
+from skewseries.suites import random_poly
 
 Z8 = parse_ring_preset("zmod:2^3")
 F27 = parse_ring_preset("truncpoly:3:3:c=2")

@@ -19,8 +19,7 @@ import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import cli
-from skewseries.rings import NILBOUND_WORD_LIMIT
-from skewseries.suites import SUITE_NAMES
+from skewseries.suites import NILBOUND_WORD_LIMIT, SUITE_NAMES
 
 CASES = 300
 SEED = 16
@@ -79,6 +78,16 @@ LARGE_PRIME_DRAWS = tuple(
                  ["stable-iso", "1,0;3,0", "1"],
                  ["complete-row", "2 + x,x,3", "--prec", "3"],
                  ["check", "k0-rank"], ["check", "serre-transfer"]))
+# zmod presets past every carrier budget of suites.py: each suite and
+# nilbound runs within BUDGET_S, the three that walk R or I (CARRIER_WALKS)
+# exit 2 with one error line and the other suites pass
+LARGE_CARRIER_PRESETS = ("zmod:2^64", "zmod:4294967291^2", "zmod:2^24")
+CARRIER_WALKS = ("check mkl-oracle", "check sigma-derivation", "nilbound")
+LARGE_CARRIER_DRAWS = tuple(
+    argv + ["--ring", preset]
+    for preset in LARGE_CARRIER_PRESETS
+    for argv in [["check", name] for name in SUITE_NAMES]
+    + [["nilbound", "--n", "1"]])
 # a draw above the word-limit budget, which the seeded nilbound draws reach
 # with one value in 66
 BUDGET_DRAWS = (("nilbound", BROKEN_PRESET,
@@ -184,7 +193,7 @@ def _draw(rng, index):
 def _usage_error(argv):
     """Why the CLI must reject argv with exit 2, or None: a nilbound
     --word-limit above the budget, or a ragged matrix."""
-    if argv[0] == "nilbound" and \
+    if argv[0] == "nilbound" and "--word-limit" in argv and \
             int(argv[argv.index("--word-limit") + 1]) > NILBOUND_WORD_LIMIT:
         return "above the word-limit budget"
     if any(argv == draw for _, _, draw in RAGGED_DRAWS):
@@ -194,8 +203,9 @@ def _usage_error(argv):
     return None
 
 
-def _outcome(argv):
-    """The finding argv makes, or None."""
+def _outcome(argv, exit_code=None):
+    """The finding argv makes, or None; given ``exit_code``, ending with
+    another one is a finding too."""
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGPROF, _raise_over_budget)
     signal.setitimer(signal.ITIMER_PROF, BUDGET_S)
@@ -213,6 +223,8 @@ def _outcome(argv):
         signal.signal(signal.SIGPROF, previous)
     if code not in (0, 1, 2):
         return f"exit code {code!r}"
+    if exit_code is not None and code != exit_code:
+        return f"exit code {code!r}, not {exit_code}"
     usage_error = _usage_error(argv)
     if usage_error and code != 2:
         return f"exit code {code!r} {usage_error}"
@@ -246,6 +258,12 @@ def test_fuzzed_command_lines_make_only_the_known_findings():
 @pytest.mark.parametrize("argv", LARGE_PRIME_DRAWS, ids=" ".join)
 def test_large_prime_draws_make_no_finding(argv):
     assert _outcome(argv) is None
+
+
+@pytest.mark.parametrize("argv", LARGE_CARRIER_DRAWS, ids=" ".join)
+def test_large_carrier_draws_make_no_finding(argv):
+    walk = " ".join(argv[:2]) if argv[0] == "check" else argv[0]
+    assert _outcome(argv, 2 if walk in CARRIER_WALKS else 0) is None
 
 
 @pytest.mark.parametrize("preset", OVERSIZED_ZMOD_PRESETS)

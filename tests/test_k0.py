@@ -14,7 +14,7 @@ from skewseries import (BaseScalars, IdempotentMatrix, SeriesScalars, SkewPoly,
 from skewseries.k0 import (NotIdempotent, NotUnimodular, RankWitness, mat_diag,
                            mat_direct_sum, mat_identity, mat_mul)
 from skewseries.rings import RingContext, TruncPolyRing
-from skewseries.series import random_series_in_filtration
+from skewseries.suites import random_series_in_filtration
 
 
 def schoolbook_mat_mul(scalars, a, b):

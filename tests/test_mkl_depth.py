@@ -12,7 +12,7 @@ from skewseries import (SeriesScalars, SkewPoly, TruncatedSeries,
                         poly_mul_commutation, run_property_suite,
                         sigma_nilpotence_bound)
 from skewseries.k0 import mat_mul
-from skewseries.skewpoly import random_poly
+from skewseries.suites import random_poly
 
 DEPTH_PRESETS = PRESET_MATRIX + (BROKEN_PRESET, "truncpoly:3:6:c=2",
                                  "truncpoly:7:3:c=3", "truncpoly:3:1:c=2",

@@ -20,7 +20,8 @@ from skewseries import (SeriesScalars, SkewPoly, TruncatedSeries,
                         poly_mul_commutation, run_property_suite, skewpoly)
 from skewseries.k0 import mat_mul
 from skewseries.series import random_series
-from skewseries.skewpoly import _recursion_rows, random_poly
+from skewseries.skewpoly import _recursion_rows
+from skewseries.suites import random_poly
 
 ROW_PRESETS = PRESET_MATRIX + (BROKEN_PRESET,
                                "truncpoly:3:6:c=2")

@@ -15,7 +15,7 @@ from skewseries import (ExprError, SeriesScalars, SkewPoly, TruncatedSeries,
 from skewseries.cli import main
 from skewseries.exprparse import (MAX_DEGREE, MAX_DEPTH, Add, Const, Mul, Pow, Var,
                                   degree_bound)
-from skewseries.rings import NILBOUND_WORD_LIMIT
+from skewseries.suites import NILBOUND_WORD_LIMIT
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -227,7 +227,7 @@ class TestParser:
     def test_poly_render_reparses_to_same_value(self, f27):
         import random
 
-        from skewseries.skewpoly import random_poly
+        from skewseries.suites import random_poly
         rng = random.Random(71)
         for _ in range(25):
             f = random_poly(f27, 3, rng)

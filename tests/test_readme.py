@@ -47,11 +47,23 @@ def test_example_prints_what_the_readme_shows(command, shown):
             f"{expected!r} missing or out of order in the output of {command}"
 
 
-def test_the_layout_block_names_every_tool():
+def _layout_names(directory: str) -> set:
+    """The .py files that the ## Layout block lists under ``directory``."""
     text = README.read_text()
     block = re.search(r"^## Layout\n+```\n(.*?)^```", text,
                       re.MULTILINE | re.DOTALL).group(1)
-    tools = re.search(r"^tools/\n(.*?)^\S", block,
-                      re.MULTILINE | re.DOTALL).group(1)
-    named = set(re.findall(r"^  (\S+\.py)\b", tools, re.MULTILINE))
-    assert named == {path.name for path in (README.parent / "tools").glob("*.py")}
+    listed = re.search(rf"^{re.escape(directory)}/\n(.*?)^\S", block,
+                       re.MULTILINE | re.DOTALL).group(1)
+    return set(re.findall(r"^  (\S+\.py)\b", listed, re.MULTILINE))
+
+
+def _files(directory: str) -> set:
+    return {path.name for path in (README.parent / directory).glob("*.py")}
+
+
+def test_the_layout_block_names_every_tool():
+    assert _layout_names("tools") == _files("tools")
+
+
+def test_the_layout_block_names_every_module():
+    assert _layout_names("src/skewseries") == _files("src/skewseries")

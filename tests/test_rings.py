@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 import re
 import time
 
@@ -7,7 +8,7 @@ import pytest
 
 from skewseries import (INF, ZmodRing, parse_ring_preset, run_property_suite,
                         sigma_nilpotence_bound)
-from skewseries.rings import NILBOUND_WORD_LIMIT
+from skewseries.suites import NILBOUND_WORD_LIMIT
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
 
@@ -346,6 +347,19 @@ class TestClosedFormsAgainstEnumeration:
             assert ctx.ideal_power(k) == expected
             # seeded draws index into this list, so its order is fixed too
             assert ctx.ideal_power_list(k) == sorted(expected)
+
+    def test_sizes_of_and_draws_from_ideal_powers(self, preset):
+        # the closed forms behind the carrier budgets and the suites' draws
+        ctx = parse_ring_preset(preset)
+        for k in range(ctx.radical_nilpotency + 2):
+            power = ctx.ideal_power_list(k)
+            assert ctx.ideal_power_size(k) == len(power)
+            for seed in range(5):
+                listed, drawn = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    assert ctx.sample_ideal_power(k, drawn) == \
+                        listed.choice(power)
+                assert drawn.getstate() == listed.getstate()
 
     def test_valuation_units_and_inverses(self, preset):
         ctx = parse_ring_preset(preset)

@@ -10,9 +10,9 @@ from skewseries import (GradedElem, SkewPoly, TruncatedSeries, eval_expression,
                         parse_expression, parse_ring_preset,
                         poly_mul_commutation, principal_symbol,
                         run_property_suite)
-from skewseries.series import (filtration_generators, matrix_product, mul_add,
-                               random_series, random_series_in_filtration)
-from skewseries.skewpoly import random_poly
+from skewseries.series import matrix_product, mul_add, random_series
+from skewseries.suites import (filtration_generators, random_poly,
+                               random_series_in_filtration)
 
 
 class TestTruncation:

@@ -8,7 +8,7 @@ from conftest import BROKEN_PRESET
 from skewseries import (NEG_INF, SkewPoly, monomial_operator_apply,
                         monomial_operator_words, parse_ring_preset,
                         poly_mul_commutation, run_property_suite)
-from skewseries.skewpoly import random_poly
+from skewseries.suites import random_poly
 
 
 class TestMonomialOperator:

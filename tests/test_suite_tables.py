@@ -12,13 +12,14 @@ import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import (ZmodRing, monomial_operator_apply,
-                        monomial_operator_words, parse_ring_preset, rings,
-                        run_property_suite, sigma_nilpotence_bound, skewpoly)
+                        monomial_operator_words, parse_ring_preset,
+                        run_property_suite, sigma_nilpotence_bound, skewpoly,
+                        suites)
 from skewseries.report import CheckReport
-from skewseries.rings import (TruncPolyRing, _exhaustive, _on_rows,
-                              _op_tables, _tuple_stream)
-from skewseries.skewpoly import (monomial_operator_word_images,
-                                 monomial_operator_word_sums)
+from skewseries.rings import TruncPolyRing
+from skewseries.suites import (_exhaustive, _on_rows, _op_tables,
+                               _tuple_stream, monomial_operator_word_images,
+                               monomial_operator_word_sums)
 
 
 # -- element-wise oracles ---------------------------------------------------
@@ -669,7 +670,7 @@ def test_each_law_fails_first_on_its_control(suite, ring, mode, prefix, seed):
 # -- one definition per law -------------------------------------------------
 #
 # Each law is written once, in _ring_law_failure or _sigma_law_failure, and
-# both paths of rings._law_check run it.  A law added there, one the ring's
+# both paths of suites._law_check run it.  A law added there, one the ring's
 # own operations break, must then be reported where the plain loop over the
 # tuples reports it, on the table path and on the sampled one.
 
@@ -686,7 +687,7 @@ def _extra_pair_law(add, mul, sigma, delta, a, b):
 
 
 def _plain_law_loop(ctx, law, names, arity, samples, rng, checked):
-    """rings._law_check as the plain loop: ``law`` at every tuple of
+    """suites._law_check as the plain loop: ``law`` at every tuple of
     _tuple_stream, through the ring's own operations."""
     ops = [getattr(ctx, name) for name in names]
     for args in _tuple_stream(ctx, arity, samples, rng):
@@ -713,13 +714,13 @@ def _plain_law_loop(ctx, law, names, arity, samples, rng, checked):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_a_law_added_to_its_function_fails_on_both_paths(
         monkeypatch, suite, law, extra, preset, mode, cex, seed):
-    plain = getattr(rings, law)
-    monkeypatch.setattr(rings, law,
+    plain = getattr(suites, law)
+    monkeypatch.setattr(suites, law,
                         lambda *args: plain(*args) or extra(*args))
     report = suite(parse_ring_preset(preset), 30, seed)
     assert report.details["mode"] == mode
     assert report.counterexample.startswith(cex), report.counterexample
-    monkeypatch.setattr(rings, "_law_check", _plain_law_loop)
+    monkeypatch.setattr(suites, "_law_check", _plain_law_loop)
     looped = suite(parse_ring_preset(preset), 30, seed)
     assert (report.checked, report.counterexample) == \
         (looped.checked, looped.counterexample)
@@ -763,7 +764,7 @@ def test_pairs_at_256_elements_match_the_plain_loop(monkeypatch, ring):
     report = sigma_derivation(ring(), 30, 3)
     assert report.passed and report.details["mode"] == "exhaustive"
     assert report.checked == 256 + 2 * 128 + 256 ** 2
-    monkeypatch.setattr(rings, "_law_check", _plain_law_loop)
+    monkeypatch.setattr(suites, "_law_check", _plain_law_loop)
     looped = sigma_derivation(ring(), 30, 3)
     assert (report.checked, report.counterexample) == \
         (looped.checked, looped.counterexample)
@@ -776,7 +777,7 @@ def test_a_fault_at_the_last_position_is_found_through_a_row_sum(monkeypatch):
         "b=1 + t + t^2 + t^3 + t^4 + t^5 + t^6 + t^7")
     # a = t is the head at position 64, and b the last position
     assert report.checked == 256 + 2 * 128 + 64 * 256 + 256
-    monkeypatch.setattr(rings, "_law_check", _plain_law_loop)
+    monkeypatch.setattr(suites, "_law_check", _plain_law_loop)
     looped = sigma_derivation(LastPositionLeibniz(), 30, 3)
     assert (report.checked, report.counterexample) == \
         (looped.checked, looped.counterexample)

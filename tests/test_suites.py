@@ -8,7 +8,8 @@ import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
 from skewseries import (SUITE_NAMES, SkewPoly, TruncatedSeries, k0,
-                        parse_ring_preset, run_property_suite, series, skewpoly)
+                        parse_ring_preset, run_property_suite, series, skewpoly,
+                        suites)
 from skewseries.skewpoly import _LeftForm
 
 # the suites that find a counterexample on the delta=broken control, where
@@ -44,8 +45,8 @@ def test_every_suite_rejects_fewer_than_one_sample(name, samples):
 
 
 def _generators_two_layers_low():
-    """series.filtration_generators, giving those of G_(k-2) for G_k."""
-    plain = series.filtration_generators
+    """suites.filtration_generators, giving those of G_(k-2) for G_k."""
+    plain = suites.filtration_generators
     return lambda ctx, precision, k: plain(ctx, precision, max(k - 2, 0))
 
 
@@ -114,7 +115,7 @@ def _series_sums_gaining(side):
 FAULTS = (
     ("ideal-closure", TruncatedSeries, "filtration_degree", lambda self: 0,
      (3, 7), "G_0*G_3 leaves G_3: "),
-    ("ideal-closure", series, "filtration_generators",
+    ("ideal-closure", suites, "filtration_generators",
      _generators_two_layers_low(), (3, 7),
      "x*g leaves G_2 for generator g = 1 (mod t^3) [N=4]"),
     ("graded-iso", series, "monomial_operator_apply", _without_delta_terms(),
@@ -179,3 +180,26 @@ def test_graded_iso_passes_on_the_broken_control(seed):
                                 None, 3, seed)
     assert (report.passed, report.checked, report.details) == (
         True, 9, {"exact_branch": 7, "jump_branch": 2, "skipped": 4})
+
+
+# (walk, its budget in suites.py, what it lists on zmod:2^4 and how many)
+WALKS = (("mkl-oracle", "MKL_ORACLE_CARRIER_LIMIT", "R", 16),
+         ("sigma-derivation", "SIGMA_DERIVATION_RADICAL_LIMIT", "I", 8),
+         ("nilbound", "NILBOUND_CARRIER_LIMIT", "R", 16))
+
+
+@pytest.mark.parametrize("walk,limit,what,size", WALKS)
+def test_a_walk_takes_its_budget_and_refuses_one_element_more(
+        monkeypatch, walk, limit, what, size):
+    def run():
+        ctx = parse_ring_preset("zmod:2^4")
+        if walk == "nilbound":
+            return suites.sigma_nilpotence_bound(ctx, 1)
+        return run_property_suite(walk, ctx, None, 3, 0).passed
+    monkeypatch.setattr(suites, limit, size)
+    assert run()
+    monkeypatch.setattr(suites, limit, size - 1)
+    with pytest.raises(ValueError, match=(
+            rf"^{walk} lists {what} of zmod:2\^4, {size} elements, past "
+            rf"its budget of {size - 1}$")):
+        run()
