@@ -12,9 +12,10 @@ vanish) in closed form, so nothing here enumerates R: ideal powers are
 built lazily per k, every inverse is verified by both products before it
 is used, and the test suite checks each closed form against exhaustive
 enumeration on small presets.  The methods that list R or I^k
-(elements, ideal_power_list, ideal_power, sigma_radical_onto) serve the
-checks of :mod:`skewseries.suites`, which budget every walk.  All answers
-are exact.
+(elements, ideal_power_list, ideal_power), and _table_rows, the add and
+mul tables from the families' formulas, serve the checks of
+:mod:`skewseries.suites`, which budget every walk.  All answers are
+exact.
 
 Preset grammar (also accepted by the command line front end):
 
@@ -180,6 +181,17 @@ class RingContext:
         and every context would then wait for the cyclic collector."""
         return None
 
+    def _table_rows(self, name: str, elems):
+        """The index table of the binary operation ``name`` ("add" or "mul")
+        over the sorted carrier ``elems``, from the family's own formulas:
+        row i is ``bytes``, its byte j the position in elems of
+        name(elems[i], elems[j]).  None where the family has none, for any
+        other name, past 256 elements and on a subclass, which may redefine
+        the operation: the checks then call the operation once per pair
+        (suites._op_tables), and that per-pair table is the oracle of this
+        one."""
+        return None
+
     # -- derived structure ------------------------------------------------
 
     def sub(self, a, b):
@@ -315,11 +327,6 @@ class RingContext:
                                          and self.delta(one) == self.zero())
         return self._one_commutes_with_x
 
-    def sigma_radical_onto(self) -> bool:
-        """Whether sigma maps I onto I (not merely into)."""
-        radical = self.ideal_power(1)
-        return frozenset(self.sigma(a) for a in radical) == radical
-
     def __eq__(self, other):
         return isinstance(other, RingContext) and other.name == self.name
 
@@ -419,6 +426,18 @@ class ZmodRing(RingContext):
         if type(self) is not ZmodRing:
             return None
         return (((0, b),) if b else (),) * (top - built)
+
+    def _table_rows(self, name, elems):
+        """The sorted carrier is range(n), so a position is its value: the
+        add row of a is range(n) rotated by a, and the mul row of a, the
+        values a*b mod n, is every a-th byte of a copies of range(n)."""
+        n = self.cardinality
+        if type(self) is not ZmodRing or n > 256 or name not in ("add", "mul"):
+            return None
+        every = bytes(range(n))
+        if name == "add":
+            return [every[a:] + every[:a] for a in range(n)]
+        return [(every * a)[::a] if a else bytes(n) for a in range(n)]
 
 
 class TruncPolyRing(RingContext):
@@ -548,13 +567,16 @@ class TruncPolyRing(RingContext):
         checks), else coefficient by coefficient.  A 256-entry table
         reduces each byte mod q; the packed sum is the elementwise one
         wherever no byte sum passes 255, as on canonical arguments and on
-        any bytes below 128."""
+        any bytes below 128.  Both ways are bytewise and keep the length
+        of a, so on a and b each the concatenation of equally many
+        elements it returns the concatenated sums: _table_rows builds a
+        whole add row with one call."""
         residues = self._sum_residues
         if residues is None:
             q = self.q
             return bytes([(x + y) % q for x, y in zip(a, b)])
         return (int.from_bytes(a, "little") + int.from_bytes(b, "little")
-                ).to_bytes(self.m, "little").translate(residues)
+                ).to_bytes(len(a), "little").translate(residues)
 
     def _mul(self, a, b):
         """The product by Kronecker substitution t -> 256 where one byte
@@ -585,6 +607,33 @@ class TruncPolyRing(RingContext):
                 if y:
                     out[i + j] = (out[i + j] + x * y) % self.q
         return bytes(out)
+
+    def _table_rows(self, name, elems):
+        """The add row of a is one _add of a repeated |R| times and the
+        concatenated carrier; the mul row calls _mul once per pair, the
+        formula behind mul without its memo, so the checks that read these
+        rows check the formulas the memo serves.  Each value becomes its
+        position in the sorted carrier from its base-q digits, byte 0 the
+        most significant: digit slice i of the values, translated by
+        x -> x*q^(m-1-i), is read as one int, and the m ints are summed;
+        each byte of the sum is a position, at most q^m - 1 <= 255, so no
+        byte carries into the next."""
+        n, q, m = self.cardinality, self.q, self.m
+        if (type(self) is not TruncPolyRing or n > 256
+                or name not in ("add", "mul")):
+            return None
+        scales = [bytes(x * q ** (m - 1 - i) for x in range(q)) + bytes(256 - q)
+                  for i in range(m)]
+
+        def positions(values):
+            return sum(int.from_bytes(values[i::m].translate(scale), "little")
+                       for i, scale in enumerate(scales)).to_bytes(n, "little")
+
+        if name == "add":
+            carrier = b"".join(elems)
+            return [positions(self._add(a * n, carrier)) for a in elems]
+        mul = self._mul
+        return [positions(b"".join([mul(a, b) for b in elems])) for a in elems]
 
     def neg(self, a):
         return a.translate(self._negated)

@@ -26,8 +26,8 @@ from .skewpoly import SkewPoly
 # Exhaustive enumeration replaces sampling whenever the full tuple space
 # of a check is at most this large: single elements up to |R| = 65536,
 # pairs up to |R| = 256 and triples up to |R| = 40 (zmod:2^3, zmod:3^3 and
-# truncpoly:3:3 are exhaustive for triples; zmod:2^10 and truncpoly:5:4
-# only for pairs).
+# truncpoly:3:3 are exhaustive for triples, zmod:3^5 and truncpoly:3:4 for
+# pairs, and zmod:2^10 and truncpoly:5:4 only for single elements).
 EXHAUSTIVE_TUPLE_LIMIT = 65536
 
 # The largest carrier each full walk lists (R, or I for sigma-derivation);
@@ -73,17 +73,24 @@ def _tuple_stream(ctx: RingContext, arity: int, samples: int, rng: random.Random
 def _op_tables(ctx: RingContext, elems: list, unary=(), binary=()):
     """Index tables of ctx's operations over its sorted carrier ``elems``.
 
-    Each named operation is called once per argument, through the instance,
-    unary ones first, and each value is stored as its position in
-    ``elems``: T[i] for a unary operation applied to elems[i], T[i][j] for
-    a binary one applied to (elems[i], elems[j]), in lists.  Payloads are
-    canonical, so equal positions mean equal values, and a law can then be
-    evaluated on positions alone (see _on_rows).  Returns (tables by name,
-    None), or (None, counterexample) naming the first operation and
-    arguments whose value is not in the carrier."""
+    Each value is stored as its position in ``elems``: T[i] for a unary
+    operation applied to elems[i], T[i][j] for a binary one applied to
+    (elems[i], elems[j]).  A binary table is the family's own (the rows of
+    ctx._table_rows, from the formulas behind add and mul) wherever it has
+    one; every other operation, unary ones first, is called once per
+    argument through the instance, into lists.  Payloads are canonical, so
+    equal positions mean equal values, and a law can then be evaluated on
+    positions alone (see _on_rows).  Returns (tables by name, None), or
+    (None, counterexample) naming the first operation and arguments whose
+    value is not in the carrier."""
     index = {a: i for i, a in enumerate(elems)}
     tables = {}
     for name in unary + binary:
+        if name in binary:
+            rows = ctx._table_rows(name, elems)
+            if rows is not None:
+                tables[name] = rows
+                continue
         f = getattr(ctx, name)
         try:
             if name in unary:
@@ -112,8 +119,10 @@ def _on_rows(table):
     use, is kept as a translate table padded to 256 bytes, so an operation
     on one row is one bytes.translate: a unary T on a row x is
     x.translate(T), a binary T at (i, y) is y.translate(row i) and at
-    (x, j) x.translate(column j).  Only an operation on two rows walks
-    them, position by position, in C through map."""
+    (x, j) x.translate(column j).  On two rows of which one is constant,
+    a binary T is the other row translated as at that constant position;
+    only on two rows that both vary does it walk them, position by
+    position, in C through map."""
     pad = bytes(256 - len(table))
     if type(table[0]) is int:
         lift = bytes(table) + pad
@@ -133,6 +142,10 @@ def _on_rows(table):
             if not columns:
                 columns.extend(bytes(column) + pad for column in zip(*table))
             return x.translate(columns[y])
+        if x.count(x[0]) == len(x):
+            return binary(x[0], y)
+        if y.count(y[0]) == len(y):
+            return binary(x, y[0])
         return bytes(map(operator.getitem, map(rows.__getitem__, x), y))
     return binary
 
@@ -147,12 +160,13 @@ def _law_check(ctx: RingContext, law, names, arity: int, samples: int,
     args, or None; ``names`` names its operations in order, binary add and
     mul first.  Each law is an equation that fails where its two sides
     differ.  Sampled tuples call the ring's own operations.  On the
-    exhaustive path the operations are tabled once (_op_tables; a value
-    outside the carrier is the counterexample) and ``law`` runs once per
-    head tuple on byte rows (_on_rows), with the row of every position as
-    its last argument: two rows of side values are equal bytes exactly
-    when the law holds at every last argument, so only a failing row is
-    walked argument by argument."""
+    exhaustive path the operations are tabled once (_op_tables: add and
+    mul from the family's formulas where it has them, else one call per
+    pair; a value outside the carrier is the counterexample) and ``law``
+    runs once per head tuple on byte rows (_on_rows), with the row of
+    every position as its last argument: two rows of side values are
+    equal bytes exactly when the law holds at every last argument, so only
+    a failing row is walked argument by argument."""
     if not _exhaustive(ctx, arity):
         ops = [getattr(ctx, name) for name in names]
         for args in _tuple_stream(ctx, arity, samples, rng):
@@ -212,13 +226,15 @@ def ring_axiom_check(ctx: RingContext, samples: int,
 
     The single-element laws call the ring's operations directly.  The
     triples run _ring_law_failure through _law_check: when they are
-    enumerated (|R|^3 <= EXHAUSTIVE_TUPLE_LIMIT) that costs 2|R|^2
-    operation calls, for the add and mul tables, plus one evaluation of
-    the laws on byte rows per pair (a, b): of its 14 operations three
-    take positions alone, ten are translates and one, the sum of two rows
-    in right distributivity, walks its positions (see _on_rows).  A sum
-    or product outside the carrier is reported as a closure failure.
-    Sampled triples call the operations directly, 14 calls per triple."""
+    enumerated (|R|^3 <= EXHAUSTIVE_TUPLE_LIMIT) the add and mul tables
+    are built once, from the family's formulas (ctx._table_rows) or with
+    one call per pair, and the laws are then evaluated on byte rows once
+    per pair (a, b): of its 14 operations three take positions alone, ten
+    are translates and one, the sum of two rows in right distributivity,
+    walks its positions unless one of them is constant (see _on_rows).
+    A sum or product outside the carrier is reported as a closure
+    failure.  Sampled triples call the operations directly, 14 calls per
+    triple."""
     rng = random.Random(seed)
     zero, one = ctx.zero(), ctx.one()
     checked = 0
@@ -270,15 +286,18 @@ def sigma_derivation_check(ctx: RingContext, samples: int,
 
     The single-element and radical containments call sigma and delta
     directly, the latter over all of I (at most
-    SIGMA_DERIVATION_RADICAL_LIMIT elements, see _carrier).  The pairs run _sigma_law_failure through _law_check: when
-    they are enumerated (|R|^2 <= EXHAUSTIVE_TUPLE_LIMIT) that costs
-    2|R| + 2|R|^2 operation calls, for the sigma, delta, add and mul
-    tables, plus one evaluation of the laws on byte rows per a: of its 16
-    operations two take positions alone, thirteen are translates and one,
-    the sum of two rows in the sigma-Leibniz rule, walks its positions
-    (see _on_rows).  A value outside the carrier is reported as a closure
-    failure.  Sampled pairs call the operations directly, 16 calls per
-    pair."""
+    SIGMA_DERIVATION_RADICAL_LIMIT elements, see _carrier), and
+    sigma_radical_onto reads the set of I the containments use.  The pairs
+    run _sigma_law_failure through _law_check: when they are enumerated
+    (|R|^2 <= EXHAUSTIVE_TUPLE_LIMIT) that costs |R| calls each of sigma
+    and delta for their tables, the add and mul tables from the family's
+    formulas (ctx._table_rows) or with one call per pair, and one
+    evaluation of the laws on byte rows per a: of its 16 operations two
+    take positions alone, thirteen are translates and one, the sum of two
+    rows in the sigma-Leibniz rule, walks its positions unless one of them
+    is constant, as it is where delta = 0 (see _on_rows).  A value outside
+    the carrier is reported as a closure failure.  Sampled pairs call the
+    operations directly, 16 calls per pair."""
     members = _carrier(ctx, 1, SIGMA_DERIVATION_RADICAL_LIMIT,
                        "sigma-derivation")
     rng = random.Random(seed)
@@ -313,9 +332,15 @@ def sigma_derivation_check(ctx: RingContext, samples: int,
         checked, cex = _law_check(ctx, _sigma_law_failure,
                                   ("add", "mul", "sigma", "delta"), 2,
                                   samples, rng, checked)
+    onto = sigma_radical_onto(ctx, radical)
     return checked, cex, {"mode": "exhaustive" if _exhaustive(ctx, 2)
-                          else "sampled",
-                          "sigma_radical_onto": ctx.sigma_radical_onto()}
+                          else "sampled", "sigma_radical_onto": onto}
+
+
+def sigma_radical_onto(ctx: RingContext, radical: frozenset) -> bool:
+    """Whether sigma maps I, given as the set ``radical``, onto I (not
+    merely into it)."""
+    return frozenset(map(ctx.sigma, radical)) == radical
 
 
 # The largest --word-limit the nilbound command accepts.  The search costs

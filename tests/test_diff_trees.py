@@ -33,6 +33,9 @@ def test_suite_reports_of_a_tree_against_itself_differ_nowhere():
     runs = tool.suite_runs(["zmod:2^3"])
     # nine suites at seeds 0 and 7, each its own label
     assert len(runs) == len({label for label, _ in runs}) == 18
+    # by default the preset matrix, delta=broken, the schoolbook preset and
+    # the two edges of the formula-built tables
+    assert len(tool.suite_runs()) == 11 * 18
     assert tool.compare_runs(ROOT / "src", ROOT / "src", runs) == {}
 
 

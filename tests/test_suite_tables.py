@@ -123,7 +123,8 @@ def elementwise_sigma_derivation_check(ctx, samples, seed):
     return CheckReport(name="sigma-derivation", checked=checked,
                        counterexample=cex,
                        details={"mode": "exhaustive" if exhaustive else "sampled",
-                                "sigma_radical_onto": ctx.sigma_radical_onto()})
+                                "sigma_radical_onto": {
+                                    ctx.sigma(a) for a in radical} == radical})
 
 
 def elementwise_mkl_oracle_check(ctx, max_total=6, count_total=8):
@@ -739,7 +740,8 @@ def test_exhaustive_pairs_cover_at_most_256_elements():
 @pytest.mark.parametrize("preset", ["truncpoly:3:3:c=2", "zmod:2^8"])
 def test_row_operations_read_the_table(preset):
     # every kind of argument pair, the column of (row, position) included,
-    # which no shipped law makes
+    # which no shipped law makes, and constant rows, which delta = 0 makes
+    # and which are answered by the translate of the other argument
     ctx = parse_ring_preset(preset)
     elems = sorted(ctx.elements())
     n = len(elems)
@@ -753,6 +755,10 @@ def test_row_operations_read_the_table(preset):
         assert mul(i, n - 1 - i) == table[i][n - 1 - i]
         assert mul(i, y) == bytes(table[i][j] for j in y)
         assert mul(x, i) == bytes(table[j][i] for j in x)
+        same = bytes([i]) * n
+        assert mul(same, y) == bytes(table[i][j] for j in y)
+        assert mul(x, same) == bytes(table[j][i] for j in x)
+        assert mul(same, same) == bytes([table[i][i]]) * n
     assert sigma(x) == bytes(tables["sigma"][j] for j in x)
     assert mul(x, y) == bytes(table[i][j] for i, j in zip(x, y))
 
@@ -781,6 +787,69 @@ def test_a_fault_at_the_last_position_is_found_through_a_row_sum(monkeypatch):
     looped = sigma_derivation(LastPositionLeibniz(), 30, 3)
     assert (report.checked, report.counterexample) == \
         (looped.checked, looped.counterexample)
+
+
+# -- the family's own add and mul tables -----------------------------------
+#
+# _op_tables reads add and mul from ctx._table_rows wherever the family
+# answers, so no exhaustive check calls ctx.add or ctx.mul per pair there.
+# The table built with one such call per pair is the oracle: on truncpoly
+# both call the formulas _add and _mul, and on zmod this test is what ties
+# the rows of Z/p^n to ZmodRing.add and mul.
+
+TABLE_PRESETS = tuple(p for p in PRESET_MATRIX
+                      if parse_ring_preset(p).cardinality <= 256) + (
+    BROKEN_PRESET, "zmod:2^8", "truncpoly:2:8:c=1",
+    # schoolbook _mul, and _add coefficient by coefficient
+    "truncpoly:13:2:c=2", "truncpoly:251:1:c=1")
+
+
+def _pairwise_rows(ctx, name, elems):
+    index = {a: i for i, a in enumerate(elems)}
+    op = getattr(ctx, name)
+    return [bytes([index[op(a, b)] for b in elems]) for a in elems]
+
+
+@pytest.mark.parametrize("preset", TABLE_PRESETS)
+@pytest.mark.parametrize("name", ["add", "mul"])
+def test_family_rows_match_the_pairwise_table(preset, name):
+    ctx = parse_ring_preset(preset)
+    elems = sorted(ctx.elements())
+    rows = ctx._table_rows(name, elems)
+    assert rows is not None and {type(row) for row in rows} == {bytes}
+    assert rows == _pairwise_rows(ctx, name, elems)
+    tables, cex = _op_tables(ctx, elems, binary=(name,))
+    assert cex is None and tables[name] == rows
+
+
+@pytest.mark.parametrize("ring", [
+    LeakyMul, lambda: NonAssociativeAdd(2), lambda: ZmodRing(257, 1),
+    lambda: ZmodRing(2, 3)], ids=["subclass-zmod", "subclass-truncpoly",
+                                  "zmod:257^1", "zmod:2^3"])
+def test_no_family_rows_on_a_subclass_past_256_elements_or_other_names(ring):
+    ctx = ring()
+    elems = sorted(ctx.elements())
+    shipped = type(ctx) is ZmodRing and ctx.cardinality <= 256
+    assert (ctx._table_rows("add", elems) is None) is not shipped
+    for name in ("sigma", "delta", "neg", "sub"):
+        assert ctx._table_rows(name, elems) is None
+
+
+def test_a_wrong_family_row_fails_the_comparison_and_the_suite(monkeypatch):
+    # the add row of a rotated by a + 1, i.e. a + b + 1: associative and
+    # commutative, but not distributive
+    def rotated(self, name, elems):
+        if name != "add":
+            return None
+        every = bytes(range(len(elems)))
+        return [every[a + 1:] + every[:a + 1] for a in every]
+
+    monkeypatch.setattr(ZmodRing, "_table_rows", rotated)
+    ctx = parse_ring_preset("zmod:2^3")
+    elems = sorted(ctx.elements())
+    assert ctx._table_rows("add", elems) != _pairwise_rows(ctx, "add", elems)
+    report = ring_axioms(ctx, 30, 3)
+    assert report.counterexample == "left distributivity fails at a=0, b=0, c=0"
 
 
 # -- closure ----------------------------------------------------------------

@@ -5,10 +5,11 @@
 
 Draws argv with the CLI fuzzer's grammar (tests/test_cli_fuzz._draw, so
 the grammar lives in one place) and runs every argv through both trees.
-With --suites it runs instead every property suite over the fuzzer's
-preset matrix and delta=broken (PRESET_MATRIX and BROKEN_PRESET of
-tests/conftest.py) at seeds 0 and 7, each report as JSON, and lists every
-report that differs.
+With --suites it runs instead every property suite at seeds 0 and 7, each
+report as JSON, and lists every report that differs.  Its presets are the
+fuzzer's preset matrix and delta=broken (PRESET_MATRIX and BROKEN_PRESET
+of tests/conftest.py), the fuzzer's SCHOOLBOOK_PRESET and EDGE_PRESETS,
+198 reports in all.
 Each tree gets one worker process (this script with --worker SRC) that
 imports skewseries from SRC and runs each argv in-process through
 cli.main, under the fuzzer's CPU-time budget (BUDGET_S of ITIMER_PROF).
@@ -57,14 +58,22 @@ def draws(count, seed):
 # the --seed of every suite run
 SUITE_SEEDS = (0, 7)
 
+# The edges of the add and mul tables that the exhaustive pair checks build
+# from the truncpoly formulas, beside SCHOOLBOOK_PRESET's schoolbook
+# product: 256 elements, the most a table covers, and q = 251, where the
+# sum is taken coefficient by coefficient
+EDGE_PRESETS = ("truncpoly:2:8:c=1", "truncpoly:251:1:c=1")
+
 
 def suite_runs(presets=None):
-    """(label, argv) of every suite over presets (default: PRESET_MATRIX and
-    BROKEN_PRESET) at SUITE_SEEDS, with the argv as its own label, so that
-    report lists each differing run."""
+    """(label, argv) of every suite over presets (default: PRESET_MATRIX,
+    BROKEN_PRESET, SCHOOLBOOK_PRESET and EDGE_PRESETS) at SUITE_SEEDS, with
+    the argv as its own label, so that report lists each differing run."""
     fuzz = _fuzzer()
     if presets is None:
-        presets = fuzz.PRESET_MATRIX + (fuzz.BROKEN_PRESET,)
+        presets = (fuzz.PRESET_MATRIX + (fuzz.BROKEN_PRESET,
+                                         fuzz.SCHOOLBOOK_PRESET)
+                   + EDGE_PRESETS)
     runs = []
     for preset in presets:
         for suite in fuzz.SUITE_NAMES:
