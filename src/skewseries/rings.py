@@ -12,10 +12,10 @@ vanish) in closed form, so nothing here enumerates R: ideal powers are
 built lazily per k, every inverse is verified by both products before it
 is used, and the test suite checks each closed form against exhaustive
 enumeration on small presets.  The methods that list R or I^k
-(elements, ideal_power_list, ideal_power), and _table_rows, the add and
-mul tables from the families' formulas, serve the checks of
-:mod:`skewseries.suites`, which budget every walk.  All answers are
-exact.
+(elements, ideal_power_list, ideal_power), _table_rows, the add and mul
+tables from the families' formulas, and _column_sums, the sums of whole
+columns of elements, serve the checks of :mod:`skewseries.suites`, which
+budget every walk.  All answers are exact.
 
 Preset grammar (also accepted by the command line front end):
 
@@ -190,6 +190,16 @@ class RingContext:
         the operation: the checks then call the operation once per pair
         (suites._op_tables), and that per-pair table is the oracle of this
         one."""
+        return None
+
+    def _column_sums(self, columns: list):
+        """The sums of a nonempty list of equally long columns of elements
+        (iterables, each read once), position by position: a list whose
+        i-th entry is the sum of the i-th elements, from the family's own
+        formula.  None on a subclass, which may redefine add, and where the
+        family has none: the checks then fold ctx.add over each position
+        (suites.monomial_operator_word_sums), and that fold is the oracle
+        of this one."""
         return None
 
     # -- derived structure ------------------------------------------------
@@ -439,6 +449,12 @@ class ZmodRing(RingContext):
             return [every[a:] + every[:a] for a in range(n)]
         return [(every * a)[::a] if a else bytes(n) for a in range(n)]
 
+    def _column_sums(self, columns):
+        """One int sum mod p^n per position, across the columns."""
+        if type(self) is not ZmodRing:
+            return None
+        return list(map(self.cardinality.__rmod__, map(sum, zip(*columns))))
+
 
 class TruncPolyRing(RingContext):
     """F_q[t]/(t^m) with radical (t), q-twist sigma(f)(t) = f(c*t) and the
@@ -610,30 +626,57 @@ class TruncPolyRing(RingContext):
 
     def _table_rows(self, name, elems):
         """The add row of a is one _add of a repeated |R| times and the
-        concatenated carrier; the mul row calls _mul once per pair, the
-        formula behind mul without its memo, so the checks that read these
-        rows check the formulas the memo serves.  Each value becomes its
-        position in the sorted carrier from its base-q digits, byte 0 the
-        most significant: digit slice i of the values, translated by
-        x -> x*q^(m-1-i), is read as one int, and the m ints are summed;
-        each byte of the sum is a position, at most q^m - 1 <= 255, so no
-        byte carries into the next."""
+        concatenated carrier.  Within _mul's byte bound the mul row of a is
+        one product, _mul's Kronecker substitution over the whole carrier:
+        a times the carrier packed in zero-padded slots of 2m - 1 bytes.
+        Each byte of a slot is a coefficient of the full product of a with
+        one element, at most m*(q-1)^2 <= 255, so no byte carries and no
+        product reaches the next slot; the low m bytes of each slot are its
+        product mod t^m.  Past the bound the mul row calls _mul once per
+        pair.  Both call the formulas behind add and mul without their
+        memos, so the checks that read these rows check the formulas the
+        memos serve.  Each value becomes its position in the sorted carrier
+        from its base-q digits, byte 0 the most significant: digit slice i
+        of the values (the values ``stride`` bytes apart), translated by
+        x -> (x mod q)*q^(m-1-i), is read as one int, and the m ints are
+        summed; each byte of the sum is a position, at most q^m - 1 <= 255,
+        so no byte carries into the next."""
         n, q, m = self.cardinality, self.q, self.m
         if (type(self) is not TruncPolyRing or n > 256
                 or name not in ("add", "mul")):
             return None
-        scales = [bytes(x * q ** (m - 1 - i) for x in range(q)) + bytes(256 - q)
+        scales = [bytes(x % q * q ** (m - 1 - i) for x in range(256))
                   for i in range(m)]
 
-        def positions(values):
-            return sum(int.from_bytes(values[i::m].translate(scale), "little")
+        def positions(values, stride):
+            return sum(int.from_bytes(values[i::stride].translate(scale), "little")
                        for i, scale in enumerate(scales)).to_bytes(n, "little")
 
         if name == "add":
             carrier = b"".join(elems)
-            return [positions(self._add(a * n, carrier)) for a in elems]
-        mul = self._mul
-        return [positions(b"".join([mul(a, b) for b in elems])) for a in elems]
+            return [positions(self._add(a * n, carrier), m) for a in elems]
+        if self._byte_residues is None:
+            mul = self._mul
+            return [positions(b"".join([mul(a, b) for b in elems]), m)
+                    for a in elems]
+        stride = 2 * m - 1
+        carrier = int.from_bytes(bytes(m - 1).join(elems), "little")
+        return [positions((int.from_bytes(a, "little") * carrier
+                           ).to_bytes(n * stride, "little"), stride)
+                for a in elems]
+
+    def _column_sums(self, columns):
+        """One _add per column over the concatenated elements (_add is
+        bytewise, so it sums whole columns at once), cut back into
+        elements."""
+        if type(self) is not TruncPolyRing:
+            return None
+        total = b"".join(columns[0])
+        for column in columns[1:]:
+            total = self._add(total, b"".join(column))
+        m, size = self.m, len(total)
+        return list(map(total.__getitem__,
+                        map(slice, range(0, size, m), range(m, size + m, m))))
 
     def neg(self, a):
         return a.translate(self._negated)

@@ -62,13 +62,17 @@ NEG_INF = float("-inf")
 
 
 def monomial_operator_apply(ctx: RingContext, k: int, l: int, a):
-    """M_{k,l}(delta, sigma) applied to a, via the additive recursion.
+    """M_{k,l}(delta, sigma) applied to a, via the additive recursion
+    M_{k,l} = delta . M_{k-1,l} + sigma . M_{k,l-1}.
 
     Values are memoized per ring context and input element, so repeated
     series products over the same small carrier cost a dictionary lookup.
     Every call fills the whole rectangle k' <= k, l' <= l, so when
     (k, l', a) is memoized every (k'' <= k, l'' <= l', a) is too, and a
-    call only has to fill the columns right of the last complete one.
+    call only has to fill the columns right of the last complete one.  A
+    cell on an edge of the rectangle is sigma (k' = 0) or delta (l' = 0)
+    of its one neighbour, and only an interior cell calls ctx.add, once;
+    ctx.add, ctx.sigma and ctx.delta are read once per call.
     """
     if k < 0 or l < 0:
         return ctx.zero()
@@ -76,6 +80,7 @@ def monomial_operator_apply(ctx: RingContext, k: int, l: int, a):
     hit = cache.get((k, l, a))
     if hit is not None:
         return hit
+    add, sigma, delta = ctx.add, ctx.sigma, ctx.delta
     first = l
     while first > 0 and (k, first - 1, a) not in cache:
         first -= 1
@@ -84,14 +89,13 @@ def monomial_operator_apply(ctx: RingContext, k: int, l: int, a):
             key = (kk, ll, a)
             if key in cache:
                 continue
-            if kk == 0 and ll == 0:
-                val = a
+            if kk == 0:
+                val = sigma(cache[(0, ll - 1, a)]) if ll else a
+            elif ll == 0:
+                val = delta(cache[(kk - 1, 0, a)])
             else:
-                val = ctx.zero()
-                if kk > 0:
-                    val = ctx.add(val, ctx.delta(cache[(kk - 1, ll, a)]))
-                if ll > 0:
-                    val = ctx.add(val, ctx.sigma(cache[(kk, ll - 1, a)]))
+                val = add(delta(cache[(kk - 1, ll, a)]),
+                          sigma(cache[(kk, ll - 1, a)]))
             cache[key] = val
     return cache[(k, l, a)]
 

@@ -454,18 +454,22 @@ def monomial_operator_word_sums(ctx: RingContext, k: int, l: int, elems: list,
                                 images: dict):
     """monomial_operator_words for every element of the sorted carrier
     ``elems`` at once, given the images of the words of k + l letters over
-    it (a layer of monomial_operator_word_images).  The words are summed
+    it (a layer of monomial_operator_word_images).  The words' columns of
+    values are summed by the family's own formula (ctx._column_sums: one
+    add per word on truncpoly, one sum per element on zmod), and elsewhere
     with ctx.add per element in the same order as monomial_operator_words.
     Returns (values, word_count)."""
-    totals = [ctx.zero()] * len(elems)
-    count = 0
     n = k + l
-    for delta_slots in itertools.combinations(range(n), k):
-        word = "".join("d" if i in delta_slots else "s" for i in range(n))
-        totals = list(map(ctx.add, totals,
-                          map(elems.__getitem__, images[word])))
-        count += 1
-    return totals, count
+    columns = [map(elems.__getitem__,
+                   images["".join("d" if i in delta_slots else "s"
+                                  for i in range(n))])
+               for delta_slots in itertools.combinations(range(n), k)]
+    totals = ctx._column_sums(columns)
+    if totals is None:
+        totals = [ctx.zero()] * len(elems)
+        for column in columns:
+            totals = list(map(ctx.add, totals, column))
+    return totals, len(columns)
 
 
 # the sizes the mkl-oracle and poly-assoc suites check up to
@@ -487,12 +491,14 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
     the image of the word without its first letter
     (monomial_operator_word_images: 2^(T+1) - 2 table passes, T =
     MKL_ORACLE_MAX_TOTAL), and the words are summed per (k, l) by
-    monomial_operator_word_sums.  The recursion still runs on every
-    element: T + 1 calls per element, M_{T-l,l}(a) for l = 0..T, fill the
-    memo column by column with every M_{k,l}(a), k + l <= T (each call
-    fills the rectangle below its own (k, l)), and each (k, l, a) is then
-    read back from that memo.  A sigma or delta value outside the carrier
-    is reported as a closure failure.
+    monomial_operator_word_sums: a whole column per word by the family's
+    own sum (ctx._column_sums), and per element with ctx.add on a
+    subclass.  The recursion still runs on every element: T + 1 calls per
+    element, M_{T-l,l}(a) for l = 0..T, fill the memo column by column
+    with every M_{k,l}(a), k + l <= T (each call fills the rectangle below
+    its own (k, l), with one add per interior cell), and each (k, l, a) is
+    then read back from that memo.  A sigma or delta value outside the
+    carrier is reported as a closure failure.
 
     Where the family has a closed form of the operator rows
     (ctx._closed_rows), it is compared with the recursion too: its rows of

@@ -1,6 +1,7 @@
 """Smoke tests of tools/ab_trees.py: one round of expr-warm and one of
 rank-mixed with both sides loaded from this tree's src/, each side on the
-pool its own tree generated, and the representation-neutral digest."""
+pool its own tree generated, the opcode count of --opcodes, and the
+representation-neutral digest."""
 
 import importlib.util
 import sys
@@ -44,6 +45,20 @@ def test_one_round_of_expr_warm_on_the_same_tree():
     after = {name: id(m) for name, m in sys.modules.items()
              if name.split(".")[0] == "skewseries"}
     assert after == before
+
+
+def test_the_opcode_count_repeats_exactly_on_the_same_tree():
+    ab = _load_tool()
+    tracing = sys.gettrace()
+    summary = ab.compare(ROOT / "src", ROOT / "src", "expr-warm", seed=7,
+                         rounds=1, opcodes=True)
+    counts = summary["opcodes"]
+    assert counts["old"] > 0 and counts["old"] == counts["new"]
+    assert ab.report(summary, "A", "B")[-1] == (
+        f"  opcodes per pass: old {counts['old']}, new {counts['new']}, "
+        "new/old 1.0000")
+    # whatever traced the caller traces it again
+    assert sys.gettrace() is tracing
 
 
 def test_each_side_replays_the_pool_its_own_tree_generated(monkeypatch):

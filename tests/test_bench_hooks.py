@@ -153,8 +153,10 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     # mkl-oracle never multiplies; its tables are of sigma and delta
     ("mkl-oracle", "rings.sigma_delta_calls")])
 def test_tracer_counts_the_tabled_suites(monkeypatch, suite, counter):
-    # the index tables call the instance's operations, so the counts the
-    # tracer takes by wrapping them still see the exhaustive suites
+    # the family's add and mul tables and word sums bypass the instance's
+    # operations that the tracer wraps; what its counts still see is
+    # ring-axioms' ctx.mul calls of the single-element laws, and
+    # mkl-oracle's sigma and delta tables and its recursion
     argv = ["check", suite, "--ring", "truncpoly:3:3:c=2"]
     layers = _traced_layers(monkeypatch, argv).metrics()
     assert layers[counter][0] > 0

@@ -4,6 +4,7 @@ replaced are kept here as oracles; the tests require the same reports,
 closure failures instead of tracebacks, and bounded operation counts."""
 
 import copy
+import functools
 import itertools
 import math
 import random
@@ -619,6 +620,76 @@ def test_word_sums_match_word_enumeration(preset):
                             for a in elems]
 
 
+@pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,
+                                                    "truncpoly:2:8:c=1"))
+def test_family_column_sums_match_the_elementwise_fold(preset):
+    # the family sums each (k, l) without ctx.add; the fold per element,
+    # the path of every subclass, is its oracle
+    ctx = parse_ring_preset(preset)
+    elems = sorted(ctx.elements())
+    tables, _ = _op_tables(ctx, elems, unary=("sigma", "delta"))
+    # a top of 7 stores the images of every layer up to 6
+    layers = monomial_operator_word_images(
+        tables["sigma"], tables["delta"], len(elems), 7)
+    calls = _count_calls(ctx, ("add",))
+    for total, images in zip(range(7), layers):
+        for k in range(total + 1):
+            sums, count = monomial_operator_word_sums(
+                ctx, k, total - k, elems, images)
+            assert calls["add"] == 0 and count == math.comb(total, k)
+            words = [word for word in images if word.count("d") == k]
+            assert sums == [
+                functools.reduce(ctx.add, (elems[images[word][i]]
+                                           for word in words), ctx.zero())
+                for i in range(len(elems))]
+            calls["add"] = 0
+
+
+# subclass controls, which keep the per-element fold, with their mkl-oracle
+# checked count and counterexample (None where the suite passes)
+@pytest.mark.parametrize("ring, checked, cex", [
+    (LeakySigma, 0, "sigma(5) leaves the carrier"),
+    (DeltaOutsideI, 20, "M_{1,0}(3) = 1 does not vanish at k >= depth 1"),
+    (lambda: NonAdditiveDelta(2, 3), 20,
+     "M_{1,0}(3) = 4 does not vanish at k >= depth 1"),
+    (EulerDerivation, 517,
+     "M_{1,0}(t^5) = t^6 does not vanish at k >= depth 1"),
+    (NonAdditiveSigma, 801, None), (lambda: NonAssociativeAdd(3), 3545, None),
+    (lambda: NonCommutativeAdd(3, 3), 801, None)],
+    ids=["leaky-sigma", "delta-outside-I", "non-additive-delta",
+         "euler-derivation", "non-additive-sigma", "non-associative-add",
+         "non-commutative-add"])
+def test_subclasses_fold_the_word_sums_per_element(ring, checked, cex):
+    ctx = ring()
+    assert ctx._column_sums([sorted(ctx.elements())]) is None
+    report = mkl_oracle(ctx)
+    assert (report.checked, report.counterexample) == (checked, cex)
+
+
+def test_the_recursion_adds_once_per_interior_cell():
+    # M_{6-l,l}(a) for l = 0..6 fill the triangle k + l <= 6 of a's memo:
+    # 7 cells on the edge k = 0, 6 more on the edge l = 0, and 15 interior
+    # cells, each one add of delta and sigma of its neighbours; no add has
+    # the zero the context hands out as an operand
+    ctx = parse_ring_preset(BROKEN_PRESET)
+    zero, plain = ctx.zero(), ctx.add
+    operands = []
+    ctx.add = lambda a, b: operands.extend((a, b)) or plain(a, b)
+    calls = _count_calls(ctx, ("add",))
+    elems = sorted(ctx.elements())
+    for a in elems:
+        calls["add"] = 0
+        for l in range(7):
+            monomial_operator_apply(ctx, 6 - l, l, a)
+        assert calls["add"] == 15
+    assert len(operands) == 2 * 15 * len(elems)
+    assert not any(x is zero for x in operands)
+    memo = ctx._mkl_cache
+    assert len(memo) == 28 * len(elems)
+    assert all(memo[(k, l, a)] == monomial_operator_words(ctx, k, l, a)[0]
+               for k, l, a in memo)
+
+
 # (suite, ring, mode, counterexample prefix)
 LAW_CONTROLS = (
     (ring_axioms, WrongZeroSum, "exhaustive", "a + 0 != a at a=5"),
@@ -794,13 +865,21 @@ def test_a_fault_at_the_last_position_is_found_through_a_row_sum(monkeypatch):
 # _op_tables reads add and mul from ctx._table_rows wherever the family
 # answers, so no exhaustive check calls ctx.add or ctx.mul per pair there.
 # The table built with one such call per pair is the oracle: on truncpoly
-# both call the formulas _add and _mul, and on zmod this test is what ties
-# the rows of Z/p^n to ZmodRing.add and mul.
+# it calls _add and _mul, whose formulas the rows apply to a whole row at
+# once (a packed mul row is _mul's Kronecker substitution over the
+# carrier), and on zmod this test is what ties the rows of Z/p^n to
+# ZmodRing.add and mul.
 
 TABLE_PRESETS = tuple(p for p in PRESET_MATRIX
                       if parse_ring_preset(p).cardinality <= 256) + (
-    BROKEN_PRESET, "zmod:2^8", "truncpoly:2:8:c=1",
-    # schoolbook _mul, and _add coefficient by coefficient
+    BROKEN_PRESET, "zmod:2^8") + tuple(
+    # every truncpoly carrier of at most 256 elements within _mul's byte
+    # bound m(q-1)^2 <= 255, where a mul row is one packed product
+    f"truncpoly:{q}:{m}:c=1" for q, top in ((2, 8), (3, 5), (5, 3))
+    for m in range(1, top + 1)) + (
+    "truncpoly:7:2:c=1", "truncpoly:11:2:c=1",
+    # past the bound: schoolbook _mul once per pair, and _add coefficient
+    # by coefficient
     "truncpoly:13:2:c=2", "truncpoly:251:1:c=1")
 
 
@@ -833,6 +912,36 @@ def test_no_family_rows_on_a_subclass_past_256_elements_or_other_names(ring):
     assert (ctx._table_rows("add", elems) is None) is not shipped
     for name in ("sigma", "delta", "neg", "sub"):
         assert ctx._table_rows(name, elems) is None
+
+
+_family_table_rows = TruncPolyRing._table_rows
+
+
+def _overlapping_mul_rows(self, name, elems):
+    """TruncPolyRing's packed mul rows with slots of m bytes instead of
+    2m - 1: the bytes of each product from t^m up spill into the low bytes
+    of the next slot.  The add rows are the family's own."""
+    if name != "mul":
+        return _family_table_rows(self, name, elems)
+    m, n = self.m, len(elems)
+    index = {a: i for i, a in enumerate(elems)}
+    carrier = int.from_bytes(b"".join(elems), "little")
+    rows = []
+    for a in elems:
+        values = (int.from_bytes(a, "little") * carrier).to_bytes(
+            n * m + m, "little").translate(self._byte_residues)
+        rows.append(bytes(index[values[j:j + m]] for j in range(0, n * m, m)))
+    return rows
+
+
+def test_overlapping_product_slots_fail_the_comparison_and_the_suite(
+        monkeypatch):
+    monkeypatch.setattr(TruncPolyRing, "_table_rows", _overlapping_mul_rows)
+    with pytest.raises(AssertionError):
+        test_family_rows_match_the_pairwise_table("truncpoly:3:3:c=2", "mul")
+    report = ring_axioms(parse_ring_preset("truncpoly:3:3:c=2"), 30, 3)
+    assert report.counterexample == \
+        "left distributivity fails at a=t^2, b=t^2, c=t^2"
 
 
 def test_a_wrong_family_row_fails_the_comparison_and_the_suite(monkeypatch):

@@ -1,6 +1,7 @@
 """Interleaved in-process A/B of two source trees on one benchmark workload.
 
     python tools/ab_trees.py OLD/src NEW/src --workload expr-warm --seed 7 --rounds 20
+    python tools/ab_trees.py OLD/src NEW/src --workload cli-cold --rounds 10 --opcodes
 
 bench/run.py times each tree in its own worker processes, so the spread
 between processes (a warm pass swings by tens of percent from one process
@@ -26,8 +27,16 @@ bench/run.py reads throughput_rps, but in CPU time and not scaled to its
 reference speed) and per-item p90 (as latency_p90_ms), with their ratios
 NEW/OLD, and last whether the two sides gave the same outputs, compared
 with every bytes object read as the tuple of its ints, so that a change of
-element representation (truncpoly tuples to bytes) compares equal.  It uses
-the standard library only and changes nothing under bench/.
+element representation (truncpoly tuples to bytes) compares equal.
+
+With --opcodes, each side then runs one more untraced pass and one traced
+pass, and the script prints the bytecode instructions each side's traced
+pass executed (sys.settrace with frame.f_trace_opcodes) and their ratio
+NEW/OLD.  The count repeats exactly where CPU time swings between
+processes, so it shows a change of a few percent in the work itself; it
+omits time spent in C, so it complements the timed rounds and does not
+replace them.  It uses the standard library only and changes nothing
+under bench/.
 """
 
 from __future__ import annotations
@@ -84,19 +93,43 @@ class Side:
         _activate(self.modules)
         self.pool = self.workload.generate(seed)
 
-    def run(self):
-        """One pass over the pool; returns (CPU seconds, CPU seconds per
-        request, outputs)."""
+    def run(self, trace=None):
+        """One pass over the pool, its requests traced by ``trace`` (a
+        sys.settrace function) if given; returns (CPU seconds, CPU seconds
+        per request, outputs)."""
         _activate(self.modules)
         gc.collect()
         request, state = self.workload.request, self.state
         outputs, took = [], []
+        previous = sys.gettrace()
+        sys.settrace(trace)
         t0 = process_time()
-        for item in self.pool:
-            c0 = process_time()
-            outputs.append(request(state, item))
-            took.append(process_time() - c0)
+        try:
+            for item in self.pool:
+                c0 = process_time()
+                outputs.append(request(state, item))
+                took.append(process_time() - c0)
+        finally:
+            sys.settrace(previous)
         return process_time() - t0, took, outputs
+
+    def opcodes(self):
+        """One untraced pass, then the number of bytecode instructions the
+        requests of one more pass execute: a count that, unlike CPU time,
+        repeats exactly from one process to the next."""
+        self.run()
+        count = 0
+
+        def trace(frame, event, arg):
+            nonlocal count
+            if event == "opcode":
+                count += 1
+            elif event == "call":
+                frame.f_trace_opcodes = True
+            return trace
+
+        self.run(trace)
+        return count
 
     def item_medians(self):
         """Each pool item's median CPU seconds over the rounds."""
@@ -131,8 +164,9 @@ def _quartiles(values):
     return q[0], q[2]
 
 
-def compare(old_src, new_src, workload, seed, rounds):
-    """Run the A/B and return its summary as a dict."""
+def compare(old_src, new_src, workload, seed, rounds, opcodes=False):
+    """Run the A/B and return its summary as a dict; with ``opcodes``, each
+    side's opcode count per pass (Side.opcodes) after the timed rounds."""
     path = ROOT / "bench" / "workloads.py"
     original = _package_modules()
     try:
@@ -152,6 +186,7 @@ def compare(old_src, new_src, workload, seed, rounds):
                 side.took.append(took)
                 times[side.label] = total
             new_won += times["new"] < times["old"]
+        counts = {side.label: side.opcodes() for side in sides} if opcodes else None
     finally:
         _activate(original)
     medians = {side.label: statistics.median(side.times) for side in sides}
@@ -173,6 +208,7 @@ def compare(old_src, new_src, workload, seed, rounds):
         "p90_ratio": p90s["new"] / p90s["old"],
         "new_won": new_won,
         "same_outputs": digests[0] == digests[1],
+        "opcodes": counts,
     }
 
 
@@ -184,10 +220,14 @@ def main(argv=None):
                         choices=("expr-warm", "rank-mixed", "cli-cold"))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--opcodes", action="store_true",
+                        help="also count each side's opcodes in one traced "
+                             "pass after the timed rounds")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
-    s = compare(args.old, args.new, args.workload, args.seed, args.rounds)
+    s = compare(args.old, args.new, args.workload, args.seed, args.rounds,
+                args.opcodes)
     print("\n".join(report(s, args.old, args.new)))
     return 0 if s["same_outputs"] else 1
 
@@ -210,6 +250,10 @@ def report(s, old, new):
     lines.append(f"  new/old {s['throughput_ratio']:.3f} throughput, "
                  f"{s['p90_ratio']:.3f} per-item p90")
     lines.append(f"  outputs {'identical' if s['same_outputs'] else 'DIFFER'}")
+    if s["opcodes"]:
+        old_count, new_count = s["opcodes"]["old"], s["opcodes"]["new"]
+        lines.append(f"  opcodes per pass: old {old_count}, new {new_count}, "
+                     f"new/old {new_count / old_count:.4f}")
     return lines
 
 
