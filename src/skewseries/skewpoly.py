@@ -36,9 +36,12 @@ product routes are provided so they can be cross-validated:
 * :func:`poly_mul_commutation`, which expands products by repeatedly
   applying the single-step rule and collecting left-form terms.
 
-A brute-force word enumeration of M_{k,l} is kept as an oracle for the
-recursion (suites.monomial_operator_words), and the recursion is the
-oracle of the closed forms (suites.mkl_oracle_check compares them).
+A brute-force word enumeration of M_{k,l} (suites.monomial_operator_words)
+is kept as the oracle of the recursion and of the closed forms:
+suites.mkl_oracle_check compares the word sums with the closed forms at
+every element, and with the recursion at every element, or only at the
+additive generators of R once it has checked that they span (R, +) and
+that sigma and delta are additive.
 
 The depth d is a closed form per preset family, clamped at the radical
 nilpotency (M_{k,l} maps R into I^k):

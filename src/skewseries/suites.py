@@ -493,100 +493,51 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
     MKL_ORACLE_MAX_TOTAL), and the words are summed per (k, l) by
     monomial_operator_word_sums: a whole column per word by the family's
     own sum (ctx._column_sums), and per element with ctx.add on a
-    subclass.  The recursion still runs on every element: T + 1 calls per
-    element, M_{T-l,l}(a) for l = 0..T, fill the memo column by column
-    with every M_{k,l}(a), k + l <= T (each call fills the rectangle below
-    its own (k, l), with one add per interior cell), and each (k, l, a) is
-    then read back from that memo.  A sigma or delta value outside the
-    carrier is reported as a closure failure.
+    subclass.  A sigma or delta value outside the carrier is reported as a
+    closure failure.
 
     Where the family has a closed form of the operator rows
-    (ctx._closed_rows), it is compared with the recursion too: its rows of
-    every element for l <= T give M_{k,l} for k < depth, and building them
-    checks M_{depth,l} = 0, so a closed form that claims a nonzero value
-    there fails the suite with its own error text.
+    (ctx._closed_rows), it is compared with the words at every element too:
+    its rows of every element for l <= T give M_{k,l} for k < depth, and
+    building them checks M_{depth,l} = 0, so a closed form that claims a
+    nonzero value there fails the suite with its own error text.
 
-    Each (k, l) is compared as whole columns over the carrier: words
-    against recursion, closed form against recursion (k < depth) and
-    words against zero (k >= depth).  Only a column that differs somewhere
-    is walked element by element, so ``checked``, the counters and the
-    counterexample are those of the element-by-element loop.
+    The recursion runs where _generator_positions finds a verified
+    additive model: the family's generators (ctx._additive_generators)
+    span (R, +), and sigma and delta are additive.  Every word, and so
+    M_{k,l}, is then additive, and the recursion, built from sigma, delta
+    and add alone, is too; two additive maps that agree on a spanning set
+    agree everywhere, so the recursion is compared with the words at the
+    generators only (T + 1 calls each).  On a subclass, or where the model
+    is refused, it runs on every element: T + 1 calls per element,
+    M_{T-l,l}(a) for l = 0..T, fill the memo column by column with every
+    M_{k,l}(a), k + l <= T (each call fills the rectangle below its own
+    (k, l), with one add per interior cell), and each (k, l, a) is then
+    read back from that memo.  A mismatch at a generator reruns the check
+    on every element (see _mkl_compare), so both paths report alike.
 
     The recursion fills a fresh M_{k,l} memo, which is dropped afterwards:
     the context's own memo (ctx._mkl_cache) is put back unchanged, so the
     check leaves no entries behind for the whole carrier.  It runs no
     product, so the operator rows (ctx._mkl_rows) are not touched either."""
-    checked = 0
-    vanishing = 0
-    closed_checks = 0
-    zero = ctx.zero()
+    counts = (0, 0, 0)
     depth = ctx.mkl_depth()
-    top = MKL_ORACLE_MAX_TOTAL
     elems = _carrier(ctx, limit=MKL_ORACLE_CARRIER_LIMIT, walk="mkl-oracle")
-    size = len(elems)
     tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
     closed, cex = (_closed_rows_of(ctx, depth, elems) if cex is None
                    else ([], cex))
-    layers = ()
-    recursion = {}
-    own_memo, ctx._mkl_cache = ctx._mkl_cache, recursion
+    own_memo, ctx._mkl_cache = ctx._mkl_cache, {}
     try:
         if cex is None:
-            for a in elems:
-                for l in range(top + 1):
-                    skewpoly.monomial_operator_apply(ctx, top - l, l, a)
-            layers = monomial_operator_word_images(
-                tables["sigma"], tables["delta"], size, top)
-        for total, images in enumerate(layers):
-            for k in range(total + 1):
-                l = total - k
-                sums, count = monomial_operator_word_sums(ctx, k, l, elems,
-                                                          images)
-                words = math.comb(total, k)
-                by_recursion = list(map(recursion.__getitem__,
-                                        zip(itertools.repeat(k),
-                                            itertools.repeat(l), elems)))
-                by_closed = ([dict(rows[l]).get(k, zero) for rows in closed]
-                             if closed and k < depth else None)
-                if (count == words and sums == by_recursion
-                        and (by_closed is None or by_closed == by_recursion)
-                        and (k < depth or sums.count(zero) == size)):
-                    checked += size
-                    if by_closed is not None:
-                        closed_checks += size
-                    if k >= depth:
-                        vanishing += size
-                    continue
-                for i, a in enumerate(elems):
-                    checked += 1
-                    if count != words:
-                        cex = f"word count mismatch at k={k}, l={l}"
-                        break
-                    by_words = sums[i]
-                    if by_words != by_recursion[i]:
-                        cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
-                               f"words give {ctx.render(by_words)}")
-                        break
-                    if by_closed is not None:
-                        closed_checks += 1
-                        if by_closed[i] != by_recursion[i]:
-                            cex = (f"closed form of M_{{{k},{l}}} mismatch at "
-                                   f"a={ctx.render(a)}: closed form gives "
-                                   f"{ctx.render(by_closed[i])}")
-                            break
-                    if k >= depth:
-                        vanishing += 1
-                        if by_words != zero:
-                            cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
-                                   f"{ctx.render(by_words)} does not vanish at "
-                                   f"k >= depth {depth}")
-                            break
-                if cex:
-                    break
-            if cex:
-                break
+            points = _generator_positions(ctx, elems, tables)
+            outcome = points and _mkl_compare(ctx, elems, tables, closed,
+                                              depth, points)
+            # no model, or a mismatch at a generator: every element
+            *counts, cex = outcome or _mkl_compare(ctx, elems, tables, closed,
+                                                   depth, None)
     finally:
         ctx._mkl_cache = own_memo
+    checked, vanishing, closed_checks = counts
     if cex is None:
         for total in range(MKL_WORD_COUNT_TOTAL + 1):
             for k in range(total + 1):
@@ -599,6 +550,118 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
                           "vanishing_checks": vanishing,
                           "closed_form_checks": closed_checks,
                           "mkl_depth": depth}
+
+
+def _generator_positions(ctx: RingContext, elems: list, tables: dict):
+    """The positions in ``elems`` of the family's additive generators
+    (ctx._additive_generators), once checked: sigma and delta are additive,
+    f(a + g) = f(a) + f(g) for every element a and generator g, and the
+    generators span (R, +).  None where the family has no generators or a
+    check fails.  Sums are whole columns (ctx._column_sums) and f is read
+    from its index table, so it calls no ring operation.  The span is the
+    closure of {0} under adding each generator in turn: a coset of the
+    span so far is shifted by the generator until a shift lands in the
+    span, and the closure must reach every element."""
+    gens = ctx._additive_generators()
+    if gens is None:
+        return None
+    size = len(elems)
+    index = {a: i for i, a in enumerate(elems)}
+    images = [list(map(elems.__getitem__, table)) for table in tables.values()]
+    span = [index[ctx.zero()]]
+    reached = set(span)
+    for g in gens:
+        shifted = list(map(index.__getitem__,
+                           ctx._column_sums([elems, itertools.repeat(g, size)])))
+        for image in images:
+            if (list(map(image.__getitem__, shifted)) != ctx._column_sums(
+                    [image, itertools.repeat(image[index[g]], size)])):
+                return None
+        coset, grown = span, []
+        while True:
+            coset = list(map(shifted.__getitem__, coset))
+            if coset[0] in reached:
+                break
+            reached.update(coset)
+            grown += coset
+        span += grown
+    return [index[g] for g in gens] if len(reached) == size else None
+
+
+def _mkl_compare(ctx: RingContext, elems: list, tables: dict, closed: list,
+                 depth: int, points):
+    """The (checked, vanishing, closed-form checks, counterexample) of
+    mkl_oracle_check's comparisons, with the recursion run at the
+    positions ``points`` of elems, or at every element for None.
+
+    Each (k, l) is compared as whole columns over the carrier: words
+    against recursion at the points, closed form against words
+    (k < depth) and words against zero (k >= depth).  Where a column
+    differs somewhere, it returns None if the recursion ran at some points
+    only, and else walks the column element by element, with the closed
+    form compared against the recursion, so ``checked``, the counters and
+    the counterexample are those of the element-by-element loop."""
+    checked = vanishing = closed_checks = 0
+    cex = None
+    zero = ctx.zero()
+    size = len(elems)
+    top = MKL_ORACLE_MAX_TOTAL
+    at = elems if points is None else list(map(elems.__getitem__, points))
+    for a in at:
+        for l in range(top + 1):
+            skewpoly.monomial_operator_apply(ctx, top - l, l, a)
+    recursion = ctx._mkl_cache
+    layers = monomial_operator_word_images(tables["sigma"], tables["delta"],
+                                           size, top)
+    for total, images in enumerate(layers):
+        for k in range(total + 1):
+            l = total - k
+            sums, count = monomial_operator_word_sums(ctx, k, l, elems, images)
+            words = math.comb(total, k)
+            by_recursion = list(map(recursion.__getitem__,
+                                    zip(itertools.repeat(k),
+                                        itertools.repeat(l), at)))
+            at_points = (sums if points is None
+                         else list(map(sums.__getitem__, points)))
+            by_closed = ([dict(rows[l]).get(k, zero) for rows in closed]
+                         if closed and k < depth else None)
+            if (count == words and at_points == by_recursion
+                    and (by_closed is None or by_closed == sums)
+                    and (k < depth or sums.count(zero) == size)):
+                checked += size
+                if by_closed is not None:
+                    closed_checks += size
+                if k >= depth:
+                    vanishing += size
+                continue
+            if points is not None:
+                return None
+            for i, a in enumerate(elems):
+                checked += 1
+                if count != words:
+                    cex = f"word count mismatch at k={k}, l={l}"
+                    break
+                by_words = sums[i]
+                if by_words != by_recursion[i]:
+                    cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
+                           f"words give {ctx.render(by_words)}")
+                    break
+                if by_closed is not None:
+                    closed_checks += 1
+                    if by_closed[i] != by_recursion[i]:
+                        cex = (f"closed form of M_{{{k},{l}}} mismatch at "
+                               f"a={ctx.render(a)}: closed form gives "
+                               f"{ctx.render(by_closed[i])}")
+                        break
+                if k >= depth:
+                    vanishing += 1
+                    if by_words != zero:
+                        cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
+                               f"{ctx.render(by_words)} does not vanish at "
+                               f"k >= depth {depth}")
+                        break
+            return checked, vanishing, closed_checks, cex
+    return checked, vanishing, closed_checks, cex
 
 
 def _closed_rows_of(ctx: RingContext, depth: int, elems):

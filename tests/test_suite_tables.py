@@ -18,8 +18,9 @@ from skewseries import (ZmodRing, monomial_operator_apply,
                         suites)
 from skewseries.report import CheckReport
 from skewseries.rings import TruncPolyRing
-from skewseries.suites import (_exhaustive, _on_rows, _op_tables,
-                               _tuple_stream, monomial_operator_word_images,
+from skewseries.suites import (_exhaustive, _generator_positions, _on_rows,
+                               _op_tables, _tuple_stream,
+                               monomial_operator_word_images,
                                monomial_operator_word_sums)
 
 
@@ -524,17 +525,102 @@ def test_late_failures_are_found_inside_a_row():
     assert report.counterexample == "sigma additivity fails at a=1, b=24"
 
 
+def _subclassed(preset):
+    """A fresh context of preset as an instance of a subclass of its family,
+    which changes nothing but has no additive model (a subclass may
+    redefine sigma, delta or add), so mkl-oracle runs the recursion at
+    every element."""
+    ctx = parse_ring_preset(preset)
+    ctx.__class__ = type("Sub" + type(ctx).__name__, (type(ctx),), {})
+    return ctx
+
+
+# On the shipped families mkl-oracle runs the recursion at the additive
+# generators only, so a wrong value there must fail the suite; a subclass
+# runs it at every element, so there a wrong value at the last element
+# must.  The recursion at every element of both carriers, family or not,
+# is checked in tier-1 by
+# test_acceptance.py::test_criterion_01_mkl_oracle_equivalence.
 @pytest.mark.parametrize("preset", ["truncpoly:3:3:c=2", "zmod:3^3"])
 def test_wrong_recursion_value_matches_elementwise_loop(preset, monkeypatch):
     ctx = parse_ring_preset(preset)
-    last = sorted(ctx.elements())[-1]
-    monkeypatch.setattr(skewpoly, "monomial_operator_apply", _wrong_at(2, 3, last))
+    generator = ctx._additive_generators()[-1]
+    monkeypatch.setattr(skewpoly, "monomial_operator_apply",
+                        _wrong_at(2, 3, generator))
     tabled = mkl_oracle(parse_ring_preset(preset))
     assert not tabled.passed
     assert tabled.counterexample.startswith(
-        f"M_{{2,3}} mismatch at a={ctx.render(last)}")
+        f"M_{{2,3}} mismatch at a={ctx.render(generator)}")
     assert _outcome(mkl_oracle, parse_ring_preset(preset)) == \
         _outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset))
+
+
+@pytest.mark.parametrize("preset", ["truncpoly:3:3:c=2", "zmod:3^3"])
+def test_wrong_recursion_value_at_the_last_element_fails_a_subclass(
+        preset, monkeypatch):
+    ctx = _subclassed(preset)
+    last = sorted(ctx.elements())[-1]
+    monkeypatch.setattr(skewpoly, "monomial_operator_apply", _wrong_at(2, 3, last))
+    tabled = mkl_oracle(_subclassed(preset))
+    assert not tabled.passed
+    assert tabled.counterexample.startswith(
+        f"M_{{2,3}} mismatch at a={ctx.render(last)}")
+    assert _outcome(mkl_oracle, _subclassed(preset)) == \
+        _outcome(elementwise_mkl_oracle_check, _subclassed(preset))
+
+
+def _recursion_calls(monkeypatch, make_ctx):
+    """The mkl-oracle report on a fresh context from make_ctx, with the
+    number of calls it made to the M_{k,l} recursion."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return monomial_operator_apply(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(skewpoly, "monomial_operator_apply", counted)
+        outcome = _outcome(mkl_oracle, make_ctx())
+    return outcome, calls[0]
+
+
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+def test_the_generator_path_matches_the_per_element_path(preset, monkeypatch):
+    # T + 1 = 7 recursion calls per point: the generators of the family,
+    # every element of a subclass or where the model is switched off
+    ctx = parse_ring_preset(preset)
+    outcome, calls = _recursion_calls(monkeypatch,
+                                      lambda: parse_ring_preset(preset))
+    assert outcome[0] and calls == 7 * len(ctx._additive_generators())
+    # a subclass has no closed form either, so its report is its own
+    assert _recursion_calls(monkeypatch, lambda: _subclassed(preset)) == \
+        (_outcome(elementwise_mkl_oracle_check, _subclassed(preset)),
+         7 * ctx.cardinality)
+    monkeypatch.setattr(type(ctx), "_additive_generators", lambda self: None)
+    assert _recursion_calls(monkeypatch, lambda: parse_ring_preset(preset)) == \
+        (outcome, 7 * ctx.cardinality)
+
+
+def _model_of(ctx):
+    """_generator_positions over ctx's sorted carrier and its tables."""
+    elems = sorted(ctx.elements())
+    tables, _ = _op_tables(ctx, elems, unary=("sigma", "delta"))
+    return _generator_positions(ctx, elems, tables)
+
+
+def test_generators_that_miss_a_basis_element_are_refused(monkeypatch):
+    # without t^2, the sums of t^0 and t^1 give 9 of the 27 elements
+    preset = "truncpoly:3:3:c=2"
+    ctx = parse_ring_preset(preset)
+    elems = sorted(ctx.elements())
+    generators = ctx._additive_generators()
+    assert _model_of(ctx) == [elems.index(g) for g in generators]
+    monkeypatch.setattr(TruncPolyRing, "_additive_generators",
+                        lambda self: generators[:-1])
+    assert _model_of(parse_ring_preset(preset)) is None
+    assert _recursion_calls(monkeypatch, lambda: parse_ring_preset(preset)) == \
+        (_outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset)),
+         7 * ctx.cardinality)
 
 
 # the first and the last element of a column: mkl-oracle compares whole
@@ -588,6 +674,32 @@ def test_a_sigma_wrong_at_one_element_fails_the_oracle_there(
         f"closed form of M_{{0,1}} mismatch at a={ctx.render(wrong_at)}: ")
     assert _outcome(mkl_oracle, parse_ring_preset(preset)) == \
         _outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset))
+
+
+@ENDS
+def test_a_delta_wrong_at_one_element_refuses_the_model(monkeypatch, where):
+    # delta(a) + 1 at one element, patched on the family itself: delta is
+    # then not additive, so mkl-oracle runs the recursion at every element,
+    # where words and recursion agree on M_{1,0}(a) = delta(a) and the
+    # closed form, which does not call delta, does not
+    preset = "truncpoly:3:3:c=2"
+    ctx = parse_ring_preset(preset)
+    wrong_at = sorted(ctx.elements())[where]
+    plain = TruncPolyRing.delta
+
+    def wrong(self, a):
+        value = plain(self, a)
+        return self.add(value, self.one()) if a == wrong_at else value
+
+    monkeypatch.setattr(TruncPolyRing, "delta", wrong)
+    assert _model_of(parse_ring_preset(preset)) is None
+    report = mkl_oracle(parse_ring_preset(preset))
+    assert not report.passed
+    assert report.counterexample.startswith(
+        f"closed form of M_{{1,0}} mismatch at a={ctx.render(wrong_at)}: ")
+    assert _recursion_calls(monkeypatch, lambda: parse_ring_preset(preset)) == \
+        (_outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset)),
+         7 * ctx.cardinality)
 
 
 def test_a_closed_form_below_its_depth_fails_the_oracle(monkeypatch):

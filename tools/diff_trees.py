@@ -9,10 +9,11 @@ With --suites it runs instead every property suite at seeds 0 and 7, each
 report as JSON, and lists every report that differs.  Its presets are the
 fuzzer's preset matrix and delta=broken (PRESET_MATRIX and BROKEN_PRESET
 of tests/conftest.py), the fuzzer's SCHOOLBOOK_PRESET and EDGE_PRESETS,
-198 reports in all.
+and mkl-oracle at seed 0 on LARGE_CARRIERS, 200 reports in all.
 Each tree gets one worker process (this script with --worker SRC) that
 imports skewseries from SRC and runs each argv in-process through
-cli.main, under the fuzzer's CPU-time budget (BUDGET_S of ITIMER_PROF).
+cli.main, under a CPU-time budget of ITIMER_PROF: the fuzzer's BUDGET_S
+for a draw, SUITE_BUDGET_S for a suite report.
 A run's outcome is its exit code, or the exception it raised, or the
 budget it overran, with its stdout and stderr.
 
@@ -28,6 +29,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import io
+import itertools
 import json
 import random
 import shlex
@@ -64,23 +66,35 @@ SUITE_SEEDS = (0, 7)
 # sum is taken coefficient by coefficient
 EDGE_PRESETS = ("truncpoly:2:8:c=1", "truncpoly:251:1:c=1")
 
+# The carriers where mkl-oracle's recursion at the additive generators
+# saves the most over its run at every element; about 1 s each there, and
+# several seconds at every element
+LARGE_CARRIERS = ("zmod:2^16", "truncpoly:2:14:c=1")
+
+# the CPU-time budget of a suite report, in seconds: room for mkl-oracle
+# on LARGE_CARRIERS at every element
+SUITE_BUDGET_S = 30
+
 
 def suite_runs(presets=None):
-    """(label, argv) of every suite over presets (default: PRESET_MATRIX,
-    BROKEN_PRESET, SCHOOLBOOK_PRESET and EDGE_PRESETS) at SUITE_SEEDS, with
-    the argv as its own label, so that report lists each differing run."""
+    """(label, argv) of every suite over presets at SUITE_SEEDS, with the
+    argv as its own label, so that report lists each differing run.  By
+    default the presets are PRESET_MATRIX, BROKEN_PRESET, SCHOOLBOOK_PRESET
+    and EDGE_PRESETS, and mkl-oracle also runs at seed 0 on
+    LARGE_CARRIERS."""
     fuzz = _fuzzer()
+    large = ()
     if presets is None:
         presets = (fuzz.PRESET_MATRIX + (fuzz.BROKEN_PRESET,
                                          fuzz.SCHOOLBOOK_PRESET)
                    + EDGE_PRESETS)
+        large = [(preset, "mkl-oracle", 0) for preset in LARGE_CARRIERS]
     runs = []
-    for preset in presets:
-        for suite in fuzz.SUITE_NAMES:
-            for seed in SUITE_SEEDS:
-                argv = ["check", suite, "--ring", preset, "--seed", str(seed),
-                        "--format", "json"]
-                runs.append((" ".join(argv[1:6]), argv))
+    for preset, suite, seed in [*itertools.product(presets, fuzz.SUITE_NAMES,
+                                                   SUITE_SEEDS), *large]:
+        argv = ["check", suite, "--ring", preset, "--seed", str(seed),
+                "--format", "json"]
+        runs.append((" ".join(argv[1:6]), argv))
     return runs
 
 
@@ -144,15 +158,15 @@ def _outcomes(src, argvs, budget_s):
 
 def compare(old_src, new_src, count, seed):
     """{label: [(argv, old outcome, new outcome)]} of the draws that differ."""
-    return compare_runs(old_src, new_src, draws(count, seed) if count else [])
+    return compare_runs(old_src, new_src, draws(count, seed) if count else [],
+                        _fuzzer().BUDGET_S)
 
 
-def compare_runs(old_src, new_src, drawn):
+def compare_runs(old_src, new_src, drawn, budget_s=SUITE_BUDGET_S):
     """{label: [(argv, old outcome, new outcome)]} of the (label, argv) in
-    drawn whose outcomes differ."""
+    drawn whose outcomes differ, each run under budget_s of CPU time."""
     if not drawn:
         return {}
-    budget_s = _fuzzer().BUDGET_S
     argvs = [argv for _, argv in drawn]
     with concurrent.futures.ThreadPoolExecutor(2) as pool:
         old, new = pool.map(lambda src: _outcomes(src, argvs, budget_s),
