@@ -12,10 +12,10 @@ vanish) in closed form, so nothing here enumerates R: ideal powers are
 built lazily per k, every inverse is verified by both products before it
 is used, and the test suite checks each closed form against exhaustive
 enumeration on small presets.  The methods that list R or I^k
-(elements, ideal_power_list, ideal_power), _table_rows, the add and mul
-tables from the families' formulas, _column_sums, the sums of whole
-columns of elements, and _additive_generators, a spanning set of (R, +),
-serve the checks of :mod:`skewseries.suites`, which budget every walk.
+(elements, ideal_power_list, ideal_power) and the two check hooks,
+_table_rows, the add and mul tables from the families' formulas, and
+_column_sums, the sums of whole columns of elements, serve the checks of
+:mod:`skewseries.suites`, which budget every walk.
 All answers are exact.
 
 Preset grammar (also accepted by the command line front end):
@@ -201,16 +201,6 @@ class RingContext:
         family has none: the checks then fold ctx.add over each position
         (suites.monomial_operator_word_sums), and that fold is the oracle
         of this one."""
-        return None
-
-    def _additive_generators(self):
-        """A tuple of elements whose sums give every element of R, from the
-        family's own structure, or None on a subclass, which may redefine
-        add, sigma or delta, and where the family has none.  Nothing is
-        assumed from it: suites.mkl_oracle_check checks that the tuple
-        spans (R, +) and that sigma and delta are additive before it reads
-        M_{k,l} at the generators alone, and checks every element where
-        this is None."""
         return None
 
     # -- derived structure ------------------------------------------------
@@ -466,10 +456,6 @@ class ZmodRing(RingContext):
             return None
         return list(map(self.cardinality.__rmod__, map(sum, zip(*columns))))
 
-    def _additive_generators(self):
-        """1: every element of Z/p^n is 1 + ... + 1."""
-        return (1,) if type(self) is ZmodRing else None
-
 
 class TruncPolyRing(RingContext):
     """F_q[t]/(t^m) with radical (t), q-twist sigma(f)(t) = f(c*t) and the
@@ -692,13 +678,6 @@ class TruncPolyRing(RingContext):
         m, size = self.m, len(total)
         return list(map(total.__getitem__,
                         map(slice, range(0, size, m), range(m, size + m, m))))
-
-    def _additive_generators(self):
-        """t^0, ..., t^(m-1): an F_q-basis, in every delta mode."""
-        if type(self) is not TruncPolyRing:
-            return None
-        return tuple(bytes(i) + b"\1" + bytes(self.m - 1 - i)
-                     for i in range(self.m))
 
     def neg(self, a):
         return a.translate(self._negated)

@@ -40,8 +40,8 @@ A brute-force word enumeration of M_{k,l} (suites.monomial_operator_words)
 is kept as the oracle of the recursion and of the closed forms:
 suites.mkl_oracle_check compares the word sums with the closed forms at
 every element, and with the recursion at every element, or only at the
-additive generators of R once it has checked that they span (R, +) and
-that sigma and delta are additive.
+products of radical generators once it has checked that they span (R, +)
+and that sigma and delta are additive on them.
 
 The depth d is a closed form per preset family, clamped at the radical
 nilpotency (M_{k,l} maps R into I^k):

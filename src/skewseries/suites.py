@@ -497,47 +497,96 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
     closure failure.
 
     Where the family has a closed form of the operator rows
-    (ctx._closed_rows), it is compared with the words at every element too:
-    its rows of every element for l <= T give M_{k,l} for k < depth, and
-    building them checks M_{depth,l} = 0, so a closed form that claims a
-    nonzero value there fails the suite with its own error text.
+    (ctx._closed_rows), it is read once into one column per (k, l) with
+    k < depth (_closed_columns) and compared with the words at every
+    element too; building the rows checks M_{depth,l} = 0, so a closed
+    form that claims a nonzero value there fails the suite with its own
+    error text.
 
-    The recursion runs where _generator_positions finds a verified
-    additive model: the family's generators (ctx._additive_generators)
-    span (R, +), and sigma and delta are additive.  Every word, and so
-    M_{k,l}, is then additive, and the recursion, built from sigma, delta
-    and add alone, is too; two additive maps that agree on a spanning set
-    agree everywhere, so the recursion is compared with the words at the
-    generators only (T + 1 calls each).  On a subclass, or where the model
-    is refused, it runs on every element: T + 1 calls per element,
-    M_{T-l,l}(a) for l = 0..T, fill the memo column by column with every
-    M_{k,l}(a), k + l <= T (each call fills the rectangle below its own
-    (k, l), with one add per interior cell), and each (k, l, a) is then
-    read back from that memo.  A mismatch at a generator reruns the check
-    on every element (see _mkl_compare), so both paths report alike.
+    The recursion runs at the points _generator_positions finds: a
+    spanning set of (R, +) on which sigma and delta are additive.  Every
+    word, and so M_{k,l}, is then additive, and so is the recursion, built
+    from sigma, delta and add alone; two additive maps that agree on a
+    spanning set agree everywhere.  On a subclass, or where no such set is
+    found, the points are every element.  Each point takes T + 1 calls,
+    M_{T-l,l}(a) for l = 0..T, which fill a fresh memo with every M_{k,l}(a),
+    k + l <= T, and each value is read back from that memo.
 
-    The recursion fills a fresh M_{k,l} memo, which is dropped afterwards:
-    the context's own memo (ctx._mkl_cache) is put back unchanged, so the
+    Each (k, l) is compared as whole columns over the carrier: words
+    against recursion at the points, closed form against words, and words
+    against zero where k >= depth.  The first column that differs is
+    walked element by element, with the closed form compared against the
+    recursion, once the recursion has run at every element; every earlier
+    column agreed at every element, so ``checked``, the counters and the
+    counterexample are those of a loop over every element.
+
+    The context's own memo (ctx._mkl_cache) is put back unchanged, so the
     check leaves no entries behind for the whole carrier.  It runs no
     product, so the operator rows (ctx._mkl_rows) are not touched either."""
-    counts = (0, 0, 0)
+    checked = vanishing = closed_checks = 0
     depth = ctx.mkl_depth()
     elems = _carrier(ctx, limit=MKL_ORACLE_CARRIER_LIMIT, walk="mkl-oracle")
+    size, zero = len(elems), ctx.zero()
     tables, cex = _op_tables(ctx, elems, unary=("sigma", "delta"))
-    closed, cex = (_closed_rows_of(ctx, depth, elems) if cex is None
+    closed, cex = (_closed_columns(ctx, depth, elems) if cex is None
                    else ([], cex))
-    own_memo, ctx._mkl_cache = ctx._mkl_cache, {}
+    own_memo, recursion = ctx._mkl_cache, {}
+    ctx._mkl_cache = recursion
     try:
         if cex is None:
-            points = _generator_positions(ctx, elems, tables)
-            outcome = points and _mkl_compare(ctx, elems, tables, closed,
-                                              depth, points)
-            # no model, or a mismatch at a generator: every element
-            *counts, cex = outcome or _mkl_compare(ctx, elems, tables, closed,
-                                                   depth, None)
+            points = _generator_positions(ctx, elems, tables) or range(size)
+            at = list(map(elems.__getitem__, points))
+            _fill_recursion(ctx, at)
+            layers = monomial_operator_word_images(
+                tables["sigma"], tables["delta"], size, MKL_ORACLE_MAX_TOTAL)
+            for k, l, images in ((k, total - k, images)
+                                 for total, images in enumerate(layers)
+                                 for k in range(total + 1)):
+                sums, count = monomial_operator_word_sums(ctx, k, l, elems,
+                                                          images)
+                words = math.comb(k + l, k)
+                by_recursion = [recursion[k, l, a] for a in at]
+                by_closed = closed[l][k] if closed and k < depth else None
+                if (count == words
+                        and list(map(sums.__getitem__, points)) == by_recursion
+                        and (by_closed is None or by_closed == sums)
+                        and (k < depth or sums.count(zero) == size)):
+                    checked += size
+                    if by_closed is not None:
+                        closed_checks += size
+                    if k >= depth:
+                        vanishing += size
+                    continue
+                if len(at) < size:
+                    _fill_recursion(ctx, elems)
+                    by_recursion = [recursion[k, l, a] for a in elems]
+                for i, a in enumerate(elems):
+                    checked += 1
+                    if count != words:
+                        cex = f"word count mismatch at k={k}, l={l}"
+                        break
+                    by_words = sums[i]
+                    if by_words != by_recursion[i]:
+                        cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
+                               f"words give {ctx.render(by_words)}")
+                        break
+                    if by_closed is not None:
+                        closed_checks += 1
+                        if by_closed[i] != by_recursion[i]:
+                            cex = (f"closed form of M_{{{k},{l}}} mismatch at "
+                                   f"a={ctx.render(a)}: closed form gives "
+                                   f"{ctx.render(by_closed[i])}")
+                            break
+                    if k >= depth:
+                        vanishing += 1
+                        if by_words != zero:
+                            cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
+                                   f"{ctx.render(by_words)} does not vanish "
+                                   f"at k >= depth {depth}")
+                            break
+                break
     finally:
         ctx._mkl_cache = own_memo
-    checked, vanishing, closed_checks = counts
     if cex is None:
         for total in range(MKL_WORD_COUNT_TOTAL + 1):
             for k in range(total + 1):
@@ -552,133 +601,84 @@ def mkl_oracle_check(ctx: RingContext) -> tuple[int, str | None, dict]:
                           "mkl_depth": depth}
 
 
+def _fill_recursion(ctx: RingContext, at):
+    """M_{T-l,l}(a) for l = 0..T (T = MKL_ORACLE_MAX_TOTAL) and every a of
+    ``at``, which fills ctx._mkl_cache with every M_{k,l}(a), k + l <= T."""
+    top = MKL_ORACLE_MAX_TOTAL
+    for a in at:
+        for l in range(top + 1):
+            skewpoly.monomial_operator_apply(ctx, top - l, l, a)
+
+
 def _generator_positions(ctx: RingContext, elems: list, tables: dict):
-    """The positions in ``elems`` of the family's additive generators
-    (ctx._additive_generators), once checked: sigma and delta are additive,
-    f(a + g) = f(a) + f(g) for every element a and generator g, and the
-    generators span (R, +).  None where the family has no generators or a
-    check fails.  Sums are whole columns (ctx._column_sums) and f is read
-    from its index table, so it calls no ring operation.  The span is the
-    closure of {0} under adding each generator in turn: a coset of the
-    span so far is shifted by the generator until a shift lands in the
-    span, and the closure must reach every element."""
-    gens = ctx._additive_generators()
-    if gens is None:
-        return None
+    """The positions in ``elems`` of a spanning set of (R, +) on which
+    sigma and delta are additive, or None.  The candidates are the
+    products of radical generators, ctx.ideal_power_gens(k) for k below the
+    nilpotency, a k at a time; they span (R, +) wherever R/I is a prime
+    field, the premise of ctx.is_local.  A candidate already in the span is
+    skipped, and no further k is read once the span is the whole carrier.
+    Each other candidate g is kept once f(a + g) = f(a) + f(g) holds for
+    every element a and f in {sigma, delta}.  None on a subclass, where
+    ctx._column_sums is None, where that fails, and where the candidates
+    do not span.  Sums are whole columns (ctx._column_sums) and f is read
+    from its index table, so the checks call no ring operation.  The span
+    is the closure of {0} under adding each kept candidate in turn: a coset
+    of the span so far is shifted by the candidate until a shift lands in
+    the span."""
     size = len(elems)
     index = {a: i for i, a in enumerate(elems)}
     images = [list(map(elems.__getitem__, table)) for table in tables.values()]
     span = [index[ctx.zero()]]
     reached = set(span)
-    for g in gens:
-        shifted = list(map(index.__getitem__,
-                           ctx._column_sums([elems, itertools.repeat(g, size)])))
-        for image in images:
-            if (list(map(image.__getitem__, shifted)) != ctx._column_sums(
-                    [image, itertools.repeat(image[index[g]], size)])):
-                return None
-        coset, grown = span, []
-        while True:
-            coset = list(map(shifted.__getitem__, coset))
-            if coset[0] in reached:
-                break
-            reached.update(coset)
-            grown += coset
-        span += grown
-    return [index[g] for g in gens] if len(reached) == size else None
-
-
-def _mkl_compare(ctx: RingContext, elems: list, tables: dict, closed: list,
-                 depth: int, points):
-    """The (checked, vanishing, closed-form checks, counterexample) of
-    mkl_oracle_check's comparisons, with the recursion run at the
-    positions ``points`` of elems, or at every element for None.
-
-    Each (k, l) is compared as whole columns over the carrier: words
-    against recursion at the points, closed form against words
-    (k < depth) and words against zero (k >= depth).  Where a column
-    differs somewhere, it returns None if the recursion ran at some points
-    only, and else walks the column element by element, with the closed
-    form compared against the recursion, so ``checked``, the counters and
-    the counterexample are those of the element-by-element loop."""
-    checked = vanishing = closed_checks = 0
-    cex = None
-    zero = ctx.zero()
-    size = len(elems)
-    top = MKL_ORACLE_MAX_TOTAL
-    at = elems if points is None else list(map(elems.__getitem__, points))
-    for a in at:
-        for l in range(top + 1):
-            skewpoly.monomial_operator_apply(ctx, top - l, l, a)
-    recursion = ctx._mkl_cache
-    layers = monomial_operator_word_images(tables["sigma"], tables["delta"],
-                                           size, top)
-    for total, images in enumerate(layers):
-        for k in range(total + 1):
-            l = total - k
-            sums, count = monomial_operator_word_sums(ctx, k, l, elems, images)
-            words = math.comb(total, k)
-            by_recursion = list(map(recursion.__getitem__,
-                                    zip(itertools.repeat(k),
-                                        itertools.repeat(l), at)))
-            at_points = (sums if points is None
-                         else list(map(sums.__getitem__, points)))
-            by_closed = ([dict(rows[l]).get(k, zero) for rows in closed]
-                         if closed and k < depth else None)
-            if (count == words and at_points == by_recursion
-                    and (by_closed is None or by_closed == sums)
-                    and (k < depth or sums.count(zero) == size)):
-                checked += size
-                if by_closed is not None:
-                    closed_checks += size
-                if k >= depth:
-                    vanishing += size
+    points = []
+    for k in range(ctx.radical_nilpotency):
+        if len(reached) == size:
+            break
+        for g in ctx.ideal_power_gens(k):
+            point = index[g]
+            if point in reached:
                 continue
-            if points is not None:
+            shifted = ctx._column_sums([elems, itertools.repeat(g, size)])
+            if shifted is None:
                 return None
-            for i, a in enumerate(elems):
-                checked += 1
-                if count != words:
-                    cex = f"word count mismatch at k={k}, l={l}"
+            shifted = list(map(index.__getitem__, shifted))
+            for image in images:
+                if (list(map(image.__getitem__, shifted)) != ctx._column_sums(
+                        [image, itertools.repeat(image[point], size)])):
+                    return None
+            coset, grown = span, []
+            while True:
+                coset = list(map(shifted.__getitem__, coset))
+                if coset[0] in reached:
                     break
-                by_words = sums[i]
-                if by_words != by_recursion[i]:
-                    cex = (f"M_{{{k},{l}}} mismatch at a={ctx.render(a)}: "
-                           f"words give {ctx.render(by_words)}")
-                    break
-                if by_closed is not None:
-                    closed_checks += 1
-                    if by_closed[i] != by_recursion[i]:
-                        cex = (f"closed form of M_{{{k},{l}}} mismatch at "
-                               f"a={ctx.render(a)}: closed form gives "
-                               f"{ctx.render(by_closed[i])}")
-                        break
-                if k >= depth:
-                    vanishing += 1
-                    if by_words != zero:
-                        cex = (f"M_{{{k},{l}}}({ctx.render(a)}) = "
-                               f"{ctx.render(by_words)} does not vanish at "
-                               f"k >= depth {depth}")
-                        break
-            return checked, vanishing, closed_checks, cex
-    return checked, vanishing, closed_checks, cex
+                reached.update(coset)
+                grown += coset
+            span += grown
+            points.append(point)
+    return points if len(reached) == size else None
 
 
-def _closed_rows_of(ctx: RingContext, depth: int, elems):
-    """([the closed-form operator rows of a for l <= MKL_ORACLE_MAX_TOTAL,
-    for each a of ``elems``], None), the list empty where the family has no
+def _closed_columns(ctx: RingContext, depth: int, elems: list):
+    """(columns, None), columns[l][k] the closed form of M_{k,l}(a) for
+    every a of ``elems``, l <= MKL_ORACLE_MAX_TOTAL and k < depth, from the
+    rows of each element read once; ([], None) where the family has no
     closed form; or ([], the error text of a row that fails its depth
     check)."""
-    closed = []
+    zero, size = ctx.zero(), len(elems)
+    columns = []
     try:
-        for a in elems:
+        for i, a in enumerate(elems):
             rows = ctx._closed_rows(depth, a, 0, MKL_ORACLE_MAX_TOTAL + 1)
             if rows is None:
                 return [], None
-            closed.append(rows)
+            if not columns:
+                columns = [[[zero] * size for _ in range(depth)] for _ in rows]
+            for row, by_k in zip(rows, columns):
+                for k, value in row:
+                    by_k[k][i] = value
     except AssertionError as exc:
         return [], str(exc)
-    return closed, None
+    return columns, None
 
 
 def poly_law_check(ctx: RingContext, samples: int,

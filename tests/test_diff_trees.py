@@ -34,10 +34,10 @@ def test_suite_reports_of_a_tree_against_itself_differ_nowhere():
     # nine suites at seeds 0 and 7, each its own label
     assert len(runs) == len({label for label, _ in runs}) == 18
     # by default the preset matrix, delta=broken, the schoolbook preset and
-    # the two edges of the formula-built tables, and mkl-oracle at one seed
-    # on the two large carriers
+    # the four edges (of the formula-built tables, and nilpotency 1), and
+    # mkl-oracle at one seed on the two large carriers
     default = tool.suite_runs()
-    assert len(default) == 11 * 18 + 2
+    assert len(default) == 13 * 18 + 2
     assert [label for label, _ in default[-2:]] == [
         f"mkl-oracle --ring {preset} --seed 0" for preset in tool.LARGE_CARRIERS]
     assert tool.compare_runs(ROOT / "src", ROOT / "src", runs) == {}

@@ -535,23 +535,30 @@ def _subclassed(preset):
     return ctx
 
 
-# On the shipped families mkl-oracle runs the recursion at the additive
-# generators only, so a wrong value there must fail the suite; a subclass
-# runs it at every element, so there a wrong value at the last element
-# must.  The recursion at every element of both carriers, family or not,
-# is checked in tier-1 by
+# On the shipped families mkl-oracle runs the recursion at the products of
+# radical generators only, so a wrong value there must fail the suite; a
+# subclass runs it at every element, so there a wrong value at the last
+# element must.  The recursion at every element of both carriers, family or
+# not, is checked in tier-1 by
 # test_acceptance.py::test_criterion_01_mkl_oracle_equivalence.
 @pytest.mark.parametrize("preset", ["truncpoly:3:3:c=2", "zmod:3^3"])
 def test_wrong_recursion_value_matches_elementwise_loop(preset, monkeypatch):
+    # the column of M_{2,3} differs at the last generator (t^2, and 1), so
+    # the suite runs the recursion at every element and walks that column:
+    # 7 calls per generator, then 7 per element
     ctx = parse_ring_preset(preset)
-    generator = ctx._additive_generators()[-1]
-    monkeypatch.setattr(skewpoly, "monomial_operator_apply",
-                        _wrong_at(2, 3, generator))
-    tabled = mkl_oracle(parse_ring_preset(preset))
-    assert not tabled.passed
-    assert tabled.counterexample.startswith(
+    elems = sorted(ctx.elements())
+    points = _model_of(ctx)
+    generator = elems[points[-1]]
+    wrong = _wrong_at(2, 3, generator)
+    outcome, calls = _recursion_calls(
+        monkeypatch, lambda: parse_ring_preset(preset), wrong)
+    assert outcome[0] is False
+    assert outcome[2].startswith(
         f"M_{{2,3}} mismatch at a={ctx.render(generator)}")
-    assert _outcome(mkl_oracle, parse_ring_preset(preset)) == \
+    assert calls == 7 * len(points) + 7 * ctx.cardinality
+    monkeypatch.setattr(skewpoly, "monomial_operator_apply", wrong)
+    assert outcome == \
         _outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset))
 
 
@@ -569,14 +576,15 @@ def test_wrong_recursion_value_at_the_last_element_fails_a_subclass(
         _outcome(elementwise_mkl_oracle_check, _subclassed(preset))
 
 
-def _recursion_calls(monkeypatch, make_ctx):
+def _recursion_calls(monkeypatch, make_ctx, recursion=monomial_operator_apply):
     """The mkl-oracle report on a fresh context from make_ctx, with the
-    number of calls it made to the M_{k,l} recursion."""
+    number of calls it made to the M_{k,l} recursion (``recursion`` in
+    place of skewpoly.monomial_operator_apply)."""
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
-        return monomial_operator_apply(*args)
+        return recursion(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(skewpoly, "monomial_operator_apply", counted)
@@ -586,17 +594,18 @@ def _recursion_calls(monkeypatch, make_ctx):
 
 @pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
 def test_the_generator_path_matches_the_per_element_path(preset, monkeypatch):
-    # T + 1 = 7 recursion calls per point: the generators of the family,
-    # every element of a subclass or where the model is switched off
+    # T + 1 = 7 recursion calls per point: the spanning products of radical
+    # generators on the family, every element of a subclass or where the
+    # spanning set is switched off
     ctx = parse_ring_preset(preset)
     outcome, calls = _recursion_calls(monkeypatch,
                                       lambda: parse_ring_preset(preset))
-    assert outcome[0] and calls == 7 * len(ctx._additive_generators())
+    assert outcome[0] and calls == 7 * len(_model_of(ctx))
     # a subclass has no closed form either, so its report is its own
     assert _recursion_calls(monkeypatch, lambda: _subclassed(preset)) == \
         (_outcome(elementwise_mkl_oracle_check, _subclassed(preset)),
          7 * ctx.cardinality)
-    monkeypatch.setattr(type(ctx), "_additive_generators", lambda self: None)
+    monkeypatch.setattr(suites, "_generator_positions", lambda *args: None)
     assert _recursion_calls(monkeypatch, lambda: parse_ring_preset(preset)) == \
         (outcome, 7 * ctx.cardinality)
 
@@ -608,15 +617,42 @@ def _model_of(ctx):
     return _generator_positions(ctx, elems, tables)
 
 
+@pytest.mark.parametrize("preset", PRESET_MATRIX + (
+    BROKEN_PRESET, "truncpoly:2:8:c=1", "truncpoly:13:2:c=2",
+    "truncpoly:251:1:c=1", "zmod:5^1", "truncpoly:2:1:c=1"))
+def test_the_points_are_one_on_zmod_and_the_powers_of_t_on_truncpoly(
+        preset, monkeypatch):
+    ctx = parse_ring_preset(preset)
+    elems = sorted(ctx.elements())
+    muls = [0]
+    plain = type(ctx).mul
+
+    def counted(self, a, b):
+        muls[0] += 1
+        return plain(self, a, b)
+
+    monkeypatch.setattr(type(ctx), "mul", counted)
+    points = [elems[i] for i in _model_of(ctx)]
+    if isinstance(ctx, ZmodRing):
+        # 1 spans Z/p^n alone, so no product of radical generators is taken
+        assert points == [1] and muls[0] == 0
+    else:
+        m = ctx.m
+        assert points == [bytes(i) + b"\1" + bytes(m - 1 - i)
+                          for i in range(m)]
+
+
 def test_generators_that_miss_a_basis_element_are_refused(monkeypatch):
     # without t^2, the sums of t^0 and t^1 give 9 of the 27 elements
     preset = "truncpoly:3:3:c=2"
     ctx = parse_ring_preset(preset)
     elems = sorted(ctx.elements())
-    generators = ctx._additive_generators()
-    assert _model_of(ctx) == [elems.index(g) for g in generators]
-    monkeypatch.setattr(TruncPolyRing, "_additive_generators",
-                        lambda self: generators[:-1])
+    t = ctx.radical_gens[0]
+    assert [elems[i] for i in _model_of(ctx)] == [ctx.one(), t, ctx.mul(t, t)]
+    # no product of two radical generators
+    plain = TruncPolyRing.ideal_power_gens
+    monkeypatch.setattr(TruncPolyRing, "ideal_power_gens",
+                        lambda self, k: () if k == 2 else plain(self, k))
     assert _model_of(parse_ring_preset(preset)) is None
     assert _recursion_calls(monkeypatch, lambda: parse_ring_preset(preset)) == \
         (_outcome(elementwise_mkl_oracle_check, parse_ring_preset(preset)),

@@ -9,7 +9,7 @@ With --suites it runs instead every property suite at seeds 0 and 7, each
 report as JSON, and lists every report that differs.  Its presets are the
 fuzzer's preset matrix and delta=broken (PRESET_MATRIX and BROKEN_PRESET
 of tests/conftest.py), the fuzzer's SCHOOLBOOK_PRESET and EDGE_PRESETS,
-and mkl-oracle at seed 0 on LARGE_CARRIERS, 200 reports in all.
+and mkl-oracle at seed 0 on LARGE_CARRIERS, 236 reports in all.
 Each tree gets one worker process (this script with --worker SRC) that
 imports skewseries from SRC and runs each argv in-process through
 cli.main, under a CPU-time budget of ITIMER_PROF: the fuzzer's BUDGET_S
@@ -63,10 +63,13 @@ SUITE_SEEDS = (0, 7)
 # The edges of the add and mul tables that the exhaustive pair checks build
 # from the truncpoly formulas, beside SCHOOLBOOK_PRESET's schoolbook
 # product: 256 elements, the most a table covers, and q = 251, where the
-# sum is taken coefficient by coefficient
-EDGE_PRESETS = ("truncpoly:2:8:c=1", "truncpoly:251:1:c=1")
+# sum is taken coefficient by coefficient; and the nilpotency 1 of each
+# family, where mkl-oracle reads its recursion points from the products of
+# no radical generator alone
+EDGE_PRESETS = ("truncpoly:2:8:c=1", "truncpoly:251:1:c=1", "zmod:5^1",
+                "truncpoly:2:1:c=1")
 
-# The carriers where mkl-oracle's recursion at the additive generators
+# The carriers where mkl-oracle's recursion at the radical products
 # saves the most over its run at every element; about 1 s each there, and
 # several seconds at every element
 LARGE_CARRIERS = ("zmod:2^16", "truncpoly:2:14:c=1")
