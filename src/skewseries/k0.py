@@ -55,6 +55,13 @@ equal to 1 keep the full path.  A unit of S/G_N whose Newton residual
 1 - ab is already zero is inverted without further rounds.  The outputs
 are the same classes either way, and every certificate is still verified
 by its full products.
+
+The random generators draw one sequence of elementary, scaling and swap
+steps (_random_steps).  random_invertible applies them to I as row and
+column operations; random_conjugate, and random_idempotent through it,
+apply them to a copy of the matrix conjugated, in place, where 1 is a
+two-sided identity, so no matrix product runs.  On delta=broken, whose
+S/G_N is not associative, they build V and V^-1 and take the two products.
 """
 
 from __future__ import annotations
@@ -670,13 +677,11 @@ def _sample_unit(scalars, rng):
     raise RuntimeError("failed to sample a unit")
 
 
-def random_invertible(scalars, n, rng):
-    """Product of random elementary, unit-scaling and swap matrices, applied
-    as row operations; the inverse is accumulated alongside by the inverse
-    column operations, so the pair is exact by construction."""
-    m = [list(row) for row in mat_identity(scalars, n)]
-    minv = [list(row) for row in mat_identity(scalars, n)]
-    ops = _ElementaryOps(scalars, rows=(m,), cols=(minv,))
+def _random_steps(scalars, n, rng, ops):
+    """Draw the elementary, unit-scaling and swap matrices E_1, ..., E_k of
+    a random n x n invertible and apply each, in that order, through ops.
+    This is the one place the draw order is written; the benchmark builds
+    its inputs from these draws, so it must not change."""
     steps = rng.randint(n + 1, 2 * n + 2)
     for _ in range(steps):
         kind = rng.randrange(3) if n > 1 else 1
@@ -692,14 +697,43 @@ def random_invertible(scalars, n, rng):
             ops.add(i, j, scalars.sample(rng))
         else:
             ops.swap(i, j)
+
+
+def random_invertible(scalars, n, rng):
+    """Product V = E_k...E_1 of random elementary, unit-scaling and swap
+    matrices, applied as row operations; the inverse E_1^-1...E_k^-1 is
+    accumulated alongside by the inverse column operations, so the pair is
+    exact by construction."""
+    m = [list(row) for row in mat_identity(scalars, n)]
+    minv = [list(row) for row in mat_identity(scalars, n)]
+    _random_steps(scalars, n, rng, _ElementaryOps(scalars, rows=(m,), cols=(minv,)))
     return tuple(map(tuple, m)), tuple(map(tuple, minv))
 
 
+def random_conjugate(scalars, entries, rng):
+    """V * entries * V^-1 for the V that random_invertible would draw from
+    the same state of rng, which is left where random_invertible leaves it.
+
+    Where 1 is a two-sided identity of the base (scalars.one_is_two_sided():
+    always over R, over S/G_N where x*1 = 1*x), each step E_j is applied to
+    a copy of entries in place, as a row and then a column operation:
+    E_k...E_1 * entries * E_1^-1...E_k^-1 is V * entries * V^-1 wherever
+    the entries multiply associatively, and V is never built.  On
+    delta=broken, whose S/G_N is not associative, V and V^-1 are built and
+    the two products taken, so the matrix (or the error) is theirs."""
+    n = len(entries)
+    if not scalars.one_is_two_sided():
+        v, vinv = random_invertible(scalars, n, rng)
+        return mat_mul(scalars, mat_mul(scalars, v, entries), vinv)
+    a = [list(row) for row in entries]
+    _random_steps(scalars, n, rng, _ElementaryOps(scalars, rows=(a,), cols=(a,)))
+    return tuple(map(tuple, a))
+
+
 def random_idempotent(scalars, n, rng):
-    """Conjugate of a random 0/1 diagonal: idempotent by construction.
-    Returns (matrix, number of ones)."""
+    """Conjugate of a random 0/1 diagonal by random_conjugate: idempotent by
+    construction, and checked (IdempotentMatrix).  Returns (matrix, number
+    of ones)."""
     ones = rng.randint(0, n)
     d = mat_diag(scalars, [1] * ones + [0] * (n - ones))
-    v, vinv = random_invertible(scalars, n, rng)
-    entries = mat_mul(scalars, mat_mul(scalars, v, d), vinv)
-    return IdempotentMatrix(scalars, entries), ones
+    return IdempotentMatrix(scalars, random_conjugate(scalars, d, rng)), ones

@@ -95,6 +95,8 @@ class RingContext:
 
     def __init__(self):
         self._ideal_power_lists = None
+        # j -> ideal_power_gens(j), for j >= 1
+        self._ideal_power_gens = {}
         self._inv_table = None
         self._mkl_cache = {}
         # b -> rows, rows[n] the (k, M_{k,n}(b)) with k < d = mkl_depth() and
@@ -246,16 +248,18 @@ class RingContext:
         return self._ideal_power_element(k, rng.randrange(self.ideal_power_size(k)))
 
     def ideal_power_gens(self, k: int) -> tuple:
-        """Products of k radical generators (a generating set of I^k)."""
-        if k == 0:
-            return (self.one(),)
-        prods = set()
-        for combo in itertools.product(self.radical_gens, repeat=k):
-            acc = self.one()
-            for g in combo:
-                acc = self.mul(acc, g)
-            prods.add(acc)
-        return tuple(sorted(prods))
+        """Products of k radical generators (a generating set of I^k), in
+        sorted order.  Those of I^j are those of I^(j-1) times each
+        generator on the right, one mul per pair, and each level is kept per
+        context: with one generator, reading k = 0 ... m-1 costs m - 1 muls."""
+        level = (self.one(),)
+        for j in range(1, k + 1):
+            known = self._ideal_power_gens.get(j)
+            if known is None:
+                known = self._ideal_power_gens.setdefault(j, tuple(sorted(
+                    {self.mul(p, g) for p in level for g in self.radical_gens})))
+            level = known
+        return level
 
     def ideal_valuation(self, a):
         """Largest k with a in I^k; INF exactly for a = 0."""

@@ -3,9 +3,9 @@ the index tables and law engine, the word oracle of M_{k,l}, the
 generators only checks draw from, the nilbound search and the carrier
 budgets.  Every list of R or I^k is made by _carrier.  Checks call the
 names that tests and the benchmark's tracer patch (monomial_operator_apply,
-poly_mul_commutation, random_idempotent, idempotent_rank, mat_mul) through
-their modules.  A suite returns (checked, counterexample or None,
-details); run_property_suite is where that becomes a CheckReport."""
+poly_mul_commutation, random_idempotent, idempotent_rank) through their
+modules.  A suite returns (checked, counterexample or None, details);
+run_property_suite is where that becomes a CheckReport."""
 
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ import operator
 import random
 
 from . import k0, skewpoly
-from .k0 import (BaseScalars, IdempotentMatrix, SeriesScalars, mat_direct_sum,
-                 random_invertible)
+from .k0 import BaseScalars, IdempotentMatrix, SeriesScalars, mat_direct_sum
 from .report import CheckReport
 from .rings import RingContext
 from .series import TruncatedSeries, principal_symbol, random_series
@@ -913,9 +912,7 @@ def k0_rank_check(ctx: RingContext, samples: int,
         if w.rank != ones:
             cex = f"rank {w.rank} != generating rank {ones}"
             break
-        v, vinv = random_invertible(scalars, n, rng)
-        conj = IdempotentMatrix(
-            scalars, k0.mat_mul(scalars, k0.mat_mul(scalars, v, e.entries), vinv))
+        conj = IdempotentMatrix(scalars, k0.random_conjugate(scalars, e.entries, rng))
         if k0.idempotent_rank(conj).rank != w.rank:
             cex = "rank is not conjugation invariant"
             break

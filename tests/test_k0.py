@@ -862,6 +862,20 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _idempotent_or_constant(scalars, n, seed):
+    """random_idempotent(scalars, n) from seed; where that is not idempotent
+    (over delta=broken), the constant idempotent of R drawn from the same
+    seed, which is one over S/G_N too."""
+    e = _outcome(random_idempotent, scalars, n, random.Random(seed))
+    if not isinstance(e[0], type):
+        return e[0]
+    ctx = scalars.ctx
+    base, _ = random_idempotent(BaseScalars(ctx), n, random.Random(seed))
+    return IdempotentMatrix(scalars, tuple(
+        tuple(TruncatedSeries.constant(ctx, scalars.precision, x) for x in row)
+        for row in base.entries))
+
+
 def _witness_parts(w):
     return w if isinstance(w, tuple) else (w.rank, w.conjugator, w.conjugator_inv)
 
@@ -1014,27 +1028,19 @@ class TestFusedElementaryOps:
                     plain = _outcome(random_invertible, ref_scalars, n,
                                      random.Random(seed))
                 assert fused == plain
-                e = _outcome(random_idempotent, gen_scalars, n, random.Random(seed))
-                if isinstance(e[0], type):
-                    # not idempotent over delta=broken: a constant idempotent
-                    # of R is one over S/G_N too
-                    base, _ = random_idempotent(BaseScalars(gen), n,
-                                                random.Random(seed))
-                    e = (IdempotentMatrix(gen_scalars, tuple(
-                        tuple(TruncatedSeries.constant(gen, precision, x) for x in row)
-                        for row in base.entries)),)
+                e = _idempotent_or_constant(gen_scalars, n, seed)
                 fused = _witness_parts(_outcome(idempotent_rank, IdempotentMatrix(
-                    scalars, _moved(e[0].entries, scalars))))
+                    scalars, _moved(e.entries, scalars))))
                 with monkeypatch.context() as m:
                     m.setattr(k0, "_ElementaryOps", OracleElementaryOps)
                     plain = _witness_parts(_outcome(idempotent_rank, IdempotentMatrix(
-                        ref_scalars, _moved(e[0].entries, ref_scalars))))
+                        ref_scalars, _moved(e.entries, ref_scalars))))
                 assert fused == plain
                 # stable_iso_witness of e and its reversal (rows and columns
                 # in reverse order, an idempotent of the same rank), and the
                 # same two calls with the full path forced
-                entries = tuple(row[::-1] for row in e[0].entries[::-1])
-                pairs = [(IdempotentMatrix(s, _moved(e[0].entries, s)),
+                entries = tuple(row[::-1] for row in e.entries[::-1])
+                pairs = [(IdempotentMatrix(s, _moved(e.entries, s)),
                           IdempotentMatrix(s, _moved(entries, s)))
                          for s in (_scalars_on(comp, precision),
                                    _scalars_on(full, precision))]
@@ -1188,6 +1194,94 @@ class TestSeededGenerators:
         assert got_ones == ones
         assert _shown(scalars, e.entries) == entries
         assert idempotent_rank(e).rank == ones
+
+
+class ColumnScaledByC(k0._ElementaryOps):
+    """A wrong _ElementaryOps: a scaling multiplies the column by c, where
+    it should multiply it by c^-1."""
+
+    def scale(self, i, c, c_inv):
+        super().scale(i, c, c)
+
+
+def _conjugate_by_products(scalars, entries, rng):
+    """Oracle for random_conjugate: V * entries * V^-1 by two matrix
+    products, V and V^-1 from random_invertible."""
+    v, vinv = random_invertible(scalars, len(entries), rng)
+    return mat_mul(scalars, mat_mul(scalars, v, entries), vinv)
+
+
+CONJUGATE_PRESETS = PRESET_MATRIX + (BROKEN_PRESET,)
+# None is the base R itself
+CONJUGATE_PRECISIONS = (None, 1, 2, 4, 8)
+
+
+def _conjugate_mismatches(preset, monkeypatch, ops=k0._ElementaryOps):
+    """Each case where random_conjugate, run with ops as k0._ElementaryOps,
+    differs from the oracle on the same seed, in its matrix (or the error
+    it raises) or in the rng's next draw.  The matrices conjugated are a
+    0/1 diagonal and an idempotent from _idempotent_or_constant, for
+    n = 1..6."""
+    ctx = parse_ring_preset(preset)
+    for precision in CONJUGATE_PRECISIONS:
+        scalars = _scalars_on(ctx, precision)
+        for n in range(1, 7):
+            for seed in range(5):
+                tag = f"{preset}/{precision}/{n}/{seed}"
+                pick = random.Random(tag + "/diagonal")
+                diagonal = mat_diag(scalars, [pick.randrange(2) for _ in range(n)])
+                e = _idempotent_or_constant(scalars, n, tag + "/idempotent")
+                for entries in (diagonal, e.entries):
+                    rng, ref_rng = random.Random(tag), random.Random(tag)
+                    with monkeypatch.context() as m:
+                        m.setattr(k0, "_ElementaryOps", ops)
+                        got = _outcome(k0.random_conjugate, scalars, entries, rng)
+                    want = _outcome(_conjugate_by_products, scalars, entries,
+                                    ref_rng)
+                    if (got, rng.random()) != (want, ref_rng.random()):
+                        yield tag, entries
+
+
+class TestRandomConjugate:
+    """random_conjugate conjugates in place wherever 1 is a two-sided
+    identity, and by V and V^-1 on delta=broken over S/G_N: either way its
+    matrix, or the error it raises, and the rng's next draw are those of
+    the two products by random_invertible's V and V^-1."""
+
+    @pytest.mark.parametrize("preset", CONJUGATE_PRESETS)
+    def test_matches_the_two_products(self, preset, monkeypatch):
+        assert list(_conjugate_mismatches(preset, monkeypatch)) == []
+
+    @pytest.mark.parametrize("preset", ("zmod:3^5", "truncpoly:3:3:c=2"))
+    def test_column_scaled_by_c_is_caught(self, preset, monkeypatch):
+        # must-fail control: the oracle's V^-1 is built by the correct
+        # operations, so an in-place step that scales a column by c
+        # instead of c^-1 changes the matrix
+        assert next(_conjugate_mismatches(preset, monkeypatch, ColumnScaledByC),
+                    None) is not None
+
+    @pytest.mark.parametrize("preset", CONJUGATE_PRESETS)
+    def test_v_is_built_only_on_delta_broken(self, preset, monkeypatch):
+        # V and V^-1 are built, and multiplied by where random_invertible
+        # returns, only over S/G_N on delta=broken
+        ctx = parse_ring_preset(preset)
+        calls = []
+        for name in ("random_invertible", "mat_mul"):
+            def logged(*args, _name=name, _plain=getattr(k0, name)):
+                calls.append(_name)
+                return _plain(*args)
+            monkeypatch.setattr(k0, name, logged)
+        for precision in CONJUGATE_PRECISIONS:
+            scalars = _scalars_on(ctx, precision)
+            for seed in range(3):
+                del calls[:]
+                _outcome(k0.random_conjugate, scalars,
+                         mat_diag(scalars, [1, 0, 1]), random.Random(seed))
+                if precision is not None and preset == BROKEN_PRESET:
+                    assert calls in (["random_invertible"],
+                                     ["random_invertible", "mat_mul", "mat_mul"])
+                else:
+                    assert calls == []
 
 
 # -- must-fail controls -----------------------------------------------------

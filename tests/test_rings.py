@@ -172,6 +172,36 @@ class TestIdealStructure:
                 for a in ctx.ideal_power(k):
                     assert ctx.delta(a) in deeper
 
+    @pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
+    def test_ideal_power_gens_are_the_products_of_k_generators(self, preset):
+        # oracle: every product of k generators, each multiplied from 1 left
+        # to right, as a sorted tuple without repeats; read past the
+        # nilpotency too, where every product is zero
+        ctx, ref = parse_ring_preset(preset), parse_ring_preset(preset)
+        for k in range(ctx.radical_nilpotency + 2):
+            products = set()
+            for combo in itertools.product(ref.radical_gens, repeat=k):
+                products.add(functools.reduce(ref.mul, combo, ref.one()))
+            assert ctx.ideal_power_gens(k) == tuple(sorted(products))
+
+    def test_ideal_power_gens_cost_one_product_per_level(self):
+        # each level is built once from the one before: m - 1 products for
+        # k = 0 ... m-1 on one generator (m(m-1)/2 when each product of k
+        # generators was built from 1), and none when read again
+        ctx = parse_ring_preset("truncpoly:3:4:c=2")
+        m = ctx.radical_nilpotency
+        calls = []
+        plain = ctx.mul
+        ctx.mul = lambda a, b: calls.append((a, b)) or plain(a, b)
+        (t,) = ctx.radical_gens
+        t2 = plain(t, t)
+        assert [ctx.ideal_power_gens(k) for k in range(m)] == \
+            [(ctx.one(),), (t,), (t2,), (plain(t2, t),)]
+        assert len(calls) == m - 1 == 3
+        for k in range(m):
+            ctx.ideal_power_gens(k)
+        assert len(calls) == 3
+
 
 def _nilbound_by_tuples(ctx, n, word_limit):
     """sigma_nilpotence_bound as it was before images were numbered: the
