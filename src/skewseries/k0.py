@@ -25,7 +25,9 @@ I + E_{ji} is used first to drag such a unit onto the diagonal.
 
 Each pivot step is applied as elementary row and column operations on e, U
 and U^-1, O(n^3) in all; the certificate is still re-verified by plain
-matrix multiplication, with every identity checked in full.  Each step
+matrix multiplication: U*U^-1 = I, U^-1*U = I and U*e = D*U, and
+(U*e)*U^-1 = D only where the last fails (RankWitness.verify says why the
+verdict is the same).  Each step
 x + v*y of an operation goes through the base's mul_add, with v_right for
 a column, and a matrix product through the base's kernel,
 ``scalars.mat_mul``.  Over R these are folds of the ring's + and *.  Over
@@ -54,7 +56,7 @@ On delta=broken, where x*1 = x + t at N = 3, pivots and right factors
 equal to 1 keep the full path.  A unit of S/G_N whose Newton residual
 1 - ab is already zero is inverted without further rounds.  The outputs
 are the same classes either way, and every certificate is still verified
-by its full products.
+by its products.
 
 The random generators draw one sequence of elementary, scaling and swap
 steps (_random_steps).  random_invertible applies them to I as row and
@@ -85,9 +87,10 @@ class NotUnimodular(ValueError):
 class _Scalars(Record):
     """A scalar base is a Record of its ring (and precision), so two bases
     are equal when they have the same class and fields.  It is not frozen:
-    a subclass may keep more state on its instances."""
+    a subclass may keep more state on its instances.  Each base keeps the
+    identity matrices it has built (mat_identity)."""
 
-    __slots__ = ()
+    __slots__ = ("_identities",)
 
     def is_local(self):
         return self.ctx.is_local()
@@ -105,6 +108,7 @@ class BaseScalars(_Scalars):
 
     def __init__(self, ctx: RingContext):
         self.ctx = ctx
+        self._identities = {}
 
     @property
     def description(self):
@@ -191,6 +195,7 @@ class SeriesScalars(_Scalars):
     def __init__(self, ctx: RingContext, precision: int):
         self.ctx = ctx
         self.precision = precision
+        self._identities = {}
         # one zero class and one class of 1, shared by every caller (classes
         # are never written); TruncatedSeries rejects a precision below 1
         self._zero = TruncatedSeries.zero(ctx, precision)
@@ -282,7 +287,12 @@ class SeriesScalars(_Scalars):
 
 
 def mat_identity(scalars, n):
-    return mat_diag(scalars, [1] * n)
+    """The n x n identity, built once per base and size and then shared:
+    matrices are tuples of tuples, never written."""
+    ident = scalars._identities.get(n)
+    if ident is None:
+        ident = scalars._identities[n] = mat_diag(scalars, [1] * n)
+    return ident
 
 
 def mat_mul(scalars, a, b):
@@ -362,12 +372,35 @@ class RankWitness(FrozenRecord):
         return mat_diag(self.scalars, bits)
 
     def verify(self) -> bool:
-        s = self.scalars
-        if not _mutually_inverse(s, self.conjugator, self.conjugator_inv):
+        """U*U^-1 = I, U^-1*U = I and (U*e)*U^-1 = D = diag(1^rank, 0...),
+        the last in one product where it can: when 0 <= rank <= n and U*e
+        equals D*U (the first ``rank`` rows of U above zero rows, built by
+        selecting rows), the certificate holds, and (U*e)*U^-1 = D is
+        checked in full only otherwise.
+
+        The short cut gives the same verdict as the full check on every
+        input, associative or not.  Both matrix kernels (BaseScalars.mat_mul
+        and series.matrix_product) compute row i of a product from row i
+        of its left factor and the right factor alone, and a zero row gives
+        a zero row.  So when U*e = D*U and U*U^-1 = I, row i of
+        (U*e)*U^-1 is row i of U*U^-1 = I for i < rank and zero below:
+        that is D.  The range check is needed: U[:rank] is all of U for a
+        rank above n, so on e = I such a rank passes the row comparison,
+        while D then has the wrong size and the full check rejects it (a
+        negative rank would slice U from its end).  In an associative base
+        every valid certificate has U*e = D*U (multiply U*e*U^-1 = D by U
+        on the right), so the full product runs only for a wrong
+        certificate or a non-associative base (delta=broken)."""
+        s, u, rank = self.scalars, self.conjugator, self.rank
+        if not _mutually_inverse(s, u, self.conjugator_inv):
             return False
-        conj = mat_mul(s, mat_mul(s, self.conjugator, self.matrix),
-                       self.conjugator_inv)
-        return conj == self.diagonal_form()
+        ue = mat_mul(s, u, self.matrix)
+        n = len(self.matrix)
+        if 0 <= rank <= n:
+            zero_row = (s.zero(),) * n
+            if ue == tuple(u[:rank]) + (zero_row,) * (n - rank):
+                return True
+        return mat_mul(s, ue, self.conjugator_inv) == self.diagonal_form()
 
 
 class _ElementaryOps:
@@ -523,6 +556,10 @@ class StableIsoWitness(FrozenRecord):
                            "conjugator_inv")
 
     def verify(self) -> bool:
+        """W*W^-1 = I, W^-1*W = I and (W*lhs)*W^-1 = rhs, all in full.  The
+        short cut of RankWitness.verify does not apply: rhs is not a 0/1
+        diagonal, so W*lhs = rhs*W gives (W*lhs)*W^-1 = rhs only through
+        (rhs*W)*W^-1 = rhs*(W*W^-1), which needs associativity."""
         s = self.scalars
         ident_t = mat_identity(s, self.t)
         lhs = mat_direct_sum(s, self.left, ident_t) if self.t else self.left

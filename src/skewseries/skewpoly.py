@@ -173,10 +173,18 @@ def _add_products(ctx: RingContext, partners, width: int, gb, lb: int,
     j < width.  A row is extended when a product needs
     n < min(width, length - i) beyond it.  Each acc[m] gets its terms
     unreduced, in the order of i, n and j.
+
+    A single partner (every SkewPoly or TruncatedSeries product, and the
+    row steps of k0), whose la is then the width, takes a loop of its own
+    with no inner loop over partners: the same ring calls in the same
+    order, and the same operator rows.
     """
     zero = ctx.zero()
     add, mul = ctx.add, ctx.mul
     table = ctx._mkl_rows
+    single = len(partners) == 1
+    if single:
+        ((f, la, acc),) = partners
     for i in range(min(lb, length)):
         b = gb[i]
         if b == zero:
@@ -185,6 +193,17 @@ def _add_products(ctx: RingContext, partners, width: int, gb, lb: int,
         rows = table.get(b, _NO_TERMS)
         if len(rows) < top:
             rows = _operator_rows(ctx, b, top)
+        if single:
+            for n, row in zip(range(top), rows):
+                m = i + n
+                for k, v in row:
+                    j = n + k
+                    if j >= la:
+                        break
+                    a = f[j]
+                    if a != zero:
+                        acc[m] = add(acc[m], mul(a, v))
+            continue
         for n, row in zip(range(top), rows):
             m = i + n
             for k, v in row:
@@ -256,7 +275,9 @@ def _block_product(ctx: RingContext, rows, cols, length: int, out) -> None:
     adds no term to any slot, so skipping it leaves every ring call and
     every operator row of the pairwise products.  A single left factor (a
     SkewPoly or TruncatedSeries product, or the row step of k0) takes a
-    branch without the block set-up.
+    branch without the block set-up, and a product with one partner (that
+    branch, or a column of the block with one nonzero left factor) the
+    loop of _add_products for a single partner.
 
     A factor equal to 1 costs nothing, or additions only.  1*g = g for
     every sigma and delta, since only M_{0,0} = id enters it; f*1 = f needs

@@ -223,10 +223,13 @@ class TestStableIso:
         w = stable_iso_witness(e1, e2)
         assert w is not None and w.verify()
 
-    @pytest.mark.parametrize("sizes,products", [((3, 3), 14), ((2, 3), 15)])
+    @pytest.mark.parametrize("sizes,products", [((3, 3), 12), ((2, 3), 13)])
     def test_matrix_products(self, f27, monkeypatch, sizes, products):
-        # 4 per rank certificate, 2 for W and W^-1 and 4 to verify them,
-        # plus the e*e = e check of each input that had to be padded
+        # 3 per rank certificate, 2 for W and W^-1 and 4 to verify them,
+        # plus the e*e = e check of each input that had to be padded.  A
+        # rank certificate checks U*U^-1, U^-1*U and U*e = D*U, where D*U is
+        # U's rows selected, so (U*e)*U^-1 = D is no longer taken: 14 -> 12
+        # and 15 -> 13
         scalars = SeriesScalars(f27, 3)
         rng = random.Random(89)
         e1, e2 = (_conjugated_diag(scalars, n, 1, rng) for n in sizes)
@@ -1282,6 +1285,114 @@ class TestRandomConjugate:
                                      ["random_invertible", "mat_mul", "mat_mul"])
                 else:
                     assert calls == []
+
+
+def _four_product_verify(w):
+    """Oracle for RankWitness.verify: U*U^-1 = I and U^-1*U = I, then
+    (U*e)*U^-1 = D, every identity by its full products."""
+    s = w.scalars
+    return (k0._mutually_inverse(s, w.conjugator, w.conjugator_inv)
+            and mat_mul(s, mat_mul(s, w.conjugator, w.matrix),
+                        w.conjugator_inv) == w.diagonal_form())
+
+
+def _verify_without_inverse_check(w):
+    """A wrong RankWitness.verify, for the must-fail control: it drops
+    _mutually_inverse and accepts on U*e = D*U alone."""
+    s, u, n, rank = w.scalars, w.conjugator, len(w.matrix), w.rank
+    ue = mat_mul(s, u, w.matrix)
+    if 0 <= rank <= n and ue == tuple(u[:rank]) + ((s.zero(),) * n,) * (n - rank):
+        return True
+    return mat_mul(s, ue, w.conjugator_inv) == w.diagonal_form()
+
+
+VERIFY_PRESETS = PRESET_MATRIX + (BROKEN_PRESET,)
+# None is the base R itself
+VERIFY_PRECISIONS = (None, 1, 2, 4, 8)
+
+
+def _rank_certificates(scalars, n, tag):
+    """(kind, certificate) pairs of size n: idempotent_rank's certificate
+    of a generated idempotent (where it verifies), and then each with one
+    entry of U^-1 or of e moved by 1 and with its rank moved by 1; and
+    certificates of e = I and e = 0 with U and U^-1 from
+    random_invertible, at their ranks n and 0 and at the ranks n + 1 and
+    -1 that fall outside 0..n."""
+    rng = random.Random(tag)
+    one, add = scalars.one(), scalars.add
+    e = _idempotent_or_constant(scalars, n, tag + "/idempotent")
+    w = _outcome(idempotent_rank, e)
+    if isinstance(w, RankWitness):
+        yield "valid", w
+        for field in ("conjugator_inv", "matrix"):
+            position = (rng.randrange(n), rng.randrange(n))
+            yield field, _with_entry_moved(w, field, position, one, add)
+        for step in (1, -1):
+            yield f"rank{step:+d}", RankWitness(
+                scalars, w.matrix, w.rank + step, w.conjugator, w.conjugator_inv)
+    # random_invertible's own Newton check can fail on delta=broken; the
+    # certificates of I and 0 then take U = U^-1 = I
+    uv = _outcome(random_invertible, scalars, n, rng)
+    u, uinv = (uv if isinstance(uv[1], tuple)
+               else (mat_identity(scalars, n),) * 2)
+    for rank in (n, n + 1, -1):
+        yield f"I/{rank}", RankWitness(scalars, mat_identity(scalars, n), rank,
+                                       u, uinv)
+    for rank in (0, n + 1, -1):
+        yield f"0/{rank}", RankWitness(scalars, mat_diag(scalars, [0] * n), rank,
+                                       u, uinv)
+
+
+def _verify_mismatches(preset, monkeypatch, verify, seen):
+    """Each (tag, kind) where ``verify`` and the oracle give different
+    verdicts (or errors) on a certificate of _rank_certificates, over R and
+    S/G_N at N in VERIFY_PRECISIONS, n = 1..6.  ``seen`` counts the
+    calls of verify by (verdict, matrix products made): 4 is the fallback
+    product."""
+    ctx = parse_ring_preset(preset)
+    for precision in VERIFY_PRECISIONS:
+        scalars = _scalars_on(ctx, precision)
+        for n in range(1, 7):
+            tag = f"{preset}/{precision}/{n}"
+            for kind, w in _rank_certificates(scalars, n, tag):
+                calls = [0]
+
+                def counted(*args, _plain=mat_mul):
+                    calls[0] += 1
+                    return _plain(*args)
+
+                with monkeypatch.context() as m:
+                    m.setattr(k0, "mat_mul", counted)
+                    got = _outcome(verify, w)
+                want = _outcome(_four_product_verify, w)
+                seen[got, calls[0]] = seen.get((got, calls[0]), 0) + 1
+                if got != want:
+                    yield tag, kind
+
+
+class TestRankVerify:
+    """RankWitness.verify checks U*U^-1, U^-1*U and U*e = D*U, and takes
+    (U*e)*U^-1 = D only when the last fails: its verdict is that of the
+    four products on valid and tampered certificates alike."""
+
+    @pytest.mark.parametrize("preset", VERIFY_PRESETS)
+    def test_matches_the_four_products(self, preset, monkeypatch):
+        seen = {}
+        assert list(_verify_mismatches(preset, monkeypatch, RankWitness.verify,
+                                       seen)) == []
+        # a wrong rank reaches the fallback product, and every certificate
+        # accepted takes the short cut: on an associative base a valid one
+        # has U*e = D*U, and on delta=broken so do these
+        assert seen.get((False, 4)) and seen.get((True, 3))
+        assert (True, 4) not in seen
+
+    @pytest.mark.parametrize("preset", ("zmod:2^3", "truncpoly:3:3:c=2"))
+    def test_dropped_inverse_check_is_caught(self, preset, monkeypatch):
+        # must-fail control: U*e does not read U^-1, so a verify that skips
+        # U*U^-1 = I accepts a certificate with a moved entry of U^-1
+        kinds = {kind for _, kind in _verify_mismatches(
+            preset, monkeypatch, _verify_without_inverse_check, {})}
+        assert "conjugator_inv" in kinds
 
 
 # -- must-fail controls -----------------------------------------------------
