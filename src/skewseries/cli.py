@@ -82,38 +82,14 @@ _EXPR = ((("expr",), {}),)
 _PAIR = ((("left",), {}), (("right",), {}))
 
 
-class _Subcommand:
-    """What add_subparsers(parser_class=_Subcommand) registers for each
-    subcommand.  argparse only calls parse_known_args on the one a command
-    line names, so that one alone gets its _Parser built, on the first such
-    call of the process; later calls reuse it."""
-
-    def __init__(self, prog, arguments):
-        self.prog = prog
-        self._arguments = arguments
-        self._parser = None
-
-    def parse_known_args(self, args=None, namespace=None):
-        parser = self._parser
-        if parser is None:
-            parser = _Parser(prog=self.prog)
-            for flags, options in _COMMON + self._arguments:
-                parser.add_argument(*flags, **options)
-            # kept only once whole: a build cut short is started again
-            self._parser = parser
-        return parser.parse_known_args(args, namespace)
-
-
 # the top-level parser, built by the first build_parser() call
 _top = None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, built on the first call and returned again on
-    every later one.  Every subcommand is registered by name and help,
-    which is all the usage line and -h show; its own parser is built only
-    when a command line names it.  Help and usage are formatted when they
-    are printed, so they follow COLUMNS at that time."""
+    """The top-level parser with every subcommand's parser, all built on the
+    first call and returned again on every later one.  Help and usage are
+    formatted when they are printed, so they follow COLUMNS at that time."""
     global _top
     if _top is None:
         parser = _Parser(
@@ -121,10 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
             description="Exact skew polynomial / twisted power series calculator "
                         "with filtration, graded-symbol and projective-rank tools.",
             formatter_class=_UsageFormatter)
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    parser_class=_Subcommand)
+        # parser_class defaults to the class of the parser, _Parser
+        sub = parser.add_subparsers(dest="command", required=True)
         for name, (text, arguments, _) in _SUBCOMMANDS.items():
-            sub.add_parser(name, help=text, arguments=arguments)
+            subparser = sub.add_parser(name, help=text)
+            for flags, options in _COMMON + arguments:
+                subparser.add_argument(*flags, **options)
+        # kept only once whole: a build cut short is started again
         _top = parser
     return _top
 

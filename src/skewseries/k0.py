@@ -633,19 +633,14 @@ def stably_free_witness(e: IdempotentMatrix, s: int) -> StablyFreeWitness:
     scalars = e.scalars
     w = idempotent_rank(e)
     r, n = w.rank, e.size
-    zero, one = scalars.zero(), scalars.one()
-    # forward (n+s) x (r+s): Uinv[:, :r] on the module block, I_s on the padding
-    forward = tuple(
-        tuple(w.conjugator_inv[i][j] if i < n and j < r else
-              (one if i >= n and j >= r and i - n == j - r else zero)
-              for j in range(r + s))
-        for i in range(n + s))
-    # backward (r+s) x (n+s): U[:r, :] on the module block, I_s on the padding
-    backward = tuple(
-        tuple(w.conjugator[i][j] if i < r and j < n else
-              (one if i >= r and j >= n and i - r == j - n else zero)
-              for j in range(n + s))
-        for i in range(r + s))
+    zero, ident = scalars.zero(), mat_identity(scalars, s)
+    # forward (n+s) x (r+s): the rows of U^-1 cut to r entries, then I_s,
+    # each padded with zeros
+    forward = tuple(row[:r] + (zero,) * s for row in w.conjugator_inv) \
+        + tuple((zero,) * r + row for row in ident)
+    # backward (r+s) x (n+s): U[:r], then I_s, each padded with zeros
+    backward = tuple(row + (zero,) * s for row in w.conjugator[:r]) \
+        + tuple((zero,) * n + row for row in ident)
     witness = StablyFreeWitness(
         scalars=scalars, matrix=e.entries, rank=r, s=s,
         forward=forward, backward=backward)
@@ -681,23 +676,16 @@ def unimodular_complete(scalars, row) -> CompletedRow:
             break
     if unit_at is None:
         raise NotUnimodular("not unimodular")
-    zero, one = scalars.zero(), scalars.one()
+    ident = mat_identity(scalars, n)
     others = [j for j in range(n) if j != unit_at]
-    mat = [list(row)]
-    for j in others:
-        basis = [zero] * n
-        basis[j] = one
-        mat.append(basis)
+    matrix = (row,) + tuple(ident[j] for j in others)
     ainv = scalars.inv(row[unit_at])
-    inv = [[zero] * n for _ in range(n)]
-    inv[unit_at][0] = ainv
-    for col, j in enumerate(others, start=1):
-        inv[j][col] = one
-        inv[unit_at][col] = scalars.neg(scalars.mul(ainv, row[j]))
-    completed = CompletedRow(
-        scalars=scalars, row=row,
-        matrix=tuple(tuple(r) for r in mat),
-        inverse=tuple(tuple(r) for r in inv))
+    top = (ainv,) + tuple(scalars.neg(scalars.mul(ainv, row[j])) for j in others)
+    # row j != unit_at of M^-1 is the identity row at j's row index in M
+    inverse = tuple(top if j == unit_at else ident[j + (j < unit_at)]
+                    for j in range(n))
+    completed = CompletedRow(scalars=scalars, row=row, matrix=matrix,
+                             inverse=inverse)
     if not completed.verify():
         raise AssertionError("row completion failed to verify")
     return completed

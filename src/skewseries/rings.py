@@ -8,14 +8,14 @@ a sigma-derivation delta satisfying delta(R) <= I and delta(I) <= I^2.
 Each preset family knows its ideal-theoretic structure (powers of I and
 their sizes, valuations, canonical residues mod I^k, inverses of units,
 and the depth at which the monomial operators M_{k,l} of sigma and delta
-vanish) in closed form, so nothing here enumerates R: ideal powers are
-built lazily per k, every inverse is verified by both products before it
-is used, and the test suite checks each closed form against exhaustive
-enumeration on small presets.  The methods that list R or I^k
-(elements, ideal_power_list, ideal_power) and the two check hooks,
-_table_rows, the add and mul tables from the families' formulas, and
-_column_sums, the sums of whole columns of elements, serve the checks of
-:mod:`skewseries.suites`, which budget every walk.
+vanish) in closed form, so nothing here enumerates R: I^k is listed
+only when a caller asks for it and is not kept, every inverse is verified
+by both products before it is used, and the test suite checks each closed
+form against exhaustive enumeration on small presets.  The methods that
+list R or I^k (elements, ideal_power_list, ideal_power) and the two check
+hooks, _table_rows, the add and mul tables from the families' formulas,
+and _column_sums, the sums of whole columns of elements, serve the checks
+of :mod:`skewseries.suites`, which budget every walk.
 All answers are exact.
 
 Preset grammar (also accepted by the command line front end):
@@ -94,7 +94,7 @@ class RingContext:
     radical_gens: tuple
 
     def __init__(self):
-        self._ideal_power_lists = None
+        self._ideal_powers_checked = False
         # j -> ideal_power_gens(j), for j >= 1
         self._ideal_power_gens = {}
         self._inv_table = None
@@ -211,10 +211,10 @@ class RingContext:
         return self.add(a, self.neg(b))
 
     def _ensure_ideal_powers(self):
-        """Check once that I^nil = 0 != I^(nil-1) and open the per-k memos
-        of ideal powers.  Both families are commutative, so I^k = 0 exactly
-        when every product of k radical generators vanishes."""
-        if self._ideal_power_lists is not None:
+        """Check once that I^nil = 0 != I^(nil-1).  Both families are
+        commutative, so I^k = 0 exactly when every product of k radical
+        generators vanishes."""
+        if self._ideal_powers_checked:
             return
         nil = self.radical_nilpotency
         zero = self.zero()
@@ -222,27 +222,25 @@ class RingContext:
             raise ValueError(f"{self.name}: I^{nil} does not vanish")
         if all(w == zero for w in self.ideal_power_gens(nil - 1)):
             raise ValueError(f"{self.name}: I^{nil - 1} already vanishes")
-        self._ideal_power_lists = {}
+        self._ideal_powers_checked = True
 
     def ideal_power(self, k: int) -> frozenset:
         """The set I^k (k is clamped at the nilpotency index, where I^k = 0)."""
         return frozenset(self.ideal_power_list(k))
 
     def ideal_power_list(self, k: int) -> list:
-        """The elements of I^k in sorted order, built on first use."""
-        if self._ideal_power_lists is None:
+        """The elements of I^k in sorted order, built afresh on each call:
+        each caller reads the list once."""
+        if not self._ideal_powers_checked:
             self._ensure_ideal_powers()
-        k = min(k, self.radical_nilpotency)
-        if k not in self._ideal_power_lists:
-            self._ideal_power_lists[k] = self._ideal_power_list(k)
-        return self._ideal_power_lists[k]
+        return self._ideal_power_list(min(k, self.radical_nilpotency))
 
     def sample_ideal_power(self, k: int, rng: random.Random):
         """The element of I^k that rng.choice(self.ideal_power_list(k))
         draws, from one rng.randrange(|I^k|) and the family's closed form
         of element r of that list (_ideal_power_element): both draw one
         _randbelow(|I^k|), so rng ends in the same state."""
-        if self._ideal_power_lists is None:
+        if not self._ideal_powers_checked:
             self._ensure_ideal_powers()
         k = min(k, self.radical_nilpotency)
         return self._ideal_power_element(k, rng.randrange(self.ideal_power_size(k)))
@@ -263,7 +261,7 @@ class RingContext:
 
     def ideal_valuation(self, a):
         """Largest k with a in I^k; INF exactly for a = 0."""
-        if self._ideal_power_lists is None:
+        if not self._ideal_powers_checked:
             self._ensure_ideal_powers()
         return self._valuation(a)
 

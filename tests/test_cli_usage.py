@@ -134,29 +134,34 @@ def test_importing_the_cli_builds_no_parser():
     assert _in_a_fresh_interpreter(code) == "[] None\n"
 
 
-def test_top_level_help_builds_the_top_level_parser_once(built):
+# what the first build_parser() call of a process builds, in order
+ALL_PARSERS = ["skewseries"] + [f"skewseries {name}" for name in cli._SUBCOMMANDS]
+
+
+def test_the_first_call_builds_every_parser_in_order(built):
+    assert tuple(cli._SUBCOMMANDS) == COMMANDS
     assert run_cli(["-h"])[0] == 0
+    assert built == ALL_PARSERS
     assert run_cli(["-h"])[0] == 0
-    assert built == ["skewseries"]
+    assert built == ALL_PARSERS
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_a_subcommand_parser_is_built_on_first_use_only(built, command):
+def test_later_runs_and_help_build_no_parser(built, command):
     assert run_cli([command, *VALID_ARGS[command], "--samples", "2"])[0] == 0
-    assert built == ["skewseries", f"skewseries {command}"]
+    assert built == ALL_PARSERS
     assert run_cli([command, *VALID_ARGS[command], "--samples", "2"])[0] == 0
     assert run_cli([command, "-h"])[0] == 0
-    assert built == ["skewseries", f"skewseries {command}"]
-    # another subcommand's first run builds that subcommand's parser alone
+    assert run_cli(["-h"])[0] == 0
     other = "normalize" if command != "normalize" else "rank"
     assert run_cli([other, *VALID_ARGS[other]])[0] == 0
-    assert built == ["skewseries", f"skewseries {command}", f"skewseries {other}"]
+    assert built == ALL_PARSERS
 
 
 def test_build_parser_returns_the_same_parser(built):
     first, second = cli.build_parser(), cli.build_parser()
     assert first is second
-    assert built == ["skewseries"]
+    assert built == ALL_PARSERS
     assert first.parse_args(["normalize", "x"]).expr == "x"
     assert second.parse_args(["rank", "1"]).matrix == "1"
 
@@ -182,18 +187,18 @@ def _cut(monkeypatch, name, prog, nth):
 
 
 def test_a_subcommand_build_cut_short_is_not_kept(monkeypatch, built):
-    assert run_cli(["normalize", "x"])[0] == 0
-    # cut at the third argument: -h and --ring are in, the rest is not
+    # cut at the third argument of rank: -h and --ring are in, the rest is not
     calls = _cut(monkeypatch, "add_argument", "skewseries rank", 3)
     with pytest.raises(_Cut):
-        run_cli(["rank", "1"])
+        run_cli(["normalize", "x"])
     assert calls == [("-h", "--help"), ("--ring",), ("--prec",)]
+    assert cli._top is None
     code, out, err = run_cli(["rank", "1", "--format", "json"])
     assert (code, err) == (0, "")
     assert '"verdict": "RANK 1 VERIFIED"' in out
     assert run_cli(["rank", "1"])[0] == 0
-    assert built == ["skewseries", "skewseries normalize", "skewseries rank",
-                     "skewseries rank"]
+    cut_at = ALL_PARSERS.index("skewseries rank") + 1
+    assert built == ALL_PARSERS[:cut_at] + ALL_PARSERS
 
 
 def test_a_top_level_build_cut_short_is_not_kept(monkeypatch, built):
@@ -202,7 +207,7 @@ def test_a_top_level_build_cut_short_is_not_kept(monkeypatch, built):
         cli.build_parser()
     assert cli._top is None
     assert run_cli(["normalize", "x"])[0] == 0
-    assert built == ["skewseries", "skewseries", "skewseries normalize"]
+    assert built == ["skewseries"] + ALL_PARSERS
 
 
 @pytest.mark.parametrize("command", (None,) + COMMANDS)

@@ -1395,6 +1395,144 @@ class TestRankVerify:
         assert "conjugator_inv" in kinds
 
 
+def _grid_stably_free(e, s):
+    """Oracle for stably_free_witness: forward and backward built entry by
+    entry on the (n+s) x (r+s) and (r+s) x (n+s) grids, U^-1[:, :r] and
+    U[:r, :] on the module block and I_s on the padding."""
+    scalars = e.scalars
+    w = idempotent_rank(e)
+    r, n = w.rank, e.size
+    zero, one = scalars.zero(), scalars.one()
+    forward = tuple(
+        tuple(w.conjugator_inv[i][j] if i < n and j < r else
+              (one if i >= n and j >= r and i - n == j - r else zero)
+              for j in range(r + s))
+        for i in range(n + s))
+    backward = tuple(
+        tuple(w.conjugator[i][j] if i < r and j < n else
+              (one if i >= r and j >= n and i - r == j - n else zero)
+              for j in range(n + s))
+        for i in range(r + s))
+    witness = k0.StablyFreeWitness(
+        scalars=scalars, matrix=e.entries, rank=r, s=s,
+        forward=forward, backward=backward)
+    if not witness.verify():
+        raise AssertionError("stably-free certificate failed to verify")
+    return witness
+
+
+def _grid_completion(scalars, row):
+    """Oracle for unimodular_complete: M and M^-1 built as lists of rows,
+    a basis vector per column other than the first unit's, and the
+    inverse's entries set one by one."""
+    row = tuple(row)
+    n = len(row)
+    unit_at = next((j for j, x in enumerate(row) if scalars.is_unit(x)), None)
+    if unit_at is None:
+        raise NotUnimodular("not unimodular")
+    zero, one = scalars.zero(), scalars.one()
+    others = [j for j in range(n) if j != unit_at]
+    mat = [list(row)]
+    for j in others:
+        basis = [zero] * n
+        basis[j] = one
+        mat.append(basis)
+    ainv = scalars.inv(row[unit_at])
+    inv = [[zero] * n for _ in range(n)]
+    inv[unit_at][0] = ainv
+    for col, j in enumerate(others, start=1):
+        inv[j][col] = one
+        inv[unit_at][col] = scalars.neg(scalars.mul(ainv, row[j]))
+    completed = k0.CompletedRow(
+        scalars=scalars, row=row,
+        matrix=tuple(tuple(r) for r in mat),
+        inverse=tuple(tuple(r) for r in inv))
+    if not completed.verify():
+        raise AssertionError("row completion failed to verify")
+    return completed
+
+
+# None is the base R itself
+IDENTITY_PRECISIONS = (None, 1, 2, 4)
+
+
+def _row_with_unit_at(scalars, n, at, rng):
+    """n entries whose first unit is at position ``at``: non-units before
+    it, a unit there, and any entries after it."""
+    row = []
+    for j in range(n):
+        x = k0._sample_unit(scalars, rng) if j == at else scalars.sample(rng)
+        while j < at and scalars.is_unit(x):
+            x = scalars.sample(rng)
+        row.append(x)
+    return row
+
+
+def _on_a_fresh_context(preset, precision, make, build):
+    """build(scalars, *make(scalars)) on a new context of preset, and the
+    add, mul and neg calls that build makes, in order."""
+    ctx = parse_ring_preset(preset)
+    scalars = _scalars_on(ctx, precision)
+    args, calls = make(scalars), []
+    _record_ring_calls(ctx, calls)
+    return build(scalars, *args), calls
+
+
+def _parts(outcome):
+    """The fields of a certificate, or the error that replaced it."""
+    return outcome if isinstance(outcome, tuple) else outcome._values()
+
+
+def _assert_matches_the_oracle(preset, precision, make, build, oracle, tag):
+    """build and oracle, each on a new context, give the same certificates
+    (or errors) from the same ring calls; every certificate verifies."""
+    got, calls = _on_a_fresh_context(preset, precision, make, build)
+    want, oracle_calls = _on_a_fresh_context(preset, precision, make, oracle)
+    assert [_parts(x) for x in got] == [_parts(x) for x in want], tag
+    assert calls == oracle_calls, tag
+    for outcome in got:
+        assert isinstance(outcome, tuple) or outcome.verify(), tag
+    return got
+
+
+class TestIdentityBlocks:
+    """unimodular_complete and stably_free_witness take whole rows of
+    mat_identity: their certificates equal those of the entry-by-entry
+    oracles, from the same ring calls in the same order, and verify.  On
+    delta=broken an inverse may fail to verify, and both must then fail
+    alike."""
+
+    @pytest.mark.parametrize("preset", VERIFY_PRESETS)
+    def test_completion_matches_the_grid(self, preset):
+        errors = 0
+        for precision in IDENTITY_PRECISIONS:
+            for n in range(1, 7):
+                for at in range(n):
+                    tag = f"{preset}/{precision}/{n}/{at}"
+                    got = _assert_matches_the_oracle(
+                        preset, precision,
+                        lambda sc: (_row_with_unit_at(sc, n, at, random.Random(tag)),),
+                        lambda sc, row: [_outcome(unimodular_complete, sc, row)],
+                        lambda sc, row: [_outcome(_grid_completion, sc, row)],
+                        tag)
+                    errors += isinstance(got[0], tuple)
+        assert errors == 0 or preset == BROKEN_PRESET
+
+    @pytest.mark.parametrize("preset", VERIFY_PRESETS)
+    def test_stably_free_matches_the_grid(self, preset):
+        for precision in IDENTITY_PRECISIONS:
+            for n in range(1, 7):
+                tag = f"{preset}/{precision}/{n}"
+                _assert_matches_the_oracle(
+                    preset, precision,
+                    lambda sc: (_idempotent_or_constant(sc, n, tag),),
+                    lambda sc, e: [_outcome(stably_free_witness, e, s)
+                                   for s in (0, 1, 2)],
+                    lambda sc, e: [_outcome(_grid_stably_free, e, s)
+                                   for s in (0, 1, 2)],
+                    tag)
+
+
 # -- must-fail controls -----------------------------------------------------
 
 CONTROL_BASES = [(preset, precision)

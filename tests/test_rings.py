@@ -202,6 +202,25 @@ class TestIdealStructure:
             ctx.ideal_power_gens(k)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("preset", PRESET_MATRIX + (BROKEN_PRESET,))
+    def test_no_list_of_an_ideal_power_is_kept(self, preset):
+        # each reader lists I^k once, so the context keeps none of the lists;
+        # the check I^nil = 0 != I^(nil-1), on the products of nil and of
+        # nil - 1 generators, runs on the first read alone
+        ctx = parse_ring_preset(preset)
+        nil, levels = ctx.radical_nilpotency, []
+        plain = ctx.ideal_power_gens
+        ctx.ideal_power_gens = lambda k: levels.append(k) or plain(k)
+        lists = {k: ctx.ideal_power_list(k) for k in range(1, nil)}
+        assert ctx.ideal_power(1) == frozenset(lists[1])
+        assert ctx.ideal_power_list(1) is not lists[1]
+        run_property_suite("sigma-derivation", ctx, None, 20, 0)
+        ctx.is_local()
+        assert levels == [nil, nil - 1]
+        for value in vars(ctx).values():
+            for held in (value.values() if isinstance(value, dict) else (value,)):
+                assert not isinstance(held, list) or held not in lists.values()
+
 
 def _nilbound_by_tuples(ctx, n, word_limit):
     """sigma_nilpotence_bound as it was before images were numbered: the

@@ -196,10 +196,8 @@ def _lift_ending_in_the_ideal(ctx, n, rng):
     """n coefficients whose slots from a random one on lie in I^(n-i), so
     they reduce to zero in S/G_n."""
     head = rng.randrange(n)
-    nil = ctx.radical_nilpotency
     return ([ctx.sample(rng) for _ in range(head)]
-            + [rng.choice(ctx.ideal_power_list(min(n - i, nil)))
-               for i in range(head, n)])
+            + [ctx.sample_ideal_power(n - i, rng) for i in range(head, n)])
 
 
 def _sample_classes(ctx, n, rng):
