@@ -523,8 +523,10 @@ def idempotent_rank(e: IdempotentMatrix) -> RankWitness:
         if pivot != one or not scalars.one_is_two_sided():
             ops.scale(pivot_row, scalars.inv(pivot), pivot)
         for r in range(pivot_row + 1, n):
-            # v = -col[r], so the column step's -v is col[r] itself
-            ops.add(r, pivot_row, scalars.neg(col[r]), col[r])
+            # v = -col[r], so the column step's -v is col[r] itself; a zero
+            # entry needs no step, and is not negated
+            if col[r] != zero:
+                ops.add(r, pivot_row, scalars.neg(col[r]), col[r])
         if a[pivot_row][pivot_row] != one or any(
                 a[r][pivot_row] != zero for r in range(n) if r != pivot_row):
             raise AssertionError("pivot column failed to normalize")

@@ -332,8 +332,10 @@ class RingContext:
         first use.  Then M_{0,l}(1) = 1 and M_{k,l}(1) = 0 for k > 0, so
         f*1 = f for every f and the class of 1 is a two-sided identity of
         S/G_N; 1*g = g holds always, since only M_{0,0} = id enters it.  The
-        k0 kernels skip the products by 1 only where this holds; on
-        delta=broken (delta(1) = t) it does not."""
+        k0 kernels skip the products by 1, and the product kernel adds a
+        right factor or right coefficient 1 with no multiplication and no
+        operator row, only where this holds; on delta=broken (delta(1) = t)
+        it does not."""
         if self._one_commutes_with_x is None:
             one = self.one()
             self._one_commutes_with_x = (self.sigma(one) == one

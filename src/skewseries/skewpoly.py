@@ -32,7 +32,10 @@ product routes are provided so they can be cross-validated:
   looked up once for every row.  A product by 1 costs no multiplication
   (a right factor 1 only where x*1 = 1*x), and an output whose only term
   it is is the partner itself, so the caller returns the partner's class
-  as it is;
+  as it is.  Neither does a coefficient 1: a left coefficient 1 adds the
+  operator value itself, and a right coefficient 1, where x*1 = 1*x, adds
+  its partner's coefficients with no operator row, since sigma(1) = 1 and
+  delta(1) = 0 give M_{0,n}(1) = 1 and M_{k,n}(1) = 0 for k >= 1;
 * :func:`poly_mul_commutation`, which expands products by repeatedly
   applying the single-step rule and collecting left-form terms.
 
@@ -153,7 +156,7 @@ def _recursion_rows(ctx: RingContext, d: int, b, built: int, top: int) -> tuple:
 
 
 def _add_products(ctx: RingContext, partners, width: int, gb, lb: int,
-                  length: int):
+                  length: int, right_unit: bool):
     """acc[m] += coeff_m(f * g) for m < ``length`` and every partner
     (f, la, acc) of the right factor g = sum b_i x^i, where la is the
     length of f = sum a_j x^j, width the largest la and lb the length of
@@ -174,12 +177,22 @@ def _add_products(ctx: RingContext, partners, width: int, gb, lb: int,
     n < min(width, length - i) beyond it.  Each acc[m] gets its terms
     unreduced, in the order of i, n and j.
 
+    A coefficient equal to 1 costs no multiplication.  A left coefficient
+    a_j = 1 adds the operator value itself (1*v = v in R).  A right
+    coefficient b_i = 1, where x*1 = 1*x (``right_unit``, read once per
+    block by the caller), adds a_n to slot i + n for every n, with no
+    operator row: sigma(1) = 1 and delta(1) = 0 give M_{0,n}(1) = 1 and
+    M_{k,n}(1) = 0 for k >= 1, and a_n*1 = a_n.  A slot that still holds
+    the kernel's zero object takes a_n as it is (0 + a = a).  On
+    delta=broken (delta(1) = t) a right coefficient 1 takes the full
+    formula.
+
     A single partner (every SkewPoly or TruncatedSeries product, and the
     row steps of k0), whose la is then the width, takes a loop of its own
     with no inner loop over partners: the same ring calls in the same
     order, and the same operator rows.
     """
-    zero = ctx.zero()
+    zero, one = ctx.zero(), ctx.one()
     add, mul = ctx.add, ctx.mul
     table = ctx._mkl_rows
     single = len(partners) == 1
@@ -190,6 +203,13 @@ def _add_products(ctx: RingContext, partners, width: int, gb, lb: int,
         if b == zero:
             continue
         top = min(width, length - i)
+        if right_unit and b == one:
+            for f, la, acc in partners:
+                for m, a in zip(range(i, i + top), f):
+                    if a != zero:
+                        s = acc[m]
+                        acc[m] = a if s is zero else add(s, a)
+            continue
         rows = table.get(b, _NO_TERMS)
         if len(rows) < top:
             rows = _operator_rows(ctx, b, top)
@@ -202,7 +222,7 @@ def _add_products(ctx: RingContext, partners, width: int, gb, lb: int,
                         break
                     a = f[j]
                     if a != zero:
-                        acc[m] = add(acc[m], mul(a, v))
+                        acc[m] = add(acc[m], v if a == one else mul(a, v))
             continue
         for n, row in zip(range(top), rows):
             m = i + n
@@ -214,7 +234,8 @@ def _add_products(ctx: RingContext, partners, width: int, gb, lb: int,
                     if j < la:
                         a = f[j]
                         if a != zero:
-                            acc[m] = add(acc[m], mul(a, v))
+                            acc[m] = add(acc[m],
+                                         v if a == one else mul(a, v))
 
 
 def _accumulator(zero, out_row, c: int, reach: int) -> list:
@@ -281,15 +302,21 @@ def _block_product(ctx: RingContext, rows, cols, length: int, out) -> None:
 
     A factor equal to 1 costs nothing, or additions only.  1*g = g for
     every sigma and delta, since only M_{0,0} = id enters it; f*1 = f needs
-    x*1 = 1*x (ctx.one_commutes_with_x()), so a right factor 1 is taken
-    only where that holds, and on delta=broken it goes through the full
-    formula.  The product by 1 of an output that holds nothing yet is its
-    partner itself, and otherwise the partner's stored coefficients are
-    added (_add_by_one).  Either way the output gets the same values: the
-    terms of a product by 1 are the products a*1 = 1*a = a in R, and
-    0 + a = a.  Each output slot sums its terms in the order of the
+    x*1 = 1*x (ctx.one_commutes_with_x(), read once per block), so a right
+    factor 1 is taken only where that holds, and on delta=broken it goes
+    through the full formula.  The product by 1 of an output that holds
+    nothing yet is its partner itself, and otherwise the partner's stored
+    coefficients are added (_add_by_one).  Either way the output gets the
+    same values: the terms of a product by 1 are the products
+    a*1 = 1*a = a in R, and 0 + a = a.  The same holds one level down, for
+    a coefficient 1 of any other factor (_add_products): a left coefficient
+    1 costs no multiplication, and a right coefficient 1, under the same
+    gate, neither a multiplication nor an operator row, because
+    sigma(1) = 1 and delta(1) = 0 give M_{0,n}(1) = 1 and M_{k,n}(1) = 0
+    for k >= 1.  Each output slot sums its terms in the order of the
     pairwise products: p, then i, n and j."""
     unit = (ctx.one(),)
+    right_unit = ctx.one_commutes_with_x()
     if len(rows) == 1 and len(rows[0]) == 1:
         fx = rows[0][0]
         fa = fx.coeffs
@@ -308,11 +335,12 @@ def _block_product(ctx: RingContext, rows, cols, length: int, out) -> None:
             lb = len(gb)
             if not lb:
                 continue
-            if gb == unit and ctx.one_commutes_with_x():
+            if right_unit and gb == unit:
                 _add_by_one(ctx, out_row, c, fx)
                 continue
             acc = _accumulator(zero, out_row, c, min(la + lb - 1, length))
-            _add_products(ctx, ((fa, la, acc),), la, gb, lb, length)
+            _add_products(ctx, ((fa, la, acc),), la, gb, lb, length,
+                          right_unit)
         return
     zero = ctx.zero()
     for p in range(len(rows[0]) if rows else 0):
@@ -339,14 +367,14 @@ def _block_product(ctx: RingContext, rows, cols, length: int, out) -> None:
                 _add_by_one(ctx, out_row, c, gx)
             if not partners:
                 continue
-            if gb == unit and ctx.one_commutes_with_x():
+            if right_unit and gb == unit:
                 for fx, _, _, out_row in partners:
                     _add_by_one(ctx, out_row, c, fx)
                 continue
             group = [(f, la, _accumulator(zero, out_row, c,
                                           min(la + lb - 1, length)))
                      for _, f, la, out_row in partners]
-            _add_products(ctx, group, width, gb, lb, length)
+            _add_products(ctx, group, width, gb, lb, length, right_unit)
 
 
 def _power(one, base, exponent: int, mul=operator.mul):

@@ -70,15 +70,19 @@ def test_tracer_sees_the_product_kernel(monkeypatch):
     # t + x and 2 + t*x make 4 adds, a sum of classes adding no slot past
     # both operands' last nonzero one; t*x is built as the monomial, with
     # no product.  A power starts from the base at the lowest set bit of
-    # the exponent, so (t + x)^9 squares t + x (5 muls and 5 adds) and then
-    # (t + x)^2 (3 muls and 3 adds); (t + x)^4 is zero in S/G_4, and the
-    # products left have a zero factor and make no ring call.  The operator
-    # rows come from truncpoly's closed form (RingContext._closed_rows),
-    # which calls no counted ring method, and nothing multiplies x-powers,
-    # so there is no sigma/delta call
-    assert layers["rings.mul_calls"][0] == 8
-    assert layers["rings.add_calls"][0] == 12
-    assert layers["rings.sigma_delta_calls"][0] == 0
+    # the exponent, so (t + x)^9 squares t + x (1 mul and 4 adds) and then
+    # (t + x)^2 = 2t^2 + x^2 (1 mul and 3 adds); (t + x)^4 is zero in S/G_4,
+    # and the products left have a zero factor and make no ring call.  A
+    # coefficient 1 costs no multiplication: of the terms of (t + x)^2 only
+    # t*t is a product, and of those of (2t^2 + x^2)^2 only 2t^2*2t^2; a
+    # right coefficient 1 adds its partner's coefficients, and a slot still
+    # zero takes one with no add.  Reading whether x*1 = 1*x, once per
+    # product, asks sigma(1) and delta(1) on the first: the 2 sigma/delta
+    # calls.  The operator rows come from truncpoly's closed form
+    # (RingContext._closed_rows), which calls no counted ring method
+    assert layers["rings.mul_calls"][0] == 2
+    assert layers["rings.add_calls"][0] == 11
+    assert layers["rings.sigma_delta_calls"][0] == 2
 
 
 def test_tracer_sees_the_series_matrix_products(monkeypatch):
@@ -90,9 +94,10 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     assert any(span[0] == "k0.verify" for span in tracer.spans)
     # every product is a block product, as above: a factor equal to 1 adds
     # its partner's coefficients with no multiplication, a product by 1
-    # whose output holds nothing else is the partner itself, and a sum of
-    # classes adds no slot past both operands' last nonzero one.  The counts
-    # consist of:
+    # whose output holds nothing else is the partner itself, a coefficient
+    # 1 of either factor costs no multiplication either (see the test
+    # above), and a sum of classes adds no slot past both operands' last
+    # nonzero one.  The counts consist of:
     # - the nine entries, whose constants are folded in R, whose c*x^k
     #   terms are built directly and whose seven t^2 are folded from t:
     #   16 muls and 43 adds;
@@ -102,17 +107,17 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     #   with no ring call;
     # - the check I^3 = 0 != I^2, which builds the radical products a level
     #   at a time and reads those of I^2 from I^3's levels: 3 muls;
-    # - e*e = e, checked when the matrix is read: 138 muls and 138 adds;
+    # - e*e = e, checked when the matrix is read: 123 muls and 137 adds;
     # - the row and column steps of idempotent_rank, each x + v*y
-    #   accumulated onto x: 331 muls and 342 adds;
+    #   accumulated onto x: 289 muls and 331 adds;
     # - its two series inverses, Newton rounds that stop once 1 - ab is
     #   zero, each checked by both products, with the two verified inverses
-    #   of their constant terms in R: 37 muls and 43 adds;
-    # - the certificate's U*U^-1 and U^-1*U (198 muls and 229 adds) and U*e
-    #   (98 muls and 105 adds), which equals D*U, U's rows selected, so
+    #   of their constant terms in R: 28 muls and 37 adds;
+    # - the certificate's U*U^-1 and U^-1*U (170 muls and 228 adds) and U*e
+    #   (90 muls and 105 adds), which equals D*U, U's rows selected, so
     #   (U*e)*U^-1 is not taken
-    assert layers["rings.mul_calls"][0] == 821
-    assert layers["rings.add_calls"][0] == 900
+    assert layers["rings.mul_calls"][0] == 719
+    assert layers["rings.add_calls"][0] == 881
     assert layers["rings.sigma_delta_calls"][0] == 2
 
 
