@@ -58,6 +58,14 @@ equal to 1 keep the full path.  A unit of S/G_N whose Newton residual
 are the same classes either way, and every certificate is still verified
 by its products.
 
+Each IdempotentMatrix keeps the rank witness that idempotent_rank found
+for it, once the witness has verified, and a later call on the same object
+returns it: stable_iso_witness and stably_free_witness on a matrix whose
+rank was asked for do not diagonalize it again.  A matrix padded to a
+larger size is a new object and is diagonalized on its own.  The witness
+is kept on the matrix, not in a table keyed on its value, so it lives
+exactly as long as the matrix.
+
 The random generators draw one sequence of elementary, scaling and swap
 steps (_random_steps).  random_invertible applies them to I as row and
 column operations; random_conjugate, and random_idempotent through it,
@@ -343,9 +351,15 @@ def _pad_to(e, n):
 
 
 class IdempotentMatrix(FrozenRecord):
-    """A square matrix e with e*e = e over the given scalar base."""
+    """A square matrix e with e*e = e over the given scalar base.
 
-    __slots__ = _fields = ("scalars", "entries")
+    It also keeps the rank witness that idempotent_rank found for it, once
+    that witness has verified.  The slot is not a field: equality, hashing,
+    repr and pickling see only the scalars and the entries, and a copy
+    built by pickling keeps no witness."""
+
+    _fields = ("scalars", "entries")
+    __slots__ = _fields + ("_witness",)
 
     def __init__(self, scalars, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -486,7 +500,16 @@ def idempotent_rank(e: IdempotentMatrix) -> RankWitness:
     R, over S/G_N where x*1 = 1*x), since scaling by 1 changes nothing
     there; on delta=broken it takes the full path.  The pivot column is
     checked after the step either way.
+
+    The witness is kept on e once it has verified, and a later call on the
+    same object returns that witness without diagonalizing again; a
+    witness that fails to verify raises and is never kept.  Two threads
+    whose first calls on e overlap may both compute a witness; the two are
+    equal, and either one is kept.
     """
+    kept = getattr(e, "_witness", None)
+    if kept is not None:
+        return kept
     scalars = e.scalars
     if not scalars.is_local():
         raise ValueError("unsupported base")
@@ -548,6 +571,7 @@ def idempotent_rank(e: IdempotentMatrix) -> RankWitness:
     )
     if not witness.verify():
         raise AssertionError("rank certificate failed to verify")
+    object.__setattr__(e, "_witness", witness)
     return witness
 
 
@@ -575,13 +599,17 @@ def stable_iso_witness(e1: IdempotentMatrix, e2: IdempotentMatrix):
     """Least t with e1 (+) I_t conjugate to e2 (+) I_t, as an explicit
     witness, or None.  Over a local base padding by I_t shifts both ranks
     equally, so a witness exists iff the ranks agree, and then t = 0 works.
+    An input of the common size reuses the rank witness idempotent_rank
+    kept on it (_stable_iso).
     """
     return _stable_iso(e1, e2)[2]
 
 
 def _stable_iso(e1: IdempotentMatrix, e2: IdempotentMatrix):
     """(rank witness of e1, rank witness of e2, stable_iso_witness(e1, e2)),
-    diagonalizing and verifying each input once."""
+    diagonalizing and verifying each input at most once: an input already
+    of the common size reuses the witness idempotent_rank kept on it, if
+    any, and a padded one is a new matrix, diagonalized here."""
     if e1.scalars != e2.scalars:
         raise ValueError("base mismatch")
     scalars = e1.scalars
@@ -629,7 +657,8 @@ def stably_free_witness(e: IdempotentMatrix, s: int) -> StablyFreeWitness:
     U e U^-1 = diag(1^r, 0), the maps w -> w U^-1[:, :r] and z -> z U[:r, :]
     are inverse isomorphisms between image(e) and R^r; padding both with
     I_s gives image(e) (+) R^s = R^(r+s); over a local base no further
-    free summand is needed."""
+    free summand is needed.  The rank certificate is the one idempotent_rank
+    kept on e, if it was asked for before."""
     if s < 0:
         raise ValueError("free padding must be >= 0")
     scalars = e.scalars

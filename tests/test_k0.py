@@ -1,5 +1,8 @@
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -244,6 +247,30 @@ class TestStableIso:
         witness = stable_iso_witness(e1, e2)
         assert calls[0] == products
         assert witness is not None and witness.verify()
+
+    @pytest.mark.parametrize("sizes,products", [((3, 3), 6), ((2, 3), 10)])
+    def test_matrix_products_after_the_ranks(self, f27, monkeypatch, sizes,
+                                             products):
+        # the same inputs with their ranks asked for first: each input of
+        # the common size reuses its kept rank certificate, so only W, W^-1
+        # and their 4 checks remain, 12 -> 6; the padded 2x2 input is a new
+        # matrix and still costs its e*e = e check and 3 products, 13 -> 10
+        scalars = SeriesScalars(f27, 3)
+        rng = random.Random(89)
+        e1, e2 = (_conjugated_diag(scalars, n, 1, rng) for n in sizes)
+        idempotent_rank(e1), idempotent_rank(e2)
+        calls = [0]
+        plain = mat_mul
+
+        def counted(*args):
+            calls[0] += 1
+            return plain(*args)
+
+        monkeypatch.setattr(k0, "mat_mul", counted)
+        witness = stable_iso_witness(e1, e2)
+        assert calls[0] == products
+        assert witness is not None and witness.verify()
+        assert witness == stable_iso_witness(*map(_fresh, (e1, e2)))
 
     def test_base_mismatch(self, z8, f27):
         e1 = IdempotentMatrix(BaseScalars(z8), ((1,),))
@@ -1700,3 +1727,117 @@ class TestFaultInjectedBase:
         with pytest.raises(AssertionError,
                            match="^row completion failed to verify$"):
             unimodular_complete(scalars, (lift(u), lift(ctx.one())))
+
+
+def _fresh(e):
+    """An IdempotentMatrix equal to e that keeps no witness."""
+    return IdempotentMatrix(e.scalars, e.entries)
+
+
+def _kept(e):
+    return getattr(e, "_witness", None)
+
+
+class TestWitnessReuse:
+    """idempotent_rank keeps its witness on the matrix once it verifies: a
+    second call returns that object, and stable_iso_witness and
+    stably_free_witness called after it give what they give on fresh,
+    equal matrices.  The oracle is idempotent_rank on a fresh copy."""
+
+    @pytest.mark.parametrize("preset", VERIFY_PRESETS)
+    def test_matches_fresh_copies(self, preset):
+        ctx = parse_ring_preset(preset)
+        for precision in VERIFY_PRECISIONS:
+            scalars = _scalars_on(ctx, precision)
+            for n in range(1, 7):
+                tag = f"{preset}/{precision}/{n}"
+                e = _idempotent_or_constant(scalars, n, tag)
+                # the same rank, so stable_iso_witness builds W; and one
+                # size smaller, so one side is padded
+                other = IdempotentMatrix(
+                    scalars, tuple(row[::-1] for row in e.entries[::-1]))
+                small = _idempotent_or_constant(scalars, max(n - 1, 1),
+                                               tag + "/small")
+                w = _outcome(idempotent_rank, e)
+                want = _outcome(idempotent_rank, _fresh(e))
+                assert _parts(w) == _parts(want), tag
+                if isinstance(w, RankWitness):
+                    assert _kept(e) is w and idempotent_rank(e) is w, tag
+                else:
+                    # only a witness that verified is kept
+                    assert _kept(e) is None, tag
+                _outcome(idempotent_rank, other)
+                for pair in ((e, other), (e, small), (small, e)):
+                    got = _outcome(stable_iso_witness, *pair)
+                    want = _outcome(stable_iso_witness,
+                                    *(_fresh(x) for x in pair))
+                    assert _parts(got or ()) == _parts(want or ()), (tag, pair)
+                for s in (0, 2):
+                    got = _outcome(stably_free_witness, e, s)
+                    want = _outcome(stably_free_witness, _fresh(e), s)
+                    assert _parts(got) == _parts(want), (tag, s)
+                if isinstance(w, RankWitness):
+                    assert _kept(e) is w, tag
+
+    @pytest.mark.parametrize("preset,precision", CONTROL_BASES)
+    def test_a_failed_verify_is_never_kept(self, preset, precision,
+                                           monkeypatch):
+        # must-fail control: with verify failing, every call raises, also
+        # after the first, and the matrix keeps nothing
+        scalars = _scalars_on(parse_ring_preset(preset), precision)
+        e, _ = random_idempotent(scalars, 3, random.Random(f"{preset}/kept"))
+        monkeypatch.setattr(RankWitness, "verify", lambda self: False)
+        for call in (idempotent_rank, idempotent_rank,
+                     lambda m: stable_iso_witness(m, m),
+                     lambda m: stably_free_witness(m, 1), idempotent_rank):
+            with pytest.raises(AssertionError,
+                               match="^rank certificate failed to verify$"):
+                call(e)
+            assert _kept(e) is None
+        monkeypatch.undo()
+        w = idempotent_rank(e)
+        assert w.verify() and _kept(e) is w
+
+    def test_instances_built_without_init(self, z8):
+        # pickle and object.__new__ leave the slot unset, and such a matrix
+        # is diagonalized as usual
+        scalars = BaseScalars(z8)
+        e = IdempotentMatrix(scalars, ((1, 2), (0, 0)))
+        bare = object.__new__(IdempotentMatrix)
+        for name, value in zip(e._fields, e._values()):
+            object.__setattr__(bare, name, value)
+        w = idempotent_rank(e)
+        copy = pickle.loads(pickle.dumps(e))
+        for m in (bare, copy):
+            assert _kept(m) is None
+            got = idempotent_rank(m)
+            assert got is not w and got == w and _kept(m) is got
+
+    def test_concurrent_first_calls(self, f27):
+        # more threads than cores race on one matrix's first call: each
+        # gets a witness equal to a fresh copy's, and the one kept is one
+        # of them
+        scalars = SeriesScalars(f27, 4)
+        e, _ = random_idempotent(scalars, 4, random.Random("threads"))
+        want = idempotent_rank(_fresh(e))
+        results = []
+        barrier = threading.Barrier(6)
+
+        def first_call():
+            barrier.wait(timeout=30)
+            results.append(idempotent_rank(e))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_call) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 6 and all(w == want for w in results)
+        assert any(_kept(e) is w for w in results)
+        assert idempotent_rank(e) is _kept(e)

@@ -190,6 +190,31 @@ def test_idempotent_matrix_keeps_its_checks():
         IdempotentMatrix(scalars=scalars, entries=((1, 1), (1, 1)))
 
 
+def test_the_kept_rank_witness_is_not_a_field():
+    # idempotent_rank keeps its witness in a slot outside _fields: the
+    # record compares, hashes, shows and pickles as it did before the call
+    # (the pickled bytes themselves also hold the ring's memo fills)
+    scalars = BaseScalars(parse_ring_preset("zmod:2^3"))
+    e = IdempotentMatrix(scalars, ((1, 2), (0, 0)))
+    before = (repr(e), hash(e), e.__reduce__())
+    witness = idempotent_rank(e)
+    assert "_witness" in IdempotentMatrix.__slots__
+    assert "_witness" not in IdempotentMatrix._fields
+    assert e._witness is witness
+    fresh = IdempotentMatrix(scalars, e.entries)
+    assert e == fresh and not e != fresh and hash(e) == hash(fresh)
+    assert (repr(e), hash(e), e.__reduce__()) == before
+    assert before[2] == (IdempotentMatrix, (scalars, e.entries))
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and getattr(copy, "_witness", None) is None
+    for name in e._fields + ("_witness",):
+        with pytest.raises(AttributeError):
+            setattr(e, name, None)
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    assert e._witness is witness and idempotent_rank(e) is witness
+
+
 def _as_dataclasses(node):
     """The same tree built from frozen dataclasses, the node classes the
     parser used before its light __slots__ classes."""
