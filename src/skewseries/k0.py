@@ -70,8 +70,11 @@ The random generators draw one sequence of elementary, scaling and swap
 steps (_random_steps).  random_invertible applies them to I as row and
 column operations; random_conjugate, and random_idempotent through it,
 apply them to a copy of the matrix conjugated, in place, where 1 is a
-two-sided identity, so no matrix product runs.  On delta=broken, whose
-S/G_N is not associative, they build V and V^-1 and take the two products.
+two-sided identity, so no matrix product runs.  There a conjugate of 0 or
+of I is the matrix itself, so those two are drawn but not conjugated: the
+steps are drawn from the rng as before, and no step is applied and no unit
+inverted.  On delta=broken, whose S/G_N is not associative, they build V
+and V^-1 and take the two products.
 """
 
 from __future__ import annotations
@@ -737,21 +740,28 @@ def _random_steps(scalars, n, rng, ops):
     """Draw the elementary, unit-scaling and swap matrices E_1, ..., E_k of
     a random n x n invertible and apply each, in that order, through ops.
     This is the one place the draw order is written; the benchmark builds
-    its inputs from these draws, so it must not change."""
+    its inputs from these draws, so it must not change.
+
+    With ops None the steps are drawn only: every rng call is made, in the
+    same order (the unit resampling of _sample_unit included), but no
+    unit is inverted (inv draws nothing) and nothing is applied."""
     steps = rng.randint(n + 1, 2 * n + 2)
     for _ in range(steps):
         kind = rng.randrange(3) if n > 1 else 1
         i = rng.randrange(n)
         if kind == 1:
             unit = _sample_unit(scalars, rng)
-            ops.scale(i, unit, scalars.inv(unit))
+            if ops is not None:
+                ops.scale(i, unit, scalars.inv(unit))
             continue
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
         if kind == 0:
-            ops.add(i, j, scalars.sample(rng))
-        else:
+            v = scalars.sample(rng)
+            if ops is not None:
+                ops.add(i, j, v)
+        elif ops is not None:
             ops.swap(i, j)
 
 
@@ -776,18 +786,39 @@ def random_conjugate(scalars, entries, rng):
     E_k...E_1 * entries * E_1^-1...E_k^-1 is V * entries * V^-1 wherever
     the entries multiply associatively, and V is never built.  On
     delta=broken, whose S/G_N is not associative, V and V^-1 are built and
-    the two products taken, so the matrix (or the error) is theirs."""
+    the two products taken, so the matrix (or the error) is theirs.
+
+    On such a base the steps fix 0 and I, so entries equal to either are
+    returned as they are (as tuples) once the steps are drawn
+    (_random_steps with no ops): no step is applied and no unit inverted.
+    The in-place path gives the same matrix, entry by entry and with no
+    associativity assumed.  A step skips every product with a zero factor
+    and keeps that entry, so on 0 nothing changes.  On I a swap gives I
+    again.  A scale step by a unit u turns (i, i) into u*1 = u and then
+    into u*u^-1 = 1, which inv checks before it returns; the rest of row
+    and column i is 0.  An add step with v at (i, j) turns (i, j) into
+    0 + v*1 = v and then into v + 1*(-v) = 0: the one nonzero entry of
+    row j is the 1 at (j, j), and that of column i the 1 at (i, i).  The
+    in-place path would differ only by raising where inv fails its check,
+    which needs a non-associative S/G_N; of the presets only delta=broken
+    has one, and 1 is not two-sided there."""
     n = len(entries)
     if not scalars.one_is_two_sided():
         v, vinv = random_invertible(scalars, n, rng)
         return mat_mul(scalars, mat_mul(scalars, v, entries), vinv)
+    zero = scalars.zero()
+    if (entries == mat_identity(scalars, n)
+            or all(x == zero for row in entries for x in row)):
+        _random_steps(scalars, n, rng, None)
+        return tuple(map(tuple, entries))
     a = [list(row) for row in entries]
     _random_steps(scalars, n, rng, _ElementaryOps(scalars, rows=(a,), cols=(a,)))
     return tuple(map(tuple, a))
 
 
 def random_idempotent(scalars, n, rng):
-    """Conjugate of a random 0/1 diagonal by random_conjugate: idempotent by
+    """Conjugate of a random 0/1 diagonal by random_conjugate (which draws
+    the steps for 0 and I and returns them as they are): idempotent by
     construction, and checked (IdempotentMatrix).  Returns (matrix, number
     of ones)."""
     ones = rng.randint(0, n)

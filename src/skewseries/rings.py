@@ -369,6 +369,15 @@ class ZmodRing(RingContext):
         self._pk = [p ** k for k in range(n + 1)]
         super().__init__()
 
+    def __reduce_ex__(self, protocol):
+        """Pickled as the constructor call, without the memos and caches,
+        so the bytes of a pickled record do not depend on the work done on
+        its context before.  A subclass may keep more state, so only the
+        family itself pickles this way."""
+        if type(self) is not ZmodRing:
+            return super().__reduce_ex__(protocol)
+        return ZmodRing, (self.p, self.n)
+
     def elements(self):
         return range(self.cardinality)
 
@@ -537,6 +546,12 @@ class TruncPolyRing(RingContext):
         self._add_memo, self._mul_memo = {}, {}
         self._weights = {}   # depth d -> the weights of _closed_rows
         super().__init__()
+
+    def __reduce_ex__(self, protocol):
+        """Pickled as the constructor call, as ZmodRing is."""
+        if type(self) is not TruncPolyRing:
+            return super().__reduce_ex__(protocol)
+        return TruncPolyRing, (self.q, self.m, self.c, self.delta_mode)
 
     def elements(self):
         return map(bytes, itertools.product(range(self.q), repeat=self.m))

@@ -121,6 +121,26 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     assert layers["rings.sigma_delta_calls"][0] == 2
 
 
+def test_trivial_k0_draws_are_not_conjugated(monkeypatch):
+    # Of the 16 idempotents serre-transfer draws here, the 0 and I among
+    # them have their steps drawn and not applied: no scale step inverts
+    # its unit and no row or column operation runs.  Before that change
+    # this command made 16 series inverses, 810 muls and 1,063 adds.  The
+    # checks after the draws are untouched: the idempotency check of each
+    # drawn matrix, every idempotent_rank and every verify make the same
+    # matrix products as before, on the same matrices
+    argv = ["check", "serre-transfer", "--samples", "8",
+            "--ring", "truncpoly:3:3:c=2"]
+    layers = _traced_layers(monkeypatch, argv).metrics()
+    assert layers["k0.series_inv_calls"][0] == 4
+    assert layers["rings.mul_calls"][0] == 347
+    assert layers["rings.add_calls"][0] == 406
+    # the values before the change
+    assert layers["k0.mat_mul_calls"][0] == 96
+    assert layers["k0.rank_calls"][0] == 24
+    assert layers["suites.checked"][0] == 32
+
+
 @pytest.mark.parametrize("suite, counter", [
     ("ring-axioms", "rings.mul_calls"),
     # mkl-oracle never multiplies; its tables are of sigma and delta

@@ -1248,11 +1248,12 @@ CONJUGATE_PRESETS = PRESET_MATRIX + (BROKEN_PRESET,)
 CONJUGATE_PRECISIONS = (None, 1, 2, 4, 8)
 
 
-def _conjugate_mismatches(preset, monkeypatch, ops=k0._ElementaryOps):
-    """Each case where random_conjugate, run with ops as k0._ElementaryOps,
-    differs from the oracle on the same seed, in its matrix (or the error
-    it raises) or in the rng's next draw.  The matrices conjugated are a
-    0/1 diagonal and an idempotent from _idempotent_or_constant, for
+def _conjugate_mismatches(preset, monkeypatch, **patched):
+    """Each case where random_conjugate, run with the names of k0 in
+    ``patched`` replaced, differs from the oracle on the same seed, in its
+    matrix (or the error it raises) or in the rng's next draw, as (tag,
+    matrix, whether the matrices agree).  The matrices conjugated are 0, I,
+    a 0/1 diagonal and an idempotent from _idempotent_or_constant, for
     n = 1..6."""
     ctx = parse_ring_preset(preset)
     for precision in CONJUGATE_PRECISIONS:
@@ -1263,20 +1264,30 @@ def _conjugate_mismatches(preset, monkeypatch, ops=k0._ElementaryOps):
                 pick = random.Random(tag + "/diagonal")
                 diagonal = mat_diag(scalars, [pick.randrange(2) for _ in range(n)])
                 e = _idempotent_or_constant(scalars, n, tag + "/idempotent")
-                for entries in (diagonal, e.entries):
+                for entries in (mat_diag(scalars, [0] * n),
+                                mat_identity(scalars, n), diagonal, e.entries):
                     rng, ref_rng = random.Random(tag), random.Random(tag)
                     with monkeypatch.context() as m:
-                        m.setattr(k0, "_ElementaryOps", ops)
+                        for name, value in patched.items():
+                            m.setattr(k0, name, value)
                         got = _outcome(k0.random_conjugate, scalars, entries, rng)
                     want = _outcome(_conjugate_by_products, scalars, entries,
                                     ref_rng)
                     if (got, rng.random()) != (want, ref_rng.random()):
-                        yield tag, entries
+                        yield tag, entries, got == want
+
+
+def _steps_not_drawn(scalars, n, rng, ops, _plain=k0._random_steps):
+    """A wrong _random_steps, for the must-fail control: with no ops it
+    returns at once, where it should still draw every step."""
+    if ops is not None:
+        _plain(scalars, n, rng, ops)
 
 
 class TestRandomConjugate:
     """random_conjugate conjugates in place wherever 1 is a two-sided
-    identity, and by V and V^-1 on delta=broken over S/G_N: either way its
+    identity, draws the steps for 0 and I there without applying them, and
+    conjugates by V and V^-1 on delta=broken over S/G_N: either way its
     matrix, or the error it raises, and the rng's next draw are those of
     the two products by random_invertible's V and V^-1."""
 
@@ -1289,8 +1300,49 @@ class TestRandomConjugate:
         # must-fail control: the oracle's V^-1 is built by the correct
         # operations, so an in-place step that scales a column by c
         # instead of c^-1 changes the matrix
-        assert next(_conjugate_mismatches(preset, monkeypatch, ColumnScaledByC),
+        assert next(_conjugate_mismatches(preset, monkeypatch,
+                                          _ElementaryOps=ColumnScaledByC),
                     None) is not None
+
+    @pytest.mark.parametrize("preset", ("zmod:3^5", "truncpoly:3:3:c=2"))
+    def test_skipping_the_draws_is_caught(self, preset, monkeypatch):
+        # must-fail control: returning 0 or I without drawing the steps
+        # gives the right matrix, so only the rng-state check catches it
+        found = list(itertools.islice(_conjugate_mismatches(
+            preset, monkeypatch, _random_steps=_steps_not_drawn), 20))
+        assert found
+        assert all(matrices_agree for _, _, matrices_agree in found)
+
+    @pytest.mark.parametrize("preset", CONJUGATE_PRESETS)
+    def test_zero_and_identity_are_drawn_only(self, preset, monkeypatch):
+        # 0 and I take neither an inverse nor an elementary operation,
+        # except on delta=broken over S/G_N, where V and V^-1 are built
+        ctx = parse_ring_preset(preset)
+        log = []
+
+        def logged(name, plain):
+            def call(*args, **kwargs):
+                log.append(name)
+                return plain(*args, **kwargs)
+            return call
+
+        # an _ElementaryOps never built has no method called
+        for name in ("_ElementaryOps", "random_invertible"):
+            monkeypatch.setattr(k0, name, logged(name, getattr(k0, name)))
+        for cls in (BaseScalars, SeriesScalars):
+            monkeypatch.setattr(cls, "inv", logged("inv", cls.inv))
+        for precision in CONJUGATE_PRECISIONS:
+            scalars = _scalars_on(ctx, precision)
+            for n in range(1, 7):
+                for entries in (mat_diag(scalars, [0] * n),
+                                mat_identity(scalars, n)):
+                    del log[:]
+                    got = _outcome(k0.random_conjugate, scalars, entries,
+                                   random.Random(f"{preset}/{n}"))
+                    if precision is not None and preset == BROKEN_PRESET:
+                        assert log[:2] == ["random_invertible", "_ElementaryOps"]
+                    else:
+                        assert (got, log) == (entries, [])
 
     @pytest.mark.parametrize("preset", CONJUGATE_PRESETS)
     def test_v_is_built_only_on_delta_broken(self, preset, monkeypatch):

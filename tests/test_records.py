@@ -20,6 +20,7 @@ from skewseries import (BaseScalars, CheckReport, CompletedRow, GradedElem,
 from skewseries.cli import _parse_matrix
 from skewseries.exprparse import Add, Const, Mul, Neg, Pow, Sub, Var
 from skewseries.report import FrozenRecord, Record
+from skewseries.rings import ZmodRing
 from test_expr_eval import _random_tree
 
 FROZEN = (IdempotentMatrix, RankWitness, StableIsoWitness, StablyFreeWitness,
@@ -193,7 +194,7 @@ def test_idempotent_matrix_keeps_its_checks():
 def test_the_kept_rank_witness_is_not_a_field():
     # idempotent_rank keeps its witness in a slot outside _fields: the
     # record compares, hashes, shows and pickles as it did before the call
-    # (the pickled bytes themselves also hold the ring's memo fills)
+    # (its context pickles without its memos: see the test below)
     scalars = BaseScalars(parse_ring_preset("zmod:2^3"))
     e = IdempotentMatrix(scalars, ((1, 2), (0, 0)))
     before = (repr(e), hash(e), e.__reduce__())
@@ -213,6 +214,43 @@ def test_the_kept_rank_witness_is_not_a_field():
         with pytest.raises(AttributeError):
             delattr(e, name)
     assert e._witness is witness and idempotent_rank(e) is witness
+
+
+PICKLE_PRESETS = ("zmod:2^3", "truncpoly:3:3:c=2",
+                  "truncpoly:3:3:c=2:delta=zero", "truncpoly:3:3:c=2:delta=broken")
+
+
+@pytest.mark.parametrize("preset", PICKLE_PRESETS)
+def test_a_context_pickles_without_its_memos(preset):
+    # a preset's context pickles as its constructor call, so the bytes of
+    # a record on it do not change with the work done on the context: a
+    # rank query and a suite run fill its memos and caches
+    ctx = parse_ring_preset(preset)
+    scalars = SeriesScalars(ctx, 3)
+    e = IdempotentMatrix(scalars, [[scalars.one(), scalars.zero()],
+                                   [scalars.zero(), scalars.zero()]])
+    before, state = pickle.dumps(e), pickle.dumps(vars(ctx))
+    idempotent_rank(IdempotentMatrix(scalars, e.entries))
+    run_property_suite("ring-axioms", ctx, None, samples=3, seed=0)
+    assert len(pickle.dumps(vars(ctx))) > len(state)
+    assert pickle.dumps(e) == before
+    copy = pickle.loads(before)
+    assert copy == e and copy.scalars.ctx.name == preset
+    assert len(pickle.dumps(ctx)) < 100
+
+
+class _KeepsMore(ZmodRing):
+    pass
+
+
+def test_a_context_subclass_pickles_its_state():
+    # a subclass may keep more state than its constructor arguments, so it
+    # pickles as any object does, instance dict and all
+    ctx = _KeepsMore(2, 3)
+    ctx.extra = "kept"
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert type(copy) is _KeepsMore and copy.extra == "kept"
+    assert copy.__dict__.keys() == ctx.__dict__.keys()
 
 
 def _as_dataclasses(node):
