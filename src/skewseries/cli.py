@@ -15,7 +15,7 @@ import threading
 
 from .exprparse import ExprError, Mul, eval_expression, parse_expression
 from .k0 import (BaseScalars, IdempotentMatrix, NotIdempotent, NotUnimodular,
-                 SeriesScalars, _stable_iso, idempotent_rank,
+                 SeriesScalars, idempotent_rank, stable_iso_witness,
                  unimodular_complete)
 from .rings import parse_ring_preset
 from .series import principal_symbol
@@ -251,16 +251,17 @@ def _cmd_stable_iso(args, ctx):
     if left is None or right is None:
         return 1, ["NOT IDEMPOTENT"], \
             {"verdict": "NOT IDEMPOTENT", "t": None, "certificate": None}
-    # zero-padding to a common size changes neither rank
-    w_left, w_right, witness = _stable_iso(left, right)
-    rank_left, rank_right = w_left.rank, w_right.rank
+    rank_left = idempotent_rank(left).rank
+    rank_right = idempotent_rank(right).rank
     lines = [f"base: {scalars.description}",
              f"rank e1: {rank_left}",
              f"rank e2: {rank_right}"]
-    if witness is None:
+    if rank_left != rank_right:
         verdict = f"NO STABLE ISO (rank {rank_left} != rank {rank_right})"
         lines.append(verdict)
         return 0, lines, {"verdict": verdict, "t": None, "certificate": None}
+    # stable_iso_witness reuses the two rank witnesses kept on the inputs
+    witness = stable_iso_witness(left, right)
     verdict = "STABLE ISO VERIFIED"
     w, w_inv = _rendered(scalars, witness.conjugator, witness.conjugator_inv)
     lines.append(f"t = {witness.t}")

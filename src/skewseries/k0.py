@@ -11,10 +11,11 @@ Two scalar bases are supported behind one small facade:
 * :class:`BaseScalars`    entries from a coefficient ring R
 * :class:`SeriesScalars`  entries from a truncation S/G_N; a class is a
   unit iff its constant slot is a unit in R.  Its inverse is found by
-  Newton iteration from the inverse of that slot: each round squares
-  1 - a*b, which starts in G_1, so ceil(log2 N) rounds of two series
-  products reach G_N = 0, and two more check the inverse on both sides.
-  The precision doubles each round: round j runs in S/G_(2^j).
+  Newton iteration from the inverse of that slot in S/G_1: each round
+  squares 1 - a*b, which starts in G_1, so ceil(log2 N) rounds of two
+  series products reach G_N = 0, and two more check the inverse on both
+  sides.  The precision doubles each round: round j runs in
+  S/G_min(2^j, N).
 
 The diagonalization pivots on a unit entry.  A nonzero idempotent always
 has one: were every entry in the radical, e = e^m would have entries in
@@ -53,18 +54,17 @@ a right factor 1 without a multiplication.  SeriesScalars keeps one zero
 class and one class of 1.
 
 On delta=broken, where x*1 = x + t at N = 3, pivots and right factors
-equal to 1 keep the full path.  A unit of S/G_N whose Newton residual
-1 - ab is already zero is inverted without further rounds.  The outputs
-are the same classes either way, and every certificate is still verified
-by its products.
+equal to 1 keep the full path.  The outputs are the same classes either
+way, and every certificate is still verified by its products.
 
 Each IdempotentMatrix keeps the rank witness that idempotent_rank found
 for it, once the witness has verified, and a later call on the same object
 returns it: stable_iso_witness and stably_free_witness on a matrix whose
-rank was asked for do not diagonalize it again.  A matrix padded to a
-larger size is a new object and is diagonalized on its own.  The witness
-is kept on the matrix, not in a table keyed on its value, so it lives
-exactly as long as the matrix.
+rank was asked for do not diagonalize it again.  stable_iso_witness pads
+the witness of a smaller input to the common size by blocks
+(RankWitness.padded), so the padded matrix is not diagonalized either.
+The witness is kept on the matrix, not in a table keyed on its value, so
+it lives exactly as long as the matrix.
 
 The random generators draw one sequence of elementary, scaling and swap
 steps (_random_steps).  random_invertible applies them to I as row and
@@ -255,32 +255,21 @@ class SeriesScalars(_Scalars):
         slot of a, with precision doubling.  1 - ab lies in G_1, each round
         squares it and G_k G_k lies in G_2k, so a b that inverts a mod G_k
         gives one that inverts it mod G_2k, and ceil(log2 N) rounds reach
-        G_N = 0.  Round j needs only S/G_(2^j), so it runs on the images of
-        a and b there (TruncatedSeries.reduce_precision, a ring map where
-        delta is a sigma-derivation; on delta=broken the check decides), the
-        last one in S/G_N.  Round 1 runs at N: both of its products have the
-        constant factor c0^-1, so they cost a pass over a, and when its
-        residual 1 - a*c0^-1 is zero (a constant unit, say) c0^-1 is the
-        inverse and no round follows.  A later round whose residual is zero
-        keeps b as it is, since b + b*0 = b.  The two-sided check is at N."""
+        G_N = 0.  b starts in S/G_1, and round j runs in S/G_min(2^j, N) on
+        the images of a and b there (TruncatedSeries.reduce_precision, a
+        ring map where delta is a sigma-derivation; on delta=broken the
+        check decides): two series products a round.  The two-sided check
+        is at N."""
         if not self.is_unit(a):
             raise ValueError("not a unit")
-        ctx, precision, one = self.ctx, self.precision, self._one
-        b = TruncatedSeries.constant(ctx, precision, ctx.inv(a.coeffs[0]))
-        residual = one - a * b if precision > 1 else self._zero
-        if not residual.is_zero():
-            b = b + b * residual
-            p = 2
-            while p < precision:
-                p = min(2 * p, precision)
-                b = TruncatedSeries(ctx, p, b.coeffs)
-                if p < precision:
-                    residual = (TruncatedSeries.one(ctx, p)
-                                - a.reduce_precision(p) * b)
-                else:
-                    residual = one - a * b
-                if not residual.is_zero():
-                    b = b + b * residual
+        ctx, precision = self.ctx, self.precision
+        b = TruncatedSeries.constant(ctx, 1, ctx.inv(a.coeffs[0]))
+        p = 1
+        while p < precision:
+            p = min(2 * p, precision)
+            b = TruncatedSeries(ctx, p, b.coeffs)
+            b = b + b * (TruncatedSeries.one(ctx, p) - a.reduce_precision(p) * b)
+        one = self._one
         if b * a != one or a * b != one:
             # the text names the geometric series this method replaced; the
             # cli-cold benchmark pins it
@@ -341,16 +330,6 @@ def _mutually_inverse(scalars, a, b):
     """a*b = I and b*a = I, checked in that order."""
     ident = mat_identity(scalars, len(a))
     return mat_mul(scalars, a, b) == ident and mat_mul(scalars, b, a) == ident
-
-
-def _pad_to(e, n):
-    """e embedded in the top-left corner of an n x n zero matrix.  An input
-    already of size n is returned as it is, since wrapping it again would
-    only repeat the e*e = e check; a padded one is wrapped and checked."""
-    if e.size == n:
-        return e
-    pad = mat_diag(e.scalars, [0] * (n - e.size))
-    return IdempotentMatrix(e.scalars, mat_direct_sum(e.scalars, e.entries, pad))
 
 
 class IdempotentMatrix(FrozenRecord):
@@ -418,6 +397,23 @@ class RankWitness(FrozenRecord):
             if ue == tuple(u[:rank]) + (zero_row,) * (n - rank):
                 return True
         return mat_mul(s, ue, self.conjugator_inv) == self.diagonal_form()
+
+    def padded(self, n):
+        """The witness of the matrix zero-padded to n x n: the matrix gets a
+        zero block, U and U^-1 each an identity block, and the rank stays.
+        That is the witness idempotent_rank finds for the padded matrix, on
+        every base: it finds the same pivots there, and skips every step
+        whose factor is a zero of the padding.  A witness of size n is
+        returned as it is."""
+        k = n - len(self.matrix)
+        if not k:
+            return self
+        s, ident = self.scalars, mat_identity(self.scalars, k)
+        return RankWitness(
+            scalars=s, rank=self.rank,
+            matrix=mat_direct_sum(s, self.matrix, mat_diag(s, [0] * k)),
+            conjugator=mat_direct_sum(s, self.conjugator, ident),
+            conjugator_inv=mat_direct_sum(s, self.conjugator_inv, ident))
 
 
 class _ElementaryOps:
@@ -602,24 +598,17 @@ def stable_iso_witness(e1: IdempotentMatrix, e2: IdempotentMatrix):
     """Least t with e1 (+) I_t conjugate to e2 (+) I_t, as an explicit
     witness, or None.  Over a local base padding by I_t shifts both ranks
     equally, so a witness exists iff the ranks agree, and then t = 0 works.
-    An input of the common size reuses the rank witness idempotent_rank
-    kept on it (_stable_iso).
+    Each input's rank witness is the one idempotent_rank keeps on it,
+    zero-padded to the common size (RankWitness.padded); the witness
+    returned is verified in full.
     """
-    return _stable_iso(e1, e2)[2]
-
-
-def _stable_iso(e1: IdempotentMatrix, e2: IdempotentMatrix):
-    """(rank witness of e1, rank witness of e2, stable_iso_witness(e1, e2)),
-    diagonalizing and verifying each input at most once: an input already
-    of the common size reuses the witness idempotent_rank kept on it, if
-    any, and a padded one is a new matrix, diagonalized here."""
     if e1.scalars != e2.scalars:
         raise ValueError("base mismatch")
     scalars = e1.scalars
     n = max(e1.size, e2.size)
-    w1, w2 = (idempotent_rank(_pad_to(e, n)) for e in (e1, e2))
+    w1, w2 = (idempotent_rank(e).padded(n) for e in (e1, e2))
     if w1.rank != w2.rank:
-        return w1, w2, None
+        return None
     conj = mat_mul(scalars, w2.conjugator_inv, w1.conjugator)
     conj_inv = mat_mul(scalars, w1.conjugator_inv, w2.conjugator)
     witness = StableIsoWitness(
@@ -627,7 +616,7 @@ def _stable_iso(e1: IdempotentMatrix, e2: IdempotentMatrix):
         conjugator=conj, conjugator_inv=conj_inv)
     if not witness.verify():
         raise AssertionError("stable isomorphism certificate failed to verify")
-    return w1, w2, witness
+    return witness
 
 
 class StablyFreeWitness(FrozenRecord):

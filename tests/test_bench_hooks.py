@@ -110,14 +110,14 @@ def test_tracer_sees_the_series_matrix_products(monkeypatch):
     # - e*e = e, checked when the matrix is read: 123 muls and 137 adds;
     # - the row and column steps of idempotent_rank, each x + v*y
     #   accumulated onto x: 289 muls and 331 adds;
-    # - its two series inverses, Newton rounds that stop once 1 - ab is
-    #   zero, each checked by both products, with the two verified inverses
-    #   of their constant terms in R: 28 muls and 37 adds;
+    # - its two series inverses, Newton rounds from S/G_1 that run at 2
+    #   and then 3, each checked by both products, with the two verified
+    #   inverses of their constant terms in R: 18 muls and 28 adds;
     # - the certificate's U*U^-1 and U^-1*U (170 muls and 228 adds) and U*e
     #   (90 muls and 105 adds), which equals D*U, U's rows selected, so
     #   (U*e)*U^-1 is not taken
-    assert layers["rings.mul_calls"][0] == 719
-    assert layers["rings.add_calls"][0] == 881
+    assert layers["rings.mul_calls"][0] == 709
+    assert layers["rings.add_calls"][0] == 872
     assert layers["rings.sigma_delta_calls"][0] == 2
 
 
@@ -125,7 +125,8 @@ def test_trivial_k0_draws_are_not_conjugated(monkeypatch):
     # Of the 16 idempotents serre-transfer draws here, the 0 and I among
     # them have their steps drawn and not applied: no scale step inverts
     # its unit and no row or column operation runs.  Before that change
-    # this command made 16 series inverses, 810 muls and 1,063 adds.  The
+    # this command made 16 series inverses, 810 muls and 1,063 adds (347
+    # and 406 after it, with the first Newton round at S/G_N).  The
     # checks after the draws are untouched: the idempotency check of each
     # drawn matrix, every idempotent_rank and every verify make the same
     # matrix products as before, on the same matrices
@@ -133,8 +134,8 @@ def test_trivial_k0_draws_are_not_conjugated(monkeypatch):
             "--ring", "truncpoly:3:3:c=2"]
     layers = _traced_layers(monkeypatch, argv).metrics()
     assert layers["k0.series_inv_calls"][0] == 4
-    assert layers["rings.mul_calls"][0] == 347
-    assert layers["rings.add_calls"][0] == 406
+    assert layers["rings.mul_calls"][0] == 311
+    assert layers["rings.add_calls"][0] == 364
     # the values before the change
     assert layers["k0.mat_mul_calls"][0] == 96
     assert layers["k0.rank_calls"][0] == 24

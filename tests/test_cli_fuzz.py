@@ -37,11 +37,15 @@ PRESETS = DRAWN_PRESETS + INVALID_PRESETS
 # delta=broken is not a sigma-derivation, S/G_N is not associative there,
 # and the Newton inverse inside serre-transfer's rank certificate or inside
 # a row completion, like the completion of a row over S/G_6, fails to
-# verify; a certificate failure should be a FAIL verdict or an error line
-# (ROADMAP item 5).
+# verify, and so, over S/G_2, can a rank certificate inside
+# serre-transfer; a certificate failure should be a FAIL verdict or an
+# error line (ROADMAP item 5).
 KNOWN_FINDINGS = {
     ("check serre-transfer", BROKEN_PRESET,
      "AssertionError: geometric inverse failed to verify"),
+    # item 5
+    ("check serre-transfer", BROKEN_PRESET,
+     "AssertionError: rank certificate failed to verify"),
     ("complete-row", BROKEN_PRESET,
      "AssertionError: row completion failed to verify"),
     ("complete-row", BROKEN_PRESET,
@@ -51,6 +55,10 @@ KNOWN_FINDINGS = {
 KNOWN_DRAWS = (("check serre-transfer", BROKEN_PRESET,
                 ["check", "serre-transfer", "--ring", BROKEN_PRESET,
                  "--samples", "3"]),
+               # item 5
+               ("check serre-transfer", BROKEN_PRESET,
+                ["check", "serre-transfer", "--ring", BROKEN_PRESET,
+                 "--prec", "2", "--seed", "24", "--samples", "3"]),
                ("complete-row", BROKEN_PRESET,
                 ["complete-row", "1,x,t", "--ring", BROKEN_PRESET,
                  "--prec", "6"]),

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and the
-arithmetic modules hold no check.
+"""Every module of the package uses each name it imports, the arithmetic
+modules hold no check, and the command line imports no private name of the
+package.
 
 A name that a module imports and never reads is left behind by a move of
 code between modules; this guard finds it with the standard library's ast.
@@ -80,3 +81,24 @@ def test_the_check_guard_sees_a_walk_and_a_check():
 def test_the_package_is_found():
     # an empty MODULES would leave the guard above with nothing to check
     assert PACKAGE / "series.py" in MODULES
+
+
+def private_imports(source: str) -> list:
+    """The underscore-prefixed names that ``source`` imports from the
+    package (a relative import or one from skewseries), in import order."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "skewseries")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_command_line_imports_no_private_name():
+    # cli.py builds its outputs from the package's public functions
+    assert private_imports((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_the_private_import_guard_sees_one():
+    source = ("from .k0 import _stable_iso, idempotent_rank\n"
+              "from skewseries.rings import _reduce\n"
+              "from os import _exit\nimport _thread\n")
+    assert private_imports(source) == ["_stable_iso", "_reduce"]

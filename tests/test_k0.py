@@ -62,7 +62,7 @@ def all_2x2_invertibles(scalars):
 
 def test_constant_matrices(z8):
     """mat_diag, mat_identity, mat_direct_sum and the zero padding of
-    _pad_to, entry by entry, over R and over S/G_N."""
+    RankWitness.padded, entry by entry, over R and over S/G_N."""
     for scalars in (BaseScalars(z8), SeriesScalars(z8, 3)):
         one, zero = scalars.one(), scalars.zero()
         assert mat_diag(scalars, [1, 0, 1]) == \
@@ -72,9 +72,11 @@ def test_constant_matrices(z8):
         block = ((one, zero), (zero, zero))
         expected = ((one, zero, zero), (zero, zero, zero), (zero, zero, zero))
         assert mat_direct_sum(scalars, block, ((zero,),)) == expected
-        padded = k0._pad_to(IdempotentMatrix(scalars, block), 3)
-        assert padded.entries == expected
-        assert padded.scalars is scalars
+        padded = idempotent_rank(IdempotentMatrix(scalars, block)).padded(3)
+        assert padded.matrix == expected
+        assert padded.conjugator == padded.conjugator_inv == \
+            mat_identity(scalars, 3)
+        assert padded.rank == 1 and padded.scalars is scalars
 
 
 class TestRank:
@@ -226,13 +228,13 @@ class TestStableIso:
         w = stable_iso_witness(e1, e2)
         assert w is not None and w.verify()
 
-    @pytest.mark.parametrize("sizes,products", [((3, 3), 12), ((2, 3), 13)])
+    @pytest.mark.parametrize("sizes,products", [((3, 3), 12), ((2, 3), 12)])
     def test_matrix_products(self, f27, monkeypatch, sizes, products):
-        # 3 per rank certificate, 2 for W and W^-1 and 4 to verify them,
-        # plus the e*e = e check of each input that had to be padded.  A
+        # 3 per rank certificate, 2 for W and W^-1 and 4 to verify them.  A
         # rank certificate checks U*U^-1, U^-1*U and U*e = D*U, where D*U is
-        # U's rows selected, so (U*e)*U^-1 = D is no longer taken: 14 -> 12
-        # and 15 -> 13
+        # U's rows selected, so (U*e)*U^-1 = D is no longer taken: 14 -> 12.
+        # The 2x2 input's certificate is padded by blocks, not built again
+        # for a padded matrix with its e*e = e check: 13 -> 12
         scalars = SeriesScalars(f27, 3)
         rng = random.Random(89)
         e1, e2 = (_conjugated_diag(scalars, n, 1, rng) for n in sizes)
@@ -248,13 +250,12 @@ class TestStableIso:
         assert calls[0] == products
         assert witness is not None and witness.verify()
 
-    @pytest.mark.parametrize("sizes,products", [((3, 3), 6), ((2, 3), 10)])
+    @pytest.mark.parametrize("sizes,products", [((3, 3), 6), ((2, 3), 6)])
     def test_matrix_products_after_the_ranks(self, f27, monkeypatch, sizes,
                                              products):
-        # the same inputs with their ranks asked for first: each input of
-        # the common size reuses its kept rank certificate, so only W, W^-1
-        # and their 4 checks remain, 12 -> 6; the padded 2x2 input is a new
-        # matrix and still costs its e*e = e check and 3 products, 13 -> 10
+        # the same inputs with their ranks asked for first: each input
+        # reuses its kept rank certificate, the 2x2 one padded, so only W,
+        # W^-1 and their 4 checks remain, 12 -> 6
         scalars = SeriesScalars(f27, 3)
         rng = random.Random(89)
         e1, e2 = (_conjugated_diag(scalars, n, 1, rng) for n in sizes)
@@ -397,11 +398,9 @@ def full_precision_newton(scalars, a):
 
 
 def doubling_precisions(n):
-    """The precisions of the series products of SeriesScalars.inv on a unit
-    whose every residual is nonzero: round 1 at N (both products by the
-    constant c0^-1), round j >= 2 at min(2^j, N), then the check at N."""
-    out = [n, n] if n > 1 else []
-    p = 2
+    """The precisions of the series products of SeriesScalars.inv: two in
+    each round, at 2, 4, ..., up to N, then the check's two at N."""
+    out, p = [], 1
     while p < n:
         p = min(2 * p, n)
         out += [p, p]
@@ -440,9 +439,8 @@ class TestNewtonInverse:
     def test_series_products(self, monkeypatch, precision):
         # ceil(log2 N) rounds of two products and the two-sided check, as
         # with every round at N (the geometric series made N + 3), but
-        # round j >= 2 runs at min(2^j, N): at N = 32 the products of
-        # rounds 2 to 4 run at 4, 8 and 16, and round 1, whose products
-        # have a constant factor, round 5 and the check at 32
+        # round j runs at min(2^j, N): at N = 32 the products of rounds 1
+        # to 4 run at 2, 4, 8 and 16, and round 5 and the check at 32
         scalars = SeriesScalars(parse_ring_preset("truncpoly:3:3:c=2"), precision)
         a = k0._sample_unit(scalars, random.Random(precision))
         calls = []
@@ -457,27 +455,7 @@ class TestNewtonInverse:
         rounds = (precision - 1).bit_length()
         assert 2 ** rounds >= precision
         assert calls == [(p, p) for p in doubling_precisions(precision)]
-        assert len(calls) == (2 * rounds + 2 if precision > 1 else 2)
-
-    def test_constant_unit_stops_after_one_product(self, monkeypatch):
-        # b = c0^-1 already inverts a constant unit: 1 - ab is zero after
-        # one product, so the rounds stop there and only the two-sided check
-        # follows, 3 series products instead of 3 rounds of two and 2
-        ctx = parse_ring_preset("truncpoly:3:3:c=2")
-        scalars = SeriesScalars(ctx, 8)
-        a = TruncatedSeries.constant(ctx, 8, ctx.add(ctx.from_int(2),
-                                                     ctx.radical_gens[0]))
-        calls = []
-        plain_mul = TruncatedSeries.__mul__
-
-        def counted_mul(x, y):
-            calls.append(1)
-            return plain_mul(x, y)
-
-        monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
-        b = scalars.inv(a)
-        assert len(calls) == 3
-        assert b == TruncatedSeries.constant(ctx, 8, ctx.inv(a.coeffs[0]))
+        assert len(calls) == 2 * rounds + 2
 
     def test_broken_serre_transfer_crash_is_pinned(self):
         # the cli-cold benchmark expects exactly this crash of the suite's
@@ -1893,3 +1871,68 @@ class TestWitnessReuse:
         assert len(results) == 6 and all(w == want for w in results)
         assert any(_kept(e) is w for w in results)
         assert idempotent_rank(e) is _kept(e)
+
+
+# None is the base R itself
+PAD_PRECISIONS = (None, 1, 2, 4)
+PAD_DRAWS = 5
+PAD_CASES = len(PAD_PRECISIONS) * 4 * PAD_DRAWS * 3
+
+
+def _padded_by_rank(e, k):
+    """The oracle of RankWitness.padded: idempotent_rank of e zero-padded
+    by k, a new matrix diagonalized on its own, or the error it raises."""
+    s = e.scalars
+    return _outcome(idempotent_rank, IdempotentMatrix(
+        s, mat_direct_sum(s, e.entries, mat_diag(s, [0] * k))))
+
+
+def _zero_padded_inverse(w, n):
+    """Mutant of RankWitness.padded: U^-1 gets a zero block, not I."""
+    s, k = w.scalars, n - len(w.matrix)
+    good = w.padded(n)
+    return RankWitness(s, good.matrix, good.rank, good.conjugator,
+                       mat_direct_sum(s, w.conjugator_inv, mat_diag(s, [0] * k)))
+
+
+def _padding_mismatches(preset, pad):
+    """(case, padded, oracle) for each drawn idempotent of size 1..4 over R
+    and S/G_N, N in PAD_PRECISIONS, padded by 1..3 with pad, where pad's
+    witness differs from the oracle's (or raises otherwise) or fails
+    RankWitness.verify."""
+    ctx = parse_ring_preset(preset)
+    found = []
+    for precision in PAD_PRECISIONS:
+        scalars = _scalars_on(ctx, precision)
+        for n in range(1, 5):
+            for draw in range(PAD_DRAWS):
+                e = _idempotent_or_constant(
+                    scalars, n, f"{preset}/{precision}/{n}/pad{draw}")
+                for k in (1, 2, 3):
+                    case = (precision, n, draw, k)
+                    got = _outcome(lambda: pad(idempotent_rank(e), n + k))
+                    want = _padded_by_rank(e, k)
+                    if _parts(got) != _parts(want) or (
+                            isinstance(got, RankWitness) and not got.verify()):
+                        found.append((case, got, want))
+    return found
+
+
+class TestPaddedWitness:
+    """RankWitness.padded, which stable_iso_witness applies to the kept
+    witness of a smaller input, against the witness of the padded matrix
+    diagonalized on its own: equal, or both raise alike, and verified."""
+
+    @pytest.mark.parametrize("preset", VERIFY_PRESETS)
+    def test_matches_the_padded_matrix(self, preset):
+        assert _padding_mismatches(preset, RankWitness.padded) == []
+
+    def test_a_zero_block_in_the_inverse_is_caught(self):
+        # must-fail control: the mutant is caught on every case
+        found = _padding_mismatches("truncpoly:3:3:c=2", _zero_padded_inverse)
+        assert len(found) == PAD_CASES
+        assert all(not got.verify() for _, got, _ in found)
+
+    def test_a_witness_of_the_size_is_returned_as_it_is(self, z8):
+        w = idempotent_rank(IdempotentMatrix(BaseScalars(z8), ((1, 2), (0, 0))))
+        assert w.padded(2) is w

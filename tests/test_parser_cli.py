@@ -69,6 +69,12 @@ GOLDEN_CASES = [
       "--prec", "3"], 0),
     ("stable_iso_none.txt",
      ["stable-iso", "1", "0", "--ring", "zmod:2^3"], 0),
+    # a verified stable isomorphism whose 1x1 input is zero-padded
+    ("stable_iso_padded.txt",
+     ["stable-iso", "1,2;0,0", "1", "--ring", "zmod:2^3"], 0),
+    ("stable_iso_series_padded.txt",
+     ["stable-iso", "0,0;t + x,1", "1", "--ring", "truncpoly:3:3:c=2",
+      "--prec", "3"], 0),
     # the verdict rank gives, not a usage error
     ("stable_iso_not_idempotent.txt",
      ["stable-iso", "1,1;1,1", "1,0;0,0", "--ring", "zmod:2^3"], 1),

@@ -7,7 +7,7 @@ counterexample text), on a layer with one planted fault."""
 import pytest
 
 from conftest import BROKEN_PRESET, PRESET_MATRIX
-from skewseries import (SUITE_NAMES, SkewPoly, TruncatedSeries, k0,
+from skewseries import (SUITE_NAMES, SkewPoly, TruncatedSeries, cli, k0,
                         parse_ring_preset, run_property_suite, series, skewpoly,
                         suites)
 from skewseries.skewpoly import _LeftForm
@@ -34,6 +34,19 @@ def test_verdict_over_the_preset_matrix(name, preset):
     assert report.passed is not fails, report.counterexample
     assert report.passed == (report.counterexample is None)
     assert report.checked > 0
+
+
+def test_broken_serre_transfer_usage_exit_is_pinned(capsys):
+    # a known finding: over the non-associative S/G_4 random_idempotent's
+    # own e*e = e check raises NotIdempotent, a ValueError, and cli.main
+    # maps every ValueError to exit 2, the usage-error code, on a valid
+    # command; ROADMAP item 5 turns it into a FAIL verdict
+    with pytest.raises(k0.NotIdempotent, match="^not idempotent$"):
+        run_property_suite("serre-transfer", parse_ring_preset(BROKEN_PRESET),
+                           None, 1, 12)
+    assert cli.main(["check", "serre-transfer", "--ring", BROKEN_PRESET,
+                     "--seed", "12", "--samples", "1"]) == 2
+    assert capsys.readouterr().err == "error: not idempotent\n"
 
 
 @pytest.mark.parametrize("samples", [0, -1])
